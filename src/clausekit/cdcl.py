@@ -2,12 +2,16 @@
 
 Exhaustive unit propagation, eager conflict detection, 1UIP conflict analysis,
 backjumping, manual forgetting, and a brute-force truth-table redundancy
-oracle.  Literals are DIMACS-style signed integers; propagation scans clauses
-in id order so traces are deterministic.
+oracle.  Literals are DIMACS-style signed integers.  Propagation runs on two
+watched literals per clause: an assignment visits only the clauses watching
+the literal it falsifies.  Traces stay deterministic: the conflict is always
+the smallest-id false clause and the propagating clause the smallest-id unit
+clause, as in an id-order scan.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
@@ -54,7 +58,16 @@ def clause_status(lits: Sequence[int], value: dict[int, bool]) -> tuple[str, int
 
 @dataclass
 class CdclState:
-    """The solver five-tuple plus assignment bookkeeping and an event log."""
+    """The solver five-tuple plus assignment bookkeeping, the watch kernel and an event log.
+
+    The two-watched-literal kernel keeps, for every clause, a mutable copy of
+    its literals whose first two positions are watched (`watched`), the
+    clauses watching each literal (`watchers`), a heap of (clause id, unit
+    literal) for the unit clauses (`pending`), and the ids of the false
+    clauses (`false_ids`).  A one-literal clause is padded to two positions
+    and watched once.  Whenever no clause is false, every clause that is
+    neither satisfied nor on the heap has two non-false watched positions.
+    """
 
     clauses: dict[int, PropClause]
     input_ids: frozenset[int]
@@ -69,6 +82,17 @@ class CdclState:
     var_reason: dict[int, int | None] = field(default_factory=dict)
     next_clause_id: int = 1
     last_analysis_steps: list[tuple[int, int]] = field(default_factory=list)
+    watched: dict[int, list[int]] = field(default_factory=dict, repr=False)
+    watchers: dict[int, list[int]] = field(default_factory=dict, repr=False)
+    pending: list[tuple[int, int]] = field(default_factory=list, repr=False)
+    false_ids: set[int] = field(default_factory=set, repr=False)
+
+    def __post_init__(self) -> None:
+        for atom in range(1, self.num_vars + 1):
+            self.watchers.setdefault(atom, [])
+            self.watchers.setdefault(-atom, [])
+        for c in self.clauses.values():
+            _watch(self, c.id, list(c.lits))
 
     @classmethod
     def from_clauses(cls, clauses: Iterable[PropClause], num_vars: int | None = None) -> "CdclState":
@@ -97,48 +121,105 @@ class CdclState:
         return {abs(e.lit): i for i, e in enumerate(self.trail)}
 
 
-def _append(state: CdclState, lit: int, reason: int | None) -> None:
+def _watch(state: CdclState, cid: int, lits: list[int]) -> None:
+    """Hook a clause into the kernel, watching lits[0] and lits[1].
+
+    Both watched positions must be non-false, or the clause is asserting with
+    its true literal first.  An empty clause is false; a one-literal clause is
+    unit until its literal is assigned.
+    """
+    if not lits:
+        state.false_ids.add(cid)
+        return
+    if len(lits) == 1:
+        lits = lits * 2
+        heapq.heappush(state.pending, (cid, lits[0]))
+        state.watchers[lits[0]].append(cid)
+    else:
+        state.watchers[lits[0]].append(cid)
+        state.watchers[lits[1]].append(cid)
+    state.watched[cid] = lits
+
+
+def _assign(state: CdclState, lit: int, reason: int | None) -> None:
+    """Put lit on the trail, then visit every clause watching its complement.
+
+    A visited clause moves the watch to a non-false position when it has one;
+    otherwise it becomes unit (pushed on the heap) or false, unless its other
+    watch is true.  The whole watch list is visited, so every clause made false
+    by lit is recorded, not just the first.
+    """
+    value = state.value
     state.trail.append(TrailEntry(lit, state.level, reason))
-    state.value[abs(lit)] = lit > 0
+    value[abs(lit)] = lit > 0
     state.var_level[abs(lit)] = state.level
     state.var_reason[abs(lit)] = reason
+    false_lit = -lit
+    watchers = state.watchers
+    watched = state.watched
+    stay = []
+    for cid in watchers[false_lit]:
+        lits = watched[cid]
+        if lits[0] == false_lit:
+            lits[0] = lits[1]
+            lits[1] = false_lit
+        other = lits[0]
+        other_value = value.get(abs(other))
+        if other_value is not None and other_value == (other > 0):
+            stay.append(cid)
+            continue
+        for k in range(2, len(lits)):
+            candidate = lits[k]
+            v = value.get(abs(candidate))
+            if v is None or v == (candidate > 0):
+                lits[1] = candidate
+                lits[k] = false_lit
+                watchers[candidate].append(cid)
+                break
+        else:
+            stay.append(cid)
+            if other_value is None:
+                heapq.heappush(state.pending, (cid, other))
+            else:
+                state.false_ids.add(cid)
+    watchers[false_lit] = stay
+
+
+def _drop_satisfied(state: CdclState) -> list[tuple[int, int]]:
+    """Pop satisfied clauses off the top of the heap and return the heap.
+
+    Called only while no clause is false, so an assigned unit literal is true.
+    """
+    pending = state.pending
+    while pending and abs(pending[0][1]) in state.value:
+        heapq.heappop(pending)
+    return pending
 
 
 def propagate(state: CdclState) -> CdclState:
     """Unit-propagate to fixpoint; a false clause sets the conflict slot first.
 
-    Clauses are scanned in id order (FIFO), and falsity anywhere preempts
-    further propagation (eager conflict detection).
+    Falsity anywhere preempts further propagation (eager conflict detection),
+    and the conflict is the smallest-id false clause; otherwise the
+    smallest-id unit clause propagates.  The watch kernel supplies both, so
+    the order is that of an id-order scan without rescanning any clause.
     """
     if state.conflict_id is not None:
         raise ValueError("cannot propagate with a pending conflict")
-    ids = sorted(state.clauses)
-    while True:
-        unit_lit = unit_cid = None
-        conflict = None
-        for cid in ids:
-            st, forced = clause_status(state.clauses[cid].lits, state.value)
-            if st == "false":
-                conflict = cid
-                break
-            if st == "unit" and unit_cid is None:
-                unit_cid, unit_lit = cid, forced
-        if conflict is not None:
-            state.conflict_id = conflict
-            state.events.append(("conflict", conflict))
-            break
-        if unit_cid is None:
-            break
-        _append(state, unit_lit, unit_cid)
-        state.events.append(("propagate", unit_lit, unit_cid))
+    while not state.false_ids:
+        pending = _drop_satisfied(state)
+        if not pending:
+            return state
+        cid, lit = heapq.heappop(pending)
+        _assign(state, lit, cid)
+        state.events.append(("propagate", lit, cid))
+    state.conflict_id = min(state.false_ids)
+    state.events.append(("conflict", state.conflict_id))
     return state
 
 
 def at_fixpoint(state: CdclState) -> bool:
-    return not any(
-        clause_status(c.lits, state.value)[0] in ("unit", "false")
-        for c in state.clauses.values()
-    )
+    return not state.false_ids and not _drop_satisfied(state)
 
 
 def decide(state: CdclState, lit: int) -> CdclState:
@@ -149,7 +230,7 @@ def decide(state: CdclState, lit: int) -> CdclState:
     if not at_fixpoint(state):
         raise ValueError("deciding before propagation reached fixpoint")
     state.level += 1
-    _append(state, lit, None)
+    _assign(state, lit, None)
     state.events.append(("decide", lit, state.level))
     return state
 
@@ -217,7 +298,12 @@ def analyze_conflict(state: CdclState) -> tuple[tuple[int, ...], int]:
 
 
 def backjump_and_learn(state: CdclState, learned: Sequence[int], level: int) -> CdclState:
-    """Truncate the trail to the backjump level, learn, and assert the new clause."""
+    """Truncate the trail to the backjump level, learn, and assert the new clause.
+
+    As in the Backjump rule, the level is the highest level among the learned
+    clause's other literals (0 when it has none).  The new clause watches its
+    asserting literal and its other literal of that level.
+    """
     learned = tuple(learned)
     if not learned:
         raise ValueError("cannot learn the empty clause")
@@ -229,6 +315,10 @@ def backjump_and_learn(state: CdclState, learned: Sequence[int], level: int) -> 
         abs(l) in kept and kept[abs(l)] == (l > 0) for l in learned
     ):
         raise ValueError("learned clause is not asserting at the backjump level")
+    asserting = unassigned[0]
+    others = sorted((l for l in learned if l != asserting), key=lambda l: -state.var_level[abs(l)])
+    if others and state.var_level[abs(others[0])] != level:
+        raise ValueError("backjump level is not the highest level of the learned clause's other literals")
 
     ranks = state.atom_ranks()  # ordering at conflict time, before truncation
     u_before = len(state.learned_ids)
@@ -244,7 +334,10 @@ def backjump_and_learn(state: CdclState, learned: Sequence[int], level: int) -> 
         del state.var_reason[abs(gone.lit)]
     state.level = level
     state.conflict_id = None
-    _append(state, unassigned[0], cid)
+    state.pending.clear()
+    state.false_ids.clear()
+    _watch(state, cid, [asserting, *others])
+    _assign(state, asserting, cid)
     state.events.append(("learn", learned, level, cid, ranks, u_before))
     return state
 
@@ -257,6 +350,11 @@ def forget(state: CdclState, clause_id: int) -> CdclState:
         raise ValueError(f"clause {clause_id} justifies a trail entry")
     del state.clauses[clause_id]
     state.learned_ids.remove(clause_id)
+    for lit in set(state.watched.pop(clause_id, ())[:2]):
+        state.watchers[lit] = [c for c in state.watchers[lit] if c != clause_id]
+    state.false_ids.discard(clause_id)
+    state.pending = [entry for entry in state.pending if entry[0] != clause_id]
+    heapq.heapify(state.pending)
     state.events.append(("forget", clause_id))
     return state
 

@@ -42,6 +42,7 @@ HEURISTICS: dict[str, cdcl.DecisionHeuristic] = {
 }
 
 COUNTER_N_CAP = 12
+DEFAULT_MAX_STEPS = 10_000  # resolution and lia-propagate; scl uses scl.DEFAULT_TRAIL_CAP
 
 
 @dataclass
@@ -52,7 +53,7 @@ class RunConfig:
     selection: str = "none"
     precedence: list[str] = field(default_factory=list)
     heuristic: str = "lowest-negative"
-    max_steps: int = 10_000
+    max_steps: int | None = None  # None: the mode's own default
     max_instances: int = scl.DEFAULT_INSTANCE_CAP
     replay: str | None = None
     decisions: list[str] = field(default_factory=list)
@@ -61,7 +62,7 @@ class RunConfig:
     def validate(self) -> None:
         if self.mode not in MODES:
             raise ValueError(f"unknown mode {self.mode!r}")
-        if self.max_steps < 0 or self.max_instances <= 0:
+        if (self.max_steps is not None and self.max_steps < 0) or self.max_instances <= 0:
             raise ValueError("limits must be positive")
         if self.mode == "counter-experiment":
             n = self.counter_n if self.counter_n is not None else 10
@@ -153,10 +154,15 @@ def _scl_fields(ev: tuple) -> dict:
     return {"kind": kind}
 
 
+def _max_steps(config: RunConfig, default: int = DEFAULT_MAX_STEPS) -> int:
+    """--max-steps as given, 0 included, else the mode's default."""
+    return default if config.max_steps is None else config.max_steps
+
+
 def _run_scl(config: RunConfig, emit: _Emitter) -> int:
     clauses = _bs_clauses(config)
     result = scl.scl_run(
-        clauses, instance_cap=config.max_instances, trail_cap=config.max_steps or scl.DEFAULT_TRAIL_CAP
+        clauses, instance_cap=config.max_instances, trail_cap=_max_steps(config, scl.DEFAULT_TRAIL_CAP)
     )
     if result.state is not None:
         events = list(result.state.events) + [("stats",)]
@@ -176,7 +182,7 @@ def _run_resolution(config: RunConfig, emit: _Emitter) -> int:
     clauses = _bs_clauses(config)
     cfg = _ordering(config, clauses)
     sel = resolution.selection_from_name(config.selection)
-    result = resolution.saturate(clauses, cfg, sel, max_generated=config.max_steps)
+    result = resolution.saturate(clauses, cfg, sel, max_generated=_max_steps(config))
     for line in result.log:
         emit.line(line, event="derived")
     emit.line(result.final_line(), event="result", generated=result.generated, kept=result.kept)
@@ -209,7 +215,7 @@ def _lia_system(config: RunConfig) -> lia.LiaSystem:
 def _run_lia_propagate(config: RunConfig, emit: _Emitter) -> int:
     system = _lia_system(config)
     decisions = [formats.parse_bound(b) for b in config.decisions]
-    result = lia.propagate_bounds(system, decisions, config.max_steps)
+    result = lia.propagate_bounds(system, decisions, _max_steps(config))
     for line in lia.trace_lines(result):
         emit.line(line, event="lia")
     if isinstance(result, lia.LiaFixpoint):
@@ -365,7 +371,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="symbol precedence override, greatest first, e.g. '1>0'",
     )
     parser.add_argument("--heuristic", choices=sorted(HEURISTICS), default="lowest-negative")
-    parser.add_argument("--max-steps", type=int, default=10_000)
+    parser.add_argument(
+        "--max-steps",
+        type=int,
+        help=f"step budget: SCL trail cap (default {scl.DEFAULT_TRAIL_CAP:,}), "
+        f"generated clauses or bound tightenings (default {DEFAULT_MAX_STEPS:,})",
+    )
     parser.add_argument("--max-instances", type=int, default=scl.DEFAULT_INSTANCE_CAP)
     parser.add_argument("--replay", help="derivation script file for resolution-replay")
     parser.add_argument(
@@ -403,3 +414,7 @@ def main(argv: list[str] | None = None, out: TextIO = sys.stdout) -> int:
 
 def console_main() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    console_main()

@@ -203,6 +203,7 @@ def propagate_bounds(
         current[key] = b
         trail.append(b)
     steps = 0
+    level = max((b.level for b in trail), default=0)  # derived bounds add no level
     cid = conflicting_inequation(system, current)
     if cid is not None:
         return LiaConflict(cid, current, trail, steps)
@@ -215,7 +216,6 @@ def propagate_bounds(
                     continue
                 if steps >= max_steps:
                     return LiaDiverged(steps, current, trail)
-                level = max((b.level for b in trail), default=0)
                 bound = replace(bound, level=level)
                 current[(bound.var, bound.lower)] = bound
                 trail.append(bound)

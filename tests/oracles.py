@@ -1,8 +1,9 @@
 """Independent brute-force oracles used to cross-check the engines.
 
 Everything here enumerates: truth tables by looping over assignments, ground
-satisfiability by instantiating every clause over the domain.  None of it
-shares code paths with the engines under test.
+satisfiability by instantiating every clause over the domain, unit
+propagation by rescanning every clause.  None of it shares code paths with
+the engines under test.
 """
 
 from __future__ import annotations
@@ -10,6 +11,7 @@ from __future__ import annotations
 import itertools
 from typing import Iterable, Sequence
 
+from clausekit.cdcl import TrailEntry
 from clausekit.logic import Clause, Constant, Substitution
 
 
@@ -43,6 +45,55 @@ def brute_force_models(clauses: Iterable[Sequence[int]], num_vars: int) -> list[
         if all(any(assign[abs(l)] == (l > 0) for l in c) for c in clauses):
             out.append(assign)
     return out
+
+
+def scan_status(lits: Sequence[int], value: dict[int, bool]) -> tuple[str, int | None]:
+    """Sat, false, unit or open, counting unassigned positions (duplicates count twice)."""
+    unassigned = [l for l in lits if abs(l) not in value]
+    if any(value.get(abs(l)) == (l > 0) for l in lits):
+        return "sat", None
+    if not unassigned:
+        return "false", None
+    if len(unassigned) == 1:
+        return "unit", unassigned[0]
+    return "open", None
+
+
+def reference_propagate(state):
+    """CDCL unit propagation by rescanning every clause in id order per step.
+
+    The smallest-id false clause is the conflict, and preempts propagation;
+    otherwise the smallest-id unit clause propagates.  Drop-in for
+    `cdcl.propagate`; it writes the trail itself, so the engine's watch
+    kernel is left stale and only `reference_at_fixpoint` may be used with it.
+    """
+    if state.conflict_id is not None:
+        raise ValueError("cannot propagate with a pending conflict")
+    while True:
+        unit = None
+        for cid in sorted(state.clauses):
+            status, lit = scan_status(state.clauses[cid].lits, state.value)
+            if status == "false":
+                state.conflict_id = cid
+                state.events.append(("conflict", cid))
+                return state
+            if status == "unit" and unit is None:
+                unit = (cid, lit)
+        if unit is None:
+            return state
+        cid, lit = unit
+        state.trail.append(TrailEntry(lit, state.level, cid))
+        state.value[abs(lit)] = lit > 0
+        state.var_level[abs(lit)] = state.level
+        state.var_reason[abs(lit)] = cid
+        state.events.append(("propagate", lit, cid))
+
+
+def reference_at_fixpoint(state) -> bool:
+    """Drop-in for `cdcl.at_fixpoint`: no clause is unit or false."""
+    return all(
+        scan_status(c.lits, state.value)[0] in ("sat", "open") for c in state.clauses.values()
+    )
 
 
 def resolve_on(c1: Sequence[int], c2: Sequence[int], atom: int) -> tuple[int, ...]:

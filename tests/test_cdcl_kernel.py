@@ -1,0 +1,197 @@
+"""The watched-literal propagation kernel against the id-order rescan it replaces."""
+
+import random
+
+import pytest
+
+from oracles import brute_force_sat, reference_at_fixpoint, reference_propagate
+from clausekit import cdcl
+from clausekit.cdcl import (
+    CdclState,
+    PropClause,
+    SatResult,
+    UnsatResult,
+    clause_status,
+    decide,
+    forget,
+    propagate,
+    solve,
+)
+
+HEURISTICS = (cdcl.lowest_index_negative, cdcl.lowest_index_positive)
+
+
+def random_cnf(rng):
+    """Small CNFs with unit, duplicate-literal, tautological and empty clauses."""
+    num_vars = rng.randint(1, 8)
+    clauses = []
+    for cid in range(1, rng.randint(1, 30) + 1):
+        if rng.random() < 0.02:
+            clauses.append(PropClause(cid, ()))
+            continue
+        width = rng.choice((1, 2, 2, 3, 3, 3, 4))
+        lits = [rng.choice((1, -1)) * rng.randint(1, num_vars) for _ in range(width)]
+        if rng.random() < 0.1:
+            lits.insert(rng.randrange(len(lits) + 1), rng.choice(lits))
+        if rng.random() < 0.05:
+            lits.append(-lits[0])
+        clauses.append(PropClause(cid, tuple(lits)))
+    return clauses, num_vars
+
+
+@pytest.fixture
+def reference(monkeypatch):
+    """Route cdcl's propagate and fixpoint test through the rescanning oracle."""
+
+    def use():
+        monkeypatch.setattr(cdcl, "propagate", reference_propagate)
+        monkeypatch.setattr(cdcl, "at_fixpoint", reference_at_fixpoint)
+
+    return use
+
+
+def outcome(result):
+    verdict = result.model if isinstance(result, SatResult) else result.proof
+    trail = [(e.lit, e.level, e.reason) for e in result.state.trail]
+    return type(result), verdict, result.state.events, trail
+
+
+def drive_with_forgetting(clauses, num_vars):
+    """Solve as `solve` does, but forget the oldest idle learned clause after each backjump.
+
+    Returns the final state and how often the forgotten clause was a pending unit.
+    """
+    state = CdclState.from_clauses(clauses, num_vars)
+    forgotten_units = 0
+    while True:
+        cdcl.propagate(state)
+        if state.conflict_id is not None:
+            learned, blevel = cdcl.analyze_conflict(state)
+            if blevel < 0:
+                return state, forgotten_units
+            cdcl.backjump_and_learn(state, learned, blevel)
+            reasons = {e.reason for e in state.trail}
+            idle = [cid for cid in state.learned_ids if cid not in reasons]
+            if idle:
+                forgotten_units += any(
+                    cid == idle[0] and abs(lit) not in state.value for cid, lit in state.pending
+                )
+                forget(state, idle[0])
+        elif len(state.value) == num_vars:
+            return state, forgotten_units
+        else:
+            cdcl.decide(state, cdcl.lowest_index_negative(state))
+
+
+def test_solve_matches_rescanning_reference(reference):
+    rng = random.Random(1912)
+    problems = [random_cnf(rng) for _ in range(320)]
+    kernel = [[outcome(solve(c, n, h)) for h in HEURISTICS] for c, n in problems]
+    reference()
+    scanned = [[outcome(solve(c, n, h)) for h in HEURISTICS] for c, n in problems]
+    assert kernel == scanned
+    verdicts = {kind for runs in kernel for kind, *_ in runs}
+    assert verdicts == {SatResult, UnsatResult}
+    for (clauses, num_vars), runs in zip(problems, kernel):
+        expected = brute_force_sat([c.lits for c in clauses], num_vars)
+        assert all((kind is SatResult) == expected for kind, *_ in runs)
+
+
+def test_forgetting_matches_rescanning_reference(reference):
+    rng = random.Random(2001)
+    problems = []
+    for _ in range(120):
+        num_vars = rng.randint(5, 10)
+        clauses = []
+        for cid in range(1, round(num_vars * 4.3) + 1):
+            atoms = rng.sample(range(1, num_vars + 1), 3)
+            clauses.append(PropClause(cid, tuple(a if rng.random() < 0.5 else -a for a in atoms)))
+        problems.append((clauses, num_vars))
+    kernel = [drive_with_forgetting(c, n) for c, n in problems]
+    reference()
+    scanned = [drive_with_forgetting(c, n) for c, n in problems]
+    assert [(s.events, s.trail) for s, _ in kernel] == [(s.events, s.trail) for s, _ in scanned]
+    assert sum(1 for s, _ in kernel for ev in s.events if ev[0] == "forget") > 100
+    assert sum(hits for _, hits in kernel) > 0  # a forgotten clause was a pending unit
+
+
+class TestEdgeCases:
+    def test_duplicate_literal_counts_twice(self):
+        # 1 1 2 under -2 has two unassigned positions: open, as clause_status counts it
+        state = CdclState.from_clauses([PropClause(1, (1, 1, 2))], 2)
+        decide(state, -2)
+        propagate(state)
+        assert [e.lit for e in state.trail] == [-2]
+        assert clause_status((1, 1, 2), state.value) == ("open", None)
+        assert cdcl.at_fixpoint(state)
+
+    def test_duplicate_literal_falsified(self):
+        state = CdclState.from_clauses([PropClause(1, (1, 1, 2))], 2)
+        decide(state, -1)
+        propagate(state)
+        assert state.events[-1] == ("propagate", 2, 1)
+
+    def test_doubled_unit_never_propagates(self):
+        # 1 1 has two unassigned positions, so it is open until -1 falsifies it
+        result = solve([PropClause(1, (1, 1))], 1, cdcl.lowest_index_negative)
+        assert isinstance(result, SatResult) and result.model == (1,)
+        assert result.state.events[:2] == [("decide", -1, 1), ("conflict", 1)]
+
+    def test_tautologies_never_propagate_or_conflict(self):
+        clauses = [PropClause(1, (1, -1)), PropClause(2, (2, -2, 1)), PropClause(3, (-1,))]
+        result = solve(clauses, 2)
+        assert isinstance(result, SatResult) and result.model == (-1, -2)
+        assert [ev for ev in result.state.events if ev[0] == "propagate"] == [("propagate", -1, 3)]
+
+    def test_empty_input_clause_is_the_conflict(self):
+        result = solve([PropClause(1, (1, 2)), PropClause(2, ()), PropClause(3, (1,))])
+        assert isinstance(result, UnsatResult)
+        assert result.state.events == [("conflict", 2), ("unsat",)]
+
+    def test_contradictory_units_conflict_before_propagating_more(self):
+        result = solve([PropClause(1, (1,)), PropClause(2, (2,)), PropClause(3, (-1,))])
+        assert result.state.events == [("propagate", 1, 1), ("conflict", 3), ("unsat",)]
+
+    def test_smallest_false_clause_is_the_conflict(self):
+        # propagating 2 falsifies clauses 7 and 5 at once; 7 is visited first
+        clauses = [PropClause(1, (-1, 2)), PropClause(7, (-2, -1)), PropClause(5, (-2, -1))]
+        state = CdclState.from_clauses(clauses, 2)
+        decide(state, 1)
+        propagate(state)
+        assert state.events == [("decide", 1, 1), ("propagate", 2, 1), ("conflict", 5)]
+
+    def test_forget_idle_learned_then_solve_on(self, reference):
+        def script():
+            state = CdclState.from_clauses([PropClause(1, (1, 2, 3)), PropClause(2, (-3, 4))], 4)
+            for lit in (-1, -2):
+                cdcl.decide(state, lit)
+                cdcl.propagate(state)
+            cdcl.backjump_and_learn(state, (1, 2), 1)  # clause 3 propagates 2
+            cdcl.propagate(state)
+            cdcl.decide(state, -3)
+            cdcl.propagate(state)
+            cdcl.backjump_and_learn(state, (1,), 0)  # clause 4; clause 3 is now idle
+            forget(state, 3)
+            while True:
+                cdcl.propagate(state)
+                if len(state.value) == state.num_vars:
+                    return state
+                cdcl.decide(state, cdcl.lowest_index_negative(state))
+
+        state = script()
+        assert 3 not in state.clauses and all(3 not in ws for ws in state.watchers.values())
+        after = state.events[state.events.index(("forget", 3)) + 1:]
+        assert after == [("decide", -2, 1), ("decide", -3, 2), ("decide", -4, 3)]
+        reference()
+        assert script().events == state.events
+
+    def test_backjump_level_must_be_the_asserting_level(self):
+        state = CdclState.from_clauses([PropClause(1, (1, 2, 3))], 4)
+        for lit in (-1, -4, -2):
+            decide(state, lit)
+            propagate(state)
+        # clause 1 propagated 3 at level 3; (1, -3) is asserting from level 1 on
+        with pytest.raises(ValueError):
+            cdcl.backjump_and_learn(state, (1, -3), 2)
+        cdcl.backjump_and_learn(state, (1, -3), 1)
+        assert [(e.lit, e.level, e.reason) for e in state.trail] == [(-1, 1, None), (-3, 1, 2)]

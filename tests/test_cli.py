@@ -1,9 +1,14 @@
 import io
 import json
+import os
+import subprocess
+import sys
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
+import clausekit
 from clausekit.cli import (
     EXIT_LIMIT,
     EXIT_SAT,
@@ -70,6 +75,28 @@ class TestSclMode:
         code, out = run_cli("--mode", "scl", "--counter-n", "6", "--max-steps", "3")
         assert code == EXIT_LIMIT
         assert "s RESOURCE-EXCEEDED" in out
+
+    def test_default_trail_cap_is_the_library_default(self):
+        code, out = run_cli("--mode", "scl", "--counter-n", "14")
+        assert code == EXIT_UNSAT
+        assert "stats propagations=16384 " in out
+
+    def test_explicit_zero_trail_cap(self):
+        code, out = run_cli("--mode", "scl", "--counter-n", "4", "--max-steps", "0")
+        assert code == EXIT_LIMIT
+        assert "s RESOURCE-EXCEEDED" in out
+
+
+@pytest.mark.parametrize("module", ["clausekit", "clausekit.cli"])
+def test_python_dash_m_entry(module):
+    src = str(Path(clausekit.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-m", module, "--mode", "scl", "--counter-n", "4"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == EXIT_UNSAT
+    assert "stats propagations=16 decisions=0 trail=16" in proc.stdout.splitlines()
 
 
 class TestResolutionMode:

@@ -150,6 +150,13 @@ class TestPropagateBounds:
                 assert violated, f"conflict reported but {point} satisfies everything"
         assert conflicts > 10
 
+    def test_derived_bounds_carry_highest_decision_level(self):
+        decisions = [Bound.make("x", ">=", 0, level=2), Bound.make("y", "<=", 50, level=5)]
+        result = propagate_bounds(DIVERGENT, decisions, 200)
+        derived = [b for b in result.trail if b.reason is not None]
+        assert len(derived) == result.steps > 0
+        assert {b.level for b in derived} == {5}
+
     def test_divergence_budgets_strictly_increase(self):
         counts = []
         for budget in (100, 1000, 10_000):
