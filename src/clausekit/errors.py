@@ -1,4 +1,6 @@
-"""Shared exception types."""
+"""Shared exception types, and the instance cap both grounding routines default to."""
+
+DEFAULT_INSTANCE_CAP = 1_000_000
 
 
 class ClausekitError(Exception):

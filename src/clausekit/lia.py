@@ -155,8 +155,15 @@ def _min_value(ineq: LinIneq, current: BoundMap) -> int | None:
     return total
 
 
-def conflicting_inequation(system: LiaSystem, current: BoundMap) -> int | None:
-    for ineq in system.inequations:
+def conflicting_inequation(
+    system: LiaSystem, current: BoundMap, candidates: Iterable[LinIneq] | None = None
+) -> int | None:
+    """Id of the first inequation, in system order, whose left side has a positive minimum.
+
+    `candidates`, a subsequence of the system's inequations in system order,
+    limits the scan to them.
+    """
+    for ineq in system.inequations if candidates is None else candidates:
         m = _min_value(ineq, current)
         if m is not None and m > 0:
             return ineq.id
@@ -207,6 +214,11 @@ def propagate_bounds(
     cid = conflicting_inequation(system, current)
     if cid is not None:
         return LiaConflict(cid, current, trail, steps)
+    # while none conflicts, a tightening can only make one conflict that mentions its variable
+    mentions: dict[str, list[LinIneq]] = {}
+    for ineq in system.inequations:
+        for v, _a in ineq.coeffs:
+            mentions.setdefault(v, []).append(ineq)
     while True:
         changed = False
         for ineq in system.inequations:
@@ -221,7 +233,7 @@ def propagate_bounds(
                 trail.append(bound)
                 steps += 1
                 changed = True
-                cid = conflicting_inequation(system, current)
+                cid = conflicting_inequation(system, current, mentions[bound.var])
                 if cid is not None:
                     return LiaConflict(cid, current, trail, steps)
         if not changed:

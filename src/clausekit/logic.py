@@ -10,12 +10,10 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-from .errors import ResourceLimitError
+from .errors import DEFAULT_INSTANCE_CAP, ResourceLimitError
 
 # Identifiers starting with one of these letters denote variables.
 VARIABLE_PREFIXES = ("x", "y", "z", "u", "v", "w")
-
-DEFAULT_INSTANCE_CAP = 1_000_000
 
 
 @dataclass(frozen=True, slots=True)

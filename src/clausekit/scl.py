@@ -1,7 +1,11 @@
 """Ground trail engine for the Bernays-Schoenfinkel fragment (SCL style).
 
-Clauses are grounded eagerly over a finite constant domain; the trail holds
-ground literals justified by a clause id plus grounding substitution.
+Clauses are grounded over a finite constant domain from compiled templates:
+each literal becomes a sign, a base atom index and one weight per clause
+variable, so the signed atom indices of every instance come from integer
+arithmetic over constant indices, with no substitution or atom built per
+instance.  An instance keeps each literal once.  The trail holds ground
+literals justified by a clause id plus grounding substitution.
 Propagation picks the smallest propagatable ground literal (lexicographic
 constant order, positive before negative on the same atom).  Conflicts above
 level 0 are analyzed by the propositional 1UIP engine over the ground
@@ -15,10 +19,9 @@ from dataclasses import dataclass, field
 from typing import Iterable
 
 from .cdcl import clause_status, resolve_1uip
-from .errors import ResourceLimitError
-from .logic import Atom, Clause, Constant, Literal, Substitution, Variable
+from .errors import DEFAULT_INSTANCE_CAP, ResourceLimitError
+from .logic import Atom, Clause, Constant, Literal, Variable
 
-DEFAULT_INSTANCE_CAP = 1_000_000
 DEFAULT_TRAIL_CAP = 1_000_000
 
 
@@ -76,7 +79,6 @@ class GroundProblem:
     clauses: dict[int, Clause]
     domain: tuple[Constant, ...]
     atoms: list[Atom]  # sorted; propositional atom i is atoms[i-1]
-    atom_index: dict[Atom, int]
     instances: list[GroundInstance]
     occurrences: dict[int, list[int]]  # atom -> instance positions
 
@@ -88,11 +90,72 @@ class GroundProblem:
         return pos
 
 
+def _herbrand_base(
+    signatures: set[tuple[str, int]], dom: list[Constant]
+) -> tuple[list[Atom], dict[tuple[str, int], int | list[int]]]:
+    """The atom table in (predicate, argument names) order, and where each signature starts.
+
+    The domain is sorted by name, so the atoms of a predicate used at one
+    arity come out of itertools.product in order; its place is the index of
+    its first atom.  A predicate used at several arities has its block sorted
+    and gets a table from mixed-radix constant index to atom index instead.
+    """
+    atoms: list[Atom] = []
+    place: dict[tuple[str, int], int | list[int]] = {}
+    for pred in sorted({p for p, _ in signatures}):
+        arities = sorted(a for p, a in signatures if p == pred)
+        if len(arities) == 1:
+            place[pred, arities[0]] = len(atoms) + 1
+            atoms.extend(Atom(pred, c) for c in itertools.product(dom, repeat=arities[0]))
+            continue
+        block = sorted(c for a in arities for c in itertools.product(range(len(dom)), repeat=a))
+        index = {c: len(atoms) + i + 1 for i, c in enumerate(block)}
+        for a in arities:
+            place[pred, a] = [index[c] for c in itertools.product(range(len(dom)), repeat=a)]
+        atoms.extend(Atom(pred, tuple(dom[i] for i in c)) for c in block)
+    return atoms, place
+
+
+def _literal_column(
+    lit: Literal,
+    place: int | list[int],
+    slot: dict[Variable, int],
+    const_index: dict[Constant, int],
+) -> list[int]:
+    """The literal's signed atom index in every instance, in itertools.product order.
+
+    The literal compiles to a base index plus one weight per clause variable
+    (the mixed-radix weight of each argument position it fills); each
+    variable then multiplies the column by the domain size.
+    """
+    d = len(const_index)
+    base = place if isinstance(place, int) else 0
+    weights = [0] * len(slot)
+    for j, arg in enumerate(lit.atom.args):
+        w = d ** (lit.atom.arity - j - 1)
+        if isinstance(arg, Variable):
+            weights[slot[arg]] += w
+        else:
+            base += w * const_index[arg]
+    col = [base]
+    for w in weights:
+        steps = [w * i for i in range(d)]
+        col = [x + s for x in col for s in steps]
+    if not isinstance(place, int):
+        col = [place[x] for x in col]
+    return col if lit.positive else [-x for x in col]
+
+
 def ground_problem(
     clauses: Iterable[Clause],
     domain: Iterable[Constant] | None = None,
     instance_cap: int = DEFAULT_INSTANCE_CAP,
 ) -> GroundProblem:
+    """Ground every clause over the domain by index arithmetic on compiled literals.
+
+    An instance keeps each literal once, in clause order, and an instance
+    with the literal set of an earlier instance of its clause is dropped.
+    """
     by_id: dict[int, Clause] = {}
     for c in clauses:
         if c.id in by_id:
@@ -111,46 +174,40 @@ def ground_problem(
     if not dom:
         raise ValueError("empty Herbrand domain; provide at least one constant")
 
-    # Herbrand base: every predicate/arity pair over the domain, sorted
-    signatures = {
-        (l.atom.predicate, l.atom.arity) for c in by_id.values() for l in c.literals
-    }
+    signatures = {(l.atom.predicate, l.atom.arity) for c in by_id.values() for l in c.literals}
     base_size = sum(len(dom) ** arity for _, arity in signatures)
     if base_size > instance_cap:
         raise ResourceLimitError(f"Herbrand base of {base_size} atoms exceeds the cap")
-    atoms: list[Atom] = []
-    for pred, arity in sorted(signatures):
-        for combo in itertools.product(dom, repeat=arity):
-            atoms.append(Atom(pred, combo))
-    atoms.sort(key=lambda a: (a.predicate, tuple(t.name for t in a.args)))
-    atom_index = {a: i + 1 for i, a in enumerate(atoms)}
+    atoms, place = _herbrand_base(signatures, dom)
 
     total = sum(len(dom) ** len(c.variables()) for c in by_id.values())
     if total > instance_cap:
         raise ResourceLimitError(f"{total} ground instances exceed the cap of {instance_cap}")
 
-    problem = GroundProblem(by_id, tuple(dom), atoms, atom_index, [], {})
+    const_index = {c: i for i, c in enumerate(dom)}
+    problem = GroundProblem(by_id, tuple(dom), atoms, [], {})
     for cid in sorted(by_id):
         clause = by_id[cid]
-        variables = clause.variables()
-        seen: set[tuple[int, ...]] = set()
-        for combo in itertools.product(dom, repeat=len(variables)):
-            sub = Substitution(dict(zip(variables, combo)))
-            lits = tuple(
-                atom_index[sub.apply_atom(l.atom)] * (1 if l.positive else -1)
-                for l in clause.literals
-            )
-            key = tuple(sorted(lits))
-            if key in seen:
-                continue
-            seen.add(key)
-            problem.add_instance(
-                GroundInstance(
-                    cid,
-                    tuple(sorted((v.name, c.name) for v, c in zip(variables, combo))),
-                    lits,
-                )
-            )
+        slot = {v: k for k, v in enumerate(clause.variables())}
+        columns = [
+            _literal_column(l, place[l.atom.predicate, l.atom.arity], slot, const_index)
+            for l in clause.literals
+        ]
+        substs = []  # per variable, by name: its (name, constant) pair in every instance
+        for v, k in sorted(slot.items(), key=lambda vk: vk[0].name):
+            pairs = [(v.name, c.name) for c in dom]
+            inner = len(dom) ** (len(slot) - k - 1)
+            substs.append([p for p in pairs for _ in range(inner)] * len(dom) ** k)
+        kinds = [(l.positive, l.atom.predicate, l.atom.arity) for l in clause.literals]
+        merge = len(set(kinds)) < len(kinds)  # else no literals and no instances coincide
+        seen: set[frozenset[int]] = set()
+        for subst, lits in zip(zip(*substs) if slot else [()], zip(*columns) if columns else [()]):
+            if merge:
+                lits = tuple(dict.fromkeys(lits))
+                if frozenset(lits) in seen:
+                    continue
+                seen.add(frozenset(lits))
+            problem.add_instance(GroundInstance(cid, subst, lits))
     return problem
 
 
@@ -182,7 +239,8 @@ class SclState:
     def from_problem(cls, problem: GroundProblem) -> "SclState":
         state = cls(problem=problem)
         state.stats.instances = len(problem.instances)
-        state.reclassify(range(len(problem.instances)))
+        # under the empty assignment only instances of at most one literal are unit or false
+        state.reclassify(p for p, inst in enumerate(problem.instances) if len(inst.lits) <= 1)
         return state
 
     def reclassify(self, positions: Iterable[int]) -> None:

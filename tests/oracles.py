@@ -12,7 +12,9 @@ import itertools
 from typing import Iterable, Sequence
 
 from clausekit.cdcl import TrailEntry
-from clausekit.logic import Clause, Constant, Substitution
+from clausekit.errors import ResourceLimitError
+from clausekit.logic import Atom, Clause, Constant, Substitution
+from clausekit.scl import DEFAULT_INSTANCE_CAP, GroundInstance, GroundProblem
 
 
 def brute_force_sat(clauses: Iterable[Sequence[int]], num_vars: int) -> bool:
@@ -110,6 +112,76 @@ def all_ground_instances(clauses: Iterable[Clause], domain: Sequence[Constant]) 
         for combo in itertools.product(domain, repeat=len(variables)):
             out.append(Substitution(dict(zip(variables, combo))).apply_clause(clause))
     return out
+
+
+def reference_ground_problem(
+    clauses: Iterable[Clause],
+    domain: Iterable[Constant] | None = None,
+    instance_cap: int = DEFAULT_INSTANCE_CAP,
+) -> GroundProblem:
+    """Drop-in for `scl.ground_problem`: one Substitution and one Atom per literal.
+
+    Builds the Herbrand base by sorting every atom, then applies a
+    substitution to each literal of each instance and looks the atom up.  An
+    instance keeps each literal once, in first-occurrence order, and instances
+    with the same literal set are dropped after the first.
+    """
+    by_id: dict[int, Clause] = {}
+    for c in clauses:
+        if c.id in by_id:
+            raise ValueError(f"duplicate clause id {c.id}")
+        by_id[c.id] = c
+    constants = {
+        a for c in by_id.values() for l in c.literals for a in l.atom.args if isinstance(a, Constant)
+    }
+    if domain is not None:
+        dom = sorted(set(domain), key=lambda c: c.name)
+        missing = constants - set(dom)
+        if missing:
+            raise ValueError(f"domain misses constants: {sorted(c.name for c in missing)}")
+    else:
+        dom = sorted(constants, key=lambda c: c.name)
+    if not dom:
+        raise ValueError("empty Herbrand domain; provide at least one constant")
+
+    signatures = {(l.atom.predicate, l.atom.arity) for c in by_id.values() for l in c.literals}
+    base_size = sum(len(dom) ** arity for _, arity in signatures)
+    if base_size > instance_cap:
+        raise ResourceLimitError(f"Herbrand base of {base_size} atoms exceeds the cap")
+    atoms = [
+        Atom(pred, combo)
+        for pred, arity in signatures
+        for combo in itertools.product(dom, repeat=arity)
+    ]
+    atoms.sort(key=lambda a: (a.predicate, tuple(t.name for t in a.args)))
+    atom_index = {a: i + 1 for i, a in enumerate(atoms)}
+
+    total = sum(len(dom) ** len(c.variables()) for c in by_id.values())
+    if total > instance_cap:
+        raise ResourceLimitError(f"{total} ground instances exceed the cap of {instance_cap}")
+
+    problem = GroundProblem(by_id, tuple(dom), atoms, [], {})
+    for cid in sorted(by_id):
+        clause = by_id[cid]
+        variables = clause.variables()
+        seen: set[frozenset[int]] = set()
+        for combo in itertools.product(dom, repeat=len(variables)):
+            sub = Substitution(dict(zip(variables, combo)))
+            lits = tuple(
+                dict.fromkeys(
+                    atom_index[sub.apply_atom(l.atom)] * (1 if l.positive else -1)
+                    for l in clause.literals
+                )
+            )
+            if frozenset(lits) in seen:
+                continue
+            seen.add(frozenset(lits))
+            subst = tuple(sorted((v.name, c.name) for v, c in zip(variables, combo)))
+            problem.instances.append(GroundInstance(cid, subst, lits))
+    for pos, inst in enumerate(problem.instances):
+        for atom in {abs(l) for l in inst.lits}:
+            problem.occurrences.setdefault(atom, []).append(pos)
+    return problem
 
 
 def ground_satisfiable(clauses: Iterable[Clause], domain: Sequence[Constant]) -> bool:

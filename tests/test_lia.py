@@ -3,6 +3,7 @@ import random
 import pytest
 
 from oracles import exhaustive_lia_search
+from clausekit import lia
 from clausekit.errors import ResourceLimitError
 from clausekit.formats import parse_lia
 from clausekit.lia import (
@@ -149,6 +150,34 @@ class TestPropagateBounds:
                 )
                 assert violated, f"conflict reported but {point} satisfies everything"
         assert conflicts > 10
+
+    def test_targeted_conflict_scan_matches_full_rescan(self, monkeypatch):
+        # after a tightening only the inequations mentioning its variable are scanned
+        rng = random.Random(224)
+        cases = []
+        for _ in range(300):
+            variables = ["v1", "v2", "v3", "v4", "v5"][: rng.randint(2, 5)]
+            ineqs = []
+            for i in range(1, rng.randint(2, 7) + 1):
+                chosen = rng.sample(variables, rng.randint(1, min(3, len(variables))))
+                coeffs = tuple((v, rng.choice([-3, -2, -1, 1, 2, 3])) for v in chosen)
+                ineqs.append(LinIneq(i, coeffs, rng.randint(-4, 4)))
+            decisions = [
+                Bound.make(v, rng.choice([">=", "<="]), rng.randint(-4, 4), level=1)
+                for v in variables
+                if rng.random() < 0.6
+            ]
+            cases.append((LiaSystem(ineqs), decisions))
+        got = [propagate_bounds(system, decisions, 200) for system, decisions in cases]
+        targeted = lia.conflicting_inequation
+
+        def full_scan(system, current, candidates=None):
+            return targeted(system, current)
+
+        monkeypatch.setattr(lia, "conflicting_inequation", full_scan)
+        assert got == [propagate_bounds(system, decisions, 200) for system, decisions in cases]
+        conflicts = [r for r in got if isinstance(r, LiaConflict)]
+        assert len(conflicts) > 30 and sum(r.steps > 0 for r in conflicts) > 15
 
     def test_derived_bounds_carry_highest_decision_level(self):
         decisions = [Bound.make("x", ">=", 0, level=2), Bound.make("y", "<=", 50, level=5)]
