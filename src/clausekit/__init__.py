@@ -22,7 +22,6 @@ from .logic import (
     Term,
     Variable,
     canonical_variant,
-    ground_instances,
     rename_apart,
     renamed_equal,
     unify,
@@ -48,7 +47,6 @@ __all__ = [
     "Variable",
     "canonical_variant",
     "default_config",
-    "ground_instances",
     "kbo_compare",
     "maximal_literals",
     "rename_apart",

@@ -1,19 +1,23 @@
-"""Propositional CDCL over the five-tuple state (M, N, U, k, C).
+"""Propositional CDCL over the five-tuple state (M, N, U, k, C), on a shared trail kernel.
 
-Exhaustive unit propagation, eager conflict detection, 1UIP conflict analysis,
-backjumping, manual forgetting, and a brute-force truth-table redundancy
-oracle.  Literals are DIMACS-style signed integers.  Propagation runs on two
-watched literals per clause: an assignment visits only the clauses watching
-the literal it falsifies.  Traces stay deterministic: the conflict is always
-the smallest-id false clause and the propagating clause the smallest-id unit
-clause, as in an id-order scan.
+`TrailKernel` holds the trail, two watched literals per clause, a heap of the
+unit clauses in an order the engine supplies, and the false clauses; an
+assignment visits only the clauses watching the literal it falsifies.  CDCL
+drives it over clause ids, the SCL engine (`clausekit.scl`) over ground
+instances.  On top of it: exhaustive unit propagation, eager conflict
+detection, 1UIP conflict analysis, backjumping, manual forgetting, and a
+brute-force truth-table redundancy oracle.  Literals are DIMACS-style signed
+integers.  Traces stay deterministic: the conflict is always the smallest-id
+false clause and the propagating clause the smallest-id unit clause, as in an
+id-order scan.
 """
 
 from __future__ import annotations
 
 import heapq
+from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .errors import ResourceLimitError
 
@@ -31,8 +35,7 @@ class PropClause:
         return " ".join(str(l) for l in self.lits) if self.lits else "⊥"
 
 
-@dataclass(slots=True)
-class TrailEntry:
+class TrailEntry(NamedTuple):
     lit: int
     level: int
     reason: int | None  # propagating clause id; None marks a decision
@@ -56,43 +59,158 @@ def clause_status(lits: Sequence[int], value: dict[int, bool]) -> tuple[str, int
     return "open", None
 
 
-@dataclass
-class CdclState:
-    """The solver five-tuple plus assignment bookkeeping, the watch kernel and an event log.
+@dataclass(kw_only=True)
+class TrailKernel:
+    """The trail, value and level tables, and the two-watched-literal index over clause ids.
 
-    The two-watched-literal kernel keeps, for every clause, a mutable copy of
-    its literals whose first two positions are watched (`watched`), the
-    clauses watching each literal (`watchers`), a heap of (clause id, unit
-    literal) for the unit clauses (`pending`), and the ids of the false
-    clauses (`false_ids`).  A one-literal clause is padded to two positions
-    and watched once.  Whenever no clause is false, every clause that is
-    neither satisfied nor on the heap has two non-false watched positions.
+    Each hooked clause keeps its literals with the watched ones in the first
+    two positions (`watched`); `watchers` lists the clauses watching each
+    literal, `pending` is a heap of (unit_key, clause id, unit literal) for
+    the unit clauses, and `false_ids` holds the false clauses.  A one-literal
+    clause is padded to two positions and watched once.  Whenever no clause
+    is false, every clause that is neither satisfied nor on the heap has two
+    non-false watched positions.  Satisfied heap entries are dropped when they
+    reach the top.
     """
+
+    trail: list[TrailEntry] = field(default_factory=list)
+    level: int = 0
+    value: dict[int, bool] = field(default_factory=dict)
+    var_level: dict[int, int] = field(default_factory=dict)
+    watched: dict[int, Sequence[int]] = field(default_factory=dict, repr=False)
+    watchers: defaultdict[int, list[int]] = field(default_factory=lambda: defaultdict(list), repr=False)
+    pending: list[tuple] = field(default_factory=list, repr=False)
+    false_ids: set[int] = field(default_factory=set, repr=False)
+
+    def unit_key(self, cid: int, lit: int):
+        """Heap order of the pending units; the smallest propagates first."""
+        return cid
+
+    def watch(self, cid: int, lits: Sequence[int]) -> None:
+        """Hook a clause into the kernel, watching lits[0] and lits[1].
+
+        A clause is hooked under the empty trail, or learned and asserting
+        after a backjump; then it is reordered to watch its asserting literal
+        and its highest-level other literal.  An empty clause is false; a
+        one-literal clause is unit until its literal is assigned.  Only
+        clauses of three or more literals are copied: `assign` moves watches
+        within those alone.
+        """
+        if not lits:
+            self.false_ids.add(cid)
+            return
+        if self.trail:
+            lits = sorted(lits, key=lambda l: (abs(l) in self.value, -self.var_level.get(abs(l), 0)))
+        elif len(lits) > 2:
+            lits = list(lits)
+        if len(lits) == 1:
+            heapq.heappush(self.pending, (self.unit_key(cid, lits[0]), cid, lits[0]))
+            self.watched[cid] = (lits[0], lits[0])
+        else:
+            self.watched[cid] = lits
+        watchers = self.watchers
+        for lit in lits[:2]:
+            if lit in watchers:
+                watchers[lit].append(cid)
+            else:
+                watchers[lit] = [cid]  # sized to one: most literals of a large ground problem have one watcher
+
+    def unwatch(self, cid: int) -> None:
+        """Unhook a clause: its watches, its heap entry and its false mark."""
+        for lit in set(self.watched.pop(cid, ())[:2]):
+            self.watchers[lit] = [c for c in self.watchers[lit] if c != cid]
+        self.false_ids.discard(cid)
+        self.pending = [entry for entry in self.pending if entry[1] != cid]
+        heapq.heapify(self.pending)
+
+    def assign(self, lit: int, reason: int | None) -> None:
+        """Put lit on the trail at the current level, then visit every clause watching its complement.
+
+        A visited clause moves the watch to a non-false position when it has one;
+        otherwise it becomes unit (pushed on the heap) or false, unless its other
+        watch is true.  The whole watch list is visited, so every clause made false
+        by lit is recorded, not just the first.
+        """
+        value = self.value
+        self.trail.append(TrailEntry(lit, self.level, reason))
+        value[abs(lit)] = lit > 0
+        self.var_level[abs(lit)] = self.level
+        false_lit = -lit
+        watchers = self.watchers
+        watched = self.watched
+        stay = []
+        for cid in watchers[false_lit]:
+            lits = watched[cid]
+            other = lits[1] if lits[0] == false_lit else lits[0]
+            other_value = value.get(abs(other))
+            if other_value is not None and other_value == (other > 0):
+                stay.append(cid)
+                continue
+            for k in range(2, len(lits)):
+                candidate = lits[k]
+                v = value.get(abs(candidate))
+                if v is None or v == (candidate > 0):
+                    lits[0], lits[1], lits[k] = other, candidate, false_lit
+                    watchers[candidate].append(cid)
+                    break
+            else:
+                stay.append(cid)
+                if other_value is None:
+                    heapq.heappush(self.pending, (self.unit_key(cid, other), cid, other))
+                else:
+                    self.false_ids.add(cid)
+        watchers[false_lit] = stay
+
+    def _drop_satisfied(self) -> list[tuple]:
+        """Pop satisfied clauses off the top of the heap and return the heap.
+
+        Called only while no clause is false, so an assigned unit literal is true.
+        """
+        pending = self.pending
+        while pending and abs(pending[0][2]) in self.value:
+            heapq.heappop(pending)
+        return pending
+
+    def pop_unit(self) -> tuple[int, int] | None:
+        """The next unit clause in unit_key order, as (clause id, literal), or None."""
+        pending = self._drop_satisfied()
+        if not pending:
+            return None
+        _, cid, lit = heapq.heappop(pending)
+        return cid, lit
+
+    def truncate(self, level: int) -> None:
+        """Undo the trail above the level and forget the pending units and false clauses.
+
+        Decisions are made only at a fixpoint without false clauses, so no
+        clause is unit or false at the level the trail returns to.
+        """
+        trail = self.trail
+        while trail and trail[-1].level > level:
+            atom = abs(trail.pop().lit)
+            del self.value[atom]
+            del self.var_level[atom]
+        self.level = level
+        self.pending.clear()
+        self.false_ids.clear()
+
+
+@dataclass
+class CdclState(TrailKernel):
+    """The solver five-tuple on the trail kernel, plus an event log."""
 
     clauses: dict[int, PropClause]
     input_ids: frozenset[int]
     num_vars: int
     learned_ids: list[int] = field(default_factory=list)
-    trail: list[TrailEntry] = field(default_factory=list)
-    level: int = 0
     conflict_id: int | None = None  # None means "no conflict" (the top slot)
-    value: dict[int, bool] = field(default_factory=dict)
     events: list[tuple] = field(default_factory=list)
-    var_level: dict[int, int] = field(default_factory=dict)
-    var_reason: dict[int, int | None] = field(default_factory=dict)
     next_clause_id: int = 1
     last_analysis_steps: list[tuple[int, int]] = field(default_factory=list)
-    watched: dict[int, list[int]] = field(default_factory=dict, repr=False)
-    watchers: dict[int, list[int]] = field(default_factory=dict, repr=False)
-    pending: list[tuple[int, int]] = field(default_factory=list, repr=False)
-    false_ids: set[int] = field(default_factory=set, repr=False)
 
     def __post_init__(self) -> None:
-        for atom in range(1, self.num_vars + 1):
-            self.watchers.setdefault(atom, [])
-            self.watchers.setdefault(-atom, [])
         for c in self.clauses.values():
-            _watch(self, c.id, list(c.lits))
+            self.watch(c.id, c.lits)
 
     @classmethod
     def from_clauses(cls, clauses: Iterable[PropClause], num_vars: int | None = None) -> "CdclState":
@@ -121,81 +239,6 @@ class CdclState:
         return {abs(e.lit): i for i, e in enumerate(self.trail)}
 
 
-def _watch(state: CdclState, cid: int, lits: list[int]) -> None:
-    """Hook a clause into the kernel, watching lits[0] and lits[1].
-
-    Both watched positions must be non-false, or the clause is asserting with
-    its true literal first.  An empty clause is false; a one-literal clause is
-    unit until its literal is assigned.
-    """
-    if not lits:
-        state.false_ids.add(cid)
-        return
-    if len(lits) == 1:
-        lits = lits * 2
-        heapq.heappush(state.pending, (cid, lits[0]))
-        state.watchers[lits[0]].append(cid)
-    else:
-        state.watchers[lits[0]].append(cid)
-        state.watchers[lits[1]].append(cid)
-    state.watched[cid] = lits
-
-
-def _assign(state: CdclState, lit: int, reason: int | None) -> None:
-    """Put lit on the trail, then visit every clause watching its complement.
-
-    A visited clause moves the watch to a non-false position when it has one;
-    otherwise it becomes unit (pushed on the heap) or false, unless its other
-    watch is true.  The whole watch list is visited, so every clause made false
-    by lit is recorded, not just the first.
-    """
-    value = state.value
-    state.trail.append(TrailEntry(lit, state.level, reason))
-    value[abs(lit)] = lit > 0
-    state.var_level[abs(lit)] = state.level
-    state.var_reason[abs(lit)] = reason
-    false_lit = -lit
-    watchers = state.watchers
-    watched = state.watched
-    stay = []
-    for cid in watchers[false_lit]:
-        lits = watched[cid]
-        if lits[0] == false_lit:
-            lits[0] = lits[1]
-            lits[1] = false_lit
-        other = lits[0]
-        other_value = value.get(abs(other))
-        if other_value is not None and other_value == (other > 0):
-            stay.append(cid)
-            continue
-        for k in range(2, len(lits)):
-            candidate = lits[k]
-            v = value.get(abs(candidate))
-            if v is None or v == (candidate > 0):
-                lits[1] = candidate
-                lits[k] = false_lit
-                watchers[candidate].append(cid)
-                break
-        else:
-            stay.append(cid)
-            if other_value is None:
-                heapq.heappush(state.pending, (cid, other))
-            else:
-                state.false_ids.add(cid)
-    watchers[false_lit] = stay
-
-
-def _drop_satisfied(state: CdclState) -> list[tuple[int, int]]:
-    """Pop satisfied clauses off the top of the heap and return the heap.
-
-    Called only while no clause is false, so an assigned unit literal is true.
-    """
-    pending = state.pending
-    while pending and abs(pending[0][1]) in state.value:
-        heapq.heappop(pending)
-    return pending
-
-
 def propagate(state: CdclState) -> CdclState:
     """Unit-propagate to fixpoint; a false clause sets the conflict slot first.
 
@@ -207,11 +250,11 @@ def propagate(state: CdclState) -> CdclState:
     if state.conflict_id is not None:
         raise ValueError("cannot propagate with a pending conflict")
     while not state.false_ids:
-        pending = _drop_satisfied(state)
-        if not pending:
+        unit = state.pop_unit()
+        if unit is None:
             return state
-        cid, lit = heapq.heappop(pending)
-        _assign(state, lit, cid)
+        cid, lit = unit
+        state.assign(lit, cid)
         state.events.append(("propagate", lit, cid))
     state.conflict_id = min(state.false_ids)
     state.events.append(("conflict", state.conflict_id))
@@ -219,7 +262,7 @@ def propagate(state: CdclState) -> CdclState:
 
 
 def at_fixpoint(state: CdclState) -> bool:
-    return not state.false_ids and not _drop_satisfied(state)
+    return not state.false_ids and not state._drop_satisfied()
 
 
 def decide(state: CdclState, lit: int) -> CdclState:
@@ -230,28 +273,27 @@ def decide(state: CdclState, lit: int) -> CdclState:
     if not at_fixpoint(state):
         raise ValueError("deciding before propagation reached fixpoint")
     state.level += 1
-    _assign(state, lit, None)
+    state.assign(lit, None)
     state.events.append(("decide", lit, state.level))
     return state
 
 
 def resolve_1uip(
-    trail: Sequence[tuple[int, int, int | None]],
+    kernel: TrailKernel,
     conflict_lits: Iterable[int],
-    level: int,
     reason_lits: Callable[[int], Sequence[int]],
 ) -> tuple[tuple[int, ...], int, list[tuple[int, int]]]:
-    """Generic 1UIP resolution over a ground trail.
+    """Generic 1UIP resolution over the kernel's trail, at its current level.
 
-    Trail entries are (literal, level, reason id or None); reason_lits maps a
-    reason id to its clause literals.  Resolves on the rightmost trail literal
-    whose complement occurs in the current clause until exactly one literal of
-    the conflict level remains.  Returns (learned, backjump level, steps); an
-    empty learned clause is reported as ((), -1, steps).
+    reason_lits maps a reason id to its clause literals.  Resolves on the
+    rightmost trail literal whose complement occurs in the current clause
+    until exactly one literal of the conflict level remains.  Returns
+    (learned, backjump level, steps); an empty learned clause is reported as
+    ((), -1, steps).
     """
+    trail, lvl, level = kernel.trail, kernel.var_level, kernel.level
     current = set(conflict_lits)
     steps: list[tuple[int, int]] = []
-    lvl = {abs(lit): lv for lit, lv, _ in trail}
     pos = len(trail) - 1
 
     def resolve_at(p: int) -> int:
@@ -265,13 +307,13 @@ def resolve_1uip(
 
     if level == 0:
         while current:
-            while -trail[pos][0] not in current:
+            while -trail[pos].lit not in current:
                 pos -= 1
             pos = resolve_at(pos)
         return (), -1, steps
 
     while sum(1 for l in current if lvl[abs(l)] == level) > 1:
-        while -trail[pos][0] not in current:
+        while -trail[pos].lit not in current:
             pos -= 1
         pos = resolve_at(pos)
     learned = tuple(sorted(current, key=abs))
@@ -288,10 +330,7 @@ def analyze_conflict(state: CdclState) -> tuple[tuple[int, ...], int]:
     if state.conflict_id is None:
         raise ValueError("no conflict to analyze")
     learned, blevel, steps = resolve_1uip(
-        [(e.lit, e.level, e.reason) for e in state.trail],
-        state.clauses[state.conflict_id].lits,
-        state.level,
-        lambda cid: state.clauses[cid].lits,
+        state, state.clauses[state.conflict_id].lits, lambda cid: state.clauses[cid].lits
     )
     state.last_analysis_steps = steps
     return learned, blevel
@@ -301,23 +340,21 @@ def backjump_and_learn(state: CdclState, learned: Sequence[int], level: int) -> 
     """Truncate the trail to the backjump level, learn, and assert the new clause.
 
     As in the Backjump rule, the level is the highest level among the learned
-    clause's other literals (0 when it has none).  The new clause watches its
-    asserting literal and its other literal of that level.
+    clause's other literals (0 when it has none).
     """
     learned = tuple(learned)
     if not learned:
         raise ValueError("cannot learn the empty clause")
     if not 0 <= level < state.level:
         raise ValueError("backjump level must be below the current level")
-    kept = {abs(e.lit): e.lit > 0 for e in state.trail if e.level <= level}
-    unassigned = [l for l in learned if abs(l) not in kept]
+    value, var_level = state.value, state.var_level
+    unassigned = [l for l in learned if var_level.get(abs(l), level + 1) > level]
     if len(unassigned) != 1 or any(
-        abs(l) in kept and kept[abs(l)] == (l > 0) for l in learned
+        value.get(abs(l)) == (l > 0) for l in learned if l not in unassigned
     ):
         raise ValueError("learned clause is not asserting at the backjump level")
     asserting = unassigned[0]
-    others = sorted((l for l in learned if l != asserting), key=lambda l: -state.var_level[abs(l)])
-    if others and state.var_level[abs(others[0])] != level:
+    if max((var_level[abs(l)] for l in learned if l != asserting), default=level) != level:
         raise ValueError("backjump level is not the highest level of the learned clause's other literals")
 
     ranks = state.atom_ranks()  # ordering at conflict time, before truncation
@@ -327,17 +364,10 @@ def backjump_and_learn(state: CdclState, learned: Sequence[int], level: int) -> 
     state.clauses[cid] = PropClause(cid, learned)
     state.learned_ids.append(cid)
 
-    while state.trail and state.trail[-1].level > level:
-        gone = state.trail.pop()
-        del state.value[abs(gone.lit)]
-        del state.var_level[abs(gone.lit)]
-        del state.var_reason[abs(gone.lit)]
-    state.level = level
+    state.truncate(level)
     state.conflict_id = None
-    state.pending.clear()
-    state.false_ids.clear()
-    _watch(state, cid, [asserting, *others])
-    _assign(state, asserting, cid)
+    state.watch(cid, learned)
+    state.assign(asserting, cid)
     state.events.append(("learn", learned, level, cid, ranks, u_before))
     return state
 
@@ -350,11 +380,7 @@ def forget(state: CdclState, clause_id: int) -> CdclState:
         raise ValueError(f"clause {clause_id} justifies a trail entry")
     del state.clauses[clause_id]
     state.learned_ids.remove(clause_id)
-    for lit in set(state.watched.pop(clause_id, ())[:2]):
-        state.watchers[lit] = [c for c in state.watchers[lit] if c != clause_id]
-    state.false_ids.discard(clause_id)
-    state.pending = [entry for entry in state.pending if entry[0] != clause_id]
-    heapq.heapify(state.pending)
+    state.unwatch(clause_id)
     state.events.append(("forget", clause_id))
     return state
 

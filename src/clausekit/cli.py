@@ -136,24 +136,6 @@ def _run_cdcl(config: RunConfig, emit: _Emitter) -> int:
     return EXIT_SAT if isinstance(result, cdcl.SatResult) else EXIT_UNSAT
 
 
-def _dense(events: list[tuple]) -> list[tuple]:
-    """Events that produce exactly one trace line each, in order."""
-    return [ev for ev in events if ev[0] in ("propagate", "conflict", "decide", "learn", "stats")]
-
-
-def _scl_fields(ev: tuple) -> dict:
-    kind = ev[0]
-    if kind == "propagate":
-        return {"kind": kind, "lit": ev[1], "clause": ev[2], "subst": ev[3]}
-    if kind == "conflict":
-        return {"kind": kind, "clause": ev[1], "subst": ev[2]}
-    if kind == "decide":
-        return {"kind": kind, "lit": ev[1], "level": ev[2]}
-    if kind == "learn":
-        return {"kind": kind, "clause": ev[1], "backjump": ev[2]}
-    return {"kind": kind}
-
-
 def _max_steps(config: RunConfig, default: int = DEFAULT_MAX_STEPS) -> int:
     """--max-steps as given, 0 included, else the mode's default."""
     return default if config.max_steps is None else config.max_steps
@@ -165,9 +147,8 @@ def _run_scl(config: RunConfig, emit: _Emitter) -> int:
         clauses, instance_cap=config.max_instances, trail_cap=_max_steps(config, scl.DEFAULT_TRAIL_CAP)
     )
     if result.state is not None:
-        events = list(result.state.events) + [("stats",)]
-        for line, ev in zip(scl.trace_lines(result.state), _dense(events)):
-            emit.line(line, event="scl", **_scl_fields(ev))
+        for line, fields in scl.render(result.state):
+            emit.line(line, event="scl", **fields)
     if isinstance(result, scl.SclSat):
         emit.line("s SATISFIABLE", event="result")
         return EXIT_SAT

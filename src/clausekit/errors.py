@@ -1,6 +1,4 @@
-"""Shared exception types, and the instance cap both grounding routines default to."""
-
-DEFAULT_INSTANCE_CAP = 1_000_000
+"""Shared exception types."""
 
 
 class ClausekitError(Exception):

@@ -6,11 +6,8 @@ propositional atoms are the 0-ary special case.  All values are immutable.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from typing import Iterable, Mapping
-
-from .errors import DEFAULT_INSTANCE_CAP, ResourceLimitError
+from typing import Mapping
 
 # Identifiers starting with one of these letters denote variables.
 VARIABLE_PREFIXES = ("x", "y", "z", "u", "v", "w")
@@ -105,10 +102,6 @@ class Clause:
     def is_tautology(self) -> bool:
         atoms_pos = {lit.atom for lit in self.literals if lit.positive}
         return any(not lit.positive and lit.atom in atoms_pos for lit in self.literals)
-
-    def multiset_key(self) -> tuple[str, ...]:
-        """Order-insensitive identity of the literal multiset."""
-        return tuple(sorted(str(lit) for lit in self.literals))
 
     def __str__(self) -> str:
         if not self.literals:
@@ -256,27 +249,3 @@ def canonical_variant(clause: Clause, new_id: int | None = None) -> Clause:
 def renamed_equal(c1: Clause, c2: Clause) -> bool:
     """Syntactic equality up to variable renaming (literal order preserved)."""
     return canonical_variant(c1).literals == canonical_variant(c2).literals
-
-
-def ground_instances(
-    clause: Clause, domain: Iterable[Constant], cap: int = DEFAULT_INSTANCE_CAP
-) -> list[Clause]:
-    """All ground instances of the clause over the domain, duplicates removed."""
-    consts = sorted(set(domain), key=lambda c: c.name)
-    if not consts:
-        raise ValueError("domain must be non-empty")
-    variables = clause.variables()
-    total = len(consts) ** len(variables)
-    if total > cap:
-        raise ResourceLimitError(
-            f"{total} ground instances of clause {clause.id} exceed the cap of {cap}"
-        )
-    out: list[Clause] = []
-    seen: set[tuple[str, ...]] = set()
-    for combo in itertools.product(consts, repeat=len(variables)):
-        inst = Substitution(dict(zip(variables, combo))).apply_clause(clause)
-        key = inst.multiset_key()
-        if key not in seen:
-            seen.add(key)
-            out.append(inst)
-    return out

@@ -4,24 +4,31 @@ Clauses are grounded over a finite constant domain from compiled templates:
 each literal becomes a sign, a base atom index and one weight per clause
 variable, so the signed atom indices of every instance come from integer
 arithmetic over constant indices, with no substitution or atom built per
-instance.  An instance keeps each literal once.  The trail holds ground
-literals justified by a clause id plus grounding substitution.
-Propagation picks the smallest propagatable ground literal (lexicographic
-constant order, positive before negative on the same atom).  Conflicts above
-level 0 are analyzed by the propositional 1UIP engine over the ground
-abstraction; a level-0 conflict means the input is unsatisfiable.
+instance.  An instance keeps each literal once.
+
+The engine drives the propositional trail kernel of `clausekit.cdcl`, with
+one kernel clause per ground instance, named by its position: the trail
+holds ground literals justified by an instance, and two watched literals per
+instance find the unit and false ones.  Propagation picks the smallest
+propagatable ground literal (lexicographic constant order, positive before
+negative on the same atom).  Conflicts above level 0 are analyzed by the
+propositional 1UIP engine over the ground abstraction; a level-0 conflict
+means the input is unsatisfiable.  Events carry literals and instance
+positions; `render` turns them into trace text.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Iterable, Iterator
 
-from .cdcl import clause_status, resolve_1uip
-from .errors import DEFAULT_INSTANCE_CAP, ResourceLimitError
+from .cdcl import TrailKernel, resolve_1uip
+from .cdcl import clause_status  # noqa: F401  perfbench/tracer.py counts calls through this name
+from .errors import ResourceLimitError
 from .logic import Atom, Clause, Constant, Literal, Variable
 
+DEFAULT_INSTANCE_CAP = 1_000_000
 DEFAULT_TRAIL_CAP = 1_000_000
 
 
@@ -74,20 +81,12 @@ class GroundInstance:
 
 @dataclass
 class GroundProblem:
-    """Eagerly grounded problem: Herbrand base, instances, occurrence index."""
+    """Eagerly grounded problem: the clauses, the domain, the Herbrand base and the instances."""
 
     clauses: dict[int, Clause]
     domain: tuple[Constant, ...]
     atoms: list[Atom]  # sorted; propositional atom i is atoms[i-1]
     instances: list[GroundInstance]
-    occurrences: dict[int, list[int]]  # atom -> instance positions
-
-    def add_instance(self, inst: GroundInstance) -> int:
-        pos = len(self.instances)
-        self.instances.append(inst)
-        for lit in set(abs(l) for l in inst.lits):
-            self.occurrences.setdefault(lit, []).append(pos)
-        return pos
 
 
 def _herbrand_base(
@@ -185,7 +184,7 @@ def ground_problem(
         raise ResourceLimitError(f"{total} ground instances exceed the cap of {instance_cap}")
 
     const_index = {c: i for i, c in enumerate(dom)}
-    problem = GroundProblem(by_id, tuple(dom), atoms, [], {})
+    problem = GroundProblem(by_id, tuple(dom), atoms, [])
     for cid in sorted(by_id):
         clause = by_id[cid]
         slot = {v: k for k, v in enumerate(clause.variables())}
@@ -207,7 +206,7 @@ def ground_problem(
                 if frozenset(lits) in seen:
                     continue
                 seen.add(frozenset(lits))
-            problem.add_instance(GroundInstance(cid, subst, lits))
+            problem.instances.append(GroundInstance(cid, subst, lits))
     return problem
 
 
@@ -221,93 +220,60 @@ class SclStats:
 
 
 @dataclass
-class SclState:
-    """Five-tuple analog over ground literals, with instance classification caches."""
+class SclState(TrailKernel):
+    """Five-tuple analog over ground literals: the trail kernel over instance positions."""
 
     problem: GroundProblem
-    trail: list[tuple[int, int, int | None]] = field(default_factory=list)  # lit, level, reason pos
-    level: int = 0
     conflict: int | None = None  # instance position
-    value: dict[int, bool] = field(default_factory=dict)
     learned: list[Clause] = field(default_factory=list)
     stats: SclStats = field(default_factory=SclStats)
     events: list[tuple] = field(default_factory=list)
-    units: dict[int, int] = field(default_factory=dict)  # instance pos -> forced lit
-    falses: set[int] = field(default_factory=set)
 
     @classmethod
     def from_problem(cls, problem: GroundProblem) -> "SclState":
         state = cls(problem=problem)
         state.stats.instances = len(problem.instances)
-        # under the empty assignment only instances of at most one literal are unit or false
-        state.reclassify(p for p, inst in enumerate(problem.instances) if len(inst.lits) <= 1)
+        state.reclassify(range(len(problem.instances)))
         return state
 
     def reclassify(self, positions: Iterable[int]) -> None:
+        """Hook the instances at the positions into the kernel, which classifies them from then on."""
+        instances = self.problem.instances
         for pos in positions:
-            st, forced = clause_status(self.problem.instances[pos].lits, self.value)
-            if st == "unit":
-                self.units[pos] = forced
-                self.falses.discard(pos)
-            elif st == "false":
-                self.falses.add(pos)
-                self.units.pop(pos, None)
-            else:
-                self.units.pop(pos, None)
-                self.falses.discard(pos)
+            self.watch(pos, instances[pos].lits)
 
-    def touched(self, atom: int) -> list[int]:
-        return self.problem.occurrences.get(atom, [])
-
-    def assign(self, lit: int, reason: int | None) -> None:
-        self.trail.append((lit, self.level, reason))
-        self.value[abs(lit)] = lit > 0
-        self.reclassify(self.touched(abs(lit)))
-
-    def unassign_to(self, level: int) -> None:
-        touched: set[int] = set()
-        while self.trail and self.trail[-1][1] > level:
-            lit, _, _ = self.trail.pop()
-            del self.value[abs(lit)]
-            touched.update(self.touched(abs(lit)))
-        self.reclassify(touched)
+    def unit_key(self, pos: int, lit: int) -> tuple:
+        # smallest ground atom first; positive before negative; then clause id and substitution
+        inst = self.problem.instances[pos]
+        return abs(lit), lit < 0, inst.clause_id, inst.subst
 
     def literal_str(self, lit: int) -> str:
         atom = self.problem.atoms[abs(lit) - 1]
         return str(atom) if lit > 0 else "-" + str(atom)
 
 
-def _candidate_key(state: SclState, pos: int, forced: int) -> tuple:
-    # smallest ground atom first; positive before negative; then clause id
-    inst = state.problem.instances[pos]
-    return (abs(forced), forced < 0, inst.clause_id, inst.subst)
-
-
 def scl_propagate(state: SclState, trail_cap: int = DEFAULT_TRAIL_CAP) -> SclState:
-    """Exhaustive ground propagation, smallest ground literal first; eager conflicts."""
+    """Exhaustive ground propagation, smallest ground literal first; eager conflicts.
+
+    The conflict is the false instance smallest in (clause id, substitution).
+    """
     if state.conflict is not None:
         raise ValueError("cannot propagate with a pending conflict")
-    while True:
-        if state.falses:
-            pos = min(
-                state.falses,
-                key=lambda p: (state.problem.instances[p].clause_id, state.problem.instances[p].subst),
-            )
-            state.conflict = pos
-            state.stats.conflicts += 1
-            inst = state.problem.instances[pos]
-            state.events.append(("conflict", inst.clause_id, inst.subst_str()))
-            break
-        if not state.units:
-            break
+    while not state.false_ids:
+        unit = state.pop_unit()
+        if unit is None:
+            return state
         if len(state.trail) >= trail_cap:
             raise ResourceLimitError(f"trail length exceeds the cap of {trail_cap}")
-        pos, forced = min(state.units.items(), key=lambda kv: _candidate_key(state, kv[0], kv[1]))
-        inst = state.problem.instances[pos]
-        state.assign(forced, pos)
+        pos, lit = unit
+        state.assign(lit, pos)
         state.stats.propagations += 1
         state.stats.trail = max(state.stats.trail, len(state.trail))
-        state.events.append(("propagate", state.literal_str(forced), inst.clause_id, inst.subst_str()))
+        state.events.append(("propagate", lit, pos))
+    instances = state.problem.instances
+    state.conflict = min(state.false_ids, key=lambda p: (instances[p].clause_id, instances[p].subst))
+    state.stats.conflicts += 1
+    state.events.append(("conflict", state.conflict))
     return state
 
 
@@ -333,17 +299,15 @@ class SclResourceExceeded:
 
 
 def _learn_ground(state: SclState, learned_lits: tuple[int, ...]) -> int:
-    """Add a learned ground clause (as clause and instance); return instance pos."""
+    """Add a learned ground clause as a clause and an instance, hooked; return its position."""
     problem = state.problem
     new_id = max(problem.clauses) + 1
-    lits = tuple(
-        Literal(l > 0, problem.atoms[abs(l) - 1]) for l in learned_lits
-    )
-    clause = Clause(new_id, lits)
+    clause = Clause(new_id, tuple(Literal(l > 0, problem.atoms[abs(l) - 1]) for l in learned_lits))
     problem.clauses[new_id] = clause
     state.learned.append(clause)
-    pos = problem.add_instance(GroundInstance(new_id, (), learned_lits))
+    problem.instances.append(GroundInstance(new_id, (), learned_lits))
     state.stats.instances = len(problem.instances)
+    pos = len(problem.instances) - 1
     state.reclassify([pos])
     return pos
 
@@ -381,20 +345,13 @@ def scl_run(
                     state=state,
                 )
             learned, blevel, _steps = resolve_1uip(
-                state.trail,
-                inst.lits,
-                state.level,
-                lambda pos: problem.instances[pos].lits,
+                state, inst.lits, lambda pos: problem.instances[pos].lits
             )
             state.conflict = None
+            state.truncate(blevel)
             pos = _learn_ground(state, learned)
-            state.unassign_to(blevel)
-            state.level = blevel
-            asserting = next(l for l in learned if abs(l) not in state.value)
-            state.assign(asserting, pos)
-            state.events.append(
-                ("learn", " | ".join(state.literal_str(l) for l in learned), blevel)
-            )
+            state.assign(next(l for l in learned if abs(l) not in state.value), pos)
+            state.events.append(("learn", learned, blevel))
         elif len(state.value) == len(problem.atoms):
             model = tuple(
                 problem.atoms[i] for i in range(len(problem.atoms)) if state.value[i + 1]
@@ -406,21 +363,35 @@ def scl_run(
             state.level += 1
             state.assign(atom, None)
             state.stats.decisions += 1
-            state.events.append(("decide", state.literal_str(atom), state.level))
+            state.events.append(("decide", atom, state.level))
+
+
+_LINES = {
+    "propagate": "propagate {lit} <- clause {clause} σ={subst}",
+    "conflict": "conflict clause {clause} σ={subst}",
+    "decide": "decide {lit} @{level}",
+    "learn": "learn {clause} backjump {backjump}",
+}
+
+
+def render(state: SclState) -> Iterator[tuple[str, dict]]:
+    """The trace of a run, one (text line, JSON fields) pair per line, the stats line last."""
+    for kind, *args in state.events:
+        if kind in ("propagate", "conflict"):
+            inst = state.problem.instances[args[-1]]
+            fields = {"clause": inst.clause_id, "subst": inst.subst_str()}
+            if kind == "propagate":
+                fields["lit"] = state.literal_str(args[0])
+        elif kind == "decide":
+            fields = {"lit": state.literal_str(args[0]), "level": args[1]}
+        elif kind == "learn":
+            fields = {"clause": " | ".join(state.literal_str(l) for l in args[0]), "backjump": args[1]}
+        else:
+            continue
+        yield _LINES[kind].format(**fields), {"kind": kind, **fields}
+    s = state.stats
+    yield f"stats propagations={s.propagations} decisions={s.decisions} trail={len(state.trail)}", {"kind": "stats"}
 
 
 def trace_lines(state: SclState) -> list[str]:
-    lines = []
-    for ev in state.events:
-        kind = ev[0]
-        if kind == "propagate":
-            lines.append(f"propagate {ev[1]} <- clause {ev[2]} σ={ev[3]}")
-        elif kind == "conflict":
-            lines.append(f"conflict clause {ev[1]} σ={ev[2]}")
-        elif kind == "decide":
-            lines.append(f"decide {ev[1]} @{ev[2]}")
-        elif kind == "learn":
-            lines.append(f"learn {ev[1]} backjump {ev[2]}")
-    s = state.stats
-    lines.append(f"stats propagations={s.propagations} decisions={s.decisions} trail={len(state.trail)}")
-    return lines
+    return [line for line, _ in render(state)]

@@ -2,19 +2,30 @@
 
 Everything here enumerates: truth tables by looping over assignments, ground
 satisfiability by instantiating every clause over the domain, unit
-propagation by rescanning every clause.  None of it shares code paths with
+propagation by rescanning every clause, SCL propagation by rescanning every
+instance that contains a changed atom.  None of it shares code paths with
 the engines under test.
 """
 
 from __future__ import annotations
 
 import itertools
+from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from clausekit.cdcl import TrailEntry
 from clausekit.errors import ResourceLimitError
-from clausekit.logic import Atom, Clause, Constant, Substitution
-from clausekit.scl import DEFAULT_INSTANCE_CAP, GroundInstance, GroundProblem
+from clausekit.logic import Atom, Clause, Constant, Literal, Substitution
+from clausekit.scl import (
+    DEFAULT_INSTANCE_CAP,
+    DEFAULT_TRAIL_CAP,
+    GroundInstance,
+    GroundProblem,
+    SclResourceExceeded,
+    SclSat,
+    SclStats,
+    SclUnsat,
+)
 
 
 def brute_force_sat(clauses: Iterable[Sequence[int]], num_vars: int) -> bool:
@@ -87,7 +98,6 @@ def reference_propagate(state):
         state.trail.append(TrailEntry(lit, state.level, cid))
         state.value[abs(lit)] = lit > 0
         state.var_level[abs(lit)] = state.level
-        state.var_reason[abs(lit)] = cid
         state.events.append(("propagate", lit, cid))
 
 
@@ -160,7 +170,7 @@ def reference_ground_problem(
     if total > instance_cap:
         raise ResourceLimitError(f"{total} ground instances exceed the cap of {instance_cap}")
 
-    problem = GroundProblem(by_id, tuple(dom), atoms, [], {})
+    problem = GroundProblem(by_id, tuple(dom), atoms, [])
     for cid in sorted(by_id):
         clause = by_id[cid]
         variables = clause.variables()
@@ -178,9 +188,6 @@ def reference_ground_problem(
             seen.add(frozenset(lits))
             subst = tuple(sorted((v.name, c.name) for v, c in zip(variables, combo)))
             problem.instances.append(GroundInstance(cid, subst, lits))
-    for pos, inst in enumerate(problem.instances):
-        for atom in {abs(l) for l in inst.lits}:
-            problem.occurrences.setdefault(atom, []).append(pos)
     return problem
 
 
@@ -219,3 +226,192 @@ def exhaustive_lia_search(system, box: dict[str, tuple[int, int]]) -> dict[str, 
         if ok:
             return assign
     return None
+
+
+def reference_resolve_1uip(trail, conflict_lits, level, reason_lits):
+    """1UIP resolution over (literal, level, reason) trail tuples, levels read off the trail."""
+    current = set(conflict_lits)
+    steps: list[tuple[int, int]] = []
+    lvl = {abs(lit): lv for lit, lv, _ in trail}
+    pos = len(trail) - 1
+
+    def resolve_at(p: int) -> int:
+        nonlocal current
+        lit, _, reason = trail[p]
+        if reason is None:
+            raise ValueError("conflict analysis reached a decision literal")
+        current = (current - {-lit}) | (set(reason_lits(reason)) - {lit})
+        steps.append((abs(lit), reason))
+        return p - 1
+
+    if level == 0:
+        while current:
+            while -trail[pos][0] not in current:
+                pos -= 1
+            pos = resolve_at(pos)
+        return (), -1, steps
+    while sum(1 for l in current if lvl[abs(l)] == level) > 1:
+        while -trail[pos][0] not in current:
+            pos -= 1
+        pos = resolve_at(pos)
+    learned = tuple(sorted(current, key=abs))
+    others = [lvl[abs(l)] for l in learned if lvl[abs(l)] != level]
+    return learned, (max(others) if others else 0), steps
+
+
+@dataclass
+class ReferenceSclState:
+    """The SCL state with classification caches: every instance containing a changed
+    atom is rescanned, and each step takes the minimum over all unit and false instances."""
+
+    problem: GroundProblem
+    trail: list[tuple[int, int, int | None]] = field(default_factory=list)  # lit, level, reason pos
+    level: int = 0
+    conflict: int | None = None  # instance position
+    value: dict[int, bool] = field(default_factory=dict)
+    learned: list[Clause] = field(default_factory=list)
+    stats: SclStats = field(default_factory=SclStats)
+    events: list[tuple] = field(default_factory=list)
+    units: dict[int, int] = field(default_factory=dict)  # instance pos -> forced lit
+    falses: set[int] = field(default_factory=set)
+    occurrences: dict[int, list[int]] = field(default_factory=dict)  # atom -> instance positions
+
+    @classmethod
+    def from_problem(cls, problem: GroundProblem) -> "ReferenceSclState":
+        state = cls(problem=problem)
+        for pos in range(len(problem.instances)):
+            state.index(pos)
+        state.stats.instances = len(problem.instances)
+        state.reclassify(range(len(problem.instances)))
+        return state
+
+    def index(self, pos: int) -> None:
+        for atom in {abs(l) for l in self.problem.instances[pos].lits}:
+            self.occurrences.setdefault(atom, []).append(pos)
+
+    def reclassify(self, positions: Iterable[int]) -> None:
+        for pos in positions:
+            st, forced = scan_status(self.problem.instances[pos].lits, self.value)
+            self.units.pop(pos, None)
+            self.falses.discard(pos)
+            if st == "unit":
+                self.units[pos] = forced
+            elif st == "false":
+                self.falses.add(pos)
+
+    def assign(self, lit: int, reason: int | None) -> None:
+        self.trail.append((lit, self.level, reason))
+        self.value[abs(lit)] = lit > 0
+        self.reclassify(self.occurrences.get(abs(lit), []))
+
+    def unassign_to(self, level: int) -> None:
+        touched: set[int] = set()
+        while self.trail and self.trail[-1][1] > level:
+            lit, _, _ = self.trail.pop()
+            del self.value[abs(lit)]
+            touched.update(self.occurrences.get(abs(lit), []))
+        self.reclassify(touched)
+
+    def literal_str(self, lit: int) -> str:
+        atom = self.problem.atoms[abs(lit) - 1]
+        return str(atom) if lit > 0 else "-" + str(atom)
+
+
+def reference_scl_propagate(state: ReferenceSclState, trail_cap: int) -> None:
+    instances = state.problem.instances
+    while True:
+        if state.falses:
+            pos = min(state.falses, key=lambda p: (instances[p].clause_id, instances[p].subst))
+            state.conflict = pos
+            state.stats.conflicts += 1
+            state.events.append(("conflict", instances[pos].clause_id, instances[pos].subst_str()))
+            return
+        if not state.units:
+            return
+        if len(state.trail) >= trail_cap:
+            raise ResourceLimitError(f"trail length exceeds the cap of {trail_cap}")
+        pos, forced = min(
+            state.units.items(),
+            key=lambda kv: (abs(kv[1]), kv[1] < 0, instances[kv[0]].clause_id, instances[kv[0]].subst),
+        )
+        state.assign(forced, pos)
+        state.stats.propagations += 1
+        state.stats.trail = max(state.stats.trail, len(state.trail))
+        state.events.append(
+            ("propagate", state.literal_str(forced), instances[pos].clause_id, instances[pos].subst_str())
+        )
+
+
+def reference_scl_run(
+    clauses: Iterable[Clause],
+    domain: Iterable[Constant] | None = None,
+    instance_cap: int = DEFAULT_INSTANCE_CAP,
+    trail_cap: int = DEFAULT_TRAIL_CAP,
+):
+    """Drop-in for `scl.scl_run` on the reference grounding and rescanning state.
+
+    Events carry their rendered strings, as `reference_render` prints them.
+    """
+    try:
+        problem = reference_ground_problem(clauses, domain, instance_cap)
+    except ResourceLimitError:
+        return SclResourceExceeded(stats=SclStats(), state=None)
+    state = ReferenceSclState.from_problem(problem)
+    while True:
+        try:
+            reference_scl_propagate(state, trail_cap)
+        except ResourceLimitError:
+            state.events.append(("resource",))
+            return SclResourceExceeded(stats=state.stats, state=state)
+        if state.conflict is not None:
+            inst = problem.instances[state.conflict]
+            if state.level == 0:
+                state.events.append(("unsat",))
+                return SclUnsat(inst.clause_id, inst.subst_str(), state.stats, state)
+            learned, blevel, _ = reference_resolve_1uip(
+                state.trail, inst.lits, state.level, lambda pos: problem.instances[pos].lits
+            )
+            state.conflict = None
+            new_id = max(problem.clauses) + 1
+            clause = Clause(new_id, tuple(Literal(l > 0, problem.atoms[abs(l) - 1]) for l in learned))
+            problem.clauses[new_id] = clause
+            state.learned.append(clause)
+            problem.instances.append(GroundInstance(new_id, (), learned))
+            pos = len(problem.instances) - 1
+            state.index(pos)
+            state.stats.instances = len(problem.instances)
+            state.reclassify([pos])
+            state.unassign_to(blevel)
+            state.level = blevel
+            state.assign(next(l for l in learned if abs(l) not in state.value), pos)
+            state.events.append(("learn", " | ".join(state.literal_str(l) for l in learned), blevel))
+        elif len(state.value) == len(problem.atoms):
+            model = tuple(problem.atoms[i] for i in range(len(problem.atoms)) if state.value[i + 1])
+            state.events.append(("sat",))
+            return SclSat(model, state.stats, state)
+        else:
+            atom = next(i for i in range(1, len(problem.atoms) + 1) if i not in state.value)
+            state.level += 1
+            state.assign(atom, None)
+            state.stats.decisions += 1
+            state.events.append(("decide", state.literal_str(atom), state.level))
+
+
+def reference_render(state: ReferenceSclState) -> list[tuple[str, dict]]:
+    """(text line, JSON fields) per trace line of a reference run, the stats line last."""
+    out = []
+    for ev in state.events:
+        kind = ev[0]
+        if kind == "propagate":
+            out.append((f"propagate {ev[1]} <- clause {ev[2]} σ={ev[3]}",
+                        {"kind": kind, "lit": ev[1], "clause": ev[2], "subst": ev[3]}))
+        elif kind == "conflict":
+            out.append((f"conflict clause {ev[1]} σ={ev[2]}", {"kind": kind, "clause": ev[1], "subst": ev[2]}))
+        elif kind == "decide":
+            out.append((f"decide {ev[1]} @{ev[2]}", {"kind": kind, "lit": ev[1], "level": ev[2]}))
+        elif kind == "learn":
+            out.append((f"learn {ev[1]} backjump {ev[2]}", {"kind": kind, "clause": ev[1], "backjump": ev[2]}))
+    s = state.stats
+    out.append((f"stats propagations={s.propagations} decisions={s.decisions} trail={len(state.trail)}",
+                {"kind": "stats"}))
+    return out

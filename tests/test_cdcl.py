@@ -112,7 +112,6 @@ class TestAnalyzeConflict:
             state.trail.append(TrailEntry(lit, level, None))
             state.value[abs(lit)] = lit > 0
             state.var_level[abs(lit)] = level
-            state.var_reason[abs(lit)] = None
         state.conflict_id = 1
         learned, level = analyze_conflict(state)
         assert learned == (1, 4) and level == 1

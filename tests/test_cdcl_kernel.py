@@ -74,7 +74,7 @@ def drive_with_forgetting(clauses, num_vars):
             idle = [cid for cid in state.learned_ids if cid not in reasons]
             if idle:
                 forgotten_units += any(
-                    cid == idle[0] and abs(lit) not in state.value for cid, lit in state.pending
+                    cid == idle[0] and abs(lit) not in state.value for _, cid, lit in state.pending
                 )
                 forget(state, idle[0])
         elif len(state.value) == num_vars:
@@ -95,6 +95,23 @@ def test_solve_matches_rescanning_reference(reference):
     for (clauses, num_vars), runs in zip(problems, kernel):
         expected = brute_force_sat([c.lits for c in clauses], num_vars)
         assert all((kind is SatResult) == expected for kind, *_ in runs)
+
+
+def test_learned_clauses_on_larger_formulas_match_rescanning_reference(reference):
+    # long enough runs that learned clauses must watch their asserting literal and the
+    # highest-level other literal to stay correct across later backjumps
+    rng = random.Random(4260)
+    problems = []
+    for num_vars in (20, 24, 28, 32) * 2:
+        clauses = []
+        for cid in range(1, round(num_vars * 4.26) + 1):
+            atoms = rng.sample(range(1, num_vars + 1), 3)
+            clauses.append(PropClause(cid, tuple(a if rng.random() < 0.5 else -a for a in atoms)))
+        problems.append((clauses, num_vars))
+    kernel = [outcome(solve(c, n)) for c, n in problems]
+    reference()
+    assert kernel == [outcome(solve(c, n)) for c, n in problems]
+    assert sum(1 for *_, events, _ in kernel for ev in events if ev[0] == "learn") > 100
 
 
 def test_forgetting_matches_rescanning_reference(reference):

@@ -3,7 +3,6 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from clausekit.errors import ResourceLimitError
 from clausekit.logic import (
     Atom,
     Clause,
@@ -12,7 +11,6 @@ from clausekit.logic import (
     Substitution,
     Variable,
     canonical_variant,
-    ground_instances,
     match_atoms,
     rename_apart,
     renamed_equal,
@@ -137,53 +135,6 @@ class TestRenameApart:
         b = Clause(2, (neg(P(x2)),))
         a2, b2 = rename_apart(a, b)
         assert set(a2.variables()).isdisjoint(b2.variables())
-
-
-class TestGroundInstances:
-    def test_enumeration(self):
-        clause = Clause(1, (neg(P(x1, c0)), pos(P(x1, c1))))
-        out = ground_instances(clause, [c0, c1])
-        keys = {c.multiset_key() for c in out}
-        assert keys == {
-            Clause(0, (neg(P(c0, c0)), pos(P(c0, c1)))).multiset_key(),
-            Clause(0, (neg(P(c1, c0)), pos(P(c1, c1)))).multiset_key(),
-        }
-
-    def test_ground_clause_is_itself(self):
-        clause = Clause(1, (pos(P(c0)),))
-        assert ground_instances(clause, [c0, c1]) == [clause]
-
-    def test_four_variables_sixteen_instances(self):
-        # oracle: enumerate the assignments directly
-        expected = len(list(itertools.product([0, 1], repeat=4)))
-        clause = Clause(1, (pos(P(x1, x2, x3, Variable("u1"))),))
-        assert len(ground_instances(clause, [c0, c1])) == expected == 16
-
-    def test_cardinality_before_dedup(self):
-        for k in range(4):
-            args = tuple(Variable(f"x{i}") for i in range(1, k + 1))
-            clause = Clause(1, (pos(Atom("P", args)),))
-            assert len(ground_instances(clause, [c0, c1])) == 2**k
-
-    def test_duplicates_removed(self):
-        # the two mixed assignments give the same literal multiset
-        clause = Clause(1, (pos(P(x1)), pos(P(x2))))
-        out = ground_instances(clause, [c0, c1])
-        assert len(out) == 3
-        assert {c.multiset_key() for c in out} == {
-            ("P(0)", "P(0)"),
-            ("P(0)", "P(1)"),
-            ("P(1)", "P(1)"),
-        }
-
-    def test_cap(self):
-        clause = Clause(1, (pos(P(x1, x2, x3)),))
-        with pytest.raises(ResourceLimitError):
-            ground_instances(clause, [c0, c1], cap=7)
-
-    def test_empty_domain_rejected(self):
-        with pytest.raises(ValueError):
-            ground_instances(Clause(1, (pos(P(x1)),)), [])
 
 
 class TestClause:

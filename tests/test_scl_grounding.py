@@ -6,6 +6,7 @@ import pytest
 
 from oracles import reference_ground_problem
 from clausekit import scl
+from clausekit.cdcl import clause_status
 from clausekit.errors import ResourceLimitError
 from clausekit.formats import parse_bs
 from clausekit.logic import Atom, Clause, Constant, Literal, Variable
@@ -44,7 +45,7 @@ def outcome(ground, clauses, domain, cap=scl.DEFAULT_INSTANCE_CAP):
         p = ground(clauses, domain, cap)
     except (ValueError, ResourceLimitError) as exc:
         return type(exc), str(exc)
-    return p.clauses, p.domain, p.atoms, p.instances, p.occurrences
+    return p.clauses, p.domain, p.atoms, p.instances
 
 
 class TestAgainstReference:
@@ -150,6 +151,7 @@ class TestRepeatedLiterals:
 
 
 def test_initial_classification_matches_full_scan():
+    # the kernel's pending units and false set after hooking every instance
     rng = random.Random(7)
     for _ in range(150):
         clauses, domain = random_clause_set(rng)
@@ -158,9 +160,11 @@ def test_initial_classification_matches_full_scan():
         except ValueError:
             continue
         state = SclState.from_problem(problem)
-        full = SclState(problem=problem)
-        full.reclassify(range(len(problem.instances)))
-        assert state.units == full.units and state.falses == full.falses
+        scan = [clause_status(inst.lits, {}) for inst in problem.instances]
+        assert sorted((pos, lit) for _, pos, lit in state.pending) == [
+            (pos, lit) for pos, (status, lit) in enumerate(scan) if status == "unit"
+        ]
+        assert state.false_ids == {pos for pos, (status, _) in enumerate(scan) if status == "false"}
 
 
 def test_runs_match_reference_grounding(monkeypatch):
