@@ -9,7 +9,8 @@ detection, 1UIP conflict analysis, backjumping, manual forgetting, and a
 brute-force truth-table redundancy oracle.  Literals are DIMACS-style signed
 integers.  Traces stay deterministic: the conflict is always the smallest-id
 false clause and the propagating clause the smallest-id unit clause, as in an
-id-order scan.
+id-order scan.  Events are tuples on the state; `render` turns a run's
+result into its output lines.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from __future__ import annotations
 import heapq
 from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import ResourceLimitError
 
@@ -451,27 +452,27 @@ def solve(
             decide(state, heuristic(state))
 
 
-def trace_lines(events: Iterable[tuple]) -> list[str]:
-    """Render solver events in the DIMACS-solver trace style."""
-    lines = []
-    for ev in events:
+def render(result: SatResult | UnsatResult) -> Iterator[tuple[str, dict]]:
+    """The trace of a run in the DIMACS-solver style, one (text line, JSON fields) pair per line."""
+    for ev in result.state.events:
         kind = ev[0]
-        if kind == "decide":
-            lines.append(f"decide {ev[1]} @{ev[2]}")
-        elif kind == "propagate":
-            lines.append(f"propagate {ev[1]} <- clause {ev[2]}")
+        if kind == "propagate":
+            yield f"propagate {ev[1]} <- clause {ev[2]}", {
+                "event": "cdcl", "kind": kind, "lit": ev[1], "clause": ev[2]}
+        elif kind == "decide":
+            yield f"decide {ev[1]} @{ev[2]}", {"event": "cdcl", "kind": kind, "lit": ev[1], "level": ev[2]}
         elif kind == "conflict":
-            lines.append(f"conflict clause {ev[1]}")
+            yield f"conflict clause {ev[1]}", {"event": "cdcl", "kind": kind, "clause": ev[1]}
         elif kind == "learn":
-            lines.append(f"learn {' '.join(str(l) for l in ev[1])} backjump {ev[2]}")
+            yield f"learn {' '.join(map(str, ev[1]))} backjump {ev[2]}", {
+                "event": "cdcl", "kind": kind, "lits": list(ev[1]), "backjump": ev[2], "clause": ev[3]}
         elif kind == "forget":
-            lines.append(f"forget clause {ev[1]}")
+            yield f"forget clause {ev[1]}", {"event": "cdcl", "kind": kind}
         elif kind == "sat":
-            lines.append("s SATISFIABLE")
-            lines.append("v " + " ".join(str(l) for l in ev[1]) + " 0")
+            yield "s SATISFIABLE", {"event": "cdcl", "kind": kind}
+            yield f"v {' '.join(map(str, ev[1]))} 0", {"event": "cdcl", "kind": kind}
         elif kind == "unsat":
-            lines.append("s UNSATISFIABLE")
-    return lines
+            yield "s UNSATISFIABLE", {"event": "cdcl", "kind": kind}
 
 
 # ---------------------------------------------------------------------------
@@ -491,10 +492,6 @@ class TrailOrdering:
 
     rank: dict[int, int]
     base: int
-
-    @classmethod
-    def from_state(cls, state: CdclState) -> "TrailOrdering":
-        return cls.from_ranks(state.atom_ranks())
 
     @classmethod
     def from_trail(cls, lits: Sequence[int]) -> "TrailOrdering":

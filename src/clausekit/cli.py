@@ -1,5 +1,9 @@
 """Command-line front end dispatching to the four reasoning engines.
 
+Each mode parses its input, runs its engine and writes the lines that the
+engine's `render` gives for the result, as text or as JSON lines; only the
+counter experiment formats its own table.
+
 Exit codes follow the DIMACS solver convention: 10 for satisfiable/saturated
 outcomes, 20 for unsatisfiable, 1 for resource or step limits, 2 for usage and
 parse errors.
@@ -11,8 +15,8 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass, field
-from typing import Callable, TextIO
+from dataclasses import asdict, dataclass, field
+from typing import Callable, Iterable, TextIO
 
 from . import cdcl, formats, lia, resolution, scl
 from .errors import ClausekitError, ParseError, ReplayStepError, ResourceLimitError
@@ -71,6 +75,8 @@ class RunConfig:
         elif self.mode in ("cdcl", "lia-propagate", "lia-decide"):
             if self.input is None:
                 raise ValueError(f"mode {self.mode} needs --input")
+            if self.counter_n is not None:
+                raise ValueError(f"--counter-n does not apply to mode {self.mode}")
         else:
             if (self.input is None) == (self.counter_n is None):
                 raise ValueError(f"mode {self.mode} needs exactly one of --input or --counter-n")
@@ -78,25 +84,27 @@ class RunConfig:
             raise ValueError("mode resolution-replay needs --replay")
         if self.replay is not None and self.mode != "resolution-replay":
             raise ValueError("--replay only applies to mode resolution-replay")
-        if self.decisions and not self.mode.startswith("lia"):
-            raise ValueError("--decide only applies to the lia modes")
+        if self.decisions and self.mode != "lia-propagate":
+            raise ValueError("--decide only applies to mode lia-propagate")
         if self.counter_n is not None and self.counter_n < 1:
             raise ValueError("--counter-n must be positive")
 
 
 class _Emitter:
-    """Writes trace lines as plain text or as JSON-lines with an event field."""
+    """Writes rendered (text line, JSON fields) pairs as plain text or as JSON lines."""
 
     def __init__(self, out: TextIO, as_json: bool):
         self.out = out
         self.as_json = as_json
 
-    def line(self, text: str, **fields) -> None:
+    def lines(self, rendered: Iterable[tuple[str, dict]]) -> None:
+        write = self.out.write
         if self.as_json:
-            payload = {"line": text, **fields}
-            self.out.write(json.dumps(payload, sort_keys=True) + "\n")
+            for text, fields in rendered:
+                write(json.dumps({"line": text, **fields}, sort_keys=True) + "\n")
         else:
-            self.out.write(text + "\n")
+            for text, _ in rendered:
+                write(text + "\n")
 
 
 def _bs_clauses(config: RunConfig) -> list[Clause]:
@@ -113,26 +121,11 @@ def _ordering(config: RunConfig, clauses: list[Clause]) -> OrderingConfig:
     return cfg
 
 
-def _cdcl_fields(ev: tuple) -> dict:
-    kind = ev[0]
-    if kind == "decide":
-        return {"kind": kind, "lit": ev[1], "level": ev[2]}
-    if kind == "propagate":
-        return {"kind": kind, "lit": ev[1], "clause": ev[2]}
-    if kind == "conflict":
-        return {"kind": kind, "clause": ev[1]}
-    if kind == "learn":
-        return {"kind": kind, "lits": list(ev[1]), "backjump": ev[2], "clause": ev[3]}
-    return {"kind": kind}
-
-
 def _run_cdcl(config: RunConfig, emit: _Emitter) -> int:
     with open(config.input, encoding="utf-8") as handle:
         num_vars, clauses = formats.parse_dimacs(handle.read())
     result = cdcl.solve(clauses, num_vars, HEURISTICS[config.heuristic])
-    for ev in result.state.events:
-        for line in cdcl.trace_lines([ev]):
-            emit.line(line, event="cdcl", **_cdcl_fields(ev))
+    emit.lines(cdcl.render(result))
     return EXIT_SAT if isinstance(result, cdcl.SatResult) else EXIT_UNSAT
 
 
@@ -146,16 +139,11 @@ def _run_scl(config: RunConfig, emit: _Emitter) -> int:
     result = scl.scl_run(
         clauses, instance_cap=config.max_instances, trail_cap=_max_steps(config, scl.DEFAULT_TRAIL_CAP)
     )
-    if result.state is not None:
-        for line, fields in scl.render(result.state):
-            emit.line(line, event="scl", **fields)
+    emit.lines(scl.render(result))
     if isinstance(result, scl.SclSat):
-        emit.line("s SATISFIABLE", event="result")
         return EXIT_SAT
     if isinstance(result, scl.SclUnsat):
-        emit.line("s UNSATISFIABLE", event="result")
         return EXIT_UNSAT
-    emit.line("s RESOURCE-EXCEEDED", event="result")
     return EXIT_LIMIT
 
 
@@ -164,9 +152,7 @@ def _run_resolution(config: RunConfig, emit: _Emitter) -> int:
     cfg = _ordering(config, clauses)
     sel = resolution.selection_from_name(config.selection)
     result = resolution.saturate(clauses, cfg, sel, max_generated=_max_steps(config))
-    for line in result.log:
-        emit.line(line, event="derived")
-    emit.line(result.final_line(), event="result", generated=result.generated, kept=result.kept)
+    emit.lines(resolution.render(result))
     if result.outcome == "unsat":
         return EXIT_UNSAT
     if result.outcome == "saturated":
@@ -179,13 +165,8 @@ def _run_replay(config: RunConfig, emit: _Emitter) -> int:
     with open(config.replay, encoding="utf-8") as handle:
         script = formats.parse_script(handle.read())
     derived = resolution.replay(clauses, script)
-    for d in derived:
-        emit.line(resolution.log_line(d), event="derived")
-    if derived and derived[-1].clause.is_empty:
-        emit.line("Unsat", event="result")
-        return EXIT_UNSAT
-    emit.line(f"Replayed({len(derived)})", event="result")
-    return EXIT_SAT
+    emit.lines(resolution.render(derived))
+    return EXIT_UNSAT if derived and derived[-1].clause.is_empty else EXIT_SAT
 
 
 def _lia_system(config: RunConfig) -> lia.LiaSystem:
@@ -197,8 +178,7 @@ def _run_lia_propagate(config: RunConfig, emit: _Emitter) -> int:
     system = _lia_system(config)
     decisions = [formats.parse_bound(b) for b in config.decisions]
     result = lia.propagate_bounds(system, decisions, _max_steps(config))
-    for line in lia.trace_lines(result):
-        emit.line(line, event="lia")
+    emit.lines(lia.render(result))
     if isinstance(result, lia.LiaFixpoint):
         return EXIT_SAT
     if isinstance(result, lia.LiaConflict):
@@ -207,14 +187,9 @@ def _run_lia_propagate(config: RunConfig, emit: _Emitter) -> int:
 
 
 def _run_lia_decide(config: RunConfig, emit: _Emitter) -> int:
-    system = _lia_system(config)
-    result = lia.decide_bounded(system)
-    if isinstance(result, lia.LiaSat):
-        rendered = " ".join(f"{v}={result.assignment[v]}" for v in system.variables)
-        emit.line(f"sat {rendered}", event="result")
-        return EXIT_SAT
-    emit.line("unsat", event="result")
-    return EXIT_UNSAT
+    result = lia.decide_bounded(_lia_system(config))
+    emit.lines(lia.render(result))
+    return EXIT_SAT if isinstance(result, lia.LiaSat) else EXIT_UNSAT
 
 
 # ---------------------------------------------------------------------------
@@ -230,16 +205,6 @@ class ExperimentRow:
     resolution_generated: int
     resolution_result: str
     wall_times: dict[str, float]
-
-    def as_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "scl_propagations": self.scl_propagations,
-            "scl_result": self.scl_result,
-            "resolution_generated": self.resolution_generated,
-            "resolution_result": self.resolution_result,
-            "wall_times": self.wall_times,
-        }
 
 
 @dataclass
@@ -300,10 +265,9 @@ def _run_experiment(config: RunConfig, emit: _Emitter) -> int:
     report = counter_experiment(n_max)
     if emit.as_json:
         for row in report.rows:
-            emit.out.write(json.dumps(row.as_dict(), sort_keys=True) + "\n")
+            emit.out.write(json.dumps(asdict(row), sort_keys=True) + "\n")
     else:
-        for line in report.table_lines():
-            emit.line(line)
+        emit.lines((line, {}) for line in report.table_lines())
     return EXIT_SAT
 
 

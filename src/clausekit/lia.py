@@ -4,13 +4,14 @@ Inequations are kept in the normal form sum(a_i * x_i) + c <= 0 with exact
 integer arithmetic throughout.  Bound propagation is round-robin over the
 (inequation, variable) pairs in input order and only ever tightens; it can
 diverge, which the a-priori solvability box makes detectable and the bounded
-exhaustive decision procedure makes complete.
+exhaustive decision procedure makes complete.  `render` gives the output
+lines of either result.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping
 
 from .errors import ResourceLimitError
 
@@ -251,7 +252,7 @@ def apriori_bounds(system: LiaSystem) -> dict[str, tuple[int, int]]:
 
 @dataclass
 class LiaSat:
-    assignment: dict[str, int]
+    assignment: dict[str, int]  # in the system's variable order
 
 
 @dataclass
@@ -305,15 +306,26 @@ def decide_bounded(system: LiaSystem, box_cap: int = DEFAULT_BOX_CAP) -> LiaSat 
     return LiaSat(found) if found is not None else LiaUnsat()
 
 
-def trace_lines(result: LiaFixpoint | LiaConflict | LiaDiverged) -> list[str]:
-    lines = []
+def render(
+    result: LiaFixpoint | LiaConflict | LiaDiverged | LiaSat | LiaUnsat,
+) -> Iterator[tuple[str, dict]]:
+    """The output of a propagation or a decision, one (text line, JSON fields) pair per line.
+
+    A propagation prints its trail, one bound per line, then its outcome; a
+    decision prints its verdict with the model.
+    """
+    if isinstance(result, LiaSat):
+        yield "sat " + " ".join(f"{v}={x}" for v, x in result.assignment.items()), {"event": "result"}
+        return
+    if isinstance(result, LiaUnsat):
+        yield "unsat", {"event": "result"}
+        return
     for b in result.trail:
         source = "decision" if b.reason is None else f"ineq {b.reason}"
-        lines.append(f"bound {b.var} {b.kind} {b.value} <- {source}")
+        yield f"bound {b.var} {b.kind} {b.value} <- {source}", {"event": "lia"}
     if isinstance(result, LiaFixpoint):
-        lines.append("fixpoint")
+        yield "fixpoint", {"event": "lia"}
     elif isinstance(result, LiaConflict):
-        lines.append(f"conflict {result.inequation_id}")
+        yield f"conflict {result.inequation_id}", {"event": "lia"}
     else:
-        lines.append(f"diverged steps={result.steps}")
-    return lines
+        yield f"diverged steps={result.steps}", {"event": "lia"}

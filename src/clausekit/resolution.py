@@ -5,13 +5,14 @@ in its clause, maximal under the ordering after unification) and an eligible
 negative literal (selected, or maximal when nothing is selected).  Saturation
 runs a FIFO given-clause loop with forward/backward subsumption and tautology
 deletion.  Replay executes scripted resolutions without eligibility checks.
+`render` gives the output lines of either run.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, replace
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import ReplayStepError
 from .logic import (
@@ -228,14 +229,6 @@ class SaturationResult:
     clauses: list[Clause]  # clauses retained at the end
     derivations: dict[int, DerivedClause]
     proof: list[DerivedClause] | None
-    log: list[str]
-
-    def final_line(self) -> str:
-        if self.outcome == "unsat":
-            return "Unsat"
-        if self.outcome == "saturated":
-            return f"Saturated({len(self.clauses)})"
-        return "LimitReached"
 
 
 def _extract_proof(
@@ -264,10 +257,6 @@ def _extract_proof(
     return [needed[i] for i in sorted(needed)]
 
 
-def log_line(derived: DerivedClause) -> str:
-    return f"{derived.clause.id} : {derived.clause}  {derived.rule}"
-
-
 def saturate(
     clauses: Iterable[Clause],
     cfg: OrderingConfig,
@@ -277,12 +266,11 @@ def saturate(
     """Given-clause loop, FIFO by clause id, with subsumption and tautology deletion."""
     inputs = {c.id: c for c in clauses}
     if len(inputs) == 0:
-        return SaturationResult("saturated", 0, 0, 0, 0, [], {}, None, [])
+        return SaturationResult("saturated", 0, 0, 0, 0, [], {}, None)
     passive: deque[Clause] = deque(inputs[i] for i in sorted(inputs))
     active: list[Clause] = []
     removed: set[int] = set()
     derivations: dict[int, DerivedClause] = {}
-    log: list[str] = []
     next_id = max(inputs) + 1
     generated = kept = subsumed = tautologies = 0
 
@@ -304,7 +292,6 @@ def saturate(
             list(retained()),
             derivations,
             proof,
-            log,
         )
 
     while passive:
@@ -326,7 +313,6 @@ def saturate(
             if conclusion.is_empty:
                 bottom = DerivedClause(Clause(next_id), derived.rule)
                 derivations[next_id] = bottom
-                log.append(log_line(bottom))
                 return result("unsat", _extract_proof(bottom, derivations, inputs))
             if conclusion.is_tautology():
                 tautologies += 1
@@ -342,7 +328,6 @@ def saturate(
                 replace(conclusion, id=next_id), derived.rule
             )
             derivations[next_id] = record
-            log.append(log_line(record))
             passive.append(record.clause)
             kept += 1
             next_id += 1
@@ -386,13 +371,9 @@ def replay(clauses: Iterable[Clause], script: Sequence[ScriptStep]) -> list[Deri
             raise ReplayStepError(no, "literals do not unify")
         if ll.positive:
             rule = ResolutionRule(lid, lpos, rid, rpos, sigma)
-            lits = _conclusion(left_r, lpos - 1, right_r, rpos - 1, sigma)
         else:
             rule = ResolutionRule(rid, rpos, lid, lpos, sigma)
-            rest = [l for i, l in enumerate(left_r.literals) if i != lpos - 1]
-            rest += [l for i, l in enumerate(right_r.literals) if i != rpos - 1]
-            lits = tuple(sigma.apply_literal(l) for l in rest)
-        conclusion = canonical_variant(Clause(next_id, lits))
+        conclusion = canonical_variant(Clause(next_id, _conclusion(left_r, lpos - 1, right_r, rpos - 1, sigma)))
         by_id[next_id] = conclusion
         out.append(DerivedClause(conclusion, rule))
         next_id += 1
@@ -491,3 +472,24 @@ def check_linear_refutation(
     if not derived or not derived[-1].clause.is_empty:
         raise ValueError("script does not end in the empty clause")
     return derived
+
+
+def render(result: SaturationResult | list[DerivedClause]) -> Iterator[tuple[str, dict]]:
+    """The output of a saturation or a replay, one (text line, JSON fields) pair per line.
+
+    One line per derived clause in id order, then the verdict line.
+    """
+    if isinstance(result, SaturationResult):
+        derived = result.derivations.values()
+        if result.outcome == "saturated":
+            verdict = f"Saturated({len(result.clauses)})"
+        else:
+            verdict = "Unsat" if result.outcome == "unsat" else "LimitReached"
+        fields = {"event": "result", "generated": result.generated, "kept": result.kept}
+    else:
+        derived = result
+        verdict = "Unsat" if result and result[-1].clause.is_empty else f"Replayed({len(result)})"
+        fields = {"event": "result"}
+    for d in derived:
+        yield f"{d.clause.id} : {d.clause}  {d.rule}", {"event": "derived"}
+    yield verdict, fields

@@ -14,7 +14,7 @@ propagatable ground literal (lexicographic constant order, positive before
 negative on the same atom).  Conflicts above level 0 are analyzed by the
 propositional 1UIP engine over the ground abstraction; a level-0 conflict
 means the input is unsatisfiable.  Events carry literals and instance
-positions; `render` turns them into trace text.
+positions; `render` turns a run's result into its output lines.
 """
 
 from __future__ import annotations
@@ -374,24 +374,30 @@ _LINES = {
 }
 
 
-def render(state: SclState) -> Iterator[tuple[str, dict]]:
-    """The trace of a run, one (text line, JSON fields) pair per line, the stats line last."""
-    for kind, *args in state.events:
-        if kind in ("propagate", "conflict"):
-            inst = state.problem.instances[args[-1]]
-            fields = {"clause": inst.clause_id, "subst": inst.subst_str()}
-            if kind == "propagate":
-                fields["lit"] = state.literal_str(args[0])
-        elif kind == "decide":
-            fields = {"lit": state.literal_str(args[0]), "level": args[1]}
-        elif kind == "learn":
-            fields = {"clause": " | ".join(state.literal_str(l) for l in args[0]), "backjump": args[1]}
-        else:
-            continue
-        yield _LINES[kind].format(**fields), {"kind": kind, **fields}
-    s = state.stats
-    yield f"stats propagations={s.propagations} decisions={s.decisions} trail={len(state.trail)}", {"kind": "stats"}
+_VERDICTS = {SclSat: "s SATISFIABLE", SclUnsat: "s UNSATISFIABLE", SclResourceExceeded: "s RESOURCE-EXCEEDED"}
 
 
-def trace_lines(state: SclState) -> list[str]:
-    return [line for line, _ in render(state)]
+def render(result: SclSat | SclUnsat | SclResourceExceeded) -> Iterator[tuple[str, dict]]:
+    """The output of a run, one (text line, JSON fields) pair per line: trace, stats, verdict.
+
+    A run stopped by the instance cap has no state, so only its verdict line.
+    """
+    state = result.state
+    if state is not None:
+        for kind, *args in state.events:
+            if kind in ("propagate", "conflict"):
+                inst = state.problem.instances[args[-1]]
+                fields = {"clause": inst.clause_id, "subst": inst.subst_str()}
+                if kind == "propagate":
+                    fields["lit"] = state.literal_str(args[0])
+            elif kind == "decide":
+                fields = {"lit": state.literal_str(args[0]), "level": args[1]}
+            elif kind == "learn":
+                fields = {"clause": " | ".join(state.literal_str(l) for l in args[0]), "backjump": args[1]}
+            else:
+                continue
+            yield _LINES[kind].format(**fields), {"event": "scl", "kind": kind, **fields}
+        s = state.stats
+        yield (f"stats propagations={s.propagations} decisions={s.decisions} trail={len(state.trail)}",
+               {"event": "scl", "kind": "stats"})
+    yield _VERDICTS[type(result)], {"event": "result"}

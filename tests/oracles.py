@@ -397,21 +397,31 @@ def reference_scl_run(
             state.events.append(("decide", state.literal_str(atom), state.level))
 
 
-def reference_render(state: ReferenceSclState) -> list[tuple[str, dict]]:
-    """(text line, JSON fields) per trace line of a reference run, the stats line last."""
+def reference_render(result) -> list[tuple[str, dict]]:
+    """(text line, JSON fields) per output line of a reference run: trace, stats line, verdict line."""
     out = []
-    for ev in state.events:
-        kind = ev[0]
-        if kind == "propagate":
-            out.append((f"propagate {ev[1]} <- clause {ev[2]} σ={ev[3]}",
-                        {"kind": kind, "lit": ev[1], "clause": ev[2], "subst": ev[3]}))
-        elif kind == "conflict":
-            out.append((f"conflict clause {ev[1]} σ={ev[2]}", {"kind": kind, "clause": ev[1], "subst": ev[2]}))
-        elif kind == "decide":
-            out.append((f"decide {ev[1]} @{ev[2]}", {"kind": kind, "lit": ev[1], "level": ev[2]}))
-        elif kind == "learn":
-            out.append((f"learn {ev[1]} backjump {ev[2]}", {"kind": kind, "clause": ev[1], "backjump": ev[2]}))
-    s = state.stats
-    out.append((f"stats propagations={s.propagations} decisions={s.decisions} trail={len(state.trail)}",
-                {"kind": "stats"}))
+    state = result.state
+    if state is not None:
+        for ev in state.events:
+            kind = ev[0]
+            if kind == "propagate":
+                out.append((f"propagate {ev[1]} <- clause {ev[2]} σ={ev[3]}",
+                            {"event": "scl", "kind": kind, "lit": ev[1], "clause": ev[2], "subst": ev[3]}))
+            elif kind == "conflict":
+                out.append((f"conflict clause {ev[1]} σ={ev[2]}",
+                            {"event": "scl", "kind": kind, "clause": ev[1], "subst": ev[2]}))
+            elif kind == "decide":
+                out.append((f"decide {ev[1]} @{ev[2]}", {"event": "scl", "kind": kind, "lit": ev[1], "level": ev[2]}))
+            elif kind == "learn":
+                out.append((f"learn {ev[1]} backjump {ev[2]}",
+                            {"event": "scl", "kind": kind, "clause": ev[1], "backjump": ev[2]}))
+        s = state.stats
+        out.append((f"stats propagations={s.propagations} decisions={s.decisions} trail={len(state.trail)}",
+                    {"event": "scl", "kind": "stats"}))
+    if isinstance(result, SclSat):
+        out.append(("s SATISFIABLE", {"event": "result"}))
+    elif isinstance(result, SclUnsat):
+        out.append(("s UNSATISFIABLE", {"event": "result"}))
+    else:
+        out.append(("s RESOURCE-EXCEEDED", {"event": "result"}))
     return out

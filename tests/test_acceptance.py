@@ -23,8 +23,8 @@ from clausekit.cdcl import (
     decide,
     is_redundant,
     propagate,
+    render,
     solve,
-    trace_lines,
 )
 from clausekit.cli import counter_experiment
 from clausekit.formats import parse_bs, parse_lia, parse_script
@@ -103,7 +103,7 @@ def test_01_cdcl_backjump_replay():
     assert [c.lits for c in state.learned] == [(1, 2)]
     assert state.level == 1 and state.conflict_id is None
     assert state.input_ids == frozenset({1, 2, 3})
-    lines = trace_lines(solve(DEMO).state.events)
+    lines = [line for line, _ in render(solve(DEMO))]
     assert "learn 1 2 backjump 1" in lines
     best = min(_timed(drive) for _ in range(100))
     assert best < 0.001, f"demo run took {best * 1000:.3f} ms"

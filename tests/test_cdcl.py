@@ -18,8 +18,8 @@ from clausekit.cdcl import (
     is_redundant,
     lowest_index_negative,
     propagate,
+    render,
     solve,
-    trace_lines,
 )
 from clausekit.errors import ResourceLimitError
 
@@ -166,7 +166,7 @@ class TestSolve:
         assert isinstance(result, SatResult)
         assert brute_force_sat(DEMO_LITS := [c.lits for c in DEMO], 4)
         assert all(any(l in result.model for l in c) for c in DEMO_LITS)
-        lines = trace_lines(result.state.events)
+        lines = [line for line, _ in render(result)]
         assert "learn 1 2 backjump 1" in lines
 
     def test_empty_problem(self):

@@ -220,6 +220,19 @@ class TestUsageErrors:
         code, _ = run_cli("--mode", "cdcl", "--input", demo_cnf, "--decide", "x>=0")
         assert code == EXIT_USAGE
 
+    def test_decide_on_lia_decide(self, tmp_path, capsys):
+        # decide_bounded takes no decisions: x<=0 would be ignored and "sat x=1" printed
+        path = tmp_path / "s.lia"
+        path.write_text("1 - 1*x <= 0\n1*x - 3 <= 0\n")
+        code, out = run_cli("--mode", "lia-decide", "--input", str(path), "--decide", "x<=0")
+        assert (code, out) == (EXIT_USAGE, "")
+        assert capsys.readouterr().err.startswith("error: --decide")
+
+    def test_counter_n_on_input_only_mode(self, demo_cnf, capsys):
+        code, out = run_cli("--mode", "cdcl", "--input", demo_cnf, "--counter-n", "3")
+        assert (code, out) == (EXIT_USAGE, "")
+        assert capsys.readouterr().err.startswith("error: --counter-n")
+
 
 class TestDeterminism:
     @pytest.mark.parametrize(

@@ -19,7 +19,7 @@ from clausekit.lia import (
     decide_bounded,
     implied_bound,
     propagate_bounds,
-    trace_lines,
+    render,
 )
 
 DIVERGENT = parse_lia("x - y <= 0\ny - x + 1 <= 0\n")
@@ -306,7 +306,7 @@ class TestBound:
 
 def test_trace_lines():
     result = propagate_bounds(DIVERGENT, [Bound.make("x", ">=", 0, level=1)], 2)
-    lines = trace_lines(result)
+    lines = [line for line, _ in render(result)]
     assert lines[0] == "bound x >= 0 <- decision"
     assert lines[1] == "bound y >= 0 <- ineq 1"
     assert lines[-1] == "diverged steps=2"

@@ -14,8 +14,8 @@ from clausekit.scl import (
     counter_problem,
     ground_problem,
     scl_propagate,
+    render,
     scl_run,
-    trace_lines,
 )
 
 C0, C1 = Constant("0"), Constant("1")
@@ -191,8 +191,9 @@ class TestOracleAgreement:
 
 def test_trace_format():
     result = scl_run(counter_problem(2))
-    lines = trace_lines(result.state)
+    lines = [line for line, _ in render(result)]
     assert lines[0] == "propagate P(0,0) <- clause 1 σ={}"
     assert lines[1] == "propagate P(0,1) <- clause 2 σ={x1->0}"
-    assert lines[-2] == "conflict clause 4 σ={}"
-    assert lines[-1] == "stats propagations=4 decisions=0 trail=4"
+    assert lines[-3] == "conflict clause 4 σ={}"
+    assert lines[-2] == "stats propagations=4 decisions=0 trail=4"
+    assert lines[-1] == "s UNSATISFIABLE"

@@ -10,7 +10,7 @@ from clausekit.cdcl import clause_status
 from clausekit.errors import ResourceLimitError
 from clausekit.formats import parse_bs
 from clausekit.logic import Atom, Clause, Constant, Literal, Variable
-from clausekit.scl import SclState, counter_problem, ground_problem, scl_run, trace_lines
+from clausekit.scl import SclState, counter_problem, ground_problem, render, scl_run
 
 CONSTANTS = [Constant(n) for n in ("a", "b", "c")]
 VARIABLES = [Variable(n) for n in ("x1", "x2", "y")]
@@ -118,10 +118,11 @@ class TestRepeatedLiterals:
     def test_instance_with_repeated_literal_propagates(self):
         clauses = parse_bs("1 : Q(a).\n2 : -Q(x) | P(y) | P(z).\n")
         result = scl_run(clauses)
-        assert trace_lines(result.state) == [
+        assert [line for line, _ in render(result)] == [
             "propagate Q(a) <- clause 1 σ={}",
             "propagate P(a) <- clause 2 σ={x->a,y->a,z->a}",
             "stats propagations=2 decisions=0 trail=2",
+            "s SATISFIABLE",
         ]
 
     def test_literal_kept_once_and_literal_sets_once(self):
@@ -144,7 +145,7 @@ class TestRepeatedLiterals:
 
     def test_ground_unit_written_twice_propagates(self):
         result = scl_run(parse_bs("P(a) | P(a). -P(a) | Q(a)."))
-        assert trace_lines(result.state)[:2] == [
+        assert [line for line, _ in render(result)][:2] == [
             "propagate P(a) <- clause 1 σ={}",
             "propagate Q(a) <- clause 2 σ={}",
         ]
@@ -174,6 +175,6 @@ def test_runs_match_reference_grounding(monkeypatch):
         clauses, domain = random_clause_set(rng)
         if not isinstance(outcome(ground_problem, clauses, domain)[0], type):
             cases.append((clauses, domain))
-    got = [trace_lines(scl_run(c, d).state) for c, d in cases]
+    got = [list(render(scl_run(c, d))) for c, d in cases]
     monkeypatch.setattr(scl, "ground_problem", reference_ground_problem)
-    assert got == [trace_lines(scl_run(c, d).state) for c, d in cases]
+    assert got == [list(render(scl_run(c, d))) for c, d in cases]

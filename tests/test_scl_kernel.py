@@ -15,15 +15,14 @@ from clausekit.scl import (
     counter_problem,
     render,
     scl_run,
-    trace_lines,
 )
 
 CONSTANTS = [Constant(n) for n in ("a", "b", "c")]
 VARIABLES = [Variable(n) for n in ("x", "y", "z")]
 
 
-def outcome(result, render_state):
-    """Verdict, stats, events with their rendered trace, trail, model and learned clauses."""
+def outcome(result, render_result):
+    """Verdict, stats, rendered output with JSON fields, trail, model and learned clauses."""
     state = result.state
     if isinstance(result, SclSat):
         verdict = result.model
@@ -31,13 +30,14 @@ def outcome(result, render_state):
         verdict = (result.conflict_clause_id, result.conflict_subst)
     else:
         verdict = None
+    rendered = list(render_result(result))
     if state is None:
-        return type(result), verdict, dataclasses.asdict(result.stats)
+        return type(result), verdict, dataclasses.asdict(result.stats), rendered
     return (
         type(result),
         verdict,
         dataclasses.asdict(result.stats),
-        list(render_state(state)),
+        rendered,
         [tuple(e) for e in state.trail],
         [str(c) for c in state.learned],
     )
@@ -135,9 +135,10 @@ class TestOrderAmongInstances:
 
     def test_unit_tie_goes_to_the_smallest_substitution(self):
         result = same_run(parse_bs("1 : E(a,b). 2 : E(b,a). 3 : -E(y,x) | T(c)."))
-        assert "propagate T(c) <- clause 3 σ={x->a,y->b}" in trace_lines(result.state)
+        assert "propagate T(c) <- clause 3 σ={x->a,y->b}" in [line for line, _ in render(result)]
 
     def test_conflict_is_the_smallest_false_instance(self):
         result = same_run(parse_bs("1 : E(a,b). 2 : E(b,a). 3 : T(c). 4 : -E(y,x) | -T(c)."))
         assert isinstance(result, SclUnsat)
-        assert trace_lines(result.state)[-2] == "conflict clause 4 σ={x->a,y->b}"
+        lines = [line for line, _ in render(result)]
+        assert lines[-3] == "conflict clause 4 σ={x->a,y->b}" and lines[-1] == "s UNSATISFIABLE"

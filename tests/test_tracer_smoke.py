@@ -1,8 +1,10 @@
-"""perfbench/tracer.py still finds every name it wraps, so `perfbench/run.py --trace 1` runs."""
+"""perfbench/tracer.py still finds every name it wraps and every count it reads, so `--trace 1` runs."""
 
 import importlib.util
 import io
 from pathlib import Path
+
+import pytest
 
 from clausekit import cli
 
@@ -37,3 +39,40 @@ def test_traced_scl_and_cdcl_runs(tmp_path):
     assert tracer.counts["cdcl.decide"] > 0 and tracer.counts["cdcl.sat"] == 1
     metrics = tracer.metrics(1.0, 0, 0)
     assert metrics["scl.propagations"] == (16, "count") and metrics["cdcl.decide_ms"][0] >= 0
+
+
+FILES = {
+    "diverge.lia": "x - y <= 0\ny - x + 1 <= 0\n",
+    "sat.lia": "1 - 1*x - 1*y <= 0\n",
+    "linear2.script": "2.2 Res 3.1\n5.2 Res 2.1\n6.1 Res 1.1\n7.1 Res 4.1\n",
+}
+
+
+@pytest.mark.parametrize(
+    "argv, code, metrics, calls",
+    [
+        (["--mode", "resolution", "--counter-n", "2", "--selection", "first-negative"], cli.EXIT_UNSAT,
+         {"resolution.generated": 4, "resolution.kept": 3}, {"resolution.saturate": 1}),
+        (["--mode", "resolution-replay", "--counter-n", "2", "--replay", "{dir}/linear2.script"], cli.EXIT_UNSAT,
+         {}, {"resolution.replay": 1, "formats.parse": 1}),
+        (["--mode", "lia-propagate", "--input", "{dir}/diverge.lia", "--decide", "x>=0", "--max-steps", "3"],
+         cli.EXIT_LIMIT, {"lia.tightenings": 3}, {"lia.propagate": 1}),
+        (["--mode", "lia-decide", "--input", "{dir}/sat.lia"], cli.EXIT_SAT, {}, {"lia.decide": 1}),
+        # each row checks a linear refutation (wrapped in cli) that replays the script (wrapped in resolution)
+        (["--mode", "counter-experiment", "--counter-n", "2"], cli.EXIT_SAT,
+         {"scl.propagations": 6}, {"scl.run": 2, "resolution.replay": 4, "ordering.config": 2}),
+    ],
+)
+def test_traced_runs_of_the_other_modes(tmp_path, argv, code, metrics, calls):
+    for name, text in FILES.items():
+        (tmp_path / name).write_text(text)
+    tracer = load_tracer().Tracer(StubClock())
+    tracer.install()
+    try:
+        got = cli.main([a.replace("{dir}", str(tmp_path)) for a in argv], out=io.StringIO())
+    finally:
+        tracer.uninstall()
+    assert got == code
+    measured = tracer.metrics(1.0, 0, 0)
+    assert {key: measured[key][0] for key in metrics} == metrics
+    assert {key: tracer.calls[key] for key in calls} == calls
