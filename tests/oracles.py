@@ -411,7 +411,8 @@ def reference_render(result) -> list[tuple[str, dict]]:
                 out.append((f"conflict clause {ev[1]} σ={ev[2]}",
                             {"event": "scl", "kind": kind, "clause": ev[1], "subst": ev[2]}))
             elif kind == "decide":
-                out.append((f"decide {ev[1]} @{ev[2]}", {"event": "scl", "kind": kind, "lit": ev[1], "level": ev[2]}))
+                out.append((f"decide {ev[1]} @{ev[2]}",
+                            {"event": "scl", "kind": kind, "lit": ev[1], "level": ev[2]}))
             elif kind == "learn":
                 out.append((f"learn {ev[1]} backjump {ev[2]}",
                             {"event": "scl", "kind": kind, "clause": ev[1], "backjump": ev[2]}))
