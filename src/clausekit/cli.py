@@ -47,6 +47,8 @@ HEURISTICS: dict[str, cdcl.DecisionHeuristic] = {
 
 COUNTER_N_CAP = 12
 DEFAULT_MAX_STEPS = 10_000  # resolution and lia-propagate; scl uses scl.DEFAULT_TRAIL_CAP
+DEFAULT_HEURISTIC = "lowest-negative"
+DEFAULT_SELECTION = "none"
 
 
 @dataclass
@@ -54,11 +56,12 @@ class RunConfig:
     mode: str
     input: str | None = None
     counter_n: int | None = None
-    selection: str = "none"
-    precedence: list[str] = field(default_factory=list)
-    heuristic: str = "lowest-negative"
-    max_steps: int | None = None  # None: the mode's own default
-    max_instances: int = scl.DEFAULT_INSTANCE_CAP
+    # None: not given, so the mode's own default
+    selection: str | None = None
+    precedence: list[str] | None = None
+    heuristic: str | None = None
+    max_steps: int | None = None
+    max_instances: int | None = None
     replay: str | None = None
     decisions: list[str] = field(default_factory=list)
     format: str = "text"
@@ -66,8 +69,18 @@ class RunConfig:
     def validate(self) -> None:
         if self.mode not in MODES:
             raise ValueError(f"unknown mode {self.mode!r}")
-        if (self.max_steps is not None and self.max_steps < 0) or self.max_instances <= 0:
+        if (self.max_steps is not None and self.max_steps < 0) or (
+            self.max_instances is not None and self.max_instances <= 0
+        ):
             raise ValueError("limits must be positive")
+        for flag, given, mode in (
+            ("--heuristic", self.heuristic, "cdcl"),
+            ("--selection", self.selection, "resolution"),
+            ("--precedence", self.precedence, "resolution"),
+            ("--max-instances", self.max_instances, "scl"),
+        ):
+            if given is not None and self.mode != mode:
+                raise ValueError(f"{flag} only applies to mode {mode}")
         if self.mode == "counter-experiment":
             n = self.counter_n if self.counter_n is not None else 10
             if not 1 <= n <= COUNTER_N_CAP:
@@ -124,7 +137,7 @@ def _ordering(config: RunConfig, clauses: list[Clause]) -> OrderingConfig:
 def _run_cdcl(config: RunConfig, emit: _Emitter) -> int:
     with open(config.input, encoding="utf-8") as handle:
         num_vars, clauses = formats.parse_dimacs(handle.read())
-    result = cdcl.solve(clauses, num_vars, HEURISTICS[config.heuristic])
+    result = cdcl.solve(clauses, num_vars, HEURISTICS[config.heuristic or DEFAULT_HEURISTIC])
     emit.lines(cdcl.render(result))
     return EXIT_SAT if isinstance(result, cdcl.SatResult) else EXIT_UNSAT
 
@@ -136,9 +149,8 @@ def _max_steps(config: RunConfig, default: int = DEFAULT_MAX_STEPS) -> int:
 
 def _run_scl(config: RunConfig, emit: _Emitter) -> int:
     clauses = _bs_clauses(config)
-    result = scl.scl_run(
-        clauses, instance_cap=config.max_instances, trail_cap=_max_steps(config, scl.DEFAULT_TRAIL_CAP)
-    )
+    cap = scl.DEFAULT_INSTANCE_CAP if config.max_instances is None else config.max_instances
+    result = scl.scl_run(clauses, instance_cap=cap, trail_cap=_max_steps(config, scl.DEFAULT_TRAIL_CAP))
     emit.lines(scl.render(result))
     if isinstance(result, scl.SclSat):
         return EXIT_SAT
@@ -150,7 +162,7 @@ def _run_scl(config: RunConfig, emit: _Emitter) -> int:
 def _run_resolution(config: RunConfig, emit: _Emitter) -> int:
     clauses = _bs_clauses(config)
     cfg = _ordering(config, clauses)
-    sel = resolution.selection_from_name(config.selection)
+    sel = resolution.selection_from_name(config.selection or DEFAULT_SELECTION)
     result = resolution.saturate(clauses, cfg, sel, max_generated=_max_steps(config))
     emit.lines(resolution.render(result))
     if result.outcome == "unsat":
@@ -310,19 +322,23 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--mode", required=True, choices=MODES)
     parser.add_argument("--input", help="path to a DIMACS, BS clause, or LIA file")
     parser.add_argument("--counter-n", type=int, help="generate the n-bit counter problem")
-    parser.add_argument("--selection", choices=("none", "first-negative"), default="none")
+    parser.add_argument(
+        "--selection", choices=("none", "first-negative"), help=f"resolution only (default {DEFAULT_SELECTION})"
+    )
     parser.add_argument(
         "--precedence",
-        help="symbol precedence override, greatest first, e.g. '1>0'",
+        help="resolution only: symbol precedence override, greatest first, e.g. '1>0'",
     )
-    parser.add_argument("--heuristic", choices=sorted(HEURISTICS), default="lowest-negative")
+    parser.add_argument("--heuristic", choices=sorted(HEURISTICS), help=f"cdcl only (default {DEFAULT_HEURISTIC})")
     parser.add_argument(
         "--max-steps",
         type=int,
         help=f"step budget: SCL trail cap (default {scl.DEFAULT_TRAIL_CAP:,}), "
         f"generated clauses or bound tightenings (default {DEFAULT_MAX_STEPS:,})",
     )
-    parser.add_argument("--max-instances", type=int, default=scl.DEFAULT_INSTANCE_CAP)
+    parser.add_argument(
+        "--max-instances", type=int, help=f"scl only: ground instance cap (default {scl.DEFAULT_INSTANCE_CAP:,})"
+    )
     parser.add_argument("--replay", help="derivation script file for resolution-replay")
     parser.add_argument(
         "--decide", action="append", default=[], help="decision bound for lia modes, e.g. 'x>=0'"
@@ -332,7 +348,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def config_from_args(args: argparse.Namespace) -> RunConfig:
-    precedence = [s.strip() for s in args.precedence.split(">") if s.strip()] if args.precedence else []
+    precedence = None
+    if args.precedence is not None:
+        precedence = [s.strip() for s in args.precedence.split(">") if s.strip()]
     return RunConfig(
         mode=args.mode,
         input=args.input,

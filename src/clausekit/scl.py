@@ -1,27 +1,42 @@
-"""Ground trail engine for the Bernays-Schoenfinkel fragment (SCL style).
+"""Ground trail engine for the Bernays-Schoenfinkel fragment (SCL style), grounding lazily.
 
-Clauses are grounded over a finite constant domain from compiled templates:
-each literal becomes a sign, a base atom index and one weight per clause
-variable, so the signed atom indices of every instance come from integer
-arithmetic over constant indices, with no substitution or atom built per
-instance.  An instance keeps each literal once.
+Clauses compile to literal templates: each literal becomes a sign, a base
+atom index and one weight per clause variable, so the signed atom index of a
+literal in any instance is integer arithmetic over constant indices.  Atoms
+are integers too: the Herbrand base is mixed-radix arithmetic per predicate
+block, and an `Atom` is built only when one is asked for.
 
-The engine drives the propositional trail kernel of `clausekit.cdcl`, with
-one kernel clause per ground instance, named by its position: the trail
-holds ground literals justified by an instance, and two watched literals per
-instance find the unit and false ones.  Propagation picks the smallest
-propagatable ground literal (lexicographic constant order, positive before
-negative on the same atom).  Conflicts above level 0 are analyzed by the
-propositional 1UIP engine over the ground abstraction; a level-0 conflict
-means the input is unsatisfiable.  Events carry literals and instance
-positions; `render` turns a run's result into its output lines.
+Instances are created only when the trail makes them unit or false.  At the
+start those are the instances of one-literal and empty clauses (and the
+instances whose literals all coincide).  When a literal L is assigned, the
+templates of its complement are matched against it, the other literals of
+each clause are joined against the trail (each false, or the one literal
+left open), and the instances found are hooked into the propositional trail
+kernel of `clausekit.cdcl`, named by their position.  An instance can only
+become unit or false when one of its literals turns false, so every unit and
+false instance exists before each pick: the trace is that of grounding
+everything first.  An instance keeps each literal once; of the instances of
+a clause with one literal set, only the first in substitution order exists.
+
+Propagation picks the smallest propagatable ground literal (lexicographic
+constant order, positive before negative on the same atom); the conflict is
+the false instance smallest in (clause id, substitution).  Conflicts above
+level 0 are analyzed by the propositional 1UIP engine over the ground
+abstraction; a level-0 conflict means the input is unsatisfiable.  Events
+carry literals and instance positions; `render` turns a run's result into
+its output lines.
 """
 
 from __future__ import annotations
 
+import bisect
+import heapq
 import itertools
+from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from functools import cached_property
+from operator import itemgetter, mul
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .cdcl import TrailKernel, resolve_1uip
 from .cdcl import clause_status  # noqa: F401  perfbench/tracer.py counts calls through this name
@@ -30,6 +45,8 @@ from .logic import Atom, Clause, Constant, Literal, Variable
 
 DEFAULT_INSTANCE_CAP = 1_000_000
 DEFAULT_TRAIL_CAP = 1_000_000
+# The Herbrand universe of a clause set without constants: one fresh constant.
+FRESH_CONSTANT = Constant("a")
 
 
 @dataclass(frozen=True)
@@ -69,80 +86,527 @@ def counter_problem(n: int) -> CounterProblem:
     return CounterProblem(n, tuple(clauses))
 
 
-@dataclass(frozen=True, slots=True)
 class GroundInstance:
-    clause_id: int
-    subst: tuple[tuple[str, str], ...]  # (variable name, constant name), sorted
-    lits: tuple[int, ...]  # signed 1-based indices into the atom table
+    """An instance of a clause: its id, its substitution and its literals (signed 1-based atom indices).
+
+    The substitution is (variable name, constant name) pairs, sorted, and
+    instances of one clause sort as their substitutions do.  An instance the
+    engine grounds holds its compiled clause and the key it has there (see
+    `_CompiledClause`); it spells the pairs out only when asked.
+    """
+
+    __slots__ = ("clause_id", "key", "lits", "compiled")
+
+    def __init__(self, clause_id: int, subst, lits: tuple[int, ...], compiled=None):
+        self.clause_id, self.key, self.lits, self.compiled = clause_id, subst, lits, compiled
+
+    @property
+    def combo(self) -> tuple[int, ...]:
+        return self.compiled.combo(self.key)
+
+    @property
+    def subst(self) -> tuple[tuple[str, str], ...]:
+        return self.key if self.compiled is None else self.compiled.subst(self.combo)
 
     def subst_str(self) -> str:
-        return "{" + ",".join(f"{v}->{c}" for v, c in self.subst) + "}"
+        if self.compiled is None:
+            return "{" + ",".join(map("->".join, self.key)) + "}"
+        compiled = self.compiled
+        return compiled.subst_text % compiled.by_name(compiled.constant_names(self.key))
+
+    def _sort_key(self) -> tuple:
+        # constant indices by variable name sort as the constant names do
+        return self.key if self.compiled is None else self.compiled.by_name(self.combo)
+
+    def __lt__(self, other: "GroundInstance") -> bool:
+        return self._sort_key() < other._sort_key()
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, GroundInstance):
+            return NotImplemented
+        return (self.clause_id, self.subst, self.lits) == (other.clause_id, other.subst, other.lits)
+
+    def __repr__(self) -> str:
+        return f"GroundInstance(clause_id={self.clause_id!r}, subst={self.subst!r}, lits={self.lits!r})"
+
+
+class HerbrandBase(Sequence[Atom]):
+    """The Herbrand base in (predicate, argument names) order; atom i is base[i - 1].
+
+    The domain is sorted by name, so the atoms of a predicate used at one
+    arity are its block's start plus the code of their constant indices, the
+    mixed-radix number they spell.  A predicate used at several arities has
+    its block sorted, with a table from code to atom index per arity
+    (`place`) and the sorted block to decode.  Atoms are built only by
+    __getitem__.
+    """
+
+    def __init__(self, signatures: set[tuple[str, int]], dom: Sequence[Constant]):
+        self.domain = tuple(dom)
+        self.names = [c.name for c in dom]
+        self.place: dict[tuple[str, int], int | list[int]] = {}
+        self.starts: list[int] = []
+        self.blocks: list[tuple[str, int, list[tuple[int, ...]] | None]] = []
+        d, size = len(dom), 0
+        for pred in sorted({p for p, _ in signatures}):
+            arities = sorted(a for p, a in signatures if p == pred)
+            self.starts.append(size + 1)
+            if len(arities) == 1:
+                self.place[pred, arities[0]] = size + 1
+                self.blocks.append((pred, arities[0], None))
+                size += d ** arities[0]
+                continue
+            block = sorted(c for a in arities for c in itertools.product(range(d), repeat=a))
+            index = {c: size + i + 1 for i, c in enumerate(block)}
+            for a in arities:
+                self.place[pred, a] = [index[c] for c in itertools.product(range(d), repeat=a)]
+            self.blocks.append((pred, 0, block))
+            size += len(block)
+        self.size = size
+        # codes are decoded `width` digits at a time, from tables built on first use
+        self.width = 1
+        while 1 < d ** (self.width + 1) <= 256:
+            self.width += 1
+
+    def __len__(self) -> int:
+        return self.size
+
+    def locate(self, atom: int) -> tuple[str, int, int]:
+        """The predicate, the arity and the code of an atom index."""
+        k = bisect.bisect_right(self.starts, atom) - 1
+        pred, arity, block = self.blocks[k]
+        if block is None:
+            return pred, arity, atom - self.starts[k]
+        digits = block[atom - self.starts[k]]
+        d = len(self.names)
+        return pred, len(digits), sum(c * d ** (len(digits) - 1 - j) for j, c in enumerate(digits))
+
+    def digits(self, arity: int, code: int) -> tuple[int, ...]:
+        """The constant indices that a code spells at an arity."""
+        return self._spell(self.chunks, arity, code)
+
+    def spell(self, arity: int, code: int) -> tuple[str, ...]:
+        """The constant names that a code spells at an arity."""
+        return self._spell(self.name_chunks, arity, code)
+
+    def _spell(self, table: list[tuple], arity: int, code: int) -> tuple:
+        width = self.width
+        if arity <= width:
+            return table[code][width - arity:]
+        high, low = divmod(code, len(table))
+        if arity <= 2 * width:
+            return table[high][2 * width - arity:] + table[low]
+        return self._spell(table, arity - width, high) + table[low]
+
+    @cached_property
+    def chunks(self) -> list[tuple[int, ...]]:
+        """Every tuple of `width` constant indices, by code."""
+        return list(itertools.product(range(len(self.names)), repeat=self.width))
+
+    @cached_property
+    def name_chunks(self) -> list[tuple[str, ...]]:
+        names = self.names
+        return [tuple([names[c] for c in chunk]) for chunk in self.chunks]
+
+    def decode(self, atom: int) -> tuple[str, tuple[int, ...]]:
+        """The predicate and the constant indices of an atom index."""
+        pred, arity, code = self.locate(atom)
+        return pred, self.digits(arity, code)
+
+    def name(self, atom: int) -> str:
+        pred, arity, code = self.locate(atom)
+        return f"{pred}({','.join(self.spell(arity, code))})" if arity else pred
+
+    def __getitem__(self, i: int) -> Atom:
+        if not 0 <= i < self.size:
+            raise IndexError(i)
+        pred, digits = self.decode(i + 1)
+        return Atom(pred, tuple(self.domain[c] for c in digits))
+
+
+class _Template(NamedTuple):
+    """A compiled literal: its atom index is base plus the weighted constant indices of the slots."""
+
+    positive: bool
+    pred: str
+    args: tuple[int, ...]  # per argument position: a variable slot, or -1 - constant index
+    base: int
+    weights: tuple[int, ...]  # per variable slot
+    table: list[int] | None  # code to atom index, for a predicate used at several arities
+
+    def lit(self, combo: Sequence[int]) -> int:
+        code = self.base + sum(map(mul, self.weights, combo))
+        atom = code if self.table is None else self.table[code]
+        return atom if self.positive else -atom
+
+
+def _escape(name: str) -> str:
+    return name.replace("%", "%%")
+
+
+def _template(lit: Literal, place: int | list[int], slot: dict[str, int], const_index: dict[str, int]) -> _Template:
+    """Compile a literal; slot maps variable names to slots, const_index constant names to indices."""
+    d = len(const_index)
+    base = place if isinstance(place, int) else 0
+    weights = [0] * len(slot)
+    args = []
+    w = d ** len(lit.atom.args)
+    for arg in lit.atom.args:
+        w //= d
+        if isinstance(arg, Variable):
+            k = slot[arg.name]
+            weights[k] += w
+            args.append(k)
+        else:
+            c = const_index[arg.name]
+            base += w * c
+            args.append(-1 - c)
+    table = None if isinstance(place, int) else place
+    return _Template(lit.positive, lit.atom.predicate, tuple(args), base, tuple(weights), table)
+
+
+def _trigger_tree(entries: list[tuple[dict[int, int], tuple]], arity: int, d: int):
+    """Index templates of one sign, predicate and arity by the constants they fix.
+
+    entries pairs each template's {position: constant index} with its
+    payload.  A node is (divisor, {constant: subtree}, subtree of the
+    templates with a variable there, or None): the constant at the node's
+    position is an atom code divided by the divisor, modulo d.  A leaf is a
+    list of payloads.  Each node tests the position most templates below it
+    fix, the rightmost on ties.
+    """
+    counts: dict[int, int] = {}
+    for consts, _ in entries:
+        for p in consts:
+            counts[p] = counts.get(p, 0) + 1
+    if not counts:
+        return [payload for _, payload in entries]
+    position = max(counts, key=lambda p: (counts[p], p))
+    fixed, free = defaultdict(list), []
+    for consts, payload in entries:
+        if position in consts:
+            rest = dict(consts)
+            fixed[rest.pop(position)].append((rest, payload))
+        else:
+            free.append((consts, payload))
+    children = {c: _trigger_tree(sub, arity, d) for c, sub in fixed.items()}
+    return d ** (arity - 1 - position), children, _trigger_tree(free, arity, d) if free else None
+
+
+def _picker(positions: Sequence[int]):
+    """A function from a tuple to the tuple of its items at the positions."""
+    if len(positions) == 1:
+        p = positions[0]
+        return lambda items: (items[p],)
+    return itemgetter(*positions) if positions else lambda items: ()
+
+
+class _CompiledClause:
+    """A clause's templates, and its instances so far by their key.
+
+    A combo is the constant index of each variable slot; slots follow the
+    clause's variables in first-occurrence order, so combos sort as
+    itertools.product enumerates them.  An instance's key is its combo,
+    except in a clause whose literals are `aligned`: two or more literals, no
+    two with the same sign and predicate, each with every variable once at
+    the same argument positions.  There the key is the integer every
+    template's atom index exceeds its base by.
+    """
+
+    def __init__(self, clause: Clause, templates: list[_Template], variables: list[str], atoms: HerbrandBase):
+        self.id = clause.id
+        self.literals = clause.literals
+        self.templates = templates
+        self.variables = variables
+        self.slots = len(variables)
+        self.atoms = atoms
+        kinds = [(t.positive, t.pred, len(t.args)) for t in templates]
+        # two literals share sign and predicate, so instances can lose literals and coincide
+        self.merge = len(set(kinds)) < len(kinds)
+        # per template holding every variable once: the function from its atom's constants to the combo
+        self.picks = [
+            _picker([t.args.index(k) for k in range(self.slots)])
+            if sorted(a for a in t.args if a >= 0) == list(range(self.slots)) else None
+            for t in templates
+        ]
+        self.aligned = len(templates) > 1 and not self.merge and None not in self.picks and all(
+            (t.weights, t.table) == (templates[0].weights, None) for t in templates
+        )
+        self.created: dict = {}  # key -> instance position
+
+    # What only substitutions and rendering need is built when first asked for.
+
+    @cached_property
+    def by_name_slots(self) -> list[int]:
+        return sorted(range(self.slots), key=self.variables.__getitem__)
+
+    @cached_property
+    def by_name(self):
+        """A function from a tuple over the slots to its items in variable-name order."""
+        return self._slot_picker(self.by_name_slots)
+
+    @cached_property
+    def subst_text(self) -> str:
+        """The substitution as a %-format string over the constant names in variable-name order."""
+        return "{" + ",".join(f"{_escape(self.variables[s])}->%s" for s in self.by_name_slots) + "}"
+
+    @cached_property
+    def texts(self) -> list[tuple[str, object]]:
+        """Per literal, a %-format string over the constant names of its variable arguments,
+        and a function from the slots' constant names to those names."""
+        slot = {v: k for k, v in enumerate(self.variables)}
+        out = []
+        for lit in self.literals:
+            parts, slots = [], []
+            for arg in lit.atom.args:
+                if isinstance(arg, Variable):
+                    parts.append("%s")
+                    slots.append(slot[arg.name])
+                else:
+                    parts.append(_escape(arg.name))
+            text = ("" if lit.positive else "-") + _escape(lit.atom.predicate)
+            out.append((text + f"({','.join(parts)})" if parts else text, self._slot_picker(slots)))
+        return out
+
+    def _slot_picker(self, slots: Sequence[int]):
+        """A function from a tuple over the slots to the tuple of its items at these slots."""
+        return tuple if list(slots) == list(range(self.slots)) else _picker(slots)
+
+    def combo(self, key) -> tuple[int, ...]:
+        if not self.aligned:
+            return key
+        return self.picks[0](self.atoms.digits(len(self.templates[0].args), key))
+
+    def lits(self, combo: Sequence[int]) -> tuple[int, ...]:
+        return tuple([t.lit(combo) for t in self.templates])
+
+    @cached_property
+    def pairs(self) -> list[list[tuple[str, str]]]:
+        """Per slot in name order, the (variable name, constant name) pair for each constant."""
+        return [[(self.variables[s], name) for name in self.atoms.names] for s in self.by_name_slots]
+
+    def subst(self, combo: Sequence[int]) -> tuple[tuple[str, str], ...]:
+        """The (variable name, constant name) pairs, sorted."""
+        return tuple(map(list.__getitem__, self.pairs, self.by_name(combo)))
+
+    def constant_names(self, key) -> tuple[str, ...]:
+        """The constant name of each slot in the instance with this key."""
+        if self.aligned:
+            return self.picks[0](self.atoms.spell(len(self.templates[0].args), key))
+        names = self.atoms.names
+        return tuple([names[c] for c in key])
+
+
+# A binding maps each slot of a clause to a constant index (>= 0), to -1 while
+# unbound, or to -2 - s when it was unified with slot s.
+
+
+def _walk(b: list[int], s: int) -> tuple[int, int]:
+    v = b[s]
+    while v <= -2:
+        s = -2 - v
+        v = b[s]
+    return s, v
+
+
+def _bind(t: _Template, digits: Sequence[int], b: list[int]) -> list[int] | None:
+    """b extended so that the template's atom has these constant indices, or None."""
+    b = b.copy()
+    for a, c in zip(t.args, digits):
+        if a < 0:
+            if -1 - a != c:
+                return None
+        else:
+            s, v = _walk(b, a)
+            if v == -1:
+                b[s] = c
+            elif v != c:
+                return None
+    return b
+
+
+def _unify(t: _Template, u: _Template, b: list[int]) -> list[int] | None:
+    """b extended so that the two templates have the same atom, or None."""
+    if (t.positive, t.pred, len(t.args)) != (u.positive, u.pred, len(u.args)):
+        return None
+    b = b.copy()
+    for a1, a2 in zip(t.args, u.args):
+        s1, c1 = (None, -1 - a1) if a1 < 0 else _walk(b, a1)
+        s2, c2 = (None, -1 - a2) if a2 < 0 else _walk(b, a2)
+        if c1 >= 0 and c2 >= 0:
+            if c1 != c2:
+                return None
+        elif c1 >= 0:
+            b[s2] = c1
+        elif c2 >= 0:
+            b[s1] = c2
+        elif s1 != s2:
+            b[s2] = -2 - s1
+    return b
+
+
+def _free(t: _Template, b: list[int]) -> list[int]:
+    """The unbound slots the template's atom still depends on."""
+    return list(dict.fromkeys(s for s, v in (_walk(b, a) for a in t.args if a >= 0) if v == -1))
+
+
+def _values(b: list[int]) -> tuple[int, ...]:
+    return tuple([_walk(b, s)[1] for s in range(len(b))])
 
 
 @dataclass
 class GroundProblem:
-    """Eagerly grounded problem: the clauses, the domain, the Herbrand base and the instances."""
+    """A problem grounded lazily: the clauses, the domain, the Herbrand base and the instances so far.
+
+    `instances` holds every instance created, in creation order; each
+    compiled clause finds its own by key.
+    """
 
     clauses: dict[int, Clause]
     domain: tuple[Constant, ...]
-    atoms: list[Atom]  # sorted; propositional atom i is atoms[i-1]
+    atoms: Sequence[Atom]
     instances: list[GroundInstance]
+    compiled: list[_CompiledClause] = field(default_factory=list, repr=False)
+    # (sign, predicate, arity) -> _trigger_tree of (clause, template, combo picker, aligned literals)
+    # where aligned holds each template's sign, and its base less the matched template's, signed
+    triggers: dict = field(default_factory=dict, repr=False)
+    joins: bool = False  # some template leaves variables to join against the trail
 
+    def instantiate(self, value: dict[int, bool], on_trail, false_lit: int | None = None) -> list[tuple[int, int]]:
+        """Create the instances that the trail makes unit or false.
 
-def _herbrand_base(
-    signatures: set[tuple[str, int]], dom: list[Constant]
-) -> tuple[list[Atom], dict[tuple[str, int], int | list[int]]]:
-    """The atom table in (predicate, argument names) order, and where each signature starts.
+        With no false_lit these are the instances unit or false under the
+        empty trail.  Otherwise false_lit has just turned false, and these are
+        the instances containing it: each template that matches it seeds a
+        binding, and the clause's other literals are joined against
+        `on_trail`, the trail's atoms by (predicate, arity, value), as constant
+        index tuples.  Returns each new instance's position with its
+        unassigned literal, or 0 for a false one.
+        """
+        new: list[tuple[int, int]] = []
+        if false_lit is None:
+            for clause in self.compiled:
+                # distinct literals of a clause with no two of one sign and predicate stay distinct
+                if clause.merge or len(clause.templates) < 2:
+                    self._join(clause, clause.templates, [-1] * clause.slots, None, value, on_trail, new)
+            return new
+        atom = abs(false_lit)
+        pred, arity, code = self.atoms.locate(atom)
+        node, later, digits = self.triggers.get((false_lit > 0, pred, arity)), [], None
+        d = len(self.domain)
+        while node is not None:
+            if node.__class__ is tuple:
+                divisor, children, rest = node
+                if rest is not None:
+                    later.append(rest)
+                node = children.get(code // divisor % d)
+                if node is not None:
+                    continue
+            else:
+                for clause, t, pick, aligned in node:
+                    if aligned is not None:  # the atom fixes the instance: no constants needed
+                        key = atom - t.base
+                        if key not in clause.created:
+                            lits = tuple([sign * atom + offset for sign, offset in aligned])
+                            self._create(clause, key, lits, value, new)
+                        continue
+                    if digits is None:
+                        digits = self.atoms.digits(arity, code)
+                    if pick is None:
+                        b = _bind(t, digits, [-1] * clause.slots)
+                        if b is not None:
+                            others = [u for u in clause.templates if u is not t]
+                            self._join(clause, others, b, None, value, on_trail, new)
+                        continue
+                    combo = pick(digits)  # t holds every variable once: its constants are the combo
+                    if clause.merge or combo not in clause.created:
+                        self._create(clause, combo, clause.lits(combo), value, new)
+            node = later.pop() if later else None
+        return new
 
-    The domain is sorted by name, so the atoms of a predicate used at one
-    arity come out of itertools.product in order; its place is the index of
-    its first atom.  A predicate used at several arities has its block sorted
-    and gets a table from mixed-radix constant index to atom index instead.
-    """
-    atoms: list[Atom] = []
-    place: dict[tuple[str, int], int | list[int]] = {}
-    for pred in sorted({p for p, _ in signatures}):
-        arities = sorted(a for p, a in signatures if p == pred)
-        if len(arities) == 1:
-            place[pred, arities[0]] = len(atoms) + 1
-            atoms.extend(Atom(pred, c) for c in itertools.product(dom, repeat=arities[0]))
-            continue
-        block = sorted(c for a in arities for c in itertools.product(range(len(dom)), repeat=a))
-        index = {c: len(atoms) + i + 1 for i, c in enumerate(block)}
-        for a in arities:
-            place[pred, a] = [index[c] for c in itertools.product(range(len(dom)), repeat=a)]
-        atoms.extend(Atom(pred, tuple(dom[i] for i in c)) for c in block)
-    return atoms, place
+    def _join(self, clause, todo, b, open_t, value, on_trail, new) -> None:
+        """Extend b over the templates in todo: each false on the trail, or one with open_t.
 
+        open_t is the first template left open; every other open template is
+        unified with it, so that at most one literal stays unassigned.  Once
+        todo is empty, the slots only open_t depends on range over the domain.
+        """
+        if not todo:
+            if open_t is None:
+                combo = _values(b)
+                self._create(clause, combo, clause.lits(combo), value, new)
+                return
+            free, b = _free(open_t, b), b.copy()
+            for consts in itertools.product(range(len(self.domain)), repeat=len(free)):
+                for s, c in zip(free, consts):
+                    b[s] = c
+                combo = _values(b)
+                if abs(open_t.lit(combo)) not in value:
+                    self._create(clause, combo, clause.lits(combo), value, new)
+            return
+        t, rest = todo[0], todo[1:]
+        if not _free(t, b):
+            lit = t.lit(_values(b))
+            v = value.get(abs(lit))
+            if v is None:
+                b2 = b if open_t is None else _unify(t, open_t, b)
+                if b2 is not None:
+                    self._join(clause, rest, b2, open_t or t, value, on_trail, new)
+            elif v != (lit > 0):
+                self._join(clause, rest, b, open_t, value, on_trail, new)
+            return
+        for digits in on_trail.get((t.pred, len(t.args), not t.positive), ()):
+            b2 = _bind(t, digits, b)
+            if b2 is not None:
+                self._join(clause, rest, b2, open_t, value, on_trail, new)
+        b2 = b if open_t is None else _unify(t, open_t, b)
+        if b2 is not None:
+            self._join(clause, rest, b2, open_t or t, value, on_trail, new)
 
-def _literal_column(
-    lit: Literal,
-    place: int | list[int],
-    slot: dict[Variable, int],
-    const_index: dict[Constant, int],
-) -> list[int]:
-    """The literal's signed atom index in every instance, in itertools.product order.
+    def _create(self, clause: _CompiledClause, key, lits: tuple[int, ...], value, new) -> None:
+        """Create the instance with this key and these literals, per template, if it is unit or false and new."""
+        if clause.merge:
+            lits = tuple(dict.fromkeys(lits))
+        unit = 0
+        for lit in lits:
+            v = value.get(abs(lit))
+            if v is None:
+                if unit:
+                    return
+                unit = lit
+            elif v is (lit > 0):
+                return
+        if clause.merge:
+            key = self._first_combo(clause, lits)
+            lits = tuple(dict.fromkeys(clause.lits(key)))
+        created, instances = clause.created, self.instances
+        if key not in created:
+            created[key] = len(instances)
+            new.append((len(instances), unit))
+            instances.append(GroundInstance(clause.id, key, lits, clause))
 
-    The literal compiles to a base index plus one weight per clause variable
-    (the mixed-radix weight of each argument position it fills); each
-    variable then multiplies the column by the domain size.
-    """
-    d = len(const_index)
-    base = place if isinstance(place, int) else 0
-    weights = [0] * len(slot)
-    for j, arg in enumerate(lit.atom.args):
-        w = d ** (lit.atom.arity - j - 1)
-        if isinstance(arg, Variable):
-            weights[slot[arg]] += w
-        else:
-            base += w * const_index[arg]
-    col = [base]
-    for w in weights:
-        steps = [w * i for i in range(d)]
-        col = [x + s for x in col for s in steps]
-    if not isinstance(place, int):
-        col = [place[x] for x in col]
-    return col if lit.positive else [-x for x in col]
+    def _first_combo(self, clause: _CompiledClause, lits: tuple[int, ...]) -> tuple[int, ...]:
+        """The first combo, in itertools.product order, whose instance has this literal set.
+
+        Every variable occurs in a template, so a combo is fixed by which
+        literal each template becomes.
+        """
+        targets = [(lit > 0, *self.atoms.decode(abs(lit))) for lit in lits]
+        first = None
+        for choice in itertools.product(targets, repeat=len(clause.templates)):
+            if len(set(choice)) < len(targets):
+                continue
+            b = [-1] * clause.slots
+            for t, (positive, pred, digits) in zip(clause.templates, choice):
+                if (t.positive, t.pred, len(t.args)) != (positive, pred, len(digits)):
+                    break
+                b = _bind(t, digits, b)
+                if b is None:
+                    break
+            else:
+                if first is None or tuple(b) < first:
+                    first = tuple(b)
+        return first
 
 
 def ground_problem(
@@ -150,10 +614,10 @@ def ground_problem(
     domain: Iterable[Constant] | None = None,
     instance_cap: int = DEFAULT_INSTANCE_CAP,
 ) -> GroundProblem:
-    """Ground every clause over the domain by index arithmetic on compiled literals.
+    """Compile every clause over the domain and create the instances unit or false at the start.
 
-    An instance keeps each literal once, in clause order, and an instance
-    with the literal set of an earlier instance of its clause is dropped.
+    The caps count the Herbrand base and every instance a priori.  A clause
+    set without constants is grounded over FRESH_CONSTANT.
     """
     by_id: dict[int, Clause] = {}
     for c in clauses:
@@ -169,7 +633,7 @@ def ground_problem(
         if missing:
             raise ValueError(f"domain misses constants: {sorted(c.name for c in missing)}")
     else:
-        dom = sorted(constants, key=lambda c: c.name)
+        dom = sorted(constants, key=lambda c: c.name) or [FRESH_CONSTANT]
     if not dom:
         raise ValueError("empty Herbrand domain; provide at least one constant")
 
@@ -177,36 +641,35 @@ def ground_problem(
     base_size = sum(len(dom) ** arity for _, arity in signatures)
     if base_size > instance_cap:
         raise ResourceLimitError(f"Herbrand base of {base_size} atoms exceeds the cap")
-    atoms, place = _herbrand_base(signatures, dom)
+    atoms = HerbrandBase(signatures, dom)
 
-    total = sum(len(dom) ** len(c.variables()) for c in by_id.values())
+    variables = {cid: [v.name for v in c.variables()] for cid, c in by_id.items()}
+    total = sum(len(dom) ** len(vs) for vs in variables.values())
     if total > instance_cap:
         raise ResourceLimitError(f"{total} ground instances exceed the cap of {instance_cap}")
 
-    const_index = {c: i for i, c in enumerate(dom)}
+    const_index = {c.name: i for i, c in enumerate(dom)}
     problem = GroundProblem(by_id, tuple(dom), atoms, [])
+    entries: dict[tuple, list] = defaultdict(list)
     for cid in sorted(by_id):
-        clause = by_id[cid]
-        slot = {v: k for k, v in enumerate(clause.variables())}
-        columns = [
-            _literal_column(l, place[l.atom.predicate, l.atom.arity], slot, const_index)
-            for l in clause.literals
+        slot = {v: k for k, v in enumerate(variables[cid])}
+        templates = [
+            _template(l, atoms.place[l.atom.predicate, len(l.atom.args)], slot, const_index)
+            for l in by_id[cid].literals
         ]
-        substs = []  # per variable, by name: its (name, constant) pair in every instance
-        for v, k in sorted(slot.items(), key=lambda vk: vk[0].name):
-            pairs = [(v.name, c.name) for c in dom]
-            inner = len(dom) ** (len(slot) - k - 1)
-            substs.append([p for p in pairs for _ in range(inner)] * len(dom) ** k)
-        kinds = [(l.positive, l.atom.predicate, l.atom.arity) for l in clause.literals]
-        merge = len(set(kinds)) < len(kinds)  # else no literals and no instances coincide
-        seen: set[frozenset[int]] = set()
-        for subst, lits in zip(zip(*substs) if slot else [()], zip(*columns) if columns else [()]):
-            if merge:
-                lits = tuple(dict.fromkeys(lits))
-                if frozenset(lits) in seen:
-                    continue
-                seen.add(frozenset(lits))
-            problem.instances.append(GroundInstance(cid, subst, lits))
+        compiled = _CompiledClause(by_id[cid], templates, variables[cid], atoms)
+        problem.compiled.append(compiled)
+        if len(templates) < 2:
+            continue  # every instance is created at the start
+        for t, pick in zip(templates, compiled.picks):
+            problem.joins |= pick is None
+            aligned = None  # the instance's literals, a fixed distance from t's atom each
+            if compiled.aligned:
+                aligned = tuple((1, u.base - t.base) if u.positive else (-1, t.base - u.base) for u in templates)
+            consts = {j: -1 - a for j, a in enumerate(t.args) if a < 0}
+            entries[t.positive, t.pred, len(t.args)].append((consts, (compiled, t, pick, aligned)))
+    problem.triggers = {kind: _trigger_tree(es, kind[2], len(dom)) for kind, es in entries.items()}
+    problem.instantiate({}, {})
     return problem
 
 
@@ -216,40 +679,89 @@ class SclStats:
     decisions: int = 0
     conflicts: int = 0
     trail: int = 0
-    instances: int = 0
+    instances: int = 0  # instances created, learned ones included
 
 
 @dataclass
 class SclState(TrailKernel):
-    """Five-tuple analog over ground literals: the trail kernel over instance positions."""
+    """Five-tuple analog over ground literals: the trail kernel over instance positions.
+
+    Every assignment creates the instances it makes unit or false.  `cursor`
+    is at or below the smallest unassigned atom.
+    """
 
     problem: GroundProblem
     conflict: int | None = None  # instance position
     learned: list[Clause] = field(default_factory=list)
     stats: SclStats = field(default_factory=SclStats)
     events: list[tuple] = field(default_factory=list)
+    on_trail: defaultdict[tuple[str, int, bool], list[tuple[int, ...]]] = field(
+        default_factory=lambda: defaultdict(list), repr=False
+    )
+    cursor: int = 1
 
     @classmethod
     def from_problem(cls, problem: GroundProblem) -> "SclState":
         state = cls(problem=problem)
-        state.stats.instances = len(problem.instances)
         state.reclassify(range(len(problem.instances)))
         return state
 
     def reclassify(self, positions: Iterable[int]) -> None:
-        """Hook the instances at the positions into the kernel, which classifies them from then on."""
-        instances = self.problem.instances
+        """Hook instances that are unit or false under the trail into the kernel.
+
+        Each is watched as a learned clause is, then a unit one is queued and a
+        false one marked; the kernel does both itself for an instance of fewer
+        than two literals or one hooked under the empty trail.
+        """
+        instances, value = self.problem.instances, self.value
         for pos in positions:
-            self.watch(pos, instances[pos].lits)
+            lits = instances[pos].lits
+            if not self.trail or len(lits) < 2:
+                self.watch(pos, lits)
+            else:
+                self._hook(pos, lits, next((lit for lit in lits if abs(lit) not in value), 0))
+        self.stats.instances = len(instances)
+
+    def _hook(self, pos: int, lits: tuple[int, ...], unit: int) -> None:
+        """Watch an instance of two or more literals, then queue it on its unit literal or mark it false."""
+        self.watch(pos, lits, len(lits) == 2)  # a two-literal instance watches both literals
+        if unit:
+            heapq.heappush(self.pending, (self.unit_key(pos, unit), pos, unit))
+        else:
+            self.false_ids.add(pos)
+
+    def assign(self, lit: int, reason: int | None) -> None:
+        """Assign as the kernel does, then create and hook the instances this makes unit or false."""
+        TrailKernel.assign(self, lit, reason)
+        problem = self.problem
+        if problem.joins:
+            pred, digits = problem.atoms.decode(abs(lit))
+            self.on_trail[pred, len(digits), lit > 0].append(digits)
+        new = problem.instantiate(self.value, self.on_trail, -lit)
+        if new:
+            instances = problem.instances
+            for pos, unit in new:
+                self._hook(pos, instances[pos].lits, unit)
+            self.stats.instances = len(instances)
+
+    def truncate(self, level: int) -> None:
+        """Truncate as the kernel does, dropping the undone atoms from `on_trail` and moving `cursor` back."""
+        trail = self.trail
+        keep = len(trail)
+        while keep and trail[keep - 1].level > level:
+            keep -= 1
+        for entry in trail[keep:]:
+            atom = abs(entry.lit)
+            if self.problem.joins:
+                pred, digits = self.problem.atoms.decode(atom)
+                self.on_trail[pred, len(digits), entry.lit > 0].pop()
+            self.cursor = min(self.cursor, atom)
+        super().truncate(level)
 
     def unit_key(self, pos: int, lit: int) -> tuple:
         # smallest ground atom first; positive before negative; then clause id and substitution
         inst = self.problem.instances[pos]
-        return abs(lit), lit < 0, inst.clause_id, inst.subst
-
-    def literal_str(self, lit: int) -> str:
-        atom = self.problem.atoms[abs(lit) - 1]
-        return str(atom) if lit > 0 else "-" + str(atom)
+        return abs(lit), lit < 0, inst.clause_id, inst
 
 
 def scl_propagate(state: SclState, trail_cap: int = DEFAULT_TRAIL_CAP) -> SclState:
@@ -259,19 +771,21 @@ def scl_propagate(state: SclState, trail_cap: int = DEFAULT_TRAIL_CAP) -> SclSta
     """
     if state.conflict is not None:
         raise ValueError("cannot propagate with a pending conflict")
-    while not state.false_ids:
+    false_ids, trail, stats, events = state.false_ids, state.trail, state.stats, state.events
+    while not false_ids:
         unit = state.pop_unit()
         if unit is None:
             return state
-        if len(state.trail) >= trail_cap:
+        if len(trail) >= trail_cap:
             raise ResourceLimitError(f"trail length exceeds the cap of {trail_cap}")
         pos, lit = unit
         state.assign(lit, pos)
-        state.stats.propagations += 1
-        state.stats.trail = max(state.stats.trail, len(state.trail))
-        state.events.append(("propagate", lit, pos))
+        stats.propagations += 1
+        if len(trail) > stats.trail:
+            stats.trail = len(trail)
+        events.append(("propagate", lit, pos))
     instances = state.problem.instances
-    state.conflict = min(state.false_ids, key=lambda p: (instances[p].clause_id, instances[p].subst))
+    state.conflict = min(state.false_ids, key=lambda p: (instances[p].clause_id, instances[p]))
     state.stats.conflicts += 1
     state.events.append(("conflict", state.conflict))
     return state
@@ -279,9 +793,14 @@ def scl_propagate(state: SclState, trail_cap: int = DEFAULT_TRAIL_CAP) -> SclSta
 
 @dataclass
 class SclSat:
-    model: tuple[Atom, ...]
     stats: SclStats
     state: SclState
+
+    @property
+    def model(self) -> tuple[Atom, ...]:
+        """The atoms true on the total trail, in atom order, built when asked for."""
+        atoms, value = self.state.problem.atoms, self.state.value
+        return tuple(atoms[i] for i in range(len(atoms)) if value[i + 1])
 
 
 @dataclass
@@ -306,7 +825,6 @@ def _learn_ground(state: SclState, learned_lits: tuple[int, ...]) -> int:
     problem.clauses[new_id] = clause
     state.learned.append(clause)
     problem.instances.append(GroundInstance(new_id, (), learned_lits))
-    state.stats.instances = len(problem.instances)
     pos = len(problem.instances) - 1
     state.reclassify([pos])
     return pos
@@ -353,25 +871,15 @@ def scl_run(
             state.assign(next(l for l in learned if abs(l) not in state.value), pos)
             state.events.append(("learn", learned, blevel))
         elif len(state.value) == len(problem.atoms):
-            model = tuple(
-                problem.atoms[i] for i in range(len(problem.atoms)) if state.value[i + 1]
-            )
             state.events.append(("sat",))
-            return SclSat(model=model, stats=state.stats, state=state)
+            return SclSat(stats=state.stats, state=state)
         else:
-            atom = next(i for i in range(1, len(problem.atoms) + 1) if i not in state.value)
+            while state.cursor in state.value:
+                state.cursor += 1
             state.level += 1
-            state.assign(atom, None)
+            state.assign(state.cursor, None)
             state.stats.decisions += 1
-            state.events.append(("decide", atom, state.level))
-
-
-_LINES = {
-    "propagate": "propagate {lit} <- clause {clause} σ={subst}",
-    "conflict": "conflict clause {clause} σ={subst}",
-    "decide": "decide {lit} @{level}",
-    "learn": "learn {clause} backjump {backjump}",
-}
+            state.events.append(("decide", state.cursor, state.level))
 
 
 _VERDICTS = {SclSat: "s SATISFIABLE", SclUnsat: "s UNSATISFIABLE", SclResourceExceeded: "s RESOURCE-EXCEEDED"}
@@ -380,23 +888,45 @@ _VERDICTS = {SclSat: "s SATISFIABLE", SclUnsat: "s UNSATISFIABLE", SclResourceEx
 def render(result: SclSat | SclUnsat | SclResourceExceeded) -> Iterator[tuple[str, dict]]:
     """The output of a run, one (text line, JSON fields) pair per line: trace, stats, verdict.
 
-    A run stopped by the instance cap has no state, so only its verdict line.
+    A propagated literal is spelled by its template, filled with the
+    instance's constant names as its substitution is; other literals are
+    decoded from the Herbrand base.  A run stopped by the instance cap has no
+    state, so only its verdict line.
     """
     state = result.state
     if state is not None:
-        for kind, *args in state.events:
-            if kind in ("propagate", "conflict"):
-                inst = state.problem.instances[args[-1]]
-                fields = {"clause": inst.clause_id, "subst": inst.subst_str()}
-                if kind == "propagate":
-                    fields["lit"] = state.literal_str(args[0])
+        instances, name = state.problem.instances, state.problem.atoms.name
+
+        def literal(lit: int) -> str:
+            return name(lit) if lit > 0 else "-" + name(-lit)
+
+        for ev in state.events:
+            kind = ev[0]
+            if kind == "propagate":
+                inst = instances[ev[2]]
+                compiled = inst.compiled
+                if compiled is None or compiled.merge:
+                    lit, subst = literal(ev[1]), inst.subst_str()
+                else:  # its literals are its clause's, one per template
+                    constants = compiled.constant_names(inst.key)
+                    j = inst.lits.index(ev[1])
+                    text, args = compiled.texts[j]
+                    lit = text % args(constants)
+                    subst = compiled.subst_text % compiled.by_name(constants)
+                yield (f"propagate {lit} <- clause {inst.clause_id} σ={subst}",
+                       {"event": "scl", "kind": kind, "lit": lit, "clause": inst.clause_id, "subst": subst})
+            elif kind == "conflict":
+                inst = instances[ev[1]]
+                subst = inst.subst_str()
+                yield (f"conflict clause {inst.clause_id} σ={subst}",
+                       {"event": "scl", "kind": kind, "clause": inst.clause_id, "subst": subst})
             elif kind == "decide":
-                fields = {"lit": state.literal_str(args[0]), "level": args[1]}
+                lit = literal(ev[1])
+                yield f"decide {lit} @{ev[2]}", {"event": "scl", "kind": kind, "lit": lit, "level": ev[2]}
             elif kind == "learn":
-                fields = {"clause": " | ".join(state.literal_str(l) for l in args[0]), "backjump": args[1]}
-            else:
-                continue
-            yield _LINES[kind].format(**fields), {"event": "scl", "kind": kind, **fields}
+                clause = " | ".join(map(literal, ev[1]))
+                yield (f"learn {clause} backjump {ev[2]}",
+                       {"event": "scl", "kind": kind, "clause": clause, "backjump": ev[2]})
         s = state.stats
         yield (f"stats propagations={s.propagations} decisions={s.decisions} trail={len(state.trail)}",
                {"event": "scl", "kind": "stats"})

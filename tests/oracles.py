@@ -19,6 +19,7 @@ from clausekit.logic import Atom, Clause, Constant, Literal, Substitution
 from clausekit.scl import (
     DEFAULT_INSTANCE_CAP,
     DEFAULT_TRAIL_CAP,
+    FRESH_CONSTANT,
     GroundInstance,
     GroundProblem,
     SclResourceExceeded,
@@ -150,7 +151,7 @@ def reference_ground_problem(
         if missing:
             raise ValueError(f"domain misses constants: {sorted(c.name for c in missing)}")
     else:
-        dom = sorted(constants, key=lambda c: c.name)
+        dom = sorted(constants, key=lambda c: c.name) or [FRESH_CONSTANT]
     if not dom:
         raise ValueError("empty Herbrand domain; provide at least one constant")
 
@@ -386,9 +387,8 @@ def reference_scl_run(
             state.assign(next(l for l in learned if abs(l) not in state.value), pos)
             state.events.append(("learn", " | ".join(state.literal_str(l) for l in learned), blevel))
         elif len(state.value) == len(problem.atoms):
-            model = tuple(problem.atoms[i] for i in range(len(problem.atoms)) if state.value[i + 1])
             state.events.append(("sat",))
-            return SclSat(model, state.stats, state)
+            return SclSat(state.stats, state)
         else:
             atom = next(i for i in range(1, len(problem.atoms) + 1) if i not in state.value)
             state.level += 1

@@ -86,6 +86,14 @@ class TestSclMode:
         assert code == EXIT_LIMIT
         assert "s RESOURCE-EXCEEDED" in out
 
+    def test_input_without_constants(self, tmp_path):
+        # grounded over one fresh constant, as resolution refutes it
+        path = tmp_path / "p.bs"
+        path.write_text("P(x).\n-P(y).\n")
+        code, out = run_cli("--mode", "scl", "--input", str(path))
+        assert (code, out.splitlines()[-1]) == (EXIT_UNSAT, "s UNSATISFIABLE")
+        assert run_cli("--mode", "resolution", "--input", str(path))[0] == EXIT_UNSAT
+
 
 @pytest.mark.parametrize("module", ["clausekit", "clausekit.cli"])
 def test_python_dash_m_entry(module):
@@ -219,6 +227,27 @@ class TestUsageErrors:
     def test_decide_on_non_lia_mode(self, demo_cnf):
         code, _ = run_cli("--mode", "cdcl", "--input", demo_cnf, "--decide", "x>=0")
         assert code == EXIT_USAGE
+
+    def test_heuristic_on_non_cdcl_mode(self, capsys):
+        code, out = run_cli("--mode", "scl", "--counter-n", "2", "--heuristic", "lowest-positive")
+        assert (code, out) == (EXIT_USAGE, "")
+        assert capsys.readouterr().err.startswith("error: --heuristic")
+
+    def test_selection_on_non_resolution_mode(self, capsys):
+        code, out = run_cli("--mode", "resolution-replay", "--counter-n", "4", "--replay", "r.script",
+                            "--selection", "first-negative")
+        assert (code, out) == (EXIT_USAGE, "")
+        assert capsys.readouterr().err.startswith("error: --selection")
+
+    def test_precedence_on_non_resolution_mode(self, capsys):
+        code, out = run_cli("--mode", "scl", "--counter-n", "2", "--precedence", "1>0")
+        assert (code, out) == (EXIT_USAGE, "")
+        assert capsys.readouterr().err.startswith("error: --precedence")
+
+    def test_max_instances_on_non_scl_mode(self, capsys):
+        code, out = run_cli("--mode", "counter-experiment", "--counter-n", "2", "--max-instances", "5")
+        assert (code, out) == (EXIT_USAGE, "")
+        assert capsys.readouterr().err.startswith("error: --max-instances")
 
     def test_decide_on_lia_decide(self, tmp_path, capsys):
         # decide_bounded takes no decisions: x<=0 would be ignored and "sat x=1" printed

@@ -1,5 +1,12 @@
-"""Template grounding against the substitution-based reference grounding."""
+"""Template grounding against the substitution-based reference grounding.
 
+The engine grounds lazily: `ground_problem` creates only the instances unit or
+false under the empty trail, and a run creates the rest as the trail makes them
+unit or false.  The engine's templates are compared with the reference through
+`template_grounding`, which enumerates every instance the templates give.
+"""
+
+import itertools
 import random
 
 import pytest
@@ -41,11 +48,24 @@ def random_clause_set(rng: random.Random) -> tuple[list[Clause], list[Constant] 
 
 
 def outcome(ground, clauses, domain, cap=scl.DEFAULT_INSTANCE_CAP):
+    """Clauses, domain, atom table and the instances unit or false under the empty trail."""
     try:
         p = ground(clauses, domain, cap)
     except (ValueError, ResourceLimitError) as exc:
         return type(exc), str(exc)
-    return p.clauses, p.domain, p.atoms, p.instances
+    return p.clauses, p.domain, list(p.atoms), [inst for inst in p.instances if len(inst.lits) < 2]
+
+
+def template_grounding(problem):
+    """Every instance the engine's templates give, in (clause id, product) order, as an eager
+    grounding would keep them: each literal once, and a literal set at its first substitution."""
+    out = []
+    for clause in problem.compiled:
+        for combo in itertools.product(range(len(problem.domain)), repeat=clause.slots):
+            lits = tuple(dict.fromkeys(clause.lits(combo)))
+            if not clause.merge or problem._first_combo(clause, lits) == combo:
+                out.append(scl.GroundInstance(clause.id, clause.subst(combo), lits))
+    return out
 
 
 class TestAgainstReference:
@@ -61,9 +81,11 @@ class TestAgainstReference:
             grounded += 1
             mixed += any(l.atom.predicate == "M" for c in clauses for l in c.literals)
             problem = ground_problem(clauses, domain)
+            reference = reference_ground_problem(clauses, domain)
+            assert template_grounding(problem) == reference.instances
             merged += sum(
-                len(inst.lits) < len(problem.clauses[inst.clause_id].literals)
-                for inst in problem.instances
+                len(inst.lits) < len(reference.clauses[inst.clause_id].literals)
+                for inst in reference.instances
             )
             # the cap boundary: the larger of Herbrand base and instance count
             d = len(problem.domain)
@@ -108,7 +130,7 @@ class TestAgainstReference:
         assert [str(atom) for atom in problem.atoms] == [
             "M", "M(a)", "M(a,a)", "M(a,b)", "M(b)", "M(b,a)", "M(b,b)", "N(a)", "N(b)",
         ]
-        assert [inst.lits for inst in problem.instances] == [(6, -2), (7, -5), (1, 8)]
+        assert [inst.lits for inst in template_grounding(problem)] == [(6, -2), (7, -5), (1, 8)]
         assert outcome(ground_problem, clauses, None) == outcome(
             reference_ground_problem, clauses, None
         )
@@ -127,7 +149,7 @@ class TestRepeatedLiterals:
 
     def test_literal_kept_once_and_literal_sets_once(self):
         problem = ground_problem(parse_bs("P(x) | P(y) | -Q(x). Q(a). Q(b)."))
-        first = [inst for inst in problem.instances if inst.clause_id == 1]
+        first = [inst for inst in template_grounding(problem) if inst.clause_id == 1]
         # x=a,y=b and x=b,y=a differ in the Q literal, so both stay
         assert [(inst.subst_str(), inst.lits) for inst in first] == [
             ("{x->a,y->a}", (1, -3)),
@@ -137,7 +159,7 @@ class TestRepeatedLiterals:
         ]
         # here x=b,y=a repeats the literal set of x=a,y=b
         same_set = ground_problem(parse_bs("P(x) | P(y). P(a). P(b)."))
-        assert [(inst.subst_str(), inst.lits) for inst in same_set.instances][:3] == [
+        assert [(inst.subst_str(), inst.lits) for inst in template_grounding(same_set)][:3] == [
             ("{x->a,y->a}", (1,)),
             ("{x->a,y->b}", (1, 2)),
             ("{x->b,y->b}", (2,)),
@@ -152,7 +174,7 @@ class TestRepeatedLiterals:
 
 
 def test_initial_classification_matches_full_scan():
-    # the kernel's pending units and false set after hooking every instance
+    # the kernel's pending units and false set after hooking the instances created at the start
     rng = random.Random(7)
     for _ in range(150):
         clauses, domain = random_clause_set(rng)
@@ -161,14 +183,25 @@ def test_initial_classification_matches_full_scan():
         except ValueError:
             continue
         state = SclState.from_problem(problem)
-        scan = [clause_status(inst.lits, {}) for inst in problem.instances]
-        assert sorted((pos, lit) for _, pos, lit in state.pending) == [
-            (pos, lit) for pos, (status, lit) in enumerate(scan) if status == "unit"
-        ]
-        assert state.false_ids == {pos for pos, (status, _) in enumerate(scan) if status == "false"}
+        named = lambda pos: (problem.instances[pos].clause_id, problem.instances[pos].subst)
+        scan = [(inst, clause_status(inst.lits, {})) for inst in reference_ground_problem(clauses, domain).instances]
+        assert sorted((named(pos), lit) for _, pos, lit in state.pending) == sorted(
+            ((inst.clause_id, inst.subst), lit) for inst, (status, lit) in scan if status == "unit"
+        )
+        assert sorted(map(named, state.false_ids)) == sorted(
+            (inst.clause_id, inst.subst) for inst, (status, _) in scan if status == "false"
+        )
+
+
+def eager_ground_problem(clauses, domain=None, instance_cap=scl.DEFAULT_INSTANCE_CAP):
+    """Every instance, from the reference grounding, over the engine's atom table."""
+    problem = reference_ground_problem(clauses, domain, instance_cap)
+    problem.atoms = ground_problem(clauses, domain, instance_cap).atoms
+    return problem
 
 
 def test_runs_match_reference_grounding(monkeypatch):
+    # the lazy engine against the same engine with every instance hooked from the start
     rng = random.Random(31)
     cases = []
     while len(cases) < 150:
@@ -176,5 +209,5 @@ def test_runs_match_reference_grounding(monkeypatch):
         if not isinstance(outcome(ground_problem, clauses, domain)[0], type):
             cases.append((clauses, domain))
     got = [list(render(scl_run(c, d))) for c, d in cases]
-    monkeypatch.setattr(scl, "ground_problem", reference_ground_problem)
+    monkeypatch.setattr(scl, "ground_problem", eager_ground_problem)
     assert got == [list(render(scl_run(c, d))) for c, d in cases]

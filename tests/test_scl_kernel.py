@@ -5,10 +5,14 @@ import random
 
 import pytest
 
-from oracles import reference_render, reference_scl_run
+from oracles import reference_ground_problem, reference_render, reference_scl_run
 from clausekit.formats import parse_bs
 from clausekit.logic import Atom, Clause, Constant, Literal, Variable
+from clausekit.ordering import default_config
+from clausekit.resolution import saturate, selection_from_name
 from clausekit.scl import (
+    FRESH_CONSTANT,
+    GroundProblem,
     SclResourceExceeded,
     SclSat,
     SclUnsat,
@@ -22,7 +26,12 @@ VARIABLES = [Variable(n) for n in ("x", "y", "z")]
 
 
 def outcome(result, render_result):
-    """Verdict, stats, rendered output with JSON fields, trail, model and learned clauses."""
+    """Verdict, stats, rendered output with JSON fields, trail, model and learned clauses.
+
+    Trail reasons are named by (clause id, substitution): instance positions
+    differ, as the engine creates instances lazily.  The stats leave out
+    `instances`, which counts instances created.
+    """
     state = result.state
     if isinstance(result, SclSat):
         verdict = result.model
@@ -30,15 +39,21 @@ def outcome(result, render_result):
         verdict = (result.conflict_clause_id, result.conflict_subst)
     else:
         verdict = None
+    stats = dataclasses.asdict(result.stats)
+    del stats["instances"]
     rendered = list(render_result(result))
     if state is None:
-        return type(result), verdict, dataclasses.asdict(result.stats), rendered
+        return type(result), verdict, stats, rendered
+    instances = state.problem.instances
     return (
         type(result),
         verdict,
-        dataclasses.asdict(result.stats),
+        stats,
         rendered,
-        [tuple(e) for e in state.trail],
+        [
+            (lit, level, None if reason is None else (instances[reason].clause_id, instances[reason].subst))
+            for lit, level, reason in state.trail
+        ],
         [str(c) for c in state.learned],
     )
 
@@ -87,34 +102,28 @@ def test_counter_matches_reference(n):
 def test_random_sets_match_reference():
     rng = random.Random(2019)
     kinds = {SclSat: 0, SclUnsat: 0, SclResourceExceeded: 0}
-    learned = repeated = tautological = explicit = 0
+    learned = repeated = tautological = explicit = fresh = 0
     while sum(kinds.values()) < 320:
         clauses, domain = random_bs(rng)
-        try:
-            result = same_run(clauses, domain)
-        except ValueError:  # no constant to ground over
-            continue
+        result = same_run(clauses, domain)
         kinds[type(result)] += 1
         learned += len(result.state.learned)
         explicit += domain is not None
-        for inst in result.state.problem.instances:
+        fresh += domain is None and result.state.problem.domain == (FRESH_CONSTANT,)
+        reference = reference_ground_problem(clauses, domain)
+        for inst in reference.instances:
             atoms = [abs(l) for l in inst.lits]
-            repeated += len(inst.lits) < len(result.state.problem.clauses[inst.clause_id].literals)
+            repeated += len(inst.lits) < len(reference.clauses[inst.clause_id].literals)
             tautological += len(set(atoms)) < len(atoms)
     assert kinds[SclSat] > 100 and kinds[SclUnsat] > 50
-    assert learned > 50 and repeated > 50 and tautological > 50 and explicit > 50
+    assert learned > 50 and repeated > 50 and tautological > 50 and explicit > 50 and fresh > 5
 
 
 def test_trail_cap_boundaries_match_reference():
     rng = random.Random(7)
     cases = [(counter_problem(n), None) for n in (1, 3, 5)] + [(counter_problem(4)[:-1], None)]
     while len(cases) < 80:
-        clauses, domain = random_bs(rng)
-        try:
-            scl_run(clauses, domain)
-        except ValueError:
-            continue
-        cases.append((clauses, domain))
+        cases.append(random_bs(rng))
     exceeded = 0
     for clauses, domain in cases:
         stats = scl_run(clauses, domain).stats
@@ -142,3 +151,82 @@ class TestOrderAmongInstances:
         assert isinstance(result, SclUnsat)
         lines = [line for line, _ in render(result)]
         assert lines[-3] == "conflict clause 4 σ={x->a,y->b}" and lines[-1] == "s UNSATISFIABLE"
+
+
+def test_created_instances_are_unit_or_false(monkeypatch):
+    # every instance, when the engine creates it, is unit on the literal the engine reports or
+    # false under the trail of that moment, and equals the reference instance with the same
+    # clause id and substitution
+    rng = random.Random(99)
+    cases = [(counter_problem(n), None) for n in (1, 4, 7)] + [random_bs(rng) for _ in range(300)]
+    checked = []
+    create = GroundProblem.instantiate
+
+    def instantiate(problem, value, on_trail, false_lit=None):
+        new = create(problem, value, on_trail, false_lit)
+        for pos, unit in new:
+            inst = problem.instances[pos]
+            unassigned = [lit for lit in inst.lits if abs(lit) not in value]
+            assert unassigned == ([unit] if unit else [])
+            assert all(value[abs(lit)] != (lit > 0) for lit in inst.lits if lit != unit)
+            assert false_lit is None or false_lit in inst.lits
+            assert inst == reference[inst.clause_id, inst.subst]
+            checked.append(inst)
+        return new
+
+    monkeypatch.setattr(GroundProblem, "instantiate", instantiate)
+    for clauses, domain in cases:
+        reference = {(i.clause_id, i.subst): i for i in reference_ground_problem(clauses, domain).instances}
+        scl_run(clauses, domain)
+    assert len(checked) > 3000
+    assert sum(len(inst.lits) < len(inst.compiled.templates) for inst in checked if inst.compiled) > 50
+
+
+def horn_chain(rng: random.Random, k: int) -> list[Clause]:
+    """The shape of the benchmark's sparse workload: about ten A facts over up to k constants,
+    rules A -> B -> C -> D of three variables with shuffled arguments, and one derivable -D goal."""
+    consts = [f"c{i:02d}" for i in range(k)]
+    facts = sorted({tuple(rng.choice(consts) for _ in range(3)) for _ in range(10)} | {tuple(consts[:3])})
+    variables = ["x1", "x2", "x3"]
+    perms = [rng.sample(range(3), 3) for _ in range(3)]
+    lines = [f"A({','.join(f)})." for f in facts]
+    for (body, head), perm in zip(zip("ABC", "BCD"), perms):
+        lines.append(f"-{body}({','.join(variables)}) | {head}({','.join(variables[p] for p in perm)}).")
+    goal = list(rng.choice(facts))
+    for perm in perms:
+        goal = [goal[p] for p in perm]
+    lines.append(f"-D({','.join(goal)}).")
+    return parse_bs("\n".join(lines))
+
+
+def test_horn_chains_create_few_instances():
+    # eager grounding made 3 * k**3 rule instances; lazy grounding makes about one per propagation
+    rng = random.Random(1)
+    for k in range(8, 17):
+        result = scl_run(horn_chain(rng, k))
+        assert isinstance(result, SclUnsat)
+        assert result.stats.instances <= 2 * result.stats.propagations
+
+
+def test_constant_free_sets_agree_with_resolution():
+    # the Herbrand universe of a set without constants holds one fresh constant
+    rng = random.Random(5)
+    verdicts = {SclSat: 0, SclUnsat: 0}
+    while min(verdicts.values()) < 25:
+        clauses = []
+        for cid in range(1, rng.randint(2, 5) + 1):
+            lits = [
+                Literal(rng.random() < 0.5, Atom(p, tuple(rng.choice(VARIABLES) for _ in range(arity))))
+                for p, arity in rng.choices([("P", 1), ("Q", 2), ("R", 0)], k=rng.randint(1, 3))
+            ]
+            clauses.append(Clause(cid, tuple(lits)))
+        result = scl_run(clauses)
+        assert result.state.problem.domain == (FRESH_CONSTANT,)
+        saturation = saturate(clauses, default_config(clauses), selection_from_name("none"))
+        assert saturation.outcome == ("unsat" if isinstance(result, SclUnsat) else "saturated")
+        verdicts[type(result)] += 1
+    assert [line for line, _ in render(scl_run(parse_bs("P(x). -P(y).")))][-3:] == [
+        f"conflict clause 2 σ={{y->{FRESH_CONSTANT.name}}}",
+        "stats propagations=1 decisions=0 trail=1",
+        "s UNSATISFIABLE",
+    ]
