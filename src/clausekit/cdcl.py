@@ -87,23 +87,25 @@ class TrailKernel:
         """Heap order of the pending units; the smallest propagates first."""
         return cid
 
-    def watch(self, cid: int, lits: Sequence[int], ordered: bool = False) -> None:
+    def watch(self, cid: int, lits: Sequence[int]) -> None:
         """Hook a clause into the kernel, watching lits[0] and lits[1].
 
         A clause is hooked under the empty trail, or learned and asserting
-        after a backjump; then it is reordered to watch its asserting literal
-        and its highest-level other literal, unless the caller has `ordered`
-        it so.  An empty clause is false; a one-literal clause is unit until
-        its literal is assigned.  Only clauses of three or more literals are
-        copied: `assign` moves watches within those alone.
+        after a backjump; then a clause of three or more literals is
+        reordered to watch its asserting literal and its highest-level other
+        literal (`assign` reads both positions of a shorter one alike).  An
+        empty clause is false; a one-literal clause is unit until its literal
+        is assigned.  Only clauses of three or more literals are copied:
+        `assign` moves watches within those alone.
         """
         if not lits:
             self.false_ids.add(cid)
             return
-        if self.trail and not ordered:
-            lits = sorted(lits, key=lambda l: (abs(l) in self.value, -self.var_level.get(abs(l), 0)))
-        elif len(lits) > 2:
-            lits = list(lits)
+        if len(lits) > 2:
+            if self.trail:
+                lits = sorted(lits, key=lambda l: (abs(l) in self.value, -self.var_level.get(abs(l), 0)))
+            else:
+                lits = list(lits)
         if len(lits) == 1:
             heapq.heappush(self.pending, (self.unit_key(cid, lits[0]), cid, lits[0]))
             self.watched[cid] = (lits[0], lits[0])
@@ -176,16 +178,12 @@ class TrailKernel:
         return pending
 
     def pop_unit(self) -> tuple[int, int] | None:
-        """The next unit clause in unit_key order, as (clause id, literal), or None.
-
-        Satisfied clauses are dropped on the way, as in `_drop_satisfied`.
-        """
-        pending, value = self.pending, self.value
-        while pending:
-            _, cid, lit = heapq.heappop(pending)
-            if abs(lit) not in value:
-                return cid, lit
-        return None
+        """The next unit clause in unit_key order, as (clause id, literal), or None."""
+        pending = self._drop_satisfied()
+        if not pending:
+            return None
+        _, cid, lit = heapq.heappop(pending)
+        return cid, lit
 
     def truncate(self, level: int) -> None:
         """Undo the trail above the level and forget the pending units and false clauses.

@@ -11,12 +11,14 @@ start those are the instances of one-literal and empty clauses (and the
 instances whose literals all coincide).  When a literal L is assigned, the
 templates of its complement are matched against it, the other literals of
 each clause are joined against the trail (each false, or the one literal
-left open), and the instances found are hooked into the propositional trail
-kernel of `clausekit.cdcl`, named by their position.  An instance can only
-become unit or false when one of its literals turns false, so every unit and
-false instance exists before each pick: the trace is that of grounding
-everything first.  An instance keeps each literal once; of the instances of
-a clause with one literal set, only the first in substitution order exists.
+left open; in a clause whose templates share one variable layout the
+matched atom gives every literal at once), and the instances found are
+hooked into the propositional trail kernel of `clausekit.cdcl`, named by
+their position.  An instance can only become unit or false when one of its
+literals turns false, so every unit and false instance exists before each
+pick: the trace is that of grounding everything first.  An instance keeps
+each literal once; of the instances of a clause with one literal set, only
+the first in substitution order exists.
 
 Propagation picks the smallest propagatable ground literal (lexicographic
 constant order, positive before negative on the same atom); the conflict is
@@ -35,7 +37,7 @@ import itertools
 from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import cached_property
-from operator import itemgetter, mul
+from operator import mul
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .cdcl import TrailKernel, resolve_1uip
@@ -91,32 +93,28 @@ class GroundInstance:
 
     The substitution is (variable name, constant name) pairs, sorted, and
     instances of one clause sort as their substitutions do.  An instance the
-    engine grounds holds its compiled clause and the key it has there (see
-    `_CompiledClause`); it spells the pairs out only when asked.
+    engine grounds holds its compiled clause and its key there (see
+    `_CompiledClause`) in place of the pairs, and spells them only when asked.
     """
 
     __slots__ = ("clause_id", "key", "lits", "compiled")
 
     def __init__(self, clause_id: int, subst, lits: tuple[int, ...], compiled=None):
+        # key: the substitution's pairs, or the instance's key in its compiled clause
         self.clause_id, self.key, self.lits, self.compiled = clause_id, subst, lits, compiled
 
     @property
-    def combo(self) -> tuple[int, ...]:
-        return self.compiled.combo(self.key)
-
-    @property
     def subst(self) -> tuple[tuple[str, str], ...]:
-        return self.key if self.compiled is None else self.compiled.subst(self.combo)
+        return self.key if self.compiled is None else self.compiled.subst(self.key)
 
     def subst_str(self) -> str:
         if self.compiled is None:
             return "{" + ",".join(map("->".join, self.key)) + "}"
         compiled = self.compiled
-        return compiled.subst_text % compiled.by_name(compiled.constant_names(self.key))
+        return compiled.subst_text % compiled.spell(self.key, compiled.by_name)
 
     def _sort_key(self) -> tuple:
-        # constant indices by variable name sort as the constant names do
-        return self.key if self.compiled is None else self.compiled.by_name(self.combo)
+        return self.key if self.compiled is None else self.compiled.sort_key(self.key)
 
     def __lt__(self, other: "GroundInstance") -> bool:
         return self._sort_key() < other._sort_key()
@@ -144,10 +142,13 @@ class HerbrandBase(Sequence[Atom]):
     def __init__(self, signatures: set[tuple[str, int]], dom: Sequence[Constant]):
         self.domain = tuple(dom)
         self.names = [c.name for c in dom]
+        d = len(dom)
+        # per arity, the place value of each argument position in a code
+        self.places = {a: tuple(d ** j for j in reversed(range(a))) for _, a in signatures}
         self.place: dict[tuple[str, int], int | list[int]] = {}
         self.starts: list[int] = []
         self.blocks: list[tuple[str, int, list[tuple[int, ...]] | None]] = []
-        d, size = len(dom), 0
+        size = 0
         for pred in sorted({p for p, _ in signatures}):
             arities = sorted(a for p, a in signatures if p == pred)
             self.starts.append(size + 1)
@@ -163,10 +164,6 @@ class HerbrandBase(Sequence[Atom]):
             self.blocks.append((pred, 0, block))
             size += len(block)
         self.size = size
-        # codes are decoded `width` digits at a time, from tables built on first use
-        self.width = 1
-        while 1 < d ** (self.width + 1) <= 256:
-            self.width += 1
 
     def __len__(self) -> int:
         return self.size
@@ -178,35 +175,12 @@ class HerbrandBase(Sequence[Atom]):
         if block is None:
             return pred, arity, atom - self.starts[k]
         digits = block[atom - self.starts[k]]
-        d = len(self.names)
-        return pred, len(digits), sum(c * d ** (len(digits) - 1 - j) for j, c in enumerate(digits))
+        return pred, len(digits), sum(map(mul, self.places[len(digits)], digits))
 
     def digits(self, arity: int, code: int) -> tuple[int, ...]:
         """The constant indices that a code spells at an arity."""
-        return self._spell(self.chunks, arity, code)
-
-    def spell(self, arity: int, code: int) -> tuple[str, ...]:
-        """The constant names that a code spells at an arity."""
-        return self._spell(self.name_chunks, arity, code)
-
-    def _spell(self, table: list[tuple], arity: int, code: int) -> tuple:
-        width = self.width
-        if arity <= width:
-            return table[code][width - arity:]
-        high, low = divmod(code, len(table))
-        if arity <= 2 * width:
-            return table[high][2 * width - arity:] + table[low]
-        return self._spell(table, arity - width, high) + table[low]
-
-    @cached_property
-    def chunks(self) -> list[tuple[int, ...]]:
-        """Every tuple of `width` constant indices, by code."""
-        return list(itertools.product(range(len(self.names)), repeat=self.width))
-
-    @cached_property
-    def name_chunks(self) -> list[tuple[str, ...]]:
-        names = self.names
-        return [tuple([names[c] for c in chunk]) for chunk in self.chunks]
+        d = len(self.names)
+        return tuple([code // w % d for w in self.places[arity]])
 
     def decode(self, atom: int) -> tuple[str, tuple[int, ...]]:
         """The predicate and the constant indices of an atom index."""
@@ -214,8 +188,8 @@ class HerbrandBase(Sequence[Atom]):
         return pred, self.digits(arity, code)
 
     def name(self, atom: int) -> str:
-        pred, arity, code = self.locate(atom)
-        return f"{pred}({','.join(self.spell(arity, code))})" if arity else pred
+        pred, digits = self.decode(atom)
+        return f"{pred}({','.join([self.names[c] for c in digits])})" if digits else pred
 
     def __getitem__(self, i: int) -> Atom:
         if not 0 <= i < self.size:
@@ -242,6 +216,10 @@ class _Template(NamedTuple):
 
 def _escape(name: str) -> str:
     return name.replace("%", "%%")
+
+
+def _brace(name: str) -> str:
+    return name.replace("{", "{{").replace("}", "}}")
 
 
 def _template(lit: Literal, place: int | list[int], slot: dict[str, int], const_index: dict[str, int]) -> _Template:
@@ -293,108 +271,82 @@ def _trigger_tree(entries: list[tuple[dict[int, int], tuple]], arity: int, d: in
     return d ** (arity - 1 - position), children, _trigger_tree(free, arity, d) if free else None
 
 
-def _picker(positions: Sequence[int]):
-    """A function from a tuple to the tuple of its items at the positions."""
-    if len(positions) == 1:
-        p = positions[0]
-        return lambda items: (items[p],)
-    return itemgetter(*positions) if positions else lambda items: ()
-
-
 class _CompiledClause:
-    """A clause's templates, and its instances so far by their key.
+    """A clause's templates, and its instances so far by key.
 
     A combo is the constant index of each variable slot; slots follow the
     clause's variables in first-occurrence order, so combos sort as
-    itertools.product enumerates them.  An instance's key is its combo,
-    except in a clause whose literals are `aligned`: two or more literals, no
-    two with the same sign and predicate, each with every variable once at
-    the same argument positions.  There the key is the integer every
-    template's atom index exceeds its base by.
+    itertools.product enumerates them.  An instance's key is the code of its
+    combo: the sum of each slot's constant index times the slot's weight, a
+    power of the domain size.  The weights follow slot order, except in an
+    `aligned` clause: two or more literals, no two with the same sign and
+    predicate, each holding every variable once at argument positions of the
+    same place values.  There the key takes the templates' shared weights,
+    so every literal's atom index is its template's base plus the key.
     """
 
-    def __init__(self, clause: Clause, templates: list[_Template], variables: list[str], atoms: HerbrandBase):
+    def __init__(self, clause: Clause, templates: list[_Template], variables: list[str], names: list[str]):
         self.id = clause.id
         self.literals = clause.literals
         self.templates = templates
         self.variables = variables
         self.slots = len(variables)
-        self.atoms = atoms
+        self.names = names
         kinds = [(t.positive, t.pred, len(t.args)) for t in templates]
         # two literals share sign and predicate, so instances can lose literals and coincide
         self.merge = len(set(kinds)) < len(kinds)
-        # per template holding every variable once: the function from its atom's constants to the combo
-        self.picks = [
-            _picker([t.args.index(k) for k in range(self.slots)])
-            if sorted(a for a in t.args if a >= 0) == list(range(self.slots)) else None
-            for t in templates
-        ]
-        self.aligned = len(templates) > 1 and not self.merge and None not in self.picks and all(
-            (t.weights, t.table) == (templates[0].weights, None) for t in templates
+        first = templates[0] if templates else None
+        self.aligned = (
+            len(templates) > 1 and not self.merge
+            and sorted(a for a in first.args if a >= 0) == list(range(self.slots))
+            and all((t.weights, t.table) == (first.weights, None) for t in templates)
         )
-        self.created: dict = {}  # key -> instance position
+        d = len(names)
+        self.weights = first.weights if self.aligned else tuple(d ** j for j in reversed(range(self.slots)))
+        self.created: dict[int, int] = {}  # key -> instance position
 
-    # What only substitutions and rendering need is built when first asked for.
-
-    @cached_property
-    def by_name_slots(self) -> list[int]:
-        return sorted(range(self.slots), key=self.variables.__getitem__)
-
-    @cached_property
-    def by_name(self):
-        """A function from a tuple over the slots to its items in variable-name order."""
-        return self._slot_picker(self.by_name_slots)
-
-    @cached_property
-    def subst_text(self) -> str:
-        """The substitution as a %-format string over the constant names in variable-name order."""
-        return "{" + ",".join(f"{_escape(self.variables[s])}->%s" for s in self.by_name_slots) + "}"
-
-    @cached_property
-    def texts(self) -> list[tuple[str, object]]:
-        """Per literal, a %-format string over the constant names of its variable arguments,
-        and a function from the slots' constant names to those names."""
-        slot = {v: k for k, v in enumerate(self.variables)}
-        out = []
-        for lit in self.literals:
-            parts, slots = [], []
-            for arg in lit.atom.args:
-                if isinstance(arg, Variable):
-                    parts.append("%s")
-                    slots.append(slot[arg.name])
-                else:
-                    parts.append(_escape(arg.name))
-            text = ("" if lit.positive else "-") + _escape(lit.atom.predicate)
-            out.append((text + f"({','.join(parts)})" if parts else text, self._slot_picker(slots)))
-        return out
-
-    def _slot_picker(self, slots: Sequence[int]):
-        """A function from a tuple over the slots to the tuple of its items at these slots."""
-        return tuple if list(slots) == list(range(self.slots)) else _picker(slots)
-
-    def combo(self, key) -> tuple[int, ...]:
-        if not self.aligned:
-            return key
-        return self.picks[0](self.atoms.digits(len(self.templates[0].args), key))
+    def key(self, combo: Sequence[int]) -> int:
+        return sum(map(mul, self.weights, combo))
 
     def lits(self, combo: Sequence[int]) -> tuple[int, ...]:
         return tuple([t.lit(combo) for t in self.templates])
 
+    def spell(self, key: int, weights: Sequence[int]) -> tuple[str, ...]:
+        """The constant names of the slots with these weights in the instance with this key."""
+        names, d = self.names, len(self.names)
+        return tuple([names[key // w % d] for w in weights])
+
+    # What only substitutions and rendering need is built when first asked for.
+
     @cached_property
-    def pairs(self) -> list[list[tuple[str, str]]]:
-        """Per slot in name order, the (variable name, constant name) pair for each constant."""
-        return [[(self.variables[s], name) for name in self.atoms.names] for s in self.by_name_slots]
+    def by_name(self) -> tuple[int, ...]:
+        """The slots' weights in variable-name order."""
+        return tuple(self.weights[s] for s in sorted(range(self.slots), key=self.variables.__getitem__))
 
-    def subst(self, combo: Sequence[int]) -> tuple[tuple[str, str], ...]:
+    def sort_key(self, key: int) -> tuple[int, ...]:
+        # constant indices by variable name sort as the substitutions do
+        d = len(self.names)
+        return tuple([key // w % d for w in self.by_name])
+
+    def subst(self, key: int) -> tuple[tuple[str, str], ...]:
         """The (variable name, constant name) pairs, sorted."""
-        return tuple(map(list.__getitem__, self.pairs, self.by_name(combo)))
+        return tuple(zip(sorted(self.variables), self.spell(key, self.by_name)))
 
-    def constant_names(self, key) -> tuple[str, ...]:
-        """The constant name of each slot in the instance with this key."""
-        if self.aligned:
-            return self.picks[0](self.atoms.spell(len(self.templates[0].args), key))
-        names = self.atoms.names
-        return tuple([names[c] for c in key])
+    @cached_property
+    def subst_text(self) -> str:
+        """The substitution as a %-format string over the constant names in variable-name order."""
+        return "{" + ",".join(f"{_escape(v)}->%s" for v in sorted(self.variables)) + "}"
+
+    @cached_property
+    def texts(self) -> list[str]:
+        """Per literal, a format string over the constant names in variable-name order."""
+        order = sorted(self.variables)
+        out = []
+        for lit in self.literals:
+            args = [f"{{{order.index(a.name)}}}" if isinstance(a, Variable) else _brace(a.name) for a in lit.atom.args]
+            text = ("" if lit.positive else "-") + _brace(lit.atom.predicate)
+            out.append(f"{text}({','.join(args)})" if args else text)
+        return out
 
 
 # A binding maps each slot of a clause to a constant index (>= 0), to -1 while
@@ -467,8 +419,8 @@ class GroundProblem:
     atoms: Sequence[Atom]
     instances: list[GroundInstance]
     compiled: list[_CompiledClause] = field(default_factory=list, repr=False)
-    # (sign, predicate, arity) -> _trigger_tree of (clause, template, combo picker, aligned literals)
-    # where aligned holds each template's sign, and its base less the matched template's, signed
+    # (sign, predicate, arity) -> _trigger_tree of (clause, template) for the templates of the
+    # clauses of two or more literals
     triggers: dict = field(default_factory=dict, repr=False)
     joins: bool = False  # some template leaves variables to join against the trail
 
@@ -480,8 +432,9 @@ class GroundProblem:
         the instances containing it: each template that matches it seeds a
         binding, and the clause's other literals are joined against
         `on_trail`, the trail's atoms by (predicate, arity, value), as constant
-        index tuples.  Returns each new instance's position with its
-        unassigned literal, or 0 for a false one.
+        index tuples.  In an aligned clause the matched atom fixes the key and
+        every literal, with nothing to join.  Returns each new instance's
+        position with its unassigned literal, or 0 for a false one.
         """
         new: list[tuple[int, int]] = []
         if false_lit is None:
@@ -503,24 +456,17 @@ class GroundProblem:
                 if node is not None:
                     continue
             else:
-                for clause, t, pick, aligned in node:
-                    if aligned is not None:  # the atom fixes the instance: no constants needed
+                for clause, t in node:
+                    if clause.aligned:  # the atom gives the key, and every literal is a base plus the key
                         key = atom - t.base
-                        if key not in clause.created:
-                            lits = tuple([sign * atom + offset for sign, offset in aligned])
-                            self._create(clause, key, lits, value, new)
+                        lits = tuple([u.base + key if u.positive else -u.base - key for u in clause.templates])
+                        self._create(clause, key, lits, value, new)
                         continue
                     if digits is None:
                         digits = self.atoms.digits(arity, code)
-                    if pick is None:
-                        b = _bind(t, digits, [-1] * clause.slots)
-                        if b is not None:
-                            others = [u for u in clause.templates if u is not t]
-                            self._join(clause, others, b, None, value, on_trail, new)
-                        continue
-                    combo = pick(digits)  # t holds every variable once: its constants are the combo
-                    if clause.merge or combo not in clause.created:
-                        self._create(clause, combo, clause.lits(combo), value, new)
+                    b = _bind(t, digits, [-1] * clause.slots)
+                    if b is not None:
+                        self._join(clause, [u for u in clause.templates if u is not t], b, None, value, on_trail, new)
             node = later.pop() if later else None
         return new
 
@@ -529,20 +475,21 @@ class GroundProblem:
 
         open_t is the first template left open; every other open template is
         unified with it, so that at most one literal stays unassigned.  Once
-        todo is empty, the slots only open_t depends on range over the domain.
+        every slot is bound, `_create` checks the instance; once todo is
+        empty, the slots only open_t depends on range over the domain.
         """
+        if -1 not in b:
+            combo = _values(b)
+            self._create(clause, clause.key(combo), clause.lits(combo), value, new)
+            return
         if not todo:
-            if open_t is None:
-                combo = _values(b)
-                self._create(clause, combo, clause.lits(combo), value, new)
-                return
             free, b = _free(open_t, b), b.copy()
             for consts in itertools.product(range(len(self.domain)), repeat=len(free)):
                 for s, c in zip(free, consts):
                     b[s] = c
                 combo = _values(b)
                 if abs(open_t.lit(combo)) not in value:
-                    self._create(clause, combo, clause.lits(combo), value, new)
+                    self._create(clause, clause.key(combo), clause.lits(combo), value, new)
             return
         t, rest = todo[0], todo[1:]
         if not _free(t, b):
@@ -563,7 +510,7 @@ class GroundProblem:
         if b2 is not None:
             self._join(clause, rest, b2, open_t or t, value, on_trail, new)
 
-    def _create(self, clause: _CompiledClause, key, lits: tuple[int, ...], value, new) -> None:
+    def _create(self, clause: _CompiledClause, key: int, lits: tuple[int, ...], value, new) -> None:
         """Create the instance with this key and these literals, per template, if it is unit or false and new."""
         if clause.merge:
             lits = tuple(dict.fromkeys(lits))
@@ -577,8 +524,8 @@ class GroundProblem:
             elif v is (lit > 0):
                 return
         if clause.merge:
-            key = self._first_combo(clause, lits)
-            lits = tuple(dict.fromkeys(clause.lits(key)))
+            combo = self._first_combo(clause, lits)
+            key, lits = clause.key(combo), tuple(dict.fromkeys(clause.lits(combo)))
         created, instances = clause.created, self.instances
         if key not in created:
             created[key] = len(instances)
@@ -657,17 +604,14 @@ def ground_problem(
             _template(l, atoms.place[l.atom.predicate, len(l.atom.args)], slot, const_index)
             for l in by_id[cid].literals
         ]
-        compiled = _CompiledClause(by_id[cid], templates, variables[cid], atoms)
+        compiled = _CompiledClause(by_id[cid], templates, variables[cid], atoms.names)
         problem.compiled.append(compiled)
         if len(templates) < 2:
             continue  # every instance is created at the start
-        for t, pick in zip(templates, compiled.picks):
-            problem.joins |= pick is None
-            aligned = None  # the instance's literals, a fixed distance from t's atom each
-            if compiled.aligned:
-                aligned = tuple((1, u.base - t.base) if u.positive else (-1, t.base - u.base) for u in templates)
+        for t in templates:
+            problem.joins |= len({a for a in t.args if a >= 0}) < len(slot)
             consts = {j: -1 - a for j, a in enumerate(t.args) if a < 0}
-            entries[t.positive, t.pred, len(t.args)].append((consts, (compiled, t, pick, aligned)))
+            entries[t.positive, t.pred, len(t.args)].append((consts, (compiled, t)))
     problem.triggers = {kind: _trigger_tree(es, kind[2], len(dom)) for kind, es in entries.items()}
     problem.instantiate({}, {})
     return problem
@@ -724,7 +668,7 @@ class SclState(TrailKernel):
 
     def _hook(self, pos: int, lits: tuple[int, ...], unit: int) -> None:
         """Watch an instance of two or more literals, then queue it on its unit literal or mark it false."""
-        self.watch(pos, lits, len(lits) == 2)  # a two-literal instance watches both literals
+        self.watch(pos, lits)
         if unit:
             heapq.heappush(self.pending, (self.unit_key(pos, unit), pos, unit))
         else:
@@ -908,11 +852,9 @@ def render(result: SclSat | SclUnsat | SclResourceExceeded) -> Iterator[tuple[st
                 if compiled is None or compiled.merge:
                     lit, subst = literal(ev[1]), inst.subst_str()
                 else:  # its literals are its clause's, one per template
-                    constants = compiled.constant_names(inst.key)
-                    j = inst.lits.index(ev[1])
-                    text, args = compiled.texts[j]
-                    lit = text % args(constants)
-                    subst = compiled.subst_text % compiled.by_name(constants)
+                    names = compiled.spell(inst.key, compiled.by_name)
+                    lit = compiled.texts[inst.lits.index(ev[1])].format(*names)
+                    subst = compiled.subst_text % names
                 yield (f"propagate {lit} <- clause {inst.clause_id} σ={subst}",
                        {"event": "scl", "kind": kind, "lit": lit, "clause": inst.clause_id, "subst": subst})
             elif kind == "conflict":

@@ -64,7 +64,7 @@ def template_grounding(problem):
         for combo in itertools.product(range(len(problem.domain)), repeat=clause.slots):
             lits = tuple(dict.fromkeys(clause.lits(combo)))
             if not clause.merge or problem._first_combo(clause, lits) == combo:
-                out.append(scl.GroundInstance(clause.id, clause.subst(combo), lits))
+                out.append(scl.GroundInstance(clause.id, clause.subst(clause.key(combo)), lits))
     return out
 
 

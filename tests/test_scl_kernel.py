@@ -180,6 +180,9 @@ def test_created_instances_are_unit_or_false(monkeypatch):
         scl_run(clauses, domain)
     assert len(checked) > 3000
     assert sum(len(inst.lits) < len(inst.compiled.templates) for inst in checked if inst.compiled) > 50
+    # both ways of creating an instance ran: from the matched atom alone, and by a join
+    aligned = [inst.compiled.aligned for inst in checked if inst.compiled and len(inst.compiled.templates) > 1]
+    assert aligned.count(True) > 500 and aligned.count(False) > 500
 
 
 def horn_chain(rng: random.Random, k: int) -> list[Clause]:
