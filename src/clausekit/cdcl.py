@@ -241,9 +241,6 @@ class CdclState(TrailKernel):
     def learned(self) -> list[PropClause]:
         return [self.clauses[i] for i in self.learned_ids]
 
-    def atom_ranks(self) -> dict[int, int]:
-        return {abs(e.lit): i for i, e in enumerate(self.trail)}
-
 
 def propagate(state: CdclState) -> CdclState:
     """Unit-propagate to fixpoint; a false clause sets the conflict slot first.
@@ -363,8 +360,6 @@ def backjump_and_learn(state: CdclState, learned: Sequence[int], level: int) -> 
     if max((var_level[abs(l)] for l in learned if l != asserting), default=level) != level:
         raise ValueError("backjump level is not the highest level of the learned clause's other literals")
 
-    ranks = state.atom_ranks()  # ordering at conflict time, before truncation
-    u_before = len(state.learned_ids)
     cid = state.next_clause_id
     state.next_clause_id += 1
     state.clauses[cid] = PropClause(cid, learned)
@@ -374,7 +369,7 @@ def backjump_and_learn(state: CdclState, learned: Sequence[int], level: int) -> 
     state.conflict_id = None
     state.watch(cid, learned)
     state.assign(asserting, cid)
-    state.events.append(("learn", learned, level, cid, ranks, u_before))
+    state.events.append(("learn", learned, level, cid))
     return state
 
 
@@ -500,11 +495,7 @@ class TrailOrdering:
 
     @classmethod
     def from_trail(cls, lits: Sequence[int]) -> "TrailOrdering":
-        return cls.from_ranks({abs(l): i for i, l in enumerate(lits)})
-
-    @classmethod
-    def from_ranks(cls, ranks: dict[int, int]) -> "TrailOrdering":
-        return cls(rank=dict(ranks), base=len(ranks))
+        return cls(rank={abs(l): i for i, l in enumerate(lits)}, base=len(lits))
 
     def atom_rank(self, atom: int) -> int:
         return self.rank.get(atom, self.base + atom)
@@ -542,18 +533,17 @@ def is_redundant(
     clause_lits: Sequence[int],
     clause_set: Iterable[PropClause],
     ordering: TrailOrdering,
-    atom_cap: int = ATOM_CAP,
 ) -> bool:
     """Whether the clause is implied by the ordering-smaller clauses of the set.
 
     Checked by exhaustive truth-table enumeration (the property is NP-complete);
-    raises ResourceLimitError when more than atom_cap atoms are involved.
+    raises ResourceLimitError when more than ATOM_CAP atoms are involved.
     """
     target = tuple(clause_lits)
     smaller = [c for c in clause_set if ordering.less(c.lits, target)]
     atoms = sorted({abs(l) for c in smaller for l in c.lits} | {abs(l) for l in target})
-    if len(atoms) > atom_cap:
-        raise ResourceLimitError(f"{len(atoms)} atoms exceed the truth-table cap of {atom_cap}")
+    if len(atoms) > ATOM_CAP:
+        raise ResourceLimitError(f"{len(atoms)} atoms exceed the truth-table cap of {ATOM_CAP}")
     index = {a: i for i, a in enumerate(atoms)}
     mask = (1 << (1 << len(atoms))) - 1
     tables = _atom_tables(len(atoms))

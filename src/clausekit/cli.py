@@ -15,11 +15,11 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import asdict, dataclass, field
-from typing import Callable, Iterable, TextIO
+from dataclasses import asdict, dataclass
+from typing import Callable, Iterable, Sequence, TextIO
 
 from . import cdcl, formats, lia, resolution, scl
-from .errors import ClausekitError, ParseError, ReplayStepError, ResourceLimitError
+from .errors import ClausekitError, ResourceLimitError
 from .logic import Clause
 from .ordering import OrderingConfig, config_with_precedence, default_config
 from .resolution import check_linear_refutation, linear_counter_script
@@ -51,56 +51,40 @@ DEFAULT_HEURISTIC = "lowest-negative"
 DEFAULT_SELECTION = "none"
 
 
-@dataclass
-class RunConfig:
-    mode: str
-    input: str | None = None
-    counter_n: int | None = None
-    # None: not given, so the mode's own default
-    selection: str | None = None
-    precedence: list[str] | None = None
-    heuristic: str | None = None
-    max_steps: int | None = None
-    max_instances: int | None = None
-    replay: str | None = None
-    decisions: list[str] = field(default_factory=list)
-    format: str = "text"
-
-    def validate(self) -> None:
-        if self.mode not in MODES:
-            raise ValueError(f"unknown mode {self.mode!r}")
-        if (self.max_steps is not None and self.max_steps < 0) or (
-            self.max_instances is not None and self.max_instances <= 0
-        ):
-            raise ValueError("limits must be positive")
-        for flag, given, mode in (
-            ("--heuristic", self.heuristic, "cdcl"),
-            ("--selection", self.selection, "resolution"),
-            ("--precedence", self.precedence, "resolution"),
-            ("--max-instances", self.max_instances, "scl"),
-        ):
-            if given is not None and self.mode != mode:
-                raise ValueError(f"{flag} only applies to mode {mode}")
-        if self.mode == "counter-experiment":
-            n = self.counter_n if self.counter_n is not None else 10
-            if not 1 <= n <= COUNTER_N_CAP:
-                raise ValueError(f"--counter-n must be within 1..{COUNTER_N_CAP}")
-        elif self.mode in ("cdcl", "lia-propagate", "lia-decide"):
-            if self.input is None:
-                raise ValueError(f"mode {self.mode} needs --input")
-            if self.counter_n is not None:
-                raise ValueError(f"--counter-n does not apply to mode {self.mode}")
-        else:
-            if (self.input is None) == (self.counter_n is None):
-                raise ValueError(f"mode {self.mode} needs exactly one of --input or --counter-n")
-        if self.mode == "resolution-replay" and self.replay is None:
-            raise ValueError("mode resolution-replay needs --replay")
-        if self.replay is not None and self.mode != "resolution-replay":
-            raise ValueError("--replay only applies to mode resolution-replay")
-        if self.decisions and self.mode != "lia-propagate":
-            raise ValueError("--decide only applies to mode lia-propagate")
-        if self.counter_n is not None and self.counter_n < 1:
-            raise ValueError("--counter-n must be positive")
+def validate(args: argparse.Namespace) -> None:
+    """Reject flag combinations the mode cannot use; unset flags are None."""
+    if (args.max_steps is not None and args.max_steps < 0) or (
+        args.max_instances is not None and args.max_instances <= 0
+    ):
+        raise ValueError("limits must be positive")
+    for flag, given, mode in (
+        ("--heuristic", args.heuristic, "cdcl"),
+        ("--selection", args.selection, "resolution"),
+        ("--precedence", args.precedence, "resolution"),
+        ("--max-instances", args.max_instances, "scl"),
+    ):
+        if given is not None and args.mode != mode:
+            raise ValueError(f"{flag} only applies to mode {mode}")
+    if args.mode == "counter-experiment":
+        n = args.counter_n if args.counter_n is not None else 10
+        if not 1 <= n <= COUNTER_N_CAP:
+            raise ValueError(f"--counter-n must be within 1..{COUNTER_N_CAP}")
+    elif args.mode in ("cdcl", "lia-propagate", "lia-decide"):
+        if args.input is None:
+            raise ValueError(f"mode {args.mode} needs --input")
+        if args.counter_n is not None:
+            raise ValueError(f"--counter-n does not apply to mode {args.mode}")
+    else:
+        if (args.input is None) == (args.counter_n is None):
+            raise ValueError(f"mode {args.mode} needs exactly one of --input or --counter-n")
+    if args.mode == "resolution-replay" and args.replay is None:
+        raise ValueError("mode resolution-replay needs --replay")
+    if args.replay is not None and args.mode != "resolution-replay":
+        raise ValueError("--replay only applies to mode resolution-replay")
+    if args.decide and args.mode != "lia-propagate":
+        raise ValueError("--decide only applies to mode lia-propagate")
+    if args.counter_n is not None and args.counter_n < 1:
+        raise ValueError("--counter-n must be positive")
 
 
 class _Emitter:
@@ -120,37 +104,38 @@ class _Emitter:
                 write(text + "\n")
 
 
-def _bs_clauses(config: RunConfig) -> list[Clause]:
-    if config.counter_n is not None:
-        return counter_problem(config.counter_n)
-    with open(config.input, encoding="utf-8") as handle:
+def _bs_clauses(args: argparse.Namespace) -> Sequence[Clause]:
+    if args.counter_n is not None:
+        return counter_problem(args.counter_n)
+    with open(args.input, encoding="utf-8") as handle:
         return formats.parse_bs(handle.read())
 
 
-def _ordering(config: RunConfig, clauses: list[Clause]) -> OrderingConfig:
+def _ordering(args: argparse.Namespace, clauses: Sequence[Clause]) -> OrderingConfig:
     cfg = default_config(clauses)
-    if config.precedence:
-        cfg = config_with_precedence(cfg, config.precedence)
+    precedence = [p.strip() for p in (args.precedence or "").split(">") if p.strip()]
+    if precedence:
+        cfg = config_with_precedence(cfg, precedence)
     return cfg
 
 
-def _run_cdcl(config: RunConfig, emit: _Emitter) -> int:
-    with open(config.input, encoding="utf-8") as handle:
+def _run_cdcl(args: argparse.Namespace, emit: _Emitter) -> int:
+    with open(args.input, encoding="utf-8") as handle:
         num_vars, clauses = formats.parse_dimacs(handle.read())
-    result = cdcl.solve(clauses, num_vars, HEURISTICS[config.heuristic or DEFAULT_HEURISTIC])
+    result = cdcl.solve(clauses, num_vars, HEURISTICS[args.heuristic or DEFAULT_HEURISTIC])
     emit.lines(cdcl.render(result))
     return EXIT_SAT if isinstance(result, cdcl.SatResult) else EXIT_UNSAT
 
 
-def _max_steps(config: RunConfig, default: int = DEFAULT_MAX_STEPS) -> int:
+def _max_steps(args: argparse.Namespace, default: int = DEFAULT_MAX_STEPS) -> int:
     """--max-steps as given, 0 included, else the mode's default."""
-    return default if config.max_steps is None else config.max_steps
+    return default if args.max_steps is None else args.max_steps
 
 
-def _run_scl(config: RunConfig, emit: _Emitter) -> int:
-    clauses = _bs_clauses(config)
-    cap = scl.DEFAULT_INSTANCE_CAP if config.max_instances is None else config.max_instances
-    result = scl.scl_run(clauses, instance_cap=cap, trail_cap=_max_steps(config, scl.DEFAULT_TRAIL_CAP))
+def _run_scl(args: argparse.Namespace, emit: _Emitter) -> int:
+    clauses = _bs_clauses(args)
+    cap = scl.DEFAULT_INSTANCE_CAP if args.max_instances is None else args.max_instances
+    result = scl.scl_run(clauses, instance_cap=cap, trail_cap=_max_steps(args, scl.DEFAULT_TRAIL_CAP))
     emit.lines(scl.render(result))
     if isinstance(result, scl.SclSat):
         return EXIT_SAT
@@ -159,11 +144,11 @@ def _run_scl(config: RunConfig, emit: _Emitter) -> int:
     return EXIT_LIMIT
 
 
-def _run_resolution(config: RunConfig, emit: _Emitter) -> int:
-    clauses = _bs_clauses(config)
-    cfg = _ordering(config, clauses)
-    sel = resolution.selection_from_name(config.selection or DEFAULT_SELECTION)
-    result = resolution.saturate(clauses, cfg, sel, max_generated=_max_steps(config))
+def _run_resolution(args: argparse.Namespace, emit: _Emitter) -> int:
+    clauses = _bs_clauses(args)
+    cfg = _ordering(args, clauses)
+    sel = resolution.selection_from_name(args.selection or DEFAULT_SELECTION)
+    result = resolution.saturate(clauses, cfg, sel, max_generated=_max_steps(args))
     emit.lines(resolution.render(result))
     if result.outcome == "unsat":
         return EXIT_UNSAT
@@ -172,24 +157,24 @@ def _run_resolution(config: RunConfig, emit: _Emitter) -> int:
     return EXIT_LIMIT
 
 
-def _run_replay(config: RunConfig, emit: _Emitter) -> int:
-    clauses = _bs_clauses(config)
-    with open(config.replay, encoding="utf-8") as handle:
+def _run_replay(args: argparse.Namespace, emit: _Emitter) -> int:
+    clauses = _bs_clauses(args)
+    with open(args.replay, encoding="utf-8") as handle:
         script = formats.parse_script(handle.read())
     derived = resolution.replay(clauses, script)
     emit.lines(resolution.render(derived))
     return EXIT_UNSAT if derived and derived[-1].clause.is_empty else EXIT_SAT
 
 
-def _lia_system(config: RunConfig) -> lia.LiaSystem:
-    with open(config.input, encoding="utf-8") as handle:
+def _lia_system(args: argparse.Namespace) -> lia.LiaSystem:
+    with open(args.input, encoding="utf-8") as handle:
         return formats.parse_lia(handle.read())
 
 
-def _run_lia_propagate(config: RunConfig, emit: _Emitter) -> int:
-    system = _lia_system(config)
-    decisions = [formats.parse_bound(b) for b in config.decisions]
-    result = lia.propagate_bounds(system, decisions, _max_steps(config))
+def _run_lia_propagate(args: argparse.Namespace, emit: _Emitter) -> int:
+    system = _lia_system(args)
+    decisions = [formats.parse_bound(b) for b in args.decide]
+    result = lia.propagate_bounds(system, decisions, _max_steps(args))
     emit.lines(lia.render(result))
     if isinstance(result, lia.LiaFixpoint):
         return EXIT_SAT
@@ -198,8 +183,8 @@ def _run_lia_propagate(config: RunConfig, emit: _Emitter) -> int:
     return EXIT_LIMIT
 
 
-def _run_lia_decide(config: RunConfig, emit: _Emitter) -> int:
-    result = lia.decide_bounded(_lia_system(config))
+def _run_lia_decide(args: argparse.Namespace, emit: _Emitter) -> int:
+    result = lia.decide_bounded(_lia_system(args))
     emit.lines(lia.render(result))
     return EXIT_SAT if isinstance(result, lia.LiaSat) else EXIT_UNSAT
 
@@ -233,15 +218,15 @@ class ExperimentReport:
         return lines
 
 
-def counter_experiment(n_max: int, cap: int = COUNTER_N_CAP) -> ExperimentReport:
+def counter_experiment(n_max: int) -> ExperimentReport:
     """Run the ground engine and the linear refutation on counters of 1..n_max bits.
 
     The model-guided side performs 2**n propagations before its verdict; the
     resolution side replays the generated linear derivation (ordering checked
     step by step), which takes 2n inferences.
     """
-    if not 1 <= n_max <= cap:
-        raise ValueError(f"n_max must be within 1..{cap}")
+    if not 1 <= n_max <= COUNTER_N_CAP:
+        raise ValueError(f"n_max must be within 1..{COUNTER_N_CAP}")
     rows = []
     for n in range(1, n_max + 1):
         clauses = counter_problem(n)
@@ -272,8 +257,8 @@ def counter_experiment(n_max: int, cap: int = COUNTER_N_CAP) -> ExperimentReport
     return ExperimentReport(rows)
 
 
-def _run_experiment(config: RunConfig, emit: _Emitter) -> int:
-    n_max = config.counter_n if config.counter_n is not None else 10
+def _run_experiment(args: argparse.Namespace, emit: _Emitter) -> int:
+    n_max = args.counter_n if args.counter_n is not None else 10
     report = counter_experiment(n_max)
     if emit.as_json:
         for row in report.rows:
@@ -283,7 +268,7 @@ def _run_experiment(config: RunConfig, emit: _Emitter) -> int:
     return EXIT_SAT
 
 
-_HANDLERS: dict[str, Callable[[RunConfig, _Emitter], int]] = {
+_HANDLERS: dict[str, Callable[[argparse.Namespace, _Emitter], int]] = {
     "cdcl": _run_cdcl,
     "scl": _run_scl,
     "resolution": _run_resolution,
@@ -292,26 +277,6 @@ _HANDLERS: dict[str, Callable[[RunConfig, _Emitter], int]] = {
     "lia-decide": _run_lia_decide,
     "counter-experiment": _run_experiment,
 }
-
-
-def run(config: RunConfig, out: TextIO = sys.stdout) -> int:
-    try:
-        config.validate()
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    emit = _Emitter(out, config.format == "json")
-    try:
-        return _HANDLERS[config.mode](config, emit)
-    except (ParseError, ReplayStepError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ResourceLimitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_LIMIT
-    except (OSError, ClausekitError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -347,32 +312,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def config_from_args(args: argparse.Namespace) -> RunConfig:
-    precedence = None
-    if args.precedence is not None:
-        precedence = [s.strip() for s in args.precedence.split(">") if s.strip()]
-    return RunConfig(
-        mode=args.mode,
-        input=args.input,
-        counter_n=args.counter_n,
-        selection=args.selection,
-        precedence=precedence,
-        heuristic=args.heuristic,
-        max_steps=args.max_steps,
-        max_instances=args.max_instances,
-        replay=args.replay,
-        decisions=list(args.decide),
-        format=args.format,
-    )
-
-
 def main(argv: list[str] | None = None, out: TextIO = sys.stdout) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
-    return run(config_from_args(args), out)
+    try:
+        validate(args)
+        return _HANDLERS[args.mode](args, _Emitter(out, args.format == "json"))
+    except ResourceLimitError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_LIMIT
+    except (OSError, ClausekitError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 def console_main() -> None:

@@ -49,23 +49,7 @@ class SelectFirstNegative:
         return None
 
 
-@dataclass(frozen=True)
-class CustomSelection:
-    """Explicit clause-id -> literal position (0-based) map; unmapped = no selection."""
-
-    mapping: Mapping[int, int]
-    name: str = "custom"
-
-    def selected_index(self, clause: Clause) -> int | None:
-        idx = self.mapping.get(clause.id)
-        if idx is None:
-            return None
-        if clause.literals[idx].positive:
-            raise ValueError(f"selected literal {idx} of clause {clause.id} is not negative")
-        return idx
-
-
-SelectionStrategy = SelectNone | SelectFirstNegative | CustomSelection
+SelectionStrategy = SelectNone | SelectFirstNegative
 
 
 def selection_from_name(name: str) -> SelectionStrategy:
@@ -123,10 +107,10 @@ class DerivedClause:
 
 
 def _conclusion(
-    positive: Clause, pos_idx: int, negative: Clause, neg_idx: int, sigma: Substitution
+    first: Clause, first_idx: int, second: Clause, second_idx: int, sigma: Substitution
 ) -> tuple[Literal, ...]:
-    rest = [l for i, l in enumerate(positive.literals) if i != pos_idx]
-    rest += [l for i, l in enumerate(negative.literals) if i != neg_idx]
+    rest = [l for i, l in enumerate(first.literals) if i != first_idx]
+    rest += [l for i, l in enumerate(second.literals) if i != second_idx]
     return tuple(sigma.apply_literal(l) for l in rest)
 
 
@@ -263,7 +247,10 @@ def saturate(
     sel: SelectionStrategy,
     max_generated: int = 100_000,
 ) -> SaturationResult:
-    """Given-clause loop, FIFO by clause id, with subsumption and tautology deletion."""
+    """Given-clause loop, FIFO by clause id, with subsumption and tautology deletion.
+
+    An empty input clause, once given, is its own one-record proof.
+    """
     inputs = {c.id: c for c in clauses}
     if len(inputs) == 0:
         return SaturationResult("saturated", 0, 0, 0, 0, [], {}, None)
@@ -298,6 +285,8 @@ def saturate(
         given = passive.popleft()
         if given.id in removed:
             continue
+        if given.is_empty:
+            return result("unsat", [DerivedClause(given, InputRule())])
         if given.is_tautology():
             tautologies += 1
             removed.add(given.id)
@@ -347,8 +336,11 @@ ScriptStep = tuple[int, int, int, int]  # left id, left pos, right id, right pos
 def replay(clauses: Iterable[Clause], script: Sequence[ScriptStep]) -> list[DerivedClause]:
     """Execute scripted resolutions verbatim, ignoring ordering eligibility.
 
-    Fails loudly (ReplayStepError naming the step) when ids/positions are bad
-    or the scripted literals are not complementary unifiable.
+    The negative premise is renamed apart from the positive one, so the
+    recorded unifier applies to both premises; the conclusion lists the left
+    premise's remaining literals before the right one's.  Fails loudly
+    (ReplayStepError naming the step) when ids/positions are bad or the
+    scripted literals are not complementary unifiable.
     """
     by_id = {c.id: c for c in clauses}
     next_id = max(by_id, default=0) + 1
@@ -357,56 +349,24 @@ def replay(clauses: Iterable[Clause], script: Sequence[ScriptStep]) -> list[Deri
         for cid in (lid, rid):
             if cid not in by_id:
                 raise ReplayStepError(no, f"unknown clause id {cid}")
-        left, right = by_id[lid], by_id[rid]
-        if not 1 <= lpos <= len(left):
+        if not 1 <= lpos <= len(by_id[lid]):
             raise ReplayStepError(no, f"clause {lid} has no literal {lpos}")
-        if not 1 <= rpos <= len(right):
+        if not 1 <= rpos <= len(by_id[rid]):
             raise ReplayStepError(no, f"clause {rid} has no literal {rpos}")
-        left_r, right_r = rename_apart(left, right)
-        ll, rl = left_r.literals[lpos - 1], right_r.literals[rpos - 1]
-        if ll.positive == rl.positive:
+        left_positive = by_id[lid].literals[lpos - 1].positive
+        if left_positive == by_id[rid].literals[rpos - 1].positive:
             raise ReplayStepError(no, "literals are not complementary")
-        sigma = unify(ll.atom, rl.atom)
+        pid, pi, nid, ni = (lid, lpos, rid, rpos) if left_positive else (rid, rpos, lid, lpos)
+        positive, negative = rename_apart(by_id[pid], by_id[nid])
+        sigma = unify(positive.literals[pi - 1].atom, negative.literals[ni - 1].atom)
         if sigma is None:
             raise ReplayStepError(no, "literals do not unify")
-        if ll.positive:
-            rule = ResolutionRule(lid, lpos, rid, rpos, sigma)
-        else:
-            rule = ResolutionRule(rid, rpos, lid, lpos, sigma)
-        conclusion = canonical_variant(Clause(next_id, _conclusion(left_r, lpos - 1, right_r, rpos - 1, sigma)))
+        sides = (positive, pi - 1, negative, ni - 1) if left_positive else (negative, ni - 1, positive, pi - 1)
+        conclusion = canonical_variant(Clause(next_id, _conclusion(*sides, sigma)))
         by_id[next_id] = conclusion
-        out.append(DerivedClause(conclusion, rule))
+        out.append(DerivedClause(conclusion, ResolutionRule(pid, pi, nid, ni, sigma)))
         next_id += 1
     return out
-
-
-def replay_rule(derived: DerivedClause, get_clause) -> Clause:
-    """Re-run a recorded rule against its parents; the result must reproduce the clause."""
-    rule = derived.rule
-    if isinstance(rule, ResolutionRule):
-        pos, neg = rename_apart(get_clause(rule.positive_parent), get_clause(rule.negative_parent))
-        sigma = unify(
-            pos.literals[rule.positive_index - 1].atom, neg.literals[rule.negative_index - 1].atom
-        )
-        if sigma is None:
-            raise ValueError("recorded resolution does not unify")
-        return canonical_variant(
-            Clause(derived.clause.id, _conclusion(pos, rule.positive_index - 1, neg, rule.negative_index - 1, sigma))
-        )
-    if isinstance(rule, FactoringRule):
-        parent = get_clause(rule.parent)
-        sigma = unify(
-            parent.literals[rule.kept_index - 1].atom, parent.literals[rule.merged_index - 1].atom
-        )
-        if sigma is None:
-            raise ValueError("recorded factoring does not unify")
-        lits = tuple(
-            sigma.apply_literal(l)
-            for k, l in enumerate(parent.literals)
-            if k != rule.merged_index - 1
-        )
-        return canonical_variant(Clause(derived.clause.id, lits))
-    return derived.clause
 
 
 def linear_counter_script(n: int) -> list[ScriptStep]:
@@ -439,16 +399,14 @@ def check_linear_refutation(
     """Replay a script and verify each step's ordering discipline.
 
     Every step must resolve the first negative literal of its negative premise,
-    and the positive side-literal must be maximal in its instantiated premise.
+    and the positive side-literal must be maximal in its premise instantiated
+    by the step's recorded unifier.
     """
-    clauses = list(clauses)
-    derived = replay(clauses, script)
     by_id = {c.id: c for c in clauses}
-    for d in derived:
-        by_id[d.clause.id] = d.clause
+    derived = replay(by_id.values(), script)
+    by_id.update((d.clause.id, d.clause) for d in derived)
     for d in derived:
         rule = d.rule
-        assert isinstance(rule, ResolutionRule)
         negative = by_id[rule.negative_parent]
         first_neg = next(
             (i + 1 for i, l in enumerate(negative.literals) if not l.positive), None
@@ -457,15 +415,8 @@ def check_linear_refutation(
             raise ValueError(
                 f"step deriving clause {d.clause.id} does not resolve the first negative literal"
             )
-        positive = by_id[rule.positive_parent]
-        pos_r, neg_r = rename_apart(positive, negative)
-        sigma = unify(
-            pos_r.literals[rule.positive_index - 1].atom,
-            neg_r.literals[rule.negative_index - 1].atom,
-        )
-        if sigma is None or not literal_is_maximal(
-            sigma.apply_clause(pos_r), rule.positive_index - 1, cfg
-        ):
+        positive = rule.unifier.apply_clause(by_id[rule.positive_parent])
+        if not literal_is_maximal(positive, rule.positive_index - 1, cfg):
             raise ValueError(
                 f"step deriving clause {d.clause.id} has a non-maximal positive literal"
             )

@@ -51,30 +51,12 @@ DEFAULT_TRAIL_CAP = 1_000_000
 FRESH_CONSTANT = Constant("a")
 
 
-@dataclass(frozen=True)
-class CounterProblem:
-    """The n-bit counter clause family: n + 2 clauses that walk every value.
+def counter_problem(n: int) -> tuple[Clause, ...]:
+    """The n-bit counter family: unsatisfiable, 2**n propagations deep.
 
     A unit start clause, one carry clause per bit position, and a negated
-    final value.  Behaves as a clause sequence; slicing drops into plain
-    tuples (the satisfiable variant is simply problem[:-1]).
+    final value; the satisfiable variant is simply counter_problem(n)[:-1].
     """
-
-    n: int
-    clauses: tuple[Clause, ...]
-
-    def __iter__(self):
-        return iter(self.clauses)
-
-    def __len__(self) -> int:
-        return len(self.clauses)
-
-    def __getitem__(self, index):
-        return self.clauses[index]
-
-
-def counter_problem(n: int) -> CounterProblem:
-    """Generate the n-bit counter family; unsatisfiable, 2**n propagations deep."""
     if n < 1:
         raise ValueError("counter_problem needs n >= 1")
     zero, one = Constant("0"), Constant("1")
@@ -85,7 +67,7 @@ def counter_problem(n: int) -> CounterProblem:
         pos = Atom("P", prefix + (one,) + (zero,) * (i - 1))
         clauses.append(Clause(i + 1, (Literal(False, neg), Literal(True, pos))))
     clauses.append(Clause(n + 2, (Literal(False, Atom("P", (one,) * n)),)))
-    return CounterProblem(n, tuple(clauses))
+    return tuple(clauses)
 
 
 class GroundInstance:

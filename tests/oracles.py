@@ -13,7 +13,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
-from clausekit.cdcl import TrailEntry
+from clausekit.cdcl import TrailEntry, TrailOrdering
 from clausekit.errors import ResourceLimitError
 from clausekit.logic import Atom, Clause, Constant, Literal, Substitution
 from clausekit.scl import (
@@ -114,6 +114,31 @@ def resolve_on(c1: Sequence[int], c2: Sequence[int], atom: int) -> tuple[int, ..
     assert atom in [abs(l) for l in c1] and atom in [abs(l) for l in c2]
     merged = {l for l in c1 if abs(l) != atom} | {l for l in c2 if abs(l) != atom}
     return tuple(sorted(merged, key=abs))
+
+
+def learn_orderings(events: Iterable[tuple]) -> list[tuple[tuple, TrailOrdering]]:
+    """Each learn event of a CDCL or SCL run, with the trail ordering at its conflict.
+
+    The trail is rebuilt from the events alone: a propagation or a decision
+    extends it, and a learn event truncates it to the backjump level, then
+    assigns the learned clause's one literal left unassigned.
+    """
+    trail: list[tuple[int, int]] = []  # (literal, level)
+    level = 0
+    out = []
+    for ev in events:
+        if ev[0] == "propagate":
+            trail.append((ev[1], level))
+        elif ev[0] == "decide":
+            level = ev[2]
+            trail.append((ev[1], level))
+        elif ev[0] == "learn":
+            out.append((ev, TrailOrdering.from_trail([lit for lit, _ in trail])))
+            level = ev[2]
+            trail = [(lit, lvl) for lit, lvl in trail if lvl <= level]
+            assigned = {abs(lit) for lit, _ in trail}
+            trail.append((next(lit for lit in ev[1] if abs(lit) not in assigned), level))
+    return out
 
 
 def all_ground_instances(clauses: Iterable[Clause], domain: Sequence[Constant]) -> list[Clause]:

@@ -11,12 +11,11 @@ from importlib import resources
 
 import pytest
 
-from oracles import brute_force_sat, exhaustive_lia_search, ground_satisfiable
+from oracles import brute_force_sat, exhaustive_lia_search, ground_satisfiable, learn_orderings
 from clausekit.cdcl import (
     CdclState,
     PropClause,
     SatResult,
-    TrailOrdering,
     UnsatResult,
     analyze_conflict,
     backjump_and_learn,
@@ -123,11 +122,7 @@ def test_02_learned_clauses_never_redundant(cnf_corpus):
     for num_vars, clauses in cnf_corpus:
         result = solve(clauses, num_vars)
         known = {c.id: c for c in clauses}
-        for ev in result.state.events:
-            if ev[0] != "learn":
-                continue
-            lits, _level, cid, ranks, _u_before = ev[1], ev[2], ev[3], ev[4], ev[5]
-            ordering = TrailOrdering.from_ranks(ranks)
+        for (_, lits, _level, cid), ordering in learn_orderings(result.state.events):
             assert not is_redundant(lits, list(known.values()), ordering), (
                 f"redundant learned clause {lits} on instance with {num_vars} vars"
             )

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from oracles import brute_force_sat, resolve_on
+from oracles import brute_force_sat, learn_orderings, resolve_on
 from clausekit.cdcl import (
     TrailEntry,
     CdclState,
@@ -285,12 +285,8 @@ class TestRandomCorpus:
                 replay_proof(clauses, result)
             # non-redundancy of every learned clause, at learning time
             known = {c.id: c for c in clauses}
-            for ev in result.state.events:
-                if ev[0] != "learn":
-                    continue
-                lits, _level, cid, ranks, u_before = ev[1], ev[2], ev[3], ev[4], ev[5]
-                pool = list(known.values())
-                assert not is_redundant(lits, pool, TrailOrdering.from_ranks(ranks))
+            for (_, lits, _level, cid), ordering in learn_orderings(result.state.events):
+                assert not is_redundant(lits, list(known.values()), ordering)
                 known[cid] = PropClause(cid, lits)
                 checked_learn += 1
         assert checked_learn > 100

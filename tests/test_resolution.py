@@ -13,12 +13,14 @@ from clausekit.logic import (
     Literal,
     Substitution,
     Variable,
+    rename_apart,
     renamed_equal,
+    unify,
 )
 from clausekit.ordering import default_config, literal_is_maximal
 from clausekit.resolution import (
-    CustomSelection,
     DerivedClause,
+    InputRule,
     ResolutionRule,
     SelectFirstNegative,
     SelectNone,
@@ -27,7 +29,6 @@ from clausekit.resolution import (
     linear_counter_script,
     ordered_resolve,
     replay,
-    replay_rule,
     saturate,
     selection_from_name,
     subsumes,
@@ -54,8 +55,11 @@ EXPECTED_DERIVED = parse_bs(
 class TestOrderedResolve:
     def test_jump_composition_step(self):
         # the carry clause resolves against the selected first literal of the next one
-        sel = CustomSelection({3: 0})
-        out = ordered_resolve(COUNTER4[1], COUNTER4[2], CFG, sel)
+        class SelectFirstOfClause3:
+            def selected_index(self, clause):
+                return 0 if clause.id == 3 else None
+
+        out = ordered_resolve(COUNTER4[1], COUNTER4[2], CFG, SelectFirstOfClause3())
         assert len(out) == 1
         assert renamed_equal(out[0].clause, EXPECTED_DERIVED[0])
         rule = out[0].rule
@@ -179,6 +183,14 @@ class TestSaturate:
         assert result.outcome == "limit"
         assert result.generated == 3
 
+    def test_empty_input_clause(self):
+        # the empty clause refutes on its own; the clause derived before it is subsumed by it
+        clauses = [*parse_bs("P(x1). -P(0) | Q."), Clause(3, ())]
+        result = saturate(clauses, default_config(clauses), SelectNone())
+        assert result.outcome == "unsat"
+        assert result.proof == [DerivedClause(Clause(3, ()), InputRule())]
+        assert (result.generated, result.subsumed) == (1, 1)
+
     def test_factoring_needed_for_completeness(self):
         clauses = parse_bs("P(x1) | P(x2). -P(x1) | -P(x2).")
         result = saturate(clauses, default_config(clauses), SelectNone())
@@ -191,8 +203,10 @@ class TestSaturate:
         by_id = {c.id: c for c in clauses}
         for d in result.proof:
             if isinstance(d.rule, ResolutionRule):
-                reproduced = replay_rule(d, lambda cid: by_id[cid])
-                assert renamed_equal(reproduced, d.clause)
+                r = d.rule
+                step = (r.positive_parent, r.positive_index, r.negative_parent, r.negative_index)
+                [reproduced] = replay(by_id.values(), [step])
+                assert renamed_equal(reproduced.clause, d.clause)
             by_id[d.clause.id] = d.clause
 
     def test_eligibility_discipline(self):
@@ -210,8 +224,6 @@ class TestSaturate:
                 if isinstance(rule, ResolutionRule) and rule.positive_parent in by_id and rule.negative_parent in by_id:
                     pos, neg = by_id[rule.positive_parent], by_id[rule.negative_parent]
                     assert sel.selected_index(pos) is None
-                    from clausekit.logic import rename_apart, unify
-
                     pos_r, neg_r = rename_apart(pos, neg)
                     sigma = unify(
                         pos_r.literals[rule.positive_index - 1].atom,
@@ -249,6 +261,26 @@ class TestSaturate:
                 assert expected
                 sat += 1
         assert sat > 5 and unsat > 5
+
+
+def _random_script(rng: random.Random, clauses: list[Clause], length: int) -> list[tuple[int, int, int, int]]:
+    """Up to `length` replayable steps over the clauses and the conclusions of the steps before."""
+    pool = {c.id: c for c in clauses}
+    script = []
+    for _ in range(40 * length):
+        if len(script) == length:
+            break
+        left, right = rng.choice(list(pool.values())), rng.choice(list(pool.values()))
+        if not left.literals or not right.literals:
+            continue
+        lpos, rpos = rng.randint(1, len(left)), rng.randint(1, len(right))
+        left_r, right_r = rename_apart(left, right)
+        ll, rl = left_r.literals[lpos - 1], right_r.literals[rpos - 1]
+        if ll.positive != rl.positive and unify(ll.atom, rl.atom) is not None:
+            script.append((left.id, lpos, right.id, rpos))
+            [d] = replay(pool.values(), script[-1:])
+            pool[d.clause.id] = d.clause
+    return script
 
 
 def _mono_clause(rng: random.Random, cid: int) -> Clause:
@@ -289,13 +321,32 @@ class TestReplay:
         with pytest.raises(ReplayStepError, match="no literal"):
             replay(COUNTER4, [(1, 2, 6, 1)])
 
-    def test_rules_replayable(self):
-        derived = replay(COUNTER4, linear_counter_script(4))
-        by_id = {c.id: c for c in COUNTER4}
-        for d in derived:
-            reproduced = replay_rule(d, lambda cid: by_id[cid])
-            assert renamed_equal(reproduced, d.clause)
-            by_id[d.clause.id] = d.clause
+    def test_recorded_unifier_applies_to_both_premises(self):
+        # check_linear_refutation reads each step's maximality off this record
+        rng = random.Random(8)
+        checked = 0
+        for _ in range(150):
+            clauses = [_random_clause(rng, cid) for cid in range(1, rng.randint(3, 7))]
+            script = _random_script(rng, clauses, 8)
+            by_id = {c.id: c for c in clauses}
+            for (lid, lpos, _, _), d in zip(script, replay(clauses, script)):
+                rule = d.rule
+                positive, negative = rename_apart(by_id[rule.positive_parent], by_id[rule.negative_parent])
+                positive, negative = rule.unifier.apply_clause(positive), rule.unifier.apply_clause(negative)
+                resolved = positive.literals[rule.positive_index - 1]
+                assert resolved.positive
+                assert negative.literals[rule.negative_index - 1] == resolved.complement()
+                # the conclusion lists the left premise's literals first
+                rests = [
+                    [l for i, l in enumerate(c.literals) if i != index - 1]
+                    for c, index in ((positive, rule.positive_index), (negative, rule.negative_index))
+                ]
+                if not by_id[lid].literals[lpos - 1].positive:
+                    rests.reverse()
+                assert renamed_equal(d.clause, Clause(0, tuple(rests[0] + rests[1])))
+                by_id[d.clause.id] = d.clause
+                checked += 1
+        assert checked > 300
 
 
 class TestLinearRefutation:
@@ -330,9 +381,3 @@ def test_selection_from_name():
     with pytest.raises(ValueError):
         selection_from_name("bogus")
 
-
-def test_custom_selection_rejects_positive():
-    sel = CustomSelection({1: 0})
-    clause = parse_bs("P(0) | -P(1).")[0]
-    with pytest.raises(ValueError):
-        sel.selected_index(clause)

@@ -38,7 +38,6 @@ class TestCounterProblem:
             """
         )
         assert list(counter_problem(4)) == expected
-        assert counter_problem(4).n == 4
 
     def test_one_bit(self):
         assert list(counter_problem(1)) == parse_bs("P(0). -P(0) | P(1). -P(1).")

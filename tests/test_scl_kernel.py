@@ -5,7 +5,8 @@ import random
 
 import pytest
 
-from oracles import reference_ground_problem, reference_render, reference_scl_run
+from oracles import learn_orderings, reference_ground_problem, reference_render, reference_scl_run
+from clausekit.cdcl import PropClause, is_redundant
 from clausekit.formats import parse_bs
 from clausekit.logic import Atom, Clause, Constant, Literal, Variable
 from clausekit.ordering import default_config
@@ -117,6 +118,21 @@ def test_random_sets_match_reference():
             tautological += len(set(atoms)) < len(atoms)
     assert kinds[SclSat] > 100 and kinds[SclUnsat] > 50
     assert learned > 50 and repeated > 50 and tautological > 50 and explicit > 50 and fresh > 5
+
+
+def test_learned_clauses_are_non_redundant():
+    # no learned clause follows from the ground instances and earlier learned clauses
+    # below it in the trail ordering of its conflict; the dense sets do nearly all the learning
+    rng = random.Random(2019)
+    checked = 0
+    for _ in range(320):
+        clauses, domain = random_bs(rng)
+        known = [PropClause(0, inst.lits) for inst in reference_ground_problem(clauses, domain).instances]
+        for (_, lits, _), ordering in learn_orderings(scl_run(clauses, domain).state.events):
+            assert not is_redundant(lits, known, ordering)
+            known.append(PropClause(0, lits))
+            checked += 1
+    assert checked > 50
 
 
 def test_trail_cap_boundaries_match_reference():
