@@ -1,21 +1,22 @@
-"""Propositional CDCL over the five-tuple state (M, N, U, k, C), on a shared trail kernel.
+"""Propositional CDCL over the five-tuple state (M, N, U, k, C), and the trail engine it shares with SCL.
 
-`TrailKernel` holds the trail, two watched literals per clause, a heap of the
-unit clauses in an order the engine supplies, and the false clauses; an
-assignment visits only the clauses watching the literal it falsifies.  CDCL
-drives it over clause ids, the SCL engine (`clausekit.scl`) over ground
-instances.  On top of it: exhaustive unit propagation, eager conflict
-detection, 1UIP conflict analysis, backjumping, manual forgetting, and a
-brute-force truth-table redundancy oracle.  Literals are DIMACS-style signed
-integers.  Traces stay deterministic: the conflict is always the smallest-id
-false clause and the propagating clause the smallest-id unit clause, as in an
-id-order scan.  Events are tuples on the state; `render` turns a run's
-result into its output lines.
+`TrailKernel` holds the trail and two watched literals per clause; an
+assignment visits only the clauses watching the literal it falsifies.  The
+step rules here run CDCL over clause ids and the SCL engine
+(`clausekit.scl`) over ground instances: propagate, decide, learn (backjump,
+hook, assert), the lowest unassigned atom, and 1UIP analysis in one backward
+trail walk.  The engines differ only in the kernel's hooks (`unit_key`,
+`conflict_key`, `assign`).  CDCL adds manual forgetting and a brute-force
+truth-table redundancy oracle.  Literals are DIMACS-style signed integers.
+Traces stay deterministic: the conflict is the smallest-id false clause and
+the propagating clause the smallest-id unit clause, as in an id-order scan.
+Events are tuples on the kernel; `render` turns a result into output lines.
 """
 
 from __future__ import annotations
 
 import heapq
+import math
 from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
@@ -71,7 +72,7 @@ class TrailKernel:
     clause is padded to two positions and watched once.  Whenever no clause
     is false, every clause that is neither satisfied nor on the heap has two
     non-false watched positions.  Satisfied heap entries are dropped when they
-    reach the top.
+    reach the top.  `cursor` is at or below the smallest unassigned atom.
     """
 
     trail: list[TrailEntry] = field(default_factory=list)
@@ -82,9 +83,15 @@ class TrailKernel:
     watchers: defaultdict[int, list[int]] = field(default_factory=lambda: defaultdict(list), repr=False)
     pending: list[tuple] = field(default_factory=list, repr=False)
     false_ids: set[int] = field(default_factory=set, repr=False)
+    events: list[tuple] = field(default_factory=list)
+    cursor: int = 1
 
     def unit_key(self, cid: int, lit: int):
         """Heap order of the pending units; the smallest propagates first."""
+        return cid
+
+    def conflict_key(self, cid: int):
+        """Order of the false clauses; the smallest is the conflict."""
         return cid
 
     def watch(self, cid: int, lits: Sequence[int]) -> None:
@@ -186,16 +193,19 @@ class TrailKernel:
         return cid, lit
 
     def truncate(self, level: int) -> None:
-        """Undo the trail above the level and forget the pending units and false clauses.
+        """Undo the trail above the level, moving `cursor` back, and forget the pending units and false clauses.
 
         Decisions are made only at a fixpoint without false clauses, so no
         clause is unit or false at the level the trail returns to.
         """
-        trail = self.trail
+        trail, cursor = self.trail, self.cursor
         while trail and trail[-1].level > level:
             atom = abs(trail.pop().lit)
             del self.value[atom]
             del self.var_level[atom]
+            if atom < cursor:
+                cursor = atom
+        self.cursor = cursor
         self.level = level
         self.pending.clear()
         self.false_ids.clear()
@@ -210,7 +220,6 @@ class CdclState(TrailKernel):
     num_vars: int
     learned_ids: list[int] = field(default_factory=list)
     conflict_id: int | None = None  # None means "no conflict" (the top slot)
-    events: list[tuple] = field(default_factory=list)
     next_clause_id: int = 1
     last_analysis_steps: list[tuple[int, int]] = field(default_factory=list)
 
@@ -242,35 +251,42 @@ class CdclState(TrailKernel):
         return [self.clauses[i] for i in self.learned_ids]
 
 
-def propagate(state: CdclState) -> CdclState:
-    """Unit-propagate to fixpoint; a false clause sets the conflict slot first.
+def propagate_units(kernel: TrailKernel, trail_cap: float = math.inf) -> int | None:
+    """Assign unit literals until none is left or a clause is false; return the conflict, or None.
 
-    Falsity anywhere preempts further propagation (eager conflict detection),
-    and the conflict is the smallest-id false clause; otherwise the
-    smallest-id unit clause propagates.  The watch kernel supplies both, so
-    the order is that of an id-order scan without rescanning any clause.
+    Falsity preempts propagation (eager conflict detection); the conflict is
+    the false clause smallest in `conflict_key`, and otherwise the unit
+    clause smallest in `unit_key` propagates.  The trail never exceeds trail_cap.
     """
+    trail, false_ids, events = kernel.trail, kernel.false_ids, kernel.events
+    while not false_ids:
+        unit = kernel.pop_unit()
+        if unit is None:
+            return None
+        if len(trail) >= trail_cap:
+            raise ResourceLimitError(f"trail length exceeds the cap of {trail_cap}")
+        cid, lit = unit
+        kernel.assign(lit, cid)
+        events.append(("propagate", lit, cid))
+    conflict = min(false_ids, key=kernel.conflict_key)
+    events.append(("conflict", conflict))
+    return conflict
+
+
+def propagate(state: CdclState) -> CdclState:
+    """Unit-propagate to fixpoint; a false clause sets the conflict slot."""
     if state.conflict_id is not None:
         raise ValueError("cannot propagate with a pending conflict")
-    while not state.false_ids:
-        unit = state.pop_unit()
-        if unit is None:
-            return state
-        cid, lit = unit
-        state.assign(lit, cid)
-        state.events.append(("propagate", lit, cid))
-    state.conflict_id = min(state.false_ids)
-    state.events.append(("conflict", state.conflict_id))
+    state.conflict_id = propagate_units(state)
     return state
 
 
-def at_fixpoint(state: CdclState) -> bool:
+def at_fixpoint(state: TrailKernel) -> bool:
     return not state.false_ids and not state._drop_satisfied()
 
 
-def decide(state: CdclState, lit: int) -> CdclState:
-    if state.conflict_id is not None:
-        raise ValueError("cannot decide with a pending conflict")
+def decide(state: TrailKernel, lit: int) -> TrailKernel:
+    """Open a new level with lit as its decision, at a propagation fixpoint (so no conflict is pending)."""
     if abs(lit) in state.value:
         raise ValueError(f"atom {abs(lit)} is already assigned")
     if not at_fixpoint(state):
@@ -281,47 +297,59 @@ def decide(state: CdclState, lit: int) -> CdclState:
     return state
 
 
+def lowest_unassigned(kernel: TrailKernel) -> int:
+    """The smallest atom not on the trail, searched from the kernel's cursor on."""
+    value, atom = kernel.value, kernel.cursor
+    while atom in value:
+        atom += 1
+    kernel.cursor = atom
+    return atom
+
+
 def resolve_1uip(
     kernel: TrailKernel,
     conflict_lits: Iterable[int],
     reason_lits: Callable[[int], Sequence[int]],
 ) -> tuple[tuple[int, ...], int, list[tuple[int, int]]]:
-    """Generic 1UIP resolution over the kernel's trail, at its current level.
+    """1UIP resolution in one backward walk over the kernel's trail, at its current level.
 
-    reason_lits maps a reason id to its clause literals.  Resolves on the
-    rightmost trail literal whose complement occurs in the current clause
-    until exactly one literal of the conflict level remains.  Returns
-    (learned, backjump level, steps); an empty learned clause is reported as
-    ((), -1, steps).
+    reason_lits maps a reason id to its clause literals.  `seen` marks the
+    clause's atoms, `count` those of the conflict level not yet resolved on,
+    and `learned` keeps the others.  The walk resolves on each marked trail
+    literal until one of the conflict level is left (at level 0, none), as
+    MiniSat's analyze does.  Returns (learned, backjump level, steps); an
+    empty learned clause is reported as ((), -1, steps).
     """
     trail, lvl, level = kernel.trail, kernel.var_level, kernel.level
-    current = set(conflict_lits)
-    steps: list[tuple[int, int]] = []
-    pos = len(trail) - 1
-
-    def resolve_at(p: int) -> int:
-        lit, _, reason = trail[p]
+    seen, learned, steps = set(), [], []
+    count, pos, lits = 0, len(trail), conflict_lits
+    while True:
+        for lit in lits:
+            atom = abs(lit)
+            if atom not in seen:
+                seen.add(atom)
+                if lvl[atom] == level:
+                    count += 1
+                else:
+                    learned.append(lit)
+        if not count:
+            break
+        pos -= 1
+        while abs(trail[pos].lit) not in seen:
+            pos -= 1
+        lit, _, reason = trail[pos]
+        count -= 1
+        if level and not count:
+            learned.append(-lit)
+            break
         if reason is None:
             raise ValueError("conflict analysis reached a decision literal")
-        nonlocal current
-        current = (current - {-lit}) | (set(reason_lits(reason)) - {lit})
         steps.append((abs(lit), reason))
-        return p - 1
-
-    if level == 0:
-        while current:
-            while -trail[pos].lit not in current:
-                pos -= 1
-            pos = resolve_at(pos)
+        lits = reason_lits(reason)
+    if not level:
         return (), -1, steps
-
-    while sum(1 for l in current if lvl[abs(l)] == level) > 1:
-        while -trail[pos].lit not in current:
-            pos -= 1
-        pos = resolve_at(pos)
-    learned = tuple(sorted(current, key=abs))
-    others = [lvl[abs(l)] for l in learned if lvl[abs(l)] != level]
-    return learned, (max(others) if others else 0), steps
+    blevel = max((lvl[abs(l)] for l in learned if lvl[abs(l)] != level), default=0)
+    return tuple(sorted(learned, key=abs)), blevel, steps
 
 
 def analyze_conflict(state: CdclState) -> tuple[tuple[int, ...], int]:
@@ -339,8 +367,15 @@ def analyze_conflict(state: CdclState) -> tuple[tuple[int, ...], int]:
     return learned, blevel
 
 
+def learn_clause(kernel: TrailKernel, cid: int, lits: Sequence[int], level: int) -> None:
+    """Backjump to the level, hook the learned clause cid, and assign its asserting literal."""
+    kernel.truncate(level)
+    kernel.watch(cid, lits)
+    kernel.assign(next(l for l in lits if abs(l) not in kernel.value), cid)
+
+
 def backjump_and_learn(state: CdclState, learned: Sequence[int], level: int) -> CdclState:
-    """Truncate the trail to the backjump level, learn, and assert the new clause.
+    """Check the learned clause, store it under a new id, and learn it at the backjump level.
 
     As in the Backjump rule, the level is the highest level among the learned
     clause's other literals (0 when it has none).
@@ -364,11 +399,8 @@ def backjump_and_learn(state: CdclState, learned: Sequence[int], level: int) -> 
     state.next_clause_id += 1
     state.clauses[cid] = PropClause(cid, learned)
     state.learned_ids.append(cid)
-
-    state.truncate(level)
     state.conflict_id = None
-    state.watch(cid, learned)
-    state.assign(asserting, cid)
+    learn_clause(state, cid, learned, level)
     state.events.append(("learn", learned, level, cid))
     return state
 
@@ -388,10 +420,10 @@ def forget(state: CdclState, clause_id: int) -> CdclState:
 
 def lowest_index_negative(state: CdclState) -> int:
     """Default decision heuristic: lowest unassigned atom, negative polarity."""
-    for atom in range(1, state.num_vars + 1):
-        if atom not in state.value:
-            return -atom
-    raise ValueError("no unassigned atom left")
+    atom = lowest_unassigned(state)
+    if atom > state.num_vars:
+        raise ValueError("no unassigned atom left")
+    return -atom
 
 
 def lowest_index_positive(state: CdclState) -> int:

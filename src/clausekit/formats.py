@@ -111,12 +111,6 @@ class _TokenStream:
         self.pos += 1
         return tok
 
-    def expect(self, token: str) -> None:
-        line, col = self.where()
-        got = self.take()
-        if got != token:
-            raise ParseError(f"expected {token!r}, got {got!r}", line, col)
-
 
 _IDENT = re.compile(r"[A-Za-z0-9_']+")
 
@@ -191,12 +185,8 @@ def parse_bs(text: str) -> list[Clause]:
 
 
 def print_bs(clauses: Iterable[Clause]) -> str:
-    lines = [f"{c.id} : {clause_text(c)}." for c in clauses]
+    lines = [f"{c.id} : {c}." for c in clauses]
     return "\n".join(lines) + "\n"
-
-
-def clause_text(clause: Clause) -> str:
-    return " | ".join(str(l) for l in clause.literals) if clause.literals else "⊥"
 
 
 # ---------------------------------------------------------------------------

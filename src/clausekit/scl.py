@@ -20,13 +20,15 @@ pick: the trace is that of grounding everything first.  An instance keeps
 each literal once; of the instances of a clause with one literal set, only
 the first in substitution order exists.
 
-Propagation picks the smallest propagatable ground literal (lexicographic
-constant order, positive before negative on the same atom); the conflict is
-the false instance smallest in (clause id, substitution).  Conflicts above
-level 0 are analyzed by the propositional 1UIP engine over the ground
-abstraction; a level-0 conflict means the input is unsatisfiable.  Events
-carry literals and instance positions; `render` turns a run's result into
-its output lines.
+The engine runs through the step rules of `clausekit.cdcl`, which it
+steers by the kernel's hooks: propagation picks the smallest propagatable
+ground literal (lexicographic constant order, positive before negative on
+the same atom), and the conflict is the false instance smallest in (clause
+id, substitution).  Decisions take the lowest unassigned atom.  Conflicts
+above level 0 go through the shared 1UIP walk over the ground abstraction,
+and the learned instance is hooked as CDCL's learned clauses are; a level-0
+conflict means the input is unsatisfiable.  Events carry literals and
+instance positions; `render` turns a run's result into its output lines.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ from functools import cached_property
 from operator import mul
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from .cdcl import TrailKernel, resolve_1uip
+from .cdcl import TrailKernel, decide, learn_clause, lowest_unassigned, propagate_units, resolve_1uip
 from .cdcl import clause_status  # noqa: F401  perfbench/tracer.py counts calls through this name
 from .errors import ResourceLimitError
 from .logic import Atom, Clause, Constant, Literal, Variable
@@ -612,52 +614,33 @@ class SclStats:
 class SclState(TrailKernel):
     """Five-tuple analog over ground literals: the trail kernel over instance positions.
 
-    Every assignment creates the instances it makes unit or false.  `cursor`
-    is at or below the smallest unassigned atom.
+    Every assignment creates and hooks the instances it makes unit or false.
+    Learned clauses get ids from `next_clause_id` on.
     """
 
     problem: GroundProblem
     conflict: int | None = None  # instance position
     learned: list[Clause] = field(default_factory=list)
     stats: SclStats = field(default_factory=SclStats)
-    events: list[tuple] = field(default_factory=list)
     on_trail: defaultdict[tuple[str, int, bool], list[tuple[int, ...]]] = field(
         default_factory=lambda: defaultdict(list), repr=False
     )
-    cursor: int = 1
+    next_clause_id: int = 1
 
     @classmethod
     def from_problem(cls, problem: GroundProblem) -> "SclState":
-        state = cls(problem=problem)
-        state.reclassify(range(len(problem.instances)))
+        state = cls(problem=problem, next_clause_id=max(problem.clauses, default=0) + 1)
+        state.reclassify()
         return state
 
-    def reclassify(self, positions: Iterable[int]) -> None:
-        """Hook instances that are unit or false under the trail into the kernel.
-
-        Each is watched as a learned clause is, then a unit one is queued and a
-        false one marked; the kernel does both itself for an instance of fewer
-        than two literals or one hooked under the empty trail.
-        """
-        instances, value = self.problem.instances, self.value
-        for pos in positions:
-            lits = instances[pos].lits
-            if not self.trail or len(lits) < 2:
-                self.watch(pos, lits)
-            else:
-                self._hook(pos, lits, next((lit for lit in lits if abs(lit) not in value), 0))
-        self.stats.instances = len(instances)
-
-    def _hook(self, pos: int, lits: tuple[int, ...], unit: int) -> None:
-        """Watch an instance of two or more literals, then queue it on its unit literal or mark it false."""
-        self.watch(pos, lits)
-        if unit:
-            heapq.heappush(self.pending, (self.unit_key(pos, unit), pos, unit))
-        else:
-            self.false_ids.add(pos)
+    def reclassify(self) -> None:
+        """Hook the instances created at the start into the kernel, under the empty trail."""
+        for pos, inst in enumerate(self.problem.instances):
+            self.watch(pos, inst.lits)
+        self.stats.instances = len(self.problem.instances)
 
     def assign(self, lit: int, reason: int | None) -> None:
-        """Assign as the kernel does, then create and hook the instances this makes unit or false."""
+        """Assign as the kernel does, then create the instances this makes unit or false, and queue or mark each."""
         TrailKernel.assign(self, lit, reason)
         problem = self.problem
         if problem.joins:
@@ -667,21 +650,21 @@ class SclState(TrailKernel):
         if new:
             instances = problem.instances
             for pos, unit in new:
-                self._hook(pos, instances[pos].lits, unit)
+                self.watch(pos, instances[pos].lits)
+                if unit:
+                    heapq.heappush(self.pending, (self.unit_key(pos, unit), pos, unit))
+                else:
+                    self.false_ids.add(pos)
             self.stats.instances = len(instances)
 
     def truncate(self, level: int) -> None:
-        """Truncate as the kernel does, dropping the undone atoms from `on_trail` and moving `cursor` back."""
-        trail = self.trail
-        keep = len(trail)
-        while keep and trail[keep - 1].level > level:
-            keep -= 1
-        for entry in trail[keep:]:
-            atom = abs(entry.lit)
-            if self.problem.joins:
-                pred, digits = self.problem.atoms.decode(atom)
+        """Truncate as the kernel does, dropping the undone atoms from `on_trail`."""
+        if self.problem.joins:
+            for entry in reversed(self.trail):
+                if entry.level <= level:
+                    break
+                pred, digits = self.problem.atoms.decode(abs(entry.lit))
                 self.on_trail[pred, len(digits), entry.lit > 0].pop()
-            self.cursor = min(self.cursor, atom)
         super().truncate(level)
 
     def unit_key(self, pos: int, lit: int) -> tuple:
@@ -689,31 +672,29 @@ class SclState(TrailKernel):
         inst = self.problem.instances[pos]
         return abs(lit), lit < 0, inst.clause_id, inst
 
+    def conflict_key(self, pos: int) -> tuple:
+        inst = self.problem.instances[pos]
+        return inst.clause_id, inst
+
 
 def scl_propagate(state: SclState, trail_cap: int = DEFAULT_TRAIL_CAP) -> SclState:
     """Exhaustive ground propagation, smallest ground literal first; eager conflicts.
 
     The conflict is the false instance smallest in (clause id, substitution).
+    The stats count the propagations made before the trail cap stops them too.
     """
     if state.conflict is not None:
         raise ValueError("cannot propagate with a pending conflict")
-    false_ids, trail, stats, events = state.false_ids, state.trail, state.stats, state.events
-    while not false_ids:
-        unit = state.pop_unit()
-        if unit is None:
-            return state
-        if len(trail) >= trail_cap:
-            raise ResourceLimitError(f"trail length exceeds the cap of {trail_cap}")
-        pos, lit = unit
-        state.assign(lit, pos)
-        stats.propagations += 1
-        if len(trail) > stats.trail:
-            stats.trail = len(trail)
-        events.append(("propagate", lit, pos))
-    instances = state.problem.instances
-    state.conflict = min(state.false_ids, key=lambda p: (instances[p].clause_id, instances[p]))
-    state.stats.conflicts += 1
-    state.events.append(("conflict", state.conflict))
+    trail, stats = state.trail, state.stats
+    start = len(trail)
+    try:
+        state.conflict = propagate_units(state, trail_cap)
+    finally:
+        if len(trail) > start:
+            stats.propagations += len(trail) - start
+            stats.trail = max(stats.trail, len(trail))
+    if state.conflict is not None:
+        stats.conflicts += 1
     return state
 
 
@@ -743,19 +724,6 @@ class SclResourceExceeded:
     state: SclState | None
 
 
-def _learn_ground(state: SclState, learned_lits: tuple[int, ...]) -> int:
-    """Add a learned ground clause as a clause and an instance, hooked; return its position."""
-    problem = state.problem
-    new_id = max(problem.clauses) + 1
-    clause = Clause(new_id, tuple(Literal(l > 0, problem.atoms[abs(l) - 1]) for l in learned_lits))
-    problem.clauses[new_id] = clause
-    state.learned.append(clause)
-    problem.instances.append(GroundInstance(new_id, (), learned_lits))
-    pos = len(problem.instances) - 1
-    state.reclassify([pos])
-    return pos
-
-
 def scl_run(
     clauses: Iterable[Clause],
     domain: Iterable[Constant] | None = None,
@@ -765,7 +733,8 @@ def scl_run(
     """Propagate/decide until a total Herbrand model or a level-0 conflict.
 
     Decisions take the smallest undefined ground atom, positive polarity.
-    Conflicts above level 0 go through ground 1UIP analysis and backjumping.
+    Conflicts above level 0 go through ground 1UIP analysis; the learned
+    clause becomes a clause and an instance, and is learned as CDCL learns.
     """
     try:
         problem = ground_problem(clauses, domain, instance_cap)
@@ -782,30 +751,24 @@ def scl_run(
             inst = problem.instances[state.conflict]
             if state.level == 0:
                 state.events.append(("unsat",))
-                return SclUnsat(
-                    conflict_clause_id=inst.clause_id,
-                    conflict_subst=inst.subst_str(),
-                    stats=state.stats,
-                    state=state,
-                )
-            learned, blevel, _steps = resolve_1uip(
-                state, inst.lits, lambda pos: problem.instances[pos].lits
-            )
+                return SclUnsat(inst.clause_id, inst.subst_str(), stats=state.stats, state=state)
+            learned, blevel, _steps = resolve_1uip(state, inst.lits, lambda pos: problem.instances[pos].lits)
             state.conflict = None
-            state.truncate(blevel)
-            pos = _learn_ground(state, learned)
-            state.assign(next(l for l in learned if abs(l) not in state.value), pos)
+            cid = state.next_clause_id
+            state.next_clause_id += 1
+            clause = Clause(cid, tuple(Literal(l > 0, problem.atoms[abs(l) - 1]) for l in learned))
+            problem.clauses[cid] = clause
+            state.learned.append(clause)
+            problem.instances.append(GroundInstance(cid, (), learned))
+            state.stats.instances = len(problem.instances)
+            learn_clause(state, len(problem.instances) - 1, learned, blevel)
             state.events.append(("learn", learned, blevel))
         elif len(state.value) == len(problem.atoms):
             state.events.append(("sat",))
             return SclSat(stats=state.stats, state=state)
         else:
-            while state.cursor in state.value:
-                state.cursor += 1
-            state.level += 1
-            state.assign(state.cursor, None)
+            decide(state, lowest_unassigned(state))
             state.stats.decisions += 1
-            state.events.append(("decide", state.cursor, state.level))
 
 
 _VERDICTS = {SclSat: "s SATISFIABLE", SclUnsat: "s UNSATISFIABLE", SclResourceExceeded: "s RESOURCE-EXCEEDED"}

@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from oracles import brute_force_sat, learn_orderings, resolve_on
+from oracles import brute_force_sat, learn_orderings, reference_resolve_1uip, resolve_on
+from clausekit import cdcl
 from clausekit.cdcl import (
     TrailEntry,
     CdclState,
@@ -290,6 +291,24 @@ class TestRandomCorpus:
                 known[cid] = PropClause(cid, lits)
                 checked_learn += 1
         assert checked_learn > 100
+
+    def test_analysis_matches_reference(self, monkeypatch):
+        # at every conflict of the corpus above, level 0 included, the one-walk analysis
+        # gives the rescanning reference's learned clause, backjump level and steps
+        analyze, levels = cdcl.resolve_1uip, []
+
+        def compared(kernel, conflict_lits, reason_lits):
+            got = analyze(kernel, conflict_lits, reason_lits)
+            assert got == reference_resolve_1uip(kernel.trail, conflict_lits, kernel.level, reason_lits)
+            levels.append(kernel.level)
+            return got
+
+        monkeypatch.setattr(cdcl, "resolve_1uip", compared)
+        rng = random.Random(20240817)
+        for _ in range(150):
+            num_vars = rng.randint(4, 10)
+            solve(random_3cnf(rng, num_vars, rng.randint(num_vars, 36)), num_vars)
+        assert levels.count(0) > 20 and len(levels) - levels.count(0) > 150
 
     def test_trail_discipline(self):
         rng = random.Random(7)

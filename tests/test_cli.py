@@ -306,7 +306,6 @@ class TestCounterExperiment:
         assert row.scl_propagations == 16
         assert row.scl_result == "unsat" and row.resolution_result == "unsat"
         assert row.resolution_generated == 8
-        assert set(row.wall_times) == {"scl", "resolution"}
 
     def test_monotone_and_linear(self):
         report = counter_experiment(8)

@@ -5,7 +5,6 @@ import pytest
 from clausekit.cdcl import PropClause
 from clausekit.errors import ParseError
 from clausekit.formats import (
-    clause_text,
     parse_bound,
     parse_bs,
     parse_dimacs,
@@ -169,10 +168,6 @@ def test_parse_bound():
     assert parse_bound("y<5") == Bound("y", False, 4, level=1)
     with pytest.raises(ParseError):
         parse_bound("x == 3")
-
-
-def test_clause_text_empty():
-    assert clause_text(Clause(1)) == "⊥"
 
 
 def test_propclause_rejects_zero():

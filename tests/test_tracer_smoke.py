@@ -25,20 +25,26 @@ def load_tracer():
 def test_traced_scl_and_cdcl_runs(tmp_path):
     cnf = tmp_path / "demo.cnf"
     cnf.write_text("p cnf 4 3\n1 2 3 0\n-3 4 0\n-4 1 2 0\n")
+    bs = tmp_path / "learn.bs"  # deciding P(a) makes clause 2 false at level 1
+    bs.write_text("-P(a) | Q(a).\n-P(a) | -Q(a).\nP(b) | R(b).\n")
     main = cli.main
     tracer = load_tracer().Tracer(StubClock())
     tracer.install()
     try:
         assert cli.main(["--mode", "scl", "--counter-n", "4"], out=io.StringIO()) == cli.EXIT_UNSAT
+        assert cli.main(["--mode", "scl", "--input", str(bs)], out=io.StringIO()) == cli.EXIT_SAT
         assert cli.main(["--mode", "cdcl", "--input", str(cnf)], out=io.StringIO()) == cli.EXIT_SAT
     finally:
         tracer.uninstall()
     assert cli.main is main
-    assert tracer.counts["scl.propagations"] == 16 and tracer.counts["scl.decisions"] == 0
+    assert tracer.counts["scl.propagations"] == 17 and tracer.counts["scl.decisions"] == 6
     assert tracer.counts["scl.instances"] > 0 and tracer.calls["scl.classify"] > 0
     assert tracer.counts["cdcl.decide"] > 0 and tracer.counts["cdcl.sat"] == 1
+    # each trail-engine layer is still reached through the name the tracer wraps
+    for key in ("scl.propagate", "scl.analyze", "cdcl.propagate", "cdcl.decide", "cdcl.analyze", "cdcl.backjump"):
+        assert tracer.calls[key] > 0, key
     metrics = tracer.metrics(1.0, 0, 0)
-    assert metrics["scl.propagations"] == (16, "count") and metrics["cdcl.decide_ms"][0] >= 0
+    assert metrics["scl.propagations"] == (17, "count") and metrics["cdcl.decide_ms"][0] >= 0
 
 
 FILES = {
