@@ -26,7 +26,7 @@ from .logic import (
     renamed_equal,
     unify,
 )
-from .ordering import Cmp, OrderingConfig, default_config, kbo_compare, maximal_literals
+from .ordering import Cmp, OrderingConfig, default_config, kbo_compare
 
 __version__ = "0.1.0"
 
@@ -48,7 +48,6 @@ __all__ = [
     "canonical_variant",
     "default_config",
     "kbo_compare",
-    "maximal_literals",
     "rename_apart",
     "renamed_equal",
     "unify",

@@ -1,19 +1,19 @@
 """Knuth-Bendix ordering on function-free atoms, and literal maximality.
 
-Atoms are compared as terms rooted at the predicate symbol: variable-occurrence
-condition first, then total weight, then head precedence, then arguments
-left-to-right.  Polarity is ignored; literals compare by their atoms.
+Atoms are compared as terms rooted at the predicate symbol: by total weight,
+then head precedence, then arguments left-to-right, and the greater atom must
+hold every variable at least as often as the smaller one.  Polarity is
+ignored; literals compare by their atoms.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Mapping
 
 from .errors import OrderingConfigError
-from .logic import Atom, Clause, Constant, Literal, Term, Variable
+from .logic import Atom, Clause, Constant, Term, Variable
 
 
 class Cmp(Enum):
@@ -110,53 +110,31 @@ def _term_compare(u: Term, v: Term, cfg: OrderingConfig) -> Cmp:
     return Cmp.GT if cfg.prec_of(u.name) > cfg.prec_of(v.name) else Cmp.LT
 
 
+def _covers(s: Atom, t: Atom) -> bool:
+    """Every variable occurs in `s` at least as often as in `t`."""
+    return all(s.args.count(v) >= t.args.count(v) for v in t.args if isinstance(v, Variable))
+
+
 def kbo_compare(s: Atom, t: Atom, cfg: OrderingConfig) -> Cmp:
     if s == t:
         return Cmp.EQ
-    s_vars = Counter(v for v in s.variables())
-    t_vars = Counter(v for v in t.variables())
-    s_covers = all(s_vars[v] >= n for v, n in t_vars.items())
-    t_covers = all(t_vars[v] >= n for v, n in s_vars.items())
-
-    def gt_if(cond: bool) -> Cmp:
-        return Cmp.GT if cond else Cmp.INCOMPARABLE
-
-    def lt_if(cond: bool) -> Cmp:
-        return Cmp.LT if cond else Cmp.INCOMPARABLE
-
     ws, wt = atom_weight(s, cfg), atom_weight(t, cfg)
-    if ws > wt:
-        return gt_if(s_covers)
-    if wt > ws:
-        return lt_if(t_covers)
-    if s.predicate != t.predicate:
-        if cfg.prec_of(s.predicate) > cfg.prec_of(t.predicate):
-            return gt_if(s_covers)
-        return lt_if(t_covers)
-    for u, v in zip(s.args, t.args):
-        if u == v:
-            continue
-        r = _term_compare(u, v, cfg)
-        if r is Cmp.GT:
-            return gt_if(s_covers)
-        if r is Cmp.LT:
-            return lt_if(t_covers)
-        return Cmp.INCOMPARABLE
-    return Cmp.EQ
-
-
-def maximal_literals(clause: Clause, cfg: OrderingConfig) -> list[Literal]:
-    """Literals whose atom no other literal of the clause strictly exceeds."""
-    out = []
-    for lit in clause.literals:
-        if not any(
-            kbo_compare(other.atom, lit.atom, cfg) is Cmp.GT for other in clause.literals
-        ):
-            out.append(lit)
-    return out
+    if ws != wt:
+        r = Cmp.GT if ws > wt else Cmp.LT
+    elif s.predicate != t.predicate:
+        r = Cmp.GT if cfg.prec_of(s.predicate) > cfg.prec_of(t.predicate) else Cmp.LT
+    else:  # the first argument where they differ decides
+        r = next((_term_compare(u, v, cfg) for u, v in zip(s.args, t.args) if u != v), Cmp.EQ)
+    # a greater atom must hold every variable as often as the smaller one
+    if r is Cmp.GT:
+        return r if _covers(s, t) else Cmp.INCOMPARABLE
+    if r is Cmp.LT:
+        return r if _covers(t, s) else Cmp.INCOMPARABLE
+    return r
 
 
 def literal_is_maximal(clause: Clause, index: int, cfg: OrderingConfig) -> bool:
+    """Whether no literal of the clause strictly exceeds the one at `index`."""
     lit = clause.literals[index]
     return not any(
         kbo_compare(other.atom, lit.atom, cfg) is Cmp.GT for other in clause.literals

@@ -2,15 +2,22 @@
 
 Binary resolution requires an eligible positive side-literal (nothing selected
 in its clause, maximal under the ordering after unification) and an eligible
-negative literal (selected, or maximal when nothing is selected).  Saturation
-runs a FIFO given-clause loop with forward/backward subsumption and tautology
-deletion.  Replay executes scripted resolutions without eligibility checks.
-`render` gives the output lines of either run.
+negative literal (selected, or maximal when nothing is selected).  A
+`ClauseRecord` holds what resolution reads of a clause, computed once: its
+selected index, its literals that are maximal before instantiation, the
+(sign, predicate, arity) keys of its eligible literals, and its variables.
+Saturation runs a FIFO given-clause loop with tautology deletion.  Two
+indexes serve it: the partner index files each active clause under its
+eligible keys, so the given clause meets only the clauses filed under a
+complementary key, and forward and backward subsumption take their
+candidates from a `SubsumptionIndex` of ground literals and literal keys.
+Replay executes scripted resolutions without eligibility checks.  `render`
+gives the output lines of either run.
 """
 
 from __future__ import annotations
 
-from collections import deque
+from collections import defaultdict, deque
 from dataclasses import dataclass, replace
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -114,36 +121,59 @@ def _conclusion(
     return tuple(sigma.apply_literal(l) for l in rest)
 
 
-def ordered_resolve(
-    c1: Clause, c2: Clause, cfg: OrderingConfig, sel: SelectionStrategy
-) -> list[DerivedClause]:
-    """All ordered resolvents between the two clauses (either role assignment)."""
+class ClauseRecord:
+    """What resolution and factoring read of a clause, computed once.
+
+    `maximal` holds the literals that no other literal of the clause exceeds.
+    A KBO `GT` between two literals survives every substitution, so the other
+    literals are not maximal in any instance either.  `positive` and
+    `negative` index the literals that may be resolved on, `keys` holds the
+    (predicate, arity) of each literal, and `eligible` the (sign, key) pairs
+    of the literals that may be resolved on, under which saturation files an
+    active clause.
+    """
+
+    __slots__ = ("clause", "selected", "maximal", "positive", "negative", "keys", "eligible", "variables")
+
+    def __init__(self, clause: Clause, cfg: OrderingConfig, sel: SelectionStrategy):
+        lits = clause.literals
+        self.clause = clause
+        self.selected = sel.selected_index(clause)
+        self.maximal = tuple(i for i in range(len(lits)) if literal_is_maximal(clause, i, cfg))
+        if self.selected is None:
+            self.positive = tuple(i for i in self.maximal if lits[i].positive)
+            self.negative = tuple(i for i in self.maximal if not lits[i].positive)
+        else:  # a clause with a selected literal is never the positive premise
+            self.positive = ()
+            self.negative = () if lits[self.selected].positive else (self.selected,)
+        self.keys = tuple((l.atom.predicate, len(l.atom.args)) for l in lits)
+        self.eligible = {(True, self.keys[i]) for i in self.positive}
+        self.eligible.update((False, self.keys[j]) for j in self.negative)
+        self.variables = set(clause.variables())
+
+
+def _resolvents(a: ClauseRecord, b: ClauseRecord, cfg: OrderingConfig) -> list[DerivedClause]:
+    """All ordered resolvents between two clauses, `a` as the positive premise first."""
     out: list[DerivedClause] = []
-    for positive, negative in ((c1, c2), (c2, c1)):
-        if sel.selected_index(positive) is not None:
-            continue  # the positive premise must have nothing selected
-        pos_r, neg_r = rename_apart(positive, negative)
-        neg_selected = sel.selected_index(negative)
-        for i, pl in enumerate(pos_r.literals):
-            if not pl.positive:
-                continue
-            for j, nl in enumerate(neg_r.literals):
-                if nl.positive:
-                    continue
-                if neg_selected is not None and j != neg_selected:
-                    continue
-                sigma = unify(pl.atom, nl.atom)
+    for pos, neg in ((a, b), (b, a)):
+        pairs = [(i, j) for i in pos.positive for j in neg.negative if pos.keys[i] == neg.keys[j]]
+        if pairs:
+            positive, negative = pos.clause, neg.clause
+            if not pos.variables.isdisjoint(neg.variables):
+                positive, negative = rename_apart(positive, negative)
+            for i, j in pairs:
+                sigma = unify(positive.literals[i].atom, negative.literals[j].atom)
                 if sigma is None:
                     continue
                 # a-posteriori eligibility in the instantiated premises
-                if not literal_is_maximal(sigma.apply_clause(pos_r), i, cfg):
+                if not literal_is_maximal(sigma.apply_clause(positive), i, cfg):
                     continue
-                if neg_selected is None and not literal_is_maximal(
-                    sigma.apply_clause(neg_r), j, cfg
+                if neg.selected is None and not literal_is_maximal(
+                    sigma.apply_clause(negative), j, cfg
                 ):
                     continue
                 conclusion = canonical_variant(
-                    Clause(0, _conclusion(pos_r, i, neg_r, j, sigma))
+                    Clause(0, _conclusion(positive, i, negative, j, sigma))
                 )
                 out.append(
                     DerivedClause(
@@ -151,20 +181,20 @@ def ordered_resolve(
                         ResolutionRule(positive.id, i + 1, negative.id, j + 1, sigma),
                     )
                 )
-        if c1 is c2 or c1.id == c2.id:
+        if a.clause.id == b.clause.id:
             break  # self-resolution: one role pass suffices
     return out
 
 
-def factor(clause: Clause, cfg: OrderingConfig) -> list[DerivedClause]:
-    """Positive factoring: merge unifiable positive literals, first one maximal."""
+def _factors(record: ClauseRecord, cfg: OrderingConfig) -> list[DerivedClause]:
     out: list[DerivedClause] = []
+    clause = record.clause
     lits = clause.literals
-    for i in range(len(lits)):
+    for i in record.maximal:
         if not lits[i].positive:
             continue
         for j in range(i + 1, len(lits)):
-            if not lits[j].positive:
+            if not lits[j].positive or record.keys[j] != record.keys[i]:
                 continue
             sigma = unify(lits[i].atom, lits[j].atom)
             if sigma is None:
@@ -176,6 +206,18 @@ def factor(clause: Clause, cfg: OrderingConfig) -> list[DerivedClause]:
             )
             out.append(DerivedClause(conclusion, FactoringRule(clause.id, i + 1, j + 1, sigma)))
     return out
+
+
+def ordered_resolve(
+    c1: Clause, c2: Clause, cfg: OrderingConfig, sel: SelectionStrategy
+) -> list[DerivedClause]:
+    """All ordered resolvents between the two clauses (either role assignment)."""
+    return _resolvents(ClauseRecord(c1, cfg, sel), ClauseRecord(c2, cfg, sel), cfg)
+
+
+def factor(clause: Clause, cfg: OrderingConfig) -> list[DerivedClause]:
+    """Positive factoring: merge unifiable positive literals, first one maximal."""
+    return _factors(ClauseRecord(clause, cfg, SelectNone()), cfg)
 
 
 def subsumes(general: Clause, specific: Clause) -> bool:
@@ -196,6 +238,60 @@ def subsumes(general: Clause, specific: Clause) -> bool:
         return False
 
     return walk(0, {}, frozenset())
+
+
+def _anchors(clause: Clause) -> list:
+    """The clause's ground literals, then its literals' (sign, predicate, arity), no repeats.
+
+    A clause that subsumes another holds no anchor that the other one lacks,
+    because a ground literal matches only itself.  The empty clause has `()`.
+    """
+    if not clause.literals:
+        return [()]
+    ground = [l for l in clause.literals if l.atom.is_ground()]
+    keys = [(l.positive, l.atom.predicate, len(l.atom.args)) for l in clause.literals]
+    return list(dict.fromkeys(ground + keys))
+
+
+class SubsumptionIndex:
+    """The retained clauses, filed by anchor, to draw subsumption candidates from.
+
+    A clause can subsume only clauses that hold all of its anchors.  So
+    `forward` files a clause under its first anchor alone, and a new clause
+    looks up each anchor it holds to find the clauses that may subsume it;
+    `backward` files a clause under each anchor it holds, and a new clause
+    looks up its own anchor with the fewest clauses to find the clauses it
+    may subsume.
+    """
+
+    def __init__(self) -> None:
+        self.forward: defaultdict[object, dict[int, Clause]] = defaultdict(dict)
+        self.backward: defaultdict[object, dict[int, Clause]] = defaultdict(dict)
+
+    def add(self, clause: Clause) -> None:
+        anchors = _anchors(clause)
+        self.forward[anchors[0]][clause.id] = clause
+        for anchor in anchors:
+            self.backward[anchor][clause.id] = clause
+
+    def remove(self, clause: Clause) -> None:
+        anchors = _anchors(clause)
+        del self.forward[anchors[0]][clause.id]
+        for anchor in anchors:
+            del self.backward[anchor][clause.id]
+
+    def any_subsumes(self, clause: Clause) -> bool:
+        """Whether a filed clause subsumes the non-empty `clause`."""
+        return any(
+            subsumes(old, clause)
+            for anchor in [(), *_anchors(clause)]
+            for old in self.forward.get(anchor, {}).values()
+        )
+
+    def subsumed_by(self, clause: Clause) -> list[Clause]:
+        """The filed clauses that the non-empty `clause` subsumes."""
+        bucket = min((self.backward.get(anchor, {}) for anchor in _anchors(clause)), key=len)
+        return [old for old in bucket.values() if subsumes(clause, old)]
 
 
 # ---------------------------------------------------------------------------
@@ -249,36 +345,38 @@ def saturate(
 ) -> SaturationResult:
     """Given-clause loop, FIFO by clause id, with subsumption and tautology deletion.
 
+    Clauses are given in id order, so the active clauses, kept by id, are in
+    the order they were activated.  The given clause meets the active clauses
+    filed under a complementary eligible key, itself included, in that order.
     An empty input clause, once given, is its own one-record proof.
     """
     inputs = {c.id: c for c in clauses}
     if len(inputs) == 0:
         return SaturationResult("saturated", 0, 0, 0, 0, [], {}, None)
     passive: deque[Clause] = deque(inputs[i] for i in sorted(inputs))
-    active: list[Clause] = []
+    active: dict[int, ClauseRecord] = {}
+    partner_index: defaultdict[tuple, dict[int, ClauseRecord]] = defaultdict(dict)
+    index = SubsumptionIndex()
+    for c in passive:
+        index.add(c)
     removed: set[int] = set()
     derivations: dict[int, DerivedClause] = {}
     next_id = max(inputs) + 1
     generated = kept = subsumed = tautologies = 0
 
-    def retained() -> Iterable[Clause]:
-        for c in active:
-            if c.id not in removed:
-                yield c
-        for c in passive:
-            if c.id not in removed:
-                yield c
+    def remove(clause: Clause) -> None:
+        removed.add(clause.id)
+        index.remove(clause)
+        record = active.pop(clause.id, None)
+        if record is not None:
+            for key in record.eligible:
+                del partner_index[key][clause.id]
 
     def result(outcome: str, proof: list[DerivedClause] | None = None) -> SaturationResult:
+        retained = [r.clause for r in active.values()]
+        retained += [c for c in passive if c.id not in removed]
         return SaturationResult(
-            outcome,
-            generated,
-            kept,
-            subsumed,
-            tautologies,
-            list(retained()),
-            derivations,
-            proof,
+            outcome, generated, kept, subsumed, tautologies, retained, derivations, proof
         )
 
     while passive:
@@ -289,13 +387,18 @@ def saturate(
             return result("unsat", [DerivedClause(given, InputRule())])
         if given.is_tautology():
             tautologies += 1
-            removed.add(given.id)
+            remove(given)
             continue
-        active.append(given)
+        record = active[given.id] = ClauseRecord(given, cfg, sel)
+        for key in record.eligible:
+            partner_index[key][given.id] = record
+        partners: dict[int, ClauseRecord] = {}
+        for sign, key in record.eligible:
+            partners.update(partner_index.get((not sign, key), {}))
         batch: list[DerivedClause] = []
-        for partner in active:
-            batch.extend(ordered_resolve(given, partner, cfg, sel))
-        batch.extend(factor(given, cfg))
+        for pid in sorted(partners):
+            batch.extend(_resolvents(record, partners[pid], cfg))
+        batch.extend(_factors(record, cfg))
         for derived in batch:
             generated += 1
             conclusion = derived.clause
@@ -306,23 +409,20 @@ def saturate(
             if conclusion.is_tautology():
                 tautologies += 1
                 continue
-            if any(subsumes(old, conclusion) for old in retained()):
+            if index.any_subsumes(conclusion):
                 subsumed += 1
                 continue
-            for old in list(retained()):
-                if subsumes(conclusion, old):
-                    removed.add(old.id)
-                    subsumed += 1
-            record = DerivedClause(
-                replace(conclusion, id=next_id), derived.rule
-            )
-            derivations[next_id] = record
-            passive.append(record.clause)
+            for old in index.subsumed_by(conclusion):
+                remove(old)
+                subsumed += 1
+            clause = replace(conclusion, id=next_id)
+            derivations[next_id] = DerivedClause(clause, derived.rule)
+            passive.append(clause)
+            index.add(clause)
             kept += 1
             next_id += 1
             if generated >= max_generated:
                 return result("limit")
-        active = [c for c in active if c.id not in removed]
     return result("saturated")
 
 

@@ -10,12 +10,31 @@ the engines under test.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from collections import deque
+from dataclasses import dataclass, field, replace
 from typing import Iterable, Sequence
 
 from clausekit.cdcl import TrailEntry, TrailOrdering
 from clausekit.errors import ResourceLimitError
-from clausekit.logic import Atom, Clause, Constant, Literal, Substitution
+from clausekit.logic import (
+    Atom,
+    Clause,
+    Constant,
+    Literal,
+    Substitution,
+    canonical_variant,
+    rename_apart,
+    unify,
+)
+from clausekit.ordering import OrderingConfig, literal_is_maximal
+from clausekit.resolution import (
+    DerivedClause,
+    FactoringRule,
+    InputRule,
+    ResolutionRule,
+    SaturationResult,
+    subsumes,
+)
 from clausekit.scl import (
     DEFAULT_INSTANCE_CAP,
     DEFAULT_TRAIL_CAP,
@@ -451,3 +470,129 @@ def reference_render(result) -> list[tuple[str, dict]]:
     else:
         out.append(("s RESOURCE-EXCEEDED", {"event": "result"}))
     return out
+
+
+def reference_ordered_resolve(c1: Clause, c2: Clause, cfg: OrderingConfig, sel) -> list[DerivedClause]:
+    """Ordered resolvents of two clauses: rename apart, then try every positive/negative pair."""
+    out = []
+    for positive, negative in ((c1, c2), (c2, c1)):
+        if sel.selected_index(positive) is not None:
+            continue
+        pos_r, neg_r = rename_apart(positive, negative)
+        neg_selected = sel.selected_index(negative)
+        for i, pl in enumerate(pos_r.literals):
+            if not pl.positive:
+                continue
+            for j, nl in enumerate(neg_r.literals):
+                if nl.positive or (neg_selected is not None and j != neg_selected):
+                    continue
+                sigma = unify(pl.atom, nl.atom)
+                if sigma is None or not literal_is_maximal(sigma.apply_clause(pos_r), i, cfg):
+                    continue
+                if neg_selected is None and not literal_is_maximal(sigma.apply_clause(neg_r), j, cfg):
+                    continue
+                rest = [l for k, l in enumerate(pos_r.literals) if k != i]
+                rest += [l for k, l in enumerate(neg_r.literals) if k != j]
+                conclusion = canonical_variant(Clause(0, tuple(sigma.apply_literal(l) for l in rest)))
+                out.append(DerivedClause(conclusion, ResolutionRule(positive.id, i + 1, negative.id, j + 1, sigma)))
+        if c1.id == c2.id:
+            break
+    return out
+
+
+def reference_factor(clause: Clause, cfg: OrderingConfig) -> list[DerivedClause]:
+    out = []
+    lits = clause.literals
+    for i, j in itertools.combinations(range(len(lits)), 2):
+        if not (lits[i].positive and lits[j].positive):
+            continue
+        sigma = unify(lits[i].atom, lits[j].atom)
+        if sigma is None or not literal_is_maximal(sigma.apply_clause(clause), i, cfg):
+            continue
+        conclusion = canonical_variant(
+            Clause(0, tuple(sigma.apply_literal(l) for k, l in enumerate(lits) if k != j))
+        )
+        out.append(DerivedClause(conclusion, FactoringRule(clause.id, i + 1, j + 1, sigma)))
+    return out
+
+
+def reference_saturate(
+    clauses: Iterable[Clause], cfg: OrderingConfig, sel, max_generated: int = 100_000
+) -> SaturationResult:
+    """The given-clause loop without indexes: the given clause meets every active
+    clause, and subsumption scans every retained clause both ways.
+
+    Drop-in for `resolution.saturate`.  It shares with it only the logic and
+    ordering primitives and `subsumes`, the test of one pair.
+    """
+    inputs = {c.id: c for c in clauses}
+    if not inputs:
+        return SaturationResult("saturated", 0, 0, 0, 0, [], {}, None)
+    passive = deque(inputs[i] for i in sorted(inputs))
+    active: list[Clause] = []
+    removed: set[int] = set()
+    derivations: dict[int, DerivedClause] = {}
+    next_id = max(inputs) + 1
+    counts = {"generated": 0, "kept": 0, "subsumed": 0, "tautologies": 0}
+
+    def retained() -> list[Clause]:
+        return [c for c in [*active, *passive] if c.id not in removed]
+
+    def result(outcome: str, proof=None) -> SaturationResult:
+        return SaturationResult(outcome, **counts, clauses=retained(), derivations=derivations, proof=proof)
+
+    def proof_of(bottom: DerivedClause) -> list[DerivedClause]:
+        needed = {bottom.clause.id: bottom}
+        queue = [bottom]
+        while queue:
+            rule = queue.pop().rule
+            if isinstance(rule, ResolutionRule):
+                parents = [rule.positive_parent, rule.negative_parent]
+            else:
+                parents = [rule.parent] if isinstance(rule, FactoringRule) else []
+            for pid in parents:
+                if pid not in needed:
+                    needed[pid] = derivations.get(pid) or DerivedClause(inputs[pid], InputRule())
+                    queue.append(needed[pid])
+        return [needed[i] for i in sorted(needed)]
+
+    while passive:
+        given = passive.popleft()
+        if given.id in removed:
+            continue
+        if given.is_empty:
+            return result("unsat", [DerivedClause(given, InputRule())])
+        if given.is_tautology():
+            counts["tautologies"] += 1
+            removed.add(given.id)
+            continue
+        active.append(given)
+        batch = []
+        for partner in active:
+            batch.extend(reference_ordered_resolve(given, partner, cfg, sel))
+        batch.extend(reference_factor(given, cfg))
+        for derived in batch:
+            counts["generated"] += 1
+            conclusion = derived.clause
+            if conclusion.is_empty:
+                bottom = DerivedClause(Clause(next_id), derived.rule)
+                derivations[next_id] = bottom
+                return result("unsat", proof_of(bottom))
+            if conclusion.is_tautology():
+                counts["tautologies"] += 1
+                continue
+            if any(subsumes(old, conclusion) for old in retained()):
+                counts["subsumed"] += 1
+                continue
+            for old in retained():
+                if subsumes(conclusion, old):
+                    removed.add(old.id)
+                    counts["subsumed"] += 1
+            derivations[next_id] = DerivedClause(replace(conclusion, id=next_id), derived.rule)
+            passive.append(derivations[next_id].clause)
+            counts["kept"] += 1
+            next_id += 1
+            if counts["generated"] >= max_generated:
+                return result("limit")
+        active = [c for c in active if c.id not in removed]
+    return result("saturated")

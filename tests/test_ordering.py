@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -10,7 +11,7 @@ from clausekit.ordering import (
     config_with_precedence,
     default_config,
     kbo_compare,
-    maximal_literals,
+    literal_is_maximal,
 )
 from clausekit.scl import counter_problem
 
@@ -120,24 +121,62 @@ def test_stability_under_substitution():
             assert kbo_compare(theta.apply_atom(s), theta.apply_atom(t), CFG) is Cmp.GT
 
 
+def maximality(clause):
+    return [literal_is_maximal(clause, i, CFG) for i in range(len(clause))]
+
+
 class TestMaximalLiterals:
     def test_carry_clause_positive_literal(self):
         clause = counter_problem(4)[1]  # -P(x1,x2,x3,0) | P(x1,x2,x3,1)
-        assert maximal_literals(clause, CFG) == [clause.literals[1]]
+        assert maximality(clause) == [False, True]
 
     def test_unit_clause(self):
-        clause = counter_problem(4)[0]
-        assert maximal_literals(clause, CFG) == [clause.literals[0]]
+        assert maximality(counter_problem(4)[0]) == [True]
 
     def test_ground_carry_clause(self):
         # -P(0,1,1,1) | P(1,0,0,0): equal weight, first argument decides
-        clause = counter_problem(4)[4]
-        assert maximal_literals(clause, CFG) == [clause.literals[1]]
+        assert maximality(counter_problem(4)[4]) == [False, True]
 
     def test_all_positive_literals_maximal_in_counter(self):
         for clause in counter_problem(4)[:-1]:
-            maxima = maximal_literals(clause, CFG)
-            assert [l for l in maxima if l.positive] == [l for l in clause.literals if l.positive]
+            for lit, maximal in zip(clause.literals, maximality(clause)):
+                assert maximal or not lit.positive
+
+
+def test_exceeded_literal_stays_non_maximal_under_substitution():
+    """Saturation keeps only literals maximal before instantiation as candidates;
+    that is sound because an exceeded literal is exceeded in every instance."""
+    rng = random.Random(31)
+    variables = [x1, x2, x3]
+    constants = [Constant(n) for n in "abc"]
+    checked = 0
+    for _ in range(3000):
+        symbols = ["a", "b", "c", "P", "Q"]
+        variable_weight = rng.randint(1, 2)
+        cfg = OrderingConfig(
+            weights={s: rng.randint(variable_weight, 3) for s in symbols},
+            precedence=dict(zip(rng.sample(symbols, len(symbols)), range(len(symbols)))),
+            variable_weight=variable_weight,
+        )
+        arity = {"P": rng.randint(0, 3), "Q": rng.randint(0, 3)}
+        literals = []
+        for _ in range(rng.randint(2, 4)):
+            predicate = rng.choice("PQ")
+            args = tuple(rng.choice(variables + constants) for _ in range(arity[predicate]))
+            literals.append(Literal(rng.random() < 0.5, Atom(predicate, args)))
+        clause = Clause(1, tuple(literals))
+        exceeded = [i for i in range(len(literals)) if not literal_is_maximal(clause, i, cfg)]
+        for _ in range(3):
+            # applied simultaneously, so swaps of variables are substitutions too
+            theta = {v: rng.choice(variables + constants) for v in variables}
+            instance = Clause(1, tuple(
+                Literal(l.positive, Atom(l.atom.predicate, tuple(theta.get(a, a) for a in l.atom.args)))
+                for l in literals
+            ))
+            for i in exceeded:
+                assert not literal_is_maximal(instance, i, cfg), (clause, theta, i)
+                checked += 1
+    assert checked > 3000
 
 
 def test_config_with_precedence_override():

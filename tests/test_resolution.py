@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from oracles import assignment_satisfies, all_ground_instances, ground_satisfiable
+from oracles import assignment_satisfies, all_ground_instances, ground_satisfiable, reference_saturate
 from clausekit.errors import ReplayStepError
 from clausekit.formats import parse_bs
 from clausekit.logic import (
@@ -261,6 +261,51 @@ class TestSaturate:
                 assert expected
                 sat += 1
         assert sat > 5 and unsat > 5
+
+
+def _bs_set(rng: random.Random) -> list[Clause]:
+    """One or two predicates at one or two of the arities 0-3, one to three literals per clause."""
+    predicates = ["P", "Q"][: rng.randint(1, 2)]
+    arities = rng.sample(range(4), rng.randint(1, 2))
+    clauses = []
+    for cid in range(1, rng.randint(2, 7) + 1):
+        lits = []
+        for _ in range(rng.randint(1, 3)):
+            args = tuple(rng.choice([C0, C1, x1, x2]) for _ in range(rng.choice(arities)))
+            lits.append(Literal(rng.random() < 0.5, Atom(rng.choice(predicates), args)))
+        clauses.append(Clause(cid, tuple(lits)))
+    return clauses
+
+
+def test_saturate_matches_the_unindexed_loop():
+    """The indexed loop derives what the loop without indexes derives, in the same order.
+
+    Three-literal sets can run for minutes uncapped, so every run is capped;
+    each set also runs with the cap at the exact count where the uncapped-
+    looking run stopped, and one below it.
+    """
+    rng = random.Random(1010)
+    outcomes = {"unsat": 0, "saturated": 0, "limit": 0}
+    for _ in range(400):
+        clauses = _bs_set(rng)
+        cfg = default_config(clauses)
+        sel = rng.choice([SelectNone(), SelectFirstNegative()])
+        cap = rng.choice([4, 15, 40])
+        caps = [cap]
+        while caps:
+            cap = caps.pop()
+            expected = reference_saturate(clauses, cfg, sel, cap)
+            got = saturate(clauses, cfg, sel, cap)
+            assert (got.outcome, got.generated, got.kept, got.subsumed, got.tautologies) == (
+                expected.outcome, expected.generated, expected.kept, expected.subsumed, expected.tautologies
+            )
+            assert list(got.derivations.items()) == list(expected.derivations.items())
+            assert got.proof == expected.proof
+            assert got.clauses == expected.clauses
+            outcomes[got.outcome] += 1
+            if expected.outcome != "limit" and expected.generated > 1 and cap > expected.generated:
+                caps += [expected.generated, expected.generated - 1]
+    assert min(outcomes.values()) > 50, outcomes
 
 
 def _random_script(rng: random.Random, clauses: list[Clause], length: int) -> list[tuple[int, int, int, int]]:

@@ -82,3 +82,17 @@ def test_traced_runs_of_the_other_modes(tmp_path, argv, code, metrics, calls):
     measured = tracer.metrics(1.0, 0, 0)
     assert {key: measured[key][0] for key in metrics} == metrics
     assert {key: tracer.calls[key] for key in calls} == calls
+
+
+def test_traced_saturation_meets_only_indexed_candidates():
+    """First-negative saturation of counter 5 tests subsumption only on clauses its literal index files."""
+    tracer = load_tracer().Tracer(StubClock())
+    tracer.install()
+    try:
+        argv = ["--mode", "resolution", "--counter-n", "5", "--selection", "first-negative"]
+        assert cli.main(argv, out=io.StringIO()) == cli.EXIT_UNSAT
+    finally:
+        tracer.uninstall()
+    measured = tracer.metrics(1.0, 0, 0)
+    assert (measured["resolution.generated"][0], measured["resolution.kept"][0]) == (32, 31)
+    assert measured["resolution.subsumes_calls"][0] <= 2 * 31
