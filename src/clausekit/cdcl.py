@@ -6,8 +6,8 @@ step rules here run CDCL over clause ids and the SCL engine
 (`clausekit.scl`) over ground instances: propagate, decide, learn (backjump,
 hook, assert), the lowest unassigned atom, and 1UIP analysis in one backward
 trail walk.  The engines differ only in the kernel's hooks (`unit_key`,
-`conflict_key`, `assign`).  CDCL adds manual forgetting and a brute-force
-truth-table redundancy oracle.  Literals are DIMACS-style signed integers.
+`conflict_key`, `assign`).  CDCL adds manual forgetting and the trail-induced
+clause ordering.  Literals are DIMACS-style signed integers.
 Traces stay deterministic: the conflict is the smallest-id false clause and
 the propagating clause the smallest-id unit clause, as in an id-order scan.
 Events are tuples on the kernel; `render` turns a result into output lines.
@@ -453,10 +453,6 @@ class UnsatResult:
     proof: list[ProofStep]  # learned-clause sequence; the last entry derives falsum
     state: CdclState
 
-    @property
-    def learned_sequence(self) -> list[tuple[int, ...]]:
-        return [p.learned for p in self.proof]
-
 
 def solve(
     clauses: Iterable[PropClause],
@@ -508,10 +504,8 @@ def render(result: SatResult | UnsatResult) -> Iterator[tuple[str, dict]]:
 
 
 # ---------------------------------------------------------------------------
-# Trail-induced clause ordering and the brute-force redundancy oracle
+# Trail-induced clause ordering
 # ---------------------------------------------------------------------------
-
-ATOM_CAP = 20
 
 
 @dataclass(frozen=True)
@@ -537,49 +531,3 @@ class TrailOrdering:
 
     def less(self, a: Iterable[int], b: Iterable[int]) -> bool:
         return self.clause_key(a) < self.clause_key(b)
-
-
-def _atom_tables(k: int) -> list[int]:
-    """Truth table of each atom over 2**k rows, packed into one big integer."""
-    rows = 1 << k
-    tables = []
-    for i in range(k):
-        pattern = ((1 << (1 << i)) - 1) << (1 << i)
-        size = 1 << (i + 1)
-        while size < rows:
-            pattern |= pattern << size
-            size <<= 1
-        tables.append(pattern)
-    return tables
-
-
-def _clause_table(lits: Iterable[int], index: dict[int, int], tables: list[int], mask: int) -> int:
-    table = 0
-    for lit in lits:
-        t = tables[index[abs(lit)]]
-        table |= t if lit > 0 else mask ^ t
-    return table
-
-
-def is_redundant(
-    clause_lits: Sequence[int],
-    clause_set: Iterable[PropClause],
-    ordering: TrailOrdering,
-) -> bool:
-    """Whether the clause is implied by the ordering-smaller clauses of the set.
-
-    Checked by exhaustive truth-table enumeration (the property is NP-complete);
-    raises ResourceLimitError when more than ATOM_CAP atoms are involved.
-    """
-    target = tuple(clause_lits)
-    smaller = [c for c in clause_set if ordering.less(c.lits, target)]
-    atoms = sorted({abs(l) for c in smaller for l in c.lits} | {abs(l) for l in target})
-    if len(atoms) > ATOM_CAP:
-        raise ResourceLimitError(f"{len(atoms)} atoms exceed the truth-table cap of {ATOM_CAP}")
-    index = {a: i for i, a in enumerate(atoms)}
-    mask = (1 << (1 << len(atoms))) - 1
-    tables = _atom_tables(len(atoms))
-    conjunction = mask
-    for c in smaller:
-        conjunction &= _clause_table(c.lits, index, tables, mask)
-    return conjunction & (mask ^ _clause_table(target, index, tables, mask)) == 0

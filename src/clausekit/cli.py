@@ -202,21 +202,7 @@ class ExperimentRow:
     resolution_result: str
 
 
-@dataclass
-class ExperimentReport:
-    rows: list[ExperimentRow]
-
-    def table_lines(self) -> list[str]:
-        lines = ["n  scl_propagations  scl_result  resolution_generated  resolution_result"]
-        for r in self.rows:
-            lines.append(
-                f"{r.n:<2d} {r.scl_propagations:>16d}  {r.scl_result:<10s} "
-                f"{r.resolution_generated:>20d}  {r.resolution_result}"
-            )
-        return lines
-
-
-def counter_experiment(n_max: int) -> ExperimentReport:
+def counter_experiment(n_max: int) -> list[ExperimentRow]:
     """Run the ground engine and the linear refutation on counters of 1..n_max bits.
 
     The model-guided side performs 2**n propagations before its verdict; the
@@ -242,17 +228,22 @@ def counter_experiment(n_max: int) -> ExperimentReport:
                 resolution_result="unsat" if derived[-1].clause.is_empty else "incomplete",
             )
         )
-    return ExperimentReport(rows)
+    return rows
 
 
 def _run_experiment(args: argparse.Namespace, emit: _Emitter) -> int:
     n_max = args.counter_n if args.counter_n is not None else 10
-    report = counter_experiment(n_max)
+    rows = counter_experiment(n_max)
     if emit.as_json:
-        for row in report.rows:
+        for row in rows:
             emit.out.write(json.dumps(asdict(row), sort_keys=True) + "\n")
     else:
-        emit.lines((line, {}) for line in report.table_lines())
+        emit.out.write("n  scl_propagations  scl_result  resolution_generated  resolution_result\n")
+        for r in rows:
+            emit.out.write(
+                f"{r.n:<2d} {r.scl_propagations:>16d}  {r.scl_result:<10s} "
+                f"{r.resolution_generated:>20d}  {r.resolution_result}\n"
+            )
     return EXIT_SAT
 
 

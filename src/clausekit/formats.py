@@ -176,8 +176,6 @@ def parse_bs(text: str) -> list[Clause]:
             if nxt != "|":
                 line, col = stream.where()
                 raise ParseError(f"expected '|' or '.', got {nxt!r}", line, col)
-        if cid in used_ids:
-            raise ParseError(f"duplicate clause id {cid}")
         used_ids.add(cid)
         next_id = max(next_id, cid) + 1
         clauses.append(Clause(cid, tuple(literals)))

@@ -109,7 +109,7 @@ class Clause:
         return " | ".join(str(lit) for lit in self.literals)
 
 
-def _rename(clause: Clause, mapping: Mapping[Variable, Variable], new_id: int | None = None) -> Clause:
+def _rename(clause: Clause, mapping: Mapping[Variable, Variable]) -> Clause:
     """Simultaneous variable renaming (no chain resolution, so swaps are fine)."""
 
     def ren(t: Term) -> Term:
@@ -119,7 +119,7 @@ def _rename(clause: Clause, mapping: Mapping[Variable, Variable], new_id: int | 
         Literal(l.positive, Atom(l.atom.predicate, tuple(ren(a) for a in l.atom.args)))
         for l in clause.literals
     )
-    return Clause(clause.id if new_id is None else new_id, lits)
+    return Clause(clause.id, lits)
 
 
 class Substitution:
@@ -144,10 +144,6 @@ class Substitution:
     def get(self, var: Variable) -> Term | None:
         return self._bindings.get(var)
 
-    @property
-    def is_identity(self) -> bool:
-        return not self._bindings
-
     def items(self) -> list[tuple[Variable, Term]]:
         return sorted(self._bindings.items(), key=lambda kv: kv[0].name)
 
@@ -162,11 +158,8 @@ class Substitution:
     def apply_literal(self, lit: Literal) -> Literal:
         return Literal(lit.positive, self.apply_atom(lit.atom))
 
-    def apply_clause(self, clause: Clause, new_id: int | None = None) -> Clause:
-        return Clause(
-            clause.id if new_id is None else new_id,
-            tuple(self.apply_literal(l) for l in clause.literals),
-        )
+    def apply_clause(self, clause: Clause) -> Clause:
+        return Clause(clause.id, tuple(self.apply_literal(l) for l in clause.literals))
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Substitution) and self._bindings == other._bindings
@@ -238,12 +231,12 @@ def rename_apart(c1: Clause, c2: Clause) -> tuple[Clause, Clause]:
     return c1, _rename(c2, mapping)
 
 
-def canonical_variant(clause: Clause, new_id: int | None = None) -> Clause:
+def canonical_variant(clause: Clause) -> Clause:
     """Rename variables to x1, x2, ... in order of first occurrence."""
     mapping = {}
     for v in clause.variables():
         mapping[v] = Variable(f"x{len(mapping) + 1}")
-    return _rename(clause, mapping, new_id)
+    return _rename(clause, mapping)
 
 
 def renamed_equal(c1: Clause, c2: Clause) -> bool:

@@ -22,13 +22,6 @@ class Cmp(Enum):
     EQ = "EQ"
     INCOMPARABLE = "INCOMPARABLE"
 
-    def flipped(self) -> "Cmp":
-        if self is Cmp.GT:
-            return Cmp.LT
-        if self is Cmp.LT:
-            return Cmp.GT
-        return self
-
 
 @dataclass(frozen=True)
 class OrderingConfig:

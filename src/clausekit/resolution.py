@@ -348,7 +348,8 @@ def saturate(
     Clauses are given in id order, so the active clauses, kept by id, are in
     the order they were activated.  The given clause meets the active clauses
     filed under a complementary eligible key, itself included, in that order.
-    An empty input clause, once given, is its own one-record proof.
+    An empty input clause, once given, is its own one-record proof.  The run
+    stops with "limit" before it would generate clause max_generated + 1.
     """
     inputs = {c.id: c for c in clauses}
     if len(inputs) == 0:
@@ -400,6 +401,8 @@ def saturate(
             batch.extend(_resolvents(record, partners[pid], cfg))
         batch.extend(_factors(record, cfg))
         for derived in batch:
+            if generated >= max_generated:
+                return result("limit")
             generated += 1
             conclusion = derived.clause
             if conclusion.is_empty:
@@ -421,8 +424,6 @@ def saturate(
             index.add(clause)
             kept += 1
             next_id += 1
-            if generated >= max_generated:
-                return result("limit")
     return result("saturated")
 
 

@@ -115,38 +115,26 @@ class GroundInstance:
 class HerbrandBase(Sequence[Atom]):
     """The Herbrand base in (predicate, argument names) order; atom i is base[i - 1].
 
-    The domain is sorted by name, so the atoms of a predicate used at one
-    arity are its block's start plus the code of their constant indices, the
-    mixed-radix number they spell.  A predicate used at several arities has
-    its block sorted, with a table from code to atom index per arity
-    (`place`) and the sorted block to decode.  Atoms are built only by
-    __getitem__.
+    Each predicate is used at one arity (`ground_problem` rejects a clause
+    set that uses one at two), and the domain is sorted by name, so the atoms
+    of a predicate are its block's start (`place`) plus the code of their
+    constant indices, the mixed-radix number they spell.  Atoms are built
+    only by __getitem__.
     """
 
-    def __init__(self, signatures: set[tuple[str, int]], dom: Sequence[Constant]):
+    def __init__(self, arity: dict[str, int], dom: Sequence[Constant]):
         self.domain = tuple(dom)
         self.names = [c.name for c in dom]
         d = len(dom)
         # per arity, the place value of each argument position in a code
-        self.places = {a: tuple(d ** j for j in reversed(range(a))) for _, a in signatures}
-        self.place: dict[tuple[str, int], int | list[int]] = {}
+        self.places = {a: tuple(d ** j for j in reversed(range(a))) for a in arity.values()}
+        self.blocks = sorted(arity.items())  # (predicate, arity) per block
         self.starts: list[int] = []
-        self.blocks: list[tuple[str, int, list[tuple[int, ...]] | None]] = []
         size = 0
-        for pred in sorted({p for p, _ in signatures}):
-            arities = sorted(a for p, a in signatures if p == pred)
+        for _, a in self.blocks:
             self.starts.append(size + 1)
-            if len(arities) == 1:
-                self.place[pred, arities[0]] = size + 1
-                self.blocks.append((pred, arities[0], None))
-                size += d ** arities[0]
-                continue
-            block = sorted(c for a in arities for c in itertools.product(range(d), repeat=a))
-            index = {c: size + i + 1 for i, c in enumerate(block)}
-            for a in arities:
-                self.place[pred, a] = [index[c] for c in itertools.product(range(d), repeat=a)]
-            self.blocks.append((pred, 0, block))
-            size += len(block)
+            size += d ** a
+        self.place = {pred: start for (pred, _), start in zip(self.blocks, self.starts)}
         self.size = size
 
     def __len__(self) -> int:
@@ -155,11 +143,8 @@ class HerbrandBase(Sequence[Atom]):
     def locate(self, atom: int) -> tuple[str, int, int]:
         """The predicate, the arity and the code of an atom index."""
         k = bisect.bisect_right(self.starts, atom) - 1
-        pred, arity, block = self.blocks[k]
-        if block is None:
-            return pred, arity, atom - self.starts[k]
-        digits = block[atom - self.starts[k]]
-        return pred, len(digits), sum(map(mul, self.places[len(digits)], digits))
+        pred, arity = self.blocks[k]
+        return pred, arity, atom - self.starts[k]
 
     def digits(self, arity: int, code: int) -> tuple[int, ...]:
         """The constant indices that a code spells at an arity."""
@@ -190,11 +175,9 @@ class _Template(NamedTuple):
     args: tuple[int, ...]  # per argument position: a variable slot, or -1 - constant index
     base: int
     weights: tuple[int, ...]  # per variable slot
-    table: list[int] | None  # code to atom index, for a predicate used at several arities
 
     def lit(self, combo: Sequence[int]) -> int:
-        code = self.base + sum(map(mul, self.weights, combo))
-        atom = code if self.table is None else self.table[code]
+        atom = self.base + sum(map(mul, self.weights, combo))
         return atom if self.positive else -atom
 
 
@@ -206,10 +189,10 @@ def _brace(name: str) -> str:
     return name.replace("{", "{{").replace("}", "}}")
 
 
-def _template(lit: Literal, place: int | list[int], slot: dict[str, int], const_index: dict[str, int]) -> _Template:
-    """Compile a literal; slot maps variable names to slots, const_index constant names to indices."""
+def _template(lit: Literal, base: int, slot: dict[str, int], const_index: dict[str, int]) -> _Template:
+    """Compile a literal whose predicate's block starts at base; slot maps variable names to
+    slots, const_index constant names to indices."""
     d = len(const_index)
-    base = place if isinstance(place, int) else 0
     weights = [0] * len(slot)
     args = []
     w = d ** len(lit.atom.args)
@@ -223,8 +206,7 @@ def _template(lit: Literal, place: int | list[int], slot: dict[str, int], const_
             c = const_index[arg.name]
             base += w * c
             args.append(-1 - c)
-    table = None if isinstance(place, int) else place
-    return _Template(lit.positive, lit.atom.predicate, tuple(args), base, tuple(weights), table)
+    return _Template(lit.positive, lit.atom.predicate, tuple(args), base, tuple(weights))
 
 
 def _trigger_tree(entries: list[tuple[dict[int, int], tuple]], arity: int, d: int):
@@ -276,14 +258,14 @@ class _CompiledClause:
         self.variables = variables
         self.slots = len(variables)
         self.names = names
-        kinds = [(t.positive, t.pred, len(t.args)) for t in templates]
+        kinds = [(t.positive, t.pred) for t in templates]
         # two literals share sign and predicate, so instances can lose literals and coincide
         self.merge = len(set(kinds)) < len(kinds)
         first = templates[0] if templates else None
         self.aligned = (
             len(templates) > 1 and not self.merge
             and sorted(a for a in first.args if a >= 0) == list(range(self.slots))
-            and all((t.weights, t.table) == (first.weights, None) for t in templates)
+            and all(t.weights == first.weights for t in templates)
         )
         d = len(names)
         self.weights = first.weights if self.aligned else tuple(d ** j for j in reversed(range(self.slots)))
@@ -363,7 +345,7 @@ def _bind(t: _Template, digits: Sequence[int], b: list[int]) -> list[int] | None
 
 def _unify(t: _Template, u: _Template, b: list[int]) -> list[int] | None:
     """b extended so that the two templates have the same atom, or None."""
-    if (t.positive, t.pred, len(t.args)) != (u.positive, u.pred, len(u.args)):
+    if (t.positive, t.pred) != (u.positive, u.pred):
         return None
     b = b.copy()
     for a1, a2 in zip(t.args, u.args):
@@ -529,7 +511,7 @@ class GroundProblem:
                 continue
             b = [-1] * clause.slots
             for t, (positive, pred, digits) in zip(clause.templates, choice):
-                if (t.positive, t.pred, len(t.args)) != (positive, pred, len(digits)):
+                if (t.positive, t.pred) != (positive, pred):
                     break
                 b = _bind(t, digits, b)
                 if b is None:
@@ -568,11 +550,15 @@ def ground_problem(
     if not dom:
         raise ValueError("empty Herbrand domain; provide at least one constant")
 
-    signatures = {(l.atom.predicate, l.atom.arity) for c in by_id.values() for l in c.literals}
-    base_size = sum(len(dom) ** arity for _, arity in signatures)
+    arity: dict[str, int] = {}
+    for lit in (l for c in by_id.values() for l in c.literals):
+        known = arity.setdefault(lit.atom.predicate, lit.atom.arity)
+        if known != lit.atom.arity:
+            raise ValueError(f"predicate {lit.atom.predicate!r} used with arity {lit.atom.arity}, expected {known}")
+    base_size = sum(len(dom) ** a for a in arity.values())
     if base_size > instance_cap:
         raise ResourceLimitError(f"Herbrand base of {base_size} atoms exceeds the cap")
-    atoms = HerbrandBase(signatures, dom)
+    atoms = HerbrandBase(arity, dom)
 
     variables = {cid: [v.name for v in c.variables()] for cid, c in by_id.items()}
     total = sum(len(dom) ** len(vs) for vs in variables.values())
@@ -585,7 +571,7 @@ def ground_problem(
     for cid in sorted(by_id):
         slot = {v: k for k, v in enumerate(variables[cid])}
         templates = [
-            _template(l, atoms.place[l.atom.predicate, len(l.atom.args)], slot, const_index)
+            _template(l, atoms.place[l.atom.predicate], slot, const_index)
             for l in by_id[cid].literals
         ]
         compiled = _CompiledClause(by_id[cid], templates, variables[cid], atoms.names)
@@ -735,6 +721,8 @@ def scl_run(
     Decisions take the smallest undefined ground atom, positive polarity.
     Conflicts above level 0 go through ground 1UIP analysis; the learned
     clause becomes a clause and an instance, and is learned as CDCL learns.
+    The trail cap bounds propagations and decisions alike; a learned clause's
+    asserting literal needs no check, as the backjump shortens the trail first.
     """
     try:
         problem = ground_problem(clauses, domain, instance_cap)
@@ -745,8 +733,7 @@ def scl_run(
         try:
             scl_propagate(state, trail_cap)
         except ResourceLimitError:
-            state.events.append(("resource",))
-            return SclResourceExceeded(stats=state.stats, state=state)
+            break
         if state.conflict is not None:
             inst = problem.instances[state.conflict]
             if state.level == 0:
@@ -756,9 +743,7 @@ def scl_run(
             state.conflict = None
             cid = state.next_clause_id
             state.next_clause_id += 1
-            clause = Clause(cid, tuple(Literal(l > 0, problem.atoms[abs(l) - 1]) for l in learned))
-            problem.clauses[cid] = clause
-            state.learned.append(clause)
+            state.learned.append(Clause(cid, tuple(Literal(l > 0, problem.atoms[abs(l) - 1]) for l in learned)))
             problem.instances.append(GroundInstance(cid, (), learned))
             state.stats.instances = len(problem.instances)
             learn_clause(state, len(problem.instances) - 1, learned, blevel)
@@ -766,9 +751,14 @@ def scl_run(
         elif len(state.value) == len(problem.atoms):
             state.events.append(("sat",))
             return SclSat(stats=state.stats, state=state)
+        elif len(state.trail) >= trail_cap:
+            break
         else:
             decide(state, lowest_unassigned(state))
             state.stats.decisions += 1
+            state.stats.trail = max(state.stats.trail, len(state.trail))
+    state.events.append(("resource",))
+    return SclResourceExceeded(stats=state.stats, state=state)
 
 
 _VERDICTS = {SclSat: "s SATISFIABLE", SclUnsat: "s UNSATISFIABLE", SclResourceExceeded: "s RESOURCE-EXCEEDED"}

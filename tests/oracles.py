@@ -14,7 +14,7 @@ from collections import deque
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Sequence
 
-from clausekit.cdcl import TrailEntry, TrailOrdering
+from clausekit.cdcl import PropClause, TrailEntry, TrailOrdering
 from clausekit.errors import ResourceLimitError
 from clausekit.logic import (
     Atom,
@@ -158,6 +158,57 @@ def learn_orderings(events: Iterable[tuple]) -> list[tuple[tuple, TrailOrdering]
             assigned = {abs(lit) for lit, _ in trail}
             trail.append((next(lit for lit in ev[1] if abs(lit) not in assigned), level))
     return out
+
+
+# The redundancy oracle: truth tables packed into big integers, one bit per row.
+
+ATOM_CAP = 20
+
+
+def _atom_tables(k: int) -> list[int]:
+    """Truth table of each atom over 2**k rows, packed into one big integer."""
+    rows = 1 << k
+    tables = []
+    for i in range(k):
+        pattern = ((1 << (1 << i)) - 1) << (1 << i)
+        size = 1 << (i + 1)
+        while size < rows:
+            pattern |= pattern << size
+            size <<= 1
+        tables.append(pattern)
+    return tables
+
+
+def _clause_table(lits: Iterable[int], index: dict[int, int], tables: list[int], mask: int) -> int:
+    table = 0
+    for lit in lits:
+        t = tables[index[abs(lit)]]
+        table |= t if lit > 0 else mask ^ t
+    return table
+
+
+def is_redundant(
+    clause_lits: Sequence[int],
+    clause_set: Iterable[PropClause],
+    ordering: TrailOrdering,
+) -> bool:
+    """Whether the clause is implied by the ordering-smaller clauses of the set.
+
+    Checked by exhaustive truth-table enumeration (the property is NP-complete);
+    raises ResourceLimitError when more than ATOM_CAP atoms are involved.
+    """
+    target = tuple(clause_lits)
+    smaller = [c for c in clause_set if ordering.less(c.lits, target)]
+    atoms = sorted({abs(l) for c in smaller for l in c.lits} | {abs(l) for l in target})
+    if len(atoms) > ATOM_CAP:
+        raise ResourceLimitError(f"{len(atoms)} atoms exceed the truth-table cap of {ATOM_CAP}")
+    index = {a: i for i, a in enumerate(atoms)}
+    mask = (1 << (1 << len(atoms))) - 1
+    tables = _atom_tables(len(atoms))
+    conjunction = mask
+    for c in smaller:
+        conjunction &= _clause_table(c.lits, index, tables, mask)
+    return conjunction & (mask ^ _clause_table(target, index, tables, mask)) == 0
 
 
 def all_ground_instances(clauses: Iterable[Clause], domain: Sequence[Constant]) -> list[Clause]:
@@ -396,6 +447,7 @@ def reference_scl_run(
     """Drop-in for `scl.scl_run` on the reference grounding and rescanning state.
 
     Events carry their rendered strings, as `reference_render` prints them.
+    The trail cap stops a decision as it stops a propagation.
     """
     try:
         problem = reference_ground_problem(clauses, domain, instance_cap)
@@ -433,11 +485,15 @@ def reference_scl_run(
         elif len(state.value) == len(problem.atoms):
             state.events.append(("sat",))
             return SclSat(state.stats, state)
+        elif len(state.trail) >= trail_cap:
+            state.events.append(("resource",))
+            return SclResourceExceeded(stats=state.stats, state=state)
         else:
             atom = next(i for i in range(1, len(problem.atoms) + 1) if i not in state.value)
             state.level += 1
             state.assign(atom, None)
             state.stats.decisions += 1
+            state.stats.trail = max(state.stats.trail, len(state.trail))
             state.events.append(("decide", state.literal_str(atom), state.level))
 
 
@@ -572,6 +628,8 @@ def reference_saturate(
             batch.extend(reference_ordered_resolve(given, partner, cfg, sel))
         batch.extend(reference_factor(given, cfg))
         for derived in batch:
+            if counts["generated"] >= max_generated:
+                return result("limit")
             counts["generated"] += 1
             conclusion = derived.clause
             if conclusion.is_empty:
@@ -592,7 +650,5 @@ def reference_saturate(
             passive.append(derivations[next_id].clause)
             counts["kept"] += 1
             next_id += 1
-            if counts["generated"] >= max_generated:
-                return result("limit")
         active = [c for c in active if c.id not in removed]
     return result("saturated")

@@ -11,7 +11,7 @@ from importlib import resources
 
 import pytest
 
-from oracles import brute_force_sat, exhaustive_lia_search, ground_satisfiable, learn_orderings
+from oracles import brute_force_sat, exhaustive_lia_search, ground_satisfiable, is_redundant, learn_orderings
 from clausekit.cdcl import (
     CdclState,
     PropClause,
@@ -20,7 +20,6 @@ from clausekit.cdcl import (
     analyze_conflict,
     backjump_and_learn,
     decide,
-    is_redundant,
     propagate,
     render,
     solve,
@@ -174,12 +173,12 @@ def test_05_exponential_vs_linear_contrast():
     """scl does exactly 2**n propagations while the checked linear refutation
     stays within the envelope calibrated on n <= 4 (coefficient tolerance 1)."""
     started = time.perf_counter()
-    report_data = counter_experiment(10)
-    assert [r.scl_propagations for r in report_data.rows] == [2**n for n in range(1, 11)]
-    assert all(r.scl_result == "unsat" for r in report_data.rows)
-    assert all(r.resolution_result == "unsat" for r in report_data.rows)
-    envelope = max(r.resolution_generated / r.n for r in report_data.rows[:4])
-    for row in report_data.rows:
+    rows = counter_experiment(10)
+    assert [r.scl_propagations for r in rows] == [2**n for n in range(1, 11)]
+    assert all(r.scl_result == "unsat" for r in rows)
+    assert all(r.resolution_result == "unsat" for r in rows)
+    envelope = max(r.resolution_generated / r.n for r in rows[:4])
+    for row in rows:
         assert row.resolution_generated <= (envelope + 1) * row.n, (
             f"n={row.n}: {row.resolution_generated} inferences break the linear envelope"
         )

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from oracles import brute_force_sat, learn_orderings, reference_resolve_1uip, resolve_on
+from oracles import brute_force_sat, is_redundant, learn_orderings, reference_resolve_1uip, resolve_on
 from clausekit import cdcl
 from clausekit.cdcl import (
     TrailEntry,
@@ -16,7 +16,6 @@ from clausekit.cdcl import (
     clause_status,
     decide,
     forget,
-    is_redundant,
     lowest_index_negative,
     propagate,
     render,
@@ -177,7 +176,7 @@ class TestSolve:
     def test_unit_contradiction(self):
         result = solve([PropClause(1, (1,)), PropClause(2, (-1,))])
         assert isinstance(result, UnsatResult)
-        assert result.learned_sequence[-1] == ()
+        assert result.proof[-1].learned == ()
 
     def test_empty_input_clause(self):
         result = solve([PropClause(1, ())])

@@ -1,6 +1,7 @@
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from importlib import resources
@@ -17,8 +18,9 @@ from clausekit.cli import (
     counter_experiment,
     main,
 )
-from clausekit.formats import parse_script
+from clausekit.formats import parse_bs, parse_script
 from clausekit.resolution import linear_counter_script
+from clausekit.scl import scl_run
 
 DEMO_DIMACS = "p cnf 4 3\n1 2 3 0\n-3 4 0\n-4 1 2 0\n"
 
@@ -85,6 +87,14 @@ class TestSclMode:
         code, out = run_cli("--mode", "scl", "--counter-n", "4", "--max-steps", "0")
         assert code == EXIT_LIMIT
         assert "s RESOURCE-EXCEEDED" in out
+
+    def test_decisions_count_against_the_trail_cap(self, tmp_path):
+        path = tmp_path / "p.bs"
+        path.write_text("P(a) | Q(a) | R(a).\n")
+        code, out = run_cli("--mode", "scl", "--input", str(path), "--max-steps", "2")
+        assert code == EXIT_LIMIT
+        assert out.splitlines()[-2:] == ["stats propagations=0 decisions=2 trail=2", "s RESOURCE-EXCEEDED"]
+        assert scl_run(parse_bs(path.read_text())).stats.trail == 3
 
     def test_input_without_constants(self, tmp_path):
         # grounded over one fresh constant, as resolution refutes it
@@ -197,6 +207,35 @@ class TestLiaModes:
         assert out.strip() == "unsat"
 
 
+def _steps_taken(mode: str, out: str) -> int:
+    if mode == "scl":
+        return int(re.search(r" trail=(\d+)", out).group(1))
+    if mode == "resolution":
+        return json.loads(out.splitlines()[-1])["generated"]
+    return sum("<- ineq" in line for line in out.splitlines())
+
+
+@pytest.mark.parametrize("n", range(5))
+@pytest.mark.parametrize(
+    "mode, source",
+    [
+        ("scl", ["--input", "three.bs"]),
+        ("scl", ["--counter-n", "3"]),
+        ("resolution", ["--counter-n", "2", "--format", "json"]),
+        ("resolution", ["--counter-n", "3", "--format", "json"]),
+        ("lia-propagate", ["--input", "diverge.lia", "--decide", "x>=0"]),
+    ],
+)
+def test_max_steps_caps_every_mode(tmp_path, mode, source, n):
+    """--max-steps N allows N steps: SCL trail entries, decisions included; generated clauses; bound tightenings."""
+    (tmp_path / "three.bs").write_text("P(a) | Q(a) | R(a).\n")
+    (tmp_path / "diverge.lia").write_text("x - y <= 0\ny - x + 1 <= 0\n")
+    argv = [str(tmp_path / a) if a.endswith((".bs", ".lia")) else a for a in source]
+    code, out = run_cli("--mode", mode, *argv, "--max-steps", str(n))
+    assert code in (EXIT_SAT, EXIT_UNSAT, EXIT_LIMIT)
+    assert _steps_taken(mode, out) <= n
+
+
 class TestUsageErrors:
     def test_missing_input(self):
         code, _ = run_cli("--mode", "cdcl")
@@ -300,21 +339,20 @@ class TestJsonFormat:
 
 class TestCounterExperiment:
     def test_rows(self):
-        report = counter_experiment(4)
-        row = report.rows[-1]
+        row = counter_experiment(4)[-1]
         assert row.n == 4
         assert row.scl_propagations == 16
         assert row.scl_result == "unsat" and row.resolution_result == "unsat"
         assert row.resolution_generated == 8
 
     def test_monotone_and_linear(self):
-        report = counter_experiment(8)
-        scl = [r.scl_propagations for r in report.rows]
-        res = [r.resolution_generated for r in report.rows]
+        rows = counter_experiment(8)
+        scl = [r.scl_propagations for r in rows]
+        res = [r.resolution_generated for r in rows]
         assert scl == [2**n for n in range(1, 9)]
         assert res == sorted(res)
-        envelope = max(r.resolution_generated / r.n for r in report.rows[:4])
-        assert all(r.resolution_generated <= (envelope + 1) * r.n for r in report.rows)
+        envelope = max(r.resolution_generated / r.n for r in rows[:4])
+        assert all(r.resolution_generated <= (envelope + 1) * r.n for r in rows)
 
     def test_cap(self):
         with pytest.raises(ValueError):

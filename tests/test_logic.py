@@ -40,7 +40,7 @@ class TestUnify:
 
     def test_identity(self):
         sigma = unify(P(x1, c0), P(x1, c0))
-        assert sigma is not None and sigma.is_identity
+        assert sigma == Substitution()
 
     def test_constant_clash(self):
         assert unify(P(c0), P(c1)) is None

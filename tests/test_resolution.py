@@ -296,6 +296,7 @@ def test_saturate_matches_the_unindexed_loop():
             cap = caps.pop()
             expected = reference_saturate(clauses, cfg, sel, cap)
             got = saturate(clauses, cfg, sel, cap)
+            assert got.generated <= cap
             assert (got.outcome, got.generated, got.kept, got.subsumed, got.tautologies) == (
                 expected.outcome, expected.generated, expected.kept, expected.subsumed, expected.tautologies
             )

@@ -25,18 +25,16 @@ VARIABLES = [Variable(n) for n in ("x1", "x2", "y")]
 
 def random_clause_set(rng: random.Random) -> tuple[list[Clause], list[Constant] | None]:
     """Small BS clause sets: arity 0-3, constants and repeated variables in atoms,
-    ground and empty clauses, sometimes a mixed-arity predicate and extra domain constants."""
+    ground and empty clauses, sometimes extra domain constants."""
     arity = {p: rng.randint(0, 3) for p in ("P", "Q", "R")}
-    mixed = rng.random() < 0.25  # M is used at arities 0, 1 and 2, as only the library allows
     clauses = []
     for cid in range(1, rng.randint(1, 5) + 1):
         ground = rng.random() < 0.2
         lits = []
         for _ in range(rng.choices(range(5), weights=[1, 6, 6, 5, 3])[0]):
-            pred = rng.choice(["P", "Q", "R", "M"] if mixed else ["P", "Q", "R"])
-            k = rng.randint(0, 2) if pred == "M" else arity[pred]
+            pred = rng.choice(["P", "Q", "R"])
             pool = CONSTANTS if ground else CONSTANTS + VARIABLES * 2
-            args = tuple(rng.choice(pool) for _ in range(k))
+            args = tuple(rng.choice(pool) for _ in range(arity[pred]))
             lits.append(Literal(rng.random() < 0.6, Atom(pred, args)))
         clauses.append(Clause(cid, tuple(lits)))
     domain = None
@@ -71,7 +69,7 @@ def template_grounding(problem):
 class TestAgainstReference:
     def test_random_clause_sets(self):
         rng = random.Random(2019)
-        grounded = mixed = merged = 0
+        grounded = merged = 0
         for _ in range(400):
             clauses, domain = random_clause_set(rng)
             expected = outcome(reference_ground_problem, clauses, domain)
@@ -79,7 +77,6 @@ class TestAgainstReference:
             if isinstance(expected[0], type):
                 continue
             grounded += 1
-            mixed += any(l.atom.predicate == "M" for c in clauses for l in c.literals)
             problem = ground_problem(clauses, domain)
             reference = reference_ground_problem(clauses, domain)
             assert template_grounding(problem) == reference.instances
@@ -95,7 +92,7 @@ class TestAgainstReference:
                     reference_ground_problem, clauses, domain, cap
                 )
             assert isinstance(outcome(ground_problem, clauses, domain, needed - 1)[0], type)
-        assert grounded > 300 and mixed > 50 and merged > 50
+        assert grounded > 300 and merged > 50
 
     @pytest.mark.parametrize("n", [1, 4, 8])
     def test_counter(self, n):
@@ -120,20 +117,14 @@ class TestAgainstReference:
             reference_ground_problem, clauses, None
         )
 
-    def test_mixed_arity_atom_order(self):
-        a, b, x = Constant("a"), Constant("b"), Variable("x")
-        clauses = [
-            Clause(1, (Literal(True, Atom("M", (b, x))), Literal(False, Atom("M", (x,))))),
-            Clause(2, (Literal(True, Atom("M", ())), Literal(True, Atom("N", (a,))))),
-        ]
-        problem = ground_problem(clauses)
-        assert [str(atom) for atom in problem.atoms] == [
-            "M", "M(a)", "M(a,a)", "M(a,b)", "M(b)", "M(b,a)", "M(b,b)", "N(a)", "N(b)",
-        ]
-        assert [inst.lits for inst in template_grounding(problem)] == [(6, -2), (7, -5), (1, 8)]
-        assert outcome(ground_problem, clauses, None) == outcome(
-            reference_ground_problem, clauses, None
-        )
+    def test_predicate_at_two_arities_is_rejected(self):
+        # parse_bs rejects such text; library callers meet the same check
+        x = Variable("x")
+        clauses = [Clause(1, (Literal(True, Atom("M", (x,))), Literal(False, Atom("M", (x, x)))))]
+        with pytest.raises(ValueError, match="predicate 'M' used with arity 2, expected 1"):
+            ground_problem(clauses)
+        with pytest.raises(ValueError, match="predicate 'M'"):
+            scl_run(clauses)
 
 
 class TestRepeatedLiterals:

@@ -5,8 +5,8 @@ import random
 
 import pytest
 
-from oracles import learn_orderings, reference_ground_problem, reference_render, reference_scl_run
-from clausekit.cdcl import PropClause, is_redundant
+from oracles import is_redundant, learn_orderings, reference_ground_problem, reference_render, reference_scl_run
+from clausekit.cdcl import PropClause
 from clausekit.formats import parse_bs
 from clausekit.logic import Atom, Clause, Constant, Literal, Variable
 from clausekit.ordering import default_config
