@@ -3,8 +3,9 @@
 `TrailKernel` holds the trail and two watched literals per clause; an
 assignment visits only the clauses watching the literal it falsifies.  The
 step rules here run CDCL over clause ids and the SCL engine
-(`clausekit.scl`) over ground instances: propagate, decide, learn (backjump,
-hook, assert), the lowest unassigned atom, and 1UIP analysis in one backward
+(`clausekit.scl`) over ground instances: propagate into the kernel's
+conflict slot, decide, learn (the Backjump rule: check, backjump, hook,
+assert), the lowest unassigned atom, and 1UIP analysis in one backward
 trail walk.  The engines differ only in the kernel's hooks (`unit_key`,
 `conflict_key`, `assign`).  CDCL adds manual forgetting and the trail-induced
 clause ordering.  Literals are DIMACS-style signed integers.
@@ -22,6 +23,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import ResourceLimitError
+from .logic import clauses_by_id
 
 
 @dataclass(frozen=True, slots=True)
@@ -73,6 +75,7 @@ class TrailKernel:
     is false, every clause that is neither satisfied nor on the heap has two
     non-false watched positions.  Satisfied heap entries are dropped when they
     reach the top.  `cursor` is at or below the smallest unassigned atom.
+    `conflict` is the false clause that propagation stopped at, or None.
     """
 
     trail: list[TrailEntry] = field(default_factory=list)
@@ -85,6 +88,7 @@ class TrailKernel:
     false_ids: set[int] = field(default_factory=set, repr=False)
     events: list[tuple] = field(default_factory=list)
     cursor: int = 1
+    conflict: int | None = None
 
     def unit_key(self, cid: int, lit: int):
         """Heap order of the pending units; the smallest propagates first."""
@@ -219,7 +223,6 @@ class CdclState(TrailKernel):
     input_ids: frozenset[int]
     num_vars: int
     learned_ids: list[int] = field(default_factory=list)
-    conflict_id: int | None = None  # None means "no conflict" (the top slot)
     next_clause_id: int = 1
     last_analysis_steps: list[tuple[int, int]] = field(default_factory=list)
 
@@ -229,11 +232,7 @@ class CdclState(TrailKernel):
 
     @classmethod
     def from_clauses(cls, clauses: Iterable[PropClause], num_vars: int | None = None) -> "CdclState":
-        by_id: dict[int, PropClause] = {}
-        for c in clauses:
-            if c.id in by_id:
-                raise ValueError(f"duplicate clause id {c.id}")
-            by_id[c.id] = c
+        by_id = clauses_by_id(clauses)
         max_atom = max((abs(l) for c in by_id.values() for l in c.lits), default=0)
         if num_vars is None:
             num_vars = max_atom
@@ -251,33 +250,32 @@ class CdclState(TrailKernel):
         return [self.clauses[i] for i in self.learned_ids]
 
 
-def propagate_units(kernel: TrailKernel, trail_cap: float = math.inf) -> int | None:
-    """Assign unit literals until none is left or a clause is false; return the conflict, or None.
+def propagate_units(kernel: TrailKernel, trail_cap: float = math.inf) -> None:
+    """Assign unit literals until none is left or a clause is false, which becomes the conflict.
 
     Falsity preempts propagation (eager conflict detection); the conflict is
     the false clause smallest in `conflict_key`, and otherwise the unit
     clause smallest in `unit_key` propagates.  The trail never exceeds trail_cap.
     """
+    if kernel.conflict is not None:
+        raise ValueError("cannot propagate with a pending conflict")
     trail, false_ids, events = kernel.trail, kernel.false_ids, kernel.events
     while not false_ids:
         unit = kernel.pop_unit()
         if unit is None:
-            return None
+            return
         if len(trail) >= trail_cap:
             raise ResourceLimitError(f"trail length exceeds the cap of {trail_cap}")
         cid, lit = unit
         kernel.assign(lit, cid)
         events.append(("propagate", lit, cid))
-    conflict = min(false_ids, key=kernel.conflict_key)
-    events.append(("conflict", conflict))
-    return conflict
+    kernel.conflict = min(false_ids, key=kernel.conflict_key)
+    events.append(("conflict", kernel.conflict))
 
 
 def propagate(state: CdclState) -> CdclState:
     """Unit-propagate to fixpoint; a false clause sets the conflict slot."""
-    if state.conflict_id is not None:
-        raise ValueError("cannot propagate with a pending conflict")
-    state.conflict_id = propagate_units(state)
+    propagate_units(state)
     return state
 
 
@@ -358,50 +356,56 @@ def analyze_conflict(state: CdclState) -> tuple[tuple[int, ...], int]:
     The pair ((), -1) signals an empty learned clause, i.e. unsatisfiability.
     The resolution steps of the analysis are kept on the state for proof logging.
     """
-    if state.conflict_id is None:
+    if state.conflict is None:
         raise ValueError("no conflict to analyze")
     learned, blevel, steps = resolve_1uip(
-        state, state.clauses[state.conflict_id].lits, lambda cid: state.clauses[cid].lits
+        state, state.clauses[state.conflict].lits, lambda cid: state.clauses[cid].lits
     )
     state.last_analysis_steps = steps
     return learned, blevel
 
 
 def learn_clause(kernel: TrailKernel, cid: int, lits: Sequence[int], level: int) -> None:
-    """Backjump to the level, hook the learned clause cid, and assign its asserting literal."""
+    """The Backjump rule: check the clause, clear the conflict, backjump to the level, hook it as cid, assert it.
+
+    One pass checks that exactly one literal is unassigned or above the
+    level, that no other is true, and that the others' highest level is the
+    level.  Records ("learn", lits, level, cid).
+    """
+    if not 0 <= level < kernel.level:
+        raise ValueError("backjump level must be below the current level")
+    value, var_level = kernel.value, kernel.var_level
+    asserting, highest = None, -1  # -1: no other literal
+    for lit in lits:
+        lit_level = var_level.get(abs(lit), level + 1)
+        if lit_level > level and asserting is None:
+            asserting = lit
+        elif lit_level > level or value[abs(lit)] == (lit > 0):  # a second open literal, or a true one
+            asserting = None
+            break
+        elif lit_level > highest:
+            highest = lit_level
+    if asserting is None:
+        raise ValueError("learned clause is not asserting at the backjump level")
+    if highest not in (-1, level):
+        raise ValueError("backjump level is not the highest level of the learned clause's other literals")
+    kernel.conflict = None
     kernel.truncate(level)
     kernel.watch(cid, lits)
-    kernel.assign(next(l for l in lits if abs(l) not in kernel.value), cid)
+    kernel.assign(asserting, cid)
+    kernel.events.append(("learn", lits, level, cid))
 
 
 def backjump_and_learn(state: CdclState, learned: Sequence[int], level: int) -> CdclState:
-    """Check the learned clause, store it under a new id, and learn it at the backjump level.
-
-    As in the Backjump rule, the level is the highest level among the learned
-    clause's other literals (0 when it has none).
-    """
+    """Learn a non-empty clause through the Backjump rule (`learn_clause`), then store it under a new id."""
     learned = tuple(learned)
     if not learned:
         raise ValueError("cannot learn the empty clause")
-    if not 0 <= level < state.level:
-        raise ValueError("backjump level must be below the current level")
-    value, var_level = state.value, state.var_level
-    unassigned = [l for l in learned if var_level.get(abs(l), level + 1) > level]
-    if len(unassigned) != 1 or any(
-        value.get(abs(l)) == (l > 0) for l in learned if l not in unassigned
-    ):
-        raise ValueError("learned clause is not asserting at the backjump level")
-    asserting = unassigned[0]
-    if max((var_level[abs(l)] for l in learned if l != asserting), default=level) != level:
-        raise ValueError("backjump level is not the highest level of the learned clause's other literals")
-
     cid = state.next_clause_id
+    learn_clause(state, cid, learned, level)
     state.next_clause_id += 1
     state.clauses[cid] = PropClause(cid, learned)
     state.learned_ids.append(cid)
-    state.conflict_id = None
-    learn_clause(state, cid, learned, level)
-    state.events.append(("learn", learned, level, cid))
     return state
 
 
@@ -464,10 +468,9 @@ def solve(
     proof: list[ProofStep] = []
     while True:
         propagate(state)
-        if state.conflict_id is not None:
-            conflict_id = state.conflict_id
+        if state.conflict is not None:
             learned, blevel = analyze_conflict(state)
-            proof.append(ProofStep(conflict_id, tuple(state.last_analysis_steps), learned))
+            proof.append(ProofStep(state.conflict, tuple(state.last_analysis_steps), learned))
             if blevel < 0:
                 state.events.append(("unsat",))
                 return UnsatResult(proof=proof, state=state)

@@ -7,7 +7,7 @@ propositional atoms are the 0-ary special case.  All values are immutable.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Iterable, Mapping
 
 # Identifiers starting with one of these letters denote variables.
 VARIABLE_PREFIXES = ("x", "y", "z", "u", "v", "w")
@@ -96,9 +96,6 @@ class Clause:
                 seen.setdefault(v)
         return list(seen)
 
-    def is_ground(self) -> bool:
-        return all(lit.atom.is_ground() for lit in self.literals)
-
     def is_tautology(self) -> bool:
         atoms_pos = {lit.atom for lit in self.literals if lit.positive}
         return any(not lit.positive and lit.atom in atoms_pos for lit in self.literals)
@@ -107,6 +104,16 @@ class Clause:
         if not self.literals:
             return "⊥"
         return " | ".join(str(lit) for lit in self.literals)
+
+
+def clauses_by_id(clauses: Iterable) -> dict:
+    """The clauses (of any kind with an `id`) keyed by id; an id used twice is an error."""
+    by_id = {}
+    for c in clauses:
+        if c.id in by_id:
+            raise ValueError(f"duplicate clause id {c.id}")
+        by_id[c.id] = c
+    return by_id
 
 
 def _rename(clause: Clause, mapping: Mapping[Variable, Variable]) -> Clause:
@@ -140,9 +147,6 @@ class Substitution:
             if term != var:
                 resolved[var] = term
         self._bindings = resolved
-
-    def get(self, var: Variable) -> Term | None:
-        return self._bindings.get(var)
 
     def items(self) -> list[tuple[Variable, Term]]:
         return sorted(self._bindings.items(), key=lambda kv: kv[0].name)

@@ -27,6 +27,7 @@ from .logic import (
     Literal,
     Substitution,
     canonical_variant,
+    clauses_by_id,
     match_atoms,
     rename_apart,
     unify,
@@ -350,8 +351,9 @@ def saturate(
     filed under a complementary eligible key, itself included, in that order.
     An empty input clause, once given, is its own one-record proof.  The run
     stops with "limit" before it would generate clause max_generated + 1.
+    Two input clauses with one id are a ValueError.
     """
-    inputs = {c.id: c for c in clauses}
+    inputs = clauses_by_id(clauses)
     if len(inputs) == 0:
         return SaturationResult("saturated", 0, 0, 0, 0, [], {}, None)
     passive: deque[Clause] = deque(inputs[i] for i in sorted(inputs))
@@ -441,9 +443,10 @@ def replay(clauses: Iterable[Clause], script: Sequence[ScriptStep]) -> list[Deri
     recorded unifier applies to both premises; the conclusion lists the left
     premise's remaining literals before the right one's.  Fails loudly
     (ReplayStepError naming the step) when ids/positions are bad or the
-    scripted literals are not complementary unifiable.
+    scripted literals are not complementary unifiable, and with ValueError
+    when two input clauses share an id.
     """
-    by_id = {c.id: c for c in clauses}
+    by_id = clauses_by_id(clauses)
     next_id = max(by_id, default=0) + 1
     out: list[DerivedClause] = []
     for no, (lid, lpos, rid, rpos) in enumerate(script, start=1):
@@ -503,8 +506,9 @@ def check_linear_refutation(
     and the positive side-literal must be maximal in its premise instantiated
     by the step's recorded unifier.
     """
+    clauses = tuple(clauses)
+    derived = replay(clauses, script)
     by_id = {c.id: c for c in clauses}
-    derived = replay(by_id.values(), script)
     by_id.update((d.clause.id, d.clause) for d in derived)
     for d in derived:
         rule = d.rule

@@ -26,9 +26,9 @@ ground literal (lexicographic constant order, positive before negative on
 the same atom), and the conflict is the false instance smallest in (clause
 id, substitution).  Decisions take the lowest unassigned atom.  Conflicts
 above level 0 go through the shared 1UIP walk over the ground abstraction,
-and the learned instance is hooked as CDCL's learned clauses are; a level-0
-conflict means the input is unsatisfiable.  Events carry literals and
-instance positions; `render` turns a run's result into its output lines.
+and the learned instance goes through CDCL's Backjump rule (`learn_clause`);
+a level-0 conflict means the input is unsatisfiable.  Events carry literals
+and instance positions; `render` turns a run's result into its output lines.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 from .cdcl import TrailKernel, decide, learn_clause, lowest_unassigned, propagate_units, resolve_1uip
 from .cdcl import clause_status  # noqa: F401  perfbench/tracer.py counts calls through this name
 from .errors import ResourceLimitError
-from .logic import Atom, Clause, Constant, Literal, Variable
+from .logic import Atom, Clause, Constant, Literal, Variable, clauses_by_id
 
 DEFAULT_INSTANCE_CAP = 1_000_000
 DEFAULT_TRAIL_CAP = 1_000_000
@@ -532,11 +532,7 @@ def ground_problem(
     The caps count the Herbrand base and every instance a priori.  A clause
     set without constants is grounded over FRESH_CONSTANT.
     """
-    by_id: dict[int, Clause] = {}
-    for c in clauses:
-        if c.id in by_id:
-            raise ValueError(f"duplicate clause id {c.id}")
-        by_id[c.id] = c
+    by_id = clauses_by_id(clauses)
     constants = {
         a for c in by_id.values() for l in c.literals for a in l.atom.args if isinstance(a, Constant)
     }
@@ -605,8 +601,6 @@ class SclState(TrailKernel):
     """
 
     problem: GroundProblem
-    conflict: int | None = None  # instance position
-    learned: list[Clause] = field(default_factory=list)
     stats: SclStats = field(default_factory=SclStats)
     on_trail: defaultdict[tuple[str, int, bool], list[tuple[int, ...]]] = field(
         default_factory=lambda: defaultdict(list), repr=False
@@ -669,12 +663,10 @@ def scl_propagate(state: SclState, trail_cap: int = DEFAULT_TRAIL_CAP) -> SclSta
     The conflict is the false instance smallest in (clause id, substitution).
     The stats count the propagations made before the trail cap stops them too.
     """
-    if state.conflict is not None:
-        raise ValueError("cannot propagate with a pending conflict")
     trail, stats = state.trail, state.stats
     start = len(trail)
     try:
-        state.conflict = propagate_units(state, trail_cap)
+        propagate_units(state, trail_cap)
     finally:
         if len(trail) > start:
             stats.propagations += len(trail) - start
@@ -698,10 +690,8 @@ class SclSat:
 
 @dataclass
 class SclUnsat:
-    conflict_clause_id: int
-    conflict_subst: str
     stats: SclStats
-    state: SclState
+    state: SclState  # its conflict is the level-0 false instance
 
 
 @dataclass
@@ -720,7 +710,7 @@ def scl_run(
 
     Decisions take the smallest undefined ground atom, positive polarity.
     Conflicts above level 0 go through ground 1UIP analysis; the learned
-    clause becomes a clause and an instance, and is learned as CDCL learns.
+    clause becomes an instance and is learned through CDCL's Backjump rule.
     The trail cap bounds propagations and decisions alike; a learned clause's
     asserting literal needs no check, as the backjump shortens the trail first.
     """
@@ -735,21 +725,15 @@ def scl_run(
         except ResourceLimitError:
             break
         if state.conflict is not None:
-            inst = problem.instances[state.conflict]
             if state.level == 0:
-                state.events.append(("unsat",))
-                return SclUnsat(inst.clause_id, inst.subst_str(), stats=state.stats, state=state)
-            learned, blevel, _steps = resolve_1uip(state, inst.lits, lambda pos: problem.instances[pos].lits)
-            state.conflict = None
-            cid = state.next_clause_id
+                return SclUnsat(stats=state.stats, state=state)
+            instances = problem.instances
+            learned, blevel, _ = resolve_1uip(state, instances[state.conflict].lits, lambda p: instances[p].lits)
+            instances.append(GroundInstance(state.next_clause_id, (), learned))
             state.next_clause_id += 1
-            state.learned.append(Clause(cid, tuple(Literal(l > 0, problem.atoms[abs(l) - 1]) for l in learned)))
-            problem.instances.append(GroundInstance(cid, (), learned))
-            state.stats.instances = len(problem.instances)
-            learn_clause(state, len(problem.instances) - 1, learned, blevel)
-            state.events.append(("learn", learned, blevel))
+            state.stats.instances = len(instances)
+            learn_clause(state, len(instances) - 1, learned, blevel)
         elif len(state.value) == len(problem.atoms):
-            state.events.append(("sat",))
             return SclSat(stats=state.stats, state=state)
         elif len(state.trail) >= trail_cap:
             break
@@ -757,7 +741,6 @@ def scl_run(
             decide(state, lowest_unassigned(state))
             state.stats.decisions += 1
             state.stats.trail = max(state.stats.trail, len(state.trail))
-    state.events.append(("resource",))
     return SclResourceExceeded(stats=state.stats, state=state)
 
 

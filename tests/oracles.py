@@ -100,14 +100,14 @@ def reference_propagate(state):
     `cdcl.propagate`; it writes the trail itself, so the engine's watch
     kernel is left stale and only `reference_at_fixpoint` may be used with it.
     """
-    if state.conflict_id is not None:
+    if state.conflict is not None:
         raise ValueError("cannot propagate with a pending conflict")
     while True:
         unit = None
         for cid in sorted(state.clauses):
             status, lit = scan_status(state.clauses[cid].lits, state.value)
             if status == "false":
-                state.conflict_id = cid
+                state.conflict = cid
                 state.events.append(("conflict", cid))
                 return state
             if status == "unit" and unit is None:
@@ -365,7 +365,6 @@ class ReferenceSclState:
     level: int = 0
     conflict: int | None = None  # instance position
     value: dict[int, bool] = field(default_factory=dict)
-    learned: list[Clause] = field(default_factory=list)
     stats: SclStats = field(default_factory=SclStats)
     events: list[tuple] = field(default_factory=list)
     units: dict[int, int] = field(default_factory=dict)  # instance pos -> forced lit
@@ -464,7 +463,7 @@ def reference_scl_run(
             inst = problem.instances[state.conflict]
             if state.level == 0:
                 state.events.append(("unsat",))
-                return SclUnsat(inst.clause_id, inst.subst_str(), state.stats, state)
+                return SclUnsat(state.stats, state)
             learned, blevel, _ = reference_resolve_1uip(
                 state.trail, inst.lits, state.level, lambda pos: problem.instances[pos].lits
             )
@@ -472,7 +471,6 @@ def reference_scl_run(
             new_id = max(problem.clauses) + 1
             clause = Clause(new_id, tuple(Literal(l > 0, problem.atoms[abs(l) - 1]) for l in learned))
             problem.clauses[new_id] = clause
-            state.learned.append(clause)
             problem.instances.append(GroundInstance(new_id, (), learned))
             pos = len(problem.instances) - 1
             state.index(pos)

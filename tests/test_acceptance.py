@@ -99,7 +99,7 @@ def test_01_cdcl_backjump_replay():
     assert conflict_events == [("conflict", 3)]
     assert [(e.lit, e.level, e.reason) for e in state.trail] == [(-1, 1, None), (2, 1, 4)]
     assert [c.lits for c in state.learned] == [(1, 2)]
-    assert state.level == 1 and state.conflict_id is None
+    assert state.level == 1 and state.conflict is None
     assert state.input_ids == frozenset({1, 2, 3})
     lines = [line for line, _ in render(solve(DEMO))]
     assert "learn 1 2 backjump 1" in lines
@@ -155,8 +155,9 @@ def test_04_scl_counter_run():
     result = scl_run(counter_problem(4))
     assert isinstance(result, SclUnsat)
     assert result.stats.propagations == 16 and result.stats.decisions == 0
-    assert result.conflict_clause_id == 6 and result.conflict_subst == "{}"
     state = result.state
+    conflict = state.problem.instances[state.conflict]
+    assert conflict.clause_id == 6 and conflict.subst_str() == "{}"
     trail_atoms = [state.problem.atoms[abs(lit) - 1] for lit, _, _ in state.trail]
     expected = [Atom("P", tuple(Constant(b) for b in format(v, "04b"))) for v in range(16)]
     assert trail_atoms == expected, "trail must walk the counter in order"

@@ -49,18 +49,18 @@ class TestPropagate:
             (3, 2, 1),
             (4, 2, 2),
         ]
-        assert state.conflict_id == 3 and state.level == 2
+        assert state.conflict == 3 and state.level == 2
 
     def test_no_unit_no_change(self):
         state = demo_state()
         propagate(state)
-        assert state.trail == [] and state.conflict_id is None
+        assert state.trail == [] and state.conflict is None
 
     def test_contradictory_units(self):
         state = CdclState.from_clauses([PropClause(1, (1,)), PropClause(2, (-1,))])
         propagate(state)
         assert [e.lit for e in state.trail] == [1]
-        assert state.conflict_id == 2
+        assert state.conflict == 2
 
     def test_pending_conflict_rejected(self):
         state = drive_to_conflict(demo_state())
@@ -112,7 +112,7 @@ class TestAnalyzeConflict:
             state.trail.append(TrailEntry(lit, level, None))
             state.value[abs(lit)] = lit > 0
             state.var_level[abs(lit)] = level
-        state.conflict_id = 1
+        state.conflict = 1
         learned, level = analyze_conflict(state)
         assert learned == (1, 4) and level == 1
         assert state.last_analysis_steps == []  # returned unchanged
@@ -136,7 +136,7 @@ class TestBackjump:
         assert [(e.lit, e.level) for e in state.trail] == [(-1, 1), (2, 1)]
         assert state.trail[1].reason == 4  # the learned clause propagates Q
         assert [c.lits for c in state.learned] == [(1, 2)]
-        assert state.level == 1 and state.conflict_id is None
+        assert state.level == 1 and state.conflict is None
 
     def test_unit_learned_at_level_zero(self):
         state = CdclState.from_clauses([PropClause(1, (1, 2)), PropClause(2, (-2, 1))])
@@ -149,15 +149,41 @@ class TestBackjump:
         assert state.level == 0
         assert [(e.lit, e.level) for e in state.trail] == [(1, 0)]
 
-    def test_non_asserting_rejected(self):
-        state = drive_to_conflict(demo_state())
-        with pytest.raises(ValueError):
-            backjump_and_learn(state, (3, 4), 1)
+    NOT_ASSERTING = "not asserting at the backjump level"
+    NOT_HIGHEST = "backjump level is not the highest level"
 
-    def test_empty_clause_rejected(self):
-        state = drive_to_conflict(demo_state())
-        with pytest.raises(ValueError):
-            backjump_and_learn(state, (), 0)
+    @pytest.mark.parametrize(
+        "lits, level, message",
+        [
+            ((), 0, "cannot learn the empty clause"),
+            ((1, 2), 2, "backjump level must be below the current level"),
+            ((3, 4), 1, NOT_ASSERTING),  # two literals above the level
+            ((1, 2, 2), 1, NOT_ASSERTING),  # the asserting literal twice
+            ((1, 2, -2), 1, NOT_ASSERTING),  # a literal and its complement above the level
+            ((-1, 2), 1, NOT_ASSERTING),  # -1 is true at level 1
+            ((2, -5), 1, NOT_HIGHEST),  # -5 is false at level 0, below the level
+            ((1, 2), 1, None),
+            ((1, 2, -5), 1, None),  # the others' highest level, 1, is the level
+            ((1,), 0, None),  # a unit clause learned at level 0
+        ],
+        ids=[
+            "empty", "level-not-below", "two-open", "repeated-asserting", "complementary-open", "true-literal",
+            "others-below-level", "asserting", "asserting-over-levels", "unit-at-level-0",
+        ],
+    )
+    def test_backjump_conditions(self, lits, level, message):
+        # the demo trail -1@1, -2@2, 3@2, 4@2 above 5@0 (clause 4), with atom 6 unassigned
+        state = drive_to_conflict(CdclState.from_clauses(DEMO + [PropClause(4, (5,))], num_vars=6))
+        trail = list(state.trail)
+        if message is not None:
+            with pytest.raises(ValueError, match=message):
+                backjump_and_learn(state, lits, level)
+            assert state.trail == trail and state.level == 2 and state.learned_ids == []
+            return
+        backjump_and_learn(state, lits, level)
+        asserting = next(l for l in lits if abs(l) not in {abs(e.lit) for e in trail if e.level <= level})
+        assert state.level == level and state.trail[-1] == TrailEntry(asserting, level, 5)
+        assert state.learned_ids == [5] and state.events[-1] == ("learn", lits, level, 5)
 
 
 class TestSolve:

@@ -65,7 +65,7 @@ def drive_with_forgetting(clauses, num_vars):
     forgotten_units = 0
     while True:
         cdcl.propagate(state)
-        if state.conflict_id is not None:
+        if state.conflict is not None:
             learned, blevel = cdcl.analyze_conflict(state)
             if blevel < 0:
                 return state, forgotten_units

@@ -421,6 +421,19 @@ class TestLinearRefutation:
             check_linear_refutation(clauses, [(1, 1, 2, 1)], default_config(clauses))
 
 
+def test_duplicate_clause_ids_rejected():
+    # keyed by id, the second clause would hide the first: saturation would answer "saturated"
+    atom = Atom("P", (Constant("a"),))
+    clauses = [Clause(1, (Literal(True, atom),)), Clause(1, (Literal(False, atom),))]
+    cfg = default_config(clauses)
+    with pytest.raises(ValueError, match="duplicate clause id 1"):
+        saturate(clauses, cfg, SelectNone())
+    with pytest.raises(ValueError, match="duplicate clause id 1"):
+        replay(clauses, [(1, 1, 1, 1)])
+    with pytest.raises(ValueError, match="duplicate clause id 1"):
+        check_linear_refutation(clauses, [(1, 1, 1, 1)], cfg)
+
+
 def test_selection_from_name():
     assert isinstance(selection_from_name("none"), SelectNone)
     assert isinstance(selection_from_name("first-negative"), SelectFirstNegative)

@@ -1,8 +1,10 @@
+import itertools
 import random
 
 import pytest
 
 from oracles import assignment_satisfies, all_ground_instances, ground_satisfiable
+from clausekit import scl
 from clausekit.errors import ResourceLimitError
 from clausekit.formats import parse_bs
 from clausekit.logic import Atom, Clause, Constant, Literal, Variable
@@ -108,7 +110,7 @@ class TestSclRun:
         assert isinstance(result, SclUnsat)
         assert result.stats.propagations == 16
         assert result.stats.decisions == 0
-        assert result.conflict_clause_id == 6
+        assert result.state.problem.instances[result.state.conflict].clause_id == 6
 
     def test_counter_four_without_final_clause_sat(self):
         result = scl_run(counter_problem(4)[:-1])
@@ -134,8 +136,22 @@ class TestSclRun:
         clauses = parse_bs("-P(0) | P(1). -P(0) | -P(1).")
         result = scl_run(clauses)
         assert isinstance(result, SclSat)
-        assert [str(c) for c in result.state.learned] == ["-P(0)"]
+        assert [line for line, _ in render(result) if line.startswith("learn")] == ["learn -P(0) backjump 0"]
         assert result.stats.decisions >= 1
+
+    def test_learning_is_held_to_the_backjump_rule(self, monkeypatch):
+        # deciding P(a) makes clause 2 false at level 1; an extra unassigned atom in the
+        # learned clause leaves two literals open after the backjump, so it is not asserting
+        resolve = scl.resolve_1uip
+
+        def resolve_with_open_atom(kernel, conflict_lits, reason_lits):
+            learned, blevel, steps = resolve(kernel, conflict_lits, reason_lits)
+            atom = next(a for a in itertools.count(1) if a not in kernel.value)
+            return tuple(sorted(learned + (atom,), key=abs)), blevel, steps
+
+        monkeypatch.setattr(scl, "resolve_1uip", resolve_with_open_atom)
+        with pytest.raises(ValueError, match="not asserting at the backjump level"):
+            scl_run(parse_bs("-P(a) | Q(a). -P(a) | -Q(a). P(b) | R(b)."))
 
     def test_instance_cap(self):
         clauses = [

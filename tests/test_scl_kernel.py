@@ -27,17 +27,19 @@ VARIABLES = [Variable(n) for n in ("x", "y", "z")]
 
 
 def outcome(result, render_result):
-    """Verdict, stats, rendered output with JSON fields, trail, model and learned clauses.
+    """Verdict, stats, rendered output with JSON fields (learned clauses included), trail and model.
 
-    Trail reasons are named by (clause id, substitution): instance positions
-    differ, as the engine creates instances lazily.  The stats leave out
-    `instances`, which counts instances created.
+    Trail reasons and the level-0 conflict are named by (clause id,
+    substitution): instance positions differ, as the engine creates
+    instances lazily.  The stats leave out `instances`, which counts
+    instances created.
     """
     state = result.state
     if isinstance(result, SclSat):
         verdict = result.model
     elif isinstance(result, SclUnsat):
-        verdict = (result.conflict_clause_id, result.conflict_subst)
+        conflict = state.problem.instances[state.conflict]
+        verdict = (conflict.clause_id, conflict.subst_str())
     else:
         verdict = None
     stats = dataclasses.asdict(result.stats)
@@ -55,7 +57,6 @@ def outcome(result, render_result):
             (lit, level, None if reason is None else (instances[reason].clause_id, instances[reason].subst))
             for lit, level, reason in state.trail
         ],
-        [str(c) for c in state.learned],
     )
 
 
@@ -108,7 +109,7 @@ def test_random_sets_match_reference():
         clauses, domain = random_bs(rng)
         result = same_run(clauses, domain)
         kinds[type(result)] += 1
-        learned += len(result.state.learned)
+        learned += sum(ev[0] == "learn" for ev in result.state.events)
         explicit += domain is not None
         fresh += domain is None and result.state.problem.domain == (FRESH_CONSTANT,)
         reference = reference_ground_problem(clauses, domain)
@@ -128,7 +129,7 @@ def test_learned_clauses_are_non_redundant():
     for _ in range(320):
         clauses, domain = random_bs(rng)
         known = [PropClause(0, inst.lits) for inst in reference_ground_problem(clauses, domain).instances]
-        for (_, lits, _), ordering in learn_orderings(scl_run(clauses, domain).state.events):
+        for (_, lits, _level, _pos), ordering in learn_orderings(scl_run(clauses, domain).state.events):
             assert not is_redundant(lits, known, ordering)
             known.append(PropClause(0, lits))
             checked += 1
@@ -151,7 +152,7 @@ def test_trail_cap_boundaries_match_reference():
 
 def test_learning_example_matches_reference():
     result = same_run(parse_bs("-P(0) | P(1). -P(0) | -P(1). Q(0) | P(0). -Q(0) | P(0) | Q(1)."))
-    assert result.state.learned and result.stats.decisions > 0
+    assert any(ev[0] == "learn" for ev in result.state.events) and result.stats.decisions > 0
 
 
 class TestOrderAmongInstances:
