@@ -12,6 +12,7 @@ parse errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import asdict, dataclass
@@ -255,7 +256,9 @@ _HANDLERS: dict[str, Callable[[argparse.Namespace, _Emitter], int]] = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and shared by every later one."""
     parser = argparse.ArgumentParser(
         prog="clausekit",
         description="Model-guided and saturation-based reasoning workbench",

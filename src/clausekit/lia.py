@@ -1,16 +1,20 @@
 """Simple-bound propagation for systems of linear integer inequations.
 
 Inequations are kept in the normal form sum(a_i * x_i) + c <= 0 with exact
-integer arithmetic throughout.  Bound propagation is round-robin over the
+integer arithmetic throughout.  Bound propagation sweeps round-robin over the
 (inequation, variable) pairs in input order and only ever tightens; it can
 diverge, which the a-priori solvability box makes detectable and the bounded
-exhaustive decision procedure makes complete.  `render` gives the output
+exhaustive decision procedure makes complete.  The sweep order is fixed, but
+a pair is revisited only after a bound that its implied bound reads is
+tightened, and after a tightening only the inequations whose minimum reads
+the tightened bound are checked for a conflict.  `render` gives the output
 lines of either result.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from heapq import heappop, heappush
 from typing import Iterable, Iterator, Mapping
 
 from .errors import ResourceLimitError
@@ -29,12 +33,6 @@ class LinIneq:
             raise ValueError("an inequation needs at least one nonzero coefficient")
         if len({v for v, _ in self.coeffs}) != len(self.coeffs):
             raise ValueError("duplicate variable in inequation")
-
-    def coeff_of(self, var: str) -> int:
-        for v, a in self.coeffs:
-            if v == var:
-                return a
-        return 0
 
     def __str__(self) -> str:
         parts = []
@@ -111,38 +109,41 @@ class Bound:
         return f"{self.var} {self.kind} {self.value}"
 
 
-BoundMap = Mapping[tuple[str, bool], Bound]
+BoundKey = tuple[str, bool]  # (variable, lower)
+BoundMap = Mapping[BoundKey, Bound]
 
 
-def implied_bound(ineq: LinIneq, current: BoundMap, var: str) -> Bound | None:
+def implied_bound(ineq: LinIneq, current: BoundMap, var: str, level: int = 0) -> Bound | None:
     """Tightest bound on var entailed by the inequation under the current bounds.
 
-    None when a required opposite bound is missing or nothing gets tighter.
+    None when a required opposite bound is missing or nothing gets tighter;
+    the bound found carries `level` and the inequation as its reason.
     Integer rounding: floor for upper bounds, ceiling for lower bounds.
     """
-    a_var = ineq.coeff_of(var)
-    if a_var == 0:
-        raise ValueError(f"{var} has no coefficient in inequation {ineq.id}")
-    s_min = 0
+    a_var = 0
+    s_min: int | None = 0
     for v, a in ineq.coeffs:
         if v == var:
-            continue
-        bound = current.get((v, a > 0))  # a > 0 needs a lower bound, a < 0 an upper
-        if bound is None:
-            return None
-        s_min += a * bound.value
+            a_var = a
+        elif s_min is not None:
+            bound = current.get((v, a > 0))  # a > 0 needs a lower bound, a < 0 an upper
+            s_min = None if bound is None else s_min + a * bound.value
+    if a_var == 0:
+        raise ValueError(f"{var} has no coefficient in inequation {ineq.id}")
+    if s_min is None:
+        return None
     rhs = -ineq.const - s_min
     if a_var > 0:
-        candidate = Bound(var, False, rhs // a_var, reason=ineq.id)
-    else:
-        candidate = Bound(var, True, -(rhs // -a_var), reason=ineq.id)
-    existing = current.get((var, candidate.lower))
-    if existing is not None:
-        if candidate.lower and candidate.value <= existing.value:
+        value = rhs // a_var
+        existing = current.get((var, False))
+        if existing is not None and value >= existing.value:
             return None
-        if not candidate.lower and candidate.value >= existing.value:
-            return None
-    return candidate
+        return Bound(var, False, value, level, ineq.id)
+    value = -(rhs // -a_var)
+    existing = current.get((var, True))
+    if existing is not None and value <= existing.value:
+        return None
+    return Bound(var, True, value, level, ineq.id)
 
 
 def _min_value(ineq: LinIneq, current: BoundMap) -> int | None:
@@ -193,10 +194,45 @@ class LiaDiverged:
     trail: list[Bound]
 
 
+def _readers(
+    system: LiaSystem,
+) -> tuple[list[tuple[LinIneq, str]], dict[BoundKey, list[int]], dict[BoundKey, list[LinIneq]]]:
+    """The system's (inequation, variable) pairs in sweep order, and who reads each bound.
+
+    The implied bound of a pair is computed from the bounds of the other
+    variables of its inequation, each on the side that bounds the left side
+    from below; `pair_readers` maps such a bound key to the indexes of the
+    pairs that read it, ascending.  (A pair also compares with its own
+    variable's bound, but that bound's tightening can only turn its answer
+    into None.)  `scan_readers` maps a bound key to the inequations whose
+    minimum reads it, in system order.
+    """
+    pairs: list[tuple[LinIneq, str]] = []
+    pair_readers: dict[BoundKey, list[int]] = {}
+    scan_readers: dict[BoundKey, list[LinIneq]] = {}
+    for ineq in system.inequations:
+        for v, a in ineq.coeffs:
+            scan_readers.setdefault((v, a > 0), []).append(ineq)
+        for var, _a in ineq.coeffs:
+            for v, a in ineq.coeffs:
+                if v != var:
+                    pair_readers.setdefault((v, a > 0), []).append(len(pairs))
+            pairs.append((ineq, var))
+    return pairs, pair_readers, scan_readers
+
+
 def propagate_bounds(
     system: LiaSystem, decisions: Iterable[Bound], max_steps: int
 ) -> LiaFixpoint | LiaConflict | LiaDiverged:
-    """Round-robin bound tightening until fixpoint, conflict, or budget exhaustion."""
+    """Round-robin bound tightening until fixpoint, conflict, or budget exhaustion.
+
+    Sweeps visit the (inequation, variable) pairs in input order, as a plain
+    round robin would, but visit a pair only when a bound that it reads was
+    tightened since its last visit: within the sweep if the pair lies ahead,
+    in the next sweep otherwise.  Every other pair would find nothing
+    tighter, so the trail, steps and outcome are the round robin's.  A sweep
+    with nothing left to visit is the fixpoint.
+    """
     if max_steps < 0:
         raise ValueError("max_steps must be non-negative")
     current: dict[tuple[str, bool], Bound] = {}
@@ -215,30 +251,36 @@ def propagate_bounds(
     cid = conflicting_inequation(system, current)
     if cid is not None:
         return LiaConflict(cid, current, trail, steps)
-    # while none conflicts, a tightening can only make one conflict that mentions its variable
-    mentions: dict[str, list[LinIneq]] = {}
-    for ineq in system.inequations:
-        for v, _a in ineq.coeffs:
-            mentions.setdefault(v, []).append(ineq)
-    while True:
-        changed = False
-        for ineq in system.inequations:
-            for v, _a in ineq.coeffs:
-                bound = implied_bound(ineq, current, v)
-                if bound is None:
-                    continue
-                if steps >= max_steps:
-                    return LiaDiverged(steps, current, trail)
-                bound = replace(bound, level=level)
-                current[(bound.var, bound.lower)] = bound
-                trail.append(bound)
-                steps += 1
-                changed = True
-                cid = conflicting_inequation(system, current, mentions[bound.var])
-                if cid is not None:
-                    return LiaConflict(cid, current, trail, steps)
-        if not changed:
-            return LiaFixpoint(current, trail, steps)
+    pairs, pair_readers, scan_readers = _readers(system)
+    due = list(range(len(pairs)))  # a heap of the pairs still to visit in this sweep
+    queued = set(due)
+    while due:
+        later: set[int] = set()
+        while due:
+            p = heappop(due)
+            ineq, var = pairs[p]
+            bound = implied_bound(ineq, current, var, level)
+            if bound is None:
+                continue
+            if steps >= max_steps:
+                return LiaDiverged(steps, current, trail)
+            key = (var, bound.lower)
+            current[key] = bound
+            trail.append(bound)
+            steps += 1
+            # while none conflicts, a tightening moves only the minima that read it
+            cid = conflicting_inequation(system, current, scan_readers.get(key, ()))
+            if cid is not None:
+                return LiaConflict(cid, current, trail, steps)
+            for r in pair_readers.get(key, ()):
+                if r < p:
+                    later.add(r)
+                elif r not in queued:
+                    queued.add(r)
+                    heappush(due, r)
+        due = sorted(later)
+        queued = later
+    return LiaFixpoint(current, trail, steps)
 
 
 def apriori_bounds(system: LiaSystem) -> dict[str, tuple[int, int]]:

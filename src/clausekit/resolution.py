@@ -5,14 +5,16 @@ in its clause, maximal under the ordering after unification) and an eligible
 negative literal (selected, or maximal when nothing is selected).  A
 `ClauseRecord` holds what resolution reads of a clause, computed once: its
 selected index, its literals that are maximal before instantiation, the
-(sign, predicate, arity) keys of its eligible literals, and its variables.
-Saturation runs a FIFO given-clause loop with tautology deletion.  Two
-indexes serve it: the partner index files each active clause under its
-eligible keys, so the given clause meets only the clauses filed under a
-complementary key, and forward and backward subsumption take their
-candidates from a `SubsumptionIndex` of ground literals and literal keys.
-Replay executes scripted resolutions without eligibility checks.  `render`
-gives the output lines of either run.
+(sign, predicate, arity) keys of its eligible literals, the constant of each
+argument position, and its variables.  Two literals that hold different
+constants at one position are never handed to `unify`.  Saturation runs a
+FIFO given-clause loop with tautology deletion.  Two indexes serve it: the
+partner index files each active clause under its eligible keys, so the
+given clause meets only the clauses filed under a complementary key, and
+forward and backward subsumption take their candidates from a
+`SubsumptionIndex` of ground literals and literal keys.  Replay executes
+scripted resolutions without eligibility checks.  `render` gives the output
+lines of either run.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 from .errors import ReplayStepError
 from .logic import (
     Clause,
+    Constant,
     Literal,
     Substitution,
     canonical_variant,
@@ -129,12 +132,15 @@ class ClauseRecord:
     A KBO `GT` between two literals survives every substitution, so the other
     literals are not maximal in any instance either.  `positive` and
     `negative` index the literals that may be resolved on, `keys` holds the
-    (predicate, arity) of each literal, and `eligible` the (sign, key) pairs
-    of the literals that may be resolved on, under which saturation files an
+    (predicate, arity) of each literal, `constants` each literal's argument
+    names with None for a variable, and `eligible` the (sign, key) pairs of
+    the literals that may be resolved on, under which saturation files an
     active clause.
     """
 
-    __slots__ = ("clause", "selected", "maximal", "positive", "negative", "keys", "eligible", "variables")
+    __slots__ = (
+        "clause", "selected", "maximal", "positive", "negative", "keys", "constants", "eligible", "variables"
+    )
 
     def __init__(self, clause: Clause, cfg: OrderingConfig, sel: SelectionStrategy):
         lits = clause.literals
@@ -148,16 +154,36 @@ class ClauseRecord:
             self.positive = ()
             self.negative = () if lits[self.selected].positive else (self.selected,)
         self.keys = tuple((l.atom.predicate, len(l.atom.args)) for l in lits)
+        self.constants = tuple(
+            tuple(t.name if isinstance(t, Constant) else None for t in l.atom.args) for l in lits
+        )
         self.eligible = {(True, self.keys[i]) for i in self.positive}
         self.eligible.update((False, self.keys[j]) for j in self.negative)
         self.variables = set(clause.variables())
 
 
+def _clash(first: tuple, second: tuple) -> bool:
+    """Whether two literals' `constants` hold different constants at some position."""
+    for c, d in zip(first, second):
+        if c != d and c is not None and d is not None:
+            return True
+    return False
+
+
 def _resolvents(a: ClauseRecord, b: ClauseRecord, cfg: OrderingConfig) -> list[DerivedClause]:
-    """All ordered resolvents between two clauses, `a` as the positive premise first."""
+    """All ordered resolvents between two clauses, `a` as the positive premise first.
+
+    Pairs of literals that clash on a constant cannot unify and are dropped
+    before renaming.
+    """
     out: list[DerivedClause] = []
     for pos, neg in ((a, b), (b, a)):
-        pairs = [(i, j) for i in pos.positive for j in neg.negative if pos.keys[i] == neg.keys[j]]
+        pairs = [
+            (i, j)
+            for i in pos.positive
+            for j in neg.negative
+            if pos.keys[i] == neg.keys[j] and not _clash(pos.constants[i], neg.constants[j])
+        ]
         if pairs:
             positive, negative = pos.clause, neg.clause
             if not pos.variables.isdisjoint(neg.variables):

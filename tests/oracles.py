@@ -3,7 +3,8 @@
 Everything here enumerates: truth tables by looping over assignments, ground
 satisfiability by instantiating every clause over the domain, unit
 propagation by rescanning every clause, SCL propagation by rescanning every
-instance that contains a changed atom.  None of it shares code paths with
+instance that contains a changed atom, LIA bound propagation by visiting every
+(inequation, variable) pair in every sweep.  None of it shares code paths with
 the engines under test.
 """
 
@@ -16,6 +17,7 @@ from typing import Iterable, Sequence
 
 from clausekit.cdcl import PropClause, TrailEntry, TrailOrdering
 from clausekit.errors import ResourceLimitError
+from clausekit.lia import Bound, LiaConflict, LiaDiverged, LiaFixpoint
 from clausekit.logic import (
     Atom,
     Clause,
@@ -322,6 +324,110 @@ def exhaustive_lia_search(system, box: dict[str, tuple[int, int]]) -> dict[str, 
         if ok:
             return assign
     return None
+
+
+def _reference_coeff_of(ineq, var: str) -> int:
+    for v, a in ineq.coeffs:
+        if v == var:
+            return a
+    return 0
+
+
+def reference_implied_bound(ineq, current, var: str) -> Bound | None:
+    """Tightest bound on var entailed by the inequation under the current bounds.
+
+    None when a required opposite bound is missing or nothing gets tighter.
+    Integer rounding: floor for upper bounds, ceiling for lower bounds.
+    """
+    a_var = _reference_coeff_of(ineq, var)
+    if a_var == 0:
+        raise ValueError(f"{var} has no coefficient in inequation {ineq.id}")
+    s_min = 0
+    for v, a in ineq.coeffs:
+        if v == var:
+            continue
+        bound = current.get((v, a > 0))  # a > 0 needs a lower bound, a < 0 an upper
+        if bound is None:
+            return None
+        s_min += a * bound.value
+    rhs = -ineq.const - s_min
+    if a_var > 0:
+        candidate = Bound(var, False, rhs // a_var, reason=ineq.id)
+    else:
+        candidate = Bound(var, True, -(rhs // -a_var), reason=ineq.id)
+    existing = current.get((var, candidate.lower))
+    if existing is not None:
+        if candidate.lower and candidate.value <= existing.value:
+            return None
+        if not candidate.lower and candidate.value >= existing.value:
+            return None
+    return candidate
+
+
+def _reference_min_value(ineq, current) -> int | None:
+    """Minimum of the left side over the bound box; None when unbounded below."""
+    total = ineq.const
+    for v, a in ineq.coeffs:
+        bound = current.get((v, a > 0))
+        if bound is None:
+            return None
+        total += a * bound.value
+    return total
+
+
+def reference_conflicting_inequation(system, current, candidates=None) -> int | None:
+    """Id of the first inequation, in system order, whose left side has a positive minimum."""
+    for ineq in system.inequations if candidates is None else candidates:
+        m = _reference_min_value(ineq, current)
+        if m is not None and m > 0:
+            return ineq.id
+    return None
+
+
+def reference_propagate_bounds(system, decisions, max_steps: int):
+    """Round-robin bound tightening that visits every (inequation, variable) pair in every sweep."""
+    if max_steps < 0:
+        raise ValueError("max_steps must be non-negative")
+    current: dict[tuple[str, bool], Bound] = {}
+    trail: list[Bound] = []
+    for b in decisions:
+        key = (b.var, b.lower)
+        old = current.get(key)
+        if old is not None and (
+            (b.lower and b.value <= old.value) or (not b.lower and b.value >= old.value)
+        ):
+            continue
+        current[key] = b
+        trail.append(b)
+    steps = 0
+    level = max((b.level for b in trail), default=0)  # derived bounds add no level
+    cid = reference_conflicting_inequation(system, current)
+    if cid is not None:
+        return LiaConflict(cid, current, trail, steps)
+    # while none conflicts, a tightening can only make one conflict that mentions its variable
+    mentions: dict[str, list] = {}
+    for ineq in system.inequations:
+        for v, _a in ineq.coeffs:
+            mentions.setdefault(v, []).append(ineq)
+    while True:
+        changed = False
+        for ineq in system.inequations:
+            for v, _a in ineq.coeffs:
+                bound = reference_implied_bound(ineq, current, v)
+                if bound is None:
+                    continue
+                if steps >= max_steps:
+                    return LiaDiverged(steps, current, trail)
+                bound = replace(bound, level=level)
+                current[(bound.var, bound.lower)] = bound
+                trail.append(bound)
+                steps += 1
+                changed = True
+                cid = reference_conflicting_inequation(system, current, mentions[bound.var])
+                if cid is not None:
+                    return LiaConflict(cid, current, trail, steps)
+        if not changed:
+            return LiaFixpoint(current, trail, steps)
 
 
 def reference_resolve_1uip(trail, conflict_lits, level, reason_lits):

@@ -15,6 +15,7 @@ from clausekit.cli import (
     EXIT_SAT,
     EXIT_UNSAT,
     EXIT_USAGE,
+    build_parser,
     counter_experiment,
     main,
 )
@@ -318,6 +319,32 @@ class TestDeterminism:
     def test_cdcl_trace_stable(self, demo_cnf):
         argv = ("--mode", "cdcl", "--input", demo_cnf)
         assert run_cli(*argv) == run_cli(*argv)
+
+    def test_shared_parser_keeps_no_state(self, tmp_path, capsys):
+        # later calls reuse the parser; none may see a flag of an earlier call
+        path = tmp_path / "sys.lia"
+        path.write_text("x - y <= 0\ny - x + 1 <= 0\n")
+        lia = ("--mode", "lia-propagate", "--input", str(path), "--max-steps", "3")
+        runs = [
+            lia + ("--decide", "x>=0"),
+            lia,
+            lia + ("--decide",),
+            lia + ("--decide", "y>=2", "--decide", "x<5", "--format", "json"),
+        ]
+
+        def outcome(argv):
+            code, out = run_cli(*argv)
+            return code, out, capsys.readouterr().err
+
+        fresh = []
+        for argv in runs:
+            build_parser.cache_clear()
+            fresh.append(outcome(argv))
+        build_parser.cache_clear()
+        assert [outcome(argv) for argv in runs] == fresh
+        assert build_parser() is build_parser()
+        assert [code for code, _, _ in fresh] == [EXIT_LIMIT, EXIT_SAT, EXIT_USAGE, EXIT_LIMIT]
+        assert "decision" not in fresh[1][1] and "expected one argument" in fresh[2][2]
 
 
 class TestJsonFormat:

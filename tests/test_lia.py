@@ -1,8 +1,9 @@
 import random
+from collections import Counter
 
 import pytest
 
-from oracles import exhaustive_lia_search
+from oracles import exhaustive_lia_search, reference_propagate_bounds
 from clausekit import lia
 from clausekit.errors import ResourceLimitError
 from clausekit.formats import parse_lia
@@ -178,6 +179,62 @@ class TestPropagateBounds:
         assert got == [propagate_bounds(system, decisions, 200) for system, decisions in cases]
         conflicts = [r for r in got if isinstance(r, LiaConflict)]
         assert len(conflicts) > 30 and sum(r.steps > 0 for r in conflicts) > 15
+
+    def test_matches_round_robin_reference(self):
+        # the event-driven loop gives the plain round robin's trail, steps and outcome
+        rng = random.Random(1313)
+        caps = (0, 1, 5, 50, 400)
+        kinds = Counter()
+        for i in range(2_000):
+            variables = ["x", "y", "z", "w"][: rng.randint(1, 4)]
+            ineqs = []
+            for k in range(1, rng.randint(1, 5) + 1):
+                chosen = rng.sample(variables, rng.randint(1, len(variables)))
+                coeffs = tuple((v, rng.choice([-3, -2, -1, 1, 2, 3])) for v in chosen)
+                ineqs.append(LinIneq(k, coeffs, rng.randint(-4, 4)))
+            system = LiaSystem(ineqs)
+            decisions = [
+                Bound.make(rng.choice(variables), rng.choice(["<", "<=", ">", ">="]),
+                           rng.randint(-4, 4), level=rng.randint(0, 3))
+                for _ in range(rng.randint(0, 3))
+            ]
+            cap = caps[i % len(caps)]
+            got = propagate_bounds(system, decisions, cap)
+            want = reference_propagate_bounds(system, decisions, cap)
+            assert type(got) is type(want)
+            fields = lambda r: [(b.var, b.lower, b.value, b.level, b.reason) for b in r.trail]
+            assert fields(got) == fields(want)
+            assert got.steps == want.steps
+            assert getattr(got, "inequation_id", None) == getattr(want, "inequation_id", None)
+            kinds[type(got).__name__, got.steps > 0] += 1
+        assert min(kinds.values()) > 50 and len(kinds) == 6
+
+    def test_implied_bound_calls_linear_in_pairs_and_steps(self, monkeypatch):
+        # a pair is revisited only after a bound it reads was tightened
+        calls = 0
+        counted = lia.implied_bound
+
+        def counting(*args, **kwargs):
+            nonlocal calls
+            calls += 1
+            return counted(*args, **kwargs)
+
+        monkeypatch.setattr(lia, "implied_bound", counting)
+        rng = random.Random(40)
+        runs = []
+        for length in (40, 80):
+            gaps = [rng.randint(0, 2) for _ in range(length - 1)]
+            ineqs = [LinIneq(i, ((f"v{i}", 1), (f"v{i + 1}", -1)), c) for i, c in enumerate(gaps, start=1)]
+            top = Bound.make(f"v{length}", "<=", sum(gaps) + 2, level=1)
+            decisions = [Bound.make("v1", ">=", 0, level=1), top]
+            runs.append((LiaSystem(ineqs), decisions, 10_000, LiaFixpoint))
+        runs.append((DIVERGENT, [Bound.make("x", ">=", 0, level=1)], 10_000, LiaDiverged))
+        for system, decisions, cap, outcome in runs:
+            calls = 0
+            result = propagate_bounds(system, decisions, cap)
+            assert isinstance(result, outcome) and result.steps > 0
+            pairs = sum(len(ineq.coeffs) for ineq in system.inequations)
+            assert calls <= pairs + 2 * result.steps, (pairs, result.steps, calls)
 
     def test_derived_bounds_carry_highest_decision_level(self):
         decisions = [Bound.make("x", ">=", 0, level=2), Bound.make("y", "<=", 50, level=5)]

@@ -4,6 +4,7 @@ import random
 import pytest
 
 from oracles import assignment_satisfies, all_ground_instances, ground_satisfiable, reference_saturate
+from clausekit import resolution
 from clausekit.errors import ReplayStepError
 from clausekit.formats import parse_bs
 from clausekit.logic import (
@@ -89,6 +90,17 @@ class TestOrderedResolve:
         # maximal, so nothing resolves among the first five counter clauses
         for a, b in itertools.combinations(COUNTER4[:-1], 2):
             assert ordered_resolve(a, b, CFG, SelectNone()) == []
+
+    def test_constant_clash_never_reaches_unify(self, monkeypatch):
+        pairs = []
+        real_unify = resolution.unify
+        monkeypatch.setattr(resolution, "unify", lambda a, b: pairs.append((a, b)) or real_unify(a, b))
+        clash = parse_bs("P(0,x1).\n-P(1,x2) | Q(x2).")
+        cfg = default_config(clash)
+        assert ordered_resolve(*clash, cfg, SelectFirstNegative()) == [] and pairs == []
+        meet = parse_bs("P(0,x1).\n-P(x2,1) | Q(x2).")
+        out = ordered_resolve(*meet, default_config(meet), SelectFirstNegative())
+        assert [str(d.clause) for d in out] == ["Q(0)"] and len(pairs) == 1
 
     def test_self_resolution_handled(self):
         clause = parse_bs("-Q(x1,0) | Q(0,x1).")[0]
