@@ -3,8 +3,8 @@
 Three input languages: DIMACS CNF for the propositional solver, a clause text
 syntax for BS problems (`-P(x1,0) | P(x1,1).`, identifiers starting with
 x, y, z, u, v, w are variables, optional `<id> :` prefixes), and one linear
-inequation per line for LIA.  Parse errors carry line/column positions, and
-each printer round-trips with its parser.
+inequation per line for LIA.  Every parse error carries a line and a column,
+and each printer round-trips with its parser.
 """
 
 from __future__ import annotations
@@ -15,8 +15,22 @@ from typing import Iterable
 from .cdcl import PropClause
 from .errors import ParseError
 from .lia import Bound, LinIneq, LiaSystem
-from .logic import Atom, Clause, Literal, is_variable_name, term_from_name
+from .logic import Atom, Clause, Literal, Term, is_variable_name, term_from_name
 from .resolution import ScriptStep
+
+
+def _position(text: str, offset: int) -> tuple[int, int]:
+    """Line and column, both from 1, of `text[offset]`, with lines split as `str.splitlines` splits them."""
+    lines = (text[:offset] + ".").splitlines()
+    return len(lines), len(lines[-1])
+
+
+def _line_position(text: str, index: int, at: int = 0) -> tuple[int, int]:
+    """Line and column of character `at` of line `index` (from 0) of `text`, once that line is stripped."""
+    lines = text.splitlines(keepends=True)
+    lead = len(lines[index]) - len(lines[index].lstrip())
+    return _position(text, sum(map(len, lines[:index])) + lead + at)
+
 
 # ---------------------------------------------------------------------------
 # DIMACS CNF
@@ -25,42 +39,57 @@ from .resolution import ScriptStep
 
 def parse_dimacs(text: str) -> tuple[int, list[PropClause]]:
     """Parse standard DIMACS CNF; returns (number of variables, clauses)."""
-    num_vars = num_clauses = None
+    num_vars = num_clauses = header = None
     clauses: list[PropClause] = []
     pending: list[int] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
+    for index, line in enumerate(text.splitlines()):
+        line = line.strip()
         if not line or line.startswith("c"):
             continue
         if line.startswith("p"):
             if num_vars is not None:
-                raise ParseError("duplicate DIMACS header", lineno)
+                raise ParseError("duplicate DIMACS header", *_line_position(text, index))
             m = re.fullmatch(r"p\s+cnf\s+(\d+)\s+(\d+)", line)
             if not m:
-                raise ParseError(f"malformed header: {line!r}", lineno)
-            num_vars, num_clauses = int(m.group(1)), int(m.group(2))
+                raise ParseError(f"malformed header: {line!r}", *_line_position(text, index))
+            num_vars, num_clauses, header = int(m.group(1)), int(m.group(2)), index
             continue
         if num_vars is None:
-            raise ParseError("clause before the DIMACS header", lineno)
+            raise ParseError("clause before the DIMACS header", *_line_position(text, index))
         for tok in line.split():
             try:
                 lit = int(tok)
             except ValueError:
-                raise ParseError(f"bad literal {tok!r}", lineno) from None
+                raise ParseError(f"bad literal {tok!r}", *_word_position(text, index, line, tok)) from None
             if lit == 0:
                 clauses.append(PropClause(len(clauses) + 1, tuple(pending)))
                 pending = []
             else:
                 if abs(lit) > num_vars:
-                    raise ParseError(f"literal {lit} exceeds the declared {num_vars} variables", lineno)
+                    raise ParseError(
+                        f"literal {lit} exceeds the declared {num_vars} variables",
+                        *_word_position(text, index, line, tok),
+                    )
                 pending.append(lit)
-    if pending:
-        raise ParseError("unterminated clause at end of input")
+        last = index
+    if pending:  # just after the last literal
+        end = len(text.splitlines()[last].strip())
+        raise ParseError("unterminated clause at end of input", *_line_position(text, last, end))
     if num_vars is None:
-        raise ParseError("missing DIMACS header")
+        raise ParseError("missing DIMACS header", *_position(text, len(text.rstrip())))
     if num_clauses != len(clauses):
-        raise ParseError(f"header declares {num_clauses} clauses, found {len(clauses)}")
+        message = f"header declares {num_clauses} clauses, found {len(clauses)}"
+        raise ParseError(message, *_line_position(text, header))
     return num_vars, clauses
+
+
+def _word_position(text: str, index: int, line: str, word: str) -> tuple[int, int]:
+    """Position of the first `word` standing alone in `line`, line `index` of `text` stripped.
+
+    An equal word before the offending one would have failed the same way, so
+    the first is the offending one.
+    """
+    return _line_position(text, index, re.search(rf"(?<!\S){re.escape(word)}(?!\S)", line).start())
 
 
 def print_dimacs(num_vars: int, clauses: Iterable[PropClause]) -> str:
@@ -75,111 +104,78 @@ def print_dimacs(num_vars: int, clauses: Iterable[PropClause]) -> str:
 # BS clause text
 # ---------------------------------------------------------------------------
 
-_TOKEN = re.compile(r"[A-Za-z0-9_']+|[-|.():,]|\S")
-
-
-def _tokenize(text: str) -> list[tuple[str, int, int]]:
-    tokens = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        body = line.split("#", 1)[0]
-        for m in _TOKEN.finditer(body):
-            tokens.append((m.group(), lineno, m.start() + 1))
-    return tokens
-
-
-class _TokenStream:
-    def __init__(self, tokens: list[tuple[str, int, int]]):
-        self.tokens = tokens
-        self.pos = 0
-
-    def peek(self) -> str | None:
-        return self.tokens[self.pos][0] if self.pos < len(self.tokens) else None
-
-    def where(self) -> tuple[int | None, int | None]:
-        if self.pos < len(self.tokens):
-            _, line, col = self.tokens[self.pos]
-            return line, col
-        if self.tokens:
-            _, line, col = self.tokens[-1]
-            return line, col
-        return None, None
-
-    def take(self) -> str:
-        tok = self.peek()
-        if tok is None:
-            raise ParseError("unexpected end of input", *self.where())
-        self.pos += 1
-        return tok
-
-
-_IDENT = re.compile(r"[A-Za-z0-9_']+")
+# An optional `<id> :` prefix.  A non-ASCII decimal digit is a token of its
+# own, and one alone is an id too.
+_CLAUSE_ID = re.compile(r"([0-9]+|\d)\s*:\s*")
+# One literal and the '|' or '.' after it.  Every group is optional, so the
+# pattern always matches, and the first group missing is the parse error.
+_LITERAL = re.compile(
+    r"""(-?) \s* (NAME)? \s*                        # sign, predicate
+        (?: ( \( (?: \s* NAME \s* , )* ) \s*        # '(' and every argument before the last
+            (?: (NAME) \s* (\))? )? )?              # the last argument, ')'
+        \s* (?: ([|.]) \s* )?                       # '|' or '.'
+    """.replace("NAME", r"[A-Za-z0-9_']+"),
+    re.VERBOSE,
+)
 
 
 def parse_bs(text: str) -> list[Clause]:
     """Parse a BS clause problem; checks arity consistency and id uniqueness."""
-    stream = _TokenStream(_tokenize(text))
+    if "#" in text:  # blank out each comment up to the end of its line, keeping every offset
+        text = re.sub(r"#[^\n\r\v\f\x1c-\x1e\x85\u2028\u2029]*", lambda m: " " * len(m.group()), text)
     clauses: list[Clause] = []
     used_ids: set[int] = set()
     arities: dict[str, int] = {}
+    terms: dict[str, Term] = {}
     next_id = 1
-
-    def parse_atom() -> Atom:
-        line, col = stream.where()
-        name = stream.take()
-        if not _IDENT.fullmatch(name):
-            raise ParseError(f"expected an atom, got {name!r}", line, col)
-        if is_variable_name(name):
-            raise ParseError(f"predicate {name!r} starts with a variable prefix", line, col)
-        args = []
-        if stream.peek() == "(":
-            stream.take()
-            while True:
-                tline, tcol = stream.where()
-                tok = stream.take()
-                if not _IDENT.fullmatch(tok):
-                    raise ParseError(f"expected a term, got {tok!r}", tline, tcol)
-                args.append(term_from_name(tok))
-                nxt = stream.take()
-                if nxt == ")":
-                    break
-                if nxt != ",":
-                    raise ParseError(f"expected ',' or ')', got {nxt!r}", tline, tcol)
-        known = arities.setdefault(name, len(args))
-        if known != len(args):
-            raise ParseError(
-                f"predicate {name!r} used with arity {len(args)}, expected {known}", line, col
-            )
-        return Atom(name, tuple(args))
-
-    while stream.peek() is not None:
+    pos, end = len(text) - len(text.lstrip()), len(text)
+    while pos < end:
         cid = next_id
-        if (
-            stream.peek().isdigit()
-            and stream.pos + 1 < len(stream.tokens)
-            and stream.tokens[stream.pos + 1][0] == ":"
-        ):
-            line, col = stream.where()
-            cid = int(stream.take())
-            stream.take()  # ':'
+        m = _CLAUSE_ID.match(text, pos)
+        if m:
+            cid = int(m.group(1))
             if cid in used_ids:
-                raise ParseError(f"duplicate clause id {cid}", line, col)
+                raise ParseError(f"duplicate clause id {cid}", *_position(text, pos))
+            pos = m.end()
         literals = []
-        while True:
-            positive = True
-            if stream.peek() == "-":
-                stream.take()
-                positive = False
-            literals.append(Literal(positive, parse_atom()))
-            nxt = stream.take()
-            if nxt == ".":
-                break
-            if nxt != "|":
-                line, col = stream.where()
-                raise ParseError(f"expected '|' or '.', got {nxt!r}", line, col)
+        stop = "|"
+        while stop == "|":
+            m = _LITERAL.match(text, pos)
+            negative, name, opened, last, closed, stop = m.groups()
+            if name is None:
+                raise _unexpected(text, m.end(1), "expected an atom")
+            if name not in arities and is_variable_name(name):
+                message = f"predicate {name!r} starts with a variable prefix"
+                raise ParseError(message, *_position(text, m.start(2)))
+            args: tuple[Term, ...] = ()
+            if opened is not None:
+                if last is None:
+                    raise _unexpected(text, m.end(3), "expected a term")
+                if closed is None:
+                    raise _unexpected(text, m.end(4), "expected ',' or ')'")
+                names = opened[1:].replace(",", " ").split()
+                names.append(last)
+                args = tuple(terms.get(n) or terms.setdefault(n, term_from_name(n)) for n in names)
+            known = arities.setdefault(name, len(args))
+            if known != len(args):
+                message = f"predicate {name!r} used with arity {len(args)}, expected {known}"
+                raise ParseError(message, *_position(text, m.start(2)))
+            if stop is None:
+                raise _unexpected(text, m.end(), "expected '|' or '.'")
+            literals.append(Literal(not negative, Atom(name, args)))
+            pos = m.end()
         used_ids.add(cid)
         next_id = max(next_id, cid) + 1
         clauses.append(Clause(cid, tuple(literals)))
     return clauses
+
+
+def _unexpected(text: str, offset: int, expected: str) -> ParseError:
+    """The error for a grammar item missing at `offset`: names the token found there, or the end of input."""
+    m = re.compile(r"\s*([A-Za-z0-9_']+|\S)").match(text, offset)
+    if m is None:
+        return ParseError("unexpected end of input", *_position(text, len(text.rstrip())))
+    return ParseError(f"{expected}, got {m.group(1)!r}", *_position(text, m.start(1)))
 
 
 def print_bs(clauses: Iterable[Clause]) -> str:
@@ -191,86 +187,60 @@ def print_bs(clauses: Iterable[Clause]) -> str:
 # LIA inequations
 # ---------------------------------------------------------------------------
 
-_LIA_TOKEN = re.compile(r"\s*(<=|>=|<|>|[+*-]|-?\d+|[A-Za-z_][A-Za-z0-9_]*)")
-
-
-def _parse_lia_side(tokens: list[str], lineno: int) -> tuple[dict[str, int], int, list[str]]:
-    coeffs: dict[str, int] = {}
-    order: list[str] = []
-    const = 0
-    sign = 1
-    expect_term = True
-    i = 0
-    while i < len(tokens):
-        tok = tokens[i]
-        if tok in ("<=", ">=", "<", ">"):
-            break
-        if tok == "+":
-            if expect_term:
-                raise ParseError("dangling '+'", lineno)
-            expect_term = True
-            sign = 1
-            i += 1
-            continue
-        if tok == "-":
-            if expect_term:
-                sign = -sign
-            else:
-                expect_term = True
-                sign = -1
-            i += 1
-            continue
-        if not expect_term:
-            raise ParseError(f"expected an operator before {tok!r}", lineno)
-        if re.fullmatch(r"-?\d+", tok):
-            value = sign * int(tok)
-            if i + 2 < len(tokens) and tokens[i + 1] == "*":
-                var = tokens[i + 2]
-                if not re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", var):
-                    raise ParseError(f"expected a variable after '*', got {var!r}", lineno)
-                if var not in coeffs:
-                    order.append(var)
-                coeffs[var] = coeffs.get(var, 0) + value
-                i += 3
-            else:
-                const += value
-                i += 1
-        elif re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", tok):
-            if tok not in coeffs:
-                order.append(tok)
-            coeffs[tok] = coeffs.get(tok, 0) + sign
-            i += 1
-        else:
-            raise ParseError(f"unexpected token {tok!r}", lineno)
-        sign = 1
-        expect_term = False
-    if expect_term:
-        raise ParseError("expression ends with an operator", lineno)
-    ordered = {v: coeffs[v] for v in order}
-    return ordered, const, tokens[i:]
+# One term with the '+' or '-' before it and any '-' signs of its own, and the
+# comparison after it, if any.  Only spaces separate tokens.  Every group is
+# optional, so the pattern always matches, and the first group missing is the
+# parse error.
+_LIA_TERM = re.compile(
+    r"""[ ]* ([+-]?) ((?: [ ]* - )* [ ]*)           # operator, signs
+        (?: (\d+) (?: [ ]* (\*[ ]*) (NAME)? )?      # number, '*', variable
+          | (NAME) )?                               # or a bare variable
+        [ ]* (<=|>=|<|>)?                           # comparison
+    """.replace("NAME", "[A-Za-z_][A-Za-z0-9_]*"),
+    re.VERBOSE,
+)
 
 
 def parse_lia(text: str) -> LiaSystem:
     """One inequation per line; '#' starts a comment; ids are line-ordered."""
     inequations: list[LinIneq] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+    for index, line in enumerate(text.splitlines()):
+        line = line.split("#", 1)[0].strip()
         if not line:
             continue
-        tokens = [m.group(1) for m in _LIA_TOKEN.finditer(line)]
-        if "".join(tokens).replace(" ", "") != line.replace(" ", ""):
-            raise ParseError(f"could not tokenize {line!r}", lineno)
-        left, lconst, rest = _parse_lia_side(tokens, lineno)
-        if not rest:
-            raise ParseError("missing comparison operator", lineno)
-        op, rest = rest[0], rest[1:]
-        right, rconst, leftover = _parse_lia_side(rest, lineno)
-        if leftover:
-            raise ParseError(f"trailing input {' '.join(leftover)!r}", lineno)
-        coeffs = dict(left)
-        for v, a in right.items():
-            coeffs[v] = coeffs.get(v, 0) - a
-        const = lconst - rconst
+        coeffs: dict[str, int] = {}
+        const, side, first, op, pos = 0, 1, True, None, 0
+        while True:
+            m = _LIA_TERM.match(line, pos)
+            operator, signs, number, times, factor, name, comparison = m.groups()
+            if first and operator == "+":
+                raise _lia_error(text, index, line, m.start(1), "dangling '+'")
+            if not first and not operator:
+                raise _lia_error(text, index, line, m.end(1), "expected an operator before {token!r}")
+            if number is None and name is None:
+                found = line[m.end(2) : m.end(2) + 1]
+                message = {"+": "dangling '+'", "*": "unexpected token '*'"}.get(found)
+                raise _lia_error(text, index, line, m.end(2), message or "expression ends with an operator")
+            if times and factor is None:
+                if m.end(4) == len(line):
+                    raise _lia_error(text, index, line, m.start(4), "expected an operator before '*'")
+                raise _lia_error(text, index, line, m.end(4), "expected a variable after '*', got {token!r}")
+            sign = -side if (operator == "-") ^ (signs.count("-") & 1) else side  # each '-' flips it
+            if name is not None:
+                coeffs[name] = coeffs.get(name, 0) + sign
+            elif factor is not None:
+                coeffs[factor] = coeffs.get(factor, 0) + sign * int(number)
+            else:
+                const += sign * int(number)
+            pos, first = m.end(), False
+            if comparison:
+                if op:
+                    raise _lia_error(text, index, line, m.start(7), "trailing input {rest!r}")
+                op, side, first = comparison, -1, True
+            elif pos == len(line):
+                break
+        if op is None:
+            raise _lia_error(text, index, line, len(line), "missing comparison operator")
         if op in (">", ">="):
             coeffs = {v: -a for v, a in coeffs.items()}
             const = -const
@@ -278,9 +248,23 @@ def parse_lia(text: str) -> LiaSystem:
             const += 1  # strict over the integers
         coeffs = {v: a for v, a in coeffs.items() if a != 0}
         if not coeffs:
-            raise ParseError("inequation has no variable", lineno)
+            raise ParseError("inequation has no variable", *_line_position(text, index))
         inequations.append(LinIneq(len(inequations) + 1, tuple(coeffs.items()), const))
     return LiaSystem(inequations)
+
+
+def _lia_error(text: str, index: int, line: str, at: int, message: str) -> ParseError:
+    """The error at `line[at]`, where `line` is line `index` of `text` stripped.
+
+    In `message`, `{token}` stands for the token at `at` and `{rest}` for the
+    tokens from there on, joined by spaces.  A line holding a character that
+    starts no token cannot be tokenized, and that error comes first.
+    """
+    bad = re.search(r"[^ <>=+*\-A-Za-z0-9_\d]|(?<![<>])=", line)
+    if bad:
+        return ParseError(f"could not tokenize {line!r}", *_line_position(text, index, bad.start()))
+    tokens = re.findall(r"<=|>=|[<>+*-]|\d+|[A-Za-z_][A-Za-z0-9_]*", line[at:]) or [""]
+    return ParseError(message.format(token=tokens[0], rest=" ".join(tokens)), *_line_position(text, index, at))
 
 
 def print_lia(system: LiaSystem) -> str:
@@ -308,13 +292,13 @@ _SCRIPT_LINE = re.compile(r"(\d+)\.(\d+)\s+Res\s+(\d+)\.(\d+)")
 def parse_script(text: str) -> list[ScriptStep]:
     """One `L.i Res R.j` per line; '#' starts a comment."""
     steps: list[ScriptStep] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+    for index, line in enumerate(text.splitlines()):
+        line = line.split("#", 1)[0].strip()
         if not line:
             continue
         m = _SCRIPT_LINE.fullmatch(line)
         if not m:
-            raise ParseError(f"malformed script step {line!r}", lineno)
+            raise ParseError(f"malformed script step {line!r}", *_line_position(text, index))
         steps.append(tuple(int(g) for g in m.groups()))  # type: ignore[arg-type]
     return steps
 

@@ -4,20 +4,22 @@ Everything here enumerates: truth tables by looping over assignments, ground
 satisfiability by instantiating every clause over the domain, unit
 propagation by rescanning every clause, SCL propagation by rescanning every
 instance that contains a changed atom, LIA bound propagation by visiting every
-(inequation, variable) pair in every sweep.  None of it shares code paths with
+(inequation, variable) pair in every sweep, and clause and inequation text by
+walking a token stream one token at a time.  None of it shares code paths with
 the engines under test.
 """
 
 from __future__ import annotations
 
 import itertools
+import re
 from collections import deque
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Sequence
 
 from clausekit.cdcl import PropClause, TrailEntry, TrailOrdering
-from clausekit.errors import ResourceLimitError
-from clausekit.lia import Bound, LiaConflict, LiaDiverged, LiaFixpoint
+from clausekit.errors import ParseError, ResourceLimitError
+from clausekit.lia import Bound, LiaConflict, LiaDiverged, LiaFixpoint, LiaSystem, LinIneq
 from clausekit.logic import (
     Atom,
     Clause,
@@ -25,7 +27,9 @@ from clausekit.logic import (
     Literal,
     Substitution,
     canonical_variant,
+    is_variable_name,
     rename_apart,
+    term_from_name,
     unify,
 )
 from clausekit.ordering import OrderingConfig, literal_is_maximal
@@ -756,3 +760,207 @@ def reference_saturate(
             next_id += 1
         active = [c for c in active if c.id not in removed]
     return result("saturated")
+
+
+# ---------------------------------------------------------------------------
+# Parsers: BS and LIA text read through a token stream, one token at a time,
+# the references for the pattern-per-item parsers of clausekit.formats.
+# ---------------------------------------------------------------------------
+
+_TOKEN = re.compile(r"[A-Za-z0-9_']+|[-|.():,]|\S")
+
+
+def _tokenize(text: str) -> list[tuple[str, int, int]]:
+    tokens = []
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        body = line.split("#", 1)[0]
+        for m in _TOKEN.finditer(body):
+            tokens.append((m.group(), lineno, m.start() + 1))
+    return tokens
+
+
+class _TokenStream:
+    def __init__(self, tokens: list[tuple[str, int, int]]):
+        self.tokens = tokens
+        self.pos = 0
+
+    def peek(self) -> str | None:
+        return self.tokens[self.pos][0] if self.pos < len(self.tokens) else None
+
+    def where(self) -> tuple[int | None, int | None]:
+        if self.pos < len(self.tokens):
+            _, line, col = self.tokens[self.pos]
+            return line, col
+        if self.tokens:
+            _, line, col = self.tokens[-1]
+            return line, col
+        return None, None
+
+    def take(self) -> str:
+        tok = self.peek()
+        if tok is None:
+            raise ParseError("unexpected end of input", *self.where())
+        self.pos += 1
+        return tok
+
+
+_IDENT = re.compile(r"[A-Za-z0-9_']+")
+
+
+def reference_parse_bs(text: str) -> list[Clause]:
+    """Parse a BS clause problem; checks arity consistency and id uniqueness."""
+    stream = _TokenStream(_tokenize(text))
+    clauses: list[Clause] = []
+    used_ids: set[int] = set()
+    arities: dict[str, int] = {}
+    next_id = 1
+
+    def parse_atom() -> Atom:
+        line, col = stream.where()
+        name = stream.take()
+        if not _IDENT.fullmatch(name):
+            raise ParseError(f"expected an atom, got {name!r}", line, col)
+        if is_variable_name(name):
+            raise ParseError(f"predicate {name!r} starts with a variable prefix", line, col)
+        args = []
+        if stream.peek() == "(":
+            stream.take()
+            while True:
+                tline, tcol = stream.where()
+                tok = stream.take()
+                if not _IDENT.fullmatch(tok):
+                    raise ParseError(f"expected a term, got {tok!r}", tline, tcol)
+                args.append(term_from_name(tok))
+                nxt = stream.take()
+                if nxt == ")":
+                    break
+                if nxt != ",":
+                    raise ParseError(f"expected ',' or ')', got {nxt!r}", tline, tcol)
+        known = arities.setdefault(name, len(args))
+        if known != len(args):
+            raise ParseError(
+                f"predicate {name!r} used with arity {len(args)}, expected {known}", line, col
+            )
+        return Atom(name, tuple(args))
+
+    while stream.peek() is not None:
+        cid = next_id
+        if (
+            stream.peek().isdigit()
+            and stream.pos + 1 < len(stream.tokens)
+            and stream.tokens[stream.pos + 1][0] == ":"
+        ):
+            line, col = stream.where()
+            cid = int(stream.take())
+            stream.take()  # ':'
+            if cid in used_ids:
+                raise ParseError(f"duplicate clause id {cid}", line, col)
+        literals = []
+        while True:
+            positive = True
+            if stream.peek() == "-":
+                stream.take()
+                positive = False
+            literals.append(Literal(positive, parse_atom()))
+            nxt = stream.take()
+            if nxt == ".":
+                break
+            if nxt != "|":
+                line, col = stream.where()
+                raise ParseError(f"expected '|' or '.', got {nxt!r}", line, col)
+        used_ids.add(cid)
+        next_id = max(next_id, cid) + 1
+        clauses.append(Clause(cid, tuple(literals)))
+    return clauses
+
+
+_LIA_TOKEN = re.compile(r"\s*(<=|>=|<|>|[+*-]|-?\d+|[A-Za-z_][A-Za-z0-9_]*)")
+
+
+def _parse_lia_side(tokens: list[str], lineno: int) -> tuple[dict[str, int], int, list[str]]:
+    coeffs: dict[str, int] = {}
+    order: list[str] = []
+    const = 0
+    sign = 1
+    expect_term = True
+    i = 0
+    while i < len(tokens):
+        tok = tokens[i]
+        if tok in ("<=", ">=", "<", ">"):
+            break
+        if tok == "+":
+            if expect_term:
+                raise ParseError("dangling '+'", lineno)
+            expect_term = True
+            sign = 1
+            i += 1
+            continue
+        if tok == "-":
+            if expect_term:
+                sign = -sign
+            else:
+                expect_term = True
+                sign = -1
+            i += 1
+            continue
+        if not expect_term:
+            raise ParseError(f"expected an operator before {tok!r}", lineno)
+        if re.fullmatch(r"-?\d+", tok):
+            value = sign * int(tok)
+            if i + 2 < len(tokens) and tokens[i + 1] == "*":
+                var = tokens[i + 2]
+                if not re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", var):
+                    raise ParseError(f"expected a variable after '*', got {var!r}", lineno)
+                if var not in coeffs:
+                    order.append(var)
+                coeffs[var] = coeffs.get(var, 0) + value
+                i += 3
+            else:
+                const += value
+                i += 1
+        elif re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", tok):
+            if tok not in coeffs:
+                order.append(tok)
+            coeffs[tok] = coeffs.get(tok, 0) + sign
+            i += 1
+        else:
+            raise ParseError(f"unexpected token {tok!r}", lineno)
+        sign = 1
+        expect_term = False
+    if expect_term:
+        raise ParseError("expression ends with an operator", lineno)
+    ordered = {v: coeffs[v] for v in order}
+    return ordered, const, tokens[i:]
+
+
+def reference_parse_lia(text: str) -> LiaSystem:
+    """One inequation per line; '#' starts a comment; ids are line-ordered."""
+    inequations: list[LinIneq] = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        tokens = [m.group(1) for m in _LIA_TOKEN.finditer(line)]
+        if "".join(tokens).replace(" ", "") != line.replace(" ", ""):
+            raise ParseError(f"could not tokenize {line!r}", lineno)
+        left, lconst, rest = _parse_lia_side(tokens, lineno)
+        if not rest:
+            raise ParseError("missing comparison operator", lineno)
+        op, rest = rest[0], rest[1:]
+        right, rconst, leftover = _parse_lia_side(rest, lineno)
+        if leftover:
+            raise ParseError(f"trailing input {' '.join(leftover)!r}", lineno)
+        coeffs = dict(left)
+        for v, a in right.items():
+            coeffs[v] = coeffs.get(v, 0) - a
+        const = lconst - rconst
+        if op in (">", ">="):
+            coeffs = {v: -a for v, a in coeffs.items()}
+            const = -const
+        if op in ("<", ">"):
+            const += 1  # strict over the integers
+        coeffs = {v: a for v, a in coeffs.items() if a != 0}
+        if not coeffs:
+            raise ParseError("inequation has no variable", lineno)
+        inequations.append(LinIneq(len(inequations) + 1, tuple(coeffs.items()), const))
+    return LiaSystem(inequations)

@@ -163,6 +163,64 @@ class TestScript:
             parse_script("2 Res 3")
 
 
+# Every error kind of every parser, with the exact message and position: the
+# column is that of the offending token, the start of the line's text for an
+# error about the whole line, and just after the last token at the end of input.
+ERRORS = {
+    parse_bs: [
+        ("P(0) |", "unexpected end of input (line 1, column 7)"),
+        ("P(0) |\n  # more\n\n", "unexpected end of input (line 1, column 7)"),
+        ("P(0", "unexpected end of input (line 1, column 4)"),
+        ("-|.", "expected an atom, got '|' (line 1, column 2)"),
+        ("P(0).\n x1(0).", "predicate 'x1' starts with a variable prefix (line 2, column 2)"),
+        ("P(,).", "expected a term, got ',' (line 1, column 3)"),
+        ("P(0 | Q.", "expected ',' or ')', got '|' (line 1, column 5)"),
+        ("P(0,\n  1 Q).", "expected ',' or ')', got 'Q' (line 2, column 5)"),
+        ("P(0). P(0,1).", "predicate 'P' used with arity 2, expected 1 (line 1, column 7)"),
+        ("1 : P(0).\n1 : Q(0).", "duplicate clause id 1 (line 2, column 1)"),
+        ("P(0) Q(1).", "expected '|' or '.', got 'Q' (line 1, column 6)"),
+        ("P(0) # c\n\tQ(1).", "expected '|' or '.', got 'Q' (line 2, column 2)"),
+    ],
+    parse_dimacs: [
+        ("p cnf 1 1\np cnf 1 1\n", "duplicate DIMACS header (line 2, column 1)"),
+        ("  p cnf x\n", "malformed header: 'p cnf x' (line 1, column 3)"),
+        ("c x\n 1 0\n", "clause before the DIMACS header (line 2, column 2)"),
+        ("p cnf 2 1\n1 x 0\n", "bad literal 'x' (line 2, column 3)"),
+        ("p cnf 2 1\n1  3 0\n", "literal 3 exceeds the declared 2 variables (line 2, column 4)"),
+        ("p cnf 2 1\n1 2\nc end\n", "unterminated clause at end of input (line 2, column 4)"),
+        ("c only\n", "missing DIMACS header (line 1, column 7)"),
+        ("p cnf 2 2\n1 0\n", "header declares 2 clauses, found 1 (line 1, column 1)"),
+    ],
+    parse_lia: [
+        ("x <= 0\nx @ 3 <= 0", "could not tokenize 'x @ 3 <= 0' (line 2, column 3)"),
+        ("+ x <= 0", "dangling '+' (line 1, column 1)"),
+        ("x - + y <= 0", "dangling '+' (line 1, column 5)"),
+        ("x y <= 0", "expected an operator before 'y' (line 1, column 3)"),
+        ("2 * <= x", "expected a variable after '*', got '<=' (line 1, column 5)"),
+        ("x <= 3 *", "expected an operator before '*' (line 1, column 8)"),
+        ("* x <= 0", "unexpected token '*' (line 1, column 1)"),
+        ("x + <= 0", "expression ends with an operator (line 1, column 5)"),
+        ("x <=", "expression ends with an operator (line 1, column 5)"),
+        ("  x + 1 # no comparison", "missing comparison operator (line 1, column 8)"),
+        ("x <= 1 < 2", "trailing input '< 2' (line 1, column 8)"),
+        ("\n x - x <= 0", "inequation has no variable (line 2, column 2)"),
+    ],
+    parse_script: [
+        ("2.2 Res 3.1\n  2 Res 3 # c\n", "malformed script step '2 Res 3' (line 2, column 3)"),
+    ],
+}
+
+
+@pytest.mark.parametrize(
+    "parse, text, expected",
+    [(parse, text, expected) for parse, cases in ERRORS.items() for text, expected in cases],
+)
+def test_error_message_and_position(parse, text, expected):
+    with pytest.raises(ParseError) as info:
+        parse(text)
+    assert str(info.value) == expected
+
+
 def test_parse_bound():
     assert parse_bound("x >= 0") == Bound("x", True, 0, level=1)
     assert parse_bound("y<5") == Bound("y", False, 4, level=1)
