@@ -37,6 +37,11 @@ def _line_position(text: str, index: int, at: int = 0) -> tuple[int, int]:
 # ---------------------------------------------------------------------------
 
 
+# A literal and the header's counts are ASCII digits; `int()` alone would also
+# take `+2`, `1_0` and non-ASCII digits.
+_DIMACS_LITERAL = re.compile(r"-?[0-9]+")
+
+
 def parse_dimacs(text: str) -> tuple[int, list[PropClause]]:
     """Parse standard DIMACS CNF; returns (number of variables, clauses)."""
     num_vars = num_clauses = header = None
@@ -49,7 +54,7 @@ def parse_dimacs(text: str) -> tuple[int, list[PropClause]]:
         if line.startswith("p"):
             if num_vars is not None:
                 raise ParseError("duplicate DIMACS header", *_line_position(text, index))
-            m = re.fullmatch(r"p\s+cnf\s+(\d+)\s+(\d+)", line)
+            m = re.fullmatch(r"p\s+cnf\s+([0-9]+)\s+([0-9]+)", line)
             if not m:
                 raise ParseError(f"malformed header: {line!r}", *_line_position(text, index))
             num_vars, num_clauses, header = int(m.group(1)), int(m.group(2)), index
@@ -57,10 +62,9 @@ def parse_dimacs(text: str) -> tuple[int, list[PropClause]]:
         if num_vars is None:
             raise ParseError("clause before the DIMACS header", *_line_position(text, index))
         for tok in line.split():
-            try:
-                lit = int(tok)
-            except ValueError:
-                raise ParseError(f"bad literal {tok!r}", *_word_position(text, index, line, tok)) from None
+            if not _DIMACS_LITERAL.fullmatch(tok):
+                raise ParseError(f"bad literal {tok!r}", *_word_position(text, index, line, tok))
+            lit = int(tok)
             if lit == 0:
                 clauses.append(PropClause(len(clauses) + 1, tuple(pending)))
                 pending = []
@@ -271,15 +275,26 @@ def print_lia(system: LiaSystem) -> str:
     return "\n".join(str(ineq) for ineq in system.inequations) + "\n"
 
 
-_BOUND = re.compile(r"\s*([A-Za-z_][A-Za-z0-9_]*)\s*(<=|>=|<|>)\s*(-?\d+)\s*")
+# A variable, a comparison and an integer.  Those three groups are optional
+# and each group starts where the one before it ends, so the pattern always
+# matches, and the first of them that is missing is where the bound goes wrong.
+_BOUND = re.compile(r"(\s*)([A-Za-z_][A-Za-z0-9_]*)?(\s*)(<=|>=|<|>)?(\s*)(-?)(\d+)?\s*")
 
 
 def parse_bound(text: str, level: int = 1) -> Bound:
-    """Parse a decision bound such as 'x >= 0'."""
-    m = _BOUND.fullmatch(text)
-    if not m:
-        raise ParseError(f"malformed bound {text!r}")
-    return Bound.make(m.group(1), m.group(2), int(m.group(3)), level=level, reason=None)
+    """Parse a decision bound such as 'x >= 0'.
+
+    A malformed bound is an error on line 1, at the column of the first
+    character the grammar cannot take, or just after the last token when
+    the value ends too early.
+    """
+    m = _BOUND.match(text)
+    name, op, sign, number = m.group(2, 4, 6, 7)
+    if name is None or op is None or number is None or m.end() < len(text):
+        missing = next((g for g in (2, 4, 7) if m.group(g) is None), None)
+        at = m.end() if missing is None else m.end(missing - 1)
+        raise ParseError(f"malformed bound {text!r}", 1, min(at, len(text.rstrip())) + 1)
+    return Bound.make(name, op, int(sign + number), level=level, reason=None)
 
 
 # ---------------------------------------------------------------------------

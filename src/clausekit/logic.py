@@ -1,32 +1,64 @@
 """Function-free first-order syntax: terms, atoms, literals, clauses, substitutions.
 
 Variables and constants are the only terms (Bernays-Schoenfinkel fragment);
-propositional atoms are the 0-ary special case.  All values are immutable.
+propositional atoms are the 0-ary special case.  All values are immutable,
+and terms are interned: one object per class and name.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from typing import Iterable, Mapping
 
 # Identifiers starting with one of these letters denote variables.
 VARIABLE_PREFIXES = ("x", "y", "z", "u", "v", "w")
 
 
-@dataclass(frozen=True, slots=True)
-class Variable:
-    name: str
+class _Interned:
+    """A term with one object per class and name, so equality is identity.
+
+    `Variable(name)` and `Constant(name)` look the name up in their class's
+    table, which holds each term for the life of the process.  Equality and
+    hashing are `object`'s, by identity.  Terms are immutable, and copies
+    and unpickled terms are the interned object.
+    """
+
+    __slots__ = ("name",)
+    _table: dict[str, "_Interned"]
+
+    def __init_subclass__(cls) -> None:
+        cls._table = {}
+
+    def __new__(cls, name: str):
+        term = cls._table.get(name)
+        if term is None:
+            term = object.__new__(cls)
+            object.__setattr__(term, "name", name)
+            term = cls._table.setdefault(name, term)
+        return term
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), (self.name,)
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}(name={self.name!r})"
 
     def __str__(self) -> str:
         return self.name
 
 
-@dataclass(frozen=True, slots=True)
-class Constant:
-    name: str
+class Variable(_Interned):
+    __slots__ = ()
 
-    def __str__(self) -> str:
-        return self.name
+
+class Constant(_Interned):
+    __slots__ = ()
 
 
 Term = Variable | Constant
@@ -144,7 +176,7 @@ class Substitution:
                     raise ValueError("cyclic substitution")
                 seen.add(term)
                 term = pending[term]
-            if term != var:
+            if term is not var:
                 resolved[var] = term
         self._bindings = resolved
 
@@ -190,7 +222,7 @@ def unify(a: Atom, b: Atom) -> Substitution | None:
 
     for s, t in zip(a.args, b.args):
         s, t = walk(s), walk(t)
-        if s == t:
+        if s is t:
             continue
         if isinstance(s, Variable):
             bindings[s] = t
@@ -210,10 +242,9 @@ def match_atoms(
     env = dict(bindings or {})
     for p, t in zip(pattern.args, target.args):
         if isinstance(p, Variable):
-            bound = env.setdefault(p, t)
-            if bound != t:
+            if env.setdefault(p, t) is not t:
                 return None
-        elif p != t:
+        elif p is not t:
             return None
     return env
 

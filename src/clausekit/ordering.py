@@ -92,7 +92,7 @@ def atom_weight(atom: Atom, cfg: OrderingConfig) -> int:
 
 
 def _term_compare(u: Term, v: Term, cfg: OrderingConfig) -> Cmp:
-    if u == v:
+    if u is v:  # terms are interned
         return Cmp.EQ
     if isinstance(u, Variable) or isinstance(v, Variable):
         # distinct variables, or variable vs constant: neither dominates
@@ -117,7 +117,7 @@ def kbo_compare(s: Atom, t: Atom, cfg: OrderingConfig) -> Cmp:
     elif s.predicate != t.predicate:
         r = Cmp.GT if cfg.prec_of(s.predicate) > cfg.prec_of(t.predicate) else Cmp.LT
     else:  # the first argument where they differ decides
-        r = next((_term_compare(u, v, cfg) for u, v in zip(s.args, t.args) if u != v), Cmp.EQ)
+        r = next((_term_compare(u, v, cfg) for u, v in zip(s.args, t.args) if u is not v), Cmp.EQ)
     # a greater atom must hold every variable as often as the smaller one
     if r is Cmp.GT:
         return r if _covers(s, t) else Cmp.INCOMPARABLE

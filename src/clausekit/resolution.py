@@ -132,8 +132,8 @@ class ClauseRecord:
     A KBO `GT` between two literals survives every substitution, so the other
     literals are not maximal in any instance either.  `positive` and
     `negative` index the literals that may be resolved on, `keys` holds the
-    (predicate, arity) of each literal, `constants` each literal's argument
-    names with None for a variable, and `eligible` the (sign, key) pairs of
+    (predicate, arity) of each literal, `constants` each literal's arguments
+    with None for a variable, and `eligible` the (sign, key) pairs of
     the literals that may be resolved on, under which saturation files an
     active clause.
     """
@@ -155,7 +155,7 @@ class ClauseRecord:
             self.negative = () if lits[self.selected].positive else (self.selected,)
         self.keys = tuple((l.atom.predicate, len(l.atom.args)) for l in lits)
         self.constants = tuple(
-            tuple(t.name if isinstance(t, Constant) else None for t in l.atom.args) for l in lits
+            tuple(t if isinstance(t, Constant) else None for t in l.atom.args) for l in lits
         )
         self.eligible = {(True, self.keys[i]) for i in self.positive}
         self.eligible.update((False, self.keys[j]) for j in self.negative)
@@ -165,7 +165,7 @@ class ClauseRecord:
 def _clash(first: tuple, second: tuple) -> bool:
     """Whether two literals' `constants` hold different constants at some position."""
     for c, d in zip(first, second):
-        if c != d and c is not None and d is not None:
+        if c is not d and c is not None and d is not None:  # constants are interned
             return True
     return False
 

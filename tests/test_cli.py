@@ -19,7 +19,7 @@ from clausekit.cli import (
     counter_experiment,
     main,
 )
-from clausekit.formats import parse_bs, parse_script
+from clausekit.formats import parse_bs, parse_script, print_script
 from clausekit.resolution import linear_counter_script
 from clausekit.scl import scl_run
 
@@ -402,3 +402,57 @@ def test_precedence_flag():
     assert code == EXIT_UNSAT
     assert out.splitlines()[-1] == "Unsat"
     assert len(out.splitlines()) > 1  # derived clauses were logged
+
+
+# A random set like acceptance test 8's (its generator at seed 12): first-negative
+# saturation generates 231 clauses and keeps 66.
+RANDOM_BS = """\
+1 : P(x1,1) | P(x1,x2) | -P(x2,1).
+2 : P(1,x2) | P(x1,1) | -P(1,0).
+3 : P(x2,0) | P(0,1).
+4 : -P(x2,0) | -P(1,x1).
+"""
+
+# Reads the runs as JSON and first creates a number of unused variables, which
+# moves every later term to another address.
+DETERMINISM_RUNS = """\
+import io, json, sys
+from clausekit.cli import main
+from clausekit.logic import Variable
+padding = [Variable(f"pad{i}") for i in range(int(sys.argv[2]))]
+for argv in json.loads(sys.argv[1]):
+    out = io.StringIO()
+    code = main(argv, out)
+    sys.stdout.write(f"{argv}\\n{code}\\n{out.getvalue()}")
+"""
+
+
+def test_output_does_not_depend_on_hashing(tmp_path):
+    """Terms hash by address, so no output may follow the order of a set of terms.
+
+    Fresh interpreters with different string hash seeds and their terms at
+    different addresses run the same resolution, replay and SCL cases, and
+    print the same bytes.
+    """
+    (tmp_path / "random.bs").write_text(RANDOM_BS)
+    (tmp_path / "counter6.script").write_text(print_script(linear_counter_script(6)))
+    saturate = ["--mode", "resolution", "--selection", "first-negative"]
+    argvs = [
+        [*saturate, "--counter-n", "5"],
+        [*saturate, "--counter-n", "5", "--format", "json"],
+        [*saturate, "--input", str(tmp_path / "random.bs")],
+        ["--mode", "resolution-replay", "--counter-n", "6", "--replay", str(tmp_path / "counter6.script")],
+        ["--mode", "scl", "--counter-n", "4"],
+    ]
+    src = str(Path(clausekit.__file__).parent.parent)
+    outputs = []
+    for seed, padding in (("1", "0"), ("2", "1")):
+        env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=seed)
+        proc = subprocess.run(
+            [sys.executable, "-c", DETERMINISM_RUNS, json.dumps(argvs), padding],
+            capture_output=True, env=env, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout)
+    assert outputs[0] == outputs[1]
+    assert outputs[0].count(b"Unsat\n") == 2 and b"Saturated(" in outputs[0] and b"s UNSATISFIABLE" in outputs[0]

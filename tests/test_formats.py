@@ -186,6 +186,12 @@ ERRORS = {
         ("  p cnf x\n", "malformed header: 'p cnf x' (line 1, column 3)"),
         ("c x\n 1 0\n", "clause before the DIMACS header (line 2, column 2)"),
         ("p cnf 2 1\n1 x 0\n", "bad literal 'x' (line 2, column 3)"),
+        ("p cnf 10 1\n1_0 2 0\n", "bad literal '1_0' (line 2, column 1)"),
+        ("p cnf 2 1\n1 +2 0\n", "bad literal '+2' (line 2, column 3)"),
+        ("p cnf 4 1\n1 -\u0663 0\n", "bad literal '-\u0663' (line 2, column 3)"),
+        ("p cnf 2 1\n1 \u00b2 0\n", "bad literal '\u00b2' (line 2, column 3)"),
+        ("p cnf 2 1\n1 -- 0\n", "bad literal '--' (line 2, column 3)"),
+        ("p cnf \u0663 1\n1 0\n", "malformed header: 'p cnf \u0663 1' (line 1, column 1)"),
         ("p cnf 2 1\n1  3 0\n", "literal 3 exceeds the declared 2 variables (line 2, column 4)"),
         ("p cnf 2 1\n1 2\nc end\n", "unterminated clause at end of input (line 2, column 4)"),
         ("c only\n", "missing DIMACS header (line 1, column 7)"),
@@ -208,6 +214,17 @@ ERRORS = {
     parse_script: [
         ("2.2 Res 3.1\n  2 Res 3 # c\n", "malformed script step '2 Res 3' (line 2, column 3)"),
     ],
+    parse_bound: [
+        ("x == 3", "malformed bound 'x == 3' (line 1, column 3)"),
+        ("", "malformed bound '' (line 1, column 1)"),
+        (" 3 >= x", "malformed bound ' 3 >= x' (line 1, column 2)"),
+        ("x  ", "malformed bound 'x  ' (line 1, column 2)"),
+        ("x < = 3", "malformed bound 'x < = 3' (line 1, column 5)"),
+        ("x >= -", "malformed bound 'x >= -' (line 1, column 7)"),
+        ("x >= - 3", "malformed bound 'x >= - 3' (line 1, column 7)"),
+        ("x >= y", "malformed bound 'x >= y' (line 1, column 6)"),
+        ("x >= 3 4", "malformed bound 'x >= 3 4' (line 1, column 8)"),
+    ],
 }
 
 
@@ -224,8 +241,15 @@ def test_error_message_and_position(parse, text, expected):
 def test_parse_bound():
     assert parse_bound("x >= 0") == Bound("x", True, 0, level=1)
     assert parse_bound("y<5") == Bound("y", False, 4, level=1)
-    with pytest.raises(ParseError):
+    assert parse_bound(" x>=-3 ") == Bound("x", True, -3, level=1)
+    with pytest.raises(ParseError) as info:
         parse_bound("x == 3")
+    assert (info.value.line, info.value.column) == (1, 3)
+
+
+def test_dimacs_literals_are_ascii_decimal():
+    """Leading zeros and `-0` are ASCII decimal literals too."""
+    assert parse_dimacs("p cnf 010 2\n10 -01 0\n-0\n") == (10, [PropClause(1, (10, -1)), PropClause(2, ())])
 
 
 def test_propclause_rejects_zero():

@@ -1,4 +1,6 @@
+import copy
 import itertools
+import pickle
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -31,6 +33,38 @@ def pos(atom):
 
 def neg(atom):
     return Literal(False, atom)
+
+
+class TestInternedTerms:
+    def test_equal_names_give_one_object(self):
+        assert Variable("x1") is x1
+        assert Constant("".join(["0"])) is c0
+        assert hash(x1) == object.__hash__(x1)
+
+    def test_classes_do_not_share_names(self):
+        assert Variable("x") != Constant("x")
+        assert Variable("x") is not Constant("x")
+        assert len({Variable("a"), Constant("a")}) == 2
+
+    def test_immutable(self):
+        with pytest.raises(AttributeError):
+            x1.name = "x2"
+        with pytest.raises(AttributeError):
+            del c0.name
+        assert x1.name == "x1"
+
+    @pytest.mark.parametrize("term", [x1, c0])
+    def test_copies_are_the_interned_object(self, term):
+        assert copy.copy(term) is term
+        assert copy.deepcopy(term) is term
+        assert copy.deepcopy(P(term, term)).args == (term, term)
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            assert pickle.loads(pickle.dumps(term, protocol)) is term
+
+    def test_repr_and_str(self):
+        assert repr(x1) == "Variable(name='x1')"
+        assert repr(c0) == "Constant(name='0')"
+        assert str(P(x1, c0)) == "P(x1,0)"
 
 
 class TestUnify:
