@@ -1,11 +1,11 @@
 """Propositional CDCL over the five-tuple state (M, N, U, k, C), and the trail engine it shares with SCL.
 
-`TrailKernel` holds the trail and two watched literals per clause; an
-assignment visits only the clauses watching the literal it falsifies.  The
-step rules here run CDCL over clause ids and the SCL engine
-(`clausekit.scl`) over ground instances: propagate into the kernel's
-conflict slot, decide, learn (the Backjump rule: check, backjump, hook,
-assert), the lowest unassigned atom, and 1UIP analysis in one backward
+`TrailKernel` holds the trail, a truth table by literal and two watched
+literals per clause; an assignment visits only the clauses watching the
+literal it falsifies.  The step rules here run CDCL over clause ids and the
+SCL engine (`clausekit.scl`) over ground instances: propagate into the
+kernel's conflict slot, decide, learn (the Backjump rule: check, backjump,
+hook, assert), the lowest unassigned atom, and 1UIP analysis in one backward
 trail walk.  The engines differ only in the kernel's hooks (`unit_key`,
 `conflict_key`, `assign`).  CDCL adds manual forgetting and the trail-induced
 clause ordering.  Literals are DIMACS-style signed integers.
@@ -20,7 +20,7 @@ import heapq
 import math
 from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .errors import ResourceLimitError
 from .logic import clauses_by_id
@@ -32,7 +32,7 @@ class PropClause:
     lits: tuple[int, ...]
 
     def __post_init__(self):
-        if any(l == 0 for l in self.lits):
+        if 0 in self.lits:
             raise ValueError("0 is not a literal")
 
     def __str__(self) -> str:
@@ -45,8 +45,12 @@ class TrailEntry(NamedTuple):
     reason: int | None  # propagating clause id; None marks a decision
 
 
+# builds a NamedTuple from its fields' tuple in C, without the generated Python-level __new__
+_new = tuple.__new__
+
+
 def clause_status(lits: Sequence[int], value: dict[int, bool]) -> tuple[str, int | None]:
-    """Classify a clause under a partial assignment: sat, false, unit or open."""
+    """Classify a clause under a partial assignment (atom -> truth value): sat, false, unit or open."""
     unassigned = None
     count = 0
     for lit in lits:
@@ -65,7 +69,16 @@ def clause_status(lits: Sequence[int], value: dict[int, bool]) -> tuple[str, int
 
 @dataclass(kw_only=True)
 class TrailKernel:
-    """The trail, value and level tables, and the two-watched-literal index over clause ids.
+    """The trail, its truth and level tables, and the two-watched-literal index over clause ids.
+
+    `true` is a truth table by literal, as in MiniSat: `true[l]` is 1 exactly
+    when l is on the trail, and a negative literal indexes from the end.
+    `size` gives atoms 1..n 2n + 1 slots, so slot n + 1 is literal -n and a
+    search over atoms stops at n; the trail is total when its length is n.
+    `var_level[a]` is atom a's level while a is assigned; a backjump leaves
+    it stale, so the table grows with the atoms assigned, not with n.
+    `trail_lim[k]` is where level k + 1 starts on the trail, as MiniSat's
+    `trail_lim`, so a backjump clears one slice.
 
     Each hooked clause keeps its literals with the watched ones in the first
     two positions (`watched`); `watchers` lists the clauses watching each
@@ -73,15 +86,20 @@ class TrailKernel:
     the unit clauses, and `false_ids` holds the false clauses.  A one-literal
     clause is padded to two positions and watched once.  Whenever no clause
     is false, every clause that is neither satisfied nor on the heap has two
-    non-false watched positions.  Satisfied heap entries are dropped when they
-    reach the top.  `cursor` is at or below the smallest unassigned atom.
-    `conflict` is the false clause that propagation stopped at, or None.
+    non-false watched positions.  A clause hooked mid-trail is unit or false
+    and watches its unassigned literal, if any, and its highest-level false
+    ones: a learned clause its asserting literal and the other literal that
+    the check pass of `learn_clause` finds, with no sort.  Satisfied heap
+    entries are dropped when they reach the top.  `cursor` is at or below the
+    smallest unassigned atom.  `conflict` is the false clause that
+    propagation stopped at, or None.
     """
 
     trail: list[TrailEntry] = field(default_factory=list)
+    trail_lim: list[int] = field(default_factory=list, repr=False)
     level: int = 0
-    value: dict[int, bool] = field(default_factory=dict)
-    var_level: dict[int, int] = field(default_factory=dict)
+    true: bytearray = field(default_factory=lambda: bytearray(1), repr=False)
+    var_level: dict[int, int] = field(default_factory=dict, repr=False)
     watched: dict[int, Sequence[int]] = field(default_factory=dict, repr=False)
     watchers: defaultdict[int, list[int]] = field(default_factory=lambda: defaultdict(list), repr=False)
     pending: list[tuple] = field(default_factory=list, repr=False)
@@ -90,37 +108,34 @@ class TrailKernel:
     cursor: int = 1
     conflict: int | None = None
 
-    def unit_key(self, cid: int, lit: int):
-        """Heap order of the pending units; the smallest propagates first."""
-        return cid
+    # Hooks: unit_key(cid, lit) is the heap order of the pending units, the smallest
+    # propagating first; conflict_key(cid) orders the false clauses, the smallest being
+    # the conflict.  None orders both by clause id.
+    unit_key = None
+    conflict_key = None
 
-    def conflict_key(self, cid: int):
-        """Order of the false clauses; the smallest is the conflict."""
-        return cid
+    def size(self, atoms: int) -> None:
+        """Size the truth table for atoms 1..atoms; called on an empty trail."""
+        self.true = bytearray(2 * atoms + 1)
 
     def watch(self, cid: int, lits: Sequence[int]) -> None:
-        """Hook a clause into the kernel, watching lits[0] and lits[1].
+        """Hook a clause into the kernel, watching lits[0] and lits[1], which the caller chose.
 
-        A clause is hooked under the empty trail, or learned and asserting
-        after a backjump; then a clause of three or more literals is
-        reordered to watch its asserting literal and its highest-level other
-        literal (`assign` reads both positions of a shorter one alike).  An
-        empty clause is false; a one-literal clause is unit until its literal
-        is assigned.  Only clauses of three or more literals are copied:
-        `assign` moves watches within those alone.
+        An empty clause is false; a one-literal clause is unit until its
+        literal is assigned.  Only clauses of three or more literals are
+        copied: `assign` moves watches within those alone.
         """
         if not lits:
             self.false_ids.add(cid)
             return
-        if len(lits) > 2:
-            if self.trail:
-                lits = sorted(lits, key=lambda l: (abs(l) in self.value, -self.var_level.get(abs(l), 0)))
-            else:
-                lits = list(lits)
         if len(lits) == 1:
-            heapq.heappush(self.pending, (self.unit_key(cid, lits[0]), cid, lits[0]))
-            self.watched[cid] = (lits[0], lits[0])
+            lit = lits[0]
+            key = self.unit_key
+            heapq.heappush(self.pending, (cid if key is None else key(cid, lit), cid, lit))
+            self.watched[cid] = (lit, lit)
         else:
+            if len(lits) > 2:
+                lits = list(lits)
             self.watched[cid] = lits
         watchers = self.watchers
         for lit in lits[:2]:
@@ -145,70 +160,56 @@ class TrailKernel:
         watch is true.  The whole watch list is visited, so every clause made false
         by lit is recorded, not just the first.
         """
-        value = self.value
-        self.trail.append(TrailEntry(lit, self.level, reason))
-        value[abs(lit)] = lit > 0
-        self.var_level[abs(lit)] = self.level
+        true, level = self.true, self.level
+        self.trail.append(_new(TrailEntry, (lit, level, reason)))
+        true[lit] = 1
+        self.var_level[lit if lit > 0 else -lit] = level
         false_lit = -lit
         watchers = self.watchers
         watching = watchers.get(false_lit)
         if not watching:
             return
-        watched = self.watched
+        watched, pending, key = self.watched, self.pending, self.unit_key
         stay = []
         for cid in watching:
             lits = watched[cid]
-            other = lits[1] if lits[0] == false_lit else lits[0]
-            other_value = value.get(abs(other))
-            if other_value is not None and other_value == (other > 0):
+            other = lits[0]
+            if other == false_lit:
+                other = lits[1]
+            if true[other]:
                 stay.append(cid)
                 continue
-            for k in range(2, len(lits)):
+            k, n = 2, len(lits)
+            while k < n:  # not a for over range(2, n), which builds a range per visit
                 candidate = lits[k]
-                v = value.get(abs(candidate))
-                if v is None or v == (candidate > 0):
+                if not true[-candidate]:
                     lits[0], lits[1], lits[k] = other, candidate, false_lit
                     watchers[candidate].append(cid)
                     break
+                k += 1
             else:
                 stay.append(cid)
-                if other_value is None:
-                    heapq.heappush(self.pending, (self.unit_key(cid, other), cid, other))
-                else:
+                if true[-other]:
                     self.false_ids.add(cid)
+                else:
+                    heapq.heappush(pending, (cid if key is None else key(cid, other), cid, other))
         watchers[false_lit] = stay
 
-    def _drop_satisfied(self) -> list[tuple]:
-        """Pop satisfied clauses off the top of the heap and return the heap.
-
-        Called only while no clause is false, so an assigned unit literal is true.
-        """
-        pending = self.pending
-        while pending and abs(pending[0][2]) in self.value:
-            heapq.heappop(pending)
-        return pending
-
-    def pop_unit(self) -> tuple[int, int] | None:
-        """The next unit clause in unit_key order, as (clause id, literal), or None."""
-        pending = self._drop_satisfied()
-        if not pending:
-            return None
-        _, cid, lit = heapq.heappop(pending)
-        return cid, lit
-
     def truncate(self, level: int) -> None:
-        """Undo the trail above the level, moving `cursor` back, and forget the pending units and false clauses.
+        """Undo the trail above the level, one slice, moving `cursor` back; forget the pending units and false clauses.
 
         Decisions are made only at a fixpoint without false clauses, so no
         clause is unit or false at the level the trail returns to.
         """
-        trail, cursor = self.trail, self.cursor
-        while trail and trail[-1].level > level:
-            atom = abs(trail.pop().lit)
-            del self.value[atom]
-            del self.var_level[atom]
-            if atom < cursor:
-                cursor = atom
+        trail, true, cursor = self.trail, self.true, self.cursor
+        start = self.trail_lim[level]
+        for lit, _, _ in trail[start:]:
+            true[lit] = 0
+            if lit < 0:
+                lit = -lit
+            if lit < cursor:
+                cursor = lit
+        del trail[start:], self.trail_lim[level:]
         self.cursor = cursor
         self.level = level
         self.pending.clear()
@@ -227,6 +228,7 @@ class CdclState(TrailKernel):
     last_analysis_steps: list[tuple[int, int]] = field(default_factory=list)
 
     def __post_init__(self) -> None:
+        self.size(self.num_vars)
         for c in self.clauses.values():
             self.watch(c.id, c.lits)
 
@@ -255,22 +257,26 @@ def propagate_units(kernel: TrailKernel, trail_cap: float = math.inf) -> None:
 
     Falsity preempts propagation (eager conflict detection); the conflict is
     the false clause smallest in `conflict_key`, and otherwise the unit
-    clause smallest in `unit_key` propagates.  The trail never exceeds trail_cap.
+    clause smallest in `unit_key` propagates.  While no clause is false, a
+    heap entry whose literal is assigned is satisfied, and is dropped.  The
+    trail never exceeds trail_cap.
     """
     if kernel.conflict is not None:
         raise ValueError("cannot propagate with a pending conflict")
-    trail, false_ids, events = kernel.trail, kernel.false_ids, kernel.events
+    trail, pending, false_ids, true = kernel.trail, kernel.pending, kernel.false_ids, kernel.true
+    assign, record, heappop = kernel.assign, kernel.events.append, heapq.heappop
     while not false_ids:
-        unit = kernel.pop_unit()
-        if unit is None:
+        if not pending:
             return
+        _, cid, lit = heappop(pending)
+        if true[lit]:
+            continue
         if len(trail) >= trail_cap:
             raise ResourceLimitError(f"trail length exceeds the cap of {trail_cap}")
-        cid, lit = unit
-        kernel.assign(lit, cid)
-        events.append(("propagate", lit, cid))
+        assign(lit, cid)
+        record(("propagate", lit, cid))
     kernel.conflict = min(false_ids, key=kernel.conflict_key)
-    events.append(("conflict", kernel.conflict))
+    record(("conflict", kernel.conflict))
 
 
 def propagate(state: CdclState) -> CdclState:
@@ -280,15 +286,23 @@ def propagate(state: CdclState) -> CdclState:
 
 
 def at_fixpoint(state: TrailKernel) -> bool:
-    return not state.false_ids and not state._drop_satisfied()
+    """No clause is false or unit; drops the satisfied entries off the top of the unit heap."""
+    pending, true = state.pending, state.true
+    while pending and true[pending[0][2]]:
+        heapq.heappop(pending)
+    return not state.false_ids and not pending
 
 
 def decide(state: TrailKernel, lit: int) -> TrailKernel:
     """Open a new level with lit as its decision, at a propagation fixpoint (so no conflict is pending)."""
-    if abs(lit) in state.value:
-        raise ValueError(f"atom {abs(lit)} is already assigned")
+    atom, true = abs(lit), state.true
+    if not 0 < atom <= len(true) >> 1:
+        raise ValueError(f"atom {atom} is outside 1..{len(true) >> 1}")
+    if true[lit] or true[-lit]:
+        raise ValueError(f"atom {atom} is already assigned")
     if not at_fixpoint(state):
         raise ValueError("deciding before propagation reached fixpoint")
+    state.trail_lim.append(len(state.trail))
     state.level += 1
     state.assign(lit, None)
     state.events.append(("decide", lit, state.level))
@@ -296,9 +310,10 @@ def decide(state: TrailKernel, lit: int) -> TrailKernel:
 
 
 def lowest_unassigned(kernel: TrailKernel) -> int:
-    """The smallest atom not on the trail, searched from the kernel's cursor on."""
-    value, atom = kernel.value, kernel.cursor
-    while atom in value:
+    """The smallest atom not on the trail, searched from the kernel's cursor on; n + 1 on a total trail over n atoms."""
+    true, atom = kernel.true, kernel.cursor
+    last = len(true) >> 1
+    while atom <= last and (true[atom] or true[-atom]):  # slot last + 1 is literal -last
         atom += 1
     kernel.cursor = atom
     return atom
@@ -307,35 +322,39 @@ def lowest_unassigned(kernel: TrailKernel) -> int:
 def resolve_1uip(
     kernel: TrailKernel,
     conflict_lits: Iterable[int],
-    reason_lits: Callable[[int], Sequence[int]],
+    reasons: Mapping[int, PropClause] | Sequence,
 ) -> tuple[tuple[int, ...], int, list[tuple[int, int]]]:
     """1UIP resolution in one backward walk over the kernel's trail, at its current level.
 
-    reason_lits maps a reason id to its clause literals.  `seen` marks the
-    clause's atoms, `count` those of the conflict level not yet resolved on,
-    and `learned` keeps the others.  The walk resolves on each marked trail
-    literal until one of the conflict level is left (at level 0, none), as
-    MiniSat's analyze does.  Returns (learned, backjump level, steps); an
-    empty learned clause is reported as ((), -1, steps).
+    reasons maps a reason id to its clause, which holds its literals as
+    `lits` (CDCL's clauses by id, SCL's instances by position).  `seen`
+    marks the clause's atoms, `count` those of the conflict level not yet
+    resolved on, and `learned` keeps the others.  The walk resolves on each
+    marked trail literal until one of the conflict level is left (at level
+    0, none), as MiniSat's analyze does.  Returns (learned, backjump level,
+    steps); an empty learned clause is reported as ((), -1, steps).
     """
-    trail, lvl, level = kernel.trail, kernel.var_level, kernel.level
+    lvl, level = kernel.var_level, kernel.level
     seen, learned, steps = set(), [], []
-    count, pos, lits = 0, len(trail), conflict_lits
+    count, blevel, lits = 0, 0, conflict_lits
+    walk = reversed(kernel.trail)  # resumed at each resolution step
     while True:
         for lit in lits:
             atom = abs(lit)
             if atom not in seen:
                 seen.add(atom)
-                if lvl[atom] == level:
+                atom_level = lvl[atom]
+                if atom_level == level:
                     count += 1
                 else:
                     learned.append(lit)
+                    if atom_level > blevel:
+                        blevel = atom_level
         if not count:
             break
-        pos -= 1
-        while abs(trail[pos].lit) not in seen:
-            pos -= 1
-        lit, _, reason = trail[pos]
+        for lit, _, reason in walk:
+            if abs(lit) in seen:
+                break
         count -= 1
         if level and not count:
             learned.append(-lit)
@@ -343,10 +362,9 @@ def resolve_1uip(
         if reason is None:
             raise ValueError("conflict analysis reached a decision literal")
         steps.append((abs(lit), reason))
-        lits = reason_lits(reason)
+        lits = reasons[reason].lits
     if not level:
         return (), -1, steps
-    blevel = max((lvl[abs(l)] for l in learned if lvl[abs(l)] != level), default=0)
     return tuple(sorted(learned, key=abs)), blevel, steps
 
 
@@ -358,9 +376,7 @@ def analyze_conflict(state: CdclState) -> tuple[tuple[int, ...], int]:
     """
     if state.conflict is None:
         raise ValueError("no conflict to analyze")
-    learned, blevel, steps = resolve_1uip(
-        state, state.clauses[state.conflict].lits, lambda cid: state.clauses[cid].lits
-    )
+    learned, blevel, steps = resolve_1uip(state, state.clauses[state.conflict].lits, state.clauses)
     state.last_analysis_steps = steps
     return learned, blevel
 
@@ -370,29 +386,36 @@ def learn_clause(kernel: TrailKernel, cid: int, lits: Sequence[int], level: int)
 
     One pass checks that exactly one literal is unassigned or above the
     level, that no other is true, and that the others' highest level is the
-    level.  Records ("learn", lits, level, cid).
+    level; it finds the asserting literal and the highest-level other one,
+    which the clause watches.  Records ("learn", lits, level, cid).
     """
     if not 0 <= level < kernel.level:
         raise ValueError("backjump level must be below the current level")
-    value, var_level = kernel.value, kernel.var_level
-    asserting, highest = None, -1  # -1: no other literal
-    for lit in lits:
-        lit_level = var_level.get(abs(lit), level + 1)
-        if lit_level > level and asserting is None:
-            asserting = lit
-        elif lit_level > level or value[abs(lit)] == (lit > 0):  # a second open literal, or a true one
-            asserting = None
+    true, var_level = kernel.true, kernel.var_level
+    asserting, other, highest = -1, -1, -1  # positions of the two watches; -1: no other literal
+    for i, lit in enumerate(lits):
+        lit_level = var_level[abs(lit)] if true[-lit] or true[lit] else level + 1
+        if lit_level > level and asserting < 0:
+            asserting = i
+        elif lit_level > level or true[lit]:  # a second open literal, or a true one
+            asserting = -1
             break
         elif lit_level > highest:
-            highest = lit_level
-    if asserting is None:
+            other, highest = i, lit_level
+    if asserting < 0:
         raise ValueError("learned clause is not asserting at the backjump level")
     if highest not in (-1, level):
         raise ValueError("backjump level is not the highest level of the learned clause's other literals")
     kernel.conflict = None
     kernel.truncate(level)
-    kernel.watch(cid, lits)
-    kernel.assign(asserting, cid)
+    ordered = list(lits)  # the asserting literal first, then the highest-level other one
+    ordered[0], ordered[asserting] = ordered[asserting], ordered[0]
+    if other >= 0:
+        if other == 0:
+            other = asserting  # where the first swap moved it
+        ordered[1], ordered[other] = ordered[other], ordered[1]
+    kernel.watch(cid, ordered)
+    kernel.assign(lits[asserting], cid)
     kernel.events.append(("learn", lits, level, cid))
 
 
@@ -437,8 +460,7 @@ def lowest_index_positive(state: CdclState) -> int:
 DecisionHeuristic = Callable[[CdclState], int]
 
 
-@dataclass(frozen=True)
-class ProofStep:
+class ProofStep(NamedTuple):
     """One conflict analysis: the false clause, its resolutions, the result."""
 
     conflict_id: int
@@ -470,13 +492,14 @@ def solve(
         propagate(state)
         if state.conflict is not None:
             learned, blevel = analyze_conflict(state)
-            proof.append(ProofStep(state.conflict, tuple(state.last_analysis_steps), learned))
+            proof.append(_new(ProofStep, (state.conflict, tuple(state.last_analysis_steps), learned)))
             if blevel < 0:
                 state.events.append(("unsat",))
                 return UnsatResult(proof=proof, state=state)
             backjump_and_learn(state, learned, blevel)
-        elif len(state.value) == state.num_vars:
-            model = tuple(a if state.value[a] else -a for a in range(1, state.num_vars + 1))
+        elif len(state.trail) == state.num_vars:
+            true = state.true
+            model = tuple(a if true[a] else -a for a in range(1, state.num_vars + 1))
             state.events.append(("sat", model))
             return SatResult(model=model, state=state)
         else:

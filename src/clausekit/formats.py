@@ -192,12 +192,12 @@ def print_bs(clauses: Iterable[Clause]) -> str:
 # ---------------------------------------------------------------------------
 
 # One term with the '+' or '-' before it and any '-' signs of its own, and the
-# comparison after it, if any.  Only spaces separate tokens.  Every group is
-# optional, so the pattern always matches, and the first group missing is the
-# parse error.
+# comparison after it, if any.  Only spaces separate tokens, and a number is
+# ASCII digits.  Every group is optional, so the pattern always matches, and
+# the first group missing is the parse error.
 _LIA_TERM = re.compile(
     r"""[ ]* ([+-]?) ((?: [ ]* - )* [ ]*)           # operator, signs
-        (?: (\d+) (?: [ ]* (\*[ ]*) (NAME)? )?      # number, '*', variable
+        (?: ([0-9]+) (?: [ ]* (\*[ ]*) (NAME)? )?   # number, '*', variable
           | (NAME) )?                               # or a bare variable
         [ ]* (<=|>=|<|>)?                           # comparison
     """.replace("NAME", "[A-Za-z_][A-Za-z0-9_]*"),
@@ -264,10 +264,10 @@ def _lia_error(text: str, index: int, line: str, at: int, message: str) -> Parse
     tokens from there on, joined by spaces.  A line holding a character that
     starts no token cannot be tokenized, and that error comes first.
     """
-    bad = re.search(r"[^ <>=+*\-A-Za-z0-9_\d]|(?<![<>])=", line)
+    bad = re.search(r"[^ <>=+*\-A-Za-z0-9_]|(?<![<>])=", line)
     if bad:
         return ParseError(f"could not tokenize {line!r}", *_line_position(text, index, bad.start()))
-    tokens = re.findall(r"<=|>=|[<>+*-]|\d+|[A-Za-z_][A-Za-z0-9_]*", line[at:]) or [""]
+    tokens = re.findall(r"<=|>=|[<>+*-]|[0-9]+|[A-Za-z_][A-Za-z0-9_]*", line[at:]) or [""]
     return ParseError(message.format(token=tokens[0], rest=" ".join(tokens)), *_line_position(text, index, at))
 
 
@@ -275,10 +275,11 @@ def print_lia(system: LiaSystem) -> str:
     return "\n".join(str(ineq) for ineq in system.inequations) + "\n"
 
 
-# A variable, a comparison and an integer.  Those three groups are optional
-# and each group starts where the one before it ends, so the pattern always
-# matches, and the first of them that is missing is where the bound goes wrong.
-_BOUND = re.compile(r"(\s*)([A-Za-z_][A-Za-z0-9_]*)?(\s*)(<=|>=|<|>)?(\s*)(-?)(\d+)?\s*")
+# A variable, a comparison and an integer of ASCII digits.  Those three groups
+# are optional and each group starts where the one before it ends, so the
+# pattern always matches, and the first of them that is missing is where the
+# bound goes wrong.
+_BOUND = re.compile(r"(\s*)([A-Za-z_][A-Za-z0-9_]*)?(\s*)(<=|>=|<|>)?(\s*)(-?)([0-9]+)?\s*")
 
 
 def parse_bound(text: str, level: int = 1) -> Bound:
@@ -301,7 +302,8 @@ def parse_bound(text: str, level: int = 1) -> Bound:
 # Derivation scripts
 # ---------------------------------------------------------------------------
 
-_SCRIPT_LINE = re.compile(r"(\d+)\.(\d+)\s+Res\s+(\d+)\.(\d+)")
+# Clause ids and literal positions are ASCII digits.
+_SCRIPT_LINE = re.compile(r"([0-9]+)\.([0-9]+)\s+Res\s+([0-9]+)\.([0-9]+)")
 
 
 def parse_script(text: str) -> list[ScriptStep]:

@@ -390,8 +390,8 @@ class GroundProblem:
     triggers: dict = field(default_factory=dict, repr=False)
     joins: bool = False  # some template leaves variables to join against the trail
 
-    def instantiate(self, value: dict[int, bool], on_trail, false_lit: int | None = None) -> list[tuple[int, int]]:
-        """Create the instances that the trail makes unit or false.
+    def instantiate(self, true: bytearray, on_trail, false_lit: int | None = None) -> list[tuple[int, int]]:
+        """Create the instances that the trail, with truth table `true` (see `TrailKernel`), makes unit or false.
 
         With no false_lit these are the instances unit or false under the
         empty trail.  Otherwise false_lit has just turned false, and these are
@@ -407,7 +407,7 @@ class GroundProblem:
             for clause in self.compiled:
                 # distinct literals of a clause with no two of one sign and predicate stay distinct
                 if clause.merge or len(clause.templates) < 2:
-                    self._join(clause, clause.templates, [-1] * clause.slots, None, value, on_trail, new)
+                    self._join(clause, clause.templates, [-1] * clause.slots, None, true, on_trail, new)
             return new
         atom = abs(false_lit)
         pred, arity, code = self.atoms.locate(atom)
@@ -426,17 +426,17 @@ class GroundProblem:
                     if clause.aligned:  # the atom gives the key, and every literal is a base plus the key
                         key = atom - t.base
                         lits = tuple([u.base + key if u.positive else -u.base - key for u in clause.templates])
-                        self._create(clause, key, lits, value, new)
+                        self._create(clause, key, lits, true, new)
                         continue
                     if digits is None:
                         digits = self.atoms.digits(arity, code)
                     b = _bind(t, digits, [-1] * clause.slots)
                     if b is not None:
-                        self._join(clause, [u for u in clause.templates if u is not t], b, None, value, on_trail, new)
+                        self._join(clause, [u for u in clause.templates if u is not t], b, None, true, on_trail, new)
             node = later.pop() if later else None
         return new
 
-    def _join(self, clause, todo, b, open_t, value, on_trail, new) -> None:
+    def _join(self, clause, todo, b, open_t, true, on_trail, new) -> None:
         """Extend b over the templates in todo: each false on the trail, or one with open_t.
 
         open_t is the first template left open; every other open template is
@@ -446,7 +446,7 @@ class GroundProblem:
         """
         if -1 not in b:
             combo = _values(b)
-            self._create(clause, clause.key(combo), clause.lits(combo), value, new)
+            self._create(clause, clause.key(combo), clause.lits(combo), true, new)
             return
         if not todo:
             free, b = _free(open_t, b), b.copy()
@@ -454,41 +454,40 @@ class GroundProblem:
                 for s, c in zip(free, consts):
                     b[s] = c
                 combo = _values(b)
-                if abs(open_t.lit(combo)) not in value:
-                    self._create(clause, clause.key(combo), clause.lits(combo), value, new)
+                lit = open_t.lit(combo)
+                if not (true[lit] or true[-lit]):
+                    self._create(clause, clause.key(combo), clause.lits(combo), true, new)
             return
         t, rest = todo[0], todo[1:]
         if not _free(t, b):
             lit = t.lit(_values(b))
-            v = value.get(abs(lit))
-            if v is None:
+            if true[-lit]:
+                self._join(clause, rest, b, open_t, true, on_trail, new)
+            elif not true[lit]:
                 b2 = b if open_t is None else _unify(t, open_t, b)
                 if b2 is not None:
-                    self._join(clause, rest, b2, open_t or t, value, on_trail, new)
-            elif v != (lit > 0):
-                self._join(clause, rest, b, open_t, value, on_trail, new)
+                    self._join(clause, rest, b2, open_t or t, true, on_trail, new)
             return
         for digits in on_trail.get((t.pred, len(t.args), not t.positive), ()):
             b2 = _bind(t, digits, b)
             if b2 is not None:
-                self._join(clause, rest, b2, open_t, value, on_trail, new)
+                self._join(clause, rest, b2, open_t, true, on_trail, new)
         b2 = b if open_t is None else _unify(t, open_t, b)
         if b2 is not None:
-            self._join(clause, rest, b2, open_t or t, value, on_trail, new)
+            self._join(clause, rest, b2, open_t or t, true, on_trail, new)
 
-    def _create(self, clause: _CompiledClause, key: int, lits: tuple[int, ...], value, new) -> None:
+    def _create(self, clause: _CompiledClause, key: int, lits: tuple[int, ...], true, new) -> None:
         """Create the instance with this key and these literals, per template, if it is unit or false and new."""
         if clause.merge:
             lits = tuple(dict.fromkeys(lits))
         unit = 0
         for lit in lits:
-            v = value.get(abs(lit))
-            if v is None:
+            if true[lit]:
+                return
+            if not true[-lit]:
                 if unit:
                     return
                 unit = lit
-            elif v is (lit > 0):
-                return
         if clause.merge:
             combo = self._first_combo(clause, lits)
             key, lits = clause.key(combo), tuple(dict.fromkeys(clause.lits(combo)))
@@ -579,7 +578,7 @@ def ground_problem(
             consts = {j: -1 - a for j, a in enumerate(t.args) if a < 0}
             entries[t.positive, t.pred, len(t.args)].append((consts, (compiled, t)))
     problem.triggers = {kind: _trigger_tree(es, kind[2], len(dom)) for kind, es in entries.items()}
-    problem.instantiate({}, {})
+    problem.instantiate(bytearray(2 * len(atoms) + 1), {})
     return problem
 
 
@@ -597,7 +596,8 @@ class SclState(TrailKernel):
     """Five-tuple analog over ground literals: the trail kernel over instance positions.
 
     Every assignment creates and hooks the instances it makes unit or false.
-    Learned clauses get ids from `next_clause_id` on.
+    Learned clauses get ids from `next_clause_id` on.  The kernel's tables
+    are sized to the Herbrand base.
     """
 
     problem: GroundProblem
@@ -606,6 +606,9 @@ class SclState(TrailKernel):
         default_factory=lambda: defaultdict(list), repr=False
     )
     next_clause_id: int = 1
+
+    def __post_init__(self) -> None:
+        self.size(len(self.problem.atoms))
 
     @classmethod
     def from_problem(cls, problem: GroundProblem) -> "SclState":
@@ -620,17 +623,25 @@ class SclState(TrailKernel):
         self.stats.instances = len(self.problem.instances)
 
     def assign(self, lit: int, reason: int | None) -> None:
-        """Assign as the kernel does, then create the instances this makes unit or false, and queue or mark each."""
+        """Assign as the kernel does, then create the instances this makes unit or false, and queue or mark each.
+
+        An instance of three or more literals watches its unassigned literal,
+        then its highest-level false ones.
+        """
         TrailKernel.assign(self, lit, reason)
         problem = self.problem
         if problem.joins:
             pred, digits = problem.atoms.decode(abs(lit))
             self.on_trail[pred, len(digits), lit > 0].append(digits)
-        new = problem.instantiate(self.value, self.on_trail, -lit)
+        true = self.true
+        new = problem.instantiate(true, self.on_trail, -lit)
         if new:
-            instances = problem.instances
+            instances, var_level, open_level = problem.instances, self.var_level, self.level + 1
             for pos, unit in new:
-                self.watch(pos, instances[pos].lits)
+                lits = instances[pos].lits
+                if len(lits) > 2:
+                    lits = sorted(lits, key=lambda l: var_level[abs(l)] if true[-l] else open_level, reverse=True)
+                self.watch(pos, lits)
                 if unit:
                     heapq.heappush(self.pending, (self.unit_key(pos, unit), pos, unit))
                 else:
@@ -640,11 +651,9 @@ class SclState(TrailKernel):
     def truncate(self, level: int) -> None:
         """Truncate as the kernel does, dropping the undone atoms from `on_trail`."""
         if self.problem.joins:
-            for entry in reversed(self.trail):
-                if entry.level <= level:
-                    break
-                pred, digits = self.problem.atoms.decode(abs(entry.lit))
-                self.on_trail[pred, len(digits), entry.lit > 0].pop()
+            for lit, _, _ in self.trail[self.trail_lim[level]:]:
+                pred, digits = self.problem.atoms.decode(abs(lit))
+                self.on_trail[pred, len(digits), lit > 0].pop()
         super().truncate(level)
 
     def unit_key(self, pos: int, lit: int) -> tuple:
@@ -684,8 +693,8 @@ class SclSat:
     @property
     def model(self) -> tuple[Atom, ...]:
         """The atoms true on the total trail, in atom order, built when asked for."""
-        atoms, value = self.state.problem.atoms, self.state.value
-        return tuple(atoms[i] for i in range(len(atoms)) if value[i + 1])
+        atoms = self.state.problem.atoms
+        return tuple(atoms[atom - 1] for atom in sorted(lit for lit, _, _ in self.state.trail if lit > 0))
 
 
 @dataclass
@@ -728,12 +737,12 @@ def scl_run(
             if state.level == 0:
                 return SclUnsat(stats=state.stats, state=state)
             instances = problem.instances
-            learned, blevel, _ = resolve_1uip(state, instances[state.conflict].lits, lambda p: instances[p].lits)
+            learned, blevel, _ = resolve_1uip(state, instances[state.conflict].lits, instances)
             instances.append(GroundInstance(state.next_clause_id, (), learned))
             state.next_clause_id += 1
             state.stats.instances = len(instances)
             learn_clause(state, len(instances) - 1, learned, blevel)
-        elif len(state.value) == len(problem.atoms):
+        elif len(state.trail) == len(problem.atoms):
             return SclSat(stats=state.stats, state=state)
         elif len(state.trail) >= trail_cap:
             break

@@ -98,20 +98,28 @@ def scan_status(lits: Sequence[int], value: dict[int, bool]) -> tuple[str, int |
     return "open", None
 
 
+def trail_values(trail) -> dict[int, bool]:
+    """The assignment a trail of (literal, ...) entries makes, atom -> truth value."""
+    return {abs(entry[0]): entry[0] > 0 for entry in trail}
+
+
 def reference_propagate(state):
     """CDCL unit propagation by rescanning every clause in id order per step.
 
     The smallest-id false clause is the conflict, and preempts propagation;
     otherwise the smallest-id unit clause propagates.  Drop-in for
-    `cdcl.propagate`; it writes the trail itself, so the engine's watch
-    kernel is left stale and only `reference_at_fixpoint` may be used with it.
+    `cdcl.propagate`; it reads the assignment off the trail and writes the
+    trail and the kernel's truth and level tables itself, so the engine's
+    watch kernel is left stale and only `reference_at_fixpoint` may be used
+    with it.
     """
     if state.conflict is not None:
         raise ValueError("cannot propagate with a pending conflict")
     while True:
         unit = None
+        value = trail_values(state.trail)
         for cid in sorted(state.clauses):
-            status, lit = scan_status(state.clauses[cid].lits, state.value)
+            status, lit = scan_status(state.clauses[cid].lits, value)
             if status == "false":
                 state.conflict = cid
                 state.events.append(("conflict", cid))
@@ -122,16 +130,15 @@ def reference_propagate(state):
             return state
         cid, lit = unit
         state.trail.append(TrailEntry(lit, state.level, cid))
-        state.value[abs(lit)] = lit > 0
+        state.true[lit] = 1
         state.var_level[abs(lit)] = state.level
         state.events.append(("propagate", lit, cid))
 
 
 def reference_at_fixpoint(state) -> bool:
     """Drop-in for `cdcl.at_fixpoint`: no clause is unit or false."""
-    return all(
-        scan_status(c.lits, state.value)[0] in ("sat", "open") for c in state.clauses.values()
-    )
+    value = trail_values(state.trail)
+    return all(scan_status(c.lits, value)[0] in ("sat", "open") for c in state.clauses.values())
 
 
 def resolve_on(c1: Sequence[int], c2: Sequence[int], atom: int) -> tuple[int, ...]:
@@ -874,7 +881,7 @@ def reference_parse_bs(text: str) -> list[Clause]:
     return clauses
 
 
-_LIA_TOKEN = re.compile(r"\s*(<=|>=|<|>|[+*-]|-?\d+|[A-Za-z_][A-Za-z0-9_]*)")
+_LIA_TOKEN = re.compile(r"\s*(<=|>=|<|>|[+*-]|-?[0-9]+|[A-Za-z_][A-Za-z0-9_]*)")
 
 
 def _parse_lia_side(tokens: list[str], lineno: int) -> tuple[dict[str, int], int, list[str]]:
@@ -905,7 +912,7 @@ def _parse_lia_side(tokens: list[str], lineno: int) -> tuple[dict[str, int], int
             continue
         if not expect_term:
             raise ParseError(f"expected an operator before {tok!r}", lineno)
-        if re.fullmatch(r"-?\d+", tok):
+        if re.fullmatch(r"-?[0-9]+", tok):
             value = sign * int(tok)
             if i + 2 < len(tokens) and tokens[i + 1] == "*":
                 var = tokens[i + 2]

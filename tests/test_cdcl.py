@@ -108,9 +108,10 @@ class TestAnalyzeConflict:
         # the conflict clause holds one literal per level, one of them current
         state = CdclState.from_clauses([PropClause(1, (1, 4))])
         for lit, level in ((-1, 1), (-4, 2)):
+            state.trail_lim.append(len(state.trail))
             state.level = level
             state.trail.append(TrailEntry(lit, level, None))
-            state.value[abs(lit)] = lit > 0
+            state.true[lit] = 1
             state.var_level[abs(lit)] = level
         state.conflict = 1
         learned, level = analyze_conflict(state)
@@ -322,8 +323,9 @@ class TestRandomCorpus:
         # gives the rescanning reference's learned clause, backjump level and steps
         analyze, levels = cdcl.resolve_1uip, []
 
-        def compared(kernel, conflict_lits, reason_lits):
-            got = analyze(kernel, conflict_lits, reason_lits)
+        def compared(kernel, conflict_lits, reasons):
+            got = analyze(kernel, conflict_lits, reasons)
+            reason_lits = lambda reason: reasons[reason].lits
             assert got == reference_resolve_1uip(kernel.trail, conflict_lits, kernel.level, reason_lits)
             levels.append(kernel.level)
             return got

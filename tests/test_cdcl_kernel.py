@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from oracles import brute_force_sat, reference_at_fixpoint, reference_propagate
+from oracles import brute_force_sat, reference_at_fixpoint, reference_propagate, trail_values
 from clausekit import cdcl
 from clausekit.cdcl import (
     CdclState,
@@ -74,10 +74,10 @@ def drive_with_forgetting(clauses, num_vars):
             idle = [cid for cid in state.learned_ids if cid not in reasons]
             if idle:
                 forgotten_units += any(
-                    cid == idle[0] and abs(lit) not in state.value for _, cid, lit in state.pending
+                    cid == idle[0] and not (state.true[lit] or state.true[-lit]) for _, cid, lit in state.pending
                 )
                 forget(state, idle[0])
-        elif len(state.value) == num_vars:
+        elif len(state.trail) == num_vars:
             return state, forgotten_units
         else:
             cdcl.decide(state, cdcl.lowest_index_negative(state))
@@ -139,7 +139,7 @@ class TestEdgeCases:
         decide(state, -2)
         propagate(state)
         assert [e.lit for e in state.trail] == [-2]
-        assert clause_status((1, 1, 2), state.value) == ("open", None)
+        assert clause_status((1, 1, 2), trail_values(state.trail)) == ("open", None)
         assert cdcl.at_fixpoint(state)
 
     def test_duplicate_literal_falsified(self):
@@ -177,6 +177,21 @@ class TestEdgeCases:
         propagate(state)
         assert state.events == [("decide", 1, 1), ("propagate", 2, 1), ("conflict", 5)]
 
+    @pytest.mark.parametrize("model", [(-1, -2, -3), (1, -2, 3)])
+    def test_full_trail_has_no_unassigned_atom(self, model):
+        # slot n + 1 of the truth table is literal -n, so the search stops before it
+        result = solve([PropClause(i, (lit,)) for i, lit in enumerate(model, 1)], 3)
+        assert result.model == model and cdcl.lowest_unassigned(result.state) == 4
+        with pytest.raises(ValueError, match="no unassigned atom left"):
+            cdcl.lowest_index_negative(result.state)
+
+    @pytest.mark.parametrize("lit", [4, 5, -4, 0])
+    def test_decide_rejects_atoms_outside_the_state(self, lit):
+        state = CdclState.from_clauses([PropClause(1, (1, 2, 3))], 3)
+        with pytest.raises(ValueError, match=r"outside 1\.\.3"):
+            decide(state, lit)
+        assert state.trail == [] and state.level == 0 and not any(state.true)
+
     def test_forget_idle_learned_then_solve_on(self, reference):
         def script():
             state = CdclState.from_clauses([PropClause(1, (1, 2, 3)), PropClause(2, (-3, 4))], 4)
@@ -191,7 +206,7 @@ class TestEdgeCases:
             forget(state, 3)
             while True:
                 cdcl.propagate(state)
-                if len(state.value) == state.num_vars:
+                if len(state.trail) == state.num_vars:
                     return state
                 cdcl.decide(state, cdcl.lowest_index_negative(state))
 

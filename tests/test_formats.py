@@ -252,6 +252,34 @@ def test_dimacs_literals_are_ascii_decimal():
     assert parse_dimacs("p cnf 010 2\n10 -01 0\n-0\n") == (10, [PropClause(1, (10, -1)), PropClause(2, ())])
 
 
+def test_lia_numbers_are_ascii_digits():
+    # a non-ASCII decimal digit is a character no token starts with
+    assert parse_lia("x <= 3\n").inequations == parse_lia("x <= 03\n").inequations
+    with pytest.raises(ParseError) as info:
+        parse_lia("x <= 0\nx <= \u0663\n")
+    assert str(info.value) == "could not tokenize 'x <= \u0663' (line 2, column 6)"
+    with pytest.raises(ParseError) as info:
+        parse_lia("\u0662*x <= 3")
+    assert (info.value.line, info.value.column) == (1, 1)
+
+
+def test_bound_values_are_ascii_digits():
+    assert parse_bound("x>=03") == Bound("x", True, 3, level=1)
+    with pytest.raises(ParseError) as info:
+        parse_bound("x>=\u0663")
+    assert str(info.value) == "malformed bound 'x>=\u0663' (line 1, column 4)"
+    with pytest.raises(ParseError) as info:
+        parse_bound("x >= -1\u0663")
+    assert (info.value.line, info.value.column) == (1, 8)
+
+
+def test_script_steps_are_ascii_digits():
+    assert parse_script("1.1 Res 2.1\n") == [(1, 1, 2, 1)]
+    with pytest.raises(ParseError) as info:
+        parse_script("2.2 Res 3.1\n 1.\u0661 Res 2.1\n")
+    assert str(info.value) == "malformed script step '1.\u0661 Res 2.1' (line 2, column 2)"
+
+
 def test_propclause_rejects_zero():
     with pytest.raises(ValueError):
         PropClause(1, (0,))

@@ -5,6 +5,7 @@ import pytest
 
 from oracles import assignment_satisfies, all_ground_instances, ground_satisfiable
 from clausekit import scl
+from clausekit.cdcl import decide, lowest_unassigned
 from clausekit.errors import ResourceLimitError
 from clausekit.formats import parse_bs
 from clausekit.logic import Atom, Clause, Constant, Literal, Variable
@@ -144,9 +145,9 @@ class TestSclRun:
         # learned clause leaves two literals open after the backjump, so it is not asserting
         resolve = scl.resolve_1uip
 
-        def resolve_with_open_atom(kernel, conflict_lits, reason_lits):
-            learned, blevel, steps = resolve(kernel, conflict_lits, reason_lits)
-            atom = next(a for a in itertools.count(1) if a not in kernel.value)
+        def resolve_with_open_atom(kernel, conflict_lits, reasons):
+            learned, blevel, steps = resolve(kernel, conflict_lits, reasons)
+            atom = next(a for a in itertools.count(1) if not (kernel.true[a] or kernel.true[-a]))
             return tuple(sorted(learned + (atom,), key=abs)), blevel, steps
 
         monkeypatch.setattr(scl, "resolve_1uip", resolve_with_open_atom)
@@ -165,6 +166,19 @@ class TestSclRun:
         result = scl_run(counter_problem(4), trail_cap=5)
         assert isinstance(result, SclResourceExceeded)
         assert result.stats.propagations == 5
+
+    def test_full_trail_has_no_unassigned_atom(self):
+        # atoms P(a) = 1 and Q(a) = 2; the truth table's slot 3 is literal -2, which is on the trail
+        state = scl_run(parse_bs("P(a). -Q(a).")).state
+        assert [lit for lit, _, _ in state.trail] == [1, -2] and len(state.problem.atoms) == 2
+        assert lowest_unassigned(state) == 3
+
+    @pytest.mark.parametrize("lit", [3, -3, 0])
+    def test_decide_rejects_atoms_outside_the_herbrand_base(self, lit):
+        state = SclState.from_problem(ground_problem(parse_bs("P(a) | Q(a).")))
+        with pytest.raises(ValueError, match=r"outside 1\.\.2"):
+            decide(state, lit)
+        assert state.trail == [] and state.level == 0 and not any(state.true)
 
     def test_missing_domain_rejected(self):
         with pytest.raises(ValueError):

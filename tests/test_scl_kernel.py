@@ -179,13 +179,13 @@ def test_created_instances_are_unit_or_false(monkeypatch):
     checked = []
     create = GroundProblem.instantiate
 
-    def instantiate(problem, value, on_trail, false_lit=None):
-        new = create(problem, value, on_trail, false_lit)
+    def instantiate(problem, true, on_trail, false_lit=None):
+        new = create(problem, true, on_trail, false_lit)
         for pos, unit in new:
             inst = problem.instances[pos]
-            unassigned = [lit for lit in inst.lits if abs(lit) not in value]
+            unassigned = [lit for lit in inst.lits if not (true[lit] or true[-lit])]
             assert unassigned == ([unit] if unit else [])
-            assert all(value[abs(lit)] != (lit > 0) for lit in inst.lits if lit != unit)
+            assert all(true[-lit] for lit in inst.lits if lit != unit)
             assert false_lit is None or false_lit in inst.lits
             assert inst == reference[inst.clause_id, inst.subst]
             checked.append(inst)
