@@ -108,9 +108,8 @@ def print_dimacs(num_vars: int, clauses: Iterable[PropClause]) -> str:
 # BS clause text
 # ---------------------------------------------------------------------------
 
-# An optional `<id> :` prefix.  A non-ASCII decimal digit is a token of its
-# own, and one alone is an id too.
-_CLAUSE_ID = re.compile(r"([0-9]+|\d)\s*:\s*")
+# An optional `<id> :` prefix; the id is ASCII digits.
+_CLAUSE_ID = re.compile(r"([0-9]+)\s*:\s*")
 # One literal and the '|' or '.' after it.  Every group is optional, so the
 # pattern always matches, and the first group missing is the parse error.
 _LITERAL = re.compile(

@@ -7,15 +7,16 @@ diverge, which the a-priori solvability box makes detectable and the bounded
 exhaustive decision procedure makes complete.  The sweep order is fixed, but
 a pair is revisited only after a bound that its implied bound reads is
 tightened, and after a tightening only the inequations whose minimum reads
-the tightened bound are checked for a conflict.  `render` gives the output
-lines of either result.
+the tightened bound are checked for a conflict.  Both readings run on the
+system compiled once, with every term keyed by the bound it reads.  `render`
+gives the output lines of either result.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from heapq import heappop, heappush
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, NamedTuple
 
 from .errors import ResourceLimitError
 
@@ -78,8 +79,7 @@ class LiaSystem:
         return max(values) if values else 1
 
 
-@dataclass(frozen=True, slots=True)
-class Bound:
+class Bound(NamedTuple):
     var: str
     lower: bool  # True: var >= value, False: var <= value
     value: int
@@ -109,66 +109,84 @@ class Bound:
         return f"{self.var} {self.kind} {self.value}"
 
 
+# builds a NamedTuple from its fields' tuple in C, without the generated Python-level __new__
+_new = tuple.__new__
+
 BoundKey = tuple[str, bool]  # (variable, lower)
 BoundMap = Mapping[BoundKey, Bound]
+# (bound key, coefficient) per term: the key of the bound that bounds the term
+# from below, the lower bound for a positive coefficient and the upper one for
+# a negative coefficient
+KeyedTerms = tuple[tuple[BoundKey, int], ...]
+# An inequation compiled for `conflicting_inequation`: (id, constant, terms).
+CompiledIneq = tuple[int, int, KeyedTerms]
+# An (inequation, variable) pair compiled for `implied_bound`: (reads, rhs,
+# key, coefficient, reason) -- the inequation's other terms, minus its
+# constant, the bound the pair tightens (the upper one for a positive
+# coefficient), the variable's coefficient and the inequation's id.  Both
+# records are plain tuples, the cheapest to build.
+Pair = tuple[KeyedTerms, int, BoundKey, int, int]
 
 
-def implied_bound(ineq: LinIneq, current: BoundMap, var: str, level: int = 0) -> Bound | None:
-    """Tightest bound on var entailed by the inequation under the current bounds.
+def compile_ineq(ineq: LinIneq) -> CompiledIneq:
+    """The inequation with its terms keyed by the bounds that its minimum reads."""
+    return (ineq.id, ineq.const, tuple([((v, a > 0), a) for v, a in ineq.coeffs]))
 
-    None when a required opposite bound is missing or nothing gets tighter;
+
+def compile_pair(ineq: CompiledIneq, var: str) -> Pair:
+    """The pair of a compiled inequation and one of its variables; it shares the inequation's terms."""
+    ineq_id, const, terms = ineq
+    for i, ((v, _lower), a) in enumerate(terms):
+        if v == var:
+            return (terms[:i] + terms[i + 1:], -const, (var, a < 0), a, ineq_id)
+    raise ValueError(f"{var} has no coefficient in inequation {ineq_id}")
+
+
+def implied_bound(pair: Pair, current: BoundMap, level: int = 0) -> Bound | None:
+    """Tightest bound on the pair's variable entailed by its inequation under the current bounds.
+
+    None when a bound that the pair reads is missing or nothing gets tighter;
     the bound found carries `level` and the inequation as its reason.
     Integer rounding: floor for upper bounds, ceiling for lower bounds.
     """
-    a_var = 0
-    s_min: int | None = 0
-    for v, a in ineq.coeffs:
-        if v == var:
-            a_var = a
-        elif s_min is not None:
-            bound = current.get((v, a > 0))  # a > 0 needs a lower bound, a < 0 an upper
-            s_min = None if bound is None else s_min + a * bound.value
-    if a_var == 0:
-        raise ValueError(f"{var} has no coefficient in inequation {ineq.id}")
-    if s_min is None:
-        return None
-    rhs = -ineq.const - s_min
-    if a_var > 0:
-        value = rhs // a_var
-        existing = current.get((var, False))
-        if existing is not None and value >= existing.value:
-            return None
-        return Bound(var, False, value, level, ineq.id)
-    value = -(rhs // -a_var)
-    existing = current.get((var, True))
-    if existing is not None and value <= existing.value:
-        return None
-    return Bound(var, True, value, level, ineq.id)
-
-
-def _min_value(ineq: LinIneq, current: BoundMap) -> int | None:
-    """Minimum of the left side over the bound box; None when unbounded below."""
-    total = ineq.const
-    for v, a in ineq.coeffs:
-        bound = current.get((v, a > 0))
+    reads, rhs, key, coeff, reason = pair
+    for k, a in reads:
+        bound = current.get(k)
         if bound is None:
             return None
-        total += a * bound.value
-    return total
+        rhs -= a * bound.value
+    existing = current.get(key)
+    if coeff > 0:
+        value = rhs // coeff
+        if existing is not None and value >= existing.value:
+            return None
+    else:
+        value = -(rhs // -coeff)
+        if existing is not None and value <= existing.value:
+            return None
+    return _new(Bound, (key[0], key[1], value, level, reason))
 
 
 def conflicting_inequation(
-    system: LiaSystem, current: BoundMap, candidates: Iterable[LinIneq] | None = None
+    system: LiaSystem, current: BoundMap, candidates: Iterable[CompiledIneq] | None = None
 ) -> int | None:
     """Id of the first inequation, in system order, whose left side has a positive minimum.
 
-    `candidates`, a subsequence of the system's inequations in system order,
-    limits the scan to them.
+    The minimum is taken over the bound box; a side with an unbounded term
+    has none.  `candidates`, the compiled forms of a subsequence of the
+    system's inequations in system order, limits the scan to them.
     """
-    for ineq in system.inequations if candidates is None else candidates:
-        m = _min_value(ineq, current)
-        if m is not None and m > 0:
-            return ineq.id
+    if candidates is None:
+        candidates = map(compile_ineq, system.inequations)
+    for ineq_id, total, terms in candidates:
+        for key, a in terms:
+            bound = current.get(key)
+            if bound is None:
+                break
+            total += a * bound.value
+        else:
+            if total > 0:
+                return ineq_id
     return None
 
 
@@ -196,29 +214,33 @@ class LiaDiverged:
 
 def _readers(
     system: LiaSystem,
-) -> tuple[list[tuple[LinIneq, str]], dict[BoundKey, list[int]], dict[BoundKey, list[LinIneq]]]:
-    """The system's (inequation, variable) pairs in sweep order, and who reads each bound.
+) -> tuple[list[Pair], list[CompiledIneq], list[list[CompiledIneq]], list[list[int]]]:
+    """The system compiled once: its pairs in sweep order, its inequations, and who reads what.
 
-    The implied bound of a pair is computed from the bounds of the other
-    variables of its inequation, each on the side that bounds the left side
-    from below; `pair_readers` maps such a bound key to the indexes of the
-    pairs that read it, ascending.  (A pair also compares with its own
-    variable's bound, but that bound's tightening can only turn its answer
-    into None.)  `scan_readers` maps a bound key to the inequations whose
-    minimum reads it, in system order.
+    For the pair at index p, `scans[p]` holds the inequations whose minimum
+    reads the bound that p tightens, in system order, and `wakes[p]` the
+    indexes, ascending, of the pairs whose implied bound reads it.  (A pair
+    also compares with its own variable's bound, but that bound's tightening
+    can only turn its answer into None, so it does not wake the pair.)
     """
-    pairs: list[tuple[LinIneq, str]] = []
+    pairs: list[Pair] = []
+    inequations: list[CompiledIneq] = []
+    scan_readers: dict[BoundKey, list[CompiledIneq]] = {}
     pair_readers: dict[BoundKey, list[int]] = {}
-    scan_readers: dict[BoundKey, list[LinIneq]] = {}
     for ineq in system.inequations:
-        for v, a in ineq.coeffs:
-            scan_readers.setdefault((v, a > 0), []).append(ineq)
+        scan = compile_ineq(ineq)
+        inequations.append(scan)
+        for key, _a in scan[2]:
+            scan_readers.setdefault(key, []).append(scan)
         for var, _a in ineq.coeffs:
-            for v, a in ineq.coeffs:
-                if v != var:
-                    pair_readers.setdefault((v, a > 0), []).append(len(pairs))
-            pairs.append((ineq, var))
-    return pairs, pair_readers, scan_readers
+            pair = compile_pair(scan, var)
+            for key, _a in pair[0]:
+                pair_readers.setdefault(key, []).append(len(pairs))
+            pairs.append(pair)
+    keys = [pair[2] for pair in pairs]
+    scans = [scan_readers.get(key, []) for key in keys]
+    wakes = [pair_readers.get(key, []) for key in keys]
+    return pairs, inequations, scans, wakes
 
 
 def propagate_bounds(
@@ -248,38 +270,37 @@ def propagate_bounds(
         trail.append(b)
     steps = 0
     level = max((b.level for b in trail), default=0)  # derived bounds add no level
-    cid = conflicting_inequation(system, current)
+    pairs, inequations, scans, wakes = _readers(system)
+    cid = conflicting_inequation(system, current, inequations)
     if cid is not None:
         return LiaConflict(cid, current, trail, steps)
-    pairs, pair_readers, scan_readers = _readers(system)
-    due = list(range(len(pairs)))  # a heap of the pairs still to visit in this sweep
-    queued = set(due)
+    n = len(pairs)
+    # a heap of the visits due, each as sweep * n + pair index, and per pair
+    # the latest visit it is queued for; both start with the whole first sweep
+    due = list(range(n))
+    queued = list(range(n))
     while due:
-        later: set[int] = set()
-        while due:
-            p = heappop(due)
-            ineq, var = pairs[p]
-            bound = implied_bound(ineq, current, var, level)
-            if bound is None:
-                continue
-            if steps >= max_steps:
-                return LiaDiverged(steps, current, trail)
-            key = (var, bound.lower)
-            current[key] = bound
-            trail.append(bound)
-            steps += 1
-            # while none conflicts, a tightening moves only the minima that read it
-            cid = conflicting_inequation(system, current, scan_readers.get(key, ()))
-            if cid is not None:
-                return LiaConflict(cid, current, trail, steps)
-            for r in pair_readers.get(key, ()):
-                if r < p:
-                    later.add(r)
-                elif r not in queued:
-                    queued.add(r)
-                    heappush(due, r)
-        due = sorted(later)
-        queued = later
+        t = heappop(due)
+        p = t % n
+        pair = pairs[p]
+        bound = implied_bound(pair, current, level)
+        if bound is None:
+            continue
+        if steps >= max_steps:
+            return LiaDiverged(steps, current, trail)
+        current[pair[2]] = bound
+        trail.append(bound)
+        steps += 1
+        # while none conflicts, a tightening moves only the minima that read it
+        cid = conflicting_inequation(system, current, scans[p])
+        if cid is not None:
+            return LiaConflict(cid, current, trail, steps)
+        sweep = t - p
+        for r in wakes[p]:
+            visit = sweep + r if r > p else sweep + n + r  # later in this sweep, or in the next
+            if queued[r] < visit:
+                queued[r] = visit
+                heappush(due, visit)
     return LiaFixpoint(current, trail, steps)
 
 
@@ -348,13 +369,18 @@ def decide_bounded(system: LiaSystem, box_cap: int = DEFAULT_BOX_CAP) -> LiaSat 
     return LiaSat(found) if found is not None else LiaUnsat()
 
 
+# the JSON fields of every propagation line, shared: a consumer copies them
+_LIA_FIELDS = {"event": "lia"}
+
+
 def render(
     result: LiaFixpoint | LiaConflict | LiaDiverged | LiaSat | LiaUnsat,
 ) -> Iterator[tuple[str, dict]]:
     """The output of a propagation or a decision, one (text line, JSON fields) pair per line.
 
     A propagation prints its trail, one bound per line, then its outcome; a
-    decision prints its verdict with the model.
+    decision prints its verdict with the model.  The fields of a propagation
+    line are one dict shared by every line, not to be mutated.
     """
     if isinstance(result, LiaSat):
         yield "sat " + " ".join(f"{v}={x}" for v, x in result.assignment.items()), {"event": "result"}
@@ -362,12 +388,14 @@ def render(
     if isinstance(result, LiaUnsat):
         yield "unsat", {"event": "result"}
         return
-    for b in result.trail:
-        source = "decision" if b.reason is None else f"ineq {b.reason}"
-        yield f"bound {b.var} {b.kind} {b.value} <- {source}", {"event": "lia"}
+    for var, lower, value, _level, reason in result.trail:
+        if reason is None:
+            yield f"bound {var} {'>=' if lower else '<='} {value} <- decision", _LIA_FIELDS
+        else:
+            yield f"bound {var} {'>=' if lower else '<='} {value} <- ineq {reason}", _LIA_FIELDS
     if isinstance(result, LiaFixpoint):
-        yield "fixpoint", {"event": "lia"}
+        yield "fixpoint", _LIA_FIELDS
     elif isinstance(result, LiaConflict):
-        yield f"conflict {result.inequation_id}", {"event": "lia"}
+        yield f"conflict {result.inequation_id}", _LIA_FIELDS
     else:
-        yield f"diverged steps={result.steps}", {"event": "lia"}
+        yield f"diverged steps={result.steps}", _LIA_FIELDS

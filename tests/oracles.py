@@ -429,7 +429,7 @@ def reference_propagate_bounds(system, decisions, max_steps: int):
                     continue
                 if steps >= max_steps:
                     return LiaDiverged(steps, current, trail)
-                bound = replace(bound, level=level)
+                bound = bound._replace(level=level)
                 current[(bound.var, bound.lower)] = bound
                 trail.append(bound)
                 steps += 1
@@ -853,7 +853,8 @@ def reference_parse_bs(text: str) -> list[Clause]:
     while stream.peek() is not None:
         cid = next_id
         if (
-            stream.peek().isdigit()
+            stream.peek().isascii()
+            and stream.peek().isdigit()
             and stream.pos + 1 < len(stream.tokens)
             and stream.tokens[stream.pos + 1][0] == ":"
         ):

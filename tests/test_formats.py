@@ -252,6 +252,15 @@ def test_dimacs_literals_are_ascii_decimal():
     assert parse_dimacs("p cnf 010 2\n10 -01 0\n-0\n") == (10, [PropClause(1, (10, -1)), PropClause(2, ())])
 
 
+def test_bs_clause_ids_are_ascii_digits():
+    assert [c.id for c in parse_bs("03 : P(a).\nQ(a).")] == [3, 4]
+    for text, position in (("\u0663 : P(a).", (1, 1)), ("P(a).\n  \u0663\u0663 : Q(a).", (2, 3))):
+        with pytest.raises(ParseError) as info:
+            parse_bs(text)
+        assert str(info.value).startswith("expected an atom, got '\u0663'")
+        assert (info.value.line, info.value.column) == position
+
+
 def test_lia_numbers_are_ascii_digits():
     # a non-ASCII decimal digit is a character no token starts with
     assert parse_lia("x <= 3\n").inequations == parse_lia("x <= 03\n").inequations

@@ -17,6 +17,8 @@ from clausekit.lia import (
     LiaUnsat,
     LinIneq,
     apriori_bounds,
+    compile_ineq,
+    compile_pair,
     decide_bounded,
     implied_bound,
     propagate_bounds,
@@ -33,35 +35,35 @@ def bounds_map(*bounds: Bound) -> dict:
 class TestImpliedBound:
     def test_lower_bound_transfer(self):
         ineq = LinIneq(1, (("x", 1), ("y", -1)), 0)  # x - y <= 0
-        bound = implied_bound(ineq, bounds_map(Bound("x", True, 5)), "y")
+        bound = implied_bound(compile_pair(compile_ineq(ineq), "y"), bounds_map(Bound("x", True, 5)))
         assert bound == Bound("y", True, 5, reason=1)
 
     def test_offset_transfer(self):
         ineq = LinIneq(2, (("y", 1), ("x", -1)), 1)  # y - x + 1 <= 0
-        bound = implied_bound(ineq, bounds_map(Bound("y", True, 5)), "x")
+        bound = implied_bound(compile_pair(compile_ineq(ineq), "x"), bounds_map(Bound("y", True, 5)))
         assert bound == Bound("x", True, 6, reason=2)
 
     def test_coefficient_rounding(self):
         ineq = LinIneq(1, (("x", 2), ("y", 3)), -1)  # 2x + 3y - 1 <= 0
-        bound = implied_bound(ineq, bounds_map(Bound("y", True, 1)), "x")
+        bound = implied_bound(compile_pair(compile_ineq(ineq), "x"), bounds_map(Bound("y", True, 1)))
         assert bound == Bound("x", False, -1, reason=1)
 
     def test_missing_opposite_bound(self):
         ineq = LinIneq(1, (("x", 1), ("y", -1)), 0)
-        assert implied_bound(ineq, bounds_map(Bound("x", False, 5)), "y") is None
+        assert implied_bound(compile_pair(compile_ineq(ineq), "y"), bounds_map(Bound("x", False, 5))) is None
 
     def test_not_tighter(self):
         ineq = LinIneq(1, (("x", 1), ("y", -1)), 0)
         current = bounds_map(Bound("x", True, 5), Bound("y", True, 9))
-        assert implied_bound(ineq, current, "y") is None
+        assert implied_bound(compile_pair(compile_ineq(ineq), "y"), current) is None
 
     def test_needs_nonzero_coefficient(self):
         with pytest.raises(ValueError):
-            implied_bound(LinIneq(1, (("x", 1),), 0), {}, "y")
+            compile_pair(compile_ineq(LinIneq(1, (("x", 1),), 0)), "y")
 
     def test_ceiling_for_negative_coefficient(self):
         ineq = LinIneq(1, (("x", -2), ("y", 1)), 0)  # y <= 2x
-        bound = implied_bound(ineq, bounds_map(Bound("y", True, 5)), "x")
+        bound = implied_bound(compile_pair(compile_ineq(ineq), "x"), bounds_map(Bound("y", True, 5)))
         assert bound == Bound("x", True, 3, reason=1)  # x >= ceil(5/2)
 
 
@@ -184,7 +186,7 @@ class TestPropagateBounds:
         # the event-driven loop gives the plain round robin's trail, steps and outcome
         rng = random.Random(1313)
         caps = (0, 1, 5, 50, 400)
-        kinds = Counter()
+        cases = []
         for i in range(2_000):
             variables = ["x", "y", "z", "w"][: rng.randint(1, 4)]
             ineqs = []
@@ -198,10 +200,15 @@ class TestPropagateBounds:
                            rng.randint(-4, 4), level=rng.randint(0, 3))
                 for _ in range(rng.randint(0, 3))
             ]
-            cap = caps[i % len(caps)]
+            cases.append((system, decisions, caps[i % len(caps)], None))
+        for seed in (1, 2, 3):
+            cases += _benchmark_shapes(random.Random(seed))
+        kinds = Counter()
+        for system, decisions, cap, outcome in cases:
             got = propagate_bounds(system, decisions, cap)
             want = reference_propagate_bounds(system, decisions, cap)
             assert type(got) is type(want)
+            assert outcome is None or type(got) is outcome
             fields = lambda r: [(b.var, b.lower, b.value, b.level, b.reason) for b in r.trail]
             assert fields(got) == fields(want)
             assert got.steps == want.steps
@@ -323,6 +330,27 @@ class TestDecideBounded:
             else:
                 assert found is None
             agreements += 1
+
+
+def _benchmark_shapes(rng: random.Random):
+    """The propagation inputs of the lia benchmark workload, with the outcome each must reach."""
+    # the divergence witness x <= y, y < x from x >= 0
+    for budget in (100, 1_000, 10_000):
+        ineqs = [LinIneq(1, (("x", 1), ("y", -1)), 0), LinIneq(2, (("y", 1), ("x", -1)), rng.randint(1, 3))]
+        yield LiaSystem(ineqs), [Bound.make("x", ">=", 0, level=1)], budget, LiaDiverged
+    # cyclic chains v1 <= v2 <= ... <= vn <= v1 - c
+    for n in (10, 25, 50, 100):
+        ineqs = [LinIneq(i, ((f"v{i}", 1), (f"v{i + 1}", -1)), 0) for i in range(1, n)]
+        ineqs.append(LinIneq(n, ((f"v{n}", 1), ("v1", -1)), rng.randint(1, 3)))
+        yield LiaSystem(ineqs), [Bound.make("v1", ">=", 0, level=1)], 20 * n, LiaDiverged
+    # open chains v(i+1) >= v(i) + c(i) under an upper bound on the last variable
+    for length in (20, 40):
+        for feasible in (True, False):
+            gaps = [rng.randint(0, 2) for _ in range(length - 1)]
+            ineqs = [LinIneq(i, ((f"v{i}", 1), (f"v{i + 1}", -1)), c) for i, c in enumerate(gaps, start=1)]
+            top = sum(gaps) + (rng.randint(0, 3) if feasible else -rng.randint(1, 3))
+            decisions = [Bound.make("v1", ">=", 0, level=1), Bound.make(f"v{length}", "<=", top, level=1)]
+            yield LiaSystem(ineqs), decisions, 10_000, LiaFixpoint if feasible else LiaConflict
 
 
 def _box_points(box: dict):

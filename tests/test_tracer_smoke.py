@@ -62,7 +62,8 @@ FILES = {
         (["--mode", "resolution-replay", "--counter-n", "2", "--replay", "{dir}/linear2.script"], cli.EXIT_UNSAT,
          {}, {"resolution.replay": 1, "formats.parse": 1}),
         (["--mode", "lia-propagate", "--input", "{dir}/diverge.lia", "--decide", "x>=0", "--max-steps", "3"],
-         cli.EXIT_LIMIT, {"lia.tightenings": 3}, {"lia.propagate": 1}),
+         cli.EXIT_LIMIT, {"lia.tightenings": 3},
+         {"lia.propagate": 1, "lia.implied_bound": 6, "lia.conflict_scan": 4}),
         (["--mode", "lia-decide", "--input", "{dir}/sat.lia"], cli.EXIT_SAT, {}, {"lia.decide": 1}),
         # each row checks a linear refutation (wrapped in cli) that replays the script (wrapped in resolution)
         (["--mode", "counter-experiment", "--counter-n", "2"], cli.EXIT_SAT,
