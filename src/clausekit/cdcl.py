@@ -524,7 +524,7 @@ def render(result: SatResult | UnsatResult) -> Iterator[tuple[str, dict]]:
             yield f"forget clause {ev[1]}", {"event": "cdcl", "kind": kind}
         elif kind == "sat":
             yield "s SATISFIABLE", {"event": "cdcl", "kind": kind}
-            yield f"v {' '.join(map(str, ev[1]))} 0", {"event": "cdcl", "kind": kind}
+            yield " ".join(["v", *map(str, ev[1]), "0"]), {"event": "cdcl", "kind": kind}
         elif kind == "unsat":
             yield "s UNSATISFIABLE", {"event": "cdcl", "kind": kind}
 

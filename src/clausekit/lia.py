@@ -7,9 +7,9 @@ diverge, which the a-priori solvability box makes detectable and the bounded
 exhaustive decision procedure makes complete.  The sweep order is fixed, but
 a pair is revisited only after a bound that its implied bound reads is
 tightened, and after a tightening only the inequations whose minimum reads
-the tightened bound are checked for a conflict.  Both readings run on the
-system compiled once, with every term keyed by the bound it reads.  `render`
-gives the output lines of either result.
+the tightened bound are checked for a conflict.  Both readings, and the
+bounded decision's pruning, run on the system compiled once, with every term
+keyed by the bound it reads.  `render` gives the output lines of either result.
 """
 
 from __future__ import annotations
@@ -46,8 +46,6 @@ class LinIneq:
                 parts.append(term if a > 0 else f"-{term}")
             else:
                 parts.append(f"{sign} {term}")
-        if not parts:
-            parts.append("0")
         return " ".join(parts) + " <= 0"
 
 
@@ -326,7 +324,8 @@ class LiaUnsat:
 def decide_bounded(system: LiaSystem, box_cap: int = DEFAULT_BOX_CAP) -> LiaSat | LiaUnsat:
     """Exhaustive search over the a-priori box; Unsat there means unsatisfiable.
 
-    Depth-first over the variables with partial-evaluation pruning; raises
+    Depth-first over the variables; a node holds the box corners and each
+    assigned value as bounds, and `conflicting_inequation` prunes it.  Raises
     ResourceLimitError when the box volume exceeds the cap.
     """
     box = apriori_bounds(system)
@@ -337,32 +336,27 @@ def decide_bounded(system: LiaSystem, box_cap: int = DEFAULT_BOX_CAP) -> LiaSat 
         volume *= hi - lo + 1
         if volume > box_cap:
             raise ResourceLimitError(f"search box exceeds the cap of {box_cap} points")
-
-    assignment: dict[str, int] = {}
-
-    def ineq_min(ineq: LinIneq) -> int:
-        total = ineq.const
-        for v, a in ineq.coeffs:
-            if v in assignment:
-                total += a * assignment[v]
-            else:
-                lo, hi = box[v]
-                total += a * lo if a > 0 else a * hi
-        return total
+    inequations = [compile_ineq(ineq) for ineq in system.inequations]
+    current: dict[BoundKey, Bound] = {
+        (v, lower): _new(Bound, (v, lower, lo if lower else hi, 0, None))
+        for v, (lo, hi) in box.items() for lower in (True, False)
+    }
 
     def search(i: int) -> dict[str, int] | None:
-        if any(ineq_min(ineq) > 0 for ineq in system.inequations):
+        if conflicting_inequation(system, current, inequations) is not None:
             return None
         if i == len(variables):
-            return dict(assignment)
+            return {v: current[(v, True)].value for v in variables}
         v = variables[i]
-        lo, hi = box[v]
-        for value in range(lo, hi + 1):
-            assignment[v] = value
+        lower, upper = (v, True), (v, False)
+        corners = current[lower], current[upper]
+        for value in range(corners[0].value, corners[1].value + 1):
+            current[lower] = _new(Bound, (v, True, value, 0, None))
+            current[upper] = _new(Bound, (v, False, value, 0, None))
             found = search(i + 1)
             if found is not None:
                 return found
-            del assignment[v]
+        current[lower], current[upper] = corners
         return None
 
     found = search(0)

@@ -184,18 +184,17 @@ class Substitution:
         return sorted(self._bindings.items(), key=lambda kv: kv[0].name)
 
     def apply_term(self, term: Term) -> Term:
-        if isinstance(term, Variable):
-            return self._bindings.get(term, term)
-        return term
+        return self._bindings.get(term, term)  # only variables are bound
 
     def apply_atom(self, atom: Atom) -> Atom:
-        return Atom(atom.predicate, tuple(self.apply_term(a) for a in atom.args))
+        get = self._bindings.get
+        return Atom(atom.predicate, tuple([get(a, a) for a in atom.args]))
 
     def apply_literal(self, lit: Literal) -> Literal:
         return Literal(lit.positive, self.apply_atom(lit.atom))
 
     def apply_clause(self, clause: Clause) -> Clause:
-        return Clause(clause.id, tuple(self.apply_literal(l) for l in clause.literals))
+        return Clause(clause.id, tuple([self.apply_literal(l) for l in clause.literals]))
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Substitution) and self._bindings == other._bindings

@@ -73,10 +73,12 @@ def default_config(clauses: Iterable[Clause]) -> OrderingConfig:
 
 
 def config_with_precedence(base: OrderingConfig, high_to_low: list[str]) -> OrderingConfig:
-    """Override precedence for the listed symbols (given greatest first)."""
+    """Override precedence for the listed symbols (given greatest first); a repeat is a ValueError."""
     prec = dict(base.precedence)
     top = max(prec.values(), default=0) + 1
     for offset, sym in enumerate(high_to_low):
+        if sym in high_to_low[:offset]:
+            raise ValueError(f"precedence names {sym!r} twice")
         prec[sym] = top + len(high_to_low) - offset
     weights = dict(base.weights)
     for sym in high_to_low:

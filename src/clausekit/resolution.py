@@ -7,14 +7,15 @@ negative literal (selected, or maximal when nothing is selected).  A
 selected index, its literals that are maximal before instantiation, the
 (sign, predicate, arity) keys of its eligible literals, the constant of each
 argument position, and its variables.  Two literals that hold different
-constants at one position are never handed to `unify`.  Saturation runs a
-FIFO given-clause loop with tautology deletion.  Two indexes serve it: the
-partner index files each active clause under its eligible keys, so the
-given clause meets only the clauses filed under a complementary key, and
-forward and backward subsumption take their candidates from a
-`SubsumptionIndex` of ground literals and literal keys.  Replay executes
-scripted resolutions without eligibility checks.  `render` gives the output
-lines of either run.
+constants at one position are never handed to `unify`.  Every inference
+instantiates each premise once, reads maximality off those instances and
+builds its conclusion from them with `_conclusion`.  Saturation runs a FIFO
+given-clause loop with tautology deletion.  Two indexes serve it: the partner
+index files each active clause under its eligible keys, so the given clause
+meets only the clauses filed under a complementary key, and forward and
+backward subsumption take their candidates from a `SubsumptionIndex` of
+ground literals and literal keys.  Replay executes scripted resolutions
+without eligibility checks.  `render` gives the output lines of either run.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ from .errors import ReplayStepError
 from .logic import (
     Clause,
     Constant,
-    Literal,
     Substitution,
     canonical_variant,
     clauses_by_id,
@@ -117,12 +117,10 @@ class DerivedClause:
     rule: Rule
 
 
-def _conclusion(
-    first: Clause, first_idx: int, second: Clause, second_idx: int, sigma: Substitution
-) -> tuple[Literal, ...]:
-    rest = [l for i, l in enumerate(first.literals) if i != first_idx]
-    rest += [l for i, l in enumerate(second.literals) if i != second_idx]
-    return tuple(sigma.apply_literal(l) for l in rest)
+def _conclusion(cid: int, *premises: tuple[Clause, int]) -> Clause:
+    """The canonical clause of the instantiated premises' literals, each premise without the one at its index."""
+    rest = tuple(l for clause, k in premises for i, l in enumerate(clause.literals) if i != k)
+    return canonical_variant(Clause(cid, rest))
 
 
 class ClauseRecord:
@@ -193,21 +191,14 @@ def _resolvents(a: ClauseRecord, b: ClauseRecord, cfg: OrderingConfig) -> list[D
                 if sigma is None:
                     continue
                 # a-posteriori eligibility in the instantiated premises
-                if not literal_is_maximal(sigma.apply_clause(positive), i, cfg):
+                pos_instance = sigma.apply_clause(positive)
+                if not literal_is_maximal(pos_instance, i, cfg):
                     continue
-                if neg.selected is None and not literal_is_maximal(
-                    sigma.apply_clause(negative), j, cfg
-                ):
+                neg_instance = sigma.apply_clause(negative)
+                if neg.selected is None and not literal_is_maximal(neg_instance, j, cfg):
                     continue
-                conclusion = canonical_variant(
-                    Clause(0, _conclusion(positive, i, negative, j, sigma))
-                )
-                out.append(
-                    DerivedClause(
-                        conclusion,
-                        ResolutionRule(positive.id, i + 1, negative.id, j + 1, sigma),
-                    )
-                )
+                conclusion = _conclusion(0, (pos_instance, i), (neg_instance, j))
+                out.append(DerivedClause(conclusion, ResolutionRule(positive.id, i + 1, negative.id, j + 1, sigma)))
         if a.clause.id == b.clause.id:
             break  # self-resolution: one role pass suffices
     return out
@@ -226,11 +217,10 @@ def _factors(record: ClauseRecord, cfg: OrderingConfig) -> list[DerivedClause]:
             sigma = unify(lits[i].atom, lits[j].atom)
             if sigma is None:
                 continue
-            if not literal_is_maximal(sigma.apply_clause(clause), i, cfg):
+            instance = sigma.apply_clause(clause)
+            if not literal_is_maximal(instance, i, cfg):
                 continue
-            conclusion = canonical_variant(
-                Clause(0, tuple(sigma.apply_literal(l) for k, l in enumerate(lits) if k != j))
-            )
+            conclusion = _conclusion(0, (instance, j))
             out.append(DerivedClause(conclusion, FactoringRule(clause.id, i + 1, j + 1, sigma)))
     return out
 
@@ -491,8 +481,8 @@ def replay(clauses: Iterable[Clause], script: Sequence[ScriptStep]) -> list[Deri
         sigma = unify(positive.literals[pi - 1].atom, negative.literals[ni - 1].atom)
         if sigma is None:
             raise ReplayStepError(no, "literals do not unify")
-        sides = (positive, pi - 1, negative, ni - 1) if left_positive else (negative, ni - 1, positive, pi - 1)
-        conclusion = canonical_variant(Clause(next_id, _conclusion(*sides, sigma)))
+        sides = ((sigma.apply_clause(positive), pi - 1), (sigma.apply_clause(negative), ni - 1))
+        conclusion = _conclusion(next_id, *(sides if left_positive else sides[::-1]))
         by_id[next_id] = conclusion
         out.append(DerivedClause(conclusion, ResolutionRule(pid, pi, nid, ni, sigma)))
         next_id += 1
@@ -538,11 +528,7 @@ def check_linear_refutation(
     by_id.update((d.clause.id, d.clause) for d in derived)
     for d in derived:
         rule = d.rule
-        negative = by_id[rule.negative_parent]
-        first_neg = next(
-            (i + 1 for i, l in enumerate(negative.literals) if not l.positive), None
-        )
-        if rule.negative_index != first_neg:
+        if rule.negative_index - 1 != SelectFirstNegative().selected_index(by_id[rule.negative_parent]):
             raise ValueError(
                 f"step deriving clause {d.clause.id} does not resolve the first negative literal"
             )

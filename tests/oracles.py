@@ -19,7 +19,18 @@ from typing import Iterable, Sequence
 
 from clausekit.cdcl import PropClause, TrailEntry, TrailOrdering
 from clausekit.errors import ParseError, ResourceLimitError
-from clausekit.lia import Bound, LiaConflict, LiaDiverged, LiaFixpoint, LiaSystem, LinIneq
+from clausekit.lia import (
+    DEFAULT_BOX_CAP,
+    Bound,
+    LiaConflict,
+    LiaDiverged,
+    LiaFixpoint,
+    LiaSat,
+    LiaSystem,
+    LiaUnsat,
+    LinIneq,
+    apriori_bounds,
+)
 from clausekit.logic import (
     Atom,
     Clause,
@@ -335,6 +346,54 @@ def exhaustive_lia_search(system, box: dict[str, tuple[int, int]]) -> dict[str, 
         if ok:
             return assign
     return None
+
+
+# The bounded decision with its own minimum routine over the box and the
+# partial assignment; the engine's decision must search in the same order.
+def reference_decide_bounded(system: LiaSystem, box_cap: int = DEFAULT_BOX_CAP) -> LiaSat | LiaUnsat:
+    """Exhaustive search over the a-priori box; Unsat there means unsatisfiable.
+
+    Depth-first over the variables with partial-evaluation pruning; raises
+    ResourceLimitError when the box volume exceeds the cap.
+    """
+    box = apriori_bounds(system)
+    variables = system.variables
+    volume = 1
+    for v in variables:
+        lo, hi = box[v]
+        volume *= hi - lo + 1
+        if volume > box_cap:
+            raise ResourceLimitError(f"search box exceeds the cap of {box_cap} points")
+
+    assignment: dict[str, int] = {}
+
+    def ineq_min(ineq: LinIneq) -> int:
+        total = ineq.const
+        for v, a in ineq.coeffs:
+            if v in assignment:
+                total += a * assignment[v]
+            else:
+                lo, hi = box[v]
+                total += a * lo if a > 0 else a * hi
+        return total
+
+    def search(i: int) -> dict[str, int] | None:
+        if any(ineq_min(ineq) > 0 for ineq in system.inequations):
+            return None
+        if i == len(variables):
+            return dict(assignment)
+        v = variables[i]
+        lo, hi = box[v]
+        for value in range(lo, hi + 1):
+            assignment[v] = value
+            found = search(i + 1)
+            if found is not None:
+                return found
+            del assignment[v]
+        return None
+
+    found = search(0)
+    return LiaSat(found) if found is not None else LiaUnsat()
 
 
 def _reference_coeff_of(ineq, var: str) -> int:

@@ -62,6 +62,15 @@ class TestCdclMode:
         assert "s UNSATISFIABLE" in out
 
 
+    def test_empty_formula_model_line(self, tmp_path):
+        path = tmp_path / "empty.cnf"
+        path.write_text("p cnf 0 0\n")
+        code, out = run_cli("--mode", "cdcl", "--input", str(path))
+        assert (code, out) == (EXIT_SAT, "s SATISFIABLE\nv 0\n")
+        code, out = run_cli("--mode", "cdcl", "--input", str(path), "--format", "json")
+        assert code == EXIT_SAT
+        assert json.loads(out.splitlines()[-1])["line"] == "v 0"
+
 class TestSclMode:
     def test_counter_unsat(self):
         code, out = run_cli("--mode", "scl", "--counter-n", "4")
@@ -402,6 +411,16 @@ def test_precedence_flag():
     assert code == EXIT_UNSAT
     assert out.splitlines()[-1] == "Unsat"
     assert len(out.splitlines()) > 1  # derived clauses were logged
+
+
+def test_precedence_naming_a_symbol_twice(capsys):
+    # the later position would silently rank 1 below 0
+    code, out = run_cli(
+        "--mode", "resolution", "--counter-n", "2", "--selection", "none",
+        "--precedence", "1>0>1",
+    )
+    assert (code, out) == (EXIT_USAGE, "")
+    assert capsys.readouterr().err == "error: precedence names '1' twice\n"
 
 
 # A random set like acceptance test 8's (its generator at seed 12): first-negative

@@ -3,7 +3,7 @@ from collections import Counter
 
 import pytest
 
-from oracles import exhaustive_lia_search, reference_propagate_bounds
+from oracles import exhaustive_lia_search, reference_decide_bounded, reference_propagate_bounds
 from clausekit import lia
 from clausekit.errors import ResourceLimitError
 from clausekit.formats import parse_lia
@@ -331,6 +331,24 @@ class TestDecideBounded:
                 assert found is None
             agreements += 1
 
+    def test_matches_the_reference_search(self):
+        # the same assignment, unsat or cap message as the search with its own minimum routine
+        rng = random.Random(1812)
+        outcomes = Counter()
+        for _ in range(2_000):
+            variables = ["x", "y", "z"][: rng.randint(1, 3)]
+            ineqs = []
+            for i in range(1, rng.randint(1, 3) + 1):
+                coeffs = tuple((v, rng.choice([-2, -1, 1, 2])) for v in variables if rng.random() < 0.7)
+                ineqs.append(LinIneq(i, coeffs or ((rng.choice(variables), 1),), rng.randint(-2, 2)))
+            system = LiaSystem(ineqs)
+            # a cap above 100,000 lets a one-variable search walk half a million points
+            box_cap = rng.choice([10, 1_000, 100_000, 100_000, 100_000])
+            got, expected = (_decision(decide, system, box_cap) for decide in (decide_bounded, reference_decide_bounded))
+            assert got == expected, system
+            outcomes[got[0]] += 1
+        assert min(outcomes.values()) > 20, outcomes
+
 
 def _benchmark_shapes(rng: random.Random):
     """The propagation inputs of the lia benchmark workload, with the outcome each must reach."""
@@ -360,6 +378,14 @@ def _box_points(box: dict):
     ranges = [range(box[v][0], box[v][1] + 1) for v in names]
     for values in itertools.product(*ranges):
         yield dict(zip(names, values))
+
+
+def _decision(decide, system: LiaSystem, box_cap: int) -> tuple[str, object]:
+    try:
+        result = decide(system, box_cap)
+    except ResourceLimitError as exc:
+        return "limit", str(exc)
+    return ("sat", result.assignment) if isinstance(result, LiaSat) else ("unsat", None)
 
 
 def _random_system(rng: random.Random) -> LiaSystem:
