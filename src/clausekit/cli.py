@@ -113,9 +113,8 @@ def _bs_clauses(args: argparse.Namespace) -> Sequence[Clause]:
 
 def _ordering(args: argparse.Namespace, clauses: Sequence[Clause]) -> OrderingConfig:
     cfg = default_config(clauses)
-    precedence = [p.strip() for p in (args.precedence or "").split(">") if p.strip()]
-    if precedence:
-        cfg = config_with_precedence(cfg, precedence)
+    if args.precedence is not None:
+        cfg = config_with_precedence(cfg, [p.strip() for p in args.precedence.split(">")])
     return cfg
 
 

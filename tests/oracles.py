@@ -4,9 +4,12 @@ Everything here enumerates: truth tables by looping over assignments, ground
 satisfiability by instantiating every clause over the domain, unit
 propagation by rescanning every clause, SCL propagation by rescanning every
 instance that contains a changed atom, LIA bound propagation by visiting every
-(inequation, variable) pair in every sweep, and clause and inequation text by
-walking a token stream one token at a time.  None of it shares code paths with
-the engines under test.
+(inequation, variable) pair in every sweep, clause and inequation text by
+walking a token stream one token at a time, and saturation by meeting the
+given clause with every active clause under a Knuth-Bendix ordering that takes
+symbol weights.  None of it shares code paths with the engines under test,
+except that the reference saturation calls the engine's `unify`,
+`rename_apart`, `canonical_variant` and `subsumes`.
 """
 
 from __future__ import annotations
@@ -15,10 +18,10 @@ import itertools
 import re
 from collections import deque
 from dataclasses import dataclass, field, replace
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from clausekit.cdcl import PropClause, TrailEntry, TrailOrdering
-from clausekit.errors import ParseError, ResourceLimitError
+from clausekit.errors import OrderingConfigError, ParseError, ResourceLimitError
 from clausekit.lia import (
     DEFAULT_BOX_CAP,
     Bound,
@@ -29,7 +32,6 @@ from clausekit.lia import (
     LiaSystem,
     LiaUnsat,
     LinIneq,
-    apriori_bounds,
 )
 from clausekit.logic import (
     Atom,
@@ -37,13 +39,15 @@ from clausekit.logic import (
     Constant,
     Literal,
     Substitution,
+    Term,
+    Variable,
     canonical_variant,
     is_variable_name,
     rename_apart,
     term_from_name,
     unify,
 )
-from clausekit.ordering import OrderingConfig, literal_is_maximal
+from clausekit.ordering import Cmp, OrderingConfig
 from clausekit.resolution import (
     DerivedClause,
     FactoringRule,
@@ -348,6 +352,20 @@ def exhaustive_lia_search(system, box: dict[str, tuple[int, int]]) -> dict[str, 
     return None
 
 
+def reference_box_radius(system: LiaSystem) -> int:
+    """The a-priori box radius n*(m*a)**(2m+1), with m, n and a read off the inequations.
+
+    m counts the inequations, n the distinct variables, and a is the largest
+    absolute coefficient or constant.
+    """
+    m = len(system.inequations)
+    if m < 1:
+        raise ValueError("the system must contain at least one inequation")
+    n = len({v for ineq in system.inequations for v, _ in ineq.coeffs})
+    a = max(abs(x) for ineq in system.inequations for x in (ineq.const, *(c for _, c in ineq.coeffs)))
+    return n * (m * a) ** (2 * m + 1)
+
+
 # The bounded decision with its own minimum routine over the box and the
 # partial assignment; the engine's decision must search in the same order.
 def reference_decide_bounded(system: LiaSystem, box_cap: int = DEFAULT_BOX_CAP) -> LiaSat | LiaUnsat:
@@ -356,8 +374,9 @@ def reference_decide_bounded(system: LiaSystem, box_cap: int = DEFAULT_BOX_CAP) 
     Depth-first over the variables with partial-evaluation pruning; raises
     ResourceLimitError when the box volume exceeds the cap.
     """
-    box = apriori_bounds(system)
+    radius = reference_box_radius(system)
     variables = system.variables
+    box = {v: (-radius, radius) for v in variables}
     volume = 1
     for v in variables:
         lo, hi = box[v]
@@ -702,7 +721,97 @@ def reference_render(result) -> list[tuple[str, dict]]:
     return out
 
 
-def reference_ordered_resolve(c1: Clause, c2: Clause, cfg: OrderingConfig, sel) -> list[DerivedClause]:
+# ---------------------------------------------------------------------------
+# Knuth-Bendix ordering with symbol weights and a variable weight, the
+# reference for clausekit.ordering, which fixes every weight at 1.
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class WeightedOrderingConfig:
+    """KBO instance: symbol weights, a strict precedence, and the variable weight."""
+
+    weights: Mapping[str, int]
+    precedence: Mapping[str, int]  # higher value = greater symbol
+    variable_weight: int = 1
+
+    def __post_init__(self):
+        if self.variable_weight < 1:
+            raise ValueError("variable weight must be positive")
+        for sym, w in self.weights.items():
+            if w < self.variable_weight:
+                # KBO admissibility: constants may not weigh less than variables
+                raise ValueError(f"weight of {sym!r} is below the variable weight")
+
+    def weight_of(self, symbol: str) -> int:
+        try:
+            return self.weights[symbol]
+        except KeyError:
+            raise OrderingConfigError(f"no weight for symbol {symbol!r}") from None
+
+    def prec_of(self, symbol: str) -> int:
+        try:
+            return self.precedence[symbol]
+        except KeyError:
+            raise OrderingConfigError(f"no precedence for symbol {symbol!r}") from None
+
+
+def unit_weights(cfg: OrderingConfig) -> WeightedOrderingConfig:
+    """The engine's precedence with every symbol and the variables at weight 1."""
+    return WeightedOrderingConfig(weights={s: 1 for s in cfg.precedence}, precedence=cfg.precedence)
+
+
+def reference_atom_weight(atom: Atom, cfg: WeightedOrderingConfig) -> int:
+    total = cfg.weight_of(atom.predicate)
+    for arg in atom.args:
+        total += cfg.variable_weight if isinstance(arg, Variable) else cfg.weight_of(arg.name)
+    return total
+
+
+def _reference_term_compare(u: Term, v: Term, cfg: WeightedOrderingConfig) -> Cmp:
+    if u is v:  # terms are interned
+        return Cmp.EQ
+    if isinstance(u, Variable) or isinstance(v, Variable):
+        # distinct variables, or variable vs constant: neither dominates
+        return Cmp.INCOMPARABLE
+    wu, wv = cfg.weight_of(u.name), cfg.weight_of(v.name)
+    if wu != wv:
+        return Cmp.GT if wu > wv else Cmp.LT
+    return Cmp.GT if cfg.prec_of(u.name) > cfg.prec_of(v.name) else Cmp.LT
+
+
+def _reference_covers(s: Atom, t: Atom) -> bool:
+    """Every variable occurs in `s` at least as often as in `t`."""
+    return all(s.args.count(v) >= t.args.count(v) for v in t.args if isinstance(v, Variable))
+
+
+def reference_kbo_compare(s: Atom, t: Atom, cfg: WeightedOrderingConfig) -> Cmp:
+    if s == t:
+        return Cmp.EQ
+    ws, wt = reference_atom_weight(s, cfg), reference_atom_weight(t, cfg)
+    if ws != wt:
+        r = Cmp.GT if ws > wt else Cmp.LT
+    elif s.predicate != t.predicate:
+        r = Cmp.GT if cfg.prec_of(s.predicate) > cfg.prec_of(t.predicate) else Cmp.LT
+    else:  # the first argument where they differ decides
+        r = next((_reference_term_compare(u, v, cfg) for u, v in zip(s.args, t.args) if u is not v), Cmp.EQ)
+    # a greater atom must hold every variable as often as the smaller one
+    if r is Cmp.GT:
+        return r if _reference_covers(s, t) else Cmp.INCOMPARABLE
+    if r is Cmp.LT:
+        return r if _reference_covers(t, s) else Cmp.INCOMPARABLE
+    return r
+
+
+def reference_literal_is_maximal(clause: Clause, index: int, cfg: WeightedOrderingConfig) -> bool:
+    """Whether no literal of the clause strictly exceeds the one at `index`."""
+    lit = clause.literals[index]
+    return not any(
+        reference_kbo_compare(other.atom, lit.atom, cfg) is Cmp.GT for other in clause.literals
+    )
+
+
+def reference_ordered_resolve(c1: Clause, c2: Clause, cfg: WeightedOrderingConfig, sel) -> list[DerivedClause]:
     """Ordered resolvents of two clauses: rename apart, then try every positive/negative pair."""
     out = []
     for positive, negative in ((c1, c2), (c2, c1)):
@@ -717,9 +826,9 @@ def reference_ordered_resolve(c1: Clause, c2: Clause, cfg: OrderingConfig, sel) 
                 if nl.positive or (neg_selected is not None and j != neg_selected):
                     continue
                 sigma = unify(pl.atom, nl.atom)
-                if sigma is None or not literal_is_maximal(sigma.apply_clause(pos_r), i, cfg):
+                if sigma is None or not reference_literal_is_maximal(sigma.apply_clause(pos_r), i, cfg):
                     continue
-                if neg_selected is None and not literal_is_maximal(sigma.apply_clause(neg_r), j, cfg):
+                if neg_selected is None and not reference_literal_is_maximal(sigma.apply_clause(neg_r), j, cfg):
                     continue
                 rest = [l for k, l in enumerate(pos_r.literals) if k != i]
                 rest += [l for k, l in enumerate(neg_r.literals) if k != j]
@@ -730,14 +839,14 @@ def reference_ordered_resolve(c1: Clause, c2: Clause, cfg: OrderingConfig, sel) 
     return out
 
 
-def reference_factor(clause: Clause, cfg: OrderingConfig) -> list[DerivedClause]:
+def reference_factor(clause: Clause, cfg: WeightedOrderingConfig) -> list[DerivedClause]:
     out = []
     lits = clause.literals
     for i, j in itertools.combinations(range(len(lits)), 2):
         if not (lits[i].positive and lits[j].positive):
             continue
         sigma = unify(lits[i].atom, lits[j].atom)
-        if sigma is None or not literal_is_maximal(sigma.apply_clause(clause), i, cfg):
+        if sigma is None or not reference_literal_is_maximal(sigma.apply_clause(clause), i, cfg):
             continue
         conclusion = canonical_variant(
             Clause(0, tuple(sigma.apply_literal(l) for k, l in enumerate(lits) if k != j))
@@ -752,9 +861,12 @@ def reference_saturate(
     """The given-clause loop without indexes: the given clause meets every active
     clause, and subsumption scans every retained clause both ways.
 
-    Drop-in for `resolution.saturate`.  It shares with it only the logic and
-    ordering primitives and `subsumes`, the test of one pair.
+    Drop-in for `resolution.saturate`, reading maximality from the reference
+    KBO at unit weights over `cfg`'s precedence.  It shares with it only the
+    logic primitives (`unify`, `rename_apart`, `canonical_variant`) and
+    `subsumes`, the test of one pair.
     """
+    weighted = unit_weights(cfg)
     inputs = {c.id: c for c in clauses}
     if not inputs:
         return SaturationResult("saturated", 0, 0, 0, 0, [], {}, None)
@@ -799,8 +911,8 @@ def reference_saturate(
         active.append(given)
         batch = []
         for partner in active:
-            batch.extend(reference_ordered_resolve(given, partner, cfg, sel))
-        batch.extend(reference_factor(given, cfg))
+            batch.extend(reference_ordered_resolve(given, partner, weighted, sel))
+        batch.extend(reference_factor(given, weighted))
         for derived in batch:
             if counts["generated"] >= max_generated:
                 return result("limit")

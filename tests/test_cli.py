@@ -423,6 +423,16 @@ def test_precedence_naming_a_symbol_twice(capsys):
     assert capsys.readouterr().err == "error: precedence names '1' twice\n"
 
 
+@pytest.mark.parametrize("precedence", ["1>>0", ">", "1>", " > 0", ""])
+def test_precedence_with_an_empty_name(capsys, precedence):
+    code, out = run_cli(
+        "--mode", "resolution", "--counter-n", "2", "--selection", "none",
+        "--precedence", precedence,
+    )
+    assert (code, out) == (EXIT_USAGE, "")
+    assert capsys.readouterr().err == "error: precedence has an empty name\n"
+
+
 # A random set like acceptance test 8's (its generator at seed 12): first-negative
 # saturation generates 231 clauses and keeps 66.
 RANDOM_BS = """\

@@ -33,3 +33,17 @@ def test_a_third_party_import_is_caught():
     tree = ast.parse("import os.path\nfrom typing import Any\nfrom . import cdcl\nimport numpy as np\n"
                      "def f():\n    from hypothesis import given\n")
     assert imported_roots(tree) - sys.stdlib_module_names == {"numpy", "hypothesis"}
+
+
+def test_oracles_take_no_ordering_or_box_from_the_engines():
+    # the reference saturation and the bounded-decision references must reach
+    # their own maximality and box radius, or an engine fault would pass both sides
+    tree = ast.parse((Path(__file__).resolve().parent / "oracles.py").read_text())
+    imported = {
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "clausekit"
+        for alias in node.names
+    }
+    read = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    assert not {"apriori_bounds", "kbo_compare", "literal_is_maximal"} & (imported | read)

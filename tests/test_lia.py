@@ -3,7 +3,7 @@ from collections import Counter
 
 import pytest
 
-from oracles import exhaustive_lia_search, reference_decide_bounded, reference_propagate_bounds
+from oracles import exhaustive_lia_search, reference_box_radius, reference_decide_bounded, reference_propagate_bounds
 from clausekit import lia
 from clausekit.errors import ResourceLimitError
 from clausekit.formats import parse_lia
@@ -310,15 +310,11 @@ class TestDecideBounded:
         agreements = 0
         while agreements < 25:
             system = _random_system(rng)
-            box = apriori_bounds(system)
-            volume = 1
-            for lo, hi in box.values():
-                volume *= hi - lo + 1
-            if volume > 50_000:
+            radius = reference_box_radius(system)
+            if (2 * radius + 1) ** len(system.variables) > 50_000:
                 continue
             verdict = decide_bounded(system)
-            radius = max(hi for _, hi in box.values()) + 3
-            bigger = {v: (-radius, radius) for v in system.variables}
+            bigger = {v: (-radius - 3, radius + 3) for v in system.variables}
             found = exhaustive_lia_search(system, bigger)
             if isinstance(verdict, LiaSat):
                 assert found is not None

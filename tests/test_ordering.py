@@ -1,8 +1,10 @@
 import itertools
 import random
+from collections import Counter
 
 import pytest
 
+from oracles import reference_kbo_compare, unit_weights
 from clausekit.errors import OrderingConfigError
 from clausekit.logic import Atom, Clause, Constant, Literal, Substitution, Variable
 from clausekit.ordering import (
@@ -43,13 +45,6 @@ class TestKboCompare:
     def test_variable_condition_fails_both_ways(self):
         assert kbo_compare(P(x1, c0), P(x2, c1), CFG) is Cmp.INCOMPARABLE
 
-    def test_weight_dominates(self):
-        cfg = OrderingConfig(
-            weights={"P": 1, "Q": 1, "0": 3, "1": 1},
-            precedence={"0": 0, "1": 1, "P": 2, "Q": 3},
-        )
-        assert kbo_compare(Atom("P", (c0,)), Atom("Q", (c1,)), cfg) is Cmp.GT
-
     def test_head_precedence(self):
         assert kbo_compare(Atom("Q", (c0,)), Atom("P", (c0,)), default_config(
             [Clause(1, (Literal(True, Atom("Q", (c0,))), Literal(True, Atom("P", (c0,)))))]
@@ -58,10 +53,6 @@ class TestKboCompare:
     def test_unknown_symbol(self):
         with pytest.raises(OrderingConfigError):
             kbo_compare(Atom("R", (c0,)), P(c0), CFG)
-
-    def test_admissibility_enforced(self):
-        with pytest.raises(ValueError):
-            OrderingConfig(weights={"0": 0}, precedence={"0": 0})
 
 
 def _ground_atoms(max_arity=2):
@@ -73,10 +64,7 @@ def _ground_atoms(max_arity=2):
     return out
 
 
-GROUND_CFG = OrderingConfig(
-    weights={"P": 1, "Q": 1, "0": 1, "1": 1},
-    precedence={"0": 0, "1": 1, "P": 2, "Q": 3},
-)
+GROUND_CFG = OrderingConfig({"0": 0, "1": 1, "P": 2, "Q": 3})
 
 
 class TestGroundOrder:
@@ -152,12 +140,7 @@ def test_exceeded_literal_stays_non_maximal_under_substitution():
     checked = 0
     for _ in range(3000):
         symbols = ["a", "b", "c", "P", "Q"]
-        variable_weight = rng.randint(1, 2)
-        cfg = OrderingConfig(
-            weights={s: rng.randint(variable_weight, 3) for s in symbols},
-            precedence=dict(zip(rng.sample(symbols, len(symbols)), range(len(symbols)))),
-            variable_weight=variable_weight,
-        )
+        cfg = OrderingConfig(dict(zip(rng.sample(symbols, len(symbols)), range(len(symbols)))))
         arity = {"P": rng.randint(0, 3), "Q": rng.randint(0, 3)}
         literals = []
         for _ in range(rng.randint(2, 4)):
@@ -183,3 +166,20 @@ def test_config_with_precedence_override():
     cfg = config_with_precedence(CFG, ["0", "1"])
     assert cfg.prec_of("0") > cfg.prec_of("1")
     assert kbo_compare(P(x1, c0), P(x1, c1), cfg) is Cmp.GT
+
+
+def test_agrees_with_the_weighted_reference_at_unit_weights():
+    """Arity, then head precedence, then the first differing argument is KBO with every weight 1."""
+    rng = random.Random(2001)
+    symbols = ["a", "b", "c", "P", "Q", "R"]
+    terms = [x1, x2, x3] + [Constant(n) for n in "abc"]
+    verdicts = Counter()
+    for _ in range(2_000):
+        cfg = OrderingConfig(dict(zip(rng.sample(symbols, len(symbols)), range(len(symbols)))))
+        weighted = unit_weights(cfg)
+        for _ in range(50):
+            s, t = (Atom(rng.choice("PQR"), tuple(rng.choices(terms, k=rng.randint(0, 3)))) for _ in "st")
+            verdict = kbo_compare(s, t, cfg)
+            assert verdict is reference_kbo_compare(s, t, weighted), (s, t, cfg)
+            verdicts[verdict] += 1
+    assert sum(verdicts.values()) == 100_000 and min(verdicts.values()) > 1_000
