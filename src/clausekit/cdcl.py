@@ -11,7 +11,8 @@ trail walk.  The engines differ only in the kernel's hooks (`unit_key`,
 clause ordering.  Literals are DIMACS-style signed integers.
 Traces stay deterministic: the conflict is the smallest-id false clause and
 the propagating clause the smallest-id unit clause, as in an id-order scan.
-Events are tuples on the kernel; `render` turns a result into output lines.
+Events are tuples on the kernel.  `solve` returns one `CdclResult`, whose
+`verdict` is "sat" or "unsat"; `render` turns it into output lines.
 """
 
 from __future__ import annotations
@@ -221,7 +222,6 @@ class CdclState(TrailKernel):
     """The solver five-tuple on the trail kernel, plus an event log."""
 
     clauses: dict[int, PropClause]
-    input_ids: frozenset[int]
     num_vars: int
     learned_ids: list[int] = field(default_factory=list)
     next_clause_id: int = 1
@@ -242,7 +242,6 @@ class CdclState(TrailKernel):
             raise ValueError("clause mentions an atom beyond num_vars")
         return cls(
             clauses=by_id,
-            input_ids=frozenset(by_id),
             num_vars=num_vars,
             next_clause_id=max(by_id, default=0) + 1,
         )
@@ -469,22 +468,20 @@ class ProofStep(NamedTuple):
 
 
 @dataclass
-class SatResult:
-    model: tuple[int, ...]
-    state: CdclState
+class CdclResult:
+    """A run's verdict, "sat" with its model or "unsat" with its proof, and its final state."""
 
-
-@dataclass
-class UnsatResult:
-    proof: list[ProofStep]  # learned-clause sequence; the last entry derives falsum
+    verdict: str
     state: CdclState
+    model: tuple[int, ...] | None = None
+    proof: list[ProofStep] | None = None  # learned-clause sequence; the last entry derives falsum
 
 
 def solve(
     clauses: Iterable[PropClause],
     num_vars: int | None = None,
     heuristic: DecisionHeuristic = lowest_index_negative,
-) -> SatResult | UnsatResult:
+) -> CdclResult:
     """CDCL main loop: propagate, then analyze/backjump, finish, or decide."""
     state = CdclState.from_clauses(clauses, num_vars)
     proof: list[ProofStep] = []
@@ -495,18 +492,18 @@ def solve(
             proof.append(_new(ProofStep, (state.conflict, tuple(state.last_analysis_steps), learned)))
             if blevel < 0:
                 state.events.append(("unsat",))
-                return UnsatResult(proof=proof, state=state)
+                return CdclResult("unsat", state, proof=proof)
             backjump_and_learn(state, learned, blevel)
         elif len(state.trail) == state.num_vars:
             true = state.true
             model = tuple(a if true[a] else -a for a in range(1, state.num_vars + 1))
             state.events.append(("sat", model))
-            return SatResult(model=model, state=state)
+            return CdclResult("sat", state, model=model)
         else:
             decide(state, heuristic(state))
 
 
-def render(result: SatResult | UnsatResult) -> Iterator[tuple[str, dict]]:
+def render(result: CdclResult) -> Iterator[tuple[str, dict]]:
     """The trace of a run in the DIMACS-solver style, one (text line, JSON fields) pair per line."""
     for ev in result.state.events:
         kind = ev[0]

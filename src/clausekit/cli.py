@@ -4,9 +4,10 @@ Each mode parses its input, runs its engine and writes the lines that the
 engine's `render` gives for the result, as text or as JSON lines; only the
 counter experiment formats its own table.
 
-Exit codes follow the DIMACS solver convention: 10 for satisfiable/saturated
-outcomes, 20 for unsatisfiable, 1 for resource or step limits, 2 for usage and
-parse errors.
+Each engine run returns one result with a `verdict`, which `EXIT_CODES` maps
+to the exit code after the DIMACS solver convention: 10 for satisfiable or
+saturated, 20 for unsatisfiable, 1 for resource or step limits.  Usage and
+parse errors exit with 2.
 """
 
 from __future__ import annotations
@@ -30,15 +31,9 @@ EXIT_UNSAT = 20
 EXIT_LIMIT = 1
 EXIT_USAGE = 2
 
-MODES = (
-    "cdcl",
-    "scl",
-    "resolution",
-    "resolution-replay",
-    "lia-propagate",
-    "lia-decide",
-    "counter-experiment",
-)
+# every verdict an engine's result can hold, and its exit code
+EXIT_CODES = {"sat": EXIT_SAT, "fixpoint": EXIT_SAT, "saturated": EXIT_SAT, "unsat": EXIT_UNSAT,
+              "conflict": EXIT_UNSAT, "limit": EXIT_LIMIT, "diverged": EXIT_LIMIT}
 
 HEURISTICS: dict[str, cdcl.DecisionHeuristic] = {
     "lowest-negative": cdcl.lowest_index_negative,
@@ -123,7 +118,7 @@ def _run_cdcl(args: argparse.Namespace, emit: _Emitter) -> int:
         num_vars, clauses = formats.parse_dimacs(handle.read())
     result = cdcl.solve(clauses, num_vars, HEURISTICS[args.heuristic or DEFAULT_HEURISTIC])
     emit.lines(cdcl.render(result))
-    return EXIT_SAT if isinstance(result, cdcl.SatResult) else EXIT_UNSAT
+    return EXIT_CODES[result.verdict]
 
 
 def _max_steps(args: argparse.Namespace, default: int = DEFAULT_MAX_STEPS) -> int:
@@ -136,11 +131,7 @@ def _run_scl(args: argparse.Namespace, emit: _Emitter) -> int:
     cap = scl.DEFAULT_INSTANCE_CAP if args.max_instances is None else args.max_instances
     result = scl.scl_run(clauses, instance_cap=cap, trail_cap=_max_steps(args, scl.DEFAULT_TRAIL_CAP))
     emit.lines(scl.render(result))
-    if isinstance(result, scl.SclSat):
-        return EXIT_SAT
-    if isinstance(result, scl.SclUnsat):
-        return EXIT_UNSAT
-    return EXIT_LIMIT
+    return EXIT_CODES[result.verdict]
 
 
 def _run_resolution(args: argparse.Namespace, emit: _Emitter) -> int:
@@ -149,11 +140,7 @@ def _run_resolution(args: argparse.Namespace, emit: _Emitter) -> int:
     sel = resolution.selection_from_name(args.selection or DEFAULT_SELECTION)
     result = resolution.saturate(clauses, cfg, sel, max_generated=_max_steps(args))
     emit.lines(resolution.render(result))
-    if result.outcome == "unsat":
-        return EXIT_UNSAT
-    if result.outcome == "saturated":
-        return EXIT_SAT
-    return EXIT_LIMIT
+    return EXIT_CODES[result.verdict]
 
 
 def _run_replay(args: argparse.Namespace, emit: _Emitter) -> int:
@@ -162,7 +149,7 @@ def _run_replay(args: argparse.Namespace, emit: _Emitter) -> int:
         script = formats.parse_script(handle.read())
     derived = resolution.replay(clauses, script)
     emit.lines(resolution.render(derived))
-    return EXIT_UNSAT if derived and derived[-1].clause.is_empty else EXIT_SAT
+    return EXIT_CODES["unsat" if derived and derived[-1].clause.is_empty else "sat"]
 
 
 def _lia_system(args: argparse.Namespace) -> lia.LiaSystem:
@@ -175,17 +162,13 @@ def _run_lia_propagate(args: argparse.Namespace, emit: _Emitter) -> int:
     decisions = [formats.parse_bound(b) for b in args.decide]
     result = lia.propagate_bounds(system, decisions, _max_steps(args))
     emit.lines(lia.render(result))
-    if isinstance(result, lia.LiaFixpoint):
-        return EXIT_SAT
-    if isinstance(result, lia.LiaConflict):
-        return EXIT_UNSAT
-    return EXIT_LIMIT
+    return EXIT_CODES[result.verdict]
 
 
 def _run_lia_decide(args: argparse.Namespace, emit: _Emitter) -> int:
     result = lia.decide_bounded(_lia_system(args))
     emit.lines(lia.render(result))
-    return EXIT_SAT if isinstance(result, lia.LiaSat) else EXIT_UNSAT
+    return EXIT_CODES[result.verdict]
 
 
 # ---------------------------------------------------------------------------
@@ -220,7 +203,7 @@ def counter_experiment(n_max: int) -> list[ExperimentRow]:
             ExperimentRow(
                 n=n,
                 scl_propagations=scl_result.stats.propagations,
-                scl_result="unsat" if isinstance(scl_result, scl.SclUnsat) else "sat",
+                scl_result=scl_result.verdict,
                 resolution_generated=len(derived),
                 resolution_result="unsat",
             )
@@ -262,7 +245,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="clausekit",
         description="Model-guided and saturation-based reasoning workbench",
     )
-    parser.add_argument("--mode", required=True, choices=MODES)
+    parser.add_argument("--mode", required=True, choices=tuple(_HANDLERS))
     parser.add_argument("--input", help="path to a DIMACS, BS clause, or LIA file")
     parser.add_argument("--counter-n", type=int, help="generate the n-bit counter problem")
     parser.add_argument(

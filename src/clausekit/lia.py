@@ -9,7 +9,9 @@ a pair is revisited only after a bound that its implied bound reads is
 tightened, and after a tightening only the inequations whose minimum reads
 the tightened bound are checked for a conflict.  Both readings, and the
 bounded decision's pruning, run on the system compiled once, with every term
-keyed by the bound it reads.  `render` gives the output lines of either result.
+keyed by the bound it reads.  A propagation's `verdict` is "fixpoint",
+"conflict" or "diverged", a decision's "sat" or "unsat"; `render` gives the
+output lines of either result.
 """
 
 from __future__ import annotations
@@ -189,25 +191,14 @@ def conflicting_inequation(
 
 
 @dataclass
-class LiaFixpoint:
-    bounds: dict[tuple[str, bool], Bound]
+class LiaPropagation:
+    """A propagation's verdict, "fixpoint", "conflict" or "diverged", its bounds, trail and tightenings."""
+
+    verdict: str
+    bounds: dict[BoundKey, Bound]
     trail: list[Bound]
     steps: int
-
-
-@dataclass
-class LiaConflict:
-    inequation_id: int
-    bounds: dict[tuple[str, bool], Bound]
-    trail: list[Bound]
-    steps: int
-
-
-@dataclass
-class LiaDiverged:
-    steps: int
-    bounds: dict[tuple[str, bool], Bound]
-    trail: list[Bound]
+    inequation_id: int | None = None  # the conflicting inequation of a "conflict"
 
 
 def _readers(
@@ -243,7 +234,7 @@ def _readers(
 
 def propagate_bounds(
     system: LiaSystem, decisions: Iterable[Bound], max_steps: int
-) -> LiaFixpoint | LiaConflict | LiaDiverged:
+) -> LiaPropagation:
     """Round-robin bound tightening until fixpoint, conflict, or budget exhaustion.
 
     Sweeps visit the (inequation, variable) pairs in input order, as a plain
@@ -271,7 +262,7 @@ def propagate_bounds(
     pairs, inequations, scans, wakes = _readers(system)
     cid = conflicting_inequation(system, current, inequations)
     if cid is not None:
-        return LiaConflict(cid, current, trail, steps)
+        return LiaPropagation("conflict", current, trail, steps, cid)
     n = len(pairs)
     # a heap of the visits due, each as sweep * n + pair index, and per pair
     # the latest visit it is queued for; both start with the whole first sweep
@@ -285,21 +276,21 @@ def propagate_bounds(
         if bound is None:
             continue
         if steps >= max_steps:
-            return LiaDiverged(steps, current, trail)
+            return LiaPropagation("diverged", current, trail, steps)
         current[pair[2]] = bound
         trail.append(bound)
         steps += 1
         # while none conflicts, a tightening moves only the minima that read it
         cid = conflicting_inequation(system, current, scans[p])
         if cid is not None:
-            return LiaConflict(cid, current, trail, steps)
+            return LiaPropagation("conflict", current, trail, steps, cid)
         sweep = t - p
         for r in wakes[p]:
             visit = sweep + r if r > p else sweep + n + r  # later in this sweep, or in the next
             if queued[r] < visit:
                 queued[r] = visit
                 heappush(due, visit)
-    return LiaFixpoint(current, trail, steps)
+    return LiaPropagation("fixpoint", current, trail, steps)
 
 
 def apriori_bounds(system: LiaSystem) -> dict[str, tuple[int, int]]:
@@ -312,17 +303,13 @@ def apriori_bounds(system: LiaSystem) -> dict[str, tuple[int, int]]:
 
 
 @dataclass
-class LiaSat:
-    assignment: dict[str, int]  # in the system's variable order
+class LiaDecision:
+    verdict: str  # "sat" | "unsat"
+    assignment: dict[str, int] | None = None  # a "sat" model, in the system's variable order
 
 
-@dataclass
-class LiaUnsat:
-    pass
-
-
-def decide_bounded(system: LiaSystem, box_cap: int = DEFAULT_BOX_CAP) -> LiaSat | LiaUnsat:
-    """Exhaustive search over the a-priori box; Unsat there means unsatisfiable.
+def decide_bounded(system: LiaSystem, box_cap: int = DEFAULT_BOX_CAP) -> LiaDecision:
+    """Exhaustive search over the a-priori box; "unsat" there means unsatisfiable.
 
     Depth-first over the variables; a node holds the box corners and each
     assigned value as bounds, and `conflicting_inequation` prunes it.  Raises
@@ -360,26 +347,25 @@ def decide_bounded(system: LiaSystem, box_cap: int = DEFAULT_BOX_CAP) -> LiaSat 
         return None
 
     found = search(0)
-    return LiaSat(found) if found is not None else LiaUnsat()
+    return LiaDecision("unsat") if found is None else LiaDecision("sat", found)
 
 
 # the JSON fields of every propagation line, shared: a consumer copies them
 _LIA_FIELDS = {"event": "lia"}
 
 
-def render(
-    result: LiaFixpoint | LiaConflict | LiaDiverged | LiaSat | LiaUnsat,
-) -> Iterator[tuple[str, dict]]:
+def render(result: LiaPropagation | LiaDecision) -> Iterator[tuple[str, dict]]:
     """The output of a propagation or a decision, one (text line, JSON fields) pair per line.
 
-    A propagation prints its trail, one bound per line, then its outcome; a
+    A propagation prints its trail, one bound per line, then its verdict; a
     decision prints its verdict with the model.  The fields of a propagation
     line are one dict shared by every line, not to be mutated.
     """
-    if isinstance(result, LiaSat):
+    verdict = result.verdict
+    if verdict == "sat":
         yield "sat " + " ".join(f"{v}={x}" for v, x in result.assignment.items()), {"event": "result"}
         return
-    if isinstance(result, LiaUnsat):
+    if verdict == "unsat":
         yield "unsat", {"event": "result"}
         return
     for var, lower, value, _level, reason in result.trail:
@@ -387,9 +373,9 @@ def render(
             yield f"bound {var} {'>=' if lower else '<='} {value} <- decision", _LIA_FIELDS
         else:
             yield f"bound {var} {'>=' if lower else '<='} {value} <- ineq {reason}", _LIA_FIELDS
-    if isinstance(result, LiaFixpoint):
+    if verdict == "fixpoint":
         yield "fixpoint", _LIA_FIELDS
-    elif isinstance(result, LiaConflict):
+    elif verdict == "conflict":
         yield f"conflict {result.inequation_id}", _LIA_FIELDS
     else:
         yield f"diverged steps={result.steps}", _LIA_FIELDS

@@ -56,7 +56,7 @@ def default_config(clauses: Iterable[Clause]) -> OrderingConfig:
 
 
 def config_with_precedence(base: OrderingConfig, high_to_low: list[str]) -> OrderingConfig:
-    """Override precedence for the listed symbols, greatest first; an empty or repeated name is a ValueError."""
+    """Override the listed symbols' precedence, greatest first; an empty, repeated or unknown name is a ValueError."""
     prec = dict(base.precedence)
     top = max(prec.values(), default=0) + 1
     for offset, sym in enumerate(high_to_low):
@@ -64,6 +64,8 @@ def config_with_precedence(base: OrderingConfig, high_to_low: list[str]) -> Orde
             raise ValueError("precedence has an empty name")
         if sym in high_to_low[:offset]:
             raise ValueError(f"precedence names {sym!r} twice")
+        if sym not in base.precedence:
+            raise ValueError(f"precedence names {sym!r}, which is no symbol of the problem")
         prec[sym] = top + len(high_to_low) - offset
     return OrderingConfig(prec)
 

@@ -10,7 +10,8 @@ argument position, and its variables.  Two literals that hold different
 constants at one position are never handed to `unify`.  Every inference
 instantiates each premise once, reads maximality off those instances and
 builds its conclusion from them with `_conclusion`.  Saturation runs a FIFO
-given-clause loop with tautology deletion.  Two indexes serve it: the partner
+given-clause loop with tautology deletion, and its result's verdict is
+"unsat", "saturated" or "limit".  Two indexes serve it: the partner
 index files each active clause under its eligible keys, so the given clause
 meets only the clauses filed under a complementary key, and forward and
 backward subsumption take their candidates from a `SubsumptionIndex` of
@@ -318,7 +319,7 @@ class SubsumptionIndex:
 
 @dataclass
 class SaturationResult:
-    outcome: str  # "unsat" | "saturated" | "limit"
+    verdict: str  # "unsat" | "saturated" | "limit"
     generated: int
     kept: int
     subsumed: int
@@ -391,11 +392,11 @@ def saturate(
             for key in record.eligible:
                 del partner_index[key][clause.id]
 
-    def result(outcome: str, proof: list[DerivedClause] | None = None) -> SaturationResult:
+    def result(verdict: str, proof: list[DerivedClause] | None = None) -> SaturationResult:
         retained = [r.clause for r in active.values()]
         retained += [c for c in passive if c.id not in removed]
         return SaturationResult(
-            outcome, generated, kept, subsumed, tautologies, retained, derivations, proof
+            verdict, generated, kept, subsumed, tautologies, retained, derivations, proof
         )
 
     while passive:
@@ -549,10 +550,10 @@ def render(result: SaturationResult | list[DerivedClause]) -> Iterator[tuple[str
     """
     if isinstance(result, SaturationResult):
         derived = result.derivations.values()
-        if result.outcome == "saturated":
+        if result.verdict == "saturated":
             verdict = f"Saturated({len(result.clauses)})"
         else:
-            verdict = "Unsat" if result.outcome == "unsat" else "LimitReached"
+            verdict = "Unsat" if result.verdict == "unsat" else "LimitReached"
         fields = {"event": "result", "generated": result.generated, "kept": result.kept}
     else:
         derived = result

@@ -27,8 +27,9 @@ the same atom), and the conflict is the false instance smallest in (clause
 id, substitution).  Decisions take the lowest unassigned atom.  Conflicts
 above level 0 go through the shared 1UIP walk over the ground abstraction,
 and the learned instance goes through CDCL's Backjump rule (`learn_clause`);
-a level-0 conflict means the input is unsatisfiable.  Events carry literals
-and instance positions; `render` turns a run's result into its output lines.
+a level-0 conflict means the input is unsatisfiable.  A run returns one
+`SclResult`, whose `verdict` is "sat", "unsat" or "limit" (a cap stopped it).
+Events carry literals and instance positions; `render` gives its output lines.
 """
 
 from __future__ import annotations
@@ -586,9 +587,6 @@ def ground_problem(
 class SclStats:
     propagations: int = 0
     decisions: int = 0
-    conflicts: int = 0
-    trail: int = 0
-    instances: int = 0  # instances created, learned ones included
 
 
 @dataclass
@@ -620,7 +618,6 @@ class SclState(TrailKernel):
         """Hook the instances created at the start into the kernel, under the empty trail."""
         for pos, inst in enumerate(self.problem.instances):
             self.watch(pos, inst.lits)
-        self.stats.instances = len(self.problem.instances)
 
     def assign(self, lit: int, reason: int | None) -> None:
         """Assign as the kernel does, then create the instances this makes unit or false, and queue or mark each.
@@ -646,7 +643,6 @@ class SclState(TrailKernel):
                     heapq.heappush(self.pending, (self.unit_key(pos, unit), pos, unit))
                 else:
                     self.false_ids.add(pos)
-            self.stats.instances = len(instances)
 
     def truncate(self, level: int) -> None:
         """Truncate as the kernel does, dropping the undone atoms from `on_trail`."""
@@ -672,41 +668,29 @@ def scl_propagate(state: SclState, trail_cap: int = DEFAULT_TRAIL_CAP) -> SclSta
     The conflict is the false instance smallest in (clause id, substitution).
     The stats count the propagations made before the trail cap stops them too.
     """
-    trail, stats = state.trail, state.stats
-    start = len(trail)
+    start = len(state.trail)
     try:
         propagate_units(state, trail_cap)
     finally:
-        if len(trail) > start:
-            stats.propagations += len(trail) - start
-            stats.trail = max(stats.trail, len(trail))
-    if state.conflict is not None:
-        stats.conflicts += 1
+        state.stats.propagations += len(state.trail) - start
     return state
 
 
 @dataclass
-class SclSat:
+class SclResult:
+    """A run's verdict, "sat", "unsat" or "limit", its counters and its final state."""
+
+    verdict: str
     stats: SclStats
-    state: SclState
+    state: SclState | None  # None if the instance cap stopped grounding; an "unsat" one's conflict is at level 0
 
     @property
-    def model(self) -> tuple[Atom, ...]:
-        """The atoms true on the total trail, in atom order, built when asked for."""
+    def model(self) -> tuple[Atom, ...] | None:
+        """The atoms true on the total trail of a "sat" run, in atom order, built when asked for."""
+        if self.verdict != "sat":
+            return None
         atoms = self.state.problem.atoms
         return tuple(atoms[atom - 1] for atom in sorted(lit for lit, _, _ in self.state.trail if lit > 0))
-
-
-@dataclass
-class SclUnsat:
-    stats: SclStats
-    state: SclState  # its conflict is the level-0 false instance
-
-
-@dataclass
-class SclResourceExceeded:
-    stats: SclStats
-    state: SclState | None
 
 
 def scl_run(
@@ -714,7 +698,7 @@ def scl_run(
     domain: Iterable[Constant] | None = None,
     instance_cap: int = DEFAULT_INSTANCE_CAP,
     trail_cap: int = DEFAULT_TRAIL_CAP,
-) -> SclSat | SclUnsat | SclResourceExceeded:
+) -> SclResult:
     """Propagate/decide until a total Herbrand model or a level-0 conflict.
 
     Decisions take the smallest undefined ground atom, positive polarity.
@@ -726,7 +710,7 @@ def scl_run(
     try:
         problem = ground_problem(clauses, domain, instance_cap)
     except ResourceLimitError:
-        return SclResourceExceeded(stats=SclStats(), state=None)
+        return SclResult("limit", SclStats(), None)
     state = SclState.from_problem(problem)
     while True:
         try:
@@ -735,28 +719,26 @@ def scl_run(
             break
         if state.conflict is not None:
             if state.level == 0:
-                return SclUnsat(stats=state.stats, state=state)
+                return SclResult("unsat", state.stats, state)
             instances = problem.instances
             learned, blevel, _ = resolve_1uip(state, instances[state.conflict].lits, instances)
             instances.append(GroundInstance(state.next_clause_id, (), learned))
             state.next_clause_id += 1
-            state.stats.instances = len(instances)
             learn_clause(state, len(instances) - 1, learned, blevel)
         elif len(state.trail) == len(problem.atoms):
-            return SclSat(stats=state.stats, state=state)
+            return SclResult("sat", state.stats, state)
         elif len(state.trail) >= trail_cap:
             break
         else:
             decide(state, lowest_unassigned(state))
             state.stats.decisions += 1
-            state.stats.trail = max(state.stats.trail, len(state.trail))
-    return SclResourceExceeded(stats=state.stats, state=state)
+    return SclResult("limit", state.stats, state)
 
 
-_VERDICTS = {SclSat: "s SATISFIABLE", SclUnsat: "s UNSATISFIABLE", SclResourceExceeded: "s RESOURCE-EXCEEDED"}
+_VERDICTS = {"sat": "s SATISFIABLE", "unsat": "s UNSATISFIABLE", "limit": "s RESOURCE-EXCEEDED"}
 
 
-def render(result: SclSat | SclUnsat | SclResourceExceeded) -> Iterator[tuple[str, dict]]:
+def render(result: SclResult) -> Iterator[tuple[str, dict]]:
     """The output of a run, one (text line, JSON fields) pair per line: trace, stats, verdict.
 
     A propagated literal is spelled by its template, filled with the
@@ -799,4 +781,4 @@ def render(result: SclSat | SclUnsat | SclResourceExceeded) -> Iterator[tuple[st
         s = state.stats
         yield (f"stats propagations={s.propagations} decisions={s.decisions} trail={len(state.trail)}",
                {"event": "scl", "kind": "stats"})
-    yield _VERDICTS[type(result)], {"event": "result"}
+    yield _VERDICTS[result.verdict], {"event": "result"}

@@ -25,12 +25,9 @@ from clausekit.errors import OrderingConfigError, ParseError, ResourceLimitError
 from clausekit.lia import (
     DEFAULT_BOX_CAP,
     Bound,
-    LiaConflict,
-    LiaDiverged,
-    LiaFixpoint,
-    LiaSat,
+    LiaDecision,
+    LiaPropagation,
     LiaSystem,
-    LiaUnsat,
     LinIneq,
 )
 from clausekit.logic import (
@@ -62,10 +59,8 @@ from clausekit.scl import (
     FRESH_CONSTANT,
     GroundInstance,
     GroundProblem,
-    SclResourceExceeded,
-    SclSat,
+    SclResult,
     SclStats,
-    SclUnsat,
 )
 
 
@@ -368,8 +363,8 @@ def reference_box_radius(system: LiaSystem) -> int:
 
 # The bounded decision with its own minimum routine over the box and the
 # partial assignment; the engine's decision must search in the same order.
-def reference_decide_bounded(system: LiaSystem, box_cap: int = DEFAULT_BOX_CAP) -> LiaSat | LiaUnsat:
-    """Exhaustive search over the a-priori box; Unsat there means unsatisfiable.
+def reference_decide_bounded(system: LiaSystem, box_cap: int = DEFAULT_BOX_CAP) -> LiaDecision:
+    """Exhaustive search over the a-priori box; "unsat" there means unsatisfiable.
 
     Depth-first over the variables with partial-evaluation pruning; raises
     ResourceLimitError when the box volume exceeds the cap.
@@ -412,7 +407,7 @@ def reference_decide_bounded(system: LiaSystem, box_cap: int = DEFAULT_BOX_CAP) 
         return None
 
     found = search(0)
-    return LiaSat(found) if found is not None else LiaUnsat()
+    return LiaDecision("sat", found) if found is not None else LiaDecision("unsat")
 
 
 def _reference_coeff_of(ineq, var: str) -> int:
@@ -492,7 +487,7 @@ def reference_propagate_bounds(system, decisions, max_steps: int):
     level = max((b.level for b in trail), default=0)  # derived bounds add no level
     cid = reference_conflicting_inequation(system, current)
     if cid is not None:
-        return LiaConflict(cid, current, trail, steps)
+        return LiaPropagation("conflict", current, trail, steps, cid)
     # while none conflicts, a tightening can only make one conflict that mentions its variable
     mentions: dict[str, list] = {}
     for ineq in system.inequations:
@@ -506,7 +501,7 @@ def reference_propagate_bounds(system, decisions, max_steps: int):
                 if bound is None:
                     continue
                 if steps >= max_steps:
-                    return LiaDiverged(steps, current, trail)
+                    return LiaPropagation("diverged", current, trail, steps)
                 bound = bound._replace(level=level)
                 current[(bound.var, bound.lower)] = bound
                 trail.append(bound)
@@ -514,9 +509,9 @@ def reference_propagate_bounds(system, decisions, max_steps: int):
                 changed = True
                 cid = reference_conflicting_inequation(system, current, mentions[bound.var])
                 if cid is not None:
-                    return LiaConflict(cid, current, trail, steps)
+                    return LiaPropagation("conflict", current, trail, steps, cid)
         if not changed:
-            return LiaFixpoint(current, trail, steps)
+            return LiaPropagation("fixpoint", current, trail, steps)
 
 
 def reference_resolve_1uip(trail, conflict_lits, level, reason_lits):
@@ -571,7 +566,6 @@ class ReferenceSclState:
         state = cls(problem=problem)
         for pos in range(len(problem.instances)):
             state.index(pos)
-        state.stats.instances = len(problem.instances)
         state.reclassify(range(len(problem.instances)))
         return state
 
@@ -613,7 +607,6 @@ def reference_scl_propagate(state: ReferenceSclState, trail_cap: int) -> None:
         if state.falses:
             pos = min(state.falses, key=lambda p: (instances[p].clause_id, instances[p].subst))
             state.conflict = pos
-            state.stats.conflicts += 1
             state.events.append(("conflict", instances[pos].clause_id, instances[pos].subst_str()))
             return
         if not state.units:
@@ -626,7 +619,6 @@ def reference_scl_propagate(state: ReferenceSclState, trail_cap: int) -> None:
         )
         state.assign(forced, pos)
         state.stats.propagations += 1
-        state.stats.trail = max(state.stats.trail, len(state.trail))
         state.events.append(
             ("propagate", state.literal_str(forced), instances[pos].clause_id, instances[pos].subst_str())
         )
@@ -646,19 +638,19 @@ def reference_scl_run(
     try:
         problem = reference_ground_problem(clauses, domain, instance_cap)
     except ResourceLimitError:
-        return SclResourceExceeded(stats=SclStats(), state=None)
+        return SclResult("limit", SclStats(), None)
     state = ReferenceSclState.from_problem(problem)
     while True:
         try:
             reference_scl_propagate(state, trail_cap)
         except ResourceLimitError:
             state.events.append(("resource",))
-            return SclResourceExceeded(stats=state.stats, state=state)
+            return SclResult("limit", state.stats, state)
         if state.conflict is not None:
             inst = problem.instances[state.conflict]
             if state.level == 0:
                 state.events.append(("unsat",))
-                return SclUnsat(state.stats, state)
+                return SclResult("unsat", state.stats, state)
             learned, blevel, _ = reference_resolve_1uip(
                 state.trail, inst.lits, state.level, lambda pos: problem.instances[pos].lits
             )
@@ -669,7 +661,6 @@ def reference_scl_run(
             problem.instances.append(GroundInstance(new_id, (), learned))
             pos = len(problem.instances) - 1
             state.index(pos)
-            state.stats.instances = len(problem.instances)
             state.reclassify([pos])
             state.unassign_to(blevel)
             state.level = blevel
@@ -677,16 +668,15 @@ def reference_scl_run(
             state.events.append(("learn", " | ".join(state.literal_str(l) for l in learned), blevel))
         elif len(state.value) == len(problem.atoms):
             state.events.append(("sat",))
-            return SclSat(state.stats, state)
+            return SclResult("sat", state.stats, state)
         elif len(state.trail) >= trail_cap:
             state.events.append(("resource",))
-            return SclResourceExceeded(stats=state.stats, state=state)
+            return SclResult("limit", state.stats, state)
         else:
             atom = next(i for i in range(1, len(problem.atoms) + 1) if i not in state.value)
             state.level += 1
             state.assign(atom, None)
             state.stats.decisions += 1
-            state.stats.trail = max(state.stats.trail, len(state.trail))
             state.events.append(("decide", state.literal_str(atom), state.level))
 
 
@@ -712,9 +702,9 @@ def reference_render(result) -> list[tuple[str, dict]]:
         s = state.stats
         out.append((f"stats propagations={s.propagations} decisions={s.decisions} trail={len(state.trail)}",
                     {"event": "scl", "kind": "stats"}))
-    if isinstance(result, SclSat):
+    if result.verdict == "sat":
         out.append(("s SATISFIABLE", {"event": "result"}))
-    elif isinstance(result, SclUnsat):
+    elif result.verdict == "unsat":
         out.append(("s UNSATISFIABLE", {"event": "result"}))
     else:
         out.append(("s RESOURCE-EXCEEDED", {"event": "result"}))

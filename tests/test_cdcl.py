@@ -6,11 +6,10 @@ from oracles import brute_force_sat, is_redundant, learn_orderings, reference_re
 from clausekit import cdcl
 from clausekit.cdcl import (
     TrailEntry,
+    CdclResult,
     CdclState,
     PropClause,
-    SatResult,
     TrailOrdering,
-    UnsatResult,
     analyze_conflict,
     backjump_and_learn,
     clause_status,
@@ -190,7 +189,7 @@ class TestBackjump:
 class TestSolve:
     def test_backjump_demo(self):
         result = solve(DEMO)
-        assert isinstance(result, SatResult)
+        assert result.verdict == "sat"
         assert brute_force_sat(DEMO_LITS := [c.lits for c in DEMO], 4)
         assert all(any(l in result.model for l in c) for c in DEMO_LITS)
         lines = [line for line, _ in render(result)]
@@ -198,16 +197,16 @@ class TestSolve:
 
     def test_empty_problem(self):
         result = solve([])
-        assert isinstance(result, SatResult) and result.model == ()
+        assert result.verdict == "sat" and result.model == ()
 
     def test_unit_contradiction(self):
         result = solve([PropClause(1, (1,)), PropClause(2, (-1,))])
-        assert isinstance(result, UnsatResult)
+        assert result.verdict == "unsat"
         assert result.proof[-1].learned == ()
 
     def test_empty_input_clause(self):
         result = solve([PropClause(1, ())])
-        assert isinstance(result, UnsatResult)
+        assert result.verdict == "unsat"
 
 
 class TestForget:
@@ -278,7 +277,7 @@ def random_3cnf(rng, num_vars, num_clauses):
     return clauses
 
 
-def replay_proof(clauses, result: UnsatResult):
+def replay_proof(clauses, result: CdclResult):
     """Independent check of the resolution proof: replays to the empty clause."""
     by_id = {c.id: c.lits for c in clauses}
     for step in result.proof:
@@ -302,7 +301,7 @@ class TestRandomCorpus:
             clauses = random_3cnf(rng, num_vars, rng.randint(num_vars, 36))
             result = solve(clauses, num_vars)
             expected = brute_force_sat([c.lits for c in clauses], num_vars)
-            if isinstance(result, SatResult):
+            if result.verdict == "sat":
                 assert expected
                 assert all(
                     any(l in result.model for l in c.lits) for c in clauses

@@ -9,8 +9,6 @@ from clausekit import cdcl
 from clausekit.cdcl import (
     CdclState,
     PropClause,
-    SatResult,
-    UnsatResult,
     clause_status,
     decide,
     forget,
@@ -51,9 +49,9 @@ def reference(monkeypatch):
 
 
 def outcome(result):
-    verdict = result.model if isinstance(result, SatResult) else result.proof
+    verdict = result.model if result.verdict == "sat" else result.proof
     trail = [(e.lit, e.level, e.reason) for e in result.state.trail]
-    return type(result), verdict, result.state.events, trail
+    return result.verdict, verdict, result.state.events, trail
 
 
 def drive_with_forgetting(clauses, num_vars):
@@ -91,10 +89,10 @@ def test_solve_matches_rescanning_reference(reference):
     scanned = [[outcome(solve(c, n, h)) for h in HEURISTICS] for c, n in problems]
     assert kernel == scanned
     verdicts = {kind for runs in kernel for kind, *_ in runs}
-    assert verdicts == {SatResult, UnsatResult}
+    assert verdicts == {"sat", "unsat"}
     for (clauses, num_vars), runs in zip(problems, kernel):
         expected = brute_force_sat([c.lits for c in clauses], num_vars)
-        assert all((kind is SatResult) == expected for kind, *_ in runs)
+        assert all((kind == "sat") == expected for kind, *_ in runs)
 
 
 def test_learned_clauses_on_larger_formulas_match_rescanning_reference(reference):
@@ -151,18 +149,18 @@ class TestEdgeCases:
     def test_doubled_unit_never_propagates(self):
         # 1 1 has two unassigned positions, so it is open until -1 falsifies it
         result = solve([PropClause(1, (1, 1))], 1, cdcl.lowest_index_negative)
-        assert isinstance(result, SatResult) and result.model == (1,)
+        assert result.verdict == "sat" and result.model == (1,)
         assert result.state.events[:2] == [("decide", -1, 1), ("conflict", 1)]
 
     def test_tautologies_never_propagate_or_conflict(self):
         clauses = [PropClause(1, (1, -1)), PropClause(2, (2, -2, 1)), PropClause(3, (-1,))]
         result = solve(clauses, 2)
-        assert isinstance(result, SatResult) and result.model == (-1, -2)
+        assert result.verdict == "sat" and result.model == (-1, -2)
         assert [ev for ev in result.state.events if ev[0] == "propagate"] == [("propagate", -1, 3)]
 
     def test_empty_input_clause_is_the_conflict(self):
         result = solve([PropClause(1, (1, 2)), PropClause(2, ()), PropClause(3, (1,))])
-        assert isinstance(result, UnsatResult)
+        assert result.verdict == "unsat"
         assert result.state.events == [("conflict", 2), ("unsat",)]
 
     def test_contradictory_units_conflict_before_propagating_more(self):

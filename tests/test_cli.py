@@ -104,7 +104,7 @@ class TestSclMode:
         code, out = run_cli("--mode", "scl", "--input", str(path), "--max-steps", "2")
         assert code == EXIT_LIMIT
         assert out.splitlines()[-2:] == ["stats propagations=0 decisions=2 trail=2", "s RESOURCE-EXCEEDED"]
-        assert scl_run(parse_bs(path.read_text())).stats.trail == 3
+        assert len(scl_run(parse_bs(path.read_text())).state.trail) == 3
 
     def test_input_without_constants(self, tmp_path):
         # grounded over one fresh constant, as resolution refutes it
@@ -215,6 +215,15 @@ class TestLiaModes:
         code, out = run_cli("--mode", "lia-decide", "--input", str(path))
         assert code == EXIT_UNSAT
         assert out.strip() == "unsat"
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_decide_past_the_box_cap(self, tmp_path, capsys, fmt):
+        # the 6-cycle's a-priori box has far more than 10**7 points
+        path = tmp_path / "cycle.lia"
+        path.write_text("".join(f"v{i} - v{i % 6 + 1} <= 0\n" for i in range(1, 6)) + "v6 - v1 + 1 <= 0\n")
+        code, out = run_cli("--mode", "lia-decide", "--input", str(path), "--format", fmt)
+        assert (code, out) == (EXIT_LIMIT, "")
+        assert capsys.readouterr().err == "error: search box exceeds the cap of 10000000 points\n"
 
 
 def _steps_taken(mode: str, out: str) -> int:
@@ -421,6 +430,13 @@ def test_precedence_naming_a_symbol_twice(capsys):
     )
     assert (code, out) == (EXIT_USAGE, "")
     assert capsys.readouterr().err == "error: precedence names '1' twice\n"
+
+
+def test_precedence_naming_no_symbol_of_the_problem(capsys):
+    # a misspelt symbol would leave the default ordering in place without a word
+    code, out = run_cli("--mode", "resolution", "--counter-n", "3", "--precedence", "Q>P")
+    assert (code, out) == (EXIT_USAGE, "")
+    assert capsys.readouterr().err == "error: precedence names 'Q', which is no symbol of the problem\n"
 
 
 @pytest.mark.parametrize("precedence", ["1>>0", ">", "1>", " > 0", ""])

@@ -9,12 +9,7 @@ from clausekit.errors import ResourceLimitError
 from clausekit.formats import parse_lia
 from clausekit.lia import (
     Bound,
-    LiaConflict,
-    LiaDiverged,
-    LiaFixpoint,
-    LiaSat,
     LiaSystem,
-    LiaUnsat,
     LinIneq,
     apriori_bounds,
     compile_ineq,
@@ -70,7 +65,7 @@ class TestImpliedBound:
 class TestPropagateBounds:
     def test_divergent_alternation(self):
         result = propagate_bounds(DIVERGENT, [Bound.make("x", ">=", 0, level=1)], 100)
-        assert isinstance(result, LiaDiverged) and result.steps == 100
+        assert result.verdict == "diverged" and result.steps == 100
         prefix = [(b.var, b.kind, b.value) for b in result.trail[:5]]
         assert prefix == [
             ("x", ">=", 0),
@@ -83,17 +78,17 @@ class TestPropagateBounds:
     def test_single_propagation(self):
         system = parse_lia("x - y <= 0\n")
         result = propagate_bounds(system, [Bound.make("x", ">=", 5, level=1)], 100)
-        assert isinstance(result, LiaFixpoint)
+        assert result.verdict == "fixpoint"
         assert result.bounds[("y", True)].value == 5
 
     def test_direct_contradiction(self):
         system = parse_lia("x <= 0\n-x + 1 <= 0\n")
         result = propagate_bounds(system, [], 100)
-        assert isinstance(result, LiaConflict) and result.inequation_id == 2
+        assert result.verdict == "conflict" and result.inequation_id == 2
 
     def test_budget_zero_without_propagation(self):
         result = propagate_bounds(DIVERGENT, [], 0)
-        assert isinstance(result, LiaFixpoint) and result.steps == 0
+        assert result.verdict == "fixpoint" and result.steps == 0
 
     def test_monotone_per_direction(self):
         result = propagate_bounds(DIVERGENT, [Bound.make("x", ">=", 0, level=1)], 50)
@@ -137,7 +132,7 @@ class TestPropagateBounds:
                 if rng.random() < 0.7
             ]
             result = propagate_bounds(system, decisions, 400)
-            if not isinstance(result, LiaConflict):
+            if result.verdict != "conflict":
                 continue
             conflicts += 1
             box = {v: (-20, 20) for v in system.variables}
@@ -179,7 +174,7 @@ class TestPropagateBounds:
 
         monkeypatch.setattr(lia, "conflicting_inequation", full_scan)
         assert got == [propagate_bounds(system, decisions, 200) for system, decisions in cases]
-        conflicts = [r for r in got if isinstance(r, LiaConflict)]
+        conflicts = [r for r in got if r.verdict == "conflict"]
         assert len(conflicts) > 30 and sum(r.steps > 0 for r in conflicts) > 15
 
     def test_matches_round_robin_reference(self):
@@ -207,13 +202,13 @@ class TestPropagateBounds:
         for system, decisions, cap, outcome in cases:
             got = propagate_bounds(system, decisions, cap)
             want = reference_propagate_bounds(system, decisions, cap)
-            assert type(got) is type(want)
-            assert outcome is None or type(got) is outcome
+            assert got.verdict == want.verdict
+            assert outcome is None or got.verdict == outcome
             fields = lambda r: [(b.var, b.lower, b.value, b.level, b.reason) for b in r.trail]
             assert fields(got) == fields(want)
             assert got.steps == want.steps
-            assert getattr(got, "inequation_id", None) == getattr(want, "inequation_id", None)
-            kinds[type(got).__name__, got.steps > 0] += 1
+            assert got.inequation_id == want.inequation_id
+            kinds[got.verdict, got.steps > 0] += 1
         assert min(kinds.values()) > 50 and len(kinds) == 6
 
     def test_implied_bound_calls_linear_in_pairs_and_steps(self, monkeypatch):
@@ -234,12 +229,12 @@ class TestPropagateBounds:
             ineqs = [LinIneq(i, ((f"v{i}", 1), (f"v{i + 1}", -1)), c) for i, c in enumerate(gaps, start=1)]
             top = Bound.make(f"v{length}", "<=", sum(gaps) + 2, level=1)
             decisions = [Bound.make("v1", ">=", 0, level=1), top]
-            runs.append((LiaSystem(ineqs), decisions, 10_000, LiaFixpoint))
-        runs.append((DIVERGENT, [Bound.make("x", ">=", 0, level=1)], 10_000, LiaDiverged))
+            runs.append((LiaSystem(ineqs), decisions, 10_000, "fixpoint"))
+        runs.append((DIVERGENT, [Bound.make("x", ">=", 0, level=1)], 10_000, "diverged"))
         for system, decisions, cap, outcome in runs:
             calls = 0
             result = propagate_bounds(system, decisions, cap)
-            assert isinstance(result, outcome) and result.steps > 0
+            assert result.verdict == outcome and result.steps > 0
             pairs = sum(len(ineq.coeffs) for ineq in system.inequations)
             assert calls <= pairs + 2 * result.steps, (pairs, result.steps, calls)
 
@@ -254,7 +249,7 @@ class TestPropagateBounds:
         counts = []
         for budget in (100, 1000, 10_000):
             result = propagate_bounds(DIVERGENT, [Bound.make("x", ">=", 0, level=1)], budget)
-            assert isinstance(result, LiaDiverged)
+            assert result.verdict == "diverged"
             counts.append(result.steps)
         assert counts[0] < counts[1] < counts[2]
 
@@ -287,19 +282,19 @@ class TestAprioriBounds:
 
 class TestDecideBounded:
     def test_divergent_pair_unsat(self):
-        assert isinstance(decide_bounded(DIVERGENT), LiaUnsat)
+        assert decide_bounded(DIVERGENT).verdict == "unsat"
 
     def test_satisfiable_pair(self):
         system = parse_lia("1 - 1*x - 1*y <= 0\nx - y <= 0\n")
         result = decide_bounded(system)
-        assert isinstance(result, LiaSat)
+        assert result.verdict == "sat"
         x, y = result.assignment["x"], result.assignment["y"]
         assert 1 - x - y <= 0 and x - y <= 0
 
     def test_forced_unique(self):
         system = parse_lia("x <= 0\n-x <= 0\n")
         result = decide_bounded(system)
-        assert isinstance(result, LiaSat) and result.assignment == {"x": 0}
+        assert result.verdict == "sat" and result.assignment == {"x": 0}
 
     def test_box_cap(self):
         with pytest.raises(ResourceLimitError):
@@ -316,7 +311,7 @@ class TestDecideBounded:
             verdict = decide_bounded(system)
             bigger = {v: (-radius - 3, radius + 3) for v in system.variables}
             found = exhaustive_lia_search(system, bigger)
-            if isinstance(verdict, LiaSat):
+            if verdict.verdict == "sat":
                 assert found is not None
                 for ineq in system.inequations:
                     total = ineq.const + sum(
@@ -351,12 +346,12 @@ def _benchmark_shapes(rng: random.Random):
     # the divergence witness x <= y, y < x from x >= 0
     for budget in (100, 1_000, 10_000):
         ineqs = [LinIneq(1, (("x", 1), ("y", -1)), 0), LinIneq(2, (("y", 1), ("x", -1)), rng.randint(1, 3))]
-        yield LiaSystem(ineqs), [Bound.make("x", ">=", 0, level=1)], budget, LiaDiverged
+        yield LiaSystem(ineqs), [Bound.make("x", ">=", 0, level=1)], budget, "diverged"
     # cyclic chains v1 <= v2 <= ... <= vn <= v1 - c
     for n in (10, 25, 50, 100):
         ineqs = [LinIneq(i, ((f"v{i}", 1), (f"v{i + 1}", -1)), 0) for i in range(1, n)]
         ineqs.append(LinIneq(n, ((f"v{n}", 1), ("v1", -1)), rng.randint(1, 3)))
-        yield LiaSystem(ineqs), [Bound.make("v1", ">=", 0, level=1)], 20 * n, LiaDiverged
+        yield LiaSystem(ineqs), [Bound.make("v1", ">=", 0, level=1)], 20 * n, "diverged"
     # open chains v(i+1) >= v(i) + c(i) under an upper bound on the last variable
     for length in (20, 40):
         for feasible in (True, False):
@@ -364,7 +359,7 @@ def _benchmark_shapes(rng: random.Random):
             ineqs = [LinIneq(i, ((f"v{i}", 1), (f"v{i + 1}", -1)), c) for i, c in enumerate(gaps, start=1)]
             top = sum(gaps) + (rng.randint(0, 3) if feasible else -rng.randint(1, 3))
             decisions = [Bound.make("v1", ">=", 0, level=1), Bound.make(f"v{length}", "<=", top, level=1)]
-            yield LiaSystem(ineqs), decisions, 10_000, LiaFixpoint if feasible else LiaConflict
+            yield LiaSystem(ineqs), decisions, 10_000, "fixpoint" if feasible else "conflict"
 
 
 def _box_points(box: dict):
@@ -381,7 +376,7 @@ def _decision(decide, system: LiaSystem, box_cap: int) -> tuple[str, object]:
         result = decide(system, box_cap)
     except ResourceLimitError as exc:
         return "limit", str(exc)
-    return ("sat", result.assignment) if isinstance(result, LiaSat) else ("unsat", None)
+    return ("sat", result.assignment) if result.verdict == "sat" else ("unsat", None)
 
 
 def _random_system(rng: random.Random) -> LiaSystem:

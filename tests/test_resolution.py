@@ -173,13 +173,13 @@ def _random_clause(rng: random.Random, cid: int) -> Clause:
 class TestSaturate:
     def test_counter_without_final_clause_generates_nothing(self):
         result = saturate(COUNTER4[:-1], CFG, SelectNone())
-        assert result.outcome == "saturated"
+        assert result.verdict == "saturated"
         assert result.generated == 0
 
     def test_unit_conflict(self):
         clauses = parse_bs("P(0). -P(0).")
         result = saturate(clauses, default_config(clauses), SelectNone())
-        assert result.outcome == "unsat"
+        assert result.verdict == "unsat"
         assert result.generated == 1
         assert result.proof[-1].clause.is_empty
 
@@ -187,31 +187,31 @@ class TestSaturate:
         # the unit start clause feeds the selected carry literals one value at
         # a time: 2**n generated clauses, exponential like the ground engine
         result = saturate(COUNTER4, CFG, SelectFirstNegative())
-        assert result.outcome == "unsat"
+        assert result.verdict == "unsat"
         assert result.generated == 16
 
     def test_limit(self):
         result = saturate(COUNTER4, CFG, SelectFirstNegative(), max_generated=3)
-        assert result.outcome == "limit"
+        assert result.verdict == "limit"
         assert result.generated == 3
 
     def test_empty_input_clause(self):
         # the empty clause refutes on its own; the clause derived before it is subsumed by it
         clauses = [*parse_bs("P(x1). -P(0) | Q."), Clause(3, ())]
         result = saturate(clauses, default_config(clauses), SelectNone())
-        assert result.outcome == "unsat"
+        assert result.verdict == "unsat"
         assert result.proof == [DerivedClause(Clause(3, ()), InputRule())]
         assert (result.generated, result.subsumed) == (1, 1)
 
     def test_factoring_needed_for_completeness(self):
         clauses = parse_bs("P(x1) | P(x2). -P(x1) | -P(x2).")
         result = saturate(clauses, default_config(clauses), SelectNone())
-        assert result.outcome == "unsat"
+        assert result.verdict == "unsat"
 
     def test_proof_records_replay(self):
         clauses = parse_bs("P(0). -P(0) | Q(1). -Q(x1).")
         result = saturate(clauses, default_config(clauses), SelectFirstNegative())
-        assert result.outcome == "unsat"
+        assert result.verdict == "unsat"
         by_id = {c.id: c for c in clauses}
         for d in result.proof:
             if isinstance(d.rule, ResolutionRule):
@@ -265,8 +265,8 @@ class TestSaturate:
             sel = rng.choice([SelectNone(), SelectFirstNegative()])
             result = saturate(clauses, cfg, sel, max_generated=5000)
             expected = ground_satisfiable(clauses, [C0, C1])
-            assert result.outcome in ("unsat", "saturated")
-            if result.outcome == "unsat":
+            assert result.verdict in ("unsat", "saturated")
+            if result.verdict == "unsat":
                 assert not expected
                 unsat += 1
             else:
@@ -309,14 +309,14 @@ def test_saturate_matches_the_unindexed_loop():
             expected = reference_saturate(clauses, cfg, sel, cap)
             got = saturate(clauses, cfg, sel, cap)
             assert got.generated <= cap
-            assert (got.outcome, got.generated, got.kept, got.subsumed, got.tautologies) == (
-                expected.outcome, expected.generated, expected.kept, expected.subsumed, expected.tautologies
+            assert (got.verdict, got.generated, got.kept, got.subsumed, got.tautologies) == (
+                expected.verdict, expected.generated, expected.kept, expected.subsumed, expected.tautologies
             )
             assert list(got.derivations.items()) == list(expected.derivations.items())
             assert got.proof == expected.proof
             assert got.clauses == expected.clauses
-            outcomes[got.outcome] += 1
-            if expected.outcome != "limit" and expected.generated > 1 and cap > expected.generated:
+            outcomes[got.verdict] += 1
+            if expected.verdict != "limit" and expected.generated > 1 and cap > expected.generated:
                 caps += [expected.generated, expected.generated - 1]
     assert min(outcomes.values()) > 50, outcomes
 

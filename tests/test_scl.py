@@ -10,10 +10,7 @@ from clausekit.errors import ResourceLimitError
 from clausekit.formats import parse_bs
 from clausekit.logic import Atom, Clause, Constant, Literal, Variable
 from clausekit.scl import (
-    SclResourceExceeded,
-    SclSat,
     SclState,
-    SclUnsat,
     counter_problem,
     ground_problem,
     scl_propagate,
@@ -108,35 +105,35 @@ class TestSclPropagate:
 class TestSclRun:
     def test_counter_four_unsat(self):
         result = scl_run(counter_problem(4))
-        assert isinstance(result, SclUnsat)
+        assert result.verdict == "unsat"
         assert result.stats.propagations == 16
         assert result.stats.decisions == 0
         assert result.state.problem.instances[result.state.conflict].clause_id == 6
 
     def test_counter_four_without_final_clause_sat(self):
         result = scl_run(counter_problem(4)[:-1])
-        assert isinstance(result, SclSat)
+        assert result.verdict == "sat"
         assert result.stats.propagations == 16
         assert set(result.model) == {atom(format(v, "04b")) for v in range(16)}
 
     def test_single_unit(self):
         result = scl_run(parse_bs("P(0)."), domain=[C0])
-        assert isinstance(result, SclSat)
+        assert result.verdict == "sat"
         assert result.model == (Atom("P", (C0,)),)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 5, 7])
     def test_exponential_propagation_growth(self, n):
         unsat = scl_run(counter_problem(n))
-        assert isinstance(unsat, SclUnsat)
+        assert unsat.verdict == "unsat"
         assert unsat.stats.propagations == 2**n and unsat.stats.decisions == 0
         sat = scl_run(counter_problem(n)[:-1])
-        assert isinstance(sat, SclSat)
+        assert sat.verdict == "sat"
         assert sat.stats.propagations == 2**n and len(sat.model) == 2**n
 
     def test_conflict_above_level_zero_learns(self):
         clauses = parse_bs("-P(0) | P(1). -P(0) | -P(1).")
         result = scl_run(clauses)
-        assert isinstance(result, SclSat)
+        assert result.verdict == "sat"
         assert [line for line, _ in render(result) if line.startswith("learn")] == ["learn -P(0) backjump 0"]
         assert result.stats.decisions >= 1
 
@@ -160,11 +157,11 @@ class TestSclRun:
             Clause(2, (Literal(False, Atom("P", (C0,) * 4 + (C1,) * 4)),)),
         ]
         result = scl_run(clauses, instance_cap=100)
-        assert isinstance(result, SclResourceExceeded)
+        assert result.verdict == "limit"
 
     def test_trail_cap_reports_stats(self):
         result = scl_run(counter_problem(4), trail_cap=5)
-        assert isinstance(result, SclResourceExceeded)
+        assert result.verdict == "limit"
         assert result.stats.propagations == 5
 
     def test_full_trail_has_no_unassigned_atom(self):
@@ -206,14 +203,14 @@ class TestOracleAgreement:
             clauses = random_bs(rng, rng.randint(1, 3), rng.randint(2, 6))
             result = scl_run(clauses, domain=[C0, C1])
             expected = ground_satisfiable(clauses, [C0, C1])
-            if isinstance(result, SclSat):
+            if result.verdict == "sat":
                 assert expected
                 model = {a: True for a in result.model}
                 for inst in all_ground_instances(clauses, [C0, C1]):
                     assert assignment_satisfies(inst, model)
                 sat += 1
             else:
-                assert isinstance(result, SclUnsat) and not expected
+                assert result.verdict == "unsat" and not expected
                 unsat += 1
         assert sat > 5 and unsat > 5
 
