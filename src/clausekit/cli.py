@@ -6,13 +6,15 @@ counter experiment formats its own table.
 
 Each engine run returns one result with a `verdict`, which `EXIT_CODES` maps
 to the exit code after the DIMACS solver convention: 10 for satisfiable or
-saturated, 20 for unsatisfiable, 1 for resource or step limits.  Usage and
-parse errors exit with 2.
+saturated, 20 for unsatisfiable, 1 for resource or step limits, and 0 for a
+replayed derivation that does not end in the empty clause, which claims
+neither.  Usage and parse errors exit with 2; `--help` exits with 0.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import sys
@@ -26,6 +28,7 @@ from .ordering import OrderingConfig, config_with_precedence, default_config
 from .resolution import check_linear_refutation, linear_counter_script
 from .scl import counter_problem
 
+EXIT_OK = 0
 EXIT_SAT = 10
 EXIT_UNSAT = 20
 EXIT_LIMIT = 1
@@ -33,7 +36,7 @@ EXIT_USAGE = 2
 
 # every verdict an engine's result can hold, and its exit code
 EXIT_CODES = {"sat": EXIT_SAT, "fixpoint": EXIT_SAT, "saturated": EXIT_SAT, "unsat": EXIT_UNSAT,
-              "conflict": EXIT_UNSAT, "limit": EXIT_LIMIT, "diverged": EXIT_LIMIT}
+              "conflict": EXIT_UNSAT, "limit": EXIT_LIMIT, "diverged": EXIT_LIMIT, "derived": EXIT_OK}
 
 HEURISTICS: dict[str, cdcl.DecisionHeuristic] = {
     "lowest-negative": cdcl.lowest_index_negative,
@@ -149,7 +152,7 @@ def _run_replay(args: argparse.Namespace, emit: _Emitter) -> int:
         script = formats.parse_script(handle.read())
     derived = resolution.replay(clauses, script)
     emit.lines(resolution.render(derived))
-    return EXIT_CODES["unsat" if derived and derived[-1].clause.is_empty else "sat"]
+    return EXIT_CODES["unsat" if derived and derived[-1].clause.is_empty else "derived"]
 
 
 def _lia_system(args: argparse.Namespace) -> lia.LiaSystem:
@@ -275,9 +278,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None, out: TextIO = sys.stdout) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        with contextlib.redirect_stdout(out):  # --help prints to stdout
+            args = build_parser().parse_args(argv)
     except SystemExit as exc:
-        return EXIT_USAGE if exc.code not in (0, None) else 0
+        return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
         validate(args)
         return _HANDLERS[args.mode](args, _Emitter(out, args.format == "json"))

@@ -453,15 +453,20 @@ def saturate(
 ScriptStep = tuple[int, int, int, int]  # left id, left pos, right id, right pos (1-based)
 
 
-def replay(clauses: Iterable[Clause], script: Sequence[ScriptStep]) -> list[DerivedClause]:
-    """Execute scripted resolutions verbatim, ignoring ordering eligibility.
+def replay(
+    clauses: Iterable[Clause], script: Sequence[ScriptStep], cfg: OrderingConfig | None = None
+) -> list[DerivedClause]:
+    """Execute scripted resolutions verbatim, ignoring ordering eligibility unless cfg is given.
 
     The negative premise is renamed apart from the positive one, so the
     recorded unifier applies to both premises; the conclusion lists the left
     premise's remaining literals before the right one's.  Fails loudly
     (ReplayStepError naming the step) when ids/positions are bad or the
     scripted literals are not complementary unifiable, and with ValueError
-    when two input clauses share an id.
+    when two input clauses share an id.  With cfg, a step that does not
+    resolve the first negative literal of its negative premise, or whose
+    positive literal is not maximal in its instantiated premise, fails with
+    ValueError.
     """
     by_id = clauses_by_id(clauses)
     next_id = max(by_id, default=0) + 1
@@ -482,7 +487,13 @@ def replay(clauses: Iterable[Clause], script: Sequence[ScriptStep]) -> list[Deri
         sigma = unify(positive.literals[pi - 1].atom, negative.literals[ni - 1].atom)
         if sigma is None:
             raise ReplayStepError(no, "literals do not unify")
-        sides = ((sigma.apply_clause(positive), pi - 1), (sigma.apply_clause(negative), ni - 1))
+        positive = sigma.apply_clause(positive)
+        if cfg is not None:
+            if ni - 1 != SelectFirstNegative().selected_index(by_id[nid]):
+                raise ValueError(f"step deriving clause {next_id} does not resolve the first negative literal")
+            if not literal_is_maximal(positive, pi - 1, cfg):
+                raise ValueError(f"step deriving clause {next_id} has a non-maximal positive literal")
+        sides = ((positive, pi - 1), (sigma.apply_clause(negative), ni - 1))
         conclusion = _conclusion(next_id, *(sides if left_positive else sides[::-1]))
         by_id[next_id] = conclusion
         out.append(DerivedClause(conclusion, ResolutionRule(pid, pi, nid, ni, sigma)))
@@ -517,27 +528,13 @@ def linear_counter_script(n: int) -> list[ScriptStep]:
 def check_linear_refutation(
     clauses: Iterable[Clause], script: Sequence[ScriptStep], cfg: OrderingConfig
 ) -> list[DerivedClause]:
-    """Replay a script and verify each step's ordering discipline.
+    """Replay a script, verifying each step's ordering discipline, and require it to end in ⊥.
 
     Every step must resolve the first negative literal of its negative premise,
     and the positive side-literal must be maximal in its premise instantiated
-    by the step's recorded unifier.
+    by the step's recorded unifier (`replay` with cfg).
     """
-    clauses = tuple(clauses)
-    derived = replay(clauses, script)
-    by_id = {c.id: c for c in clauses}
-    by_id.update((d.clause.id, d.clause) for d in derived)
-    for d in derived:
-        rule = d.rule
-        if rule.negative_index - 1 != SelectFirstNegative().selected_index(by_id[rule.negative_parent]):
-            raise ValueError(
-                f"step deriving clause {d.clause.id} does not resolve the first negative literal"
-            )
-        positive = rule.unifier.apply_clause(by_id[rule.positive_parent])
-        if not literal_is_maximal(positive, rule.positive_index - 1, cfg):
-            raise ValueError(
-                f"step deriving clause {d.clause.id} has a non-maximal positive literal"
-            )
+    derived = replay(clauses, script, cfg)
     if not derived or not derived[-1].clause.is_empty:
         raise ValueError("script does not end in the empty clause")
     return derived

@@ -6,19 +6,23 @@ literal in any instance is integer arithmetic over constant indices.  Atoms
 are integers too: the Herbrand base is mixed-radix arithmetic per predicate
 block, and an `Atom` is built only when one is asked for.
 
-Instances are created only when the trail makes them unit or false.  At the
-start those are the instances of one-literal and empty clauses (and the
-instances whose literals all coincide).  When a literal L is assigned, the
-templates of its complement are matched against it, the other literals of
-each clause are joined against the trail (each false, or the one literal
-left open; in a clause whose templates share one variable layout the
-matched atom gives every literal at once), and the instances found are
-hooked into the propositional trail kernel of `clausekit.cdcl`, named by
-their position.  An instance can only become unit or false when one of its
-literals turns false, so every unit and false instance exists before each
-pick: the trace is that of grounding everything first.  An instance keeps
-each literal once; of the instances of a clause with one literal set, only
-the first in substitution order exists.
+Instances are created only when the trail makes them unit or false, and
+are hooked into the propositional trail kernel of `clausekit.cdcl`, named by
+their position.  At the start those are the instances of one-literal and
+empty clauses (and the instances whose literals all coincide).  When a
+literal L is assigned, one pass (`SclState.instantiate`) goes from the
+complement of L to the instances it makes unit or false: the trigger tree of
+its Herbrand block and sign yields the templates that match it.  In a clause
+whose templates share one variable layout the matched atom gives every
+literal at once; an instance of two such literals is checked, created and
+hooked (two watch lists, then its unit key pushed or its position marked
+false) where the walk finds it.  The other literals of any other clause are
+joined against the trail (each false, or the one literal left open), and
+what the join finds is hooked when the walk ends.  An instance can only
+become unit or false when one of its literals turns false, so every unit and
+false instance exists before each pick: the trace is that of grounding
+everything first.  An instance keeps each literal once; of the instances of
+a clause with one literal set, only the first in substitution order exists.
 
 The engine runs through the step rules of `clausekit.cdcl`, which it
 steers by the kernel's hooks: propagation picks the smallest propagatable
@@ -386,56 +390,11 @@ class GroundProblem:
     atoms: Sequence[Atom]
     instances: list[GroundInstance]
     compiled: list[_CompiledClause] = field(default_factory=list, repr=False)
-    # (sign, predicate, arity) -> _trigger_tree of (clause, template) for the templates of the
-    # clauses of two or more literals
-    triggers: dict = field(default_factory=dict, repr=False)
+    # per Herbrand block, the _trigger_tree of (clause, template, other) for the negative and
+    # for the positive templates of the clauses of two or more literals, or None (see
+    # `ground_problem` for other); empty if nothing is left to create
+    roots: list[tuple] = field(default_factory=list, repr=False)
     joins: bool = False  # some template leaves variables to join against the trail
-
-    def instantiate(self, true: bytearray, on_trail, false_lit: int | None = None) -> list[tuple[int, int]]:
-        """Create the instances that the trail, with truth table `true` (see `TrailKernel`), makes unit or false.
-
-        With no false_lit these are the instances unit or false under the
-        empty trail.  Otherwise false_lit has just turned false, and these are
-        the instances containing it: each template that matches it seeds a
-        binding, and the clause's other literals are joined against
-        `on_trail`, the trail's atoms by (predicate, arity, value), as constant
-        index tuples.  In an aligned clause the matched atom fixes the key and
-        every literal, with nothing to join.  Returns each new instance's
-        position with its unassigned literal, or 0 for a false one.
-        """
-        new: list[tuple[int, int]] = []
-        if false_lit is None:
-            for clause in self.compiled:
-                # distinct literals of a clause with no two of one sign and predicate stay distinct
-                if clause.merge or len(clause.templates) < 2:
-                    self._join(clause, clause.templates, [-1] * clause.slots, None, true, on_trail, new)
-            return new
-        atom = abs(false_lit)
-        pred, arity, code = self.atoms.locate(atom)
-        node, later, digits = self.triggers.get((false_lit > 0, pred, arity)), [], None
-        d = len(self.domain)
-        while node is not None:
-            if node.__class__ is tuple:
-                divisor, children, rest = node
-                if rest is not None:
-                    later.append(rest)
-                node = children.get(code // divisor % d)
-                if node is not None:
-                    continue
-            else:
-                for clause, t in node:
-                    if clause.aligned:  # the atom gives the key, and every literal is a base plus the key
-                        key = atom - t.base
-                        lits = tuple([u.base + key if u.positive else -u.base - key for u in clause.templates])
-                        self._create(clause, key, lits, true, new)
-                        continue
-                    if digits is None:
-                        digits = self.atoms.digits(arity, code)
-                    b = _bind(t, digits, [-1] * clause.slots)
-                    if b is not None:
-                        self._join(clause, [u for u in clause.templates if u is not t], b, None, true, on_trail, new)
-            node = later.pop() if later else None
-        return new
 
     def _join(self, clause, todo, b, open_t, true, on_trail, new) -> None:
         """Extend b over the templates in todo: each false on the trail, or one with open_t.
@@ -563,7 +522,8 @@ def ground_problem(
 
     const_index = {c.name: i for i, c in enumerate(dom)}
     problem = GroundProblem(by_id, tuple(dom), atoms, [])
-    entries: dict[tuple, list] = defaultdict(list)
+    block = {pred: k for k, (pred, _) in enumerate(atoms.blocks)}
+    entries: list[tuple[list, list]] = [([], []) for _ in atoms.blocks]  # per block: negative, positive
     for cid in sorted(by_id):
         slot = {v: k for k, v in enumerate(variables[cid])}
         templates = [
@@ -574,12 +534,25 @@ def ground_problem(
         problem.compiled.append(compiled)
         if len(templates) < 2:
             continue  # every instance is created at the start
+        pair = compiled.aligned and len(templates) == 2
         for t in templates:
             problem.joins |= len({a for a in t.args if a >= 0}) < len(slot)
             consts = {j: -1 - a for j, a in enumerate(t.args) if a < 0}
-            entries[t.positive, t.pred, len(t.args)].append((consts, (compiled, t)))
-    problem.triggers = {kind: _trigger_tree(es, kind[2], len(dom)) for kind, es in entries.items()}
-    problem.instantiate(bytearray(2 * len(atoms) + 1), {})
+            other = None  # in an aligned pair, the other template's base, negated if it is negative
+            if pair:
+                u = templates[1] if t is templates[0] else templates[0]
+                other = u.base if u.positive else -u.base
+            entries[block[t.pred]][t.positive].append((consts, (compiled, t, other)))
+    problem.roots = [
+        tuple(_trigger_tree(es, arity, len(dom)) if es else None for es in signs)
+        for signs, (_, arity) in zip(entries, atoms.blocks)
+    ]
+    # the instances unit or false under the empty trail; distinct literals of a clause with
+    # no two of one sign and predicate stay distinct
+    empty, new = bytearray(2 * len(atoms) + 1), []
+    for clause in problem.compiled:
+        if clause.merge or len(clause.templates) < 2:
+            problem._join(clause, clause.templates, [-1] * clause.slots, None, empty, {}, new)
     return problem
 
 
@@ -620,20 +593,81 @@ class SclState(TrailKernel):
             self.watch(pos, inst.lits)
 
     def assign(self, lit: int, reason: int | None) -> None:
-        """Assign as the kernel does, then create the instances this makes unit or false, and queue or mark each.
-
-        An instance of three or more literals watches its unassigned literal,
-        then its highest-level false ones.
-        """
+        """Assign as the kernel does, then create and hook the instances this makes unit or false."""
         TrailKernel.assign(self, lit, reason)
         problem = self.problem
         if problem.joins:
             pred, digits = problem.atoms.decode(abs(lit))
             self.on_trail[pred, len(digits), lit > 0].append(digits)
-        true = self.true
-        new = problem.instantiate(true, self.on_trail, -lit)
+        self.instantiate(-lit)
+
+    def instantiate(self, false_lit: int) -> None:
+        """Create the instances that false_lit, just turned false, makes unit or false, and hook each.
+
+        The trigger tree of false_lit's Herbrand block and sign yields the
+        templates it matches.  An instance of an aligned pair is created and
+        hooked where the walk finds it.  Larger aligned clauses, and joins
+        against `on_trail` (the trail's atoms by (predicate, arity, value), as
+        constant index tuples), go through `GroundProblem._create`; what they
+        create is hooked after the walk, watching its unassigned literal, then
+        its highest-level false ones.
+        """
+        problem = self.problem
+        roots = problem.roots
+        if not roots:  # a problem grounded with no triggers
+            return
+        starts = problem.atoms.starts
+        atom = -false_lit if false_lit < 0 else false_lit
+        k = bisect.bisect_right(starts, atom) - 1 if len(starts) > 1 else 0
+        code, node = atom - starts[k], roots[k][false_lit > 0]
+        true, instances, watchers, d = self.true, problem.instances, self.watchers, len(problem.domain)
+        later, new, digits = [], [], None
+        while node is not None:
+            if node.__class__ is tuple:
+                divisor, children, rest = node
+                if rest is not None:
+                    later.append(rest)
+                node = children.get(code // divisor % d)
+                if node is not None:
+                    continue
+            else:
+                for clause, t, other in node:
+                    if other is None:
+                        if clause.aligned:  # the atom gives the key, and every literal is a base plus the key
+                            key = atom - t.base
+                            lits = tuple([u.base + key if u.positive else -u.base - key for u in clause.templates])
+                            problem._create(clause, key, lits, true, new)
+                            continue
+                        if digits is None:
+                            digits = problem.atoms.digits(len(t.args), code)
+                        b = _bind(t, digits, [-1] * clause.slots)
+                        if b is not None:
+                            problem._join(clause, [u for u in clause.templates if u is not t], b, None, true,
+                                          self.on_trail, new)
+                        continue
+                    # an aligned pair: false_lit, and the literal that other and the key give
+                    key = atom - t.base
+                    lit = other + key if other > 0 else other - key
+                    created = clause.created
+                    if true[lit] or key in created:
+                        continue
+                    pos = created[key] = len(instances)
+                    lits = (false_lit, lit) if t is clause.templates[0] else (lit, false_lit)
+                    inst = GroundInstance(clause.id, key, lits, clause)
+                    instances.append(inst)
+                    self.watched[pos] = lits
+                    for l in lits:
+                        if l in watchers:
+                            watchers[l].append(pos)
+                        else:
+                            watchers[l] = [pos]
+                    if true[-lit]:
+                        self.false_ids.add(pos)
+                    else:  # the key of `unit_key`
+                        heapq.heappush(self.pending, ((lit if lit > 0 else -lit, lit < 0, clause.id, inst), pos, lit))
+            node = later.pop() if later else None
         if new:
-            instances, var_level, open_level = problem.instances, self.var_level, self.level + 1
+            var_level, open_level = self.var_level, self.level + 1
             for pos, unit in new:
                 lits = instances[pos].lits
                 if len(lits) > 2:

@@ -12,6 +12,7 @@ import pytest
 import clausekit
 from clausekit.cli import (
     EXIT_LIMIT,
+    EXIT_OK,
     EXIT_SAT,
     EXIT_UNSAT,
     EXIT_USAGE,
@@ -173,6 +174,20 @@ class TestReplayMode:
             "--mode", "resolution-replay", "--counter-n", "4", "--replay", str(script)
         )
         assert code == EXIT_USAGE
+
+    def test_partial_derivation_claims_no_verdict(self, tmp_path):
+        # a script that stops before the empty clause is neither a refutation nor a model
+        script = tmp_path / "two.script"
+        script.write_text("2.2 Res 3.1\n7.2 Res 2.1\n")
+        code, out = run_cli("--mode", "resolution-replay", "--counter-n", "4", "--replay", str(script))
+        assert (code, out.splitlines()[-1]) == (EXIT_OK, "Replayed(2)")
+
+
+def test_help_goes_to_the_output_stream(capsys):
+    out = io.StringIO()
+    assert main(["--help"], out) == EXIT_OK
+    assert out.getvalue().startswith("usage: clausekit") and "--counter-n" in out.getvalue()
+    assert capsys.readouterr() == ("", "")
 
 
 class TestLiaModes:

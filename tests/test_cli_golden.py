@@ -10,7 +10,7 @@ import io
 
 import pytest
 
-from clausekit.cli import EXIT_LIMIT, EXIT_SAT, EXIT_UNSAT, main
+from clausekit.cli import EXIT_LIMIT, EXIT_OK, EXIT_SAT, EXIT_UNSAT, main
 
 FILES = {
     "sat.cnf": "p cnf 4 3\n1 2 3 0\n-3 4 0\n-4 1 2 0\n",
@@ -211,7 +211,7 @@ Unsat
     ),
     "replay-replayed": (
         ["--mode", "resolution-replay", "--counter-n", "2", "--replay", "{dir}/one-step.script"],
-        EXIT_SAT,
+        EXIT_OK,
         '''\
 5 : -P(0,0) | P(1,0)  [Res 2.2 3.1]
 Replayed(1)

@@ -380,7 +380,7 @@ class TestReplay:
             replay(COUNTER4, [(1, 2, 6, 1)])
 
     def test_recorded_unifier_applies_to_both_premises(self):
-        # check_linear_refutation reads each step's maximality off this record
+        # replay reads each step's maximality, under a cfg, off the premise instances of this record
         rng = random.Random(8)
         checked = 0
         for _ in range(150):

@@ -11,9 +11,10 @@ from clausekit.formats import parse_bs
 from clausekit.logic import Atom, Clause, Constant, Literal, Variable
 from clausekit.ordering import default_config
 from clausekit.resolution import saturate, selection_from_name
+from clausekit import scl
 from clausekit.scl import (
     FRESH_CONSTANT,
-    GroundProblem,
+    SclState,
     counter_problem,
     render,
     scl_run,
@@ -188,11 +189,16 @@ def test_created_instances_are_unit_or_false(monkeypatch):
     rng = random.Random(99)
     cases = [(counter_problem(n), None) for n in (1, 4, 7)] + [random_bs(rng) for _ in range(300)]
     checked = []
-    create = GroundProblem.instantiate
+    create = SclState.instantiate
 
-    def instantiate(problem, true, on_trail, false_lit=None):
-        new = create(problem, true, on_trail, false_lit)
+    def instantiate(state, false_lit):
+        problem, true, start = state.problem, state.true, len(state.problem.instances)
+        create(state, false_lit)
+        # each new instance with the literal it is queued on, or 0 if it is marked false
+        units = {pos: lit for _, pos, lit in state.pending if pos >= start}
+        new = [(pos, units.get(pos, 0)) for pos in range(start, len(problem.instances))]
         for pos, unit in new:
+            assert unit or pos in state.false_ids
             inst = problem.instances[pos]
             unassigned = [lit for lit in inst.lits if not (true[lit] or true[-lit])]
             assert unassigned == ([unit] if unit else [])
@@ -200,9 +206,8 @@ def test_created_instances_are_unit_or_false(monkeypatch):
             assert false_lit is None or false_lit in inst.lits
             assert inst == reference[inst.clause_id, inst.subst]
             checked.append(inst)
-        return new
 
-    monkeypatch.setattr(GroundProblem, "instantiate", instantiate)
+    monkeypatch.setattr(SclState, "instantiate", instantiate)
     for clauses, domain in cases:
         reference = {(i.clause_id, i.subst): i for i in reference_ground_problem(clauses, domain).instances}
         scl_run(clauses, domain)
@@ -211,6 +216,29 @@ def test_created_instances_are_unit_or_false(monkeypatch):
     # both ways of creating an instance ran: from the matched atom alone, and by a join
     aligned = [inst.compiled.aligned for inst in checked if inst.compiled and len(inst.compiled.templates) > 1]
     assert aligned.count(True) > 500 and aligned.count(False) > 500
+
+
+def test_aligned_shortcut_matches_the_join(monkeypatch):
+    # the same runs with every clause compiled unaligned, so that every instance comes from
+    # _bind and _join and is hooked after the trigger walk, render the same lines
+    rng = random.Random(23)
+    cases = [(c, None) for n in range(1, 9) for c in (counter_problem(n), counter_problem(n)[:-1])]
+    cases += [random_bs(rng) for _ in range(300)]
+    results = [scl_run(c, d) for c, d in cases]
+    shortcut = [
+        len(inst.lits) for r in results if r.state for inst in r.state.problem.instances
+        if inst.compiled and inst.compiled.aligned
+    ]
+    assert shortcut.count(2) > 500 and sum(n > 2 for n in shortcut) > 100
+
+    class Unaligned(scl._CompiledClause):
+        def __init__(self, *args):
+            super().__init__(*args)
+            self.aligned = False
+            self.weights = tuple(len(self.names) ** j for j in reversed(range(self.slots)))
+
+    monkeypatch.setattr(scl, "_CompiledClause", Unaligned)
+    assert [list(render(scl_run(c, d))) for c, d in cases] == [list(render(r)) for r in results]
 
 
 def horn_chain(rng: random.Random, k: int) -> list[Clause]:
