@@ -8,7 +8,8 @@ Each engine run returns one result with a `verdict`, which `EXIT_CODES` maps
 to the exit code after the DIMACS solver convention: 10 for satisfiable or
 saturated, 20 for unsatisfiable, 1 for resource or step limits, and 0 for a
 replayed derivation that does not end in the empty clause, which claims
-neither.  Usage and parse errors exit with 2; `--help` exits with 0.
+neither.  Usage errors, a flag that the mode does not read (`FLAG_MODES`)
+among them, and parse errors exit with 2; `--help` exits with 0.
 """
 
 from __future__ import annotations
@@ -49,20 +50,29 @@ DEFAULT_HEURISTIC = "lowest-negative"
 DEFAULT_SELECTION = "none"
 
 
+# the modes that read each flag; any other mode rejects it
+FLAG_MODES = {
+    "--input": ("cdcl", "scl", "resolution", "resolution-replay", "lia-propagate", "lia-decide"),
+    "--counter-n": ("scl", "resolution", "resolution-replay", "counter-experiment"),
+    "--selection": ("resolution",),
+    "--precedence": ("resolution",),
+    "--heuristic": ("cdcl",),
+    "--max-steps": ("scl", "resolution", "lia-propagate"),
+    "--max-instances": ("scl",),
+    "--replay": ("resolution-replay",),
+    "--decide": ("lia-propagate",),
+}
+
+
 def validate(args: argparse.Namespace) -> None:
-    """Reject flag combinations the mode cannot use; unset flags are None."""
-    if (args.max_steps is not None and args.max_steps < 0) or (
-        args.max_instances is not None and args.max_instances <= 0
-    ):
-        raise ValueError("limits must be positive")
-    for flag, given, mode in (
-        ("--heuristic", args.heuristic, "cdcl"),
-        ("--selection", args.selection, "resolution"),
-        ("--precedence", args.precedence, "resolution"),
-        ("--max-instances", args.max_instances, "scl"),
-    ):
-        if given is not None and args.mode != mode:
-            raise ValueError(f"{flag} only applies to mode {mode}")
+    """Reject flags the mode does not read, and missing or out-of-range values; unset flags are None."""
+    for flag, modes in FLAG_MODES.items():
+        if getattr(args, flag[2:].replace("-", "_")) not in (None, []) and args.mode not in modes:
+            raise ValueError(f"{flag} does not apply to mode {args.mode}")
+    if args.max_steps is not None and args.max_steps < 0:
+        raise ValueError("--max-steps must be non-negative")
+    if args.max_instances is not None and args.max_instances <= 0:
+        raise ValueError("--max-instances must be positive")
     if args.mode == "counter-experiment":
         n = args.counter_n if args.counter_n is not None else 10
         if not 1 <= n <= COUNTER_N_CAP:
@@ -70,17 +80,10 @@ def validate(args: argparse.Namespace) -> None:
     elif args.mode in ("cdcl", "lia-propagate", "lia-decide"):
         if args.input is None:
             raise ValueError(f"mode {args.mode} needs --input")
-        if args.counter_n is not None:
-            raise ValueError(f"--counter-n does not apply to mode {args.mode}")
-    else:
-        if (args.input is None) == (args.counter_n is None):
-            raise ValueError(f"mode {args.mode} needs exactly one of --input or --counter-n")
+    elif (args.input is None) == (args.counter_n is None):
+        raise ValueError(f"mode {args.mode} needs exactly one of --input or --counter-n")
     if args.mode == "resolution-replay" and args.replay is None:
         raise ValueError("mode resolution-replay needs --replay")
-    if args.replay is not None and args.mode != "resolution-replay":
-        raise ValueError("--replay only applies to mode resolution-replay")
-    if args.decide and args.mode != "lia-propagate":
-        raise ValueError("--decide only applies to mode lia-propagate")
     if args.counter_n is not None and args.counter_n < 1:
         raise ValueError("--counter-n must be positive")
 
@@ -262,7 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--max-steps",
         type=int,
-        help=f"step budget: SCL trail cap (default {scl.DEFAULT_TRAIL_CAP:,}), "
+        help=f"scl, resolution and lia-propagate only: SCL trail cap (default {scl.DEFAULT_TRAIL_CAP:,}), "
         f"generated clauses or bound tightenings (default {DEFAULT_MAX_STEPS:,})",
     )
     parser.add_argument(
@@ -270,7 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--replay", help="derivation script file for resolution-replay")
     parser.add_argument(
-        "--decide", action="append", default=[], help="decision bound for lia modes, e.g. 'x>=0'"
+        "--decide", action="append", default=[], help="lia-propagate only: decision bound, e.g. 'x>=0'"
     )
     parser.add_argument("--format", choices=("text", "json"), default="text")
     return parser

@@ -311,10 +311,14 @@ class LiaDecision:
 def decide_bounded(system: LiaSystem, box_cap: int = DEFAULT_BOX_CAP) -> LiaDecision:
     """Exhaustive search over the a-priori box; "unsat" there means unsatisfiable.
 
+    A system with no inequation is "sat" under the empty assignment.
+
     Depth-first over the variables; a node holds the box corners and each
     assigned value as bounds, and `conflicting_inequation` prunes it.  Raises
     ResourceLimitError when the box volume exceeds the cap.
     """
+    if not system.inequations:
+        return LiaDecision("sat", {})
     box = apriori_bounds(system)
     variables = system.variables
     volume = 1
@@ -363,7 +367,7 @@ def render(result: LiaPropagation | LiaDecision) -> Iterator[tuple[str, dict]]:
     """
     verdict = result.verdict
     if verdict == "sat":
-        yield "sat " + " ".join(f"{v}={x}" for v, x in result.assignment.items()), {"event": "result"}
+        yield " ".join(["sat", *(f"{v}={x}" for v, x in result.assignment.items())]), {"event": "result"}
         return
     if verdict == "unsat":
         yield "unsat", {"event": "result"}

@@ -320,16 +320,7 @@ class _CompiledClause:
         return out
 
 
-# A binding maps each slot of a clause to a constant index (>= 0), to -1 while
-# unbound, or to -2 - s when it was unified with slot s.
-
-
-def _walk(b: list[int], s: int) -> tuple[int, int]:
-    v = b[s]
-    while v <= -2:
-        s = -2 - v
-        v = b[s]
-    return s, v
+# A binding maps each slot of a clause to a constant index, or to -1 while unbound.
 
 
 def _bind(t: _Template, digits: Sequence[int], b: list[int]) -> list[int] | None:
@@ -339,42 +330,11 @@ def _bind(t: _Template, digits: Sequence[int], b: list[int]) -> list[int] | None
         if a < 0:
             if -1 - a != c:
                 return None
-        else:
-            s, v = _walk(b, a)
-            if v == -1:
-                b[s] = c
-            elif v != c:
-                return None
+        elif b[a] == -1:
+            b[a] = c
+        elif b[a] != c:
+            return None
     return b
-
-
-def _unify(t: _Template, u: _Template, b: list[int]) -> list[int] | None:
-    """b extended so that the two templates have the same atom, or None."""
-    if (t.positive, t.pred) != (u.positive, u.pred):
-        return None
-    b = b.copy()
-    for a1, a2 in zip(t.args, u.args):
-        s1, c1 = (None, -1 - a1) if a1 < 0 else _walk(b, a1)
-        s2, c2 = (None, -1 - a2) if a2 < 0 else _walk(b, a2)
-        if c1 >= 0 and c2 >= 0:
-            if c1 != c2:
-                return None
-        elif c1 >= 0:
-            b[s2] = c1
-        elif c2 >= 0:
-            b[s1] = c2
-        elif s1 != s2:
-            b[s2] = -2 - s1
-    return b
-
-
-def _free(t: _Template, b: list[int]) -> list[int]:
-    """The unbound slots the template's atom still depends on."""
-    return list(dict.fromkeys(s for s, v in (_walk(b, a) for a in t.args if a >= 0) if v == -1))
-
-
-def _values(b: list[int]) -> tuple[int, ...]:
-    return tuple([_walk(b, s)[1] for s in range(len(b))])
 
 
 @dataclass
@@ -396,45 +356,53 @@ class GroundProblem:
     roots: list[tuple] = field(default_factory=list, repr=False)
     joins: bool = False  # some template leaves variables to join against the trail
 
-    def _join(self, clause, todo, b, open_t, true, on_trail, new) -> None:
-        """Extend b over the templates in todo: each false on the trail, or one with open_t.
+    def _join(self, clause, todo, b, open_t, true, on_trail, new, same=()) -> None:
+        """Extend b over the templates in todo: each false on the trail, or left open.
 
-        open_t is the first template left open; every other open template is
-        unified with it, so that at most one literal stays unassigned.  Once
+        open_t is the first template left open.  A later open template of
+        its sign and predicate waits in same, to be bound to open_t's atom;
+        one of another sign or predicate would leave two literals open.  Once
         every slot is bound, `_create` checks the instance; once todo is
-        empty, the slots only open_t depends on range over the domain.
+        empty, open_t's unbound slots range over the domain, and each waiting
+        template is bound to the atom they give.
         """
         if -1 not in b:
-            combo = _values(b)
-            self._create(clause, clause.key(combo), clause.lits(combo), true, new)
+            self._create(clause, clause.key(b), clause.lits(b), true, new)
             return
         if not todo:
-            free, b = _free(open_t, b), b.copy()
+            free, b = list(dict.fromkeys(a for a in open_t.args if a >= 0 and b[a] == -1)), b.copy()
             for consts in itertools.product(range(len(self.domain)), repeat=len(free)):
                 for s, c in zip(free, consts):
                     b[s] = c
-                combo = _values(b)
-                lit = open_t.lit(combo)
-                if not (true[lit] or true[-lit]):
-                    self._create(clause, clause.key(combo), clause.lits(combo), true, new)
+                lit = open_t.lit(b)
+                if true[lit] or true[-lit]:
+                    continue
+                digits, b2 = [-1 - a if a < 0 else b[a] for a in open_t.args], b
+                for t in same:
+                    b2 = _bind(t, digits, b2)
+                    if b2 is None:
+                        break
+                else:
+                    self._create(clause, clause.key(b2), clause.lits(b2), true, new)
             return
         t, rest = todo[0], todo[1:]
-        if not _free(t, b):
-            lit = t.lit(_values(b))
+        if all(b[a] >= 0 for a in t.args if a >= 0):
+            lit = t.lit(b)
             if true[-lit]:
-                self._join(clause, rest, b, open_t, true, on_trail, new)
-            elif not true[lit]:
-                b2 = b if open_t is None else _unify(t, open_t, b)
+                self._join(clause, rest, b, open_t, true, on_trail, new, same)
+                return
+            if true[lit]:
+                return
+        else:
+            for digits in on_trail.get((t.pred, len(t.args), not t.positive), ()):
+                b2 = _bind(t, digits, b)
                 if b2 is not None:
-                    self._join(clause, rest, b2, open_t or t, true, on_trail, new)
-            return
-        for digits in on_trail.get((t.pred, len(t.args), not t.positive), ()):
-            b2 = _bind(t, digits, b)
-            if b2 is not None:
-                self._join(clause, rest, b2, open_t, true, on_trail, new)
-        b2 = b if open_t is None else _unify(t, open_t, b)
-        if b2 is not None:
-            self._join(clause, rest, b2, open_t or t, true, on_trail, new)
+                    self._join(clause, rest, b2, open_t, true, on_trail, new, same)
+        # t is left open
+        if open_t is None:
+            self._join(clause, rest, b, t, true, on_trail, new, same)
+        elif (t.positive, t.pred) == (open_t.positive, open_t.pred):
+            self._join(clause, rest, b, open_t, true, on_trail, new, same + (t,))
 
     def _create(self, clause: _CompiledClause, key: int, lits: tuple[int, ...], true, new) -> None:
         """Create the instance with this key and these literals, per template, if it is unit or false and new."""

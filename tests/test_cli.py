@@ -232,6 +232,17 @@ class TestLiaModes:
         assert out.strip() == "unsat"
 
     @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_empty_system(self, tmp_path, fmt):
+        # no inequation: the decision is "sat" under the empty assignment, as propagation reaches a fixpoint
+        path = tmp_path / "empty.lia"
+        path.write_text("\n# no inequation\n\n")
+        code, out = run_cli("--mode", "lia-decide", "--input", str(path), "--format", fmt)
+        line = "sat" if fmt == "text" else json.dumps({"event": "result", "line": "sat"}, sort_keys=True)
+        assert (code, out) == (EXIT_SAT, line + "\n")
+        code, out = run_cli("--mode", "lia-propagate", "--input", str(path), "--format", fmt)
+        assert code == EXIT_SAT and out.splitlines()[-1].endswith("fixpoint" if fmt == "text" else '"fixpoint"}')
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
     def test_decide_past_the_box_cap(self, tmp_path, capsys, fmt):
         # the 6-cycle's a-priori box has far more than 10**7 points
         path = tmp_path / "cycle.lia"
@@ -334,6 +345,73 @@ class TestUsageErrors:
         code, out = run_cli("--mode", "cdcl", "--input", demo_cnf, "--counter-n", "3")
         assert (code, out) == (EXIT_USAGE, "")
         assert capsys.readouterr().err.startswith("error: --counter-n")
+
+    def test_negative_max_steps(self, capsys):
+        code, out = run_cli("--mode", "scl", "--counter-n", "2", "--max-steps", "-1")
+        assert (code, out) == (EXIT_USAGE, "")
+        assert capsys.readouterr().err == "error: --max-steps must be non-negative\n"
+
+
+# the modes that read each flag, as the README lists them
+FLAG_READERS = {
+    "--input": {"cdcl", "scl", "resolution", "resolution-replay", "lia-propagate", "lia-decide"},
+    "--counter-n": {"scl", "resolution", "resolution-replay", "counter-experiment"},
+    "--selection": {"resolution"},
+    "--precedence": {"resolution"},
+    "--heuristic": {"cdcl"},
+    "--max-steps": {"scl", "resolution", "lia-propagate"},
+    "--max-instances": {"scl"},
+    "--replay": {"resolution-replay"},
+    "--decide": {"lia-propagate"},
+}
+
+
+def _mode_flag_pairs():
+    actions = build_parser()._actions
+    modes = next(a.choices for a in actions if a.dest == "mode")
+    flags = [a.option_strings[0] for a in actions if a.dest not in ("help", "mode", "format")]
+    return [(mode, flag) for mode in modes for flag in flags]
+
+
+@pytest.mark.parametrize("mode, flag", _mode_flag_pairs())
+def test_a_flag_the_mode_does_not_read_is_a_usage_error(tmp_path, capsys, mode, flag):
+    files = {
+        "p.cnf": DEMO_DIMACS,
+        "p.bs": "P(0) | P(1).\n-P(0).\n-P(1).\n",
+        "p.lia": "x <= 0\n-x <= 0\n",
+        "p.script": "1.1 Res 2.1\n",
+    }
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    path = {name.split(".")[1]: str(tmp_path / name) for name in files}
+    argv = {
+        "cdcl": {"--input": path["cnf"]},
+        "scl": {"--input": path["bs"]},
+        "resolution": {"--input": path["bs"]},
+        "resolution-replay": {"--input": path["bs"], "--replay": path["script"]},
+        "lia-propagate": {"--input": path["lia"]},
+        "lia-decide": {"--input": path["lia"]},
+        "counter-experiment": {"--counter-n": "2"},
+    }[mode]
+    if flag == "--counter-n" and mode in FLAG_READERS[flag]:
+        argv.pop("--input", None)  # the problem comes from exactly one of the two
+    argv[flag] = {
+        "--input": argv.get("--input", "/nonexistent"),
+        "--counter-n": "1",
+        "--selection": "first-negative",
+        "--precedence": "1>0",
+        "--heuristic": "lowest-positive",
+        "--max-steps": "5",
+        "--max-instances": "100",
+        "--replay": path["script"],
+        "--decide": "x>=0",
+    }[flag]
+    code, out = run_cli("--mode", mode, *(word for pair in argv.items() for word in pair))
+    err = capsys.readouterr().err
+    if mode in FLAG_READERS[flag]:
+        assert code != EXIT_USAGE and err == ""
+    else:
+        assert (code, out, err) == (EXIT_USAGE, "", f"error: {flag} does not apply to mode {mode}\n")
 
 
 class TestDeterminism:

@@ -1,6 +1,7 @@
 """clausekit has no runtime dependencies: every module imports only the standard library and itself."""
 
 import ast
+import re
 import sys
 from pathlib import Path
 
@@ -27,6 +28,13 @@ def test_modules_import_only_the_standard_library_and_the_package():
         if (roots := imported_roots(ast.parse(module.read_text())) - sys.stdlib_module_names - {"clausekit"})
     }
     assert outside == {}
+
+
+def test_modules_parse_at_the_declared_python_floor():
+    # no syntax newer than pyproject.toml's requires-python, such as 3.11's except*, may creep in
+    floor = re.search(r'requires-python = ">=3\.(\d+)"', (PACKAGE.parents[1] / "pyproject.toml").read_text())
+    for module in sorted(PACKAGE.glob("*.py")):
+        ast.parse(module.read_text(), filename=str(module), feature_version=(3, int(floor.group(1))))
 
 
 def test_a_third_party_import_is_caught():

@@ -182,12 +182,34 @@ class TestOrderAmongInstances:
         assert lines[-3] == "conflict clause 4 σ={x->a,y->b}" and lines[-1] == "s UNSATISFIABLE"
 
 
+def merge_chain(rng: random.Random) -> list[Clause]:
+    """Three or four P literals of one sign whose variables form a chain, closed
+    (P(x1,x2) | P(x2,x3) | P(x3,x1)) or open (P(x1,x2) | P(x2,x3) | P(x3,x4)), guarded by
+    -R(x1); its negative twin; and ground R and P units that trigger both.  Once a literal
+    is false, a later open literal can only share the first open one's atom, and it may
+    hold a variable that neither that literal nor a false one binds."""
+    consts = CONSTANTS[: rng.randint(2, 3)]
+    clauses = []
+    for positive in (True, False):
+        k = rng.randint(3, 4)
+        xs = [Variable(f"x{i}") for i in range(1, k + 2)]
+        ends = xs[:k] + [xs[0]] if rng.random() < 0.5 else xs
+        chain = [Literal(positive, Atom("P", (ends[i], ends[i + 1]))) for i in range(k)]
+        clauses.append(Clause(len(clauses) + 1, (Literal(False, Atom("R", (xs[0],))), *chain)))
+    for _ in range(rng.randint(1, 5)):
+        pred, arity = rng.choice([("R", 1), ("P", 2)])
+        atom = Atom(pred, tuple(rng.choice(consts) for _ in range(arity)))
+        clauses.append(Clause(len(clauses) + 1, (Literal(rng.random() < 0.5, atom),)))
+    return clauses
+
+
 def test_created_instances_are_unit_or_false(monkeypatch):
     # every instance, when the engine creates it, is unit on the literal the engine reports or
     # false under the trail of that moment, and equals the reference instance with the same
-    # clause id and substitution
+    # clause id and substitution; each run's output matches the reference engine's
     rng = random.Random(99)
     cases = [(counter_problem(n), None) for n in (1, 4, 7)] + [random_bs(rng) for _ in range(300)]
+    cases += [(merge_chain(rng), None) for _ in range(80)]
     checked = []
     create = SclState.instantiate
 
@@ -210,7 +232,7 @@ def test_created_instances_are_unit_or_false(monkeypatch):
     monkeypatch.setattr(SclState, "instantiate", instantiate)
     for clauses, domain in cases:
         reference = {(i.clause_id, i.subst): i for i in reference_ground_problem(clauses, domain).instances}
-        scl_run(clauses, domain)
+        same_run(clauses, domain)
     assert len(checked) > 3000
     assert sum(len(inst.lits) < len(inst.compiled.templates) for inst in checked if inst.compiled) > 50
     # both ways of creating an instance ran: from the matched atom alone, and by a join
