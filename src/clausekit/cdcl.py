@@ -23,7 +23,6 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
-from .errors import ResourceLimitError
 from .logic import clauses_by_id
 
 
@@ -258,7 +257,8 @@ def propagate_units(kernel: TrailKernel, trail_cap: float = math.inf) -> None:
     the false clause smallest in `conflict_key`, and otherwise the unit
     clause smallest in `unit_key` propagates.  While no clause is false, a
     heap entry whose literal is assigned is satisfied, and is dropped.  The
-    trail never exceeds trail_cap.
+    trail never exceeds trail_cap: at the cap the run stops with no conflict
+    and the next unit still pending, so a later call resumes it.
     """
     if kernel.conflict is not None:
         raise ValueError("cannot propagate with a pending conflict")
@@ -267,11 +267,12 @@ def propagate_units(kernel: TrailKernel, trail_cap: float = math.inf) -> None:
     while not false_ids:
         if not pending:
             return
-        _, cid, lit = heappop(pending)
+        key, cid, lit = heappop(pending)
         if true[lit]:
             continue
         if len(trail) >= trail_cap:
-            raise ResourceLimitError(f"trail length exceeds the cap of {trail_cap}")
+            heapq.heappush(pending, (key, cid, lit))
+            return
         assign(lit, cid)
         record(("propagate", lit, cid))
     kernel.conflict = min(false_ids, key=kernel.conflict_key)

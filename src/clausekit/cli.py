@@ -23,7 +23,7 @@ from dataclasses import asdict, dataclass
 from typing import Callable, Iterable, Sequence, TextIO
 
 from . import cdcl, formats, lia, resolution, scl
-from .errors import ClausekitError, ResourceLimitError
+from .errors import ClausekitError
 from .logic import Clause
 from .ordering import OrderingConfig, config_with_precedence, default_config
 from .resolution import check_linear_refutation, linear_counter_script
@@ -288,9 +288,6 @@ def main(argv: list[str] | None = None, out: TextIO = sys.stdout) -> int:
     try:
         validate(args)
         return _HANDLERS[args.mode](args, _Emitter(out, args.format == "json"))
-    except ResourceLimitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_LIMIT
     except (OSError, ClausekitError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

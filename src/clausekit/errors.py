@@ -18,7 +18,7 @@ class ParseError(ClausekitError):
 
 
 class ResourceLimitError(ClausekitError):
-    """A configured resource cap (instances, trail length, search box, atoms) was exceeded."""
+    """Grounding (`scl.ground_problem`) exceeded its atom or instance cap; engine runs end in a verdict instead."""
 
 
 class ReplayStepError(ClausekitError):

@@ -10,8 +10,8 @@ tightened, and after a tightening only the inequations whose minimum reads
 the tightened bound are checked for a conflict.  Both readings, and the
 bounded decision's pruning, run on the system compiled once, with every term
 keyed by the bound it reads.  A propagation's `verdict` is "fixpoint",
-"conflict" or "diverged", a decision's "sat" or "unsat"; `render` gives the
-output lines of either result.
+"conflict" or "diverged", a decision's "sat", "unsat" or "limit" (the box
+exceeds its cap); `render` gives the output lines of either result.
 """
 
 from __future__ import annotations
@@ -19,8 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from heapq import heappop, heappush
 from typing import Iterable, Iterator, Mapping, NamedTuple
-
-from .errors import ResourceLimitError
 
 DEFAULT_BOX_CAP = 10_000_000
 
@@ -167,17 +165,12 @@ def implied_bound(pair: Pair, current: BoundMap, level: int = 0) -> Bound | None
     return _new(Bound, (key[0], key[1], value, level, reason))
 
 
-def conflicting_inequation(
-    system: LiaSystem, current: BoundMap, candidates: Iterable[CompiledIneq] | None = None
-) -> int | None:
-    """Id of the first inequation, in system order, whose left side has a positive minimum.
+def conflicting_inequation(current: BoundMap, candidates: Iterable[CompiledIneq]) -> int | None:
+    """Id of the first of the compiled inequations whose left side has a positive minimum.
 
     The minimum is taken over the bound box; a side with an unbounded term
-    has none.  `candidates`, the compiled forms of a subsequence of the
-    system's inequations in system order, limits the scan to them.
+    has none.
     """
-    if candidates is None:
-        candidates = map(compile_ineq, system.inequations)
     for ineq_id, total, terms in candidates:
         for key, a in terms:
             bound = current.get(key)
@@ -260,7 +253,7 @@ def propagate_bounds(
     steps = 0
     level = max((b.level for b in trail), default=0)  # derived bounds add no level
     pairs, inequations, scans, wakes = _readers(system)
-    cid = conflicting_inequation(system, current, inequations)
+    cid = conflicting_inequation(current, inequations)
     if cid is not None:
         return LiaPropagation("conflict", current, trail, steps, cid)
     n = len(pairs)
@@ -281,7 +274,7 @@ def propagate_bounds(
         trail.append(bound)
         steps += 1
         # while none conflicts, a tightening moves only the minima that read it
-        cid = conflicting_inequation(system, current, scans[p])
+        cid = conflicting_inequation(current, scans[p])
         if cid is not None:
             return LiaPropagation("conflict", current, trail, steps, cid)
         sweep = t - p
@@ -304,7 +297,7 @@ def apriori_bounds(system: LiaSystem) -> dict[str, tuple[int, int]]:
 
 @dataclass
 class LiaDecision:
-    verdict: str  # "sat" | "unsat"
+    verdict: str  # "sat" | "unsat" | "limit" (the box exceeds the cap, so no search)
     assignment: dict[str, int] | None = None  # a "sat" model, in the system's variable order
 
 
@@ -314,8 +307,8 @@ def decide_bounded(system: LiaSystem, box_cap: int = DEFAULT_BOX_CAP) -> LiaDeci
     A system with no inequation is "sat" under the empty assignment.
 
     Depth-first over the variables; a node holds the box corners and each
-    assigned value as bounds, and `conflicting_inequation` prunes it.  Raises
-    ResourceLimitError when the box volume exceeds the cap.
+    assigned value as bounds, and `conflicting_inequation` prunes it.  A box
+    of more points than the cap is not searched: the verdict is "limit".
     """
     if not system.inequations:
         return LiaDecision("sat", {})
@@ -326,7 +319,7 @@ def decide_bounded(system: LiaSystem, box_cap: int = DEFAULT_BOX_CAP) -> LiaDeci
         lo, hi = box[v]
         volume *= hi - lo + 1
         if volume > box_cap:
-            raise ResourceLimitError(f"search box exceeds the cap of {box_cap} points")
+            return LiaDecision("limit")
     inequations = [compile_ineq(ineq) for ineq in system.inequations]
     current: dict[BoundKey, Bound] = {
         (v, lower): _new(Bound, (v, lower, lo if lower else hi, 0, None))
@@ -334,7 +327,7 @@ def decide_bounded(system: LiaSystem, box_cap: int = DEFAULT_BOX_CAP) -> LiaDeci
     }
 
     def search(i: int) -> dict[str, int] | None:
-        if conflicting_inequation(system, current, inequations) is not None:
+        if conflicting_inequation(current, inequations) is not None:
             return None
         if i == len(variables):
             return {v: current[(v, True)].value for v in variables}
@@ -362,15 +355,15 @@ def render(result: LiaPropagation | LiaDecision) -> Iterator[tuple[str, dict]]:
     """The output of a propagation or a decision, one (text line, JSON fields) pair per line.
 
     A propagation prints its trail, one bound per line, then its verdict; a
-    decision prints its verdict with the model.  The fields of a propagation
-    line are one dict shared by every line, not to be mutated.
+    decision prints its verdict, with the model if "sat".  The fields of a
+    propagation line are one dict shared by every line, not to be mutated.
     """
     verdict = result.verdict
     if verdict == "sat":
         yield " ".join(["sat", *(f"{v}={x}" for v, x in result.assignment.items())]), {"event": "result"}
         return
-    if verdict == "unsat":
-        yield "unsat", {"event": "result"}
+    if verdict in ("unsat", "limit"):
+        yield verdict, {"event": "result"}
         return
     for var, lower, value, _level, reason in result.trail:
         if reason is None:

@@ -13,10 +13,10 @@ empty clauses (and the instances whose literals all coincide).  When a
 literal L is assigned, one pass (`SclState.instantiate`) goes from the
 complement of L to the instances it makes unit or false: the trigger tree of
 its Herbrand block and sign yields the templates that match it.  In a clause
-whose templates share one variable layout the matched atom gives every
-literal at once; an instance of two such literals is checked, created and
-hooked (two watch lists, then its unit key pushed or its position marked
-false) where the walk finds it.  The other literals of any other clause are
+of two literals that share one variable layout the matched atom gives the
+other literal at once, and the instance is checked, created and hooked (two
+watch lists, then its unit key pushed or its position marked false) where
+the walk finds it.  The other literals of any other clause are
 joined against the trail (each false, or the one literal left open), and
 what the join finds is hooked when the walk ends.  An instance can only
 become unit or false when one of its literals turns false, so every unit and
@@ -574,11 +574,13 @@ class SclState(TrailKernel):
 
         The trigger tree of false_lit's Herbrand block and sign yields the
         templates it matches.  An instance of an aligned pair is created and
-        hooked where the walk finds it.  Larger aligned clauses, and joins
-        against `on_trail` (the trail's atoms by (predicate, arity, value), as
-        constant index tuples), go through `GroundProblem._create`; what they
-        create is hooked after the walk, watching its unassigned literal, then
-        its highest-level false ones.
+        hooked where the walk finds it.  Any other clause binds the matched
+        template and joins its other templates against the trail
+        (`GroundProblem._join`; a template with unbound slots reads
+        `on_trail`, the trail's atoms by (predicate, arity, value), as
+        constant index tuples); what the join creates is hooked after the
+        walk, watching its unassigned literal, then its highest-level false
+        ones.
         """
         problem = self.problem
         roots = problem.roots
@@ -601,11 +603,6 @@ class SclState(TrailKernel):
             else:
                 for clause, t, other in node:
                     if other is None:
-                        if clause.aligned:  # the atom gives the key, and every literal is a base plus the key
-                            key = atom - t.base
-                            lits = tuple([u.base + key if u.positive else -u.base - key for u in clause.templates])
-                            problem._create(clause, key, lits, true, new)
-                            continue
                         if digits is None:
                             digits = problem.atoms.digits(len(t.args), code)
                         b = _bind(t, digits, [-1] * clause.slots)
@@ -668,13 +665,12 @@ def scl_propagate(state: SclState, trail_cap: int = DEFAULT_TRAIL_CAP) -> SclSta
     """Exhaustive ground propagation, smallest ground literal first; eager conflicts.
 
     The conflict is the false instance smallest in (clause id, substitution).
-    The stats count the propagations made before the trail cap stops them too.
+    The trail cap stops it with no conflict and the next unit pending, which
+    a later call propagates; the stats count the propagations made.
     """
     start = len(state.trail)
-    try:
-        propagate_units(state, trail_cap)
-    finally:
-        state.stats.propagations += len(state.trail) - start
+    propagate_units(state, trail_cap)
+    state.stats.propagations += len(state.trail) - start
     return state
 
 
@@ -715,10 +711,7 @@ def scl_run(
         return SclResult("limit", SclStats(), None)
     state = SclState.from_problem(problem)
     while True:
-        try:
-            scl_propagate(state, trail_cap)
-        except ResourceLimitError:
-            break
+        scl_propagate(state, trail_cap)
         if state.conflict is not None:
             if state.level == 0:
                 return SclResult("unsat", state.stats, state)
@@ -730,11 +723,10 @@ def scl_run(
         elif len(state.trail) == len(problem.atoms):
             return SclResult("sat", state.stats, state)
         elif len(state.trail) >= trail_cap:
-            break
+            return SclResult("limit", state.stats, state)
         else:
             decide(state, lowest_unassigned(state))
             state.stats.decisions += 1
-    return SclResult("limit", state.stats, state)
 
 
 _VERDICTS = {"sat": "s SATISFIABLE", "unsat": "s UNSATISFIABLE", "limit": "s RESOURCE-EXCEEDED"}

@@ -366,9 +366,12 @@ def reference_box_radius(system: LiaSystem) -> int:
 def reference_decide_bounded(system: LiaSystem, box_cap: int = DEFAULT_BOX_CAP) -> LiaDecision:
     """Exhaustive search over the a-priori box; "unsat" there means unsatisfiable.
 
+    A system with no inequation is "sat" under the empty assignment.
     Depth-first over the variables with partial-evaluation pruning; raises
     ResourceLimitError when the box volume exceeds the cap.
     """
+    if not system.inequations:
+        return LiaDecision("sat", {})
     radius = reference_box_radius(system)
     variables = system.variables
     box = {v: (-radius, radius) for v in variables}

@@ -248,8 +248,9 @@ class TestLiaModes:
         path = tmp_path / "cycle.lia"
         path.write_text("".join(f"v{i} - v{i % 6 + 1} <= 0\n" for i in range(1, 6)) + "v6 - v1 + 1 <= 0\n")
         code, out = run_cli("--mode", "lia-decide", "--input", str(path), "--format", fmt)
-        assert (code, out) == (EXIT_LIMIT, "")
-        assert capsys.readouterr().err == "error: search box exceeds the cap of 10000000 points\n"
+        line = "limit" if fmt == "text" else json.dumps({"event": "result", "line": "limit"}, sort_keys=True)
+        assert (code, out) == (EXIT_LIMIT, line + "\n")
+        assert capsys.readouterr().err == ""
 
 
 def _steps_taken(mode: str, out: str) -> int:
@@ -271,14 +272,26 @@ def _steps_taken(mode: str, out: str) -> int:
         ("lia-propagate", ["--input", "diverge.lia", "--decide", "x>=0"]),
     ],
 )
-def test_max_steps_caps_every_mode(tmp_path, mode, source, n):
-    """--max-steps N allows N steps: SCL trail entries, decisions included; generated clauses; bound tightenings."""
+def test_max_steps_caps_every_mode(tmp_path, capsys, mode, source, n):
+    """--max-steps N allows N steps: SCL trail entries, decisions included; generated clauses; bound tightenings.
+
+    A capped run ends like any other: exit 1 after the mode's limit verdict, and nothing on stderr.
+    """
     (tmp_path / "three.bs").write_text("P(a) | Q(a) | R(a).\n")
     (tmp_path / "diverge.lia").write_text("x - y <= 0\ny - x + 1 <= 0\n")
     argv = [str(tmp_path / a) if a.endswith((".bs", ".lia")) else a for a in source]
     code, out = run_cli("--mode", mode, *argv, "--max-steps", str(n))
     assert code in (EXIT_SAT, EXIT_UNSAT, EXIT_LIMIT)
     assert _steps_taken(mode, out) <= n
+    assert capsys.readouterr().err == ""
+    if code == EXIT_LIMIT:
+        last = out.splitlines()[-1]
+        if mode == "scl":
+            assert last == "s RESOURCE-EXCEEDED"
+        elif mode == "resolution":
+            assert json.loads(last)["line"] == "LimitReached"
+        else:
+            assert last == f"diverged steps={n}"
 
 
 class TestUsageErrors:

@@ -6,7 +6,6 @@ import pytest
 from oracles import assignment_satisfies, all_ground_instances, ground_satisfiable
 from clausekit import scl
 from clausekit.cdcl import decide, lowest_unassigned
-from clausekit.errors import ResourceLimitError
 from clausekit.formats import parse_bs
 from clausekit.logic import Atom, Clause, Constant, Literal, Variable
 from clausekit.scl import (
@@ -85,9 +84,15 @@ class TestSclPropagate:
         assert state.trail == [] and state.conflict is None
 
     def test_trail_cap(self):
-        state = SclState.from_problem(ground_problem(counter_problem(4)))
-        with pytest.raises(ResourceLimitError):
-            scl_propagate(state, trail_cap=3)
+        # the cap stops propagation with no conflict; an uncapped call resumes it to the uncapped run's end
+        for n in range(1, 7):
+            full = scl_propagate(SclState.from_problem(ground_problem(counter_problem(n))))
+            for cap in range(2**n):
+                state = scl_propagate(SclState.from_problem(ground_problem(counter_problem(n))), trail_cap=cap)
+                assert state.conflict is None and len(state.trail) == cap
+                scl_propagate(state)
+                assert (state.trail, state.conflict) == (full.trail, full.conflict), (n, cap)
+                assert state.stats.propagations == full.stats.propagations == 2**n
 
     def test_propagation_justifications(self):
         # every propagated literal was undefined and the rest of its instance false
