@@ -89,7 +89,10 @@ def validate(args: argparse.Namespace) -> None:
 
 
 class _Emitter:
-    """Writes rendered (text line, JSON fields) pairs as plain text or as JSON lines."""
+    """Writes rendered (text line, JSON fields) pairs as plain text or as JSON lines.
+
+    Text output ignores the fields; `_run_scl` has SCL's `render` build none.
+    """
 
     def __init__(self, out: TextIO, as_json: bool):
         self.out = out
@@ -136,7 +139,7 @@ def _run_scl(args: argparse.Namespace, emit: _Emitter) -> int:
     clauses = _bs_clauses(args)
     cap = scl.DEFAULT_INSTANCE_CAP if args.max_instances is None else args.max_instances
     result = scl.scl_run(clauses, instance_cap=cap, trail_cap=_max_steps(args, scl.DEFAULT_TRAIL_CAP))
-    emit.lines(scl.render(result))
+    emit.lines(scl.render(result, fields=emit.as_json))
     return EXIT_CODES[result.verdict]
 
 

@@ -15,7 +15,7 @@ from typing import Iterable
 from .cdcl import PropClause
 from .errors import ParseError
 from .lia import Bound, LinIneq, LiaSystem
-from .logic import Atom, Clause, Literal, Term, is_variable_name, term_from_name
+from .logic import Atom, Clause, Literal, Term, Variable, is_variable_name, term_from_name
 from .resolution import ScriptStep
 
 
@@ -110,6 +110,7 @@ def print_dimacs(num_vars: int, clauses: Iterable[PropClause]) -> str:
 
 # An optional `<id> :` prefix; the id is ASCII digits.
 _CLAUSE_ID = re.compile(r"([0-9]+)\s*:\s*")
+_NAME = re.compile(r"[A-Za-z0-9_']+")  # a predicate or term name
 # One literal and the '|' or '.' after it.  Every group is optional, so the
 # pattern always matches, and the first group missing is the parse error.
 _LITERAL = re.compile(
@@ -117,7 +118,7 @@ _LITERAL = re.compile(
         (?: ( \( (?: \s* NAME \s* , )* ) \s*        # '(' and every argument before the last
             (?: (NAME) \s* (\))? )? )?              # the last argument, ')'
         \s* (?: ([|.]) \s* )?                       # '|' or '.'
-    """.replace("NAME", r"[A-Za-z0-9_']+"),
+    """.replace("NAME", _NAME.pattern),
     re.VERBOSE,
 )
 
@@ -182,7 +183,30 @@ def _unexpected(text: str, offset: int, expected: str) -> ParseError:
 
 
 def print_bs(clauses: Iterable[Clause]) -> str:
-    lines = [f"{c.id} : {c}." for c in clauses]
+    """BS text that `parse_bs` reads back as these clauses.
+
+    A clause that the text cannot carry raises ValueError naming its id: the
+    empty clause, an id that is negative or used twice, a predicate that
+    reads as a variable or at a second arity, and a name that is no token or
+    reads as the other kind of term.
+    """
+    lines, ids, arities = [], set(), {}
+    for c in clauses:
+        if not c.literals:
+            raise ValueError(f"clause {c.id}: the empty clause has no BS text")
+        if c.id < 0 or c.id in ids:
+            raise ValueError(f"clause {c.id}: the id is negative or used twice")
+        ids.add(c.id)
+        for lit in c.literals:
+            pred = lit.atom.predicate
+            if not _NAME.fullmatch(pred) or is_variable_name(pred):
+                raise ValueError(f"clause {c.id}: predicate {pred!r} does not read back as a predicate")
+            if arities.setdefault(pred, lit.atom.arity) != lit.atom.arity:
+                raise ValueError(f"clause {c.id}: predicate {pred!r} is used at two arities")
+            for a in lit.atom.args:
+                if not _NAME.fullmatch(a.name) or is_variable_name(a.name) != isinstance(a, Variable):
+                    raise ValueError(f"clause {c.id}: term {a.name!r} does not read back as a {type(a).__name__}")
+        lines.append(f"{c.id} : {c}.")
     return "\n".join(lines) + "\n"
 
 

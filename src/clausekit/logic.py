@@ -2,7 +2,8 @@
 
 Variables and constants are the only terms (Bernays-Schoenfinkel fragment);
 propositional atoms are the 0-ary special case.  All values are immutable,
-and terms are interned: one object per class and name.
+and terms are interned: one object per class and name, so a renaming, whose
+keys are variables, looks up every argument of a clause in one walk.
 """
 
 from __future__ import annotations
@@ -83,16 +84,13 @@ class Atom:
     def arity(self) -> int:
         return len(self.args)
 
-    def variables(self) -> list[Variable]:
-        return [a for a in self.args if isinstance(a, Variable)]
-
     def is_ground(self) -> bool:
         return all(isinstance(a, Constant) for a in self.args)
 
     def __str__(self) -> str:
         if not self.args:
             return self.predicate
-        return f"{self.predicate}({','.join(str(a) for a in self.args)})"
+        return f"{self.predicate}({','.join([a.name for a in self.args])})"
 
 
 @dataclass(frozen=True, slots=True)
@@ -122,11 +120,8 @@ class Clause:
         return len(self.literals)
 
     def variables(self) -> list[Variable]:
-        seen: dict[Variable, None] = {}
-        for lit in self.literals:
-            for v in lit.atom.variables():
-                seen.setdefault(v)
-        return list(seen)
+        """The clause's variables in order of first occurrence."""
+        return list(dict.fromkeys([a for lit in self.literals for a in lit.atom.args if isinstance(a, Variable)]))
 
     def is_tautology(self) -> bool:
         atoms_pos = {lit.atom for lit in self.literals if lit.positive}
@@ -149,16 +144,16 @@ def clauses_by_id(clauses: Iterable) -> dict:
 
 
 def _rename(clause: Clause, mapping: Mapping[Variable, Variable]) -> Clause:
-    """Simultaneous variable renaming (no chain resolution, so swaps are fine)."""
+    """Simultaneous variable renaming (no chain resolution, so swaps are fine).
 
-    def ren(t: Term) -> Term:
-        return mapping.get(t, t) if isinstance(t, Variable) else t
-
-    lits = tuple(
-        Literal(l.positive, Atom(l.atom.predicate, tuple(ren(a) for a in l.atom.args)))
+    Only variables are keys, and terms hash by identity, so a constant of a
+    variable's name is never renamed.
+    """
+    get = mapping.get
+    return Clause(clause.id, tuple([
+        Literal(l.positive, Atom(l.atom.predicate, tuple([get(a, a) for a in l.atom.args])))
         for l in clause.literals
-    )
-    return Clause(clause.id, lits)
+    ]))
 
 
 class Substitution:
@@ -250,10 +245,11 @@ def match_atoms(
 
 def rename_apart(c1: Clause, c2: Clause) -> tuple[Clause, Clause]:
     """Return variants of the clauses with disjoint variables (c2 gets renamed)."""
+    variables = c2.variables()
     taken = {v.name for v in c1.variables()}
-    own = {v.name for v in c2.variables()}
+    own = {v.name for v in variables}
     mapping: dict[Variable, Variable] = {}
-    for v in c2.variables():
+    for v in variables:
         if v.name in taken:
             fresh = v.name + "'"
             while fresh in taken or fresh in own:
@@ -265,12 +261,16 @@ def rename_apart(c1: Clause, c2: Clause) -> tuple[Clause, Clause]:
     return c1, _rename(c2, mapping)
 
 
+# x1, x2, ...: the canonical variables, as many as the widest clause so far has needed
+_CANONICAL: list[Variable] = []
+
+
 def canonical_variant(clause: Clause) -> Clause:
     """Rename variables to x1, x2, ... in order of first occurrence."""
-    mapping = {}
-    for v in clause.variables():
-        mapping[v] = Variable(f"x{len(mapping) + 1}")
-    return _rename(clause, mapping)
+    variables = clause.variables()
+    while len(_CANONICAL) < len(variables):
+        _CANONICAL.append(Variable(f"x{len(_CANONICAL) + 1}"))
+    return _rename(clause, dict(zip(variables, _CANONICAL)))
 
 
 def renamed_equal(c1: Clause, c2: Clause) -> bool:

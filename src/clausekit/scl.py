@@ -44,8 +44,8 @@ import itertools
 from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import cached_property
-from operator import mul
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from operator import itemgetter, mul
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .cdcl import TrailKernel, decide, learn_clause, lowest_unassigned, propagate_units, resolve_1uip
 from .cdcl import clause_status  # noqa: F401  perfbench/tracer.py counts calls through this name
@@ -131,6 +131,9 @@ class HerbrandBase(Sequence[Atom]):
         self.domain = tuple(dom)
         self.names = [c.name for c in dom]
         d = len(dom)
+        # `spell` reads a code this many base-d digits at a time, from a table of d ** chunk entries:
+        # at most 64 unless d is larger, so that a short trace does not pay for a large table
+        self.chunk = max([k for k in range(1, 7) if d ** k <= 64], default=1)
         # per arity, the place value of each argument position in a code
         self.places = {a: tuple(d ** j for j in reversed(range(a))) for a in arity.values()}
         self.blocks = sorted(arity.items())  # (predicate, arity) per block
@@ -165,6 +168,19 @@ class HerbrandBase(Sequence[Atom]):
         pred, digits = self.decode(atom)
         return f"{pred}({','.join([self.names[c] for c in digits])})" if digits else pred
 
+    @cached_property
+    def _chunk_names(self) -> list[tuple[str, ...]]:
+        # per value of `chunk` base-d digits, their names, most significant first
+        return list(itertools.product(self.names, repeat=self.chunk))
+
+    def spell(self, code: int, chunks: int) -> tuple[str, ...]:
+        """The names of a code's lowest chunks * `chunk` base-d digits, most significant first."""
+        table, names = self._chunk_names, ()
+        for _ in range(chunks):
+            code, c = divmod(code, len(table))
+            names = table[c] + names
+        return names
+
     def __getitem__(self, i: int) -> Atom:
         if not 0 <= i < self.size:
             raise IndexError(i)
@@ -188,10 +204,6 @@ class _Template(NamedTuple):
 
 def _escape(name: str) -> str:
     return name.replace("%", "%%")
-
-
-def _brace(name: str) -> str:
-    return name.replace("{", "{{").replace("}", "}}")
 
 
 def _template(lit: Literal, base: int, slot: dict[str, int], const_index: dict[str, int]) -> _Template:
@@ -256,13 +268,13 @@ class _CompiledClause:
     so every literal's atom index is its template's base plus the key.
     """
 
-    def __init__(self, clause: Clause, templates: list[_Template], variables: list[str], names: list[str]):
+    def __init__(self, clause: Clause, templates: list[_Template], variables: list[str], atoms: HerbrandBase):
         self.id = clause.id
         self.literals = clause.literals
         self.templates = templates
         self.variables = variables
         self.slots = len(variables)
-        self.names = names
+        self.names, self.chunk = atoms.names, atoms.chunk
         kinds = [(t.positive, t.pred) for t in templates]
         # two literals share sign and predicate, so instances can lose literals and coincide
         self.merge = len(set(kinds)) < len(kinds)
@@ -272,7 +284,7 @@ class _CompiledClause:
             and sorted(a for a in first.args if a >= 0) == list(range(self.slots))
             and all(t.weights == first.weights for t in templates)
         )
-        d = len(names)
+        d = len(self.names)
         self.weights = first.weights if self.aligned else tuple(d ** j for j in reversed(range(self.slots)))
         self.created: dict[int, int] = {}  # key -> instance position
 
@@ -309,15 +321,50 @@ class _CompiledClause:
         return "{" + ",".join(f"{_escape(v)}->%s" for v in sorted(self.variables)) + "}"
 
     @cached_property
-    def texts(self) -> list[str]:
-        """Per literal, a format string over the constant names in variable-name order."""
-        order = sorted(self.variables)
-        out = []
-        for lit in self.literals:
-            args = [f"{{{order.index(a.name)}}}" if isinstance(a, Variable) else _brace(a.name) for a in lit.atom.args]
-            text = ("" if lit.positive else "-") + _brace(lit.atom.predicate)
-            out.append(f"{text}({','.join(args)})" if args else text)
-        return out
+    def lines(self) -> list["_Line"]:
+        """Per literal, its propagate line."""
+        # per variable, the base-d digit of the key that holds its constant index (see `weights`)
+        if self.aligned:
+            args = self.templates[0].args
+            digit = {self.variables[a]: len(args) - 1 - j for j, a in enumerate(args) if a >= 0}
+        else:
+            digit = {v: self.slots - 1 - s for s, v in enumerate(self.variables)}
+        chunks = -(-(max(digit.values(), default=-1) + 1) // self.chunk)
+        last = chunks * self.chunk - 1  # the spelled names' last position, the lowest digit's
+        subst, subst_at = self.subst_text, [last - digit[v] for v in sorted(self.variables)]
+        lines = []
+        for literal in self.literals:
+            args = literal.atom.args
+            lit = ("" if literal.positive else "-") + _escape(literal.atom.predicate)
+            if args:
+                lit += f"({','.join(['%s' if isinstance(a, Variable) else _escape(a.name) for a in args])})"
+            lit_at = [last - digit[a.name] for a in args if isinstance(a, Variable)]
+            lines.append(_Line(chunks, f"propagate {lit} <- clause {self.id} σ={subst}", _getter(lit_at + subst_at),
+                               lit, _getter(lit_at), subst, _getter(subst_at)))
+        return lines
+
+
+def _getter(positions: list[int]) -> Callable[[Sequence[str]], tuple[str, ...] | str]:
+    """What orders the names at these positions into a %-format: a tuple, or one name alone."""
+    return itemgetter(*positions) if positions else lambda names: ()
+
+
+class _Line(NamedTuple):
+    """The propagate line of a literal of a compiled clause, as %-formats over an instance's names.
+
+    The names are those of the instance key's base-d digits, `chunks`
+    chunks of them (`HerbrandBase.spell`); each getter orders the names its
+    format reads.  Text output fills the whole line's format; JSON fills
+    `lit` and `subst`, the line's two parts, and joins them as text does.
+    """
+
+    chunks: int
+    text: str
+    get: Callable
+    lit: str
+    get_lit: Callable
+    subst: str
+    get_subst: Callable
 
 
 # A binding maps each slot of a clause to a constant index, or to -1 while unbound.
@@ -498,7 +545,7 @@ def ground_problem(
             _template(l, atoms.place[l.atom.predicate], slot, const_index)
             for l in by_id[cid].literals
         ]
-        compiled = _CompiledClause(by_id[cid], templates, variables[cid], atoms.names)
+        compiled = _CompiledClause(by_id[cid], templates, variables[cid], atoms)
         problem.compiled.append(compiled)
         if len(templates) < 2:
             continue  # every instance is created at the start
@@ -547,7 +594,11 @@ class SclState(TrailKernel):
     next_clause_id: int = 1
 
     def __post_init__(self) -> None:
-        self.size(len(self.problem.atoms))
+        atoms = self.problem.atoms
+        self.size(len(atoms))
+        # what `instantiate` reads of the problem: the trigger roots, the block starts (None for one
+        # block, which starts at atom 1) and the domain size
+        self.triggers = self.problem.roots, atoms.starts if len(atoms.starts) > 1 else None, len(atoms.names)
 
     @classmethod
     def from_problem(cls, problem: GroundProblem) -> "SclState":
@@ -582,15 +633,17 @@ class SclState(TrailKernel):
         walk, watching its unassigned literal, then its highest-level false
         ones.
         """
-        problem = self.problem
-        roots = problem.roots
+        roots, starts, d = self.triggers
         if not roots:  # a problem grounded with no triggers
             return
-        starts = problem.atoms.starts
         atom = -false_lit if false_lit < 0 else false_lit
-        k = bisect.bisect_right(starts, atom) - 1 if len(starts) > 1 else 0
-        code, node = atom - starts[k], roots[k][false_lit > 0]
-        true, instances, watchers, d = self.true, problem.instances, self.watchers, len(problem.domain)
+        if starts is None:
+            code, node = atom - 1, roots[0][false_lit > 0]
+        else:
+            k = bisect.bisect_right(starts, atom) - 1
+            code, node = atom - starts[k], roots[k][false_lit > 0]
+        problem = self.problem
+        true, instances, watchers = self.true, problem.instances, self.watchers
         later, new, digits = [], [], None
         while node is not None:
             if node.__class__ is tuple:
@@ -732,17 +785,21 @@ def scl_run(
 _VERDICTS = {"sat": "s SATISFIABLE", "unsat": "s UNSATISFIABLE", "limit": "s RESOURCE-EXCEEDED"}
 
 
-def render(result: SclResult) -> Iterator[tuple[str, dict]]:
+def render(result: SclResult, fields: bool = True) -> Iterator[tuple[str, dict | None]]:
     """The output of a run, one (text line, JSON fields) pair per line: trace, stats, verdict.
 
-    A propagated literal is spelled by its template, filled with the
-    instance's constant names as its substitution is; other literals are
-    decoded from the Herbrand base.  A run stopped by the instance cap has no
-    state, so only its verdict line.
+    With fields False, for text output, no JSON fields are built: each pair
+    holds None.  A propagation of one of its clause's literals, one per
+    template, fills the formats that `_CompiledClause.lines` compiles for
+    that literal with the names of the instance's key.  Merge clauses and
+    learned instances, and the literals of every other line, are decoded
+    from the Herbrand base.  A run stopped by the instance cap has no state,
+    so only its verdict line.
     """
     state = result.state
     if state is not None:
-        instances, name = state.problem.instances, state.problem.atoms.name
+        instances, atoms = state.problem.instances, state.problem.atoms
+        name, spell = atoms.name, atoms.spell
 
         def literal(lit: int) -> str:
             return name(lit) if lit > 0 else "-" + name(-lit)
@@ -754,25 +811,30 @@ def render(result: SclResult) -> Iterator[tuple[str, dict]]:
                 compiled = inst.compiled
                 if compiled is None or compiled.merge:
                     lit, subst = literal(ev[1]), inst.subst_str()
-                else:  # its literals are its clause's, one per template
-                    names = compiled.spell(inst.key, compiled.by_name)
-                    lit = compiled.texts[inst.lits.index(ev[1])].format(*names)
-                    subst = compiled.subst_text % names
+                else:
+                    line = compiled.lines[inst.lits.index(ev[1])]
+                    names = spell(inst.key, line.chunks)
+                    if not fields:
+                        yield line.text % line.get(names), None
+                        continue
+                    lit, subst = line.lit % line.get_lit(names), line.subst % line.get_subst(names)
                 yield (f"propagate {lit} <- clause {inst.clause_id} σ={subst}",
-                       {"event": "scl", "kind": kind, "lit": lit, "clause": inst.clause_id, "subst": subst})
+                       {"event": "scl", "kind": kind, "lit": lit, "clause": inst.clause_id, "subst": subst}
+                       if fields else None)
             elif kind == "conflict":
                 inst = instances[ev[1]]
                 subst = inst.subst_str()
                 yield (f"conflict clause {inst.clause_id} σ={subst}",
-                       {"event": "scl", "kind": kind, "clause": inst.clause_id, "subst": subst})
+                       {"event": "scl", "kind": kind, "clause": inst.clause_id, "subst": subst} if fields else None)
             elif kind == "decide":
                 lit = literal(ev[1])
-                yield f"decide {lit} @{ev[2]}", {"event": "scl", "kind": kind, "lit": lit, "level": ev[2]}
+                yield (f"decide {lit} @{ev[2]}",
+                       {"event": "scl", "kind": kind, "lit": lit, "level": ev[2]} if fields else None)
             elif kind == "learn":
                 clause = " | ".join(map(literal, ev[1]))
                 yield (f"learn {clause} backjump {ev[2]}",
-                       {"event": "scl", "kind": kind, "clause": clause, "backjump": ev[2]})
+                       {"event": "scl", "kind": kind, "clause": clause, "backjump": ev[2]} if fields else None)
         s = state.stats
         yield (f"stats propagations={s.propagations} decisions={s.decisions} trail={len(state.trail)}",
-               {"event": "scl", "kind": "stats"})
-    yield _VERDICTS[result.verdict], {"event": "result"}
+               {"event": "scl", "kind": "stats"} if fields else None)
+    yield _VERDICTS[result.verdict], {"event": "result"} if fields else None

@@ -9,7 +9,8 @@ walking a token stream one token at a time, and saturation by meeting the
 given clause with every active clause under a Knuth-Bendix ordering that takes
 symbol weights.  None of it shares code paths with the engines under test,
 except that the reference saturation calls the engine's `unify`,
-`rename_apart`, `canonical_variant` and `subsumes`.
+`rename_apart`, `canonical_variant` and `subsumes`.  The term layer's
+renaming is checked against its earlier, per-term version, kept here.
 """
 
 from __future__ import annotations
@@ -1136,3 +1137,56 @@ def reference_parse_lia(text: str) -> LiaSystem:
             raise ParseError("inequation has no variable", lineno)
         inequations.append(LinIneq(len(inequations) + 1, tuple(coeffs.items()), const))
     return LiaSystem(inequations)
+
+
+# ---------------------------------------------------------------------------
+# Variable renaming as clausekit.logic did it term by term, through nested
+# generators; the reference for its one-walk-per-clause renaming.
+# ---------------------------------------------------------------------------
+
+
+def reference_variables(clause: Clause) -> list[Variable]:
+    seen: dict[Variable, None] = {}
+    for lit in clause.literals:
+        for v in lit.atom.args:
+            if isinstance(v, Variable):
+                seen.setdefault(v)
+    return list(seen)
+
+
+def _reference_rename(clause: Clause, mapping: Mapping[Variable, Variable]) -> Clause:
+    """Simultaneous variable renaming (no chain resolution, so swaps are fine)."""
+
+    def ren(t: Term) -> Term:
+        return mapping.get(t, t) if isinstance(t, Variable) else t
+
+    lits = tuple(
+        Literal(l.positive, Atom(l.atom.predicate, tuple(ren(a) for a in l.atom.args)))
+        for l in clause.literals
+    )
+    return Clause(clause.id, lits)
+
+
+def reference_rename_apart(c1: Clause, c2: Clause) -> tuple[Clause, Clause]:
+    """Return variants of the clauses with disjoint variables (c2 gets renamed)."""
+    taken = {v.name for v in reference_variables(c1)}
+    own = {v.name for v in reference_variables(c2)}
+    mapping: dict[Variable, Variable] = {}
+    for v in reference_variables(c2):
+        if v.name in taken:
+            fresh = v.name + "'"
+            while fresh in taken or fresh in own:
+                fresh += "'"
+            mapping[v] = Variable(fresh)
+            own.add(fresh)
+    if not mapping:
+        return c1, c2
+    return c1, _reference_rename(c2, mapping)
+
+
+def reference_canonical_variant(clause: Clause) -> Clause:
+    """Rename variables to x1, x2, ... in order of first occurrence."""
+    mapping = {}
+    for v in reference_variables(clause):
+        mapping[v] = Variable(f"x{len(mapping) + 1}")
+    return _reference_rename(clause, mapping)

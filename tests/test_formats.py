@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from test_scl_kernel import random_bs
 from clausekit.cdcl import PropClause
 from clausekit.errors import ParseError
 from clausekit.formats import (
@@ -105,6 +106,41 @@ class TestBs:
             )
             clauses.append(Clause(cid, lits))
         assert parse_bs(print_bs(clauses)) == clauses
+
+    def test_round_trip_random_bs_sets(self):
+        # a set reads back as itself, or print_bs names its first clause that BS text cannot carry:
+        # an empty clause, or a predicate (U, V, W) that reads as a variable
+        rng = random.Random(24)
+        printed = rejected = 0
+        for _ in range(400):
+            clauses, _ = random_bs(rng)
+            bad = [c.id for c in clauses if not c.literals or any(l.atom.predicate in "UVW" for l in c.literals)]
+            if bad:
+                with pytest.raises(ValueError, match=f"^clause {bad[0]}: "):
+                    print_bs(clauses)
+                rejected += 1
+            else:
+                assert parse_bs(print_bs(clauses)) == clauses
+                printed += 1
+        assert printed > 100 and rejected > 100
+
+    @pytest.mark.parametrize("clause", [
+        Clause(3, (Literal(True, Atom("P", (Constant("x1"),))),)),  # reads as a variable
+        Clause(3, (Literal(True, Atom("P", (Variable("a"),))),)),  # reads as a constant
+        Clause(3, (Literal(True, Atom("P", (Constant("a b"),))),)),  # no token
+        Clause(3, (Literal(True, Atom("P-Q")),)),
+        Clause(-3, (Literal(True, Atom("P")),)),
+    ])
+    def test_print_rejects_what_does_not_read_back(self, clause):
+        with pytest.raises(ValueError, match=f"^clause {clause.id}: "):
+            print_bs([clause])
+
+    def test_print_rejects_a_second_arity_and_a_repeated_id(self):
+        p0, p1 = Literal(True, Atom("P")), Literal(True, Atom("P", (Constant("a"),)))
+        with pytest.raises(ValueError, match="^clause 2: .* two arities"):
+            print_bs([Clause(1, (p0,)), Clause(2, (p1,))])
+        with pytest.raises(ValueError, match="^clause 1: .* used twice"):
+            print_bs([Clause(1, (p0,)), Clause(1, (p0,))])
 
     def test_comments_ignored(self):
         clauses = parse_bs("# heading\nP(0). # trailing\n")

@@ -1,10 +1,12 @@
 import copy
 import itertools
 import pickle
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles import reference_variables, reference_canonical_variant, reference_rename_apart
 from clausekit.logic import (
     Atom,
     Clause,
@@ -98,7 +100,7 @@ atoms = st.builds(lambda args: Atom("P", tuple(args)), st.lists(terms, min_size=
 def test_unify_is_most_general(a, b):
     """Every ground unifier factors through the computed unifier."""
     sigma = unify(a, b)
-    variables = list(dict.fromkeys(a.variables() + b.variables()))
+    variables = list(dict.fromkeys(t for t in a.args + b.args if isinstance(t, Variable)))
     ground_unifier_exists = False
     for combo in itertools.product([c0, c1], repeat=len(variables)):
         theta = Substitution(dict(zip(variables, combo)))
@@ -169,6 +171,39 @@ class TestRenameApart:
         b = Clause(2, (neg(P(x2)),))
         a2, b2 = rename_apart(a, b)
         assert set(a2.variables()).isdisjoint(b2.variables())
+
+
+def _spelled(clause):
+    """A clause as its id and, per literal in order, sign, predicate and each term's class and name."""
+    return clause.id, [
+        (l.positive, l.atom.predicate, [(type(a).__name__, a.name) for a in l.atom.args]) for l in clause.literals
+    ]
+
+
+def test_renaming_matches_the_per_term_reference():
+    # primed names beside their stems, and a constant that shares a variable's name
+    pool = [Variable(n) for n in ("x1", "x1'", "x1''", "x2", "x2'", "y", "z'")]
+    pool += [Constant("x1"), Constant("x2'"), Constant("a"), Constant("b")]
+    rng = random.Random(24)
+
+    def clause(cid):
+        lits = []
+        for _ in range(rng.randint(0, 4)):
+            args = tuple(rng.choice(pool) for _ in range(rng.randint(0, 3)))
+            lits.append(Literal(rng.random() < 0.5, Atom(rng.choice("PQ") + str(len(args)), args)))
+        return Clause(cid, tuple(lits))
+
+    renamed = 0
+    for _ in range(2000):
+        c1, c2 = clause(rng.randint(1, 9)), clause(rng.randint(1, 9))
+        got, want = rename_apart(c1, c2), reference_rename_apart(c1, c2)
+        assert [_spelled(c) for c in got] == [_spelled(c) for c in want]
+        assert got[0] is c1 and (got[1] is c2) == (want[1] is c2)
+        renamed += got[1] is not c2
+        for c in (c1, c2):
+            assert _spelled(canonical_variant(c)) == _spelled(reference_canonical_variant(c))
+            assert c.variables() == reference_variables(c)
+    assert renamed > 500
 
 
 class TestClause:

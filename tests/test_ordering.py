@@ -103,7 +103,7 @@ def test_stability_under_substitution():
     for s, t in itertools.product(sample, repeat=2):
         if kbo_compare(s, t, CFG) is not Cmp.GT:
             continue
-        variables = list(dict.fromkeys(s.variables() + t.variables()))
+        variables = list(dict.fromkeys(a for a in s.args + t.args if isinstance(a, Variable)))
         for combo in itertools.product([c0, c1], repeat=len(variables)):
             theta = Substitution(dict(zip(variables, combo)))
             assert kbo_compare(theta.apply_atom(s), theta.apply_atom(t), CFG) is Cmp.GT

@@ -1,17 +1,19 @@
 """The SCL engine on the shared trail kernel against the rescanning engine it replaces."""
 
 import dataclasses
+import io
+import json
 import random
 
 import pytest
 
 from oracles import is_redundant, learn_orderings, reference_ground_problem, reference_render, reference_scl_run
 from clausekit.cdcl import PropClause
-from clausekit.formats import parse_bs
+from clausekit.formats import parse_bs, print_bs
 from clausekit.logic import Atom, Clause, Constant, Literal, Variable
 from clausekit.ordering import default_config
 from clausekit.resolution import saturate, selection_from_name
-from clausekit import scl
+from clausekit import cli, scl
 from clausekit.scl import (
     FRESH_CONSTANT,
     SclState,
@@ -311,3 +313,70 @@ def test_constant_free_sets_agree_with_resolution():
         "stats propagations=1 decisions=0 trail=1",
         "s UNSATISFIABLE",
     ]
+
+
+def text_and_json(result) -> tuple[list[str], list[dict]]:
+    """A run's output as the CLI writes it: text lines, and JSON lines parsed."""
+    text, as_json = io.StringIO(), io.StringIO()
+    cli._Emitter(text, False).lines(render(result, fields=False))
+    cli._Emitter(as_json, True).lines(render(result))
+    return text.getvalue().splitlines(), [json.loads(line) for line in as_json.getvalue().splitlines()]
+
+
+def assert_text_is_json_line(result) -> list[dict]:
+    """Each text line is its JSON line's `line`, which JSON's `lit` and `subst` spell; text has no fields."""
+    lines, records = text_and_json(result)
+    assert lines == [r["line"] for r in records]
+    for r in records:
+        if r.get("kind") == "propagate":
+            assert r["line"] == f"propagate {r['lit']} <- clause {r['clause']} σ={r['subst']}"
+    assert {fields is None for _, fields in render(result, fields=False)} == {True}
+    return records
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+@pytest.mark.parametrize("satisfiable", [False, True])
+def test_text_lines_are_the_json_lines_on_counters(n, satisfiable, tmp_path):
+    clauses = counter_problem(n)[:-1] if satisfiable else counter_problem(n)
+    path = tmp_path / "counter.bs"
+    path.write_text(print_bs(clauses))
+    outputs = []
+    for fmt in ("text", "json"):
+        out = io.StringIO()
+        assert cli.main(["--mode", "scl", "--input", str(path), "--format", fmt], out) == (10 if satisfiable else 20)
+        outputs.append(out.getvalue().splitlines())
+    assert outputs[0] == [json.loads(line)["line"] for line in outputs[1]]
+    assert sum(r.get("kind") == "propagate" for r in assert_text_is_json_line(scl_run(clauses))) == 2**n
+
+
+def test_text_lines_are_the_json_lines_on_random_sets():
+    rng = random.Random(24)
+    merge = learned = learned_propagated = one_constant = 0
+    for _ in range(300):
+        clauses, domain = random_bs(rng)
+        result = scl_run(clauses, domain)
+        assert_text_is_json_line(result)
+        instances = result.state.problem.instances
+        propagated = [instances[ev[2]] for ev in result.state.events if ev[0] == "propagate"]
+        merge += any(inst.compiled is not None and inst.compiled.merge for inst in propagated)
+        learned += any(ev[0] == "learn" for ev in result.state.events)
+        learned_propagated += any(inst.compiled is None for inst in propagated)
+        one_constant += len(result.state.problem.domain) == 1
+    assert merge > 20 and learned > 20 and learned_propagated > 0 and one_constant > 5
+
+
+def test_names_with_format_characters():
+    # %-format and str.format specials in predicate, constant and variable names
+    names = [Constant(n) for n in ("%", "%s", "a%d", "{0}", "}{")]
+    x, y = Variable("x%"), Variable("y{}")
+    clauses = [
+        Clause(1, (Literal(True, Atom("R%", (names[1],))),)),
+        Clause(2, (Literal(False, Atom("R%", (x,))), Literal(True, Atom("S{", (x, names[3]))))),
+        Clause(3, (Literal(False, Atom("S{", (x, y))), Literal(True, Atom("T}", (y, x))))),
+        Clause(4, (Literal(False, Atom("T}", (x, y))), Literal(True, Atom("U%{", (x, y))))),
+        Clause(5, (Literal(False, Atom("U%{", (x, y))), Literal(True, Atom("V", (y,))))),
+    ]
+    result = same_run(clauses, names)
+    records = assert_text_is_json_line(result)
+    assert "propagate T}({0},%s) <- clause 3 σ={x%->%s,y{}->{0}}" in [r["line"] for r in records]
+    assert "propagate U%{({0},%s) <- clause 4 σ={x%->{0},y{}->%s}" in [r["line"] for r in records]
