@@ -88,6 +88,10 @@ def validate(args: argparse.Namespace) -> None:
         raise ValueError("--counter-n must be positive")
 
 
+# json.dumps(obj, sort_keys=True) builds an encoder per call; this one is built once
+_encode = json.JSONEncoder(sort_keys=True).encode
+
+
 class _Emitter:
     """Writes rendered (text line, JSON fields) pairs as plain text or as JSON lines.
 
@@ -102,7 +106,7 @@ class _Emitter:
         write = self.out.write
         if self.as_json:
             for text, fields in rendered:
-                write(json.dumps({"line": text, **fields}, sort_keys=True) + "\n")
+                write(_encode({"line": text, **fields}) + "\n")
         else:
             for text, _ in rendered:
                 write(text + "\n")
@@ -225,7 +229,7 @@ def _run_experiment(args: argparse.Namespace, emit: _Emitter) -> int:
     rows = counter_experiment(n_max)
     if emit.as_json:
         for row in rows:
-            emit.out.write(json.dumps(asdict(row), sort_keys=True) + "\n")
+            emit.out.write(_encode(asdict(row)) + "\n")
     else:
         emit.out.write("n  scl_propagations  scl_result  resolution_generated  resolution_result\n")
         for r in rows:

@@ -124,6 +124,8 @@ class Clause:
         return list(dict.fromkeys([a for lit in self.literals for a in lit.atom.args if isinstance(a, Variable)]))
 
     def is_tautology(self) -> bool:
+        if len(self.literals) < 2:
+            return False
         atoms_pos = {lit.atom for lit in self.literals if lit.positive}
         return any(not lit.positive and lit.atom in atoms_pos for lit in self.literals)
 
@@ -143,11 +145,11 @@ def clauses_by_id(clauses: Iterable) -> dict:
     return by_id
 
 
-def _rename(clause: Clause, mapping: Mapping[Variable, Variable]) -> Clause:
-    """Simultaneous variable renaming (no chain resolution, so swaps are fine).
+def _rename(clause: Clause, mapping: Mapping[Variable, Term]) -> Clause:
+    """Simultaneous replacement of variables (no chain resolution, so swaps are fine).
 
     Only variables are keys, and terms hash by identity, so a constant of a
-    variable's name is never renamed.
+    variable's name is never replaced.
     """
     get = mapping.get
     return Clause(clause.id, tuple([
@@ -162,15 +164,16 @@ class Substitution:
     __slots__ = ("_bindings",)
 
     def __init__(self, bindings: Mapping[Variable, Term] | None = None):
-        pending = dict(bindings or {})
+        pending = bindings or {}
         resolved: dict[Variable, Term] = {}
         for var, term in pending.items():
-            seen = {var}
-            while isinstance(term, Variable) and term in pending:
-                if term in seen:
-                    raise ValueError("cyclic substitution")
-                seen.add(term)
-                term = pending[term]
+            if isinstance(term, Variable) and term in pending:  # a chain: follow it to its end
+                seen = {var}
+                while isinstance(term, Variable) and term in pending:
+                    if term in seen:
+                        raise ValueError("cyclic substitution")
+                    seen.add(term)
+                    term = pending[term]
             if term is not var:
                 resolved[var] = term
         self._bindings = resolved
@@ -189,7 +192,11 @@ class Substitution:
         return Literal(lit.positive, self.apply_atom(lit.atom))
 
     def apply_clause(self, clause: Clause) -> Clause:
-        return Clause(clause.id, tuple([self.apply_literal(l) for l in clause.literals]))
+        """The instance of the clause; the clause itself when none of its variables is bound."""
+        bindings = self._bindings
+        if bindings.keys().isdisjoint([a for l in clause.literals for a in l.atom.args]):
+            return clause
+        return _rename(clause, bindings)
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Substitution) and self._bindings == other._bindings
@@ -266,10 +273,13 @@ _CANONICAL: list[Variable] = []
 
 
 def canonical_variant(clause: Clause) -> Clause:
-    """Rename variables to x1, x2, ... in order of first occurrence."""
+    """Rename variables to x1, x2, ... in order of first occurrence; a clause already so named is returned."""
     variables = clause.variables()
-    while len(_CANONICAL) < len(variables):
+    k = len(variables)
+    while len(_CANONICAL) < k:
         _CANONICAL.append(Variable(f"x{len(_CANONICAL) + 1}"))
+    if variables == _CANONICAL[:k]:
+        return clause
     return _rename(clause, dict(zip(variables, _CANONICAL)))
 
 

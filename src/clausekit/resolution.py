@@ -22,7 +22,7 @@ without eligibility checks.  `render` gives the output lines of either run.
 from __future__ import annotations
 
 from collections import defaultdict, deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import ReplayStepError
@@ -127,9 +127,10 @@ def _conclusion(cid: int, *premises: tuple[Clause, int]) -> Clause:
 class ClauseRecord:
     """What resolution and factoring read of a clause, computed once.
 
-    `maximal` holds the literals that no other literal of the clause exceeds.
-    A KBO `GT` between two literals survives every substitution, so the other
-    literals are not maximal in any instance either.  `positive` and
+    `maximal` holds the literals that no other literal of the clause exceeds
+    (a one-literal clause's literal, without a comparison).  A KBO `GT`
+    between two literals survives every substitution, so the other literals
+    are not maximal in any instance either.  `positive` and
     `negative` index the literals that may be resolved on, `keys` holds the
     (predicate, arity) of each literal, `constants` each literal's arguments
     with None for a variable, and `eligible` the (sign, key) pairs of
@@ -145,7 +146,10 @@ class ClauseRecord:
         lits = clause.literals
         self.clause = clause
         self.selected = sel.selected_index(clause)
-        self.maximal = tuple(i for i in range(len(lits)) if literal_is_maximal(clause, i, cfg))
+        if len(lits) == 1:
+            self.maximal = (0,)
+        else:
+            self.maximal = tuple(i for i in range(len(lits)) if literal_is_maximal(clause, i, cfg))
         if self.selected is None:
             self.positive = tuple(i for i in self.maximal if lits[i].positive)
             self.negative = tuple(i for i in self.maximal if not lits[i].positive)
@@ -161,28 +165,25 @@ class ClauseRecord:
         self.variables = set(clause.variables())
 
 
-def _clash(first: tuple, second: tuple) -> bool:
-    """Whether two literals' `constants` hold different constants at some position."""
-    for c, d in zip(first, second):
-        if c is not d and c is not None and d is not None:  # constants are interned
-            return True
-    return False
-
-
 def _resolvents(a: ClauseRecord, b: ClauseRecord, cfg: OrderingConfig) -> list[DerivedClause]:
     """All ordered resolvents between two clauses, `a` as the positive premise first.
 
-    Pairs of literals that clash on a constant cannot unify and are dropped
-    before renaming.
+    Pairs of literals that hold different constants at some argument
+    position cannot unify and are dropped before renaming.
     """
     out: list[DerivedClause] = []
     for pos, neg in ((a, b), (b, a)):
-        pairs = [
-            (i, j)
-            for i in pos.positive
-            for j in neg.negative
-            if pos.keys[i] == neg.keys[j] and not _clash(pos.constants[i], neg.constants[j])
-        ]
+        pairs = []
+        for i in pos.positive:
+            key, first = pos.keys[i], pos.constants[i]
+            for j in neg.negative:
+                if neg.keys[j] != key:
+                    continue
+                for c, d in zip(first, neg.constants[j]):
+                    if c is not d and c is not None and d is not None:  # constants are interned
+                        break
+                else:
+                    pairs.append((i, j))
         if pairs:
             positive, negative = pos.clause, neg.clause
             if not pos.variables.isdisjoint(neg.variables):
@@ -279,36 +280,39 @@ class SubsumptionIndex:
     looks up each anchor it holds to find the clauses that may subsume it;
     `backward` files a clause under each anchor it holds, and a new clause
     looks up its own anchor with the fewest clauses to find the clauses it
-    may subsume.
+    may subsume.  Every method but `remove` takes the clause's `_anchors`,
+    computed once by the caller, and the index keeps those of each filed
+    clause to remove it.
     """
 
     def __init__(self) -> None:
         self.forward: defaultdict[object, dict[int, Clause]] = defaultdict(dict)
         self.backward: defaultdict[object, dict[int, Clause]] = defaultdict(dict)
+        self.anchors: dict[int, list] = {}
 
-    def add(self, clause: Clause) -> None:
-        anchors = _anchors(clause)
+    def add(self, clause: Clause, anchors: list) -> None:
+        self.anchors[clause.id] = anchors
         self.forward[anchors[0]][clause.id] = clause
         for anchor in anchors:
             self.backward[anchor][clause.id] = clause
 
     def remove(self, clause: Clause) -> None:
-        anchors = _anchors(clause)
+        anchors = self.anchors.pop(clause.id)
         del self.forward[anchors[0]][clause.id]
         for anchor in anchors:
             del self.backward[anchor][clause.id]
 
-    def any_subsumes(self, clause: Clause) -> bool:
+    def any_subsumes(self, clause: Clause, anchors: list) -> bool:
         """Whether a filed clause subsumes the non-empty `clause`."""
         return any(
             subsumes(old, clause)
-            for anchor in [(), *_anchors(clause)]
+            for anchor in [(), *anchors]
             for old in self.forward.get(anchor, {}).values()
         )
 
-    def subsumed_by(self, clause: Clause) -> list[Clause]:
+    def subsumed_by(self, clause: Clause, anchors: list) -> list[Clause]:
         """The filed clauses that the non-empty `clause` subsumes."""
-        bucket = min((self.backward.get(anchor, {}) for anchor in _anchors(clause)), key=len)
+        bucket = min((self.backward.get(anchor, {}) for anchor in anchors), key=len)
         return [old for old in bucket.values() if subsumes(clause, old)]
 
 
@@ -378,7 +382,7 @@ def saturate(
     partner_index: defaultdict[tuple, dict[int, ClauseRecord]] = defaultdict(dict)
     index = SubsumptionIndex()
     for c in passive:
-        index.add(c)
+        index.add(c, _anchors(c))
     removed: set[int] = set()
     derivations: dict[int, DerivedClause] = {}
     next_id = max(inputs) + 1
@@ -431,16 +435,17 @@ def saturate(
             if conclusion.is_tautology():
                 tautologies += 1
                 continue
-            if index.any_subsumes(conclusion):
+            anchors = _anchors(conclusion)
+            if index.any_subsumes(conclusion, anchors):
                 subsumed += 1
                 continue
-            for old in index.subsumed_by(conclusion):
+            for old in index.subsumed_by(conclusion, anchors):
                 remove(old)
                 subsumed += 1
-            clause = replace(conclusion, id=next_id)
+            clause = Clause(next_id, conclusion.literals)
             derivations[next_id] = DerivedClause(clause, derived.rule)
             passive.append(clause)
-            index.add(clause)
+            index.add(clause, anchors)
             kept += 1
             next_id += 1
     return result("saturated")
@@ -540,10 +545,16 @@ def check_linear_refutation(
     return derived
 
 
+# the JSON fields of every derived line, shared: a consumer copies them
+_DERIVED_FIELDS = {"event": "derived"}
+
+
 def render(result: SaturationResult | list[DerivedClause]) -> Iterator[tuple[str, dict]]:
     """The output of a saturation or a replay, one (text line, JSON fields) pair per line.
 
-    One line per derived clause in id order, then the verdict line.
+    One line per derived clause in id order, then the verdict line.  The
+    fields of a derived line are one dict shared by every line, not to be
+    mutated.
     """
     if isinstance(result, SaturationResult):
         derived = result.derivations.values()
@@ -557,5 +568,5 @@ def render(result: SaturationResult | list[DerivedClause]) -> Iterator[tuple[str
         verdict = "Unsat" if result and result[-1].clause.is_empty else f"Replayed({len(result)})"
         fields = {"event": "result"}
     for d in derived:
-        yield f"{d.clause.id} : {d.clause}  {d.rule}", {"event": "derived"}
+        yield f"{d.clause.id} : {d.clause}  {d.rule}", _DERIVED_FIELDS
     yield verdict, fields

@@ -791,10 +791,11 @@ def render(result: SclResult, fields: bool = True) -> Iterator[tuple[str, dict |
     With fields False, for text output, no JSON fields are built: each pair
     holds None.  A propagation of one of its clause's literals, one per
     template, fills the formats that `_CompiledClause.lines` compiles for
-    that literal with the names of the instance's key.  Merge clauses and
-    learned instances, and the literals of every other line, are decoded
-    from the Herbrand base.  A run stopped by the instance cap has no state,
-    so only its verdict line.
+    that literal with the names of the instance's key.  Merge clauses,
+    ground clauses (one instance each, too few lines to repay compiling)
+    and learned instances, and the literals of every other line, are
+    decoded from the Herbrand base.  A run stopped by the instance cap has
+    no state, so only its verdict line.
     """
     state = result.state
     if state is not None:
@@ -809,7 +810,7 @@ def render(result: SclResult, fields: bool = True) -> Iterator[tuple[str, dict |
             if kind == "propagate":
                 inst = instances[ev[2]]
                 compiled = inst.compiled
-                if compiled is None or compiled.merge:
+                if compiled is None or compiled.merge or not compiled.slots:
                     lit, subst = literal(ev[1]), inst.subst_str()
                 else:
                     line = compiled.lines[inst.lits.index(ev[1])]

@@ -10,7 +10,9 @@ given clause with every active clause under a Knuth-Bendix ordering that takes
 symbol weights.  None of it shares code paths with the engines under test,
 except that the reference saturation calls the engine's `unify`,
 `rename_apart`, `canonical_variant` and `subsumes`.  The term layer's
-renaming is checked against its earlier, per-term version, kept here.
+renaming is checked against its earlier, per-term version, and its
+instantiation against the earlier one that rebuilt every literal, both kept
+here.
 """
 
 from __future__ import annotations
@@ -1190,3 +1192,39 @@ def reference_canonical_variant(clause: Clause) -> Clause:
     for v in reference_variables(clause):
         mapping[v] = Variable(f"x{len(mapping) + 1}")
     return _reference_rename(clause, mapping)
+
+
+# ---------------------------------------------------------------------------
+# Instantiation as clausekit.logic did it before it skipped the instances
+# that change nothing: every binding walked with its own `seen` set, and every
+# literal of every instance rebuilt.  (Its canonical renaming gave what
+# `reference_canonical_variant` above gives.)
+# ---------------------------------------------------------------------------
+
+
+class ReferenceSubstitution:
+    """Idempotent finite map from variables to terms; never binds x to x."""
+
+    def __init__(self, bindings: Mapping[Variable, Term] | None = None):
+        pending = dict(bindings or {})
+        resolved: dict[Variable, Term] = {}
+        for var, term in pending.items():
+            seen = {var}
+            while isinstance(term, Variable) and term in pending:
+                if term in seen:
+                    raise ValueError("cyclic substitution")
+                seen.add(term)
+                term = pending[term]
+            if term is not var:
+                resolved[var] = term
+        self._bindings = resolved
+
+    def apply_atom(self, atom: Atom) -> Atom:
+        get = self._bindings.get
+        return Atom(atom.predicate, tuple([get(a, a) for a in atom.args]))
+
+    def apply_literal(self, lit: Literal) -> Literal:
+        return Literal(lit.positive, self.apply_atom(lit.atom))
+
+    def apply_clause(self, clause: Clause) -> Clause:
+        return Clause(clause.id, tuple([self.apply_literal(l) for l in clause.literals]))

@@ -6,7 +6,12 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import reference_variables, reference_canonical_variant, reference_rename_apart
+from oracles import (
+    ReferenceSubstitution,
+    reference_canonical_variant,
+    reference_rename_apart,
+    reference_variables,
+)
 from clausekit.logic import (
     Atom,
     Clause,
@@ -204,6 +209,45 @@ def test_renaming_matches_the_per_term_reference():
             assert _spelled(canonical_variant(c)) == _spelled(reference_canonical_variant(c))
             assert c.variables() == reference_variables(c)
     assert renamed > 500
+
+
+def test_instantiation_matches_the_rebuilding_reference():
+    # chains, cycles, ground and already canonical clauses, and a constant that shares a variable's name
+    variables = [Variable(n) for n in ("x1", "x2", "x3", "y", "z")]
+    constants = [Constant("x1"), Constant("a"), Constant("b")]
+    rng = random.Random(25)
+
+    def clause():
+        pool = rng.choice([variables + constants, constants, [x1, x2] + constants])
+        lits = []
+        for _ in range(rng.randint(0, 4)):
+            args = tuple(rng.choice(pool) for _ in range(rng.randint(0, 3)))
+            lits.append(Literal(rng.random() < 0.5, Atom(rng.choice("PQ") + str(len(args)), args)))
+        return Clause(rng.randint(1, 9), tuple(lits))
+
+    seen = {"chain": 0, "cycle": 0, "unchanged": 0, "instantiated": 0, "canonical": 0}
+    for _ in range(2000):
+        keys = rng.sample(variables, rng.randint(0, 4))
+        bindings = {v: rng.choice(variables + constants) for v in keys}
+        seen["chain"] += any(t in bindings for t in bindings.values())
+        try:
+            want = ReferenceSubstitution(bindings)
+        except ValueError:
+            seen["cycle"] += 1
+            with pytest.raises(ValueError, match="cyclic substitution"):
+                Substitution(bindings)
+            continue
+        sigma = Substitution(bindings)
+        assert dict(sigma.items()) == want._bindings
+        c = clause()
+        got = sigma.apply_clause(c)
+        assert _spelled(got) == _spelled(want.apply_clause(c))
+        seen["unchanged" if got is c else "instantiated"] += 1
+        canonical = canonical_variant(c)
+        assert _spelled(canonical) == _spelled(reference_canonical_variant(c))
+        assert (canonical is c) == (reference_canonical_variant(c) == c)
+        seen["canonical"] += canonical is c
+    assert min(seen.values()) > 100, seen
 
 
 class TestClause:

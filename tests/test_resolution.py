@@ -321,6 +321,54 @@ def test_saturate_matches_the_unindexed_loop():
     assert min(outcomes.values()) > 50, outcomes
 
 
+def _same_run(got, expected) -> None:
+    assert (got.verdict, got.generated, got.kept, got.subsumed, got.tautologies) == (
+        expected.verdict, expected.generated, expected.kept, expected.subsumed, expected.tautologies
+    )
+    assert list(got.derivations.items()) == list(expected.derivations.items())
+    assert got.proof == expected.proof
+    assert got.clauses == expected.clauses
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_saturate_matches_the_unindexed_loop_on_counters(n):
+    problem = counter_problem(n)
+    satisfiable = problem[:-1]  # without the negated final value
+    for clauses in (problem, satisfiable):
+        cfg = default_config(clauses)
+        for sel in (SelectNone(), SelectFirstNegative()):
+            _same_run(saturate(clauses, cfg, sel), reference_saturate(clauses, cfg, sel))
+    assert saturate(satisfiable, default_config(satisfiable), SelectNone()).generated == 0  # no inference
+
+
+def test_subsumption_index_is_the_index_of_what_it_retains():
+    """After any sequence of `add` and `remove`, the index equals one built afresh from the clauses it holds."""
+    rng = random.Random(2525)
+
+    def filed(index):
+        return [{k: v for k, v in table.items() if v} for table in (index.forward, index.backward)]
+
+    pool = [_mono_clause(rng, cid) for cid in range(1, 41)] + [Clause(41)]
+    for _ in range(200):
+        index, held = resolution.SubsumptionIndex(), {}
+        for _ in range(rng.randint(1, 60)):
+            clause = rng.choice(pool)
+            if clause.id in held:
+                index.remove(held.pop(clause.id))
+            else:
+                index.add(clause, resolution._anchors(clause))
+                held[clause.id] = clause
+        fresh = resolution.SubsumptionIndex()
+        for clause in held.values():
+            fresh.add(clause, resolution._anchors(clause))
+        assert filed(index) == filed(fresh)
+        assert index.anchors == fresh.anchors
+        probe = rng.choice(pool[:-1])
+        anchors = resolution._anchors(probe)
+        assert index.any_subsumes(probe, anchors) == fresh.any_subsumes(probe, anchors)
+        assert index.subsumed_by(probe, anchors) == fresh.subsumed_by(probe, anchors)
+
+
 def _random_script(rng: random.Random, clauses: list[Clause], length: int) -> list[tuple[int, int, int, int]]:
     """Up to `length` replayable steps over the clauses and the conclusions of the steps before."""
     pool = {c.id: c for c in clauses}
