@@ -1,14 +1,16 @@
 """Propositional CDCL over the five-tuple state (M, N, U, k, C), and the trail engine it shares with SCL.
 
 `TrailKernel` holds the trail, a truth table by literal and two watched
-literals per clause; an assignment visits only the clauses watching the
-literal it falsifies.  The step rules here run CDCL over clause ids and the
-SCL engine (`clausekit.scl`) over ground instances: propagate into the
-kernel's conflict slot, decide, learn (the Backjump rule: check, backjump,
-hook, assert), the lowest unassigned atom, and 1UIP analysis in one backward
+literals per hooked clause; an assignment visits only the clauses watching
+the literal it falsifies.  CDCL hooks every clause; SCL hooks its start
+instances and learned clauses, and finds the other instances' units itself.
+The step rules here run CDCL over clause ids and the SCL engine
+(`clausekit.scl`) over ground instances: propagate into the kernel's
+conflict slot, decide, learn (the Backjump rule: check, backjump, hook,
+assert), the lowest unassigned atom, and 1UIP analysis in one backward
 trail walk.  The engines differ only in the kernel's hooks (`unit_key`,
-`conflict_key`, `assign`).  CDCL adds manual forgetting and the trail-induced
-clause ordering.  Literals are DIMACS-style signed integers.
+`conflict_key`, `assign`).  CDCL adds manual forgetting.  Literals are
+DIMACS-style signed integers.
 Traces stay deterministic: the conflict is the smallest-id false clause and
 the propagating clause the smallest-id unit clause, as in an id-order scan.
 Events are tuples on the kernel.  `solve` returns one `CdclResult`, whose
@@ -85,11 +87,12 @@ class TrailKernel:
     literal, `pending` is a heap of (unit_key, clause id, unit literal) for
     the unit clauses, and `false_ids` holds the false clauses.  A one-literal
     clause is padded to two positions and watched once.  Whenever no clause
-    is false, every clause that is neither satisfied nor on the heap has two
-    non-false watched positions.  A clause hooked mid-trail is unit or false
-    and watches its unassigned literal, if any, and its highest-level false
-    ones: a learned clause its asserting literal and the other literal that
-    the check pass of `learn_clause` finds, with no sort.  Satisfied heap
+    is false, every hooked clause that is neither satisfied nor on the heap
+    has two non-false watched positions.  The clauses hooked mid-trail are
+    learned ones: each watches its asserting literal and the highest-level
+    other literal, which the check pass of `learn_clause` finds.  An engine's
+    `assign` hook may also push units and mark false clauses that it tracks
+    itself, as SCL does for the instances it creates.  Satisfied heap
     entries are dropped when they reach the top.  `cursor` is at or below the
     smallest unassigned atom.  `conflict` is the false clause that
     propagation stopped at, or None.
@@ -525,33 +528,3 @@ def render(result: CdclResult) -> Iterator[tuple[str, dict]]:
             yield " ".join(["v", *map(str, ev[1]), "0"]), {"event": "cdcl", "kind": kind}
         elif kind == "unsat":
             yield "s UNSATISFIABLE", {"event": "cdcl", "kind": kind}
-
-
-# ---------------------------------------------------------------------------
-# Trail-induced clause ordering
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class TrailOrdering:
-    """Atoms ranked by trail position (earlier = smaller); unassigned above all.
-
-    Literals compare by atom rank; clauses by the multiset extension, computed
-    as descending rank vectors under lexicographic comparison.
-    """
-
-    rank: dict[int, int]
-    base: int
-
-    @classmethod
-    def from_trail(cls, lits: Sequence[int]) -> "TrailOrdering":
-        return cls(rank={abs(l): i for i, l in enumerate(lits)}, base=len(lits))
-
-    def atom_rank(self, atom: int) -> int:
-        return self.rank.get(atom, self.base + atom)
-
-    def clause_key(self, lits: Iterable[int]) -> list[int]:
-        return sorted((self.atom_rank(abs(l)) for l in lits), reverse=True)
-
-    def less(self, a: Iterable[int], b: Iterable[int]) -> bool:
-        return self.clause_key(a) < self.clause_key(b)

@@ -7,22 +7,24 @@ are integers too: the Herbrand base is mixed-radix arithmetic per predicate
 block, and an `Atom` is built only when one is asked for.
 
 Instances are created only when the trail makes them unit or false, and
-are hooked into the propositional trail kernel of `clausekit.cdcl`, named by
-their position.  At the start those are the instances of one-literal and
-empty clauses (and the instances whose literals all coincide).  When a
-literal L is assigned, one pass (`SclState.instantiate`) goes from the
-complement of L to the instances it makes unit or false: the trigger tree of
-its Herbrand block and sign yields the templates that match it.  In a clause
-of two literals that share one variable layout the matched atom gives the
-other literal at once, and the instance is checked, created and hooked (two
-watch lists, then its unit key pushed or its position marked false) where
-the walk finds it.  The other literals of any other clause are
-joined against the trail (each false, or the one literal left open), and
-what the join finds is hooked when the walk ends.  An instance can only
-become unit or false when one of its literals turns false, so every unit and
-false instance exists before each pick: the trace is that of grounding
-everything first.  An instance keeps each literal once; of the instances of
-a clause with one literal set, only the first in substitution order exists.
+are named by their position in the propositional trail kernel of
+`clausekit.cdcl`.  The instances created at the start (those of one-literal
+and empty clauses, and the instances whose literals all coincide) and the
+learned ones are hooked into the kernel's watch lists; no other instance is.
+When a literal L is assigned, one pass (`SclState.instantiate`) goes from
+the complement of L to every instance it makes unit or false, new or not:
+the trigger tree of its Herbrand block and sign yields the templates that
+match it.  In a clause of two literals that share one variable layout the
+matched atom gives the other literal at once, and where the walk finds the
+instance it is created if new, then its unit key is pushed or its position
+marked false.  The other literals of any other clause are joined against
+the trail (each false, or the one literal left open), and what the join
+finds is pushed or marked when the walk ends.  An instance can only become
+unit or false when one of its literals turns false, so this walk is the
+watch: every unit and false instance is known before each pick, and the
+trace is that of grounding everything first.  An instance keeps each
+literal once; of the instances of a clause with one literal set, only the
+first in substitution order exists.
 
 The engine runs through the step rules of `clausekit.cdcl`, which it
 steers by the kernel's hooks: propagation picks the smallest propagatable
@@ -403,7 +405,7 @@ class GroundProblem:
     roots: list[tuple] = field(default_factory=list, repr=False)
     joins: bool = False  # some template leaves variables to join against the trail
 
-    def _join(self, clause, todo, b, open_t, true, on_trail, new, same=()) -> None:
+    def _join(self, clause, todo, b, open_t, true, on_trail, found, same=()) -> None:
         """Extend b over the templates in todo: each false on the trail, or left open.
 
         open_t is the first template left open.  A later open template of
@@ -414,7 +416,7 @@ class GroundProblem:
         template is bound to the atom they give.
         """
         if -1 not in b:
-            self._create(clause, clause.key(b), clause.lits(b), true, new)
+            self._create(clause, clause.key(b), clause.lits(b), true, found)
             return
         if not todo:
             free, b = list(dict.fromkeys(a for a in open_t.args if a >= 0 and b[a] == -1)), b.copy()
@@ -430,13 +432,13 @@ class GroundProblem:
                     if b2 is None:
                         break
                 else:
-                    self._create(clause, clause.key(b2), clause.lits(b2), true, new)
+                    self._create(clause, clause.key(b2), clause.lits(b2), true, found)
             return
         t, rest = todo[0], todo[1:]
         if all(b[a] >= 0 for a in t.args if a >= 0):
             lit = t.lit(b)
             if true[-lit]:
-                self._join(clause, rest, b, open_t, true, on_trail, new, same)
+                self._join(clause, rest, b, open_t, true, on_trail, found, same)
                 return
             if true[lit]:
                 return
@@ -444,15 +446,16 @@ class GroundProblem:
             for digits in on_trail.get((t.pred, len(t.args), not t.positive), ()):
                 b2 = _bind(t, digits, b)
                 if b2 is not None:
-                    self._join(clause, rest, b2, open_t, true, on_trail, new, same)
+                    self._join(clause, rest, b2, open_t, true, on_trail, found, same)
         # t is left open
         if open_t is None:
-            self._join(clause, rest, b, t, true, on_trail, new, same)
+            self._join(clause, rest, b, t, true, on_trail, found, same)
         elif (t.positive, t.pred) == (open_t.positive, open_t.pred):
-            self._join(clause, rest, b, open_t, true, on_trail, new, same + (t,))
+            self._join(clause, rest, b, open_t, true, on_trail, found, same + (t,))
 
-    def _create(self, clause: _CompiledClause, key: int, lits: tuple[int, ...], true, new) -> None:
-        """Create the instance with this key and these literals, per template, if it is unit or false and new."""
+    def _create(self, clause: _CompiledClause, key: int, lits: tuple[int, ...], true, found) -> None:
+        """If the instance with this key and these literals, per template, is unit or false, append
+        (its position, its unit literal or 0) to found, creating it if it is new."""
         if clause.merge:
             lits = tuple(dict.fromkeys(lits))
         unit = 0
@@ -466,11 +469,12 @@ class GroundProblem:
         if clause.merge:
             combo = self._first_combo(clause, lits)
             key, lits = clause.key(combo), tuple(dict.fromkeys(clause.lits(combo)))
-        created, instances = clause.created, self.instances
-        if key not in created:
-            created[key] = len(instances)
-            new.append((len(instances), unit))
-            instances.append(GroundInstance(clause.id, key, lits, clause))
+        created = clause.created
+        pos = created.get(key)
+        if pos is None:
+            pos = created[key] = len(self.instances)
+            self.instances.append(GroundInstance(clause.id, key, lits, clause))
+        found.append((pos, unit))
 
     def _first_combo(self, clause: _CompiledClause, lits: tuple[int, ...]) -> tuple[int, ...]:
         """The first combo, in itertools.product order, whose instance has this literal set.
@@ -564,10 +568,10 @@ def ground_problem(
     ]
     # the instances unit or false under the empty trail; distinct literals of a clause with
     # no two of one sign and predicate stay distinct
-    empty, new = bytearray(2 * len(atoms) + 1), []
+    empty = bytearray(2 * len(atoms) + 1)
     for clause in problem.compiled:
         if clause.merge or len(clause.templates) < 2:
-            problem._join(clause, clause.templates, [-1] * clause.slots, None, empty, {}, new)
+            problem._join(clause, clause.templates, [-1] * clause.slots, None, empty, {}, [])
     return problem
 
 
@@ -581,9 +585,10 @@ class SclStats:
 class SclState(TrailKernel):
     """Five-tuple analog over ground literals: the trail kernel over instance positions.
 
-    Every assignment creates and hooks the instances it makes unit or false.
-    Learned clauses get ids from `next_clause_id` on.  The kernel's tables
-    are sized to the Herbrand base.
+    Every assignment finds the instances it makes unit or false, creating
+    the new ones, and pushes or marks them; only the start instances and
+    the learned clauses are watched.  Learned clauses get ids from
+    `next_clause_id` on.  The kernel's tables are sized to the Herbrand base.
     """
 
     problem: GroundProblem
@@ -612,7 +617,7 @@ class SclState(TrailKernel):
             self.watch(pos, inst.lits)
 
     def assign(self, lit: int, reason: int | None) -> None:
-        """Assign as the kernel does, then create and hook the instances this makes unit or false."""
+        """Assign as the kernel does, then push or mark the instances this makes unit or false."""
         TrailKernel.assign(self, lit, reason)
         problem = self.problem
         if problem.joins:
@@ -621,17 +626,18 @@ class SclState(TrailKernel):
         self.instantiate(-lit)
 
     def instantiate(self, false_lit: int) -> None:
-        """Create the instances that false_lit, just turned false, makes unit or false, and hook each.
+        """Push the unit or mark the position of each instance that false_lit, just turned false,
+        makes unit or false, creating it if it is new.
 
         The trigger tree of false_lit's Herbrand block and sign yields the
-        templates it matches.  An instance of an aligned pair is created and
-        hooked where the walk finds it.  Any other clause binds the matched
+        templates it matches.  An instance of an aligned pair is handled
+        where the walk finds it.  Any other clause binds the matched
         template and joins its other templates against the trail
         (`GroundProblem._join`; a template with unbound slots reads
         `on_trail`, the trail's atoms by (predicate, arity, value), as
-        constant index tuples); what the join creates is hooked after the
-        walk, watching its unassigned literal, then its highest-level false
-        ones.
+        constant index tuples); what the join finds is handled after the
+        walk.  No instance is watched: the next literal that turns false in
+        it runs this walk again.
         """
         roots, starts, d = self.triggers
         if not roots:  # a problem grounded with no triggers
@@ -643,8 +649,8 @@ class SclState(TrailKernel):
             k = bisect.bisect_right(starts, atom) - 1
             code, node = atom - starts[k], roots[k][false_lit > 0]
         problem = self.problem
-        true, instances, watchers = self.true, problem.instances, self.watchers
-        later, new, digits = [], [], None
+        true, instances = self.true, problem.instances
+        later, found, digits = [], [], None
         while node is not None:
             if node.__class__ is tuple:
                 divisor, children, rest = node
@@ -661,40 +667,30 @@ class SclState(TrailKernel):
                         b = _bind(t, digits, [-1] * clause.slots)
                         if b is not None:
                             problem._join(clause, [u for u in clause.templates if u is not t], b, None, true,
-                                          self.on_trail, new)
+                                          self.on_trail, found)
                         continue
                     # an aligned pair: false_lit, and the literal that other and the key give
                     key = atom - t.base
                     lit = other + key if other > 0 else other - key
-                    created = clause.created
-                    if true[lit] or key in created:
+                    if true[lit]:
                         continue
-                    pos = created[key] = len(instances)
-                    lits = (false_lit, lit) if t is clause.templates[0] else (lit, false_lit)
-                    inst = GroundInstance(clause.id, key, lits, clause)
-                    instances.append(inst)
-                    self.watched[pos] = lits
-                    for l in lits:
-                        if l in watchers:
-                            watchers[l].append(pos)
-                        else:
-                            watchers[l] = [pos]
+                    created = clause.created
+                    pos = created.get(key)
+                    if pos is None:
+                        pos = created[key] = len(instances)
+                        lits = (false_lit, lit) if t is clause.templates[0] else (lit, false_lit)
+                        instances.append(GroundInstance(clause.id, key, lits, clause))
                     if true[-lit]:
                         self.false_ids.add(pos)
                     else:  # the key of `unit_key`
-                        heapq.heappush(self.pending, ((lit if lit > 0 else -lit, lit < 0, clause.id, inst), pos, lit))
+                        heapq.heappush(self.pending, ((lit if lit > 0 else -lit, lit < 0, clause.id, instances[pos]),
+                                                      pos, lit))
             node = later.pop() if later else None
-        if new:
-            var_level, open_level = self.var_level, self.level + 1
-            for pos, unit in new:
-                lits = instances[pos].lits
-                if len(lits) > 2:
-                    lits = sorted(lits, key=lambda l: var_level[abs(l)] if true[-l] else open_level, reverse=True)
-                self.watch(pos, lits)
-                if unit:
-                    heapq.heappush(self.pending, (self.unit_key(pos, unit), pos, unit))
-                else:
-                    self.false_ids.add(pos)
+        for pos, unit in found:
+            if unit:
+                heapq.heappush(self.pending, (self.unit_key(pos, unit), pos, unit))
+            else:
+                self.false_ids.add(pos)
 
     def truncate(self, level: int) -> None:
         """Truncate as the kernel does, dropping the undone atoms from `on_trail`."""

@@ -23,7 +23,7 @@ from collections import deque
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Mapping, Sequence
 
-from clausekit.cdcl import PropClause, TrailEntry, TrailOrdering
+from clausekit.cdcl import PropClause, TrailEntry
 from clausekit.errors import OrderingConfigError, ParseError, ResourceLimitError
 from clausekit.lia import (
     DEFAULT_BOX_CAP,
@@ -159,6 +159,31 @@ def resolve_on(c1: Sequence[int], c2: Sequence[int], atom: int) -> tuple[int, ..
     assert atom in [abs(l) for l in c1] and atom in [abs(l) for l in c2]
     merged = {l for l in c1 if abs(l) != atom} | {l for l in c2 if abs(l) != atom}
     return tuple(sorted(merged, key=abs))
+
+
+@dataclass(frozen=True)
+class TrailOrdering:
+    """Atoms ranked by trail position (earlier = smaller); unassigned above all.
+
+    Literals compare by atom rank; clauses by the multiset extension, computed
+    as descending rank vectors under lexicographic comparison.
+    """
+
+    rank: dict[int, int]
+    base: int
+
+    @classmethod
+    def from_trail(cls, lits: Sequence[int]) -> "TrailOrdering":
+        return cls(rank={abs(l): i for i, l in enumerate(lits)}, base=len(lits))
+
+    def atom_rank(self, atom: int) -> int:
+        return self.rank.get(atom, self.base + atom)
+
+    def clause_key(self, lits: Iterable[int]) -> list[int]:
+        return sorted((self.atom_rank(abs(l)) for l in lits), reverse=True)
+
+    def less(self, a: Iterable[int], b: Iterable[int]) -> bool:
+        return self.clause_key(a) < self.clause_key(b)
 
 
 def learn_orderings(events: Iterable[tuple]) -> list[tuple[tuple, TrailOrdering]]:

@@ -2,14 +2,13 @@ import random
 
 import pytest
 
-from oracles import brute_force_sat, is_redundant, learn_orderings, reference_resolve_1uip, resolve_on
+from oracles import TrailOrdering, brute_force_sat, is_redundant, learn_orderings, reference_resolve_1uip, resolve_on
 from clausekit import cdcl
 from clausekit.cdcl import (
     TrailEntry,
     CdclResult,
     CdclState,
     PropClause,
-    TrailOrdering,
     analyze_conflict,
     backjump_and_learn,
     clause_status,

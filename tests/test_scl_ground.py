@@ -1,0 +1,122 @@
+"""SCL on ground problems is CDCL, and which instances SCL keeps in the kernel's watch lists.
+
+DIMACS variable k is written as the 0-ary predicate P%03d, so SCL's atom k
+is variable k whenever every variable occurs in some clause.  CDCL runs with
+SCL's decisions (lowest atom, positive) and SCL's unit order (smallest atom,
+positive first, then clause id); the two runs then make the same events, with
+SCL's instance positions named by their clause ids.
+"""
+
+import random
+from collections import Counter
+from functools import partial
+
+import pytest
+
+from test_scl_kernel import random_bs
+from clausekit.cdcl import CdclState, PropClause, lowest_index_positive, solve
+from clausekit.logic import Atom, Clause, Literal
+from clausekit.scl import counter_problem, ground_problem, scl_run
+
+
+def random_cnf(rng: random.Random, num_vars: int, num_clauses: int, widths: tuple[int, ...]) -> list[PropClause]:
+    clauses = []
+    for cid in range(1, num_clauses + 1):
+        atoms = rng.sample(range(1, num_vars + 1), rng.choice(widths))
+        clauses.append(PropClause(cid, tuple(a if rng.random() < 0.5 else -a for a in atoms)))
+    return clauses
+
+
+def corpus() -> list[tuple[list[PropClause], int]]:
+    """The benchmark's random-3cnf corpus: 17 formulas of 50 variables at ratio 4.26, from seed 4260."""
+    rng = random.Random(4260)
+    return [(random_cnf(rng, 50, 213, (3,)), 50) for _ in range(17)]
+
+
+def small_formulas(seed: int, widths: tuple[int, ...]) -> list[tuple[list[PropClause], int]]:
+    """200 formulas of 5-30 variables at a clause/variable ratio of 3.0, 4.26 or 5.0."""
+    rng = random.Random(seed)
+    formulas = []
+    for _ in range(200):
+        num_vars = rng.randint(5, 30)
+        formulas.append((random_cnf(rng, num_vars, round(num_vars * rng.choice((3.0, 4.26, 5.0))), widths), num_vars))
+    return formulas
+
+
+def as_bs(clauses: list[PropClause]) -> list[Clause]:
+    return [Clause(c.id, tuple(Literal(l > 0, Atom(f"P{abs(l):03d}")) for l in c.lits)) for c in clauses]
+
+
+def scl_events(clauses: list[PropClause]) -> tuple[str, list[tuple]]:
+    result = scl_run(as_bs(clauses))
+    instances = result.state.problem.instances
+    events = []
+    for ev in result.state.events:
+        if ev[0] == "propagate":
+            events.append(("propagate", ev[1], instances[ev[2]].clause_id))
+        elif ev[0] == "conflict":
+            events.append(("conflict", instances[ev[1]].clause_id))
+        elif ev[0] == "learn":
+            events.append(("learn", ev[1], ev[2], instances[ev[3]].clause_id))
+        else:
+            events.append(ev)
+    return result.verdict, events
+
+
+def cdcl_events(clauses: list[PropClause], num_vars: int) -> tuple[str, list[tuple]]:
+    result = solve(clauses, num_vars, lowest_index_positive)
+    return result.verdict, [ev for ev in result.state.events if ev[0] not in ("sat", "unsat")]
+
+
+FORMULAS = {
+    "corpus": corpus,
+    "3cnf": partial(small_formulas, 11, (3,)),
+    "widths 2-4": partial(small_formulas, 12, (2, 3, 4)),
+}
+
+
+@pytest.mark.parametrize("formulas", FORMULAS)
+def test_scl_on_ground_clauses_makes_cdcls_trace(formulas, monkeypatch):
+    # the formulas backjump, so SCL's trigger walk must find instances that exist again
+    monkeypatch.setattr(CdclState, "unit_key", lambda self, cid, lit: (abs(lit), lit < 0, cid))
+    compared = learned = again = 0
+    verdicts = Counter()
+    for clauses, num_vars in FORMULAS[formulas]():
+        if {abs(l) for c in clauses for l in c.lits} != set(range(1, num_vars + 1)):
+            continue  # CDCL decides a variable in no clause, and SCL has no atom for it
+        verdict, events = scl_events(clauses)
+        assert (verdict, events) == cdcl_events(clauses, num_vars)
+        compared += 1
+        verdicts[verdict] += 1
+        learned += sum(ev[0] == "learn" for ev in events)
+        reasons = Counter(ev[2] for ev in events if ev[0] == "propagate")
+        again += sum(n > 1 for n in reasons.values())
+    assert compared >= (17 if formulas == "corpus" else 150)
+    assert verdicts["sat"] and verdicts["unsat"]
+    assert learned > 100 and again > 100
+
+
+@pytest.mark.parametrize("n", [1, 6, 12])
+def test_counter_watches_only_its_two_unit_clauses(n):
+    # the 2**n carry instances are found by the trigger walk alone
+    result = scl_run(counter_problem(n))
+    assert result.verdict == "unsat" and result.stats.propagations == 2**n
+    assert len(result.state.watched) == 2
+
+
+def test_only_start_and_learned_instances_are_watched():
+    rng = random.Random(2019)
+    dense = created = learned = 0
+    while dense < 200:
+        clauses, domain = random_bs(rng)
+        if len(clauses) < 32:
+            continue  # a sparse set
+        dense += 1
+        start = ground_problem(clauses, domain).instances
+        state = scl_run(clauses, domain).state
+        instances = state.problem.instances
+        learned_at = {pos for pos, inst in enumerate(instances) if inst.compiled is None}
+        assert set(state.watched) == {pos for pos, inst in enumerate(start) if inst.lits} | learned_at
+        created += len(instances) - len(start) - len(learned_at)
+        learned += len(learned_at)
+    assert created > 2000 and learned > 50
