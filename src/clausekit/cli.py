@@ -202,8 +202,11 @@ def counter_experiment(n_max: int) -> list[ExperimentRow]:
     """Run the ground engine and the linear refutation on counters of 1..n_max bits.
 
     The model-guided side performs 2**n propagations before its verdict; the
-    resolution side replays the generated linear derivation (ordering checked
-    step by step), which takes 2n inferences.
+    resolution side replays the generated linear derivation, which takes 2n
+    inferences.  Each step is checked to resolve its negative premise's first
+    negative literal against a maximal positive literal; that the positive
+    premise has no selected literal is not checked
+    (`resolution.check_linear_refutation`).
     """
     if not 1 <= n_max <= COUNTER_N_CAP:
         raise ValueError(f"n_max must be within 1..{COUNTER_N_CAP}")

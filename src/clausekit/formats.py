@@ -1,21 +1,19 @@
-"""Parsers and printers for the input formats and derivation scripts.
+"""Parsers for the input formats and derivation scripts.
 
 Three input languages: DIMACS CNF for the propositional solver, a clause text
 syntax for BS problems (`-P(x1,0) | P(x1,1).`, identifiers starting with
 x, y, z, u, v, w are variables, optional `<id> :` prefixes), and one linear
-inequation per line for LIA.  Every parse error carries a line and a column,
-and each printer round-trips with its parser.
+inequation per line for LIA.  Every parse error carries a line and a column.
 """
 
 from __future__ import annotations
 
 import re
-from typing import Iterable
 
 from .cdcl import PropClause
 from .errors import ParseError
 from .lia import Bound, LinIneq, LiaSystem
-from .logic import Atom, Clause, Literal, Term, Variable, is_variable_name, term_from_name
+from .logic import Atom, Clause, Literal, Term, is_variable_name, term_from_name
 from .resolution import ScriptStep
 
 
@@ -96,21 +94,13 @@ def _word_position(text: str, index: int, line: str, word: str) -> tuple[int, in
     return _line_position(text, index, re.search(rf"(?<!\S){re.escape(word)}(?!\S)", line).start())
 
 
-def print_dimacs(num_vars: int, clauses: Iterable[PropClause]) -> str:
-    clauses = list(clauses)
-    lines = [f"p cnf {num_vars} {len(clauses)}"]
-    for c in clauses:
-        lines.append(" ".join(str(l) for l in c.lits) + " 0")
-    return "\n".join(lines) + "\n"
-
-
 # ---------------------------------------------------------------------------
 # BS clause text
 # ---------------------------------------------------------------------------
 
 # An optional `<id> :` prefix; the id is ASCII digits.
 _CLAUSE_ID = re.compile(r"([0-9]+)\s*:\s*")
-_NAME = re.compile(r"[A-Za-z0-9_']+")  # a predicate or term name
+_NAME = r"[A-Za-z0-9_']+"  # a predicate or term name
 # One literal and the '|' or '.' after it.  Every group is optional, so the
 # pattern always matches, and the first group missing is the parse error.
 _LITERAL = re.compile(
@@ -118,7 +108,7 @@ _LITERAL = re.compile(
         (?: ( \( (?: \s* NAME \s* , )* ) \s*        # '(' and every argument before the last
             (?: (NAME) \s* (\))? )? )?              # the last argument, ')'
         \s* (?: ([|.]) \s* )?                       # '|' or '.'
-    """.replace("NAME", _NAME.pattern),
+    """.replace("NAME", _NAME),
     re.VERBOSE,
 )
 
@@ -180,34 +170,6 @@ def _unexpected(text: str, offset: int, expected: str) -> ParseError:
     if m is None:
         return ParseError("unexpected end of input", *_position(text, len(text.rstrip())))
     return ParseError(f"{expected}, got {m.group(1)!r}", *_position(text, m.start(1)))
-
-
-def print_bs(clauses: Iterable[Clause]) -> str:
-    """BS text that `parse_bs` reads back as these clauses.
-
-    A clause that the text cannot carry raises ValueError naming its id: the
-    empty clause, an id that is negative or used twice, a predicate that
-    reads as a variable or at a second arity, and a name that is no token or
-    reads as the other kind of term.
-    """
-    lines, ids, arities = [], set(), {}
-    for c in clauses:
-        if not c.literals:
-            raise ValueError(f"clause {c.id}: the empty clause has no BS text")
-        if c.id < 0 or c.id in ids:
-            raise ValueError(f"clause {c.id}: the id is negative or used twice")
-        ids.add(c.id)
-        for lit in c.literals:
-            pred = lit.atom.predicate
-            if not _NAME.fullmatch(pred) or is_variable_name(pred):
-                raise ValueError(f"clause {c.id}: predicate {pred!r} does not read back as a predicate")
-            if arities.setdefault(pred, lit.atom.arity) != lit.atom.arity:
-                raise ValueError(f"clause {c.id}: predicate {pred!r} is used at two arities")
-            for a in lit.atom.args:
-                if not _NAME.fullmatch(a.name) or is_variable_name(a.name) != isinstance(a, Variable):
-                    raise ValueError(f"clause {c.id}: term {a.name!r} does not read back as a {type(a).__name__}")
-        lines.append(f"{c.id} : {c}.")
-    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -294,10 +256,6 @@ def _lia_error(text: str, index: int, line: str, at: int, message: str) -> Parse
     return ParseError(message.format(token=tokens[0], rest=" ".join(tokens)), *_line_position(text, index, at))
 
 
-def print_lia(system: LiaSystem) -> str:
-    return "\n".join(str(ineq) for ineq in system.inequations) + "\n"
-
-
 # A variable, a comparison and an integer of ASCII digits.  Those three groups
 # are optional and each group starts where the one before it ends, so the
 # pattern always matches, and the first of them that is missing is where the
@@ -342,6 +300,3 @@ def parse_script(text: str) -> list[ScriptStep]:
         steps.append(tuple(int(g) for g in m.groups()))  # type: ignore[arg-type]
     return steps
 
-
-def print_script(steps: Iterable[ScriptStep]) -> str:
-    return "\n".join(f"{a}.{b} Res {c}.{d}" for a, b, c, d in steps) + "\n"

@@ -35,19 +35,6 @@ class LinIneq:
         if len({v for v, _ in self.coeffs}) != len(self.coeffs):
             raise ValueError("duplicate variable in inequation")
 
-    def __str__(self) -> str:
-        parts = []
-        if self.const != 0:
-            parts.append(str(self.const))
-        for v, a in self.coeffs:
-            sign = "-" if a < 0 else "+"
-            term = f"{abs(a)}*{v}"
-            if not parts:
-                parts.append(term if a > 0 else f"-{term}")
-            else:
-                parts.append(f"{sign} {term}")
-        return " ".join(parts) + " <= 0"
-
 
 @dataclass
 class LiaSystem:

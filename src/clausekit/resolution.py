@@ -227,18 +227,6 @@ def _factors(record: ClauseRecord, cfg: OrderingConfig) -> list[DerivedClause]:
     return out
 
 
-def ordered_resolve(
-    c1: Clause, c2: Clause, cfg: OrderingConfig, sel: SelectionStrategy
-) -> list[DerivedClause]:
-    """All ordered resolvents between the two clauses (either role assignment)."""
-    return _resolvents(ClauseRecord(c1, cfg, sel), ClauseRecord(c2, cfg, sel), cfg)
-
-
-def factor(clause: Clause, cfg: OrderingConfig) -> list[DerivedClause]:
-    """Positive factoring: merge unifiable positive literals, first one maximal."""
-    return _factors(ClauseRecord(clause, cfg, SelectNone()), cfg)
-
-
 def subsumes(general: Clause, specific: Clause) -> bool:
     """Whether some substitution makes `general` a sub-multiset of `specific`."""
     if len(general) > len(specific):
@@ -533,11 +521,15 @@ def linear_counter_script(n: int) -> list[ScriptStep]:
 def check_linear_refutation(
     clauses: Iterable[Clause], script: Sequence[ScriptStep], cfg: OrderingConfig
 ) -> list[DerivedClause]:
-    """Replay a script, verifying each step's ordering discipline, and require it to end in ⊥.
+    """Replay a script, checking two ordering conditions per step, and require it to end in ⊥.
 
     Every step must resolve the first negative literal of its negative premise,
     and the positive side-literal must be maximal in its premise instantiated
-    by the step's recorded unifier (`replay` with cfg).
+    by the step's recorded unifier (`replay` with cfg).  That the positive
+    premise has no selected literal, as `ClauseRecord` requires of a positive
+    premise in saturation, is not checked: on counter n, 2n - 2 of the 2n
+    steps of `linear_counter_script` have a positive premise with a negative
+    literal.
     """
     derived = replay(clauses, script, cfg)
     if not derived or not derived[-1].clause.is_empty:

@@ -454,8 +454,8 @@ class GroundProblem:
             self._join(clause, rest, b, open_t, true, on_trail, found, same + (t,))
 
     def _create(self, clause: _CompiledClause, key: int, lits: tuple[int, ...], true, found) -> None:
-        """If the instance with this key and these literals, per template, is unit or false, append
-        (its position, its unit literal or 0) to found, creating it if it is new."""
+        """If the instance with this key and these literals, per template, is unit or false, map
+        its position to its unit literal or 0 in found, creating it if it is new."""
         if clause.merge:
             lits = tuple(dict.fromkeys(lits))
         unit = 0
@@ -474,7 +474,7 @@ class GroundProblem:
         if pos is None:
             pos = created[key] = len(self.instances)
             self.instances.append(GroundInstance(clause.id, key, lits, clause))
-        found.append((pos, unit))
+        found[pos] = unit
 
     def _first_combo(self, clause: _CompiledClause, lits: tuple[int, ...]) -> tuple[int, ...]:
         """The first combo, in itertools.product order, whose instance has this literal set.
@@ -571,7 +571,7 @@ def ground_problem(
     empty = bytearray(2 * len(atoms) + 1)
     for clause in problem.compiled:
         if clause.merge or len(clause.templates) < 2:
-            problem._join(clause, clause.templates, [-1] * clause.slots, None, empty, {}, [])
+            problem._join(clause, clause.templates, [-1] * clause.slots, None, empty, {}, {})
     return problem
 
 
@@ -650,7 +650,7 @@ class SclState(TrailKernel):
             code, node = atom - starts[k], roots[k][false_lit > 0]
         problem = self.problem
         true, instances = self.true, problem.instances
-        later, found, digits = [], [], None
+        later, found, digits = [], {}, None
         while node is not None:
             if node.__class__ is tuple:
                 divisor, children, rest = node
@@ -686,11 +686,12 @@ class SclState(TrailKernel):
                         heapq.heappush(self.pending, ((lit if lit > 0 else -lit, lit < 0, clause.id, instances[pos]),
                                                       pos, lit))
             node = later.pop() if later else None
-        for pos, unit in found:
-            if unit:
-                heapq.heappush(self.pending, (self.unit_key(pos, unit), pos, unit))
-            else:
-                self.false_ids.add(pos)
+        if found:  # only joins fill it, and no walk on the counter joins
+            for pos, unit in found.items():
+                if unit:
+                    heapq.heappush(self.pending, (self.unit_key(pos, unit), pos, unit))
+                else:
+                    self.false_ids.add(pos)
 
     def truncate(self, level: int) -> None:
         """Truncate as the kernel does, dropping the undone atoms from `on_trail`."""

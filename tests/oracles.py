@@ -89,16 +89,6 @@ def brute_force_sat(clauses: Iterable[Sequence[int]], num_vars: int) -> bool:
     return False
 
 
-def brute_force_models(clauses: Iterable[Sequence[int]], num_vars: int) -> list[dict[int, bool]]:
-    clauses = [tuple(c) for c in clauses]
-    out = []
-    for bits in itertools.product((False, True), repeat=num_vars):
-        assign = {i + 1: bits[i] for i in range(num_vars)}
-        if all(any(assign[abs(l)] == (l > 0) for l in c) for c in clauses):
-            out.append(assign)
-    return out
-
-
 def scan_status(lits: Sequence[int], value: dict[int, bool]) -> tuple[str, int | None]:
     """Sat, false, unit or open, counting unassigned positions (duplicates count twice)."""
     unassigned = [l for l in lits if abs(l) not in value]
@@ -1004,6 +994,11 @@ class _TokenStream:
 
 
 _IDENT = re.compile(r"[A-Za-z0-9_']+")
+
+
+def bs_text(clauses: Iterable[Clause]) -> str:
+    """The clauses as BS text, one line each with its `<id> :` prefix."""
+    return "".join(f"{c.id} : {c}.\n" for c in clauses)
 
 
 def reference_parse_bs(text: str) -> list[Clause]:

@@ -20,7 +20,7 @@ from clausekit.cli import (
     counter_experiment,
     main,
 )
-from clausekit.formats import parse_bs, parse_script, print_script
+from clausekit.formats import parse_bs, parse_script
 from clausekit.resolution import linear_counter_script
 from clausekit.scl import scl_run
 
@@ -586,7 +586,8 @@ def test_output_does_not_depend_on_hashing(tmp_path):
     print the same bytes.
     """
     (tmp_path / "random.bs").write_text(RANDOM_BS)
-    (tmp_path / "counter6.script").write_text(print_script(linear_counter_script(6)))
+    script = "".join(f"{a}.{b} Res {c}.{d}\n" for a, b, c, d in linear_counter_script(6))
+    (tmp_path / "counter6.script").write_text(script)
     saturate = ["--mode", "resolution", "--selection", "first-negative"]
     argvs = [
         [*saturate, "--counter-n", "5"],

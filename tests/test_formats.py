@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from oracles import bs_text
 from test_scl_kernel import random_bs
 from clausekit.cdcl import PropClause
 from clausekit.errors import ParseError
@@ -11,10 +12,6 @@ from clausekit.formats import (
     parse_dimacs,
     parse_lia,
     parse_script,
-    print_bs,
-    print_dimacs,
-    print_lia,
-    print_script,
 )
 from clausekit.lia import Bound
 from clausekit.logic import Atom, Clause, Constant, Literal, Variable
@@ -36,7 +33,8 @@ class TestDimacs:
 
     def test_round_trip(self):
         num_vars, clauses = parse_dimacs(DEMO_DIMACS)
-        assert parse_dimacs(print_dimacs(num_vars, clauses)) == (num_vars, clauses)
+        text = f"p cnf {num_vars} {len(clauses)}\n" + "".join(" ".join(map(str, c.lits)) + " 0\n" for c in clauses)
+        assert text == DEMO_DIMACS and parse_dimacs(text) == (num_vars, clauses)
 
     def test_errors_are_positioned(self):
         with pytest.raises(ParseError, match="line 2"):
@@ -90,7 +88,7 @@ class TestBs:
     def test_round_trip_counter_problems(self):
         for n in (1, 2, 4, 6):
             clauses = list(counter_problem(n))
-            assert parse_bs(print_bs(clauses)) == clauses
+            assert parse_bs(bs_text(clauses)) == clauses
 
     def test_round_trip_random(self):
         rng = random.Random(17)
@@ -105,42 +103,19 @@ class TestBs:
                 for _ in range(rng.randint(1, 4))
             )
             clauses.append(Clause(cid, lits))
-        assert parse_bs(print_bs(clauses)) == clauses
+        assert parse_bs(bs_text(clauses)) == clauses
 
     def test_round_trip_random_bs_sets(self):
-        # a set reads back as itself, or print_bs names its first clause that BS text cannot carry:
-        # an empty clause, or a predicate (U, V, W) that reads as a variable
+        # every set that BS text can carry reads back as itself: one with an empty clause, or
+        # with a predicate (U, V, W) that reads as a variable, has no text
         rng = random.Random(24)
-        printed = rejected = 0
+        printed = 0
         for _ in range(400):
             clauses, _ = random_bs(rng)
-            bad = [c.id for c in clauses if not c.literals or any(l.atom.predicate in "UVW" for l in c.literals)]
-            if bad:
-                with pytest.raises(ValueError, match=f"^clause {bad[0]}: "):
-                    print_bs(clauses)
-                rejected += 1
-            else:
-                assert parse_bs(print_bs(clauses)) == clauses
+            if all(c.literals and all(l.atom.predicate not in "UVW" for l in c.literals) for c in clauses):
+                assert parse_bs(bs_text(clauses)) == clauses
                 printed += 1
-        assert printed > 100 and rejected > 100
-
-    @pytest.mark.parametrize("clause", [
-        Clause(3, (Literal(True, Atom("P", (Constant("x1"),))),)),  # reads as a variable
-        Clause(3, (Literal(True, Atom("P", (Variable("a"),))),)),  # reads as a constant
-        Clause(3, (Literal(True, Atom("P", (Constant("a b"),))),)),  # no token
-        Clause(3, (Literal(True, Atom("P-Q")),)),
-        Clause(-3, (Literal(True, Atom("P")),)),
-    ])
-    def test_print_rejects_what_does_not_read_back(self, clause):
-        with pytest.raises(ValueError, match=f"^clause {clause.id}: "):
-            print_bs([clause])
-
-    def test_print_rejects_a_second_arity_and_a_repeated_id(self):
-        p0, p1 = Literal(True, Atom("P")), Literal(True, Atom("P", (Constant("a"),)))
-        with pytest.raises(ValueError, match="^clause 2: .* two arities"):
-            print_bs([Clause(1, (p0,)), Clause(2, (p1,))])
-        with pytest.raises(ValueError, match="^clause 1: .* used twice"):
-            print_bs([Clause(1, (p0,)), Clause(1, (p0,))])
+        assert printed > 100
 
     def test_comments_ignored(self):
         clauses = parse_bs("# heading\nP(0). # trailing\n")
@@ -169,9 +144,11 @@ class TestLia:
 
     def test_round_trip(self):
         text = "1 - 1*x - 1*y <= 0\n-3 + 2*u <= 0\n1*x - 5*z <= 0\n"
-        system = parse_lia(text)
-        assert print_lia(system) == text
-        assert parse_lia(print_lia(system)).inequations == system.inequations
+        assert [(i.coeffs, i.const) for i in parse_lia(text).inequations] == [
+            ((("x", -1), ("y", -1)), 1),
+            ((("u", 2),), -3),
+            ((("x", 1), ("z", -5)), 0),
+        ]
 
     def test_errors(self):
         with pytest.raises(ParseError, match="line 1"):
@@ -187,9 +164,7 @@ class TestLia:
 class TestScript:
     def test_parse_and_round_trip(self):
         steps = [(2, 2, 3, 1), (7, 2, 2, 1)]
-        text = print_script(steps)
-        assert text == "2.2 Res 3.1\n7.2 Res 2.1\n"
-        assert parse_script(text) == steps
+        assert parse_script("2.2 Res 3.1\n7.2 Res 2.1\n") == steps
 
     def test_comments_and_blanks(self):
         assert parse_script("# c\n\n2.2 Res 3.1\n") == [(2, 2, 3, 1)]

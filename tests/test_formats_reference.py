@@ -13,9 +13,9 @@ import functools
 import random
 
 from clausekit.errors import ParseError
-from clausekit.formats import parse_bs, parse_dimacs, parse_lia, parse_script, print_bs
+from clausekit.formats import parse_bs, parse_dimacs, parse_lia, parse_script
 from clausekit.scl import counter_problem
-from oracles import _tokenize, reference_parse_bs, reference_parse_lia
+from oracles import _tokenize, bs_text, reference_parse_bs, reference_parse_lia
 
 MUTATIONS = 10_000
 BS_ALPHABET = "-|.():,#' \t\n\r" + "xPQa01_9" + "\u0663\u00b2\u00e9\u2028\x0c@"
@@ -77,7 +77,7 @@ def corpus(fmt: str) -> tuple[str, ...]:
     """Base inputs of one format and `MUTATIONS` single-character mutations of them."""
     rng = random.Random(f"formats-{fmt}")
     if fmt == "bs":
-        bases = [print_bs(counter_problem(n)) for n in (1, 2, 3)]
+        bases = [bs_text(counter_problem(n)) for n in (1, 2, 3)]
         bases += ["".join(f"{c}.\n" for c in counter_problem(n)) for n in (1, 2)]
         bases += [_random_bs_text(rng) for _ in range(300)]
         alphabet = BS_ALPHABET

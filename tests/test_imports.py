@@ -55,3 +55,70 @@ def test_oracles_take_no_ordering_or_box_from_the_engines():
     }
     read = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
     assert not {"apriori_bounds", "kbo_compare", "literal_is_maximal"} & (imported | read)
+
+
+# Public top-level names that no module of the package reaches, kept on purpose.
+UNREACHED_ON_PURPOSE = {
+    "cdcl.forget": "the Forget rule, which test_cdcl.py and test_cdcl_kernel.py state",
+}
+
+
+def unreached_names(sources: dict[str, str]) -> set[str]:
+    """`module.name` of each public top-level def, class or assigned name that nothing reaches.
+
+    A name is reached when its own module loads it, when another module
+    imports it with `from .module import name` or reads it as `module.name`
+    after `from . import module`, or when `__init__`'s `__all__` lists it.
+    """
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    reached = set()
+    for module, tree in trees.items():
+        aliases = {}  # local name -> module, for each `from . import module`
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                reached.add(f"{module}.{node.id}")
+            elif isinstance(node, ast.ImportFrom) and node.level == 1:
+                for alias in node.names:
+                    if node.module is None:
+                        aliases[alias.asname or alias.name] = alias.name
+                    else:
+                        reached.add(f"{node.module}.{alias.name}")
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in aliases:
+                reached.add(f"{aliases[node.value.id]}.{node.attr}")
+    (exported,) = [ast.literal_eval(node.value) for node in trees["__init__"].body
+                   if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", None) == "__all__"]
+    return {
+        f"{module}.{name}"
+        for module, tree in trees.items()
+        for name in top_level_names(tree)
+        if not name.startswith("_") and name not in exported and f"{module}.{name}" not in reached
+    }
+
+
+def top_level_names(tree: ast.Module) -> list[str]:
+    """The names that the module's top-level defs, classes and assignments bind."""
+    names = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names += [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+    return names
+
+
+def test_every_public_name_in_the_package_is_reached():
+    # test-only code stays in tests/: a public name that no module, CLI mode or __all__ reaches goes
+    sources = {module.stem: module.read_text() for module in PACKAGE.glob("*.py")}
+    assert unreached_names(sources) == set(UNREACHED_ON_PURPOSE)
+
+
+def test_an_unreached_name_is_caught():
+    sources = {
+        "a": "from . import b\nfrom .c import used\ndef own(): pass\nLIMIT = 3\nown()\nb.read()\n",
+        "b": "def read(): pass\ndef dead(): pass\nclass Dead: pass\nSPARE: int = 2\ndef _private(): pass\n",
+        "c": "def used(): pass\ndef exported(): pass\n",
+        "__init__": "__all__ = ['exported']\n",
+    }
+    assert unreached_names(sources) == {"a.LIMIT", "b.dead", "b.Dead", "b.SPARE"}

@@ -26,9 +26,7 @@ from clausekit.resolution import (
     SelectFirstNegative,
     SelectNone,
     check_linear_refutation,
-    factor,
     linear_counter_script,
-    ordered_resolve,
     replay,
     saturate,
     selection_from_name,
@@ -40,6 +38,17 @@ C0, C1 = Constant("0"), Constant("1")
 x1, x2 = Variable("x1"), Variable("x2")
 COUNTER4 = counter_problem(4)
 CFG = default_config(COUNTER4)
+
+
+def _resolvents(c1, c2, cfg, sel):
+    """All ordered resolvents between the two clauses, either one the positive premise."""
+    return resolution._resolvents(resolution.ClauseRecord(c1, cfg, sel), resolution.ClauseRecord(c2, cfg, sel), cfg)
+
+
+def _factors(clause, cfg):
+    """Positive factors of the clause, the first merged literal maximal."""
+    return resolution._factors(resolution.ClauseRecord(clause, cfg, SelectNone()), cfg)
+
 
 EXPECTED_DERIVED = parse_bs(
     """
@@ -60,7 +69,7 @@ class TestOrderedResolve:
             def selected_index(self, clause):
                 return 0 if clause.id == 3 else None
 
-        out = ordered_resolve(COUNTER4[1], COUNTER4[2], CFG, SelectFirstOfClause3())
+        out = _resolvents(COUNTER4[1], COUNTER4[2], CFG, SelectFirstOfClause3())
         assert len(out) == 1
         assert renamed_equal(out[0].clause, EXPECTED_DERIVED[0])
         rule = out[0].rule
@@ -71,25 +80,25 @@ class TestOrderedResolve:
         # binary resolution of the two-literal clause 12 against unit clause 6
         # leaves -P(0,0,0,0); the empty clause needs one more step via clause 1
         clause12 = EXPECTED_DERIVED[5]
-        out = ordered_resolve(clause12, COUNTER4[5], CFG, SelectNone())
+        out = _resolvents(clause12, COUNTER4[5], CFG, SelectNone())
         assert [str(d.clause) for d in out] == ["-P(0,0,0,0)"]
 
     def test_two_positive_clauses(self):
         a = Clause(1, (Literal(True, Atom("P", (C0,))),))
         b = Clause(2, (Literal(True, Atom("P", (x1,))),))
-        assert ordered_resolve(a, b, CFG, SelectNone()) == []
+        assert _resolvents(a, b, CFG, SelectNone()) == []
 
     def test_selection_blocks_positive_premise(self):
         # with the first negative selected everywhere, the carry clauses cannot
         # serve as positive premises, so the jump composition is not generated
-        out = ordered_resolve(COUNTER4[1], COUNTER4[2], CFG, SelectFirstNegative())
+        out = _resolvents(COUNTER4[1], COUNTER4[2], CFG, SelectFirstNegative())
         assert out == []
 
     def test_maximality_blocks_ineligible_negative(self):
         # without selection the negative literal of a carry clause is never
         # maximal, so nothing resolves among the first five counter clauses
         for a, b in itertools.combinations(COUNTER4[:-1], 2):
-            assert ordered_resolve(a, b, CFG, SelectNone()) == []
+            assert _resolvents(a, b, CFG, SelectNone()) == []
 
     def test_constant_clash_never_reaches_unify(self, monkeypatch):
         pairs = []
@@ -97,30 +106,30 @@ class TestOrderedResolve:
         monkeypatch.setattr(resolution, "unify", lambda a, b: pairs.append((a, b)) or real_unify(a, b))
         clash = parse_bs("P(0,x1).\n-P(1,x2) | Q(x2).")
         cfg = default_config(clash)
-        assert ordered_resolve(*clash, cfg, SelectFirstNegative()) == [] and pairs == []
+        assert _resolvents(*clash, cfg, SelectFirstNegative()) == [] and pairs == []
         meet = parse_bs("P(0,x1).\n-P(x2,1) | Q(x2).")
-        out = ordered_resolve(*meet, default_config(meet), SelectFirstNegative())
+        out = _resolvents(*meet, default_config(meet), SelectFirstNegative())
         assert [str(d.clause) for d in out] == ["Q(0)"] and len(pairs) == 1
 
     def test_self_resolution_handled(self):
         clause = parse_bs("-Q(x1,0) | Q(0,x1).")[0]
-        out = ordered_resolve(clause, clause, default_config([clause]), SelectFirstNegative())
+        out = _resolvents(clause, clause, default_config([clause]), SelectFirstNegative())
         assert all(isinstance(d.rule, ResolutionRule) for d in out)
 
 
 class TestFactor:
     def test_forced_merge(self):
         clause = parse_bs("P(x1) | P(0).")[0]
-        out = factor(clause, default_config([clause]))
+        out = _factors(clause, default_config([clause]))
         assert [str(d.clause) for d in out] == ["P(0)"]
 
     def test_counter_clauses_have_no_factors(self):
         for clause in COUNTER4:
-            assert factor(clause, CFG) == []
+            assert _factors(clause, CFG) == []
 
     def test_ground_distinct_atoms(self):
         clause = parse_bs("P(0) | P(1).")[0]
-        assert factor(clause, default_config([clause])) == []
+        assert _factors(clause, default_config([clause])) == []
 
 
 class TestSubsumes:

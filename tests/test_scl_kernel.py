@@ -1,15 +1,24 @@
 """The SCL engine on the shared trail kernel against the rescanning engine it replaces."""
 
 import dataclasses
+import heapq
 import io
 import json
 import random
+import types
 
 import pytest
 
-from oracles import is_redundant, learn_orderings, reference_ground_problem, reference_render, reference_scl_run
+from oracles import (
+    bs_text,
+    is_redundant,
+    learn_orderings,
+    reference_ground_problem,
+    reference_render,
+    reference_scl_run,
+)
 from clausekit.cdcl import PropClause
-from clausekit.formats import parse_bs, print_bs
+from clausekit.formats import parse_bs
 from clausekit.logic import Atom, Clause, Constant, Literal, Variable
 from clausekit.ordering import default_config
 from clausekit.resolution import saturate, selection_from_name
@@ -242,6 +251,26 @@ def test_created_instances_are_unit_or_false(monkeypatch):
     assert aligned.count(True) > 500 and aligned.count(False) > 500
 
 
+def test_no_instance_is_pushed_while_it_is_on_the_heap(monkeypatch):
+    # the corpus above; two templates of one merge clause can reach one instance in a
+    # single trigger walk, and the walk pushes that instance's unit once
+    rng = random.Random(99)
+    cases = [(counter_problem(n), None) for n in (1, 4, 7)] + [random_bs(rng) for _ in range(300)]
+    cases += [(merge_chain(rng), None) for _ in range(80)]
+    pushes, repeats = [], []
+
+    def heappush(heap, entry):
+        pushes.append(entry)
+        if any(queued[1:] == entry[1:] for queued in heap):
+            repeats.append(entry)
+        heapq.heappush(heap, entry)
+
+    monkeypatch.setattr(scl, "heapq", types.SimpleNamespace(heappush=heappush))
+    for clauses, domain in cases:
+        scl_run(clauses, domain)
+    assert len(pushes) > 3000 and repeats == []
+
+
 def test_aligned_shortcut_matches_the_join(monkeypatch):
     # the same runs with every clause compiled unaligned, so that every instance comes from
     # _bind and _join and is hooked after the trigger walk, render the same lines
@@ -339,7 +368,7 @@ def assert_text_is_json_line(result) -> list[dict]:
 def test_text_lines_are_the_json_lines_on_counters(n, satisfiable, tmp_path):
     clauses = counter_problem(n)[:-1] if satisfiable else counter_problem(n)
     path = tmp_path / "counter.bs"
-    path.write_text(print_bs(clauses))
+    path.write_text(bs_text(clauses))
     outputs = []
     for fmt in ("text", "json"):
         out = io.StringIO()
