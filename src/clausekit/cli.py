@@ -9,7 +9,8 @@ to the exit code after the DIMACS solver convention: 10 for satisfiable or
 saturated, 20 for unsatisfiable, 1 for resource or step limits, and 0 for a
 replayed derivation that does not end in the empty clause, which claims
 neither.  Usage errors, a flag that the mode does not read (`FLAG_MODES`)
-among them, and parse errors exit with 2; `--help` exits with 0.
+and two `--decide` bounds that cross among them, and parse errors exit with
+2; `--help` exits with 0.
 """
 
 from __future__ import annotations
@@ -173,6 +174,11 @@ def _lia_system(args: argparse.Namespace) -> lia.LiaSystem:
 def _run_lia_propagate(args: argparse.Namespace, emit: _Emitter) -> int:
     system = _lia_system(args)
     decisions = [formats.parse_bound(b) for b in args.decide]
+    for i, d in enumerate(decisions):  # propagation checks only inequations, so crossed decisions pass
+        for e in decisions[:i]:
+            lower, upper = (d, e) if d.lower else (e, d)
+            if d.var == e.var and d.lower != e.lower and lower.value > upper.value:
+                raise ValueError(f"--decide {d} crosses {e}")
     result = lia.propagate_bounds(system, decisions, _max_steps(args))
     emit.lines(lia.render(result))
     return EXIT_CODES[result.verdict]
@@ -265,7 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--input", help="path to a DIMACS, BS clause, or LIA file")
     parser.add_argument("--counter-n", type=int, help="generate the n-bit counter problem")
     parser.add_argument(
-        "--selection", choices=("none", "first-negative"), help=f"resolution only (default {DEFAULT_SELECTION})"
+        "--selection", choices=tuple(resolution.SELECTIONS), help=f"resolution only (default {DEFAULT_SELECTION})"
     )
     parser.add_argument(
         "--precedence",

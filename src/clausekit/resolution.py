@@ -45,15 +45,11 @@ from .ordering import OrderingConfig, literal_is_maximal
 
 
 class SelectNone:
-    name = "none"
-
     def selected_index(self, clause: Clause) -> int | None:
         return None
 
 
 class SelectFirstNegative:
-    name = "first-negative"
-
     def selected_index(self, clause: Clause) -> int | None:
         for i, lit in enumerate(clause.literals):
             if not lit.positive:
@@ -62,14 +58,13 @@ class SelectFirstNegative:
 
 
 SelectionStrategy = SelectNone | SelectFirstNegative
+SELECTIONS: dict[str, type[SelectionStrategy]] = {"none": SelectNone, "first-negative": SelectFirstNegative}
 
 
 def selection_from_name(name: str) -> SelectionStrategy:
-    if name == "none":
-        return SelectNone()
-    if name == "first-negative":
-        return SelectFirstNegative()
-    raise ValueError(f"unknown selection strategy {name!r}")
+    if name not in SELECTIONS:
+        raise ValueError(f"unknown selection strategy {name!r}")
+    return SELECTIONS[name]()
 
 
 # ---------------------------------------------------------------------------

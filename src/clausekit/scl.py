@@ -17,11 +17,12 @@ the trigger tree of its Herbrand block and sign yields the templates that
 match it.  In a clause of two literals that share one variable layout the
 matched atom gives the other literal at once, and where the walk finds the
 instance it is created if new, then its unit key is pushed or its position
-marked false.  The other literals of any other clause are joined against
-the trail (each false, or the one literal left open), and what the join
-finds is pushed or marked when the walk ends.  An instance can only become
-unit or false when one of its literals turns false, so this walk is the
-watch: every unit and false instance is known before each pick, and the
+marked false.  In any other clause, the variables that the matched literal
+leaves unbound range over the domain, and each binding's literals are read
+in the trail's truth table (each false, or the one literal left open); what
+this finds is pushed or marked when the walk ends.  An instance can only
+become unit or false when one of its literals turns false, so this walk is
+the watch: every unit and false instance is known before each pick, and the
 trace is that of grounding everything first.  An instance keeps each
 literal once; of the instances of a clause with one literal set, only the
 first in substitution order exists.
@@ -391,7 +392,9 @@ class GroundProblem:
     """A problem grounded lazily: the clauses, the domain, the Herbrand base and the instances so far.
 
     `instances` holds every instance created, in creation order; each
-    compiled clause finds its own by key.
+    compiled clause finds its own by key.  `_join` finds the instances of a
+    clause that are unit or false under a truth table by backtracking over
+    its templates, with each unbound slot ranging over the domain.
     """
 
     clauses: dict[int, Clause]
@@ -403,55 +406,29 @@ class GroundProblem:
     # for the positive templates of the clauses of two or more literals, or None (see
     # `ground_problem` for other); empty if nothing is left to create
     roots: list[tuple] = field(default_factory=list, repr=False)
-    joins: bool = False  # some template leaves variables to join against the trail
 
-    def _join(self, clause, todo, b, open_t, true, on_trail, found, same=()) -> None:
-        """Extend b over the templates in todo: each false on the trail, or left open.
+    def _join(self, clause, todo, b, open_lit, true, found) -> None:
+        """Extend b over the templates in todo, each false on the trail or the one open literal.
 
-        open_t is the first template left open.  A later open template of
-        its sign and predicate waits in same, to be bound to open_t's atom;
-        one of another sign or predicate would leave two literals open.  Once
-        every slot is bound, `_create` checks the instance; once todo is
-        empty, open_t's unbound slots range over the domain, and each waiting
-        template is bound to the atom they give.
+        Once every slot is bound, `_create` checks the instance.  Otherwise
+        the next template's unbound slots range over the domain: a binding
+        whose literal is false goes on, one whose literal is unassigned goes
+        on only as open_lit (or as the first open literal, while open_lit is
+        0), and one whose literal is true is dropped.
         """
         if -1 not in b:
             self._create(clause, clause.key(b), clause.lits(b), true, found)
             return
-        if not todo:
-            free, b = list(dict.fromkeys(a for a in open_t.args if a >= 0 and b[a] == -1)), b.copy()
-            for consts in itertools.product(range(len(self.domain)), repeat=len(free)):
-                for s, c in zip(free, consts):
-                    b[s] = c
-                lit = open_t.lit(b)
-                if true[lit] or true[-lit]:
-                    continue
-                digits, b2 = [-1 - a if a < 0 else b[a] for a in open_t.args], b
-                for t in same:
-                    b2 = _bind(t, digits, b2)
-                    if b2 is None:
-                        break
-                else:
-                    self._create(clause, clause.key(b2), clause.lits(b2), true, found)
-            return
         t, rest = todo[0], todo[1:]
-        if all(b[a] >= 0 for a in t.args if a >= 0):
+        free, b = list(dict.fromkeys(a for a in t.args if a >= 0 and b[a] == -1)), b.copy()
+        for consts in itertools.product(range(len(self.domain)), repeat=len(free)):
+            for s, c in zip(free, consts):
+                b[s] = c
             lit = t.lit(b)
             if true[-lit]:
-                self._join(clause, rest, b, open_t, true, on_trail, found, same)
-                return
-            if true[lit]:
-                return
-        else:
-            for digits in on_trail.get((t.pred, len(t.args), not t.positive), ()):
-                b2 = _bind(t, digits, b)
-                if b2 is not None:
-                    self._join(clause, rest, b2, open_t, true, on_trail, found, same)
-        # t is left open
-        if open_t is None:
-            self._join(clause, rest, b, t, true, on_trail, found, same)
-        elif (t.positive, t.pred) == (open_t.positive, open_t.pred):
-            self._join(clause, rest, b, open_t, true, on_trail, found, same + (t,))
+                self._join(clause, rest, b, open_lit, true, found)
+            elif not true[lit] and open_lit in (0, lit):
+                self._join(clause, rest, b, lit, true, found)
 
     def _create(self, clause: _CompiledClause, key: int, lits: tuple[int, ...], true, found) -> None:
         """If the instance with this key and these literals, per template, is unit or false, map
@@ -555,7 +532,6 @@ def ground_problem(
             continue  # every instance is created at the start
         pair = compiled.aligned and len(templates) == 2
         for t in templates:
-            problem.joins |= len({a for a in t.args if a >= 0}) < len(slot)
             consts = {j: -1 - a for j, a in enumerate(t.args) if a < 0}
             other = None  # in an aligned pair, the other template's base, negated if it is negative
             if pair:
@@ -571,7 +547,7 @@ def ground_problem(
     empty = bytearray(2 * len(atoms) + 1)
     for clause in problem.compiled:
         if clause.merge or len(clause.templates) < 2:
-            problem._join(clause, clause.templates, [-1] * clause.slots, None, empty, {}, {})
+            problem._join(clause, clause.templates, [-1] * clause.slots, 0, empty, {})
     return problem
 
 
@@ -593,9 +569,6 @@ class SclState(TrailKernel):
 
     problem: GroundProblem
     stats: SclStats = field(default_factory=SclStats)
-    on_trail: defaultdict[tuple[str, int, bool], list[tuple[int, ...]]] = field(
-        default_factory=lambda: defaultdict(list), repr=False
-    )
     next_clause_id: int = 1
 
     def __post_init__(self) -> None:
@@ -619,10 +592,6 @@ class SclState(TrailKernel):
     def assign(self, lit: int, reason: int | None) -> None:
         """Assign as the kernel does, then push or mark the instances this makes unit or false."""
         TrailKernel.assign(self, lit, reason)
-        problem = self.problem
-        if problem.joins:
-            pred, digits = problem.atoms.decode(abs(lit))
-            self.on_trail[pred, len(digits), lit > 0].append(digits)
         self.instantiate(-lit)
 
     def instantiate(self, false_lit: int) -> None:
@@ -632,12 +601,11 @@ class SclState(TrailKernel):
         The trigger tree of false_lit's Herbrand block and sign yields the
         templates it matches.  An instance of an aligned pair is handled
         where the walk finds it.  Any other clause binds the matched
-        template and joins its other templates against the trail
-        (`GroundProblem._join`; a template with unbound slots reads
-        `on_trail`, the trail's atoms by (predicate, arity, value), as
-        constant index tuples); what the join finds is handled after the
-        walk.  No instance is watched: the next literal that turns false in
-        it runs this walk again.
+        template and joins its other templates against `true`
+        (`GroundProblem._join`, whose unbound slots range over the domain);
+        what the join finds is handled after the walk.  No instance is
+        watched: the next literal that turns false in it runs this walk
+        again.
         """
         roots, starts, d = self.triggers
         if not roots:  # a problem grounded with no triggers
@@ -666,8 +634,7 @@ class SclState(TrailKernel):
                             digits = problem.atoms.digits(len(t.args), code)
                         b = _bind(t, digits, [-1] * clause.slots)
                         if b is not None:
-                            problem._join(clause, [u for u in clause.templates if u is not t], b, None, true,
-                                          self.on_trail, found)
+                            problem._join(clause, [u for u in clause.templates if u is not t], b, 0, true, found)
                         continue
                     # an aligned pair: false_lit, and the literal that other and the key give
                     key = atom - t.base
@@ -686,20 +653,12 @@ class SclState(TrailKernel):
                         heapq.heappush(self.pending, ((lit if lit > 0 else -lit, lit < 0, clause.id, instances[pos]),
                                                       pos, lit))
             node = later.pop() if later else None
-        if found:  # only joins fill it, and no walk on the counter joins
+        if found:  # filled only by `_join`, which no walk over the counters' aligned pairs calls
             for pos, unit in found.items():
                 if unit:
                     heapq.heappush(self.pending, (self.unit_key(pos, unit), pos, unit))
                 else:
                     self.false_ids.add(pos)
-
-    def truncate(self, level: int) -> None:
-        """Truncate as the kernel does, dropping the undone atoms from `on_trail`."""
-        if self.problem.joins:
-            for lit, _, _ in self.trail[self.trail_lim[level]:]:
-                pred, digits = self.problem.atoms.decode(abs(lit))
-                self.on_trail[pred, len(digits), lit > 0].pop()
-        super().truncate(level)
 
     def unit_key(self, pos: int, lit: int) -> tuple:
         # smallest ground atom first; positive before negative; then clause id and substitution

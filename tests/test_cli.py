@@ -217,6 +217,32 @@ class TestLiaModes:
         assert code == EXIT_UNSAT
         assert out.splitlines()[-1] == "conflict 2"
 
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    @pytest.mark.parametrize("system, decisions, message", [
+        ("x <= 10\n", ("x>=5", "x<=4"), "x <= 4 crosses x >= 5"),
+        ("", ("x>=0", "x<=-1"), "x <= -1 crosses x >= 0"),
+        ("y <= 3\n", ("x<=2", "y>=0", "x>3"), "x >= 4 crosses x <= 2"),
+    ])
+    def test_crossing_decisions_are_a_usage_error(self, tmp_path, capsys, fmt, system, decisions, message):
+        # propagation reads conflicts off the inequations only, so these ran to "fixpoint" (exit 10)
+        path = tmp_path / "sys.lia"
+        path.write_text(system)
+        argv = ["--mode", "lia-propagate", "--input", str(path), "--format", fmt]
+        for d in decisions:
+            argv += ["--decide", d]
+        assert run_cli(*argv) == (EXIT_USAGE, "")
+        assert capsys.readouterr().err == f"error: --decide {message}\n"
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_touching_decisions_run(self, tmp_path, fmt):
+        path = tmp_path / "sys.lia"
+        path.write_text("x <= 10\n")
+        code, out = run_cli("--mode", "lia-propagate", "--input", str(path), "--decide", "x>=5", "--decide", "x<=5",
+                            "--format", fmt)
+        lines = out.splitlines() if fmt == "text" else [json.loads(line)["line"] for line in out.splitlines()]
+        assert code == EXIT_SAT
+        assert lines == ["bound x >= 5 <- decision", "bound x <= 5 <- decision", "fixpoint"]
+
     def test_decide_sat(self, tmp_path):
         path = tmp_path / "sys.lia"
         path.write_text("x <= 0\n-x <= 0\n")

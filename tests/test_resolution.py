@@ -5,6 +5,7 @@ import pytest
 
 from oracles import assignment_satisfies, all_ground_instances, ground_satisfiable, reference_saturate
 from clausekit import resolution
+from clausekit.cli import build_parser
 from clausekit.errors import ReplayStepError
 from clausekit.formats import parse_bs
 from clausekit.logic import (
@@ -23,6 +24,7 @@ from clausekit.resolution import (
     DerivedClause,
     InputRule,
     ResolutionRule,
+    SELECTIONS,
     SelectFirstNegative,
     SelectNone,
     check_linear_refutation,
@@ -509,3 +511,9 @@ def test_selection_from_name():
     with pytest.raises(ValueError):
         selection_from_name("bogus")
 
+
+def test_the_cli_offers_the_selection_table():
+    # one table names the strategies, for selection_from_name and for --selection alike
+    choices = next(a.choices for a in build_parser()._actions if a.dest == "selection")
+    assert list(choices) == list(SELECTIONS) == ["none", "first-negative"]
+    assert all(type(selection_from_name(name)) is cls for name, cls in SELECTIONS.items())

@@ -17,7 +17,7 @@ from oracles import (
     reference_render,
     reference_scl_run,
 )
-from clausekit.cdcl import PropClause
+from clausekit.cdcl import PropClause, TrailKernel
 from clausekit.formats import parse_bs
 from clausekit.logic import Atom, Clause, Constant, Literal, Variable
 from clausekit.ordering import default_config
@@ -292,6 +292,58 @@ def test_aligned_shortcut_matches_the_join(monkeypatch):
 
     monkeypatch.setattr(scl, "_CompiledClause", Unaligned)
     assert [list(render(scl_run(c, d))) for c, d in cases] == [list(render(r)) for r in results]
+
+
+WIDE_ARITY = {"E": 2, "F": 3, "G": 1, "H": 2}
+
+
+def wide_bs(rng: random.Random) -> tuple[list[Clause], list[Constant]]:
+    """A BS set over 4 or 5 constants, given as its domain: ground unit facts, and clauses of
+    1-3 literals over E/2, F/3, G/1 and H/2 whose variables x, y, z may occur in one literal only."""
+    consts = [Constant(n) for n in "abcde"[: rng.randint(4, 5)]]
+    clauses = []
+    for cid in range(1, rng.randint(5, 9) + 1):
+        ground = rng.random() < 0.4
+        lits = []
+        for _ in range(1 if ground else rng.randint(1, 3)):
+            pred = rng.choice("EFGH")
+            args = tuple(rng.choice(consts if ground else consts[:2] + VARIABLES) for _ in range(WIDE_ARITY[pred]))
+            lits.append(Literal(rng.random() < 0.5, Atom(pred, args)))
+        clauses.append(Clause(cid, tuple(lits)))
+    return clauses, consts
+
+
+def test_wide_domain_joins_match_reference(monkeypatch):
+    # the general join ranges a template's unbound slots over the domain; here over 4-5 constants,
+    # arity up to 3, and variables that no other literal of their clause binds
+    ranged = 0
+    join = scl.GroundProblem._join
+
+    def counting_join(problem, clause, todo, b, *rest):
+        nonlocal ranged
+        ranged += bool(todo) and any(a >= 0 and b[a] == -1 for a in todo[0].args)
+        join(problem, clause, todo, b, *rest)
+
+    monkeypatch.setattr(scl.GroundProblem, "_join", counting_join)
+    rng = random.Random(2028)
+    kinds = {"sat": 0, "unsat": 0, "limit": 0}
+    lonely = 0  # clauses of two or more literals with a variable in one literal only
+    for _ in range(100):
+        clauses, domain = wide_bs(rng)
+        kinds[same_run(clauses, domain).verdict] += 1
+        for c in clauses:
+            per_lit = [{a for a in lit.atom.args if isinstance(a, Variable)} for lit in c.literals]
+            lonely += len(per_lit) > 1 and any(sum(v in s for s in per_lit) == 1 for s in per_lit for v in s)
+    assert ranged > 1000 and kinds["unsat"] >= 10 and kinds["sat"] >= 50 and lonely > 100
+
+
+def test_scl_keeps_no_trail_side_state():
+    # SCL reads the trail through the kernel's truth table only: no index of its own to fill and undo
+    assert SclState.truncate is TrailKernel.truncate
+    kernel = {f.name for f in dataclasses.fields(TrailKernel)}
+    assert [f.name for f in dataclasses.fields(SclState) if f.name not in kernel] == [
+        "problem", "stats", "next_clause_id"
+    ]
 
 
 def horn_chain(rng: random.Random, k: int) -> list[Clause]:
