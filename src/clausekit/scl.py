@@ -14,10 +14,13 @@ learned ones are hooked into the kernel's watch lists; no other instance is.
 When a literal L is assigned, one pass (`SclState.instantiate`) goes from
 the complement of L to every instance it makes unit or false, new or not:
 the trigger tree of its Herbrand block and sign yields the templates that
-match it.  In a clause of two literals that share one variable layout the
-matched atom gives the other literal at once, and where the walk finds the
+match it.  In a pair, a clause of two literals not of one sign and
+predicate, a matched literal that holds each of the clause's variables
+exactly once gives the other literal and the instance's key at once: by an
+offset where both literals place the variables alike, otherwise from each
+variable's digit in the matched atom's code.  Where the walk finds such an
 instance it is created if new, then its unit key is pushed or its position
-marked false.  In any other clause, the variables that the matched literal
+marked false.  In any other case, the variables that the matched literal
 leaves unbound range over the domain, and each binding's literals are read
 in the trail's truth table (each false, or the one literal left open); what
 this finds is pushed or marked when the walk ends.  An instance can only
@@ -86,7 +89,8 @@ class GroundInstance:
     The substitution is (variable name, constant name) pairs, sorted, and
     instances of one clause sort as their substitutions do.  An instance the
     engine grounds holds its compiled clause and its key there (see
-    `_CompiledClause`) in place of the pairs, and spells them only when asked.
+    `_CompiledClause`) in place of the pairs, and spells them only when asked;
+    the one instance of a ground clause spells `{}` with nothing compiled.
     """
 
     __slots__ = ("clause_id", "key", "lits", "compiled")
@@ -100,9 +104,11 @@ class GroundInstance:
         return self.key if self.compiled is None else self.compiled.subst(self.key)
 
     def subst_str(self) -> str:
-        if self.compiled is None:
-            return "{" + ",".join(map("->".join, self.key)) + "}"
         compiled = self.compiled
+        if compiled is None:
+            return "{" + ",".join(map("->".join, self.key)) + "}"
+        if not compiled.slots:  # a ground clause's one instance
+            return "{}"
         return compiled.subst_text % compiled.spell(self.key, compiled.by_name)
 
     def _sort_key(self) -> tuple:
@@ -185,9 +191,10 @@ class HerbrandBase(Sequence[Atom]):
         return names
 
     def __getitem__(self, i: int) -> Atom:
-        if not 0 <= i < self.size:
+        j = i + self.size if i < 0 else i  # negative indices count from the end, as in a list
+        if not 0 <= j < self.size:
             raise IndexError(i)
-        pred, digits = self.decode(i + 1)
+        pred, digits = self.decode(j + 1)
         return Atom(pred, tuple(self.domain[c] for c in digits))
 
 
@@ -203,6 +210,10 @@ class _Template(NamedTuple):
     def lit(self, combo: Sequence[int]) -> int:
         atom = self.base + sum(map(mul, self.weights, combo))
         return atom if self.positive else -atom
+
+    def binds(self, slots: int) -> bool:
+        """Whether the literal holds each of the variable slots 0 .. slots - 1 exactly once."""
+        return sorted(a for a in self.args if a >= 0) == list(range(slots))
 
 
 def _escape(name: str) -> str:
@@ -269,6 +280,11 @@ class _CompiledClause:
     predicate, each holding every variable once at argument positions of the
     same place values.  There the key takes the templates' shared weights,
     so every literal's atom index is its template's base plus the key.
+
+    A `pair` is a clause of two literals, not `merge`.  A template of a pair
+    that holds each variable exactly once (`_Template.binds`; the other may
+    hold any of them, repeated or beside constants) gives from a matched
+    atom the other literal and the key (see `SclState.instantiate`).
     """
 
     def __init__(self, clause: Clause, templates: list[_Template], variables: list[str], atoms: HerbrandBase):
@@ -283,10 +299,10 @@ class _CompiledClause:
         self.merge = len(set(kinds)) < len(kinds)
         first = templates[0] if templates else None
         self.aligned = (
-            len(templates) > 1 and not self.merge
-            and sorted(a for a in first.args if a >= 0) == list(range(self.slots))
+            len(templates) > 1 and not self.merge and first.binds(self.slots)
             and all(t.weights == first.weights for t in templates)
         )
+        self.pair = len(templates) == 2 and not self.merge
         d = len(self.names)
         self.weights = first.weights if self.aligned else tuple(d ** j for j in reversed(range(self.slots)))
         self.created: dict[int, int] = {}  # key -> instance position
@@ -530,13 +546,18 @@ def ground_problem(
         problem.compiled.append(compiled)
         if len(templates) < 2:
             continue  # every instance is created at the start
-        pair = compiled.aligned and len(templates) == 2
         for t in templates:
             consts = {j: -1 - a for j, a in enumerate(t.args) if a < 0}
-            other = None  # in an aligned pair, the other template's base, negated if it is negative
-            if pair:
+            # where t gives a pair's other literal (see `SclState.instantiate`): the other template's
+            # base, signed as its literal is, and unless the clause is aligned, per slot the place
+            # value in t, the other template's weight, signed alike, and the key's weight
+            other = None
+            if compiled.pair and (compiled.aligned or t.binds(compiled.slots)):
                 u = templates[1] if t is templates[0] else templates[0]
-                other = u.base if u.positive else -u.base
+                sign = 1 if u.positive else -1
+                other = sign * u.base
+                if not compiled.aligned:
+                    other = other, tuple(zip(t.weights, [sign * w for w in u.weights], compiled.weights))
             entries[block[t.pred]][t.positive].append((consts, (compiled, t, other)))
     problem.roots = [
         tuple(_trigger_tree(es, arity, len(dom)) if es else None for es in signs)
@@ -599,9 +620,16 @@ class SclState(TrailKernel):
         makes unit or false, creating it if it is new.
 
         The trigger tree of false_lit's Herbrand block and sign yields the
-        templates it matches.  An instance of an aligned pair is handled
-        where the walk finds it.  Any other clause binds the matched
-        template and joins its other templates against `true`
+        templates it matches.  A template of a pair that holds each of its
+        clause's variables once gives the other literal and the key from
+        the matched atom, and the instance is handled where the walk finds
+        it.  In an aligned pair the key is the atom's offset from the
+        template's base, and the other literal the other base plus the key.
+        In any other pair each slot's constant index is the digit
+        `code // place % d` of the atom's code, and the other atom and the
+        key are the other template's base plus the weighted digits and the
+        sum of the key's weights times the digits.  Any other template binds
+        its slots and joins the clause's other templates against `true`
         (`GroundProblem._join`, whose unbound slots range over the domain);
         what the join finds is handled after the walk.  No instance is
         watched: the next literal that turns false in it runs this walk
@@ -629,16 +657,25 @@ class SclState(TrailKernel):
                     continue
             else:
                 for clause, t, other in node:
-                    if other is None:
+                    if other.__class__ is int:
+                        # an aligned pair: the key is the matched atom's offset, one step where the
+                        # digits below take one per slot (up to n - 1 in an n-bit counter's rules)
+                        key = atom - t.base
+                        lit = other + key if other > 0 else other - key
+                    elif other is None:
                         if digits is None:
                             digits = problem.atoms.digits(len(t.args), code)
                         b = _bind(t, digits, [-1] * clause.slots)
                         if b is not None:
                             problem._join(clause, [u for u in clause.templates if u is not t], b, 0, true, found)
                         continue
-                    # an aligned pair: false_lit, and the literal that other and the key give
-                    key = atom - t.base
-                    lit = other + key if other > 0 else other - key
+                    else:  # any other pair: each slot's digit in the matched atom's code
+                        lit, key = other[0], 0
+                        for place, w, key_w in other[1]:
+                            c = code // place % d
+                            lit += w * c
+                            key += key_w * c
+                    # the instance of false_lit and lit
                     if true[lit]:
                         continue
                     created = clause.created
@@ -653,7 +690,7 @@ class SclState(TrailKernel):
                         heapq.heappush(self.pending, ((lit if lit > 0 else -lit, lit < 0, clause.id, instances[pos]),
                                                       pos, lit))
             node = later.pop() if later else None
-        if found:  # filled only by `_join`, which no walk over the counters' aligned pairs calls
+        if found:  # filled only by `_join`, which no walk over the counters or the Horn chains calls
             for pos, unit in found.items():
                 if unit:
                     heapq.heappush(self.pending, (self.unit_key(pos, unit), pos, unit))
@@ -748,10 +785,10 @@ def render(result: SclResult, fields: bool = True) -> Iterator[tuple[str, dict |
     holds None.  A propagation of one of its clause's literals, one per
     template, fills the formats that `_CompiledClause.lines` compiles for
     that literal with the names of the instance's key.  Merge clauses,
-    ground clauses (one instance each, too few lines to repay compiling)
-    and learned instances, and the literals of every other line, are
-    decoded from the Herbrand base.  A run stopped by the instance cap has
-    no state, so only its verdict line.
+    ground clauses (one instance each, too few lines to repay compiling;
+    their substitution is `{}`) and learned instances, and the literals of
+    every other line, are decoded from the Herbrand base.  A run stopped by
+    the instance cap has no state, so only its verdict line.
     """
     state = result.state
     if state is not None:

@@ -2,15 +2,20 @@
 
 The golden tests pin small runs line by line; these pin the full text and
 JSON output of `--mode scl --counter-n n` for n = 8..12 (up to 4,096
-propagation lines) and of `--mode counter-experiment --counter-n 12`, so any
-change to a trace line, a JSON field or the order of propagations fails here.
+propagation lines), of `--mode counter-experiment --counter-n 12`, and of
+`--mode scl` on three Horn chains of arity-3 rules with shuffled arguments,
+so any change to a trace line, a JSON field or the order of propagations
+fails here.
 """
 
 import hashlib
 import io
+import random
 
 import pytest
 
+from oracles import bs_text
+from test_scl_kernel import horn_chain
 from clausekit.cli import EXIT_SAT, EXIT_UNSAT, main
 
 # (argv, exit code, sha1 of the text output, sha1 of the JSON output)
@@ -36,3 +41,18 @@ def test_output_digest(argv, code, text_sha1, json_sha1):
         out = io.StringIO()
         assert main(argv + ["--format", fmt], out) == code
         assert hashlib.sha1(out.getvalue().encode()).hexdigest() == expected, fmt
+
+
+# (seed, constants, sha1 of the text output, sha1 of the JSON output) of `horn_chain`
+HORN_DIGESTS = [
+    (1, 8, "c98c48df16d04e17561de81e70b3bbda0fe7db11", "5414e780314deb77aa4fd8498570be6297cc11ae"),
+    (2, 12, "dd05e0f5823ccc4fbf78f8e69d39ca3962e387cf", "c3f3067c1fc7f0563493ec8abc5ea26f11ea8bb2"),
+    (3, 16, "681bd97030fe2e7b52961fa4d6b4ae454eaa3d6c", "495bf5b2a3b9e588f98b754c62b5ffdba8cdee6e"),
+]
+
+
+@pytest.mark.parametrize("seed, k, text_sha1, json_sha1", HORN_DIGESTS, ids=[f"horn{d[1]}" for d in HORN_DIGESTS])
+def test_horn_chain_digest(seed, k, text_sha1, json_sha1, tmp_path):
+    path = tmp_path / "horn.bs"
+    path.write_text(bs_text(horn_chain(random.Random(seed), k)))
+    test_output_digest(["--mode", "scl", "--input", str(path)], EXIT_UNSAT, text_sha1, json_sha1)

@@ -117,6 +117,15 @@ class TestAgainstReference:
             reference_ground_problem, clauses, None
         )
 
+    def test_herbrand_base_counts_negative_indices_from_the_end(self):
+        atoms = ground_problem(parse_bs("A(c0,c1). -A(x,y) | B(y)."), [Constant(n) for n in ("c0", "c1", "c2")]).atoms
+        assert len(atoms) == 12
+        assert atoms[-1] == list(atoms)[-1] == Atom("B", (Constant("c2"),))
+        assert atoms[-len(atoms)] == atoms[0]
+        for i in (len(atoms), -len(atoms) - 1):
+            with pytest.raises(IndexError):
+                atoms[i]
+
     def test_predicate_at_two_arities_is_rejected(self):
         # parse_bs rejects such text; library callers meet the same check
         x = Variable("x")

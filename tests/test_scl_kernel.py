@@ -287,7 +287,7 @@ def test_aligned_shortcut_matches_the_join(monkeypatch):
     class Unaligned(scl._CompiledClause):
         def __init__(self, *args):
             super().__init__(*args)
-            self.aligned = False
+            self.aligned = self.pair = False
             self.weights = tuple(len(self.names) ** j for j in reversed(range(self.slots)))
 
     monkeypatch.setattr(scl, "_CompiledClause", Unaligned)
@@ -337,6 +337,71 @@ def test_wide_domain_joins_match_reference(monkeypatch):
     assert ranged > 1000 and kinds["unsat"] >= 10 and kinds["sat"] >= 50 and lonely > 100
 
 
+def pair_rich(rng: random.Random) -> tuple[list[Clause], list[Constant]]:
+    """A BS set over 2-5 constants (small domains more often), given as its domain: ground unit
+    facts over E/2, F/3, G/1 and H/2, and clauses of two literals, one of which holds each of the
+    clause's variables once, in shuffled order and sometimes beside constants.  The other literal
+    holds any of those variables, repeated or not, and constants; on the same predicate it has the
+    opposite sign, as in -E(x,y) | E(y,x), whose instance at x = y is a tautology."""
+    consts = [Constant(n) for n in "abcde"[: min(rng.randint(2, 5), rng.randint(2, 5))]]
+    clauses = []
+    for _ in range(rng.randint(2, 6)):
+        pred = rng.choice("EFGH")
+        atom = Atom(pred, tuple(rng.choice(consts) for _ in range(WIDE_ARITY[pred])))
+        clauses.append(Clause(len(clauses) + 1, (Literal(rng.random() < 0.7, atom),)))
+    for _ in range(rng.randint(4, 8)):
+        pred = rng.choice("EFGH")
+        args = [rng.choice(consts) for _ in range(WIDE_ARITY[pred])]
+        positions = rng.sample(range(len(args)), rng.randint(1, len(args)))
+        variables = rng.sample(VARIABLES, len(positions))
+        for p, v in zip(positions, variables):
+            args[p] = v
+        binding = Literal(rng.random() < 0.2, Atom(pred, tuple(args)))
+        other = rng.choice("EFGH")
+        positive = not binding.positive if other == pred else rng.random() < 0.8
+        atom = Atom(other, tuple(rng.choice(variables + consts[:2]) for _ in range(WIDE_ARITY[other])))
+        lits = (binding, Literal(positive, atom))
+        clauses.append(Clause(len(clauses) + 1, lits if rng.random() < 0.5 else lits[::-1]))
+    return clauses, consts
+
+
+def test_pairs_match_reference(monkeypatch):
+    # the instances of a two-literal clause whose falsified literal holds each variable once come
+    # from that literal's atom alone; the same runs with no pair shortcut render the same lines
+    joined = 0  # instances of unaligned pairs that the join creates
+    create = scl.GroundProblem._create
+
+    def counting_create(problem, clause, *rest):
+        nonlocal joined
+        start = len(problem.instances)
+        create(problem, clause, *rest)
+        if clause.pair and not clause.aligned:
+            joined += len(problem.instances) - start
+
+    monkeypatch.setattr(scl.GroundProblem, "_create", counting_create)
+    rng = random.Random(2029)
+    cases = [pair_rich(rng) for _ in range(400)]
+    kinds = {"sat": 0, "unsat": 0, "limit": 0}
+    unaligned, rendered = 0, []
+    for clauses, domain in cases:
+        result = same_run(clauses, domain)
+        kinds[result.verdict] += 1
+        compiled = [inst.compiled for inst in result.state.problem.instances if inst.compiled]
+        unaligned += sum(c.pair and not c.aligned for c in compiled)
+        rendered.append((list(render(result, fields=False)), list(render(result))))
+    assert kinds["sat"] > 100 and kinds["unsat"] > 50 and unaligned - joined > 1000
+
+    class NoPairs(scl._CompiledClause):
+        def __init__(self, *args):
+            super().__init__(*args)
+            self.pair = False
+
+    monkeypatch.setattr(scl, "_CompiledClause", NoPairs)
+    for (clauses, domain), expected in zip(cases, rendered):
+        result = scl_run(clauses, domain)
+        assert (list(render(result, fields=False)), list(render(result))) == expected
+
+
 def test_scl_keeps_no_trail_side_state():
     # SCL reads the trail through the kernel's truth table only: no index of its own to fill and undo
     assert SclState.truncate is TrailKernel.truncate
@@ -370,6 +435,24 @@ def test_horn_chains_create_few_instances():
         result = scl_run(horn_chain(rng, k))
         assert result.verdict == "unsat"
         assert len(result.state.problem.instances) <= 2 * result.stats.propagations
+
+
+def test_horn_chain_rules_need_no_join(monkeypatch):
+    # every rule instance comes from the pair walk: once grounding is done, _join never runs
+    def no_join(*args):
+        raise AssertionError("_join called")
+
+    def ground_problem(*args):
+        problem = ground(*args)
+        problem._join = no_join
+        return problem
+
+    ground = scl.ground_problem
+    monkeypatch.setattr(scl, "ground_problem", ground_problem)
+    rng = random.Random(1)
+    for k in range(8, 17):
+        result = scl_run(horn_chain(rng, k))
+        assert result.verdict == "unsat" and len(result.state.problem.instances) > 10
 
 
 def test_constant_free_sets_agree_with_resolution():
