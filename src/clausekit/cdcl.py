@@ -22,20 +22,25 @@ from __future__ import annotations
 import heapq
 import math
 from collections import defaultdict
-from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .logic import clauses_by_id
 
 
-@dataclass(frozen=True, slots=True)
-class PropClause:
+class _PropClauseFields(NamedTuple):
     id: int
     lits: tuple[int, ...]
 
-    def __post_init__(self):
-        if 0 in self.lits:
+
+class PropClause(_PropClauseFields):
+    """A clause over DIMACS literals, a tuple record: it compares equal to, and hashes as, (id, lits)."""
+
+    __slots__ = ()
+
+    def __new__(cls, id: int, lits: tuple[int, ...]):
+        if 0 in lits:
             raise ValueError("0 is not a literal")
+        return tuple.__new__(cls, (id, lits))
 
     def __str__(self) -> str:
         return " ".join(str(l) for l in self.lits) if self.lits else "⊥"
@@ -69,7 +74,6 @@ def clause_status(lits: Sequence[int], value: dict[int, bool]) -> tuple[str, int
     return "open", None
 
 
-@dataclass(kw_only=True)
 class TrailKernel:
     """The trail, its truth and level tables, and the two-watched-literal index over clause ids.
 
@@ -98,24 +102,25 @@ class TrailKernel:
     propagation stopped at, or None.
     """
 
-    trail: list[TrailEntry] = field(default_factory=list)
-    trail_lim: list[int] = field(default_factory=list, repr=False)
-    level: int = 0
-    true: bytearray = field(default_factory=lambda: bytearray(1), repr=False)
-    var_level: dict[int, int] = field(default_factory=dict, repr=False)
-    watched: dict[int, Sequence[int]] = field(default_factory=dict, repr=False)
-    watchers: defaultdict[int, list[int]] = field(default_factory=lambda: defaultdict(list), repr=False)
-    pending: list[tuple] = field(default_factory=list, repr=False)
-    false_ids: set[int] = field(default_factory=set, repr=False)
-    events: list[tuple] = field(default_factory=list)
-    cursor: int = 1
-    conflict: int | None = None
-
     # Hooks: unit_key(cid, lit) is the heap order of the pending units, the smallest
     # propagating first; conflict_key(cid) orders the false clauses, the smallest being
     # the conflict.  None orders both by clause id.
     unit_key = None
     conflict_key = None
+
+    def __init__(self) -> None:
+        self.trail: list[TrailEntry] = []
+        self.trail_lim: list[int] = []
+        self.level = 0
+        self.true = bytearray(1)
+        self.var_level: dict[int, int] = {}
+        self.watched: dict[int, Sequence[int]] = {}
+        self.watchers: defaultdict[int, list[int]] = defaultdict(list)
+        self.pending: list[tuple] = []
+        self.false_ids: set[int] = set()
+        self.events: list[tuple] = []
+        self.cursor = 1
+        self.conflict: int | None = None
 
     def size(self, atoms: int) -> None:
         """Size the truth table for atoms 1..atoms; called on an empty trail."""
@@ -219,19 +224,18 @@ class TrailKernel:
         self.false_ids.clear()
 
 
-@dataclass
 class CdclState(TrailKernel):
     """The solver five-tuple on the trail kernel, plus an event log."""
 
-    clauses: dict[int, PropClause]
-    num_vars: int
-    learned_ids: list[int] = field(default_factory=list)
-    next_clause_id: int = 1
-    last_analysis_steps: list[tuple[int, int]] = field(default_factory=list)
-
-    def __post_init__(self) -> None:
-        self.size(self.num_vars)
-        for c in self.clauses.values():
+    def __init__(self, clauses: dict[int, PropClause], num_vars: int, next_clause_id: int = 1) -> None:
+        super().__init__()
+        self.clauses = clauses
+        self.num_vars = num_vars
+        self.learned_ids: list[int] = []
+        self.next_clause_id = next_clause_id
+        self.last_analysis_steps: list[tuple[int, int]] = []
+        self.size(num_vars)
+        for c in clauses.values():
             self.watch(c.id, c.lits)
 
     @classmethod
@@ -471,8 +475,7 @@ class ProofStep(NamedTuple):
     learned: tuple[int, ...]
 
 
-@dataclass
-class CdclResult:
+class CdclResult(NamedTuple):
     """A run's verdict, "sat" with its model or "unsat" with its proof, and its final state."""
 
     verdict: str

@@ -20,8 +20,7 @@ import contextlib
 import functools
 import json
 import sys
-from dataclasses import asdict, dataclass
-from typing import Callable, Iterable, Sequence, TextIO
+from typing import Callable, Iterable, NamedTuple, Sequence, TextIO
 
 from . import cdcl, formats, lia, resolution, scl
 from .errors import ClausekitError
@@ -195,8 +194,7 @@ def _run_lia_decide(args: argparse.Namespace, emit: _Emitter) -> int:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class ExperimentRow:
+class ExperimentRow(NamedTuple):
     n: int
     scl_propagations: int
     scl_result: str
@@ -238,7 +236,7 @@ def _run_experiment(args: argparse.Namespace, emit: _Emitter) -> int:
     rows = counter_experiment(n_max)
     if emit.as_json:
         for row in rows:
-            emit.out.write(_encode(asdict(row)) + "\n")
+            emit.out.write(_encode(row._asdict()) + "\n")
     else:
         emit.out.write("n  scl_propagations  scl_result  resolution_generated  resolution_result\n")
         for r in rows:

@@ -16,28 +16,32 @@ exceeds its cap); `render` gives the output lines of either result.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from heapq import heappop, heappush
 from typing import Iterable, Iterator, Mapping, NamedTuple
 
 DEFAULT_BOX_CAP = 10_000_000
 
 
-@dataclass(frozen=True, slots=True)
-class LinIneq:
+class _LinIneqFields(NamedTuple):
     id: int
     coeffs: tuple[tuple[str, int], ...]  # (variable, coefficient), input order
     const: int
 
-    def __post_init__(self):
-        if not self.coeffs or any(a == 0 for _, a in self.coeffs):
+
+class LinIneq(_LinIneqFields):
+    """The inequation sum(a * v for v, a in coeffs) + const <= 0, a tuple record equal to (id, coeffs, const)."""
+
+    __slots__ = ()
+
+    def __new__(cls, id: int, coeffs: tuple[tuple[str, int], ...], const: int):
+        if not coeffs or any(a == 0 for _, a in coeffs):
             raise ValueError("an inequation needs at least one nonzero coefficient")
-        if len({v for v, _ in self.coeffs}) != len(self.coeffs):
+        if len({v for v, _ in coeffs}) != len(coeffs):
             raise ValueError("duplicate variable in inequation")
+        return tuple.__new__(cls, (id, coeffs, const))
 
 
-@dataclass
-class LiaSystem:
+class LiaSystem(NamedTuple):
     inequations: list[LinIneq]
 
     @property
@@ -170,8 +174,7 @@ def conflicting_inequation(current: BoundMap, candidates: Iterable[CompiledIneq]
     return None
 
 
-@dataclass
-class LiaPropagation:
+class LiaPropagation(NamedTuple):
     """A propagation's verdict, "fixpoint", "conflict" or "diverged", its bounds, trail and tightenings."""
 
     verdict: str
@@ -282,8 +285,7 @@ def apriori_bounds(system: LiaSystem) -> dict[str, tuple[int, int]]:
     return {v: (-radius, radius) for v in system.variables}
 
 
-@dataclass
-class LiaDecision:
+class LiaDecision(NamedTuple):
     verdict: str  # "sat" | "unsat" | "limit" (the box exceeds the cap, so no search)
     assignment: dict[str, int] | None = None  # a "sat" model, in the system's variable order
 

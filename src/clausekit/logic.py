@@ -3,16 +3,21 @@
 Variables and constants are the only terms (Bernays-Schoenfinkel fragment);
 propositional atoms are the 0-ary special case.  All values are immutable,
 and terms are interned: one object per class and name, so a renaming, whose
-keys are variables, looks up every argument of a clause in one walk.
+keys are variables, looks up every argument of a clause in one walk.  Atoms,
+literals and clauses are tuple records (`NamedTuple`): each compares equal
+to, and hashes as, the plain tuple of its fields.
 """
 
 from __future__ import annotations
 
-from dataclasses import FrozenInstanceError, dataclass
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 # Identifiers starting with one of these letters denote variables.
 VARIABLE_PREFIXES = ("x", "y", "z", "u", "v", "w")
+
+
+class FrozenInstanceError(AttributeError):
+    """Raised on assigning or deleting an attribute of a term."""
 
 
 class _Interned:
@@ -75,8 +80,7 @@ def term_from_name(name: str) -> Term:
     return Variable(name) if is_variable_name(name) else Constant(name)
 
 
-@dataclass(frozen=True, slots=True)
-class Atom:
+class Atom(NamedTuple):
     predicate: str
     args: tuple[Term, ...] = ()
 
@@ -93,8 +97,7 @@ class Atom:
         return f"{self.predicate}({','.join([a.name for a in self.args])})"
 
 
-@dataclass(frozen=True, slots=True)
-class Literal:
+class Literal(NamedTuple):
     positive: bool
     atom: Atom
 
@@ -105,9 +108,12 @@ class Literal:
         return str(self.atom) if self.positive else "-" + str(self.atom)
 
 
-@dataclass(frozen=True, slots=True)
-class Clause:
-    """A multiset of literals with a problem-unique id; the empty clause is falsum."""
+class Clause(NamedTuple):
+    """A multiset of literals with a problem-unique id; the empty clause is falsum.
+
+    `len` counts the literals, not the two fields, so the tuple record's
+    `_make` and `_replace` do not apply: build a new `Clause` instead.
+    """
 
     id: int
     literals: tuple[Literal, ...] = ()

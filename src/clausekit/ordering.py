@@ -10,9 +10,8 @@ ignored; literals compare by their atoms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 from .errors import OrderingConfigError
 from .logic import Atom, Clause, Constant, Variable
@@ -25,8 +24,7 @@ class Cmp(Enum):
     INCOMPARABLE = "INCOMPARABLE"
 
 
-@dataclass(frozen=True)
-class OrderingConfig:
+class OrderingConfig(NamedTuple):
     """KBO instance over unit weights: a strict precedence on the symbols."""
 
     precedence: Mapping[str, int]  # higher value = greater symbol

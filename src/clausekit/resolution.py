@@ -22,8 +22,7 @@ without eligibility checks.  `render` gives the output lines of either run.
 from __future__ import annotations
 
 from collections import defaultdict, deque
-from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .errors import ReplayStepError
 from .logic import (
@@ -72,14 +71,12 @@ def selection_from_name(name: str) -> SelectionStrategy:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class InputRule:
+class InputRule(NamedTuple):
     def __str__(self) -> str:
         return "[Input]"
 
 
-@dataclass(frozen=True)
-class ResolutionRule:
+class ResolutionRule(NamedTuple):
     positive_parent: int
     positive_index: int  # 1-based literal positions, derivation-log style
     negative_parent: int
@@ -93,8 +90,7 @@ class ResolutionRule:
         )
 
 
-@dataclass(frozen=True)
-class FactoringRule:
+class FactoringRule(NamedTuple):
     parent: int
     kept_index: int
     merged_index: int
@@ -107,8 +103,7 @@ class FactoringRule:
 Rule = InputRule | ResolutionRule | FactoringRule
 
 
-@dataclass(frozen=True)
-class DerivedClause:
+class DerivedClause(NamedTuple):
     clause: Clause
     rule: Rule
 
@@ -304,8 +299,7 @@ class SubsumptionIndex:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class SaturationResult:
+class SaturationResult(NamedTuple):
     verdict: str  # "unsat" | "saturated" | "limit"
     generated: int
     kept: int

@@ -48,7 +48,6 @@ import bisect
 import heapq
 import itertools
 from collections import defaultdict
-from dataclasses import dataclass, field
 from functools import cached_property
 from operator import itemgetter, mul
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
@@ -190,7 +189,9 @@ class HerbrandBase(Sequence[Atom]):
             names = table[c] + names
         return names
 
-    def __getitem__(self, i: int) -> Atom:
+    def __getitem__(self, i: int | slice) -> Atom | list[Atom]:
+        if isinstance(i, slice):  # a slice gives its atoms as a list, as a list's slice does
+            return [self[j] for j in range(*i.indices(self.size))]
         j = i + self.size if i < 0 else i  # negative indices count from the end, as in a list
         if not 0 <= j < self.size:
             raise IndexError(i)
@@ -403,7 +404,6 @@ def _bind(t: _Template, digits: Sequence[int], b: list[int]) -> list[int] | None
     return b
 
 
-@dataclass
 class GroundProblem:
     """A problem grounded lazily: the clauses, the domain, the Herbrand base and the instances so far.
 
@@ -413,15 +413,16 @@ class GroundProblem:
     its templates, with each unbound slot ranging over the domain.
     """
 
-    clauses: dict[int, Clause]
-    domain: tuple[Constant, ...]
-    atoms: Sequence[Atom]
-    instances: list[GroundInstance]
-    compiled: list[_CompiledClause] = field(default_factory=list, repr=False)
-    # per Herbrand block, the _trigger_tree of (clause, template, other) for the negative and
-    # for the positive templates of the clauses of two or more literals, or None (see
-    # `ground_problem` for other); empty if nothing is left to create
-    roots: list[tuple] = field(default_factory=list, repr=False)
+    def __init__(
+        self, clauses: dict[int, Clause], domain: tuple[Constant, ...], atoms: Sequence[Atom],
+        instances: list[GroundInstance],
+    ) -> None:
+        self.clauses, self.domain, self.atoms, self.instances = clauses, domain, atoms, instances
+        self.compiled: list[_CompiledClause] = []
+        # per Herbrand block, the _trigger_tree of (clause, template, other) for the negative and
+        # for the positive templates of the clauses of two or more literals, or None (see
+        # `ground_problem` for other); empty if nothing is left to create
+        self.roots: list[tuple] = []
 
     def _join(self, clause, todo, b, open_lit, true, found) -> None:
         """Extend b over the templates in todo, each false on the trail or the one open literal.
@@ -572,13 +573,14 @@ def ground_problem(
     return problem
 
 
-@dataclass
 class SclStats:
-    propagations: int = 0
-    decisions: int = 0
+    """A run's counters: the propagations and the decisions made."""
+
+    def __init__(self) -> None:
+        self.propagations = 0
+        self.decisions = 0
 
 
-@dataclass
 class SclState(TrailKernel):
     """Five-tuple analog over ground literals: the trail kernel over instance positions.
 
@@ -588,16 +590,16 @@ class SclState(TrailKernel):
     `next_clause_id` on.  The kernel's tables are sized to the Herbrand base.
     """
 
-    problem: GroundProblem
-    stats: SclStats = field(default_factory=SclStats)
-    next_clause_id: int = 1
-
-    def __post_init__(self) -> None:
-        atoms = self.problem.atoms
+    def __init__(self, problem: GroundProblem, next_clause_id: int = 1) -> None:
+        super().__init__()
+        self.problem = problem
+        self.stats = SclStats()
+        self.next_clause_id = next_clause_id
+        atoms = problem.atoms
         self.size(len(atoms))
         # what `instantiate` reads of the problem: the trigger roots, the block starts (None for one
         # block, which starts at atom 1) and the domain size
-        self.triggers = self.problem.roots, atoms.starts if len(atoms.starts) > 1 else None, len(atoms.names)
+        self.triggers = problem.roots, atoms.starts if len(atoms.starts) > 1 else None, len(atoms.names)
 
     @classmethod
     def from_problem(cls, problem: GroundProblem) -> "SclState":
@@ -720,8 +722,7 @@ def scl_propagate(state: SclState, trail_cap: int = DEFAULT_TRAIL_CAP) -> SclSta
     return state
 
 
-@dataclass
-class SclResult:
+class SclResult(NamedTuple):
     """A run's verdict, "sat", "unsat" or "limit", its counters and its final state."""
 
     verdict: str

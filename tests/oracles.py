@@ -20,7 +20,7 @@ from __future__ import annotations
 import itertools
 import re
 from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
 from clausekit.cdcl import PropClause, TrailEntry
@@ -943,7 +943,7 @@ def reference_saturate(
                 if subsumes(conclusion, old):
                     removed.add(old.id)
                     counts["subsumed"] += 1
-            derivations[next_id] = DerivedClause(replace(conclusion, id=next_id), derived.rule)
+            derivations[next_id] = DerivedClause(Clause(next_id, conclusion.literals), derived.rule)
             passive.append(derivations[next_id].clause)
             counts["kept"] += 1
             next_id += 1

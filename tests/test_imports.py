@@ -1,7 +1,9 @@
 """clausekit has no runtime dependencies: every module imports only the standard library and itself."""
 
 import ast
+import os
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -122,3 +124,11 @@ def test_an_unreached_name_is_caught():
         "__init__": "__all__ = ['exported']\n",
     }
     assert unreached_names(sources) == {"a.LIMIT", "b.dead", "b.Dead", "b.SPARE"}
+
+
+def test_the_cli_imports_neither_dataclasses_nor_inspect():
+    # every call of the CLI pays for its imports: dataclasses brings inspect, ast, dis and tokenize
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    probe = "import sys, clausekit.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    run = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+    assert run.stdout.strip() == "[]"

@@ -126,6 +126,12 @@ class TestAgainstReference:
             with pytest.raises(IndexError):
                 atoms[i]
 
+    def test_herbrand_base_slices_as_a_list(self):
+        atoms = ground_problem(parse_bs("A(c0,c1). -A(x,y) | B(y)."), [Constant(n) for n in ("c0", "c1", "c2")]).atoms
+        every = list(atoms)
+        for s in (slice(0, 2), slice(None), slice(-4, None), slice(1, 11, 3), slice(None, None, -1), slice(20, 30)):
+            assert atoms[s] == every[s]
+
     def test_predicate_at_two_arities_is_rejected(self):
         # parse_bs rejects such text; library callers meet the same check
         x = Variable("x")

@@ -1,6 +1,5 @@
 """The SCL engine on the shared trail kernel against the rescanning engine it replaces."""
 
-import dataclasses
 import heapq
 import io
 import json
@@ -50,7 +49,7 @@ def outcome(result, render_result):
         verdict = (conflict.clause_id, conflict.subst_str())
     else:
         verdict = None
-    stats = dataclasses.asdict(result.stats)
+    stats = vars(result.stats)
     rendered = list(render_result(result))
     if state is None:
         return result.verdict, verdict, stats, rendered
@@ -405,10 +404,9 @@ def test_pairs_match_reference(monkeypatch):
 def test_scl_keeps_no_trail_side_state():
     # SCL reads the trail through the kernel's truth table only: no index of its own to fill and undo
     assert SclState.truncate is TrailKernel.truncate
-    kernel = {f.name for f in dataclasses.fields(TrailKernel)}
-    assert [f.name for f in dataclasses.fields(SclState) if f.name not in kernel] == [
-        "problem", "stats", "next_clause_id"
-    ]
+    kernel = set(vars(TrailKernel()))
+    state = SclState.from_problem(scl.ground_problem(counter_problem(3)))
+    assert [name for name in vars(state) if name not in kernel] == ["problem", "stats", "next_clause_id", "triggers"]
 
 
 def horn_chain(rng: random.Random, k: int) -> list[Clause]:
