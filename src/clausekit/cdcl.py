@@ -147,10 +147,7 @@ class TrailKernel:
             self.watched[cid] = lits
         watchers = self.watchers
         for lit in lits[:2]:
-            if lit in watchers:
-                watchers[lit].append(cid)
-            else:
-                watchers[lit] = [cid]  # sized to one: most literals of a large ground problem have one watcher
+            watchers[lit].append(cid)
 
     def unwatch(self, cid: int) -> None:
         """Unhook a clause: its watches, its heap entry and its false mark."""
@@ -251,10 +248,6 @@ class CdclState(TrailKernel):
             num_vars=num_vars,
             next_clause_id=max(by_id, default=0) + 1,
         )
-
-    @property
-    def learned(self) -> list[PropClause]:
-        return [self.clauses[i] for i in self.learned_ids]
 
 
 def propagate_units(kernel: TrailKernel, trail_cap: float = math.inf) -> None:

@@ -101,9 +101,6 @@ class Literal(NamedTuple):
     positive: bool
     atom: Atom
 
-    def complement(self) -> "Literal":
-        return Literal(not self.positive, self.atom)
-
     def __str__(self) -> str:
         return str(self.atom) if self.positive else "-" + str(self.atom)
 
@@ -187,15 +184,9 @@ class Substitution:
     def items(self) -> list[tuple[Variable, Term]]:
         return sorted(self._bindings.items(), key=lambda kv: kv[0].name)
 
-    def apply_term(self, term: Term) -> Term:
-        return self._bindings.get(term, term)  # only variables are bound
-
     def apply_atom(self, atom: Atom) -> Atom:
         get = self._bindings.get
         return Atom(atom.predicate, tuple([get(a, a) for a in atom.args]))
-
-    def apply_literal(self, lit: Literal) -> Literal:
-        return Literal(lit.positive, self.apply_atom(lit.atom))
 
     def apply_clause(self, clause: Clause) -> Clause:
         """The instance of the clause; the clause itself when none of its variables is bound."""

@@ -108,7 +108,7 @@ class GroundInstance:
             return "{" + ",".join(map("->".join, self.key)) + "}"
         if not compiled.slots:  # a ground clause's one instance
             return "{}"
-        return compiled.subst_text % compiled.spell(self.key, compiled.by_name)
+        return compiled.subst_text % compiled.spell(self.key)
 
     def _sort_key(self) -> tuple:
         return self.key if self.compiled is None else self.compiled.sort_key(self.key)
@@ -314,11 +314,6 @@ class _CompiledClause:
     def lits(self, combo: Sequence[int]) -> tuple[int, ...]:
         return tuple([t.lit(combo) for t in self.templates])
 
-    def spell(self, key: int, weights: Sequence[int]) -> tuple[str, ...]:
-        """The constant names of the slots with these weights in the instance with this key."""
-        names, d = self.names, len(self.names)
-        return tuple([names[key // w % d] for w in weights])
-
     # What only substitutions and rendering need is built when first asked for.
 
     @cached_property
@@ -331,9 +326,14 @@ class _CompiledClause:
         d = len(self.names)
         return tuple([key // w % d for w in self.by_name])
 
+    def spell(self, key: int) -> tuple[str, ...]:
+        """The constant names of `sort_key(key)`, in variable-name order."""
+        names = self.names
+        return tuple([names[i] for i in self.sort_key(key)])
+
     def subst(self, key: int) -> tuple[tuple[str, str], ...]:
         """The (variable name, constant name) pairs, sorted."""
-        return tuple(zip(sorted(self.variables), self.spell(key, self.by_name)))
+        return tuple(zip(sorted(self.variables), self.spell(key)))
 
     @cached_property
     def subst_text(self) -> str:

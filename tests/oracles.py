@@ -843,7 +843,7 @@ def reference_ordered_resolve(c1: Clause, c2: Clause, cfg: WeightedOrderingConfi
                     continue
                 rest = [l for k, l in enumerate(pos_r.literals) if k != i]
                 rest += [l for k, l in enumerate(neg_r.literals) if k != j]
-                conclusion = canonical_variant(Clause(0, tuple(sigma.apply_literal(l) for l in rest)))
+                conclusion = canonical_variant(Clause(0, tuple(Literal(l.positive, sigma.apply_atom(l.atom)) for l in rest)))
                 out.append(DerivedClause(conclusion, ResolutionRule(positive.id, i + 1, negative.id, j + 1, sigma)))
         if c1.id == c2.id:
             break
@@ -860,7 +860,7 @@ def reference_factor(clause: Clause, cfg: WeightedOrderingConfig) -> list[Derive
         if sigma is None or not reference_literal_is_maximal(sigma.apply_clause(clause), i, cfg):
             continue
         conclusion = canonical_variant(
-            Clause(0, tuple(sigma.apply_literal(l) for k, l in enumerate(lits) if k != j))
+            Clause(0, tuple(Literal(l.positive, sigma.apply_atom(l.atom)) for k, l in enumerate(lits) if k != j))
         )
         out.append(DerivedClause(conclusion, FactoringRule(clause.id, i + 1, j + 1, sigma)))
     return out

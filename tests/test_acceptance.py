@@ -93,7 +93,7 @@ def test_01_cdcl_backjump_replay():
     conflict_events = [e for e in state.events if e[0] == "conflict"]
     assert conflict_events == [("conflict", 3)]
     assert [(e.lit, e.level, e.reason) for e in state.trail] == [(-1, 1, None), (2, 1, 4)]
-    assert [c.lits for c in state.learned] == [(1, 2)]
+    assert [state.clauses[i].lits for i in state.learned_ids] == [(1, 2)]
     assert state.level == 1 and state.conflict is None
     assert list(state.clauses) == [1, 2, 3, 4] and state.learned_ids == [4]
     lines = [line for line, _ in render(solve(DEMO))]

@@ -134,7 +134,7 @@ class TestBackjump:
         backjump_and_learn(state, learned, level)
         assert [(e.lit, e.level) for e in state.trail] == [(-1, 1), (2, 1)]
         assert state.trail[1].reason == 4  # the learned clause propagates Q
-        assert [c.lits for c in state.learned] == [(1, 2)]
+        assert [state.clauses[i].lits for i in state.learned_ids] == [(1, 2)]
         assert state.level == 1 and state.conflict is None
 
     def test_unit_learned_at_level_zero(self):
@@ -237,9 +237,9 @@ class TestForget:
     def test_relearned_after_forgetting(self):
         # the same conflict on a fresh run of the same problem relearns the clause
         first = solve(DEMO)
-        forgotten = first.state.learned[0].lits
+        forgotten = first.state.clauses[first.state.learned_ids[0]].lits
         second = solve(DEMO)
-        assert forgotten in [c.lits for c in second.state.learned]
+        assert forgotten in [second.state.clauses[i].lits for i in second.state.learned_ids]
 
 
 class TestIsRedundant:

@@ -10,6 +10,7 @@ must point at it.
 from __future__ import annotations
 
 import functools
+import hashlib
 import random
 
 from clausekit.errors import ParseError
@@ -168,10 +169,12 @@ def test_lia_matches_reference():
     assert accepted > 500 and rejected > 5_000
 
 
+PARSERS = {"bs": parse_bs, "lia": parse_lia, "dimacs": parse_dimacs, "script": parse_script}
+
+
 def test_every_parse_error_has_a_line_and_a_column():
-    parsers = {"bs": parse_bs, "lia": parse_lia, "dimacs": parse_dimacs, "script": parse_script}
     errors = 0
-    for fmt, parse in parsers.items():
+    for fmt, parse in PARSERS.items():
         for text in corpus(fmt):
             try:
                 parse(text)
@@ -179,3 +182,16 @@ def test_every_parse_error_has_a_line_and_a_column():
                 assert exc.line is not None and exc.column is not None, (fmt, text, str(exc))
                 errors += 1
     assert errors > 10_000
+
+
+def test_every_parse_outcome_keeps_its_position():
+    # the reference tests above compare no DIMACS or script position and no LIA column: pin all of them
+    digest = hashlib.sha1()
+    errors = 0
+    for fmt, parse in PARSERS.items():
+        for text in corpus(fmt):
+            _, error = outcome(parse, text)
+            digest.update(repr("accepted" if error is None else (fmt, *error)).encode() + b"\n")
+            errors += error is not None
+    assert errors == 26_411
+    assert digest.hexdigest() == "870d51a556c34bce2e38f0d14e7a11d3810a67ad"

@@ -114,7 +114,7 @@ def test_unify_is_most_general(a, b):
             assert sigma is not None
             assert theta.apply_atom(sigma.apply_atom(a)) == theta.apply_atom(a)
             for v in variables:
-                assert theta.apply_term(sigma.apply_term(v)) == theta.apply_term(v)
+                assert theta.apply_atom(sigma.apply_atom(P(v))) == theta.apply_atom(P(v))
     if sigma is not None and a.arity == b.arity and a.predicate == b.predicate:
         assert sigma.apply_atom(a) == sigma.apply_atom(b)
         assert ground_unifier_exists
@@ -268,10 +268,6 @@ class TestClause:
     def test_canonical_variant_swaps(self):
         clause = Clause(1, (pos(P(x2, x1)),))
         assert str(canonical_variant(clause)) == "P(x1,x2)"
-
-    def test_complement_involution(self):
-        lit = neg(P(c0))
-        assert lit.complement().complement() == lit
 
 
 def test_match_atoms_one_way():

@@ -452,7 +452,7 @@ class TestReplay:
                 positive, negative = rule.unifier.apply_clause(positive), rule.unifier.apply_clause(negative)
                 resolved = positive.literals[rule.positive_index - 1]
                 assert resolved.positive
-                assert negative.literals[rule.negative_index - 1] == resolved.complement()
+                assert negative.literals[rule.negative_index - 1] == Literal(not resolved.positive, resolved.atom)
                 # the conclusion lists the left premise's literals first
                 rests = [
                     [l for i, l in enumerate(c.literals) if i != index - 1]

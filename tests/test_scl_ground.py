@@ -7,14 +7,18 @@ positive first, then clause id); the two runs then make the same events, with
 SCL's instance positions named by their clause ids.
 """
 
+import importlib.util
 import random
+import sys
 from collections import Counter
 from functools import partial
+from pathlib import Path
 
 import pytest
 
 from test_scl_kernel import random_bs
 from clausekit.cdcl import CdclState, PropClause, lowest_index_positive, solve
+from clausekit.formats import parse_dimacs
 from clausekit.logic import Atom, Clause, Literal
 from clausekit.scl import counter_problem, ground_problem, scl_run
 
@@ -27,10 +31,30 @@ def random_cnf(rng: random.Random, num_vars: int, num_clauses: int, widths: tupl
     return clauses
 
 
+WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+
+
+def load_workloads():
+    # workloads imports its sibling checkers, and its dataclasses look their module up in sys.modules
+    sys.path.insert(0, str(WORKLOADS.parent))
+    try:
+        spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
+        module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+    finally:
+        sys.path.remove(str(WORKLOADS.parent))
+    return module
+
+
 def corpus() -> list[tuple[list[PropClause], int]]:
-    """The benchmark's random-3cnf corpus: 17 formulas of 50 variables at ratio 4.26, from seed 4260."""
-    rng = random.Random(4260)
-    return [(random_cnf(rng, 50, 213, (3,)), 50) for _ in range(17)]
+    """The benchmark's random-3cnf corpus, drawn by the benchmark's own generator from its own seed."""
+    workloads = load_workloads()
+    rng = random.Random(workloads.CNF_CORPUS_SEED)
+    formulas = []
+    for _ in range(workloads.CNF_FORMULAS):
+        num_vars, clauses = parse_dimacs(workloads.random_3cnf(rng))
+        formulas.append((clauses, num_vars))
+    return formulas
 
 
 def small_formulas(seed: int, widths: tuple[int, ...]) -> list[tuple[list[PropClause], int]]:
