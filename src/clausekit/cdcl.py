@@ -518,7 +518,7 @@ def render(result: CdclResult) -> Iterator[tuple[str, dict]]:
             yield f"learn {' '.join(map(str, ev[1]))} backjump {ev[2]}", {
                 "event": "cdcl", "kind": kind, "lits": list(ev[1]), "backjump": ev[2], "clause": ev[3]}
         elif kind == "forget":
-            yield f"forget clause {ev[1]}", {"event": "cdcl", "kind": kind}
+            yield f"forget clause {ev[1]}", {"event": "cdcl", "kind": kind, "clause": ev[1]}
         elif kind == "sat":
             yield "s SATISFIABLE", {"event": "cdcl", "kind": kind}
             yield " ".join(["v", *map(str, ev[1]), "0"]), {"event": "cdcl", "kind": kind}

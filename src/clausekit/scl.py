@@ -27,8 +27,9 @@ this finds is pushed or marked when the walk ends.  An instance can only
 become unit or false when one of its literals turns false, so this walk is
 the watch: every unit and false instance is known before each pick, and the
 trace is that of grounding everything first.  An instance keeps each
-literal once; of the instances of a clause with one literal set, only the
-first in substitution order exists.
+literal once, and each substitution has its own instance, even where two
+share a literal set: such instances are unit on one literal or false
+together, so the tie-breaks below pick the first in substitution order.
 
 The engine runs through the step rules of `clausekit.cdcl`, which it
 steers by the kernel's hooks: propagation picks the smallest propagatable
@@ -296,7 +297,7 @@ class _CompiledClause:
         self.slots = len(variables)
         self.names, self.chunk = atoms.names, atoms.chunk
         kinds = [(t.positive, t.pred) for t in templates]
-        # two literals share sign and predicate, so instances can lose literals and coincide
+        # two literals share sign and predicate, so an instance can hold fewer literals than the clause
         self.merge = len(set(kinds)) < len(kinds)
         first = templates[0] if templates else None
         self.aligned = (
@@ -448,8 +449,9 @@ class GroundProblem:
                 self._join(clause, rest, b, lit, true, found)
 
     def _create(self, clause: _CompiledClause, key: int, lits: tuple[int, ...], true, found) -> None:
-        """If the instance with this key and these literals, per template, is unit or false, map
-        its position to its unit literal or 0 in found, creating it if it is new."""
+        """If the instance with this key and these literals, per template, each kept once, is unit
+        or false, map its position to its unit literal or 0 in found, creating it if it is new;
+        each key is an instance of its own, even where two give one literal set."""
         if clause.merge:
             lits = tuple(dict.fromkeys(lits))
         unit = 0
@@ -460,38 +462,12 @@ class GroundProblem:
                 if unit:
                     return
                 unit = lit
-        if clause.merge:
-            combo = self._first_combo(clause, lits)
-            key, lits = clause.key(combo), tuple(dict.fromkeys(clause.lits(combo)))
         created = clause.created
         pos = created.get(key)
         if pos is None:
             pos = created[key] = len(self.instances)
             self.instances.append(GroundInstance(clause.id, key, lits, clause))
         found[pos] = unit
-
-    def _first_combo(self, clause: _CompiledClause, lits: tuple[int, ...]) -> tuple[int, ...]:
-        """The first combo, in itertools.product order, whose instance has this literal set.
-
-        Every variable occurs in a template, so a combo is fixed by which
-        literal each template becomes.
-        """
-        targets = [(lit > 0, *self.atoms.decode(abs(lit))) for lit in lits]
-        first = None
-        for choice in itertools.product(targets, repeat=len(clause.templates)):
-            if len(set(choice)) < len(targets):
-                continue
-            b = [-1] * clause.slots
-            for t, (positive, pred, digits) in zip(clause.templates, choice):
-                if (t.positive, t.pred) != (positive, pred):
-                    break
-                b = _bind(t, digits, b)
-                if b is None:
-                    break
-            else:
-                if first is None or tuple(b) < first:
-                    first = tuple(b)
-        return first
 
 
 def ground_problem(

@@ -269,9 +269,9 @@ def reference_ground_problem(
     """Drop-in for `scl.ground_problem`: one Substitution and one Atom per literal.
 
     Builds the Herbrand base by sorting every atom, then applies a
-    substitution to each literal of each instance and looks the atom up.  An
-    instance keeps each literal once, in first-occurrence order, and instances
-    with the same literal set are dropped after the first.
+    substitution to each literal of each instance and looks the atom up.  Every
+    substitution gives an instance, which keeps each literal once, in
+    first-occurrence order.
     """
     by_id: dict[int, Clause] = {}
     for c in clauses:
@@ -311,7 +311,6 @@ def reference_ground_problem(
     for cid in sorted(by_id):
         clause = by_id[cid]
         variables = clause.variables()
-        seen: set[frozenset[int]] = set()
         for combo in itertools.product(dom, repeat=len(variables)):
             sub = Substitution(dict(zip(variables, combo)))
             lits = tuple(
@@ -320,9 +319,6 @@ def reference_ground_problem(
                     for l in clause.literals
                 )
             )
-            if frozenset(lits) in seen:
-                continue
-            seen.add(frozenset(lits))
             subst = tuple(sorted((v.name, c.name) for v, c in zip(variables, combo)))
             problem.instances.append(GroundInstance(cid, subst, lits))
     return problem

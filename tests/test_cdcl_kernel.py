@@ -1,12 +1,15 @@
 """The watched-literal propagation kernel against the id-order rescan it replaces."""
 
+import io
+import json
 import random
 
 import pytest
 
 from oracles import brute_force_sat, reference_at_fixpoint, reference_propagate, trail_values
-from clausekit import cdcl
+from clausekit import cdcl, cli
 from clausekit.cdcl import (
+    CdclResult,
     CdclState,
     PropClause,
     clause_status,
@@ -112,22 +115,49 @@ def test_learned_clauses_on_larger_formulas_match_rescanning_reference(reference
     assert sum(1 for *_, events, _ in kernel for ev in events if ev[0] == "learn") > 100
 
 
+def forgetting_cnf(rng):
+    """A random 3-CNF of 5-10 variables at a clause/variable ratio of 4.3, for `drive_with_forgetting`."""
+    num_vars = rng.randint(5, 10)
+    clauses = []
+    for cid in range(1, round(num_vars * 4.3) + 1):
+        atoms = rng.sample(range(1, num_vars + 1), 3)
+        clauses.append(PropClause(cid, tuple(a if rng.random() < 0.5 else -a for a in atoms)))
+    return clauses, num_vars
+
+
 def test_forgetting_matches_rescanning_reference(reference):
     rng = random.Random(2001)
-    problems = []
-    for _ in range(120):
-        num_vars = rng.randint(5, 10)
-        clauses = []
-        for cid in range(1, round(num_vars * 4.3) + 1):
-            atoms = rng.sample(range(1, num_vars + 1), 3)
-            clauses.append(PropClause(cid, tuple(a if rng.random() < 0.5 else -a for a in atoms)))
-        problems.append((clauses, num_vars))
+    problems = [forgetting_cnf(rng) for _ in range(120)]
     kernel = [drive_with_forgetting(c, n) for c, n in problems]
     reference()
     scanned = [drive_with_forgetting(c, n) for c, n in problems]
     assert [(s.events, s.trail) for s, _ in kernel] == [(s.events, s.trail) for s, _ in scanned]
     assert sum(1 for s, _ in kernel for ev in s.events if ev[0] == "forget") > 100
     assert sum(hits for _, hits in kernel) > 0  # a forgotten clause was a pending unit
+
+
+def test_rendered_forget_line_names_its_clause():
+    # no CLI mode forgets, so only a driven run renders a forget line; as text and as JSON it
+    # names the forgotten clause, as every other line that names a clause does
+    rng = random.Random(2001)
+    forgotten = []
+    for _ in range(20):
+        clauses, num_vars = forgetting_cnf(rng)
+        state, _ = drive_with_forgetting(clauses, num_vars)
+        result = CdclResult("sat" if len(state.trail) == num_vars else "unsat", state)
+        text, as_json = io.StringIO(), io.StringIO()
+        cli._Emitter(text, False).lines(cdcl.render(result))
+        cli._Emitter(as_json, True).lines(cdcl.render(result))
+        records = [json.loads(line) for line in as_json.getvalue().splitlines()]
+        assert text.getvalue().splitlines() == [r["line"] for r in records]
+        events = [ev for ev in state.events if ev[0] != "decide"]
+        named = [r for r in records if r["kind"] != "decide"]
+        assert [r["clause"] for r in named] == [ev[3] if ev[0] == "learn" else ev[-1] for ev in events]
+        for ev, r in zip(events, named):
+            if ev[0] == "forget":
+                assert r == {"line": f"forget clause {ev[1]}", "event": "cdcl", "kind": "forget", "clause": ev[1]}
+                forgotten.append(ev[1])
+    assert len(forgotten) > 10
 
 
 class TestEdgeCases:

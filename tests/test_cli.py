@@ -390,6 +390,24 @@ class TestUsageErrors:
         assert (code, out) == (EXIT_USAGE, "")
         assert capsys.readouterr().err == "error: --max-steps must be non-negative\n"
 
+    @pytest.mark.parametrize("argv, err", [
+        (("--mode", "scl", "--counter-n", "0"), "--counter-n must be positive"),
+        (("--mode", "scl", "--counter-n", "2", "--max-instances", "0"), "--max-instances must be positive"),
+        (("--mode", "counter-experiment", "--counter-n", "0"), "--counter-n must be within 1..12"),
+        (("--mode", "counter-experiment", "--counter-n", "13"), "--counter-n must be within 1..12"),
+    ])
+    def test_out_of_range_value(self, argv, err, capsys):
+        code, out = run_cli(*argv)
+        assert (code, out) == (EXIT_USAGE, "")
+        assert capsys.readouterr().err == f"error: {err}\n"
+
+    def test_replay_step_names_the_missing_literal(self, tmp_path, capsys):
+        script = tmp_path / "bad.script"
+        script.write_text("1.1 Res 2.3\n")
+        code, out = run_cli("--mode", "resolution-replay", "--counter-n", "2", "--replay", str(script))
+        assert (code, out) == (EXIT_USAGE, "")
+        assert capsys.readouterr().err == "error: step 1: clause 2 has no literal 3\n"
+
 
 # the modes that read each flag, as the README lists them
 FLAG_READERS = {

@@ -12,6 +12,7 @@ import random
 import pytest
 
 from oracles import reference_ground_problem
+from test_scl_kernel import swap_bs
 from clausekit import scl
 from clausekit.cdcl import clause_status
 from clausekit.errors import ResourceLimitError
@@ -56,14 +57,12 @@ def outcome(ground, clauses, domain, cap=scl.DEFAULT_INSTANCE_CAP):
 
 def template_grounding(problem):
     """Every instance the engine's templates give, in (clause id, product) order, as an eager
-    grounding would keep them: each literal once, and a literal set at its first substitution."""
-    out = []
-    for clause in problem.compiled:
-        for combo in itertools.product(range(len(problem.domain)), repeat=clause.slots):
-            lits = tuple(dict.fromkeys(clause.lits(combo)))
-            if not clause.merge or problem._first_combo(clause, lits) == combo:
-                out.append(scl.GroundInstance(clause.id, clause.subst(clause.key(combo)), lits))
-    return out
+    grounding would keep them: one per substitution, each literal once."""
+    return [
+        scl.GroundInstance(clause.id, clause.subst(clause.key(combo)), tuple(dict.fromkeys(clause.lits(combo))))
+        for clause in problem.compiled
+        for combo in itertools.product(range(len(problem.domain)), repeat=clause.slots)
+    ]
 
 
 class TestAgainstReference:
@@ -153,7 +152,7 @@ class TestRepeatedLiterals:
             "s SATISFIABLE",
         ]
 
-    def test_literal_kept_once_and_literal_sets_once(self):
+    def test_literal_kept_once(self):
         problem = ground_problem(parse_bs("P(x) | P(y) | -Q(x). Q(a). Q(b)."))
         first = [inst for inst in template_grounding(problem) if inst.clause_id == 1]
         # x=a,y=b and x=b,y=a differ in the Q literal, so both stay
@@ -163,12 +162,20 @@ class TestRepeatedLiterals:
             ("{x->b,y->a}", (2, 1, -4)),
             ("{x->b,y->b}", (2, -4)),
         ]
-        # here x=b,y=a repeats the literal set of x=a,y=b
+
+    def test_every_substitution_keeps_its_instance(self):
+        # x=b,y=a repeats the literal set of x=a,y=b, in the other order, and is an instance too
         same_set = ground_problem(parse_bs("P(x) | P(y). P(a). P(b)."))
-        assert [(inst.subst_str(), inst.lits) for inst in template_grounding(same_set)][:3] == [
+        assert [(inst.subst_str(), inst.lits) for inst in template_grounding(same_set)][:4] == [
             ("{x->a,y->a}", (1,)),
             ("{x->a,y->b}", (1, 2)),
+            ("{x->b,y->a}", (2, 1)),
             ("{x->b,y->b}", (2,)),
+        ]
+        # the engine creates both once -P(a) and -P(b) leave them unit on Q
+        result = scl_run(parse_bs("P(x) | P(y) | Q. -P(a). -P(b)."))
+        assert sorted(inst.subst_str() for inst in result.state.problem.instances if inst.clause_id == 1) == [
+            "{x->a,y->a}", "{x->a,y->b}", "{x->b,y->a}", "{x->b,y->b}",
         ]
 
     def test_ground_unit_written_twice_propagates(self):
@@ -177,6 +184,57 @@ class TestRepeatedLiterals:
             "propagate P(a) <- clause 1 σ={}",
             "propagate Q(a) <- clause 2 σ={}",
         ]
+
+
+def ground_literals(clause: Clause, subst: dict[str, str]) -> frozenset:
+    """The literal set of the clause's instance under {variable name: constant name}."""
+    return frozenset(
+        (l.positive, l.atom.predicate, tuple(subst[a.name] if isinstance(a, Variable) else a.name for a in l.atom.args))
+        for l in clause.literals
+    )
+
+
+def first_with_literal_set(clause: Clause, domain, subst: dict[str, str], variables: list[str]) -> dict[str, str]:
+    """The first substitution with subst's literal set, ranging the variables over the domain in
+    itertools.product order, the first variable slowest."""
+    target = ground_literals(clause, subst)
+    for names in itertools.product(sorted(c.name for c in domain), repeat=len(variables)):
+        candidate = dict(zip(variables, names))
+        if ground_literals(clause, candidate) == target:
+            return candidate
+
+
+class TestSubstitutionOrder:
+    # instances of one clause that share a literal set are unit or false together, and a trace
+    # line names the first of them in substitution order: variables by name, constants by name
+
+    def test_swapped_arguments_print_the_smallest_substitution(self):
+        # first-occurrence order (z, then y) would print σ={y->b,z->a}
+        lines = [line for line, _ in render(scl_run(parse_bs("-P(z,y) | -P(y,z). P(b,a).")))]
+        assert "propagate -P(a,b) <- clause 1 σ={y->a,z->b}" in lines
+        assert not any("σ={y->b,z->a}" in line for line in lines)
+
+    def test_printed_substitution_is_the_first_with_its_literal_set(self):
+        # every σ on a propagate or conflict line of an input clause, checked against all of the
+        # clause's substitutions; in some sets first-occurrence order would print another σ
+        rng = random.Random(5)
+        checked = disagree = 0
+        for _ in range(300):
+            clauses, domain = swap_bs(rng)
+            by_id = {c.id: c for c in clauses}
+            differs = False
+            for _, fields in render(scl_run(clauses, domain)):
+                if fields.get("kind") not in ("propagate", "conflict") or fields["clause"] not in by_id:
+                    continue
+                clause = by_id[fields["clause"]]
+                printed = dict(pair.split("->") for pair in fields["subst"][1:-1].split(",") if pair)
+                by_name = first_with_literal_set(clause, domain, printed, sorted(printed))
+                assert printed == by_name
+                occurrence = [v.name for v in clause.variables()]
+                differs |= first_with_literal_set(clause, domain, printed, occurrence) != by_name
+                checked += 1
+            disagree += differs
+        assert checked > 1000 and disagree >= 20
 
 
 def test_initial_classification_matches_full_scan():

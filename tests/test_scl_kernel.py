@@ -213,6 +213,44 @@ def merge_chain(rng: random.Random) -> list[Clause]:
     return clauses
 
 
+def swap_bs(rng: random.Random) -> tuple[list[Clause], list[Constant]]:
+    """A set over 2-3 of the constants a, b, c, given as its domain: one or two clauses
+    sP(v1,v2) | sP(v2,v1) of one sign s over two of x, y, z, in 30% of them with a third
+    literal +-Q(v1); one to four P facts of random sign; and in half the sets a Q fact.  Two
+    substitutions that swap v1 and v2 give one literal set, and first-occurrence order and
+    substitution order disagree on which comes first when v2 sorts before v1."""
+    consts = CONSTANTS[: rng.randint(2, 3)]
+    clauses = []
+    for _ in range(rng.randint(1, 2)):
+        v1, v2 = rng.sample(VARIABLES, 2)
+        positive = rng.random() < 0.5
+        lits = [Literal(positive, Atom("P", (v1, v2))), Literal(positive, Atom("P", (v2, v1)))]
+        if rng.random() < 0.3:
+            lits.append(Literal(rng.random() < 0.5, Atom("Q", (v1,))))
+        clauses.append(Clause(len(clauses) + 1, tuple(lits)))
+    facts = [Atom("P", (rng.choice(consts), rng.choice(consts))) for _ in range(rng.randint(1, 4))]
+    if rng.random() < 0.5:
+        facts.append(Atom("Q", (rng.choice(consts),)))
+    for atom in facts:
+        clauses.append(Clause(len(clauses) + 1, (Literal(rng.random() < 0.5, atom),)))
+    return clauses, consts
+
+
+def test_swap_sets_match_reference():
+    # engine and reference each keep every substitution of a clause whose instances share a
+    # literal set, and break the tie in substitution order
+    rng = random.Random(5)
+    kinds = {"sat": 0, "unsat": 0, "limit": 0}
+    shared = 0  # sets in which two instances of one clause hold one literal set
+    for _ in range(300):
+        clauses, domain = swap_bs(rng)
+        result = same_run(clauses, domain)
+        kinds[result.verdict] += 1
+        sets = [(inst.clause_id, frozenset(inst.lits)) for inst in result.state.problem.instances]
+        shared += len(set(sets)) < len(sets)
+    assert kinds["sat"] > 50 and kinds["unsat"] > 50 and shared > 50
+
+
 def test_created_instances_are_unit_or_false(monkeypatch):
     # every instance, when the engine creates it, is unit on the literal the engine reports or
     # false under the trail of that moment, and equals the reference instance with the same
