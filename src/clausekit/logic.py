@@ -10,7 +10,7 @@ to, and hashes as, the plain tuple of its fields.
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, NamedTuple
+from typing import Collection, Iterable, Mapping, NamedTuple, Sequence
 
 # Identifiers starting with one of these letters denote variables.
 VARIABLE_PREFIXES = ("x", "y", "z", "u", "v", "w")
@@ -148,7 +148,7 @@ def clauses_by_id(clauses: Iterable) -> dict:
     return by_id
 
 
-def _rename(clause: Clause, mapping: Mapping[Variable, Term]) -> Clause:
+def substitute(clause: Clause, mapping: Mapping[Variable, Term]) -> Clause:
     """Simultaneous replacement of variables (no chain resolution, so swaps are fine).
 
     Only variables are keys, and terms hash by identity, so a constant of a
@@ -193,7 +193,20 @@ class Substitution:
         bindings = self._bindings
         if bindings.keys().isdisjoint([a for l in clause.literals for a in l.atom.args]):
             return clause
-        return _rename(clause, bindings)
+        return substitute(clause, bindings)
+
+    def after(self, renaming: Mapping[Variable, Variable]) -> Mapping[Variable, Term]:
+        """Where each variable of a clause goes when `renaming` renames it and this substitution then binds it.
+
+        Right while no fresh name of `renaming` is one of the clause's own, as
+        `apart_renaming` ensures.  Not to be mutated: it may be the substitution's own map.
+        """
+        bindings = self._bindings
+        if not renaming:
+            return bindings
+        composed = dict(bindings)
+        composed.update({v: bindings.get(r, r) for v, r in renaming.items()})
+        return composed
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Substitution) and self._bindings == other._bindings
@@ -209,17 +222,14 @@ class Substitution:
 
 def unify(a: Atom, b: Atom) -> Substitution | None:
     """Most general unifier of two atoms, or None when none exists."""
-    if a.predicate != b.predicate or a.arity != b.arity:
+    if a.predicate != b.predicate or len(a.args) != len(b.args):
         return None
     bindings: dict[Variable, Term] = {}
-
-    def walk(term: Term) -> Term:
-        while isinstance(term, Variable) and term in bindings:
-            term = bindings[term]
-        return term
-
     for s, t in zip(a.args, b.args):
-        s, t = walk(s), walk(t)
+        while s in bindings:  # only variables are keys, and terms hash by identity
+            s = bindings[s]
+        while t in bindings:
+            t = bindings[t]
         if s is t:
             continue
         if isinstance(s, Variable):
@@ -235,7 +245,7 @@ def match_atoms(
     pattern: Atom, target: Atom, bindings: Mapping[Variable, Term] | None = None
 ) -> dict[Variable, Term] | None:
     """One-way matching: bind pattern variables so the pattern equals the target."""
-    if pattern.predicate != target.predicate or pattern.arity != target.arity:
+    if pattern.predicate != target.predicate or len(pattern.args) != len(target.args):
         return None
     env = dict(bindings or {})
     for p, t in zip(pattern.args, target.args):
@@ -247,10 +257,13 @@ def match_atoms(
     return env
 
 
-def rename_apart(c1: Clause, c2: Clause) -> tuple[Clause, Clause]:
-    """Return variants of the clauses with disjoint variables (c2 gets renamed)."""
-    variables = c2.variables()
-    taken = {v.name for v in c1.variables()}
+def apart_renaming(taken: Collection[str], variables: Sequence[Variable]) -> dict[Variable, Variable]:
+    """The renaming that takes a clause's `variables`, in order of first occurrence, apart from the names in `taken`.
+
+    Each variable whose name is taken is primed until its name is neither
+    taken nor one of the clause's own or fresh names so far, so that two
+    clashing variables such as x and x' get different fresh names.
+    """
     own = {v.name for v in variables}
     mapping: dict[Variable, Variable] = {}
     for v in variables:
@@ -260,24 +273,65 @@ def rename_apart(c1: Clause, c2: Clause) -> tuple[Clause, Clause]:
                 fresh += "'"
             mapping[v] = Variable(fresh)
             own.add(fresh)
+    return mapping
+
+
+def rename_apart(c1: Clause, c2: Clause) -> tuple[Clause, Clause]:
+    """Return variants of the clauses with disjoint variables (c2 gets renamed)."""
+    mapping = apart_renaming({v.name for v in c1.variables()}, c2.variables())
     if not mapping:
         return c1, c2
-    return c1, _rename(c2, mapping)
+    return c1, substitute(c2, mapping)
 
 
 # x1, x2, ...: the canonical variables, as many as the widest clause so far has needed
 _CANONICAL: list[Variable] = []
 
 
+class _CanonicalNames(dict):
+    """Terms to their names in a canonical clause: a constant its own, each new variable the next of x1, x2, ..."""
+
+    __slots__ = ("variables",)
+
+    def __init__(self) -> None:
+        self.variables = 0
+
+    def __missing__(self, term: Term) -> Term:
+        name = term
+        if isinstance(term, Variable):
+            k = self.variables
+            if k == len(_CANONICAL):
+                _CANONICAL.append(Variable(f"x{k + 1}"))
+            name = _CANONICAL[k]
+            self.variables = k + 1
+        self[term] = name
+        return name
+
+
+def canonical_instance(
+    cid: int, parts: Iterable[tuple[Iterable[Literal], Mapping[Variable, Term]]]
+) -> Clause:
+    """The canonical variant of the clause of the parts' literals, each part's variables sent through its map.
+
+    One walk over the literals' arguments maps each of them and names the
+    result's variables x1, x2, ... in order of first occurrence, without
+    building the mapped clause first.
+    """
+    names = _CanonicalNames()
+    literals: list[Literal] = []
+    for lits, mapping in parts:
+        get = mapping.get
+        literals += [
+            Literal(l.positive, Atom(l.atom.predicate, tuple([names[get(a, a)] for a in l.atom.args])))
+            for l in lits
+        ]
+    return Clause(cid, tuple(literals))
+
+
 def canonical_variant(clause: Clause) -> Clause:
     """Rename variables to x1, x2, ... in order of first occurrence; a clause already so named is returned."""
-    variables = clause.variables()
-    k = len(variables)
-    while len(_CANONICAL) < k:
-        _CANONICAL.append(Variable(f"x{len(_CANONICAL) + 1}"))
-    if variables == _CANONICAL[:k]:
-        return clause
-    return _rename(clause, dict(zip(variables, _CANONICAL)))
+    variant = canonical_instance(clause.id, ((clause.literals, {}),))
+    return clause if variant == clause else variant
 
 
 def renamed_equal(c1: Clause, c2: Clause) -> bool:

@@ -7,16 +7,19 @@ negative literal (selected, or maximal when nothing is selected).  A
 selected index, its literals that are maximal before instantiation, the
 (sign, predicate, arity) keys of its eligible literals, the constant of each
 argument position, and its variables.  Two literals that hold different
-constants at one position are never handed to `unify`.  Every inference
-instantiates each premise once, reads maximality off those instances and
-builds its conclusion from them with `_conclusion`.  Saturation runs a FIFO
-given-clause loop with tautology deletion, and its result's verdict is
-"unsat", "saturated" or "limit".  Two indexes serve it: the partner
-index files each active clause under its eligible keys, so the given clause
-meets only the clauses filed under a complementary key, and forward and
-backward subsumption take their candidates from a `SubsumptionIndex` of
-ground literals and literal keys.  Replay executes scripted resolutions
-without eligibility checks.  `render` gives the output lines of either run.
+constants at one position are never handed to `unify`.  An inference builds
+only the negative premise's resolved atom renamed apart, instantiates a
+premise only where a maximality check reads it (never a one-literal premise,
+which is maximal in every instance), and builds its canonical conclusion in
+one walk over the premises' own literals with `canonical_instance`.
+Saturation runs a FIFO given-clause loop with tautology deletion, and its
+result's verdict is "unsat", "saturated" or "limit".  Two indexes serve it:
+the partner index files each active clause under its eligible keys, so the
+given clause meets only the clauses filed under a complementary key, and
+forward and backward subsumption take their candidates from a
+`SubsumptionIndex` of ground literals and literal keys.  Replay executes
+scripted resolutions without eligibility checks.  `render` gives the output
+lines of either run.
 """
 
 from __future__ import annotations
@@ -26,15 +29,20 @@ from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .errors import ReplayStepError
 from .logic import (
+    Atom,
     Clause,
     Constant,
+    Literal,
     Substitution,
-    canonical_variant,
+    Variable,
+    apart_renaming,
+    canonical_instance,
     clauses_by_id,
     match_atoms,
-    rename_apart,
+    substitute,
     unify,
 )
+from .logic import rename_apart  # noqa: F401  perfbench/tracer.py counts calls through this name
 from .ordering import OrderingConfig, literal_is_maximal
 
 
@@ -108,10 +116,14 @@ class DerivedClause(NamedTuple):
     rule: Rule
 
 
-def _conclusion(cid: int, *premises: tuple[Clause, int]) -> Clause:
-    """The canonical clause of the instantiated premises' literals, each premise without the one at its index."""
-    rest = tuple(l for clause, k in premises for i, l in enumerate(clause.literals) if i != k)
-    return canonical_variant(Clause(cid, rest))
+def _renamed(atom: Atom, renaming: dict[Variable, Variable]) -> Atom:
+    if not renaming:
+        return atom
+    return Atom(atom.predicate, tuple([renaming.get(a, a) for a in atom.args]))
+
+
+def _without(literals: tuple[Literal, ...], k: int) -> tuple[Literal, ...]:
+    return literals[:k] + literals[k + 1:]
 
 
 class ClauseRecord:
@@ -123,9 +135,10 @@ class ClauseRecord:
     are not maximal in any instance either.  `positive` and
     `negative` index the literals that may be resolved on, `keys` holds the
     (predicate, arity) of each literal, `constants` each literal's arguments
-    with None for a variable, and `eligible` the (sign, key) pairs of
+    with None for a variable, `eligible` the (sign, key) pairs of
     the literals that may be resolved on, under which saturation files an
-    active clause.
+    active clause, and `variables` the clause's variables in order of first
+    occurrence.
     """
 
     __slots__ = (
@@ -152,14 +165,18 @@ class ClauseRecord:
         )
         self.eligible = {(True, self.keys[i]) for i in self.positive}
         self.eligible.update((False, self.keys[j]) for j in self.negative)
-        self.variables = set(clause.variables())
+        self.variables = clause.variables()
 
 
 def _resolvents(a: ClauseRecord, b: ClauseRecord, cfg: OrderingConfig) -> list[DerivedClause]:
     """All ordered resolvents between two clauses, `a` as the positive premise first.
 
     Pairs of literals that hold different constants at some argument
-    position cannot unify and are dropped before renaming.
+    position cannot unify and are dropped before renaming.  The negative
+    premise's variables are renamed apart from the positive premise's as
+    `rename_apart` would rename them, but only its resolved atom is built
+    renamed.  A premise instance is built only for a maximality check, and
+    a one-literal premise needs none.
     """
     out: list[DerivedClause] = []
     for pos, neg in ((a, b), (b, a)):
@@ -176,20 +193,23 @@ def _resolvents(a: ClauseRecord, b: ClauseRecord, cfg: OrderingConfig) -> list[D
                     pairs.append((i, j))
         if pairs:
             positive, negative = pos.clause, neg.clause
-            if not pos.variables.isdisjoint(neg.variables):
-                positive, negative = rename_apart(positive, negative)
+            renaming = apart_renaming({v.name for v in pos.variables}, neg.variables)
             for i, j in pairs:
-                sigma = unify(positive.literals[i].atom, negative.literals[j].atom)
+                sigma = unify(positive.literals[i].atom, _renamed(negative.literals[j].atom, renaming))
                 if sigma is None:
                     continue
                 # a-posteriori eligibility in the instantiated premises
-                pos_instance = sigma.apply_clause(positive)
-                if not literal_is_maximal(pos_instance, i, cfg):
+                pos_map = sigma.after({})
+                if len(positive) > 1 and not literal_is_maximal(substitute(positive, pos_map), i, cfg):
                     continue
-                neg_instance = sigma.apply_clause(negative)
-                if neg.selected is None and not literal_is_maximal(neg_instance, j, cfg):
+                neg_map = sigma.after(renaming)
+                if neg.selected is None and len(negative) > 1 and not literal_is_maximal(
+                    substitute(negative, neg_map), j, cfg
+                ):
                     continue
-                conclusion = _conclusion(0, (pos_instance, i), (neg_instance, j))
+                conclusion = canonical_instance(
+                    0, ((_without(positive.literals, i), pos_map), (_without(negative.literals, j), neg_map))
+                )
                 out.append(DerivedClause(conclusion, ResolutionRule(positive.id, i + 1, negative.id, j + 1, sigma)))
         if a.clause.id == b.clause.id:
             break  # self-resolution: one role pass suffices
@@ -209,10 +229,10 @@ def _factors(record: ClauseRecord, cfg: OrderingConfig) -> list[DerivedClause]:
             sigma = unify(lits[i].atom, lits[j].atom)
             if sigma is None:
                 continue
-            instance = sigma.apply_clause(clause)
-            if not literal_is_maximal(instance, i, cfg):
+            bindings = sigma.after({})
+            if not literal_is_maximal(substitute(clause, bindings), i, cfg):
                 continue
-            conclusion = _conclusion(0, (instance, j))
+            conclusion = canonical_instance(0, ((_without(lits, j), bindings),))
             out.append(DerivedClause(conclusion, FactoringRule(clause.id, i + 1, j + 1, sigma)))
     return out
 
@@ -465,18 +485,21 @@ def replay(
         if left_positive == by_id[rid].literals[rpos - 1].positive:
             raise ReplayStepError(no, "literals are not complementary")
         pid, pi, nid, ni = (lid, lpos, rid, rpos) if left_positive else (rid, rpos, lid, lpos)
-        positive, negative = rename_apart(by_id[pid], by_id[nid])
-        sigma = unify(positive.literals[pi - 1].atom, negative.literals[ni - 1].atom)
+        positive, negative = by_id[pid], by_id[nid]
+        renaming = apart_renaming({v.name for v in positive.variables()}, negative.variables())
+        sigma = unify(positive.literals[pi - 1].atom, _renamed(negative.literals[ni - 1].atom, renaming))
         if sigma is None:
             raise ReplayStepError(no, "literals do not unify")
-        positive = sigma.apply_clause(positive)
         if cfg is not None:
-            if ni - 1 != SelectFirstNegative().selected_index(by_id[nid]):
+            if ni - 1 != SelectFirstNegative().selected_index(negative):
                 raise ValueError(f"step deriving clause {next_id} does not resolve the first negative literal")
-            if not literal_is_maximal(positive, pi - 1, cfg):
+            if len(positive) > 1 and not literal_is_maximal(sigma.apply_clause(positive), pi - 1, cfg):
                 raise ValueError(f"step deriving clause {next_id} has a non-maximal positive literal")
-        sides = ((positive, pi - 1), (sigma.apply_clause(negative), ni - 1))
-        conclusion = _conclusion(next_id, *(sides if left_positive else sides[::-1]))
+        sides = (
+            (_without(positive.literals, pi - 1), sigma.after({})),
+            (_without(negative.literals, ni - 1), sigma.after(renaming)),
+        )
+        conclusion = canonical_instance(next_id, sides if left_positive else sides[::-1])
         by_id[next_id] = conclusion
         out.append(DerivedClause(conclusion, ResolutionRule(pid, pi, nid, ni, sigma)))
         next_id += 1

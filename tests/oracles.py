@@ -9,8 +9,11 @@ walking a token stream one token at a time, and saturation by meeting the
 given clause with every active clause under a Knuth-Bendix ordering that takes
 symbol weights.  None of it shares code paths with the engines under test,
 except that the reference saturation calls the engine's `unify`,
-`rename_apart`, `canonical_variant` and `subsumes`.  The term layer's
-renaming is checked against its earlier, per-term version, and its
+`rename_apart`, `canonical_variant` and `subsumes`.  Its resolution step
+is the chain that the engine once ran for every inference: rename the
+negative premise apart, unify, instantiate both premises and rename the
+conclusion canonically; scripted replay runs the same chain.  The term
+layer's renaming is checked against its earlier, per-term version, and its
 instantiation against the earlier one that rebuilt every literal, both kept
 here.
 """
@@ -24,7 +27,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
 from clausekit.cdcl import PropClause, TrailEntry
-from clausekit.errors import OrderingConfigError, ParseError, ResourceLimitError
+from clausekit.errors import OrderingConfigError, ParseError, ReplayStepError, ResourceLimitError
 from clausekit.lia import (
     DEFAULT_BOX_CAP,
     Bound,
@@ -818,31 +821,98 @@ def reference_literal_is_maximal(clause: Clause, index: int, cfg: WeightedOrderi
     )
 
 
+def reference_resolution_step(
+    positive: Clause, i: int, negative: Clause, j: int
+) -> tuple[Substitution, Clause, Clause] | None:
+    """One resolution step as a chain: rename apart, unify, instantiate both premises.
+
+    Resolves the positive premise's literal `i` against the negative
+    premise's literal `j` (0-based) and returns the unifier and the two
+    premise instances, or None when the atoms do not unify.
+    """
+    pos_r, neg_r = rename_apart(positive, negative)
+    sigma = unify(pos_r.literals[i].atom, neg_r.literals[j].atom)
+    if sigma is None:
+        return None
+    return sigma, sigma.apply_clause(pos_r), sigma.apply_clause(neg_r)
+
+
+def reference_conclusion(cid: int, *premises: tuple[Clause, int]) -> Clause:
+    """The canonical variant of the instantiated premises' literals, each premise without the one at its index."""
+    rest = tuple(l for clause, k in premises for i, l in enumerate(clause.literals) if i != k)
+    return canonical_variant(Clause(cid, rest))
+
+
 def reference_ordered_resolve(c1: Clause, c2: Clause, cfg: WeightedOrderingConfig, sel) -> list[DerivedClause]:
-    """Ordered resolvents of two clauses: rename apart, then try every positive/negative pair."""
+    """Ordered resolvents of two clauses: try every positive/negative pair with `reference_resolution_step`."""
     out = []
     for positive, negative in ((c1, c2), (c2, c1)):
         if sel.selected_index(positive) is not None:
             continue
-        pos_r, neg_r = rename_apart(positive, negative)
         neg_selected = sel.selected_index(negative)
-        for i, pl in enumerate(pos_r.literals):
+        for i, pl in enumerate(positive.literals):
             if not pl.positive:
                 continue
-            for j, nl in enumerate(neg_r.literals):
+            for j, nl in enumerate(negative.literals):
                 if nl.positive or (neg_selected is not None and j != neg_selected):
                     continue
-                sigma = unify(pl.atom, nl.atom)
-                if sigma is None or not reference_literal_is_maximal(sigma.apply_clause(pos_r), i, cfg):
+                step = reference_resolution_step(positive, i, negative, j)
+                if step is None:
                     continue
-                if neg_selected is None and not reference_literal_is_maximal(sigma.apply_clause(neg_r), j, cfg):
+                sigma, pos_instance, neg_instance = step
+                if not reference_literal_is_maximal(pos_instance, i, cfg):
                     continue
-                rest = [l for k, l in enumerate(pos_r.literals) if k != i]
-                rest += [l for k, l in enumerate(neg_r.literals) if k != j]
-                conclusion = canonical_variant(Clause(0, tuple(Literal(l.positive, sigma.apply_atom(l.atom)) for l in rest)))
+                if neg_selected is None and not reference_literal_is_maximal(neg_instance, j, cfg):
+                    continue
+                conclusion = reference_conclusion(0, (pos_instance, i), (neg_instance, j))
                 out.append(DerivedClause(conclusion, ResolutionRule(positive.id, i + 1, negative.id, j + 1, sigma)))
         if c1.id == c2.id:
             break
+    return out
+
+
+def reference_replay(
+    clauses: Iterable[Clause], script: Sequence[tuple[int, int, int, int]], cfg: WeightedOrderingConfig | None = None
+) -> list[DerivedClause]:
+    """Scripted resolutions with `reference_resolution_step`, failing as `resolution.replay` does.
+
+    With cfg, a step must resolve the first negative literal of its negative
+    premise, and its positive literal must be maximal in its premise's instance.
+    """
+    by_id: dict[int, Clause] = {}
+    for c in clauses:
+        if c.id in by_id:
+            raise ValueError(f"duplicate clause id {c.id}")
+        by_id[c.id] = c
+    next_id = max(by_id, default=0) + 1
+    out = []
+    for no, (lid, lpos, rid, rpos) in enumerate(script, start=1):
+        for cid in (lid, rid):
+            if cid not in by_id:
+                raise ReplayStepError(no, f"unknown clause id {cid}")
+        if not 1 <= lpos <= len(by_id[lid]):
+            raise ReplayStepError(no, f"clause {lid} has no literal {lpos}")
+        if not 1 <= rpos <= len(by_id[rid]):
+            raise ReplayStepError(no, f"clause {rid} has no literal {rpos}")
+        left_positive = by_id[lid].literals[lpos - 1].positive
+        if left_positive == by_id[rid].literals[rpos - 1].positive:
+            raise ReplayStepError(no, "literals are not complementary")
+        pid, pi, nid, ni = (lid, lpos, rid, rpos) if left_positive else (rid, rpos, lid, lpos)
+        step = reference_resolution_step(by_id[pid], pi - 1, by_id[nid], ni - 1)
+        if step is None:
+            raise ReplayStepError(no, "literals do not unify")
+        sigma, pos_instance, neg_instance = step
+        if cfg is not None:
+            first_negative = next(k for k, l in enumerate(by_id[nid].literals) if not l.positive)
+            if ni - 1 != first_negative:
+                raise ValueError(f"step deriving clause {next_id} does not resolve the first negative literal")
+            if not reference_literal_is_maximal(pos_instance, pi - 1, cfg):
+                raise ValueError(f"step deriving clause {next_id} has a non-maximal positive literal")
+        sides = ((pos_instance, pi - 1), (neg_instance, ni - 1))
+        conclusion = reference_conclusion(next_id, *(sides if left_positive else sides[::-1]))
+        by_id[next_id] = conclusion
+        out.append(DerivedClause(conclusion, ResolutionRule(pid, pi, nid, ni, sigma)))
+        next_id += 1
     return out
 
 

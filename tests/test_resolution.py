@@ -3,7 +3,16 @@ import random
 
 import pytest
 
-from oracles import assignment_satisfies, all_ground_instances, ground_satisfiable, reference_saturate
+from oracles import (
+    all_ground_instances,
+    assignment_satisfies,
+    ground_satisfiable,
+    reference_ordered_resolve,
+    reference_replay,
+    reference_resolution_step,
+    reference_saturate,
+    unit_weights,
+)
 from clausekit import resolution
 from clausekit.cli import build_parser
 from clausekit.errors import ReplayStepError
@@ -19,7 +28,7 @@ from clausekit.logic import (
     renamed_equal,
     unify,
 )
-from clausekit.ordering import default_config, literal_is_maximal
+from clausekit.ordering import config_with_precedence, default_config, literal_is_maximal
 from clausekit.resolution import (
     DerivedClause,
     InputRule,
@@ -517,3 +526,109 @@ def test_the_cli_offers_the_selection_table():
     choices = next(a.choices for a in build_parser()._actions if a.dest == "selection")
     assert list(choices) == list(SELECTIONS) == ["none", "first-negative"]
     assert all(type(selection_from_name(name)) is cls for name, cls in SELECTIONS.items())
+
+
+# ---------------------------------------------------------------------------
+# The single walk from unifier to conclusion against the chain it replaced
+# ---------------------------------------------------------------------------
+
+# x1 and x1' both clash when a premise that holds them meets itself or a copy
+x1p, x1pp = Variable("x1'"), Variable("x1''")
+
+
+def _walk_clause(rng: random.Random, cid: int, arity: int) -> Clause:
+    """A clause over P and Q at one arity, with repeated variables, constants and primed names."""
+    lits = []
+    for _ in range(rng.randint(1, 3)):
+        args = tuple(rng.choice([C0, C1, x1, x2, x1p, x1p, x1pp]) for _ in range(arity))
+        lits.append(Literal(rng.random() < 0.5, Atom(rng.choice("PQ"), args)))
+    return Clause(cid, tuple(lits))
+
+
+def _walk_pairs(seed: int, count: int):
+    """Seeded clause pairs and their ordering; one pair in five is a clause and itself."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        arity = rng.randint(0, 3)
+        a = _walk_clause(rng, 1, arity)
+        b = a if rng.random() < 0.2 else _walk_clause(rng, 2, arity)
+        yield a, b, default_config([a, b])
+
+
+def _outcome(run):
+    """What a run returns, or the type and text of the error it raises."""
+    try:
+        return run()
+    except (ValueError, ReplayStepError) as e:
+        return type(e), str(e)
+
+
+def test_resolvents_match_the_chain_on_random_pairs():
+    # same conclusions, recorded unifiers and maximality decisions as rename_apart -> unify ->
+    # apply_clause -> canonical_variant, with either clause the first argument
+    rejected = derived = 0
+    for a, b, cfg in _walk_pairs(33, 1500):
+        for sel in (SelectNone(), SelectFirstNegative()):
+            for first, second in ((a, b), (b, a)):
+                want = reference_ordered_resolve(first, second, unit_weights(cfg), sel)
+                assert _resolvents(first, second, cfg, sel) == want
+                derived += len(want)
+            unifiable = sum(
+                reference_resolution_step(p, i, n, j) is not None
+                for p, n in ((a, b), (b, a))[: 1 if a is b else 2]
+                if sel.selected_index(p) is None
+                for i, pl in enumerate(p.literals)
+                if pl.positive
+                for j, nl in enumerate(n.literals)
+                if not nl.positive and sel.selected_index(n) in (None, j)
+            )
+            rejected += unifiable - len(reference_ordered_resolve(a, b, unit_weights(cfg), sel))
+    assert derived > 1000 and rejected > 100
+
+
+def test_replay_matches_the_chain_on_random_steps():
+    # every step between two clauses, or a clause and itself, bad positions included
+    seen = set()
+    for a, b, cfg in _walk_pairs(34, 600):
+        clauses = [a] if a is b else [a, b]
+        for left, right in itertools.product(clauses, repeat=2):
+            for lpos, rpos in itertools.product(range(1, len(left) + 2), range(1, len(right) + 2)):
+                step = [(left.id, lpos, right.id, rpos)]
+                for c in (None, cfg):
+                    want = _outcome(lambda: reference_replay(clauses, step, c and unit_weights(c)))
+                    assert _outcome(lambda: replay(clauses, step, c)) == want
+                    seen.add(want[1].split(" ", 2)[-1] if isinstance(want, tuple) else "derived")
+    for outcome in ("derived", "no literal", "not complementary", "do not unify", "first negative", "non-maximal"):
+        assert any(outcome in s for s in seen), outcome
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_replay_matches_the_chain_on_counter_scripts(n):
+    clauses, script = counter_problem(n), linear_counter_script(n)
+    cfg = default_config(clauses)
+    # the reversed precedence of the bits makes some positive literals non-maximal
+    for c in (None, cfg, config_with_precedence(cfg, ["0", "1"])):
+        assert _outcome(lambda: replay(clauses, script, c)) == _outcome(
+            lambda: reference_replay(clauses, script, c and unit_weights(c))
+        )
+
+
+def _apply_clause_calls(monkeypatch) -> list:
+    calls = []
+    real = Substitution.apply_clause
+    monkeypatch.setattr(Substitution, "apply_clause", lambda self, clause: calls.append(clause) or real(self, clause))
+    return calls
+
+
+def test_inferences_build_no_premise_instance_that_nothing_reads(monkeypatch):
+    calls = _apply_clause_calls(monkeypatch)
+    for n in range(1, 13):
+        replay(counter_problem(n), linear_counter_script(n))
+    clauses = counter_problem(5)
+    assert saturate(clauses, default_config(clauses), SelectFirstNegative()).verdict == "unsat"
+    assert calls == []
+    for n in range(1, 13):
+        clauses, script = counter_problem(n), linear_counter_script(n)
+        check_linear_refutation(clauses, script, default_config(clauses))
+        assert len(calls) <= len(script)
+        calls.clear()
