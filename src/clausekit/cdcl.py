@@ -79,10 +79,8 @@ class TrailKernel:
 
     `true` is a truth table by literal, as in MiniSat: `true[l]` is 1 exactly
     when l is on the trail, and a negative literal indexes from the end.
-    `size` gives atoms 1..n 2n + 1 slots, so slot n + 1 is literal -n and a
-    search over atoms stops at n; the trail is total when its length is n.
     `var_level[a]` is atom a's level while a is assigned; a backjump leaves
-    it stale, so the table grows with the atoms assigned, not with n.
+    it stale, so the table grows with the atoms assigned, not with all atoms.
     `trail_lim[k]` is where level k + 1 starts on the trail, as MiniSat's
     `trail_lim`, so a backjump clears one slice.
 
@@ -108,11 +106,13 @@ class TrailKernel:
     unit_key = None
     conflict_key = None
 
-    def __init__(self) -> None:
+    def __init__(self, atoms: int) -> None:
+        """An empty trail over atoms 1..n, n = `atoms`: the truth table gets 2n + 1 slots, so slot
+        n + 1 is literal -n and a search over atoms stops at n; the trail is total when its length is n."""
         self.trail: list[TrailEntry] = []
         self.trail_lim: list[int] = []
         self.level = 0
-        self.true = bytearray(1)
+        self.true = bytearray(2 * atoms + 1)
         self.var_level: dict[int, int] = {}
         self.watched: dict[int, Sequence[int]] = {}
         self.watchers: defaultdict[int, list[int]] = defaultdict(list)
@@ -121,10 +121,6 @@ class TrailKernel:
         self.events: list[tuple] = []
         self.cursor = 1
         self.conflict: int | None = None
-
-    def size(self, atoms: int) -> None:
-        """Size the truth table for atoms 1..atoms; called on an empty trail."""
-        self.true = bytearray(2 * atoms + 1)
 
     def watch(self, cid: int, lits: Sequence[int]) -> None:
         """Hook a clause into the kernel, watching lits[0] and lits[1], which the caller chose.
@@ -225,13 +221,12 @@ class CdclState(TrailKernel):
     """The solver five-tuple on the trail kernel, plus an event log."""
 
     def __init__(self, clauses: dict[int, PropClause], num_vars: int, next_clause_id: int = 1) -> None:
-        super().__init__()
+        super().__init__(num_vars)
         self.clauses = clauses
         self.num_vars = num_vars
         self.learned_ids: list[int] = []
         self.next_clause_id = next_clause_id
         self.last_analysis_steps: list[tuple[int, int]] = []
-        self.size(num_vars)
         for c in clauses.values():
             self.watch(c.id, c.lits)
 

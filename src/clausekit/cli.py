@@ -1,8 +1,9 @@
 """Command-line front end dispatching to the four reasoning engines.
 
-Each mode parses its input, runs its engine and writes the lines that the
-engine's `render` gives for the result, as text or as JSON lines; only the
-counter experiment formats its own table.
+Each mode's handler parses its input, runs its engine and hands back its exit
+code with the lines that the engine's `render` gives for the result, as text
+or as JSON lines; only the counter experiment formats its own table.  `main`
+is the one place that writes them.
 
 Each engine run returns one result with a `verdict`, which `EXIT_CODES` maps
 to the exit code after the DIMACS solver convention: 10 for satisfiable or
@@ -10,7 +11,8 @@ saturated, 20 for unsatisfiable, 1 for resource or step limits, and 0 for a
 replayed derivation that does not end in the empty clause, which claims
 neither.  Usage errors, a flag that the mode does not read (`FLAG_MODES`)
 and two `--decide` bounds that cross among them, and parse errors exit with
-2; `--help` exits with 0.
+2; `--help` exits with 0.  A stdout that its reader closes early, as `| head`
+does, exits with 141 (128 + SIGPIPE) and writes nothing to stderr.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ import argparse
 import contextlib
 import functools
 import json
+import os
 import sys
 from typing import Callable, Iterable, NamedTuple, Sequence, TextIO
 
@@ -34,6 +37,7 @@ EXIT_SAT = 10
 EXIT_UNSAT = 20
 EXIT_LIMIT = 1
 EXIT_USAGE = 2
+EXIT_CLOSED_OUTPUT = 141  # 128 + SIGPIPE, as a shell reports a pipeline stage that SIGPIPE ended
 
 # every verdict an engine's result can hold, and its exit code
 EXIT_CODES = {"sat": EXIT_SAT, "fixpoint": EXIT_SAT, "saturated": EXIT_SAT, "unsat": EXIT_UNSAT,
@@ -92,24 +96,14 @@ def validate(args: argparse.Namespace) -> None:
 _encode = json.JSONEncoder(sort_keys=True).encode
 
 
-class _Emitter:
-    """Writes rendered (text line, JSON fields) pairs as plain text or as JSON lines.
+def _lines(rendered: Iterable[tuple[str, dict]], as_json: bool) -> list[str]:
+    """Rendered (text line, JSON fields) pairs as text lines, or as JSON lines.
 
     Text output ignores the fields; `_run_scl` has SCL's `render` build none.
     """
-
-    def __init__(self, out: TextIO, as_json: bool):
-        self.out = out
-        self.as_json = as_json
-
-    def lines(self, rendered: Iterable[tuple[str, dict]]) -> None:
-        write = self.out.write
-        if self.as_json:
-            for text, fields in rendered:
-                write(_encode({"line": text, **fields}) + "\n")
-        else:
-            for text, _ in rendered:
-                write(text + "\n")
+    if as_json:
+        return [_encode({"line": text, **fields}) + "\n" for text, fields in rendered]
+    return [text + "\n" for text, _ in rendered]
 
 
 def _bs_clauses(args: argparse.Namespace) -> Sequence[Clause]:
@@ -126,12 +120,11 @@ def _ordering(args: argparse.Namespace, clauses: Sequence[Clause]) -> OrderingCo
     return cfg
 
 
-def _run_cdcl(args: argparse.Namespace, emit: _Emitter) -> int:
+def _run_cdcl(args: argparse.Namespace, as_json: bool) -> tuple[int, list[str]]:
     with open(args.input, encoding="utf-8") as handle:
         num_vars, clauses = formats.parse_dimacs(handle.read())
     result = cdcl.solve(clauses, num_vars, HEURISTICS[args.heuristic or DEFAULT_HEURISTIC])
-    emit.lines(cdcl.render(result))
-    return EXIT_CODES[result.verdict]
+    return EXIT_CODES[result.verdict], _lines(cdcl.render(result), as_json)
 
 
 def _max_steps(args: argparse.Namespace, default: int = DEFAULT_MAX_STEPS) -> int:
@@ -139,30 +132,28 @@ def _max_steps(args: argparse.Namespace, default: int = DEFAULT_MAX_STEPS) -> in
     return default if args.max_steps is None else args.max_steps
 
 
-def _run_scl(args: argparse.Namespace, emit: _Emitter) -> int:
+def _run_scl(args: argparse.Namespace, as_json: bool) -> tuple[int, list[str]]:
     clauses = _bs_clauses(args)
     cap = scl.DEFAULT_INSTANCE_CAP if args.max_instances is None else args.max_instances
     result = scl.scl_run(clauses, instance_cap=cap, trail_cap=_max_steps(args, scl.DEFAULT_TRAIL_CAP))
-    emit.lines(scl.render(result, fields=emit.as_json))
-    return EXIT_CODES[result.verdict]
+    return EXIT_CODES[result.verdict], _lines(scl.render(result, fields=as_json), as_json)
 
 
-def _run_resolution(args: argparse.Namespace, emit: _Emitter) -> int:
+def _run_resolution(args: argparse.Namespace, as_json: bool) -> tuple[int, list[str]]:
     clauses = _bs_clauses(args)
     cfg = _ordering(args, clauses)
     sel = resolution.selection_from_name(args.selection or DEFAULT_SELECTION)
     result = resolution.saturate(clauses, cfg, sel, max_generated=_max_steps(args))
-    emit.lines(resolution.render(result))
-    return EXIT_CODES[result.verdict]
+    return EXIT_CODES[result.verdict], _lines(resolution.render(result), as_json)
 
 
-def _run_replay(args: argparse.Namespace, emit: _Emitter) -> int:
+def _run_replay(args: argparse.Namespace, as_json: bool) -> tuple[int, list[str]]:
     clauses = _bs_clauses(args)
     with open(args.replay, encoding="utf-8") as handle:
         script = formats.parse_script(handle.read())
     derived = resolution.replay(clauses, script)
-    emit.lines(resolution.render(derived))
-    return EXIT_CODES["unsat" if derived and derived[-1].clause.is_empty else "derived"]
+    code = EXIT_CODES["unsat" if derived and derived[-1].clause.is_empty else "derived"]
+    return code, _lines(resolution.render(derived), as_json)
 
 
 def _lia_system(args: argparse.Namespace) -> lia.LiaSystem:
@@ -170,7 +161,7 @@ def _lia_system(args: argparse.Namespace) -> lia.LiaSystem:
         return formats.parse_lia(handle.read())
 
 
-def _run_lia_propagate(args: argparse.Namespace, emit: _Emitter) -> int:
+def _run_lia_propagate(args: argparse.Namespace, as_json: bool) -> tuple[int, list[str]]:
     system = _lia_system(args)
     decisions = [formats.parse_bound(b) for b in args.decide]
     for i, d in enumerate(decisions):  # propagation checks only inequations, so crossed decisions pass
@@ -179,14 +170,12 @@ def _run_lia_propagate(args: argparse.Namespace, emit: _Emitter) -> int:
             if d.var == e.var and d.lower != e.lower and lower.value > upper.value:
                 raise ValueError(f"--decide {d} crosses {e}")
     result = lia.propagate_bounds(system, decisions, _max_steps(args))
-    emit.lines(lia.render(result))
-    return EXIT_CODES[result.verdict]
+    return EXIT_CODES[result.verdict], _lines(lia.render(result), as_json)
 
 
-def _run_lia_decide(args: argparse.Namespace, emit: _Emitter) -> int:
+def _run_lia_decide(args: argparse.Namespace, as_json: bool) -> tuple[int, list[str]]:
     result = lia.decide_bounded(_lia_system(args))
-    emit.lines(lia.render(result))
-    return EXIT_CODES[result.verdict]
+    return EXIT_CODES[result.verdict], _lines(lia.render(result), as_json)
 
 
 # ---------------------------------------------------------------------------
@@ -231,23 +220,19 @@ def counter_experiment(n_max: int) -> list[ExperimentRow]:
     return rows
 
 
-def _run_experiment(args: argparse.Namespace, emit: _Emitter) -> int:
+def _run_experiment(args: argparse.Namespace, as_json: bool) -> tuple[int, list[str]]:
     n_max = args.counter_n if args.counter_n is not None else 10
     rows = counter_experiment(n_max)
-    if emit.as_json:
-        for row in rows:
-            emit.out.write(_encode(row._asdict()) + "\n")
-    else:
-        emit.out.write("n  scl_propagations  scl_result  resolution_generated  resolution_result\n")
-        for r in rows:
-            emit.out.write(
-                f"{r.n:<2d} {r.scl_propagations:>16d}  {r.scl_result:<10s} "
-                f"{r.resolution_generated:>20d}  {r.resolution_result}\n"
-            )
-    return EXIT_SAT
+    if as_json:
+        return EXIT_SAT, [_encode(row._asdict()) + "\n" for row in rows]
+    return EXIT_SAT, ["n  scl_propagations  scl_result  resolution_generated  resolution_result\n"] + [
+        f"{r.n:<2d} {r.scl_propagations:>16d}  {r.scl_result:<10s} "
+        f"{r.resolution_generated:>20d}  {r.resolution_result}\n"
+        for r in rows
+    ]
 
 
-_HANDLERS: dict[str, Callable[[argparse.Namespace, _Emitter], int]] = {
+_HANDLERS: dict[str, Callable[[argparse.Namespace, bool], tuple[int, list[str]]]] = {
     "cdcl": _run_cdcl,
     "scl": _run_scl,
     "resolution": _run_resolution,
@@ -301,14 +286,22 @@ def main(argv: list[str] | None = None, out: TextIO = sys.stdout) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
         validate(args)
-        return _HANDLERS[args.mode](args, _Emitter(out, args.format == "json"))
+        code, lines = _HANDLERS[args.mode](args, args.format == "json")
+        out.writelines(lines)
+        out.flush()  # a closed pipe fails here, not at exit
+        return code
+    except BrokenPipeError:  # the reader closed stdout early, as `| head` does: nothing to report
+        return EXIT_CLOSED_OUTPUT
     except (OSError, ClausekitError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
 
 def console_main() -> None:
-    sys.exit(main())
+    code = main()
+    if code == EXIT_CLOSED_OUTPUT:  # what stdout still buffers would fail again at exit
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    sys.exit(code)
 
 
 if __name__ == "__main__":

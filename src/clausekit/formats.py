@@ -263,7 +263,7 @@ def _lia_error(text: str, index: int, line: str, at: int, message: str) -> Parse
 _BOUND = re.compile(r"(\s*)([A-Za-z_][A-Za-z0-9_]*)?(\s*)(<=|>=|<|>)?(\s*)(-?)([0-9]+)?\s*")
 
 
-def parse_bound(text: str, level: int = 1) -> Bound:
+def parse_bound(text: str) -> Bound:
     """Parse a decision bound such as 'x >= 0'.
 
     A malformed bound is an error on line 1, at the column of the first
@@ -276,7 +276,7 @@ def parse_bound(text: str, level: int = 1) -> Bound:
         missing = next((g for g in (2, 4, 7) if m.group(g) is None), None)
         at = m.end() if missing is None else m.end(missing - 1)
         raise ParseError(f"malformed bound {text!r}", 1, min(at, len(text.rstrip())) + 1)
-    return Bound.make(name, op, int(sign + number), level=level, reason=None)
+    return Bound.make(name, op, int(sign + number))
 
 
 # ---------------------------------------------------------------------------

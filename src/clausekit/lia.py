@@ -72,22 +72,19 @@ class Bound(NamedTuple):
     var: str
     lower: bool  # True: var >= value, False: var <= value
     value: int
-    level: int = 0
     reason: int | None = None  # inequation id; None marks a decision
 
     @classmethod
-    def make(
-        cls, var: str, kind: str, value: int, level: int = 0, reason: int | None = None
-    ) -> "Bound":
-        """Normalize strict comparisons over the integers: x < c becomes x <= c-1."""
+    def make(cls, var: str, kind: str, value: int) -> "Bound":
+        """A decision bound; strict comparisons are normalized over the integers: x < c becomes x <= c-1."""
         if kind == "<":
-            return cls(var, False, value - 1, level, reason)
+            return cls(var, False, value - 1)
         if kind == "<=":
-            return cls(var, False, value, level, reason)
+            return cls(var, False, value)
         if kind == ">":
-            return cls(var, True, value + 1, level, reason)
+            return cls(var, True, value + 1)
         if kind == ">=":
-            return cls(var, True, value, level, reason)
+            return cls(var, True, value)
         raise ValueError(f"unknown bound kind {kind!r}")
 
     @property
@@ -131,11 +128,11 @@ def compile_pair(ineq: CompiledIneq, var: str) -> Pair:
     raise ValueError(f"{var} has no coefficient in inequation {ineq_id}")
 
 
-def implied_bound(pair: Pair, current: BoundMap, level: int = 0) -> Bound | None:
+def implied_bound(pair: Pair, current: BoundMap) -> Bound | None:
     """Tightest bound on the pair's variable entailed by its inequation under the current bounds.
 
     None when a bound that the pair reads is missing or nothing gets tighter;
-    the bound found carries `level` and the inequation as its reason.
+    the bound found has the inequation as its reason.
     Integer rounding: floor for upper bounds, ceiling for lower bounds.
     """
     reads, rhs, key, coeff, reason = pair
@@ -153,7 +150,7 @@ def implied_bound(pair: Pair, current: BoundMap, level: int = 0) -> Bound | None
         value = -(rhs // -coeff)
         if existing is not None and value <= existing.value:
             return None
-    return _new(Bound, (key[0], key[1], value, level, reason))
+    return _new(Bound, (key[0], key[1], value, reason))
 
 
 def conflicting_inequation(current: BoundMap, candidates: Iterable[CompiledIneq]) -> int | None:
@@ -241,7 +238,6 @@ def propagate_bounds(
         current[key] = b
         trail.append(b)
     steps = 0
-    level = max((b.level for b in trail), default=0)  # derived bounds add no level
     pairs, inequations, scans, wakes = _readers(system)
     cid = conflicting_inequation(current, inequations)
     if cid is not None:
@@ -255,7 +251,7 @@ def propagate_bounds(
         t = heappop(due)
         p = t % n
         pair = pairs[p]
-        bound = implied_bound(pair, current, level)
+        bound = implied_bound(pair, current)
         if bound is None:
             continue
         if steps >= max_steps:
@@ -311,7 +307,7 @@ def decide_bounded(system: LiaSystem, box_cap: int = DEFAULT_BOX_CAP) -> LiaDeci
             return LiaDecision("limit")
     inequations = [compile_ineq(ineq) for ineq in system.inequations]
     current: dict[BoundKey, Bound] = {
-        (v, lower): _new(Bound, (v, lower, lo if lower else hi, 0, None))
+        (v, lower): _new(Bound, (v, lower, lo if lower else hi, None))
         for v, (lo, hi) in box.items() for lower in (True, False)
     }
 
@@ -324,8 +320,8 @@ def decide_bounded(system: LiaSystem, box_cap: int = DEFAULT_BOX_CAP) -> LiaDeci
         lower, upper = (v, True), (v, False)
         corners = current[lower], current[upper]
         for value in range(corners[0].value, corners[1].value + 1):
-            current[lower] = _new(Bound, (v, True, value, 0, None))
-            current[upper] = _new(Bound, (v, False, value, 0, None))
+            current[lower] = _new(Bound, (v, True, value, None))
+            current[upper] = _new(Bound, (v, False, value, None))
             found = search(i + 1)
             if found is not None:
                 return found
@@ -354,7 +350,7 @@ def render(result: LiaPropagation | LiaDecision) -> Iterator[tuple[str, dict]]:
     if verdict in ("unsat", "limit"):
         yield verdict, {"event": "result"}
         return
-    for var, lower, value, _level, reason in result.trail:
+    for var, lower, value, reason in result.trail:
         if reason is None:
             yield f"bound {var} {'>=' if lower else '<='} {value} <- decision", _LIA_FIELDS
         else:

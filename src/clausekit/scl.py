@@ -567,12 +567,11 @@ class SclState(TrailKernel):
     """
 
     def __init__(self, problem: GroundProblem, next_clause_id: int = 1) -> None:
-        super().__init__()
+        atoms = problem.atoms
+        super().__init__(len(atoms))
         self.problem = problem
         self.stats = SclStats()
         self.next_clause_id = next_clause_id
-        atoms = problem.atoms
-        self.size(len(atoms))
         # what `instantiate` reads of the problem: the trigger roots, the block starts (None for one
         # block, which starts at atom 1) and the domain size
         self.triggers = problem.roots, atoms.starts if len(atoms.starts) > 1 else None, len(atoms.names)

@@ -504,7 +504,6 @@ def reference_propagate_bounds(system, decisions, max_steps: int):
         current[key] = b
         trail.append(b)
     steps = 0
-    level = max((b.level for b in trail), default=0)  # derived bounds add no level
     cid = reference_conflicting_inequation(system, current)
     if cid is not None:
         return LiaPropagation("conflict", current, trail, steps, cid)
@@ -522,7 +521,6 @@ def reference_propagate_bounds(system, decisions, max_steps: int):
                     continue
                 if steps >= max_steps:
                     return LiaPropagation("diverged", current, trail, steps)
-                bound = bound._replace(level=level)
                 current[(bound.var, bound.lower)] = bound
                 trail.append(bound)
                 steps += 1

@@ -265,7 +265,7 @@ def test_09_lia_divergence():
     system = parse_lia("x - y <= 0\ny - x + 1 <= 0\n")
     tightenings = []
     for budget in (100, 1000, 10_000):
-        outcome = propagate_bounds(system, [Bound.make("x", ">=", 0, level=1)], budget)
+        outcome = propagate_bounds(system, [Bound.make("x", ">=", 0)], budget)
         assert outcome.verdict == "diverged", f"budget {budget} did not diverge"
         tightenings.append(outcome.steps)
     assert tightenings[0] < tightenings[1] < tightenings[2]

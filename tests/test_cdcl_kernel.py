@@ -1,6 +1,5 @@
 """The watched-literal propagation kernel against the id-order rescan it replaces."""
 
-import io
 import json
 import random
 
@@ -145,11 +144,9 @@ def test_rendered_forget_line_names_its_clause():
         clauses, num_vars = forgetting_cnf(rng)
         state, _ = drive_with_forgetting(clauses, num_vars)
         result = CdclResult("sat" if len(state.trail) == num_vars else "unsat", state)
-        text, as_json = io.StringIO(), io.StringIO()
-        cli._Emitter(text, False).lines(cdcl.render(result))
-        cli._Emitter(as_json, True).lines(cdcl.render(result))
-        records = [json.loads(line) for line in as_json.getvalue().splitlines()]
-        assert text.getvalue().splitlines() == [r["line"] for r in records]
+        text, as_json = cli._lines(cdcl.render(result), False), cli._lines(cdcl.render(result), True)
+        records = [json.loads(line) for line in "".join(as_json).splitlines()]
+        assert "".join(text).splitlines() == [r["line"] for r in records]
         events = [ev for ev in state.events if ev[0] != "decide"]
         named = [r for r in records if r["kind"] != "decide"]
         assert [r["clause"] for r in named] == [ev[3] if ev[0] == "learn" else ev[-1] for ev in events]

@@ -11,6 +11,7 @@ import pytest
 
 import clausekit
 from clausekit.cli import (
+    EXIT_CLOSED_OUTPUT,
     EXIT_LIMIT,
     EXIT_OK,
     EXIT_SAT,
@@ -126,6 +127,31 @@ def test_python_dash_m_entry(module):
     )
     assert proc.returncode == EXIT_UNSAT
     assert "stats propagations=16 decisions=0 trail=16" in proc.stdout.splitlines()
+
+
+def closed_pipe(*args):
+    raise BrokenPipeError(32, "Broken pipe")
+
+
+@pytest.mark.parametrize("method", ["write", "flush"])  # a short output may fail only at the flush
+def test_a_closed_output_is_no_usage_error(capsys, method):
+    out = type("ClosedOutput", (io.StringIO,), {method: closed_pipe})()
+    assert main(["--mode", "scl", "--counter-n", "4"], out) == EXIT_CLOSED_OUTPUT
+    assert capsys.readouterr() == ("", "")
+
+
+def test_a_reader_that_stops_early_ends_the_run_quietly():
+    # as `clausekit --mode scl --counter-n 12 | head -1`: 4,096 propagate lines outgrow the pipe's buffer
+    src = str(Path(clausekit.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "clausekit", "--mode", "scl", "--counter-n", "12"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    assert proc.stdout.readline().startswith(b"propagate ")
+    proc.stdout.close()
+    assert (proc.wait(timeout=60), proc.stderr.read()) == (EXIT_CLOSED_OUTPUT, b"")
+    proc.stderr.close()
 
 
 class TestResolutionMode:

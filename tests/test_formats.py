@@ -250,9 +250,9 @@ def test_error_message_and_position(parse, text, expected):
 
 
 def test_parse_bound():
-    assert parse_bound("x >= 0") == Bound("x", True, 0, level=1)
-    assert parse_bound("y<5") == Bound("y", False, 4, level=1)
-    assert parse_bound(" x>=-3 ") == Bound("x", True, -3, level=1)
+    assert parse_bound("x >= 0") == Bound("x", True, 0)
+    assert parse_bound("y<5") == Bound("y", False, 4)
+    assert parse_bound(" x>=-3 ") == Bound("x", True, -3)
     with pytest.raises(ParseError) as info:
         parse_bound("x == 3")
     assert (info.value.line, info.value.column) == (1, 3)
@@ -284,7 +284,7 @@ def test_lia_numbers_are_ascii_digits():
 
 
 def test_bound_values_are_ascii_digits():
-    assert parse_bound("x>=03") == Bound("x", True, 3, level=1)
+    assert parse_bound("x>=03") == Bound("x", True, 3)
     with pytest.raises(ParseError) as info:
         parse_bound("x>=\u0663")
     assert str(info.value) == "malformed bound 'x>=\u0663' (line 1, column 4)"

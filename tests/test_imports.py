@@ -169,3 +169,33 @@ def test_the_cli_imports_neither_dataclasses_nor_inspect():
     probe = "import sys, clausekit.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
     run = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
     assert run.stdout.strip() == "[]"
+
+
+def writers(sources: dict[str, str]) -> set[str]:
+    """`module.function` of each function that reads a `write` or `writelines` attribute, by innermost def."""
+    found = set()
+
+    def visit(node: ast.AST, owner: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, f"{owner}.{child.name}")
+            else:
+                if isinstance(child, ast.Attribute) and child.attr in ("write", "writelines"):
+                    found.add(owner)
+                visit(child, owner)
+
+    for module, source in sources.items():
+        visit(ast.parse(source), module)
+    return found
+
+
+def test_the_cli_main_is_the_one_writer():
+    # handlers hand back their lines, and main alone writes them, where a closed stream is told from a usage error
+    sources = {module.stem: module.read_text() for module in PACKAGE.glob("*.py")}
+    assert writers(sources) == {"cli.main"}
+
+
+def test_a_writer_is_caught():
+    sources = {"a": "def main(out):\n    out.writelines([])\nclass E:\n    def lines(self):\n"
+                    "        w = self.out.write\n        def inner():\n            return sys.stdout.write\n"}
+    assert writers(sources) == {"a.main", "a.E.lines", "a.E.lines.inner"}

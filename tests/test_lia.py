@@ -64,7 +64,7 @@ class TestImpliedBound:
 
 class TestPropagateBounds:
     def test_divergent_alternation(self):
-        result = propagate_bounds(DIVERGENT, [Bound.make("x", ">=", 0, level=1)], 100)
+        result = propagate_bounds(DIVERGENT, [Bound.make("x", ">=", 0)], 100)
         assert result.verdict == "diverged" and result.steps == 100
         prefix = [(b.var, b.kind, b.value) for b in result.trail[:5]]
         assert prefix == [
@@ -77,7 +77,7 @@ class TestPropagateBounds:
 
     def test_single_propagation(self):
         system = parse_lia("x - y <= 0\n")
-        result = propagate_bounds(system, [Bound.make("x", ">=", 5, level=1)], 100)
+        result = propagate_bounds(system, [Bound.make("x", ">=", 5)], 100)
         assert result.verdict == "fixpoint"
         assert result.bounds[("y", True)].value == 5
 
@@ -91,7 +91,7 @@ class TestPropagateBounds:
         assert result.verdict == "fixpoint" and result.steps == 0
 
     def test_monotone_per_direction(self):
-        result = propagate_bounds(DIVERGENT, [Bound.make("x", ">=", 0, level=1)], 50)
+        result = propagate_bounds(DIVERGENT, [Bound.make("x", ">=", 0)], 50)
         last: dict = {}
         for b in result.trail:
             key = (b.var, b.lower)
@@ -102,7 +102,7 @@ class TestPropagateBounds:
     def test_soundness_of_propagated_bounds(self):
         # every integer point satisfying system+decisions satisfies each bound
         system = parse_lia("2*x + 3*y - 1 <= 0\nx - y <= 0\n")
-        decisions = [Bound.make("y", ">=", -3, level=1), Bound.make("x", ">=", -4, level=1)]
+        decisions = [Bound.make("y", ">=", -3), Bound.make("x", ">=", -4)]
         result = propagate_bounds(system, decisions, 200)
         points = []
         for xv in range(-10, 11):
@@ -127,7 +127,7 @@ class TestPropagateBounds:
         for _ in range(300):
             system = _random_system(rng)
             decisions = [
-                Bound.make(v, rng.choice([">=", "<="]), rng.randint(-3, 3), level=1)
+                Bound.make(v, rng.choice([">=", "<="]), rng.randint(-3, 3))
                 for v in system.variables
                 if rng.random() < 0.7
             ]
@@ -161,7 +161,7 @@ class TestPropagateBounds:
                 coeffs = tuple((v, rng.choice([-3, -2, -1, 1, 2, 3])) for v in chosen)
                 ineqs.append(LinIneq(i, coeffs, rng.randint(-4, 4)))
             decisions = [
-                Bound.make(v, rng.choice([">=", "<="]), rng.randint(-4, 4), level=1)
+                Bound.make(v, rng.choice([">=", "<="]), rng.randint(-4, 4))
                 for v in variables
                 if rng.random() < 0.6
             ]
@@ -196,8 +196,7 @@ class TestPropagateBounds:
                 ineqs.append(LinIneq(k, coeffs, rng.randint(-4, 4)))
             system = LiaSystem(ineqs)
             decisions = [
-                Bound.make(rng.choice(variables), rng.choice(["<", "<=", ">", ">="]),
-                           rng.randint(-4, 4), level=rng.randint(0, 3))
+                Bound.make(rng.choice(variables), rng.choice(["<", "<=", ">", ">="]), rng.randint(-4, 4))
                 for _ in range(rng.randint(0, 3))
             ]
             cases.append((system, decisions, caps[i % len(caps)], None))
@@ -209,7 +208,7 @@ class TestPropagateBounds:
             want = reference_propagate_bounds(system, decisions, cap)
             assert got.verdict == want.verdict
             assert outcome is None or got.verdict == outcome
-            fields = lambda r: [(b.var, b.lower, b.value, b.level, b.reason) for b in r.trail]
+            fields = lambda r: [(b.var, b.lower, b.value, b.reason) for b in r.trail]
             assert fields(got) == fields(want)
             assert got.steps == want.steps
             assert got.inequation_id == want.inequation_id
@@ -232,10 +231,10 @@ class TestPropagateBounds:
         for length in (40, 80):
             gaps = [rng.randint(0, 2) for _ in range(length - 1)]
             ineqs = [LinIneq(i, ((f"v{i}", 1), (f"v{i + 1}", -1)), c) for i, c in enumerate(gaps, start=1)]
-            top = Bound.make(f"v{length}", "<=", sum(gaps) + 2, level=1)
-            decisions = [Bound.make("v1", ">=", 0, level=1), top]
+            top = Bound.make(f"v{length}", "<=", sum(gaps) + 2)
+            decisions = [Bound.make("v1", ">=", 0), top]
             runs.append((LiaSystem(ineqs), decisions, 10_000, "fixpoint"))
-        runs.append((DIVERGENT, [Bound.make("x", ">=", 0, level=1)], 10_000, "diverged"))
+        runs.append((DIVERGENT, [Bound.make("x", ">=", 0)], 10_000, "diverged"))
         for system, decisions, cap, outcome in runs:
             calls = 0
             result = propagate_bounds(system, decisions, cap)
@@ -243,17 +242,33 @@ class TestPropagateBounds:
             pairs = sum(len(ineq.coeffs) for ineq in system.inequations)
             assert calls <= pairs + 2 * result.steps, (pairs, result.steps, calls)
 
-    def test_derived_bounds_carry_highest_decision_level(self):
-        decisions = [Bound.make("x", ">=", 0, level=2), Bound.make("y", "<=", 50, level=5)]
+    def test_derived_bounds_name_their_inequation(self):
+        decisions = [Bound.make("x", ">=", 0), Bound.make("y", "<=", 50)]
         result = propagate_bounds(DIVERGENT, decisions, 200)
         derived = [b for b in result.trail if b.reason is not None]
         assert len(derived) == result.steps > 0
-        assert {b.level for b in derived} == {5}
+        variables = {ineq.id: dict(ineq.coeffs) for ineq in DIVERGENT.inequations}
+        assert all(b.var in variables[b.reason] for b in derived)
+
+    def test_every_bound_built_has_the_record_fields(self, monkeypatch):
+        # the engines build bounds with tuple.__new__, which takes a tuple of any length
+        seen = []
+        scan = lia.conflicting_inequation
+
+        def recording(current, candidates):
+            seen.extend(current.values())
+            return scan(current, candidates)
+
+        monkeypatch.setattr(lia, "conflicting_inequation", recording)
+        assert lia.decide_bounded(DIVERGENT).verdict == "unsat"
+        propagate_bounds(DIVERGENT, [Bound.make("x", ">=", 0)], 50)
+        assert {b.reason is None for b in seen} == {True, False}
+        assert {len(b) for b in seen} == {len(Bound._fields)}
 
     def test_divergence_budgets_strictly_increase(self):
         counts = []
         for budget in (100, 1000, 10_000):
-            result = propagate_bounds(DIVERGENT, [Bound.make("x", ">=", 0, level=1)], budget)
+            result = propagate_bounds(DIVERGENT, [Bound.make("x", ">=", 0)], budget)
             assert result.verdict == "diverged"
             counts.append(result.steps)
         assert counts[0] < counts[1] < counts[2]
@@ -353,19 +368,19 @@ def _benchmark_shapes(rng: random.Random):
     # the divergence witness x <= y, y < x from x >= 0
     for budget in (100, 1_000, 10_000):
         ineqs = [LinIneq(1, (("x", 1), ("y", -1)), 0), LinIneq(2, (("y", 1), ("x", -1)), rng.randint(1, 3))]
-        yield LiaSystem(ineqs), [Bound.make("x", ">=", 0, level=1)], budget, "diverged"
+        yield LiaSystem(ineqs), [Bound.make("x", ">=", 0)], budget, "diverged"
     # cyclic chains v1 <= v2 <= ... <= vn <= v1 - c
     for n in (10, 25, 50, 100):
         ineqs = [LinIneq(i, ((f"v{i}", 1), (f"v{i + 1}", -1)), 0) for i in range(1, n)]
         ineqs.append(LinIneq(n, ((f"v{n}", 1), ("v1", -1)), rng.randint(1, 3)))
-        yield LiaSystem(ineqs), [Bound.make("v1", ">=", 0, level=1)], 20 * n, "diverged"
+        yield LiaSystem(ineqs), [Bound.make("v1", ">=", 0)], 20 * n, "diverged"
     # open chains v(i+1) >= v(i) + c(i) under an upper bound on the last variable
     for length in (20, 40):
         for feasible in (True, False):
             gaps = [rng.randint(0, 2) for _ in range(length - 1)]
             ineqs = [LinIneq(i, ((f"v{i}", 1), (f"v{i + 1}", -1)), c) for i, c in enumerate(gaps, start=1)]
             top = sum(gaps) + (rng.randint(0, 3) if feasible else -rng.randint(1, 3))
-            decisions = [Bound.make("v1", ">=", 0, level=1), Bound.make(f"v{length}", "<=", top, level=1)]
+            decisions = [Bound.make("v1", ">=", 0), Bound.make(f"v{length}", "<=", top)]
             yield LiaSystem(ineqs), decisions, 10_000, "fixpoint" if feasible else "conflict"
 
 
@@ -414,7 +429,7 @@ class TestBound:
 
 
 def test_trace_lines():
-    result = propagate_bounds(DIVERGENT, [Bound.make("x", ">=", 0, level=1)], 2)
+    result = propagate_bounds(DIVERGENT, [Bound.make("x", ">=", 0)], 2)
     lines = [line for line, _ in render(result)]
     assert lines[0] == "bound x >= 0 <- decision"
     assert lines[1] == "bound y >= 0 <- ineq 1"

@@ -7,16 +7,14 @@ positive first, then clause id); the two runs then make the same events, with
 SCL's instance positions named by their clause ids.
 """
 
-import importlib.util
 import random
-import sys
 from collections import Counter
 from functools import partial
-from pathlib import Path
 
 import pytest
 
 from test_scl_kernel import random_bs
+from workload_outputs import load_workloads
 from clausekit.cdcl import CdclState, PropClause, lowest_index_positive, solve
 from clausekit.formats import parse_dimacs
 from clausekit.logic import Atom, Clause, Literal
@@ -29,21 +27,6 @@ def random_cnf(rng: random.Random, num_vars: int, num_clauses: int, widths: tupl
         atoms = rng.sample(range(1, num_vars + 1), rng.choice(widths))
         clauses.append(PropClause(cid, tuple(a if rng.random() < 0.5 else -a for a in atoms)))
     return clauses
-
-
-WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
-
-
-def load_workloads():
-    # workloads imports its sibling checkers, and its dataclasses look their module up in sys.modules
-    sys.path.insert(0, str(WORKLOADS.parent))
-    try:
-        spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
-        module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(module)
-    finally:
-        sys.path.remove(str(WORKLOADS.parent))
-    return module
 
 
 def corpus() -> list[tuple[list[PropClause], int]]:

@@ -442,7 +442,7 @@ def test_pairs_match_reference(monkeypatch):
 def test_scl_keeps_no_trail_side_state():
     # SCL reads the trail through the kernel's truth table only: no index of its own to fill and undo
     assert SclState.truncate is TrailKernel.truncate
-    kernel = set(vars(TrailKernel()))
+    kernel = set(vars(TrailKernel(0)))
     state = SclState.from_problem(scl.ground_problem(counter_problem(3)))
     assert [name for name in vars(state) if name not in kernel] == ["problem", "stats", "next_clause_id", "triggers"]
 
@@ -517,10 +517,8 @@ def test_constant_free_sets_agree_with_resolution():
 
 def text_and_json(result) -> tuple[list[str], list[dict]]:
     """A run's output as the CLI writes it: text lines, and JSON lines parsed."""
-    text, as_json = io.StringIO(), io.StringIO()
-    cli._Emitter(text, False).lines(render(result, fields=False))
-    cli._Emitter(as_json, True).lines(render(result))
-    return text.getvalue().splitlines(), [json.loads(line) for line in as_json.getvalue().splitlines()]
+    text, as_json = cli._lines(render(result, fields=False), False), cli._lines(render(result), True)
+    return "".join(text).splitlines(), [json.loads(line) for line in "".join(as_json).splitlines()]
 
 
 def assert_text_is_json_line(result) -> list[dict]:
