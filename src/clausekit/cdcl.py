@@ -22,8 +22,9 @@ from __future__ import annotations
 import heapq
 import math
 from collections import defaultdict
-from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
+from .jsonl import json_line
 from .logic import clauses_by_id
 
 
@@ -44,12 +45,6 @@ class PropClause(_PropClauseFields):
 
     def __str__(self) -> str:
         return " ".join(str(l) for l in self.lits) if self.lits else "⊥"
-
-
-class TrailEntry(NamedTuple):
-    lit: int
-    level: int
-    reason: int | None  # propagating clause id; None marks a decision
 
 
 # builds a NamedTuple from its fields' tuple in C, without the generated Python-level __new__
@@ -82,7 +77,10 @@ class TrailKernel:
     `var_level[a]` is atom a's level while a is assigned; a backjump leaves
     it stale, so the table grows with the atoms assigned, not with all atoms.
     `trail_lim[k]` is where level k + 1 starts on the trail, as MiniSat's
-    `trail_lim`, so a backjump clears one slice.
+    `trail_lim`, so a backjump clears one slice.  A trail entry is a plain
+    (lit, level, reason) tuple, whose reason is the propagating clause's id,
+    or None for a decision: the interpreter unpacks only an exact tuple on
+    its fast path, and untracks one of ints from the garbage collector.
 
     Each hooked clause keeps its literals with the watched ones in the first
     two positions (`watched`); `watchers` lists the clauses watching each
@@ -109,7 +107,7 @@ class TrailKernel:
     def __init__(self, atoms: int) -> None:
         """An empty trail over atoms 1..n, n = `atoms`: the truth table gets 2n + 1 slots, so slot
         n + 1 is literal -n and a search over atoms stops at n; the trail is total when its length is n."""
-        self.trail: list[TrailEntry] = []
+        self.trail: list[tuple[int, int, int | None]] = []
         self.trail_lim: list[int] = []
         self.level = 0
         self.true = bytearray(2 * atoms + 1)
@@ -162,7 +160,7 @@ class TrailKernel:
         by lit is recorded, not just the first.
         """
         true, level = self.true, self.level
-        self.trail.append(_new(TrailEntry, (lit, level, reason)))
+        self.trail.append((lit, level, reason))
         true[lit] = 1
         self.var_level[lit if lit > 0 else -lit] = level
         false_lit = -lit
@@ -431,7 +429,7 @@ def forget(state: CdclState, clause_id: int) -> CdclState:
     """Drop a learned clause that does not justify any current trail entry."""
     if clause_id not in state.learned_ids:
         raise ValueError(f"clause {clause_id} is not a learned clause")
-    if any(e.reason == clause_id for e in state.trail):
+    if any(reason == clause_id for _, _, reason in state.trail):
         raise ValueError(f"clause {clause_id} justifies a trail entry")
     del state.clauses[clause_id]
     state.learned_ids.remove(clause_id)
@@ -498,24 +496,38 @@ def solve(
             decide(state, heuristic(state))
 
 
-def render(result: CdclResult) -> Iterator[tuple[str, dict]]:
-    """The trace of a run in the DIMACS-solver style, one (text line, JSON fields) pair per line."""
+# per event kind, the JSON fields after `kind` that the event's values give, in order
+_FIELDS = {"propagate": ("lit", "clause"), "decide": ("lit", "level"), "conflict": ("clause",),
+           "learn": ("lits", "backjump", "clause"), "forget": ("clause",), "sat": (), "unsat": ()}
+
+
+def render(result: CdclResult, as_json: bool) -> list[str]:
+    """The trace of a run in the DIMACS-solver style, as output lines: text, or JSON objects.
+
+    An event's text is built alone; as JSON, each of its lines is an object
+    whose `line` is the text line, beside the event's `_FIELDS`.
+    """
+    lines: list[str] = []
+    add = lines.append
     for ev in result.state.events:
         kind = ev[0]
         if kind == "propagate":
-            yield f"propagate {ev[1]} <- clause {ev[2]}", {
-                "event": "cdcl", "kind": kind, "lit": ev[1], "clause": ev[2]}
+            text = f"propagate {ev[1]} <- clause {ev[2]}\n"
         elif kind == "decide":
-            yield f"decide {ev[1]} @{ev[2]}", {"event": "cdcl", "kind": kind, "lit": ev[1], "level": ev[2]}
+            text = f"decide {ev[1]} @{ev[2]}\n"
         elif kind == "conflict":
-            yield f"conflict clause {ev[1]}", {"event": "cdcl", "kind": kind, "clause": ev[1]}
+            text = f"conflict clause {ev[1]}\n"
         elif kind == "learn":
-            yield f"learn {' '.join(map(str, ev[1]))} backjump {ev[2]}", {
-                "event": "cdcl", "kind": kind, "lits": list(ev[1]), "backjump": ev[2], "clause": ev[3]}
+            text = f"learn {' '.join(map(str, ev[1]))} backjump {ev[2]}\n"
         elif kind == "forget":
-            yield f"forget clause {ev[1]}", {"event": "cdcl", "kind": kind, "clause": ev[1]}
+            text = f"forget clause {ev[1]}\n"
         elif kind == "sat":
-            yield "s SATISFIABLE", {"event": "cdcl", "kind": kind}
-            yield " ".join(["v", *map(str, ev[1]), "0"]), {"event": "cdcl", "kind": kind}
-        elif kind == "unsat":
-            yield "s UNSATISFIABLE", {"event": "cdcl", "kind": kind}
+            text = " ".join(["s SATISFIABLE\nv", *map(str, ev[1]), "0\n"])
+        else:  # "unsat"
+            text = "s UNSATISFIABLE\n"
+        if not as_json:
+            add(text)
+            continue
+        fields = {"event": "cdcl", "kind": kind, **dict(zip(_FIELDS[kind], ev[1:]))}
+        lines += [json_line({"line": line, **fields}) for line in text.splitlines()]
+    return lines

@@ -12,7 +12,9 @@ replayed derivation that does not end in the empty clause, which claims
 neither.  Usage errors, a flag that the mode does not read (`FLAG_MODES`)
 and two `--decide` bounds that cross among them, and parse errors exit with
 2; `--help` exits with 0.  A stdout that its reader closes early, as `| head`
-does, exits with 141 (128 + SIGPIPE) and writes nothing to stderr.
+does, exits with 141 (128 + SIGPIPE) and writes nothing to stderr; any other
+failed write of the output, such as to a full disk, prints its error and
+exits with 74 (EX_IOERR in sysexits.h).
 """
 
 from __future__ import annotations
@@ -20,13 +22,13 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
-import json
 import os
 import sys
-from typing import Callable, Iterable, NamedTuple, Sequence, TextIO
+from typing import Callable, NamedTuple, Sequence, TextIO
 
 from . import cdcl, formats, lia, resolution, scl
 from .errors import ClausekitError
+from .jsonl import json_line
 from .logic import Clause
 from .ordering import OrderingConfig, config_with_precedence, default_config
 from .resolution import check_linear_refutation, linear_counter_script
@@ -37,6 +39,7 @@ EXIT_SAT = 10
 EXIT_UNSAT = 20
 EXIT_LIMIT = 1
 EXIT_USAGE = 2
+EXIT_OUTPUT_ERROR = 74  # EX_IOERR in sysexits.h
 EXIT_CLOSED_OUTPUT = 141  # 128 + SIGPIPE, as a shell reports a pipeline stage that SIGPIPE ended
 
 # every verdict an engine's result can hold, and its exit code
@@ -92,20 +95,6 @@ def validate(args: argparse.Namespace) -> None:
         raise ValueError("--counter-n must be positive")
 
 
-# json.dumps(obj, sort_keys=True) builds an encoder per call; this one is built once
-_encode = json.JSONEncoder(sort_keys=True).encode
-
-
-def _lines(rendered: Iterable[tuple[str, dict]], as_json: bool) -> list[str]:
-    """Rendered (text line, JSON fields) pairs as text lines, or as JSON lines.
-
-    Text output ignores the fields; `_run_scl` has SCL's `render` build none.
-    """
-    if as_json:
-        return [_encode({"line": text, **fields}) + "\n" for text, fields in rendered]
-    return [text + "\n" for text, _ in rendered]
-
-
 def _bs_clauses(args: argparse.Namespace) -> Sequence[Clause]:
     if args.counter_n is not None:
         return counter_problem(args.counter_n)
@@ -124,7 +113,7 @@ def _run_cdcl(args: argparse.Namespace, as_json: bool) -> tuple[int, list[str]]:
     with open(args.input, encoding="utf-8") as handle:
         num_vars, clauses = formats.parse_dimacs(handle.read())
     result = cdcl.solve(clauses, num_vars, HEURISTICS[args.heuristic or DEFAULT_HEURISTIC])
-    return EXIT_CODES[result.verdict], _lines(cdcl.render(result), as_json)
+    return EXIT_CODES[result.verdict], cdcl.render(result, as_json)
 
 
 def _max_steps(args: argparse.Namespace, default: int = DEFAULT_MAX_STEPS) -> int:
@@ -136,7 +125,7 @@ def _run_scl(args: argparse.Namespace, as_json: bool) -> tuple[int, list[str]]:
     clauses = _bs_clauses(args)
     cap = scl.DEFAULT_INSTANCE_CAP if args.max_instances is None else args.max_instances
     result = scl.scl_run(clauses, instance_cap=cap, trail_cap=_max_steps(args, scl.DEFAULT_TRAIL_CAP))
-    return EXIT_CODES[result.verdict], _lines(scl.render(result, fields=as_json), as_json)
+    return EXIT_CODES[result.verdict], scl.render(result, as_json)
 
 
 def _run_resolution(args: argparse.Namespace, as_json: bool) -> tuple[int, list[str]]:
@@ -144,7 +133,7 @@ def _run_resolution(args: argparse.Namespace, as_json: bool) -> tuple[int, list[
     cfg = _ordering(args, clauses)
     sel = resolution.selection_from_name(args.selection or DEFAULT_SELECTION)
     result = resolution.saturate(clauses, cfg, sel, max_generated=_max_steps(args))
-    return EXIT_CODES[result.verdict], _lines(resolution.render(result), as_json)
+    return EXIT_CODES[result.verdict], resolution.render(result, as_json)
 
 
 def _run_replay(args: argparse.Namespace, as_json: bool) -> tuple[int, list[str]]:
@@ -153,7 +142,7 @@ def _run_replay(args: argparse.Namespace, as_json: bool) -> tuple[int, list[str]
         script = formats.parse_script(handle.read())
     derived = resolution.replay(clauses, script)
     code = EXIT_CODES["unsat" if derived and derived[-1].clause.is_empty else "derived"]
-    return code, _lines(resolution.render(derived), as_json)
+    return code, resolution.render(derived, as_json)
 
 
 def _lia_system(args: argparse.Namespace) -> lia.LiaSystem:
@@ -170,12 +159,12 @@ def _run_lia_propagate(args: argparse.Namespace, as_json: bool) -> tuple[int, li
             if d.var == e.var and d.lower != e.lower and lower.value > upper.value:
                 raise ValueError(f"--decide {d} crosses {e}")
     result = lia.propagate_bounds(system, decisions, _max_steps(args))
-    return EXIT_CODES[result.verdict], _lines(lia.render(result), as_json)
+    return EXIT_CODES[result.verdict], lia.render(result, as_json)
 
 
 def _run_lia_decide(args: argparse.Namespace, as_json: bool) -> tuple[int, list[str]]:
     result = lia.decide_bounded(_lia_system(args))
-    return EXIT_CODES[result.verdict], _lines(lia.render(result), as_json)
+    return EXIT_CODES[result.verdict], lia.render(result, as_json)
 
 
 # ---------------------------------------------------------------------------
@@ -224,7 +213,7 @@ def _run_experiment(args: argparse.Namespace, as_json: bool) -> tuple[int, list[
     n_max = args.counter_n if args.counter_n is not None else 10
     rows = counter_experiment(n_max)
     if as_json:
-        return EXIT_SAT, [_encode(row._asdict()) + "\n" for row in rows]
+        return EXIT_SAT, [json_line(row._asdict()) for row in rows]
     return EXIT_SAT, ["n  scl_propagations  scl_result  resolution_generated  resolution_result\n"] + [
         f"{r.n:<2d} {r.scl_propagations:>16d}  {r.scl_result:<10s} "
         f"{r.resolution_generated:>20d}  {r.resolution_result}\n"
@@ -287,14 +276,18 @@ def main(argv: list[str] | None = None, out: TextIO = sys.stdout) -> int:
     try:
         validate(args)
         code, lines = _HANDLERS[args.mode](args, args.format == "json")
-        out.writelines(lines)
-        out.flush()  # a closed pipe fails here, not at exit
-        return code
-    except BrokenPipeError:  # the reader closed stdout early, as `| head` does: nothing to report
-        return EXIT_CLOSED_OUTPUT
     except (OSError, ClausekitError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    try:
+        out.writelines(lines)
+        out.flush()  # a closed pipe or a full disk fails here, not at exit
+    except BrokenPipeError:  # the reader closed stdout early, as `| head` does: nothing to report
+        return EXIT_CLOSED_OUTPUT
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_OUTPUT_ERROR
+    return code
 
 
 def console_main() -> None:

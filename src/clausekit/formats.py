@@ -36,8 +36,12 @@ def _line_position(text: str, index: int, at: int = 0) -> tuple[int, int]:
 
 
 # A literal and the header's counts are ASCII digits; `int()` alone would also
-# take `+2`, `1_0` and non-ASCII digits.
+# take `+2`, `1_0` and non-ASCII digits.  A clause line is such literals and
+# the whitespace between them, which `str.split` splits on as `\s` matches it.
 _DIMACS_LITERAL = re.compile(r"-?[0-9]+")
+_DIMACS_CLAUSE_LINE = re.compile(r"-?[0-9]+(?:\s+-?[0-9]+)*")
+# builds a PropClause in C, without the check for 0 that the parser's loop already made
+_new = tuple.__new__
 
 
 def parse_dimacs(text: str) -> tuple[int, list[PropClause]]:
@@ -59,20 +63,16 @@ def parse_dimacs(text: str) -> tuple[int, list[PropClause]]:
             continue
         if num_vars is None:
             raise ParseError("clause before the DIMACS header", *_line_position(text, index))
-        for tok in line.split():
-            if not _DIMACS_LITERAL.fullmatch(tok):
-                raise ParseError(f"bad literal {tok!r}", *_word_position(text, index, line, tok))
-            lit = int(tok)
-            if lit == 0:
-                clauses.append(PropClause(len(clauses) + 1, tuple(pending)))
+        if not _DIMACS_CLAUSE_LINE.fullmatch(line):
+            raise _dimacs_line_error(text, index, line, num_vars)
+        for lit in map(int, line.split()):
+            if not lit:
+                clauses.append(_new(PropClause, (len(clauses) + 1, tuple(pending))))
                 pending = []
-            else:
-                if abs(lit) > num_vars:
-                    raise ParseError(
-                        f"literal {lit} exceeds the declared {num_vars} variables",
-                        *_word_position(text, index, line, tok),
-                    )
+            elif -num_vars <= lit <= num_vars:
                 pending.append(lit)
+            else:
+                raise _dimacs_line_error(text, index, line, num_vars)
         last = index
     if pending:  # just after the last literal
         end = len(text.splitlines()[last].strip())
@@ -83,6 +83,15 @@ def parse_dimacs(text: str) -> tuple[int, list[PropClause]]:
         message = f"header declares {num_clauses} clauses, found {len(clauses)}"
         raise ParseError(message, *_line_position(text, header))
     return num_vars, clauses
+
+
+def _dimacs_line_error(text: str, index: int, line: str, num_vars: int) -> ParseError:
+    """The error of the first token of clause line `index` that is no literal or exceeds the variables."""
+    tok = next(t for t in line.split() if not _DIMACS_LITERAL.fullmatch(t) or abs(int(t)) > num_vars)
+    if not _DIMACS_LITERAL.fullmatch(tok):
+        return ParseError(f"bad literal {tok!r}", *_word_position(text, index, line, tok))
+    message = f"literal {int(tok)} exceeds the declared {num_vars} variables"
+    return ParseError(message, *_word_position(text, index, line, tok))
 
 
 def _word_position(text: str, index: int, line: str, word: str) -> tuple[int, int]:

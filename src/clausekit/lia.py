@@ -17,7 +17,9 @@ exceeds its cap); `render` gives the output lines of either result.
 from __future__ import annotations
 
 from heapq import heappop, heappush
-from typing import Iterable, Iterator, Mapping, NamedTuple
+from typing import Iterable, Mapping, NamedTuple
+
+from .jsonl import json_line
 
 DEFAULT_BOX_CAP = 10_000_000
 
@@ -332,32 +334,32 @@ def decide_bounded(system: LiaSystem, box_cap: int = DEFAULT_BOX_CAP) -> LiaDeci
     return LiaDecision("unsat") if found is None else LiaDecision("sat", found)
 
 
-# the JSON fields of every propagation line, shared: a consumer copies them
-_LIA_FIELDS = {"event": "lia"}
-
-
-def render(result: LiaPropagation | LiaDecision) -> Iterator[tuple[str, dict]]:
-    """The output of a propagation or a decision, one (text line, JSON fields) pair per line.
+def render(result: LiaPropagation | LiaDecision, as_json: bool) -> list[str]:
+    """The output lines of a propagation or a decision, as text or as JSON objects.
 
     A propagation prints its trail, one bound per line, then its verdict; a
-    decision prints its verdict, with the model if "sat".  The fields of a
-    propagation line are one dict shared by every line, not to be mutated.
+    decision prints its verdict, with the model if "sat".  A line's JSON
+    object holds only the text line and its `event`: "lia" for a
+    propagation's, "result" for a decision's.
     """
     verdict = result.verdict
     if verdict == "sat":
-        yield " ".join(["sat", *(f"{v}={x}" for v, x in result.assignment.items())]), {"event": "result"}
-        return
-    if verdict in ("unsat", "limit"):
-        yield verdict, {"event": "result"}
-        return
-    for var, lower, value, reason in result.trail:
-        if reason is None:
-            yield f"bound {var} {'>=' if lower else '<='} {value} <- decision", _LIA_FIELDS
-        else:
-            yield f"bound {var} {'>=' if lower else '<='} {value} <- ineq {reason}", _LIA_FIELDS
-    if verdict == "fixpoint":
-        yield "fixpoint", _LIA_FIELDS
-    elif verdict == "conflict":
-        yield f"conflict {result.inequation_id}", _LIA_FIELDS
+        lines, event = [" ".join(["sat", *(f"{v}={x}" for v, x in result.assignment.items())]) + "\n"], "result"
+    elif verdict in ("unsat", "limit"):
+        lines, event = [verdict + "\n"], "result"
     else:
-        yield f"diverged steps={result.steps}", _LIA_FIELDS
+        lines = [
+            f"bound {var} {'>=' if lower else '<='} {value} <- decision\n" if reason is None
+            else f"bound {var} {'>=' if lower else '<='} {value} <- ineq {reason}\n"
+            for var, lower, value, reason in result.trail
+        ]
+        if verdict == "fixpoint":
+            lines.append("fixpoint\n")
+        elif verdict == "conflict":
+            lines.append(f"conflict {result.inequation_id}\n")
+        else:
+            lines.append(f"diverged steps={result.steps}\n")
+        event = "lia"
+    if as_json:
+        return [json_line({"line": line[:-1], "event": event}) for line in lines]
+    return lines

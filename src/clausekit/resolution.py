@@ -25,9 +25,10 @@ lines of either run.
 from __future__ import annotations
 
 from collections import defaultdict, deque
-from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import ReplayStepError
+from .jsonl import json_line
 from .logic import (
     Atom,
     Clause,
@@ -549,16 +550,13 @@ def check_linear_refutation(
     return derived
 
 
-# the JSON fields of every derived line, shared: a consumer copies them
-_DERIVED_FIELDS = {"event": "derived"}
+def render(result: SaturationResult | list[DerivedClause], as_json: bool) -> list[str]:
+    """The output lines of a saturation or a replay, as text or as JSON objects.
 
-
-def render(result: SaturationResult | list[DerivedClause]) -> Iterator[tuple[str, dict]]:
-    """The output of a saturation or a replay, one (text line, JSON fields) pair per line.
-
-    One line per derived clause in id order, then the verdict line.  The
-    fields of a derived line are one dict shared by every line, not to be
-    mutated.
+    One line per derived clause in id order, then the verdict line.  A
+    derived line's JSON object holds the text line and the event "derived";
+    the verdict's holds the event "result", and a saturation's also its
+    `generated` and `kept` counts.
     """
     if isinstance(result, SaturationResult):
         derived = result.derivations.values()
@@ -566,11 +564,13 @@ def render(result: SaturationResult | list[DerivedClause]) -> Iterator[tuple[str
             verdict = f"Saturated({len(result.clauses)})"
         else:
             verdict = "Unsat" if result.verdict == "unsat" else "LimitReached"
-        fields = {"event": "result", "generated": result.generated, "kept": result.kept}
+        counts = {"generated": result.generated, "kept": result.kept}
     else:
         derived = result
         verdict = "Unsat" if result and result[-1].clause.is_empty else f"Replayed({len(result)})"
-        fields = {"event": "result"}
-    for d in derived:
-        yield f"{d.clause.id} : {d.clause}  {d.rule}", _DERIVED_FIELDS
-    yield verdict, fields
+        counts = {}
+    lines = [f"{d.clause.id} : {d.clause}  {d.rule}" for d in derived]
+    if as_json:
+        return [json_line({"line": line, "event": "derived"}) for line in lines] + [
+            json_line({"line": verdict, "event": "result", **counts})]
+    return [line + "\n" for line in lines] + [verdict + "\n"]

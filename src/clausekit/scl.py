@@ -51,11 +51,12 @@ import itertools
 from collections import defaultdict
 from functools import cached_property
 from operator import itemgetter, mul
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .cdcl import TrailKernel, decide, learn_clause, lowest_unassigned, propagate_units, resolve_1uip
 from .cdcl import clause_status  # noqa: F401  perfbench/tracer.py counts calls through this name
 from .errors import ResourceLimitError
+from .jsonl import json_line
 from .logic import Atom, Clause, Constant, Literal, Variable, clauses_by_id
 
 DEFAULT_INSTANCE_CAP = 1_000_000
@@ -360,7 +361,7 @@ class _CompiledClause:
             if args:
                 lit += f"({','.join(['%s' if isinstance(a, Variable) else _escape(a.name) for a in args])})"
             lit_at = [last - digit[a.name] for a in args if isinstance(a, Variable)]
-            lines.append(_Line(chunks, f"propagate {lit} <- clause {self.id} σ={subst}", _getter(lit_at + subst_at),
+            lines.append(_Line(chunks, f"propagate {lit} <- clause {self.id} σ={subst}\n", _getter(lit_at + subst_at),
                                lit, _getter(lit_at), subst, _getter(subst_at)))
         return lines
 
@@ -375,8 +376,9 @@ class _Line(NamedTuple):
 
     The names are those of the instance key's base-d digits, `chunks`
     chunks of them (`HerbrandBase.spell`); each getter orders the names its
-    format reads.  Text output fills the whole line's format; JSON fills
-    `lit` and `subst`, the line's two parts, and joins them as text does.
+    format reads.  Text output fills the whole line's format, newline
+    included; JSON fills `lit` and `subst`, the line's two parts, and joins
+    them as text does.
     """
 
     chunks: int
@@ -752,20 +754,25 @@ def scl_run(
 
 
 _VERDICTS = {"sat": "s SATISFIABLE", "unsat": "s UNSATISFIABLE", "limit": "s RESOURCE-EXCEEDED"}
+# per trace event kind, the names of the JSON fields after `kind`
+_FIELDS = {"propagate": ("lit", "clause", "subst"), "conflict": ("clause", "subst"), "decide": ("lit", "level"),
+           "learn": ("clause", "backjump")}
 
 
-def render(result: SclResult, fields: bool = True) -> Iterator[tuple[str, dict | None]]:
-    """The output of a run, one (text line, JSON fields) pair per line: trace, stats, verdict.
+def render(result: SclResult, as_json: bool) -> list[str]:
+    """The output lines of a run, as text or as JSON objects: trace, stats, verdict.
 
-    With fields False, for text output, no JSON fields are built: each pair
-    holds None.  A propagation of one of its clause's literals, one per
-    template, fills the formats that `_CompiledClause.lines` compiles for
-    that literal with the names of the instance's key.  Merge clauses,
-    ground clauses (one instance each, too few lines to repay compiling;
-    their substitution is `{}`) and learned instances, and the literals of
-    every other line, are decoded from the Herbrand base.  A run stopped by
-    the instance cap has no state, so only its verdict line.
+    A propagation of one of its clause's literals, one per template, fills
+    the formats that `_CompiledClause.lines` compiles for that literal with
+    the names of the instance's key.  Merge clauses, ground clauses (one
+    instance each, too few lines to repay compiling; their substitution is
+    `{}`) and learned instances, and the literals of every other line, are
+    decoded from the Herbrand base.  A trace line's JSON object holds the
+    text line as `line` and the values it spells as the kind's `_FIELDS`.
+    A run stopped by the instance cap has no state, so only its verdict line.
     """
+    lines: list[str] = []
+    add = lines.append
     state = result.state
     if state is not None:
         instances, atoms = state.problem.instances, state.problem.atoms
@@ -784,27 +791,28 @@ def render(result: SclResult, fields: bool = True) -> Iterator[tuple[str, dict |
                 else:
                     line = compiled.lines[inst.lits.index(ev[1])]
                     names = spell(inst.key, line.chunks)
-                    if not fields:
-                        yield line.text % line.get(names), None
+                    if not as_json:
+                        add(line.text % line.get(names))
                         continue
                     lit, subst = line.lit % line.get_lit(names), line.subst % line.get_subst(names)
-                yield (f"propagate {lit} <- clause {inst.clause_id} σ={subst}",
-                       {"event": "scl", "kind": kind, "lit": lit, "clause": inst.clause_id, "subst": subst}
-                       if fields else None)
+                text, values = f"propagate {lit} <- clause {inst.clause_id} σ={subst}", (lit, inst.clause_id, subst)
             elif kind == "conflict":
                 inst = instances[ev[1]]
                 subst = inst.subst_str()
-                yield (f"conflict clause {inst.clause_id} σ={subst}",
-                       {"event": "scl", "kind": kind, "clause": inst.clause_id, "subst": subst} if fields else None)
+                text, values = f"conflict clause {inst.clause_id} σ={subst}", (inst.clause_id, subst)
             elif kind == "decide":
                 lit = literal(ev[1])
-                yield (f"decide {lit} @{ev[2]}",
-                       {"event": "scl", "kind": kind, "lit": lit, "level": ev[2]} if fields else None)
-            elif kind == "learn":
+                text, values = f"decide {lit} @{ev[2]}", (lit, ev[2])
+            else:  # "learn"
                 clause = " | ".join(map(literal, ev[1]))
-                yield (f"learn {clause} backjump {ev[2]}",
-                       {"event": "scl", "kind": kind, "clause": clause, "backjump": ev[2]} if fields else None)
+                text, values = f"learn {clause} backjump {ev[2]}", (clause, ev[2])
+            if as_json:
+                add(json_line({"line": text, "event": "scl", "kind": kind, **dict(zip(_FIELDS[kind], values))}))
+            else:
+                add(text + "\n")
         s = state.stats
-        yield (f"stats propagations={s.propagations} decisions={s.decisions} trail={len(state.trail)}",
-               {"event": "scl", "kind": "stats"} if fields else None)
-    yield _VERDICTS[result.verdict], {"event": "result"} if fields else None
+        text = f"stats propagations={s.propagations} decisions={s.decisions} trail={len(state.trail)}"
+        add(json_line({"line": text, "event": "scl", "kind": "stats"}) if as_json else text + "\n")
+    text = _VERDICTS[result.verdict]
+    add(json_line({"line": text, "event": "result"}) if as_json else text + "\n")
+    return lines

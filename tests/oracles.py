@@ -26,7 +26,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
-from clausekit.cdcl import PropClause, TrailEntry
+from clausekit.cdcl import PropClause
 from clausekit.errors import OrderingConfigError, ParseError, ReplayStepError, ResourceLimitError
 from clausekit.lia import (
     DEFAULT_BOX_CAP,
@@ -135,7 +135,7 @@ def reference_propagate(state):
         if unit is None:
             return state
         cid, lit = unit
-        state.trail.append(TrailEntry(lit, state.level, cid))
+        state.trail.append((lit, state.level, cid))
         state.true[lit] = 1
         state.var_level[abs(lit)] = state.level
         state.events.append(("propagate", lit, cid))

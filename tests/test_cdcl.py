@@ -5,7 +5,6 @@ import pytest
 from oracles import TrailOrdering, brute_force_sat, is_redundant, learn_orderings, reference_resolve_1uip, resolve_on
 from clausekit import cdcl
 from clausekit.cdcl import (
-    TrailEntry,
     CdclResult,
     CdclState,
     PropClause,
@@ -41,7 +40,7 @@ def drive_to_conflict(state):
 class TestPropagate:
     def test_backjump_demo(self):
         state = drive_to_conflict(demo_state())
-        assert [(e.lit, e.level, e.reason) for e in state.trail] == [
+        assert state.trail == [
             (-1, 1, None),
             (-2, 2, None),
             (3, 2, 1),
@@ -57,7 +56,7 @@ class TestPropagate:
     def test_contradictory_units(self):
         state = CdclState.from_clauses([PropClause(1, (1,)), PropClause(2, (-1,))])
         propagate(state)
-        assert [e.lit for e in state.trail] == [1]
+        assert [lit for lit, _, _ in state.trail] == [1]
         assert state.conflict == 2
 
     def test_pending_conflict_rejected(self):
@@ -108,7 +107,7 @@ class TestAnalyzeConflict:
         for lit, level in ((-1, 1), (-4, 2)):
             state.trail_lim.append(len(state.trail))
             state.level = level
-            state.trail.append(TrailEntry(lit, level, None))
+            state.trail.append((lit, level, None))
             state.true[lit] = 1
             state.var_level[abs(lit)] = level
         state.conflict = 1
@@ -132,8 +131,8 @@ class TestBackjump:
         state = drive_to_conflict(demo_state())
         learned, level = analyze_conflict(state)
         backjump_and_learn(state, learned, level)
-        assert [(e.lit, e.level) for e in state.trail] == [(-1, 1), (2, 1)]
-        assert state.trail[1].reason == 4  # the learned clause propagates Q
+        assert [(lit, level) for lit, level, _ in state.trail] == [(-1, 1), (2, 1)]
+        assert state.trail[1][2] == 4  # the learned clause propagates Q
         assert [state.clauses[i].lits for i in state.learned_ids] == [(1, 2)]
         assert state.level == 1 and state.conflict is None
 
@@ -146,7 +145,7 @@ class TestBackjump:
         assert learned == (1,) and level == 0
         backjump_and_learn(state, learned, level)
         assert state.level == 0
-        assert [(e.lit, e.level) for e in state.trail] == [(1, 0)]
+        assert [(lit, level) for lit, level, _ in state.trail] == [(1, 0)]
 
     NOT_ASSERTING = "not asserting at the backjump level"
     NOT_HIGHEST = "backjump level is not the highest level"
@@ -180,8 +179,8 @@ class TestBackjump:
             assert state.trail == trail and state.level == 2 and state.learned_ids == []
             return
         backjump_and_learn(state, lits, level)
-        asserting = next(l for l in lits if abs(l) not in {abs(e.lit) for e in trail if e.level <= level})
-        assert state.level == level and state.trail[-1] == TrailEntry(asserting, level, 5)
+        asserting = next(l for l in lits if abs(l) not in {abs(lit) for lit, lit_level, _ in trail if lit_level <= level})
+        assert state.level == level and state.trail[-1] == (asserting, level, 5)
         assert state.learned_ids == [5] and state.events[-1] == ("learn", lits, level, 5)
 
 
@@ -191,8 +190,8 @@ class TestSolve:
         assert result.verdict == "sat"
         assert brute_force_sat(DEMO_LITS := [c.lits for c in DEMO], 4)
         assert all(any(l in result.model for l in c) for c in DEMO_LITS)
-        lines = [line for line, _ in render(result)]
-        assert "learn 1 2 backjump 1" in lines
+        lines = render(result, False)
+        assert "learn 1 2 backjump 1\n" in lines
 
     def test_empty_problem(self):
         result = solve([])
@@ -343,12 +342,12 @@ class TestRandomCorpus:
             result = solve(clauses, num_vars)
             seen = set()
             level = 0
-            for e in result.state.trail:
-                assert abs(e.lit) not in seen  # consistent prefixes
-                seen.add(abs(e.lit))
-                if e.reason is None:
-                    assert e.level == level + 1  # decisions increase the level
-                level = e.level
+            for lit, lit_level, reason in result.state.trail:
+                assert abs(lit) not in seen  # consistent prefixes
+                seen.add(abs(lit))
+                if reason is None:
+                    assert lit_level == level + 1  # decisions increase the level
+                level = lit_level
 
 
 def test_clause_status():

@@ -6,7 +6,7 @@ import random
 import pytest
 
 from oracles import brute_force_sat, reference_at_fixpoint, reference_propagate, trail_values
-from clausekit import cdcl, cli
+from clausekit import cdcl
 from clausekit.cdcl import (
     CdclResult,
     CdclState,
@@ -17,6 +17,8 @@ from clausekit.cdcl import (
     propagate,
     solve,
 )
+from clausekit.formats import parse_bs
+from clausekit.scl import scl_run
 
 HEURISTICS = (cdcl.lowest_index_negative, cdcl.lowest_index_positive)
 
@@ -52,7 +54,7 @@ def reference(monkeypatch):
 
 def outcome(result):
     verdict = result.model if result.verdict == "sat" else result.proof
-    trail = [(e.lit, e.level, e.reason) for e in result.state.trail]
+    trail = list(result.state.trail)
     return result.verdict, verdict, result.state.events, trail
 
 
@@ -70,7 +72,7 @@ def drive_with_forgetting(clauses, num_vars):
             if blevel < 0:
                 return state, forgotten_units
             cdcl.backjump_and_learn(state, learned, blevel)
-            reasons = {e.reason for e in state.trail}
+            reasons = {reason for _, _, reason in state.trail}
             idle = [cid for cid in state.learned_ids if cid not in reasons]
             if idle:
                 forgotten_units += any(
@@ -144,7 +146,7 @@ def test_rendered_forget_line_names_its_clause():
         clauses, num_vars = forgetting_cnf(rng)
         state, _ = drive_with_forgetting(clauses, num_vars)
         result = CdclResult("sat" if len(state.trail) == num_vars else "unsat", state)
-        text, as_json = cli._lines(cdcl.render(result), False), cli._lines(cdcl.render(result), True)
+        text, as_json = cdcl.render(result, False), cdcl.render(result, True)
         records = [json.loads(line) for line in "".join(as_json).splitlines()]
         assert "".join(text).splitlines() == [r["line"] for r in records]
         events = [ev for ev in state.events if ev[0] != "decide"]
@@ -163,7 +165,7 @@ class TestEdgeCases:
         state = CdclState.from_clauses([PropClause(1, (1, 1, 2))], 2)
         decide(state, -2)
         propagate(state)
-        assert [e.lit for e in state.trail] == [-2]
+        assert [lit for lit, _, _ in state.trail] == [-2]
         assert clause_status((1, 1, 2), trail_values(state.trail)) == ("open", None)
         assert cdcl.at_fixpoint(state)
 
@@ -251,4 +253,14 @@ class TestEdgeCases:
         with pytest.raises(ValueError):
             cdcl.backjump_and_learn(state, (1, -3), 2)
         cdcl.backjump_and_learn(state, (1, -3), 1)
-        assert [(e.lit, e.level, e.reason) for e in state.trail] == [(-1, 1, None), (-3, 1, 2)]
+        assert state.trail == [(-1, 1, None), (-3, 1, 2)]
+
+
+def test_trail_entries_are_exact_tuples():
+    # the interpreter unpacks only an exact tuple on its fast path (the 1UIP walk, a backjump, SCL's
+    # model); checked after a CDCL run and an SCL run, the golden learn.bs, that each learn a clause
+    cdcl_state = solve([PropClause(1, (1, 2, 3)), PropClause(2, (-3, 4)), PropClause(3, (-4, 1, 2))]).state
+    scl_state = scl_run(parse_bs("-P(a) | Q(a).\n-P(a) | -Q(a).\nP(b) | R(b).\n")).state
+    for state in (cdcl_state, scl_state):
+        assert any(ev[0] == "learn" for ev in state.events) and state.trail
+        assert {type(entry) for entry in state.trail} == {tuple}

@@ -1,3 +1,4 @@
+import errno
 import io
 import json
 import os
@@ -14,6 +15,7 @@ from clausekit.cli import (
     EXIT_CLOSED_OUTPUT,
     EXIT_LIMIT,
     EXIT_OK,
+    EXIT_OUTPUT_ERROR,
     EXIT_SAT,
     EXIT_UNSAT,
     EXIT_USAGE,
@@ -152,6 +154,34 @@ def test_a_reader_that_stops_early_ends_the_run_quietly():
     proc.stdout.close()
     assert (proc.wait(timeout=60), proc.stderr.read()) == (EXIT_CLOSED_OUTPUT, b"")
     proc.stderr.close()
+
+
+def full_disk(*args):
+    raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+def test_a_failed_write_is_an_output_error(capsys):
+    out = type("FullOutput", (io.StringIO,), {"write": full_disk})()
+    assert main(["--mode", "scl", "--counter-n", "4"], out) == EXIT_OUTPUT_ERROR
+    assert capsys.readouterr() == ("", f"error: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}\n")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full, where every write fails with ENOSPC")
+def test_a_full_disk_is_an_output_error(tmp_path):
+    # as `clausekit --mode scl --counter-n 4 > /dev/full`; an --input that does not exist is still a usage error
+    src = str(Path(clausekit.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    missing = tmp_path / "none.cnf"
+    runs = []
+    for args in (["--mode", "scl", "--counter-n", "4"], ["--mode", "cdcl", "--input", str(missing)]):
+        with open("/dev/full", "w") as full:
+            proc = subprocess.run([sys.executable, "-m", "clausekit", *args], stdout=full, stderr=subprocess.PIPE,
+                                  text=True, env=env, timeout=60)
+        runs.append((proc.returncode, proc.stderr))
+    assert runs == [
+        (EXIT_OUTPUT_ERROR, f"error: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}\n"),
+        (EXIT_USAGE, f"error: [Errno {errno.ENOENT}] {os.strerror(errno.ENOENT)}: '{missing}'\n"),
+    ]
 
 
 class TestResolutionMode:

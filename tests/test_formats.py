@@ -30,6 +30,19 @@ class TestDimacs:
         text = "c a comment\np cnf 3 1\n1 2\n3 0\n"
         _, clauses = parse_dimacs(text)
         assert clauses[0].lits == (1, 2, 3)
+        # every layout that a clause line's one check must keep, each the same three clauses
+        expected = parse_dimacs("p cnf 3 3\n1 -2 0\n3 0\n-1 2 3 0\n")
+        assert [c.lits for c in expected[1]] == [(1, -2), (3,), (-1, 2, 3)]
+        layouts = [
+            "p cnf 3 3\n1 -2 0 3 0 -1 2 3 0\n",  # several clauses on one line
+            "p cnf 3 3\n1\n-2 0\n3 0\n-1 2\n3 0\n",  # clauses across two lines
+            "c start\np cnf 3 3\n1 -2 0\nc between\n3 0\nc again\n-1 2 3 0\n",  # comment lines between clauses
+            "p cnf 3 3\r\n1 -2 0\r\n3 0\r\n-1 2 3 0\r\n",  # CRLF line endings
+            "p cnf 3 3\n1\t-2 0\n3\x1c0\n-1\xa02 3 0\n",  # tab, \x1c and NBSP between literals
+            "p cnf 3 3\n1 -2 0\x0c3 0\n-1 2 3 0\n",  # a form feed, which splitlines breaks lines at
+            "p cnf 3 3\n1 -2 -0\n3 -0\n-1 2 3 0\n",  # -0 ending a clause
+        ]
+        assert [parse_dimacs(text) for text in layouts] == [expected] * len(layouts)
 
     def test_round_trip(self):
         num_vars, clauses = parse_dimacs(DEMO_DIMACS)
@@ -199,6 +212,10 @@ ERRORS = {
         ("p cnf 2 1\n1 x 0\n", "bad literal 'x' (line 2, column 3)"),
         ("p cnf 10 1\n1_0 2 0\n", "bad literal '1_0' (line 2, column 1)"),
         ("p cnf 2 1\n1 +2 0\n", "bad literal '+2' (line 2, column 3)"),
+        ("p cnf 10 1\n1_0 0\n", "bad literal '1_0' (line 2, column 1)"),
+        ("p cnf 2 1\n1 \u0661 0\n", "bad literal '\u0661' (line 2, column 3)"),
+        ("p cnf 2 1\n3 x 0\n", "literal 3 exceeds the declared 2 variables (line 2, column 1)"),
+        ("p cnf 2 1\r\n1\x0c3 0\n", "literal 3 exceeds the declared 2 variables (line 3, column 1)"),
         ("p cnf 4 1\n1 -\u0663 0\n", "bad literal '-\u0663' (line 2, column 3)"),
         ("p cnf 2 1\n1 \u00b2 0\n", "bad literal '\u00b2' (line 2, column 3)"),
         ("p cnf 2 1\n1 -- 0\n", "bad literal '--' (line 2, column 3)"),

@@ -430,7 +430,7 @@ class TestBound:
 
 def test_trace_lines():
     result = propagate_bounds(DIVERGENT, [Bound.make("x", ">=", 0)], 2)
-    lines = [line for line, _ in render(result)]
+    lines = "".join(render(result, False)).splitlines()
     assert lines[0] == "bound x >= 0 <- decision"
     assert lines[1] == "bound y >= 0 <- ineq 1"
     assert lines[-1] == "diverged steps=2"

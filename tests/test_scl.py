@@ -139,7 +139,7 @@ class TestSclRun:
         clauses = parse_bs("-P(0) | P(1). -P(0) | -P(1).")
         result = scl_run(clauses)
         assert result.verdict == "sat"
-        assert [line for line, _ in render(result) if line.startswith("learn")] == ["learn -P(0) backjump 0"]
+        assert [line for line in render(result, False) if line.startswith("learn")] == ["learn -P(0) backjump 0\n"]
         assert result.stats.decisions >= 1
 
     def test_learning_is_held_to_the_backjump_rule(self, monkeypatch):
@@ -222,7 +222,7 @@ class TestOracleAgreement:
 
 def test_trace_format():
     result = scl_run(counter_problem(2))
-    lines = [line for line, _ in render(result)]
+    lines = "".join(render(result, False)).splitlines()
     assert lines[0] == "propagate P(0,0) <- clause 1 σ={}"
     assert lines[1] == "propagate P(0,1) <- clause 2 σ={x1->0}"
     assert lines[-3] == "conflict clause 4 σ={}"

@@ -7,6 +7,7 @@ unit or false.  The engine's templates are compared with the reference through
 """
 
 import itertools
+import json
 import random
 
 import pytest
@@ -145,7 +146,7 @@ class TestRepeatedLiterals:
     def test_instance_with_repeated_literal_propagates(self):
         clauses = parse_bs("1 : Q(a).\n2 : -Q(x) | P(y) | P(z).\n")
         result = scl_run(clauses)
-        assert [line for line, _ in render(result)] == [
+        assert "".join(render(result, False)).splitlines() == [
             "propagate Q(a) <- clause 1 σ={}",
             "propagate P(a) <- clause 2 σ={x->a,y->a,z->a}",
             "stats propagations=2 decisions=0 trail=2",
@@ -180,7 +181,7 @@ class TestRepeatedLiterals:
 
     def test_ground_unit_written_twice_propagates(self):
         result = scl_run(parse_bs("P(a) | P(a). -P(a) | Q(a)."))
-        assert [line for line, _ in render(result)][:2] == [
+        assert "".join(render(result, False)).splitlines()[:2] == [
             "propagate P(a) <- clause 1 σ={}",
             "propagate Q(a) <- clause 2 σ={}",
         ]
@@ -210,7 +211,7 @@ class TestSubstitutionOrder:
 
     def test_swapped_arguments_print_the_smallest_substitution(self):
         # first-occurrence order (z, then y) would print σ={y->b,z->a}
-        lines = [line for line, _ in render(scl_run(parse_bs("-P(z,y) | -P(y,z). P(b,a).")))]
+        lines = "".join(render(scl_run(parse_bs("-P(z,y) | -P(y,z). P(b,a).")), False)).splitlines()
         assert "propagate -P(a,b) <- clause 1 σ={y->a,z->b}" in lines
         assert not any("σ={y->b,z->a}" in line for line in lines)
 
@@ -223,7 +224,7 @@ class TestSubstitutionOrder:
             clauses, domain = swap_bs(rng)
             by_id = {c.id: c for c in clauses}
             differs = False
-            for _, fields in render(scl_run(clauses, domain)):
+            for fields in map(json.loads, render(scl_run(clauses, domain), True)):
                 if fields.get("kind") not in ("propagate", "conflict") or fields["clause"] not in by_id:
                     continue
                 clause = by_id[fields["clause"]]
@@ -272,6 +273,6 @@ def test_runs_match_reference_grounding(monkeypatch):
         clauses, domain = random_clause_set(rng)
         if not isinstance(outcome(ground_problem, clauses, domain)[0], type):
             cases.append((clauses, domain))
-    got = [list(render(scl_run(c, d))) for c, d in cases]
+    got = [render(scl_run(c, d), True) for c, d in cases]
     monkeypatch.setattr(scl, "ground_problem", eager_ground_problem)
-    assert got == [list(render(scl_run(c, d))) for c, d in cases]
+    assert got == [render(scl_run(c, d), True) for c, d in cases]

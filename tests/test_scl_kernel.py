@@ -50,7 +50,7 @@ def outcome(result, render_result):
     else:
         verdict = None
     stats = vars(result.stats)
-    rendered = list(render_result(result))
+    rendered = render_result(result)
     if state is None:
         return result.verdict, verdict, stats, rendered
     instances = state.problem.instances
@@ -66,10 +66,15 @@ def outcome(result, render_result):
     )
 
 
+def json_pairs(result) -> list[tuple[str, dict]]:
+    """A run's JSON output lines as (text line, the other fields) pairs, as `reference_render` gives them."""
+    return [(fields.pop("line"), fields) for fields in map(json.loads, render(result, True))]
+
+
 def same_run(clauses, domain=None, trail_cap=None):
     caps = {} if trail_cap is None else {"trail_cap": trail_cap}
     got = scl_run(clauses, domain, **caps)
-    assert outcome(got, render) == outcome(reference_scl_run(clauses, domain, **caps), reference_render)
+    assert outcome(got, json_pairs) == outcome(reference_scl_run(clauses, domain, **caps), reference_render)
     return got
 
 
@@ -183,12 +188,12 @@ class TestOrderAmongInstances:
 
     def test_unit_tie_goes_to_the_smallest_substitution(self):
         result = same_run(parse_bs("1 : E(a,b). 2 : E(b,a). 3 : -E(y,x) | T(c)."))
-        assert "propagate T(c) <- clause 3 σ={x->a,y->b}" in [line for line, _ in render(result)]
+        assert "propagate T(c) <- clause 3 σ={x->a,y->b}\n" in render(result, False)
 
     def test_conflict_is_the_smallest_false_instance(self):
         result = same_run(parse_bs("1 : E(a,b). 2 : E(b,a). 3 : T(c). 4 : -E(y,x) | -T(c)."))
         assert result.verdict == "unsat"
-        lines = [line for line, _ in render(result)]
+        lines = "".join(render(result, False)).splitlines()
         assert lines[-3] == "conflict clause 4 σ={x->a,y->b}" and lines[-1] == "s UNSATISFIABLE"
 
 
@@ -328,7 +333,7 @@ def test_aligned_shortcut_matches_the_join(monkeypatch):
             self.weights = tuple(len(self.names) ** j for j in reversed(range(self.slots)))
 
     monkeypatch.setattr(scl, "_CompiledClause", Unaligned)
-    assert [list(render(scl_run(c, d))) for c, d in cases] == [list(render(r)) for r in results]
+    assert [render(scl_run(c, d), True) for c, d in cases] == [render(r, True) for r in results]
 
 
 WIDE_ARITY = {"E": 2, "F": 3, "G": 1, "H": 2}
@@ -425,7 +430,7 @@ def test_pairs_match_reference(monkeypatch):
         kinds[result.verdict] += 1
         compiled = [inst.compiled for inst in result.state.problem.instances if inst.compiled]
         unaligned += sum(c.pair and not c.aligned for c in compiled)
-        rendered.append((list(render(result, fields=False)), list(render(result))))
+        rendered.append((render(result, False), render(result, True)))
     assert kinds["sat"] > 100 and kinds["unsat"] > 50 and unaligned - joined > 1000
 
     class NoPairs(scl._CompiledClause):
@@ -436,7 +441,7 @@ def test_pairs_match_reference(monkeypatch):
     monkeypatch.setattr(scl, "_CompiledClause", NoPairs)
     for (clauses, domain), expected in zip(cases, rendered):
         result = scl_run(clauses, domain)
-        assert (list(render(result, fields=False)), list(render(result))) == expected
+        assert (render(result, False), render(result, True)) == expected
 
 
 def test_scl_keeps_no_trail_side_state():
@@ -508,7 +513,7 @@ def test_constant_free_sets_agree_with_resolution():
         saturation = saturate(clauses, default_config(clauses), selection_from_name("none"))
         assert saturation.verdict == ("unsat" if result.verdict == "unsat" else "saturated")
         verdicts[result.verdict] += 1
-    assert [line for line, _ in render(scl_run(parse_bs("P(x). -P(y).")))][-3:] == [
+    assert "".join(render(scl_run(parse_bs("P(x). -P(y).")), False)).splitlines()[-3:] == [
         f"conflict clause 2 σ={{y->{FRESH_CONSTANT.name}}}",
         "stats propagations=1 decisions=0 trail=1",
         "s UNSATISFIABLE",
@@ -516,19 +521,19 @@ def test_constant_free_sets_agree_with_resolution():
 
 
 def text_and_json(result) -> tuple[list[str], list[dict]]:
-    """A run's output as the CLI writes it: text lines, and JSON lines parsed."""
-    text, as_json = cli._lines(render(result, fields=False), False), cli._lines(render(result), True)
+    """A run's output as the CLI writes it: text lines, and JSON lines parsed; each rendered string is one line."""
+    text, as_json = render(result, False), render(result, True)
+    assert all(line.endswith("\n") and "\n" not in line[:-1] for line in text + as_json)
     return "".join(text).splitlines(), [json.loads(line) for line in "".join(as_json).splitlines()]
 
 
 def assert_text_is_json_line(result) -> list[dict]:
-    """Each text line is its JSON line's `line`, which JSON's `lit` and `subst` spell; text has no fields."""
+    """Each text line is its JSON line's `line`, which JSON's `lit` and `subst` spell."""
     lines, records = text_and_json(result)
     assert lines == [r["line"] for r in records]
     for r in records:
         if r.get("kind") == "propagate":
             assert r["line"] == f"propagate {r['lit']} <- clause {r['clause']} σ={r['subst']}"
-    assert {fields is None for _, fields in render(result, fields=False)} == {True}
     return records
 
 
