@@ -216,31 +216,26 @@ class TrailKernel:
 
 
 class CdclState(TrailKernel):
-    """The solver five-tuple on the trail kernel, plus an event log."""
+    """The solver five-tuple on the trail kernel, plus an event log.
 
-    def __init__(self, clauses: dict[int, PropClause], num_vars: int, next_clause_id: int = 1) -> None:
-        super().__init__(num_vars)
-        self.clauses = clauses
-        self.num_vars = num_vars
-        self.learned_ids: list[int] = []
-        self.next_clause_id = next_clause_id
-        self.last_analysis_steps: list[tuple[int, int]] = []
-        for c in clauses.values():
-            self.watch(c.id, c.lits)
+    Built from the clauses, by id; num_vars defaults to the largest atom
+    they mention.  Learned clauses get ids above the largest input id.
+    """
 
-    @classmethod
-    def from_clauses(cls, clauses: Iterable[PropClause], num_vars: int | None = None) -> "CdclState":
+    def __init__(self, clauses: Iterable[PropClause], num_vars: int | None = None) -> None:
         by_id = clauses_by_id(clauses)
         max_atom = max((abs(l) for c in by_id.values() for l in c.lits), default=0)
         if num_vars is None:
             num_vars = max_atom
         elif max_atom > num_vars:
             raise ValueError("clause mentions an atom beyond num_vars")
-        return cls(
-            clauses=by_id,
-            num_vars=num_vars,
-            next_clause_id=max(by_id, default=0) + 1,
-        )
+        super().__init__(num_vars)
+        self.clauses = by_id
+        self.num_vars = num_vars
+        self.learned_ids: list[int] = []
+        self.next_clause_id = max(by_id, default=0) + 1
+        for c in by_id.values():
+            self.watch(c.id, c.lits)
 
 
 def propagate_units(kernel: TrailKernel, trail_cap: float = math.inf) -> None:
@@ -361,17 +356,14 @@ def resolve_1uip(
     return tuple(sorted(learned, key=abs)), blevel, steps
 
 
-def analyze_conflict(state: CdclState) -> tuple[tuple[int, ...], int]:
-    """1UIP analysis of the recorded conflict: (learned clause, backjump level).
+def analyze_conflict(state: CdclState) -> tuple[tuple[int, ...], int, list[tuple[int, int]]]:
+    """1UIP analysis of the recorded conflict: (learned clause, backjump level, steps), as `resolve_1uip` gives them.
 
-    The pair ((), -1) signals an empty learned clause, i.e. unsatisfiability.
-    The resolution steps of the analysis are kept on the state for proof logging.
+    ((), -1, steps) signals an empty learned clause, i.e. unsatisfiability.
     """
     if state.conflict is None:
         raise ValueError("no conflict to analyze")
-    learned, blevel, steps = resolve_1uip(state, state.clauses[state.conflict].lits, state.clauses)
-    state.last_analysis_steps = steps
-    return learned, blevel
+    return resolve_1uip(state, state.clauses[state.conflict].lits, state.clauses)
 
 
 def learn_clause(kernel: TrailKernel, cid: int, lits: Sequence[int], level: int) -> None:
@@ -476,13 +468,13 @@ def solve(
     heuristic: DecisionHeuristic = lowest_index_negative,
 ) -> CdclResult:
     """CDCL main loop: propagate, then analyze/backjump, finish, or decide."""
-    state = CdclState.from_clauses(clauses, num_vars)
+    state = CdclState(clauses, num_vars)
     proof: list[ProofStep] = []
     while True:
         propagate(state)
         if state.conflict is not None:
-            learned, blevel = analyze_conflict(state)
-            proof.append(_new(ProofStep, (state.conflict, tuple(state.last_analysis_steps), learned)))
+            learned, blevel, steps = analyze_conflict(state)
+            proof.append(_new(ProofStep, (state.conflict, tuple(steps), learned)))
             if blevel < 0:
                 state.events.append(("unsat",))
                 return CdclResult("unsat", state, proof=proof)

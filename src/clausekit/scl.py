@@ -53,7 +53,7 @@ from functools import cached_property
 from operator import itemgetter, mul
 from typing import Callable, Iterable, NamedTuple, Sequence
 
-from .cdcl import TrailKernel, decide, learn_clause, lowest_unassigned, propagate_units, resolve_1uip
+from .cdcl import TrailKernel, _new, decide, learn_clause, lowest_unassigned, propagate_units, resolve_1uip
 from .cdcl import clause_status  # noqa: F401  perfbench/tracer.py counts calls through this name
 from .errors import ResourceLimitError
 from .jsonl import json_line
@@ -84,21 +84,21 @@ def counter_problem(n: int) -> tuple[Clause, ...]:
     return tuple(clauses)
 
 
-class GroundInstance:
+class GroundInstance(NamedTuple):
     """An instance of a clause: its id, its substitution and its literals (signed 1-based atom indices).
 
-    The substitution is (variable name, constant name) pairs, sorted, and
-    instances of one clause sort as their substitutions do.  An instance the
-    engine grounds holds its compiled clause and its key there (see
-    `_CompiledClause`) in place of the pairs, and spells them only when asked;
-    the one instance of a ground clause spells `{}` with nothing compiled.
+    A tuple record: it compares and hashes as its fields.  The substitution
+    is (variable name, constant name) pairs, sorted, and instances of one
+    clause sort as their substitutions do.  An instance the engine grounds
+    holds its compiled clause and its key there (see `_CompiledClause`) in
+    place of the pairs, and spells them only when asked; the one instance of
+    a ground clause spells `{}` with nothing compiled.
     """
 
-    __slots__ = ("clause_id", "key", "lits", "compiled")
-
-    def __init__(self, clause_id: int, subst, lits: tuple[int, ...], compiled=None):
-        # key: the substitution's pairs, or the instance's key in its compiled clause
-        self.clause_id, self.key, self.lits, self.compiled = clause_id, subst, lits, compiled
+    clause_id: int
+    key: tuple[tuple[str, str], ...] | int  # the substitution's pairs, or the instance's key in `compiled`
+    lits: tuple[int, ...]
+    compiled: _CompiledClause | None = None
 
     @property
     def subst(self) -> tuple[tuple[str, str], ...]:
@@ -116,12 +116,9 @@ class GroundInstance:
         return self.key if self.compiled is None else self.compiled.sort_key(self.key)
 
     def __lt__(self, other: "GroundInstance") -> bool:
+        # substitution order: a unit or conflict key tied up to the clause id gets here once its
+        # instances differ as tuples
         return self._sort_key() < other._sort_key()
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, GroundInstance):
-            return NotImplemented
-        return (self.clause_id, self.subst, self.lits) == (other.clause_id, other.subst, other.lits)
 
     def __repr__(self) -> str:
         return f"GroundInstance(clause_id={self.clause_id!r}, subst={self.subst!r}, lits={self.lits!r})"
@@ -394,13 +391,13 @@ class _Line(NamedTuple):
 
 
 def _bind(t: _Template, digits: Sequence[int], b: list[int]) -> list[int] | None:
-    """b extended so that the template's atom has these constant indices, or None."""
+    """b extended so that the template's atom has these constant indices, or None; its constant
+    positions are skipped, as the trigger tree reaches a template only where each of them matched."""
     b = b.copy()
     for a, c in zip(t.args, digits):
         if a < 0:
-            if -1 - a != c:
-                return None
-        elif b[a] == -1:
+            continue
+        if b[a] == -1:
             b[a] = c
         elif b[a] != c:
             return None
@@ -468,7 +465,7 @@ class GroundProblem:
         pos = created.get(key)
         if pos is None:
             pos = created[key] = len(self.instances)
-            self.instances.append(GroundInstance(clause.id, key, lits, clause))
+            self.instances.append(_new(GroundInstance, (clause.id, key, lits, clause)))
         found[pos] = unit
 
 
@@ -564,25 +561,20 @@ class SclState(TrailKernel):
 
     Every assignment finds the instances it makes unit or false, creating
     the new ones, and pushes or marks them; only the start instances and
-    the learned clauses are watched.  Learned clauses get ids from
-    `next_clause_id` on.  The kernel's tables are sized to the Herbrand base.
+    the learned clauses are watched.  Learned clauses get ids above the
+    largest input id.  The kernel's tables are sized to the Herbrand base.
     """
 
-    def __init__(self, problem: GroundProblem, next_clause_id: int = 1) -> None:
+    def __init__(self, problem: GroundProblem) -> None:
         atoms = problem.atoms
         super().__init__(len(atoms))
         self.problem = problem
         self.stats = SclStats()
-        self.next_clause_id = next_clause_id
+        self.next_clause_id = max(problem.clauses, default=0) + 1
         # what `instantiate` reads of the problem: the trigger roots, the block starts (None for one
         # block, which starts at atom 1) and the domain size
         self.triggers = problem.roots, atoms.starts if len(atoms.starts) > 1 else None, len(atoms.names)
-
-    @classmethod
-    def from_problem(cls, problem: GroundProblem) -> "SclState":
-        state = cls(problem=problem, next_clause_id=max(problem.clauses, default=0) + 1)
-        state.reclassify()
-        return state
+        self.reclassify()
 
     def reclassify(self) -> None:
         """Hook the instances created at the start into the kernel, under the empty trail."""
@@ -662,7 +654,7 @@ class SclState(TrailKernel):
                     if pos is None:
                         pos = created[key] = len(instances)
                         lits = (false_lit, lit) if t is clause.templates[0] else (lit, false_lit)
-                        instances.append(GroundInstance(clause.id, key, lits, clause))
+                        instances.append(_new(GroundInstance, (clause.id, key, lits, clause)))
                     if true[-lit]:
                         self.false_ids.add(pos)
                     else:  # the key of `unit_key`
@@ -733,7 +725,7 @@ def scl_run(
         problem = ground_problem(clauses, domain, instance_cap)
     except ResourceLimitError:
         return SclResult("limit", SclStats(), None)
-    state = SclState.from_problem(problem)
+    state = SclState(problem)
     while True:
         scl_propagate(state, trail_cap)
         if state.conflict is not None:

@@ -579,13 +579,10 @@ class ReferenceSclState:
     falses: set[int] = field(default_factory=set)
     occurrences: dict[int, list[int]] = field(default_factory=dict)  # atom -> instance positions
 
-    @classmethod
-    def from_problem(cls, problem: GroundProblem) -> "ReferenceSclState":
-        state = cls(problem=problem)
-        for pos in range(len(problem.instances)):
-            state.index(pos)
-        state.reclassify(range(len(problem.instances)))
-        return state
+    def __post_init__(self) -> None:
+        for pos in range(len(self.problem.instances)):
+            self.index(pos)
+        self.reclassify(range(len(self.problem.instances)))
 
     def index(self, pos: int) -> None:
         for atom in {abs(l) for l in self.problem.instances[pos].lits}:
@@ -657,7 +654,7 @@ def reference_scl_run(
         problem = reference_ground_problem(clauses, domain, instance_cap)
     except ResourceLimitError:
         return SclResult("limit", SclStats(), None)
-    state = ReferenceSclState.from_problem(problem)
+    state = ReferenceSclState(problem)
     while True:
         try:
             reference_scl_propagate(state, trail_cap)

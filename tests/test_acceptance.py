@@ -11,6 +11,7 @@ from importlib import resources
 
 import pytest
 
+from corpora import random_cnf
 from oracles import brute_force_sat, exhaustive_lia_search, ground_satisfiable, is_redundant, learn_orderings
 from clausekit.cdcl import (
     CdclState,
@@ -54,21 +55,13 @@ def report(number: int, name: str, started: float) -> None:
     print(line, file=sys.__stdout__)
 
 
-def random_3cnf(rng: random.Random, num_vars: int, num_clauses: int) -> list[PropClause]:
-    clauses = []
-    for i in range(num_clauses):
-        atoms = rng.sample(range(1, num_vars + 1), 3)
-        clauses.append(PropClause(i + 1, tuple(a if rng.random() < 0.5 else -a for a in atoms)))
-    return clauses
-
-
 @pytest.fixture(scope="module")
 def cnf_corpus():
     rng = random.Random(987654321)
     corpus = []
     for _ in range(1000):
         num_vars = rng.randint(4, 12)
-        corpus.append((num_vars, random_3cnf(rng, num_vars, rng.randint(num_vars, 40))))
+        corpus.append((num_vars, random_cnf(rng, num_vars, rng.randint(num_vars, 40))))
     return corpus
 
 
@@ -77,13 +70,13 @@ def test_01_cdcl_backjump_replay():
     started = time.perf_counter()
 
     def drive() -> CdclState:
-        state = CdclState.from_clauses(DEMO)
+        state = CdclState(DEMO)
         propagate(state)
         decide(state, -1)
         propagate(state)
         decide(state, -2)
         propagate(state)
-        learned, level = analyze_conflict(state)
+        learned, level, _ = analyze_conflict(state)
         assert learned == (1, 2) and level == 1
         backjump_and_learn(state, learned, level)
         return state

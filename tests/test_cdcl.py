@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from corpora import random_cnf
 from oracles import TrailOrdering, brute_force_sat, is_redundant, learn_orderings, reference_resolve_1uip, resolve_on
 from clausekit import cdcl
 from clausekit.cdcl import (
@@ -25,7 +26,7 @@ DEMO = [PropClause(1, (1, 2, 3)), PropClause(2, (-3, 4)), PropClause(3, (-4, 1, 
 
 
 def demo_state():
-    return CdclState.from_clauses(DEMO)
+    return CdclState(DEMO)
 
 
 def drive_to_conflict(state):
@@ -54,7 +55,7 @@ class TestPropagate:
         assert state.trail == [] and state.conflict is None
 
     def test_contradictory_units(self):
-        state = CdclState.from_clauses([PropClause(1, (1,)), PropClause(2, (-1,))])
+        state = CdclState([PropClause(1, (1,)), PropClause(2, (-1,))])
         propagate(state)
         assert [lit for lit, _, _ in state.trail] == [1]
         assert state.conflict == 2
@@ -95,15 +96,15 @@ class TestDecide:
 class TestAnalyzeConflict:
     def test_backjump_demo(self):
         state = drive_to_conflict(demo_state())
-        learned, level = analyze_conflict(state)
+        learned, level, steps = analyze_conflict(state)
         assert learned == (1, 2) and level == 1
         # resolution chain: first with -R|S, then with P|Q|R
-        assert [cid for _, cid in state.last_analysis_steps] == [2, 1]
+        assert [cid for _, cid in steps] == [2, 1]
 
     def test_single_current_level_literal_unchanged(self):
         # exhaustive propagation never produces this state, so assemble it:
         # the conflict clause holds one literal per level, one of them current
-        state = CdclState.from_clauses([PropClause(1, (1, 4))])
+        state = CdclState([PropClause(1, (1, 4))])
         for lit, level in ((-1, 1), (-4, 2)):
             state.trail_lim.append(len(state.trail))
             state.level = level
@@ -111,14 +112,14 @@ class TestAnalyzeConflict:
             state.true[lit] = 1
             state.var_level[abs(lit)] = level
         state.conflict = 1
-        learned, level = analyze_conflict(state)
+        learned, level, steps = analyze_conflict(state)
         assert learned == (1, 4) and level == 1
-        assert state.last_analysis_steps == []  # returned unchanged
+        assert steps == []  # returned unchanged
 
     def test_level_zero_yields_bottom(self):
-        state = CdclState.from_clauses([PropClause(1, (1,)), PropClause(2, (-1,))])
+        state = CdclState([PropClause(1, (1,)), PropClause(2, (-1,))])
         propagate(state)
-        learned, level = analyze_conflict(state)
+        learned, level, _ = analyze_conflict(state)
         assert learned == () and level == -1
 
     def test_requires_conflict(self):
@@ -129,7 +130,7 @@ class TestAnalyzeConflict:
 class TestBackjump:
     def test_backjump_demo(self):
         state = drive_to_conflict(demo_state())
-        learned, level = analyze_conflict(state)
+        learned, level, _ = analyze_conflict(state)
         backjump_and_learn(state, learned, level)
         assert [(lit, level) for lit, level, _ in state.trail] == [(-1, 1), (2, 1)]
         assert state.trail[1][2] == 4  # the learned clause propagates Q
@@ -137,11 +138,11 @@ class TestBackjump:
         assert state.level == 1 and state.conflict is None
 
     def test_unit_learned_at_level_zero(self):
-        state = CdclState.from_clauses([PropClause(1, (1, 2)), PropClause(2, (-2, 1))])
+        state = CdclState([PropClause(1, (1, 2)), PropClause(2, (-2, 1))])
         propagate(state)
         decide(state, -1)
         propagate(state)  # 2 via clause 1, then clause 2 is false
-        learned, level = analyze_conflict(state)
+        learned, level, _ = analyze_conflict(state)
         assert learned == (1,) and level == 0
         backjump_and_learn(state, learned, level)
         assert state.level == 0
@@ -171,7 +172,7 @@ class TestBackjump:
     )
     def test_backjump_conditions(self, lits, level, message):
         # the demo trail -1@1, -2@2, 3@2, 4@2 above 5@0 (clause 4), with atom 6 unassigned
-        state = drive_to_conflict(CdclState.from_clauses(DEMO + [PropClause(4, (5,))], num_vars=6))
+        state = drive_to_conflict(CdclState(DEMO + [PropClause(4, (5,))], num_vars=6))
         trail = list(state.trail)
         if message is not None:
             with pytest.raises(ValueError, match=message):
@@ -209,7 +210,7 @@ class TestSolve:
 
 class TestForget:
     def _state_with_idle_learned(self):
-        state = CdclState.from_clauses(DEMO)
+        state = CdclState(DEMO)
         cid = state.next_clause_id
         state.clauses[cid] = PropClause(cid, (1, 2))
         state.learned_ids.append(cid)
@@ -223,7 +224,7 @@ class TestForget:
 
     def test_justifying_clause_locked(self):
         state = drive_to_conflict(demo_state())
-        learned, level = analyze_conflict(state)
+        learned, level, _ = analyze_conflict(state)
         backjump_and_learn(state, learned, level)
         with pytest.raises(ValueError):
             forget(state, state.learned_ids[0])
@@ -266,15 +267,6 @@ class TestIsRedundant:
         assert is_redundant((1, 2), [PropClause(5, (1,))], TrailOrdering.from_trail([1, 2]))
 
 
-def random_3cnf(rng, num_vars, num_clauses):
-    clauses = []
-    for i in range(num_clauses):
-        atoms = rng.sample(range(1, num_vars + 1), 3)
-        lits = tuple(a if rng.random() < 0.5 else -a for a in atoms)
-        clauses.append(PropClause(i + 1, lits))
-    return clauses
-
-
 def replay_proof(clauses, result: CdclResult):
     """Independent check of the resolution proof: replays to the empty clause."""
     by_id = {c.id: c.lits for c in clauses}
@@ -296,7 +288,7 @@ class TestRandomCorpus:
         checked_learn = 0
         for _ in range(150):
             num_vars = rng.randint(4, 10)
-            clauses = random_3cnf(rng, num_vars, rng.randint(num_vars, 36))
+            clauses = random_cnf(rng, num_vars, rng.randint(num_vars, 36))
             result = solve(clauses, num_vars)
             expected = brute_force_sat([c.lits for c in clauses], num_vars)
             if result.verdict == "sat":
@@ -331,14 +323,14 @@ class TestRandomCorpus:
         rng = random.Random(20240817)
         for _ in range(150):
             num_vars = rng.randint(4, 10)
-            solve(random_3cnf(rng, num_vars, rng.randint(num_vars, 36)), num_vars)
+            solve(random_cnf(rng, num_vars, rng.randint(num_vars, 36)), num_vars)
         assert levels.count(0) > 20 and len(levels) - levels.count(0) > 150
 
     def test_trail_discipline(self):
         rng = random.Random(7)
         for _ in range(40):
             num_vars = rng.randint(4, 8)
-            clauses = random_3cnf(rng, num_vars, rng.randint(num_vars, 24))
+            clauses = random_cnf(rng, num_vars, rng.randint(num_vars, 24))
             result = solve(clauses, num_vars)
             seen = set()
             level = 0

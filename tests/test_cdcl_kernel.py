@@ -5,13 +5,13 @@ import random
 
 import pytest
 
-from oracles import brute_force_sat, reference_at_fixpoint, reference_propagate, trail_values
+import corpora
+from oracles import brute_force_sat, reference_at_fixpoint, reference_propagate, scan_status, trail_values
 from clausekit import cdcl
 from clausekit.cdcl import (
     CdclResult,
     CdclState,
     PropClause,
-    clause_status,
     decide,
     forget,
     propagate,
@@ -63,12 +63,12 @@ def drive_with_forgetting(clauses, num_vars):
 
     Returns the final state and how often the forgotten clause was a pending unit.
     """
-    state = CdclState.from_clauses(clauses, num_vars)
+    state = CdclState(clauses, num_vars)
     forgotten_units = 0
     while True:
         cdcl.propagate(state)
         if state.conflict is not None:
-            learned, blevel = cdcl.analyze_conflict(state)
+            learned, blevel, _ = cdcl.analyze_conflict(state)
             if blevel < 0:
                 return state, forgotten_units
             cdcl.backjump_and_learn(state, learned, blevel)
@@ -103,13 +103,7 @@ def test_learned_clauses_on_larger_formulas_match_rescanning_reference(reference
     # long enough runs that learned clauses must watch their asserting literal and the
     # highest-level other literal to stay correct across later backjumps
     rng = random.Random(4260)
-    problems = []
-    for num_vars in (20, 24, 28, 32) * 2:
-        clauses = []
-        for cid in range(1, round(num_vars * 4.26) + 1):
-            atoms = rng.sample(range(1, num_vars + 1), 3)
-            clauses.append(PropClause(cid, tuple(a if rng.random() < 0.5 else -a for a in atoms)))
-        problems.append((clauses, num_vars))
+    problems = [(corpora.random_cnf(rng, n, round(n * 4.26)), n) for n in (20, 24, 28, 32) * 2]
     kernel = [outcome(solve(c, n)) for c, n in problems]
     reference()
     assert kernel == [outcome(solve(c, n)) for c, n in problems]
@@ -119,11 +113,7 @@ def test_learned_clauses_on_larger_formulas_match_rescanning_reference(reference
 def forgetting_cnf(rng):
     """A random 3-CNF of 5-10 variables at a clause/variable ratio of 4.3, for `drive_with_forgetting`."""
     num_vars = rng.randint(5, 10)
-    clauses = []
-    for cid in range(1, round(num_vars * 4.3) + 1):
-        atoms = rng.sample(range(1, num_vars + 1), 3)
-        clauses.append(PropClause(cid, tuple(a if rng.random() < 0.5 else -a for a in atoms)))
-    return clauses, num_vars
+    return corpora.random_cnf(rng, num_vars, round(num_vars * 4.3)), num_vars
 
 
 def test_forgetting_matches_rescanning_reference(reference):
@@ -161,16 +151,16 @@ def test_rendered_forget_line_names_its_clause():
 
 class TestEdgeCases:
     def test_duplicate_literal_counts_twice(self):
-        # 1 1 2 under -2 has two unassigned positions: open, as clause_status counts it
-        state = CdclState.from_clauses([PropClause(1, (1, 1, 2))], 2)
+        # 1 1 2 under -2 has two unassigned positions: open, as scan_status counts it
+        state = CdclState([PropClause(1, (1, 1, 2))], 2)
         decide(state, -2)
         propagate(state)
         assert [lit for lit, _, _ in state.trail] == [-2]
-        assert clause_status((1, 1, 2), trail_values(state.trail)) == ("open", None)
+        assert scan_status((1, 1, 2), trail_values(state.trail)) == ("open", None)
         assert cdcl.at_fixpoint(state)
 
     def test_duplicate_literal_falsified(self):
-        state = CdclState.from_clauses([PropClause(1, (1, 1, 2))], 2)
+        state = CdclState([PropClause(1, (1, 1, 2))], 2)
         decide(state, -1)
         propagate(state)
         assert state.events[-1] == ("propagate", 2, 1)
@@ -199,7 +189,7 @@ class TestEdgeCases:
     def test_smallest_false_clause_is_the_conflict(self):
         # propagating 2 falsifies clauses 7 and 5 at once; 7 is visited first
         clauses = [PropClause(1, (-1, 2)), PropClause(7, (-2, -1)), PropClause(5, (-2, -1))]
-        state = CdclState.from_clauses(clauses, 2)
+        state = CdclState(clauses, 2)
         decide(state, 1)
         propagate(state)
         assert state.events == [("decide", 1, 1), ("propagate", 2, 1), ("conflict", 5)]
@@ -214,14 +204,14 @@ class TestEdgeCases:
 
     @pytest.mark.parametrize("lit", [4, 5, -4, 0])
     def test_decide_rejects_atoms_outside_the_state(self, lit):
-        state = CdclState.from_clauses([PropClause(1, (1, 2, 3))], 3)
+        state = CdclState([PropClause(1, (1, 2, 3))], 3)
         with pytest.raises(ValueError, match=r"outside 1\.\.3"):
             decide(state, lit)
         assert state.trail == [] and state.level == 0 and not any(state.true)
 
     def test_forget_idle_learned_then_solve_on(self, reference):
         def script():
-            state = CdclState.from_clauses([PropClause(1, (1, 2, 3)), PropClause(2, (-3, 4))], 4)
+            state = CdclState([PropClause(1, (1, 2, 3)), PropClause(2, (-3, 4))], 4)
             for lit in (-1, -2):
                 cdcl.decide(state, lit)
                 cdcl.propagate(state)
@@ -245,7 +235,7 @@ class TestEdgeCases:
         assert script().events == state.events
 
     def test_backjump_level_must_be_the_asserting_level(self):
-        state = CdclState.from_clauses([PropClause(1, (1, 2, 3))], 4)
+        state = CdclState([PropClause(1, (1, 2, 3))], 4)
         for lit in (-1, -4, -2):
             decide(state, lit)
             propagate(state)

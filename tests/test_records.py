@@ -8,11 +8,15 @@ import pytest
 from clausekit.cdcl import PropClause
 from clausekit.lia import LinIneq
 from clausekit.logic import Atom, Clause, Constant, Literal, Variable
+from clausekit.scl import GroundInstance
 
 a, x = Constant("a"), Variable("x")
 ATOM = Atom("P", (a, x))
 LITERAL = Literal(False, ATOM)
 CLAUSE = Clause(7, (LITERAL, Literal(True, Atom("Q"))))
+# a learned instance, which holds its substitution pairs as its key; an instance with a compiled clause
+# is not pickled, as the compiled clause caches %-formats and lambdas
+INSTANCE = GroundInstance(3, (), (1, -2))
 
 
 @pytest.mark.parametrize("record, field", [
@@ -21,6 +25,7 @@ CLAUSE = Clause(7, (LITERAL, Literal(True, Atom("Q"))))
     (CLAUSE, "literals"),
     (PropClause(1, (1, -2)), "lits"),
     (LinIneq(1, (("x", 1),), 0), "const"),
+    (INSTANCE, "lits"),
 ])
 def test_fields_cannot_be_assigned(record, field):
     with pytest.raises(AttributeError):
@@ -57,10 +62,13 @@ def test_records_hash_and_compare_as_their_field_tuples():
     assert hash(LITERAL) == hash((False, ATOM))
     assert hash(CLAUSE) == hash((7, CLAUSE.literals))
     assert hash(PropClause(2, (1, -3))) == hash((2, (1, -3)))
+    assert hash(INSTANCE) == hash((3, (), (1, -2), None)) and INSTANCE == (3, (), (1, -2), None)
     assert ATOM == ("P", (a, x)) and PropClause(2, (1,)) == (2, (1,))
 
 
-@pytest.mark.parametrize("record", [ATOM, LITERAL, CLAUSE, Clause(3), PropClause(1, (1, -2)), LinIneq(1, (("x", 2),), -1)])
+@pytest.mark.parametrize("record", [
+    ATOM, LITERAL, CLAUSE, Clause(3), PropClause(1, (1, -2)), LinIneq(1, (("x", 2),), -1), INSTANCE,
+])
 def test_records_copy_and_pickle(record):
     assert copy.copy(record) == record and copy.deepcopy(record) == record
     for protocol in range(pickle.HIGHEST_PROTOCOL + 1):

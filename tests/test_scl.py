@@ -61,7 +61,7 @@ class TestCounterProblem:
 
 class TestSclPropagate:
     def test_four_bit_trail_walks_in_order(self):
-        state = SclState.from_problem(ground_problem(counter_problem(4)))
+        state = SclState(ground_problem(counter_problem(4)))
         scl_propagate(state)
         trail_atoms = [state.problem.atoms[abs(lit) - 1] for lit, _, _ in state.trail]
         expected = [atom(format(v, "04b")) for v in range(16)]
@@ -71,7 +71,7 @@ class TestSclPropagate:
         assert conflict.clause_id == 6 and conflict.subst == ()
 
     def test_two_bit_run(self):
-        state = SclState.from_problem(ground_problem(counter_problem(2)))
+        state = SclState(ground_problem(counter_problem(2)))
         scl_propagate(state)
         trail_atoms = [state.problem.atoms[abs(lit) - 1] for lit, _, _ in state.trail]
         assert trail_atoms == [atom("00"), atom("01"), atom("10"), atom("11")]
@@ -79,16 +79,16 @@ class TestSclPropagate:
 
     def test_no_unit_fixpoint(self):
         clauses = parse_bs("P(0) | P(1). -P(0) | -P(1).")
-        state = SclState.from_problem(ground_problem(clauses))
+        state = SclState(ground_problem(clauses))
         scl_propagate(state)
         assert state.trail == [] and state.conflict is None
 
     def test_trail_cap(self):
         # the cap stops propagation with no conflict; an uncapped call resumes it to the uncapped run's end
         for n in range(1, 7):
-            full = scl_propagate(SclState.from_problem(ground_problem(counter_problem(n))))
+            full = scl_propagate(SclState(ground_problem(counter_problem(n))))
             for cap in range(2**n):
-                state = scl_propagate(SclState.from_problem(ground_problem(counter_problem(n))), trail_cap=cap)
+                state = scl_propagate(SclState(ground_problem(counter_problem(n))), trail_cap=cap)
                 assert state.conflict is None and len(state.trail) == cap
                 scl_propagate(state)
                 assert (state.trail, state.conflict) == (full.trail, full.conflict), (n, cap)
@@ -96,7 +96,7 @@ class TestSclPropagate:
 
     def test_propagation_justifications(self):
         # every propagated literal was undefined and the rest of its instance false
-        state = SclState.from_problem(ground_problem(counter_problem(3)))
+        state = SclState(ground_problem(counter_problem(3)))
         scl_propagate(state)
         value: dict[int, bool] = {}
         for lit, _, reason in state.trail:
@@ -177,7 +177,7 @@ class TestSclRun:
 
     @pytest.mark.parametrize("lit", [3, -3, 0])
     def test_decide_rejects_atoms_outside_the_herbrand_base(self, lit):
-        state = SclState.from_problem(ground_problem(parse_bs("P(a) | Q(a).")))
+        state = SclState(ground_problem(parse_bs("P(a) | Q(a).")))
         with pytest.raises(ValueError, match=r"outside 1\.\.2"):
             decide(state, lit)
         assert state.trail == [] and state.level == 0 and not any(state.true)

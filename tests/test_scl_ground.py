@@ -13,20 +13,13 @@ from functools import partial
 
 import pytest
 
+from corpora import random_cnf
 from test_scl_kernel import random_bs
 from workload_outputs import load_workloads
 from clausekit.cdcl import CdclState, PropClause, lowest_index_positive, solve
 from clausekit.formats import parse_dimacs
 from clausekit.logic import Atom, Clause, Literal
 from clausekit.scl import counter_problem, ground_problem, scl_run
-
-
-def random_cnf(rng: random.Random, num_vars: int, num_clauses: int, widths: tuple[int, ...]) -> list[PropClause]:
-    clauses = []
-    for cid in range(1, num_clauses + 1):
-        atoms = rng.sample(range(1, num_vars + 1), rng.choice(widths))
-        clauses.append(PropClause(cid, tuple(a if rng.random() < 0.5 else -a for a in atoms)))
-    return clauses
 
 
 def corpus() -> list[tuple[list[PropClause], int]]:

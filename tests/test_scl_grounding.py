@@ -12,10 +12,9 @@ import random
 
 import pytest
 
-from oracles import reference_ground_problem
+from oracles import reference_ground_problem, scan_status
 from test_scl_kernel import swap_bs
 from clausekit import scl
-from clausekit.cdcl import clause_status
 from clausekit.errors import ResourceLimitError
 from clausekit.formats import parse_bs
 from clausekit.logic import Atom, Clause, Constant, Literal, Variable
@@ -48,12 +47,15 @@ def random_clause_set(rng: random.Random) -> tuple[list[Clause], list[Constant] 
 
 
 def outcome(ground, clauses, domain, cap=scl.DEFAULT_INSTANCE_CAP):
-    """Clauses, domain, atom table and the instances unit or false under the empty trail."""
+    """Clauses, domain, atom table and the instances unit or false under the empty trail, as
+    (clause id, substitution, literals)."""
     try:
         p = ground(clauses, domain, cap)
     except (ValueError, ResourceLimitError) as exc:
         return type(exc), str(exc)
-    return p.clauses, p.domain, list(p.atoms), [inst for inst in p.instances if len(inst.lits) < 2]
+    return p.clauses, p.domain, list(p.atoms), [
+        (inst.clause_id, inst.subst, inst.lits) for inst in p.instances if len(inst.lits) < 2
+    ]
 
 
 def template_grounding(problem):
@@ -247,9 +249,9 @@ def test_initial_classification_matches_full_scan():
             problem = ground_problem(clauses, domain)
         except ValueError:
             continue
-        state = SclState.from_problem(problem)
+        state = SclState(problem)
         named = lambda pos: (problem.instances[pos].clause_id, problem.instances[pos].subst)
-        scan = [(inst, clause_status(inst.lits, {})) for inst in reference_ground_problem(clauses, domain).instances]
+        scan = [(inst, scan_status(inst.lits, {})) for inst in reference_ground_problem(clauses, domain).instances]
         assert sorted((named(pos), lit) for _, pos, lit in state.pending) == sorted(
             ((inst.clause_id, inst.subst), lit) for inst, (status, lit) in scan if status == "unit"
         )

@@ -279,7 +279,8 @@ def test_created_instances_are_unit_or_false(monkeypatch):
             assert unassigned == ([unit] if unit else [])
             assert all(true[-lit] for lit in inst.lits if lit != unit)
             assert false_lit is None or false_lit in inst.lits
-            assert inst == reference[inst.clause_id, inst.subst]
+            ref = reference[inst.clause_id, inst.subst]
+            assert (inst.clause_id, inst.subst, inst.lits) == (ref.clause_id, ref.subst, ref.lits)
             checked.append(inst)
 
     monkeypatch.setattr(SclState, "instantiate", instantiate)
@@ -448,7 +449,7 @@ def test_scl_keeps_no_trail_side_state():
     # SCL reads the trail through the kernel's truth table only: no index of its own to fill and undo
     assert SclState.truncate is TrailKernel.truncate
     kernel = set(vars(TrailKernel(0)))
-    state = SclState.from_problem(scl.ground_problem(counter_problem(3)))
+    state = SclState(scl.ground_problem(counter_problem(3)))
     assert [name for name in vars(state) if name not in kernel] == ["problem", "stats", "next_clause_id", "triggers"]
 
 
