@@ -40,7 +40,7 @@ def _line_position(text: str, index: int, at: int = 0) -> tuple[int, int]:
 # the whitespace between them, which `str.split` splits on as `\s` matches it.
 _DIMACS_LITERAL = re.compile(r"-?[0-9]+")
 _DIMACS_CLAUSE_LINE = re.compile(r"-?[0-9]+(?:\s+-?[0-9]+)*")
-# builds a PropClause in C, without the check for 0 that the parser's loop already made
+# builds a PropClause or a LinIneq in C, without the checks that the parser already made
 _new = tuple.__new__
 
 
@@ -247,7 +247,7 @@ def parse_lia(text: str) -> LiaSystem:
         coeffs = {v: a for v, a in coeffs.items() if a != 0}
         if not coeffs:
             raise ParseError("inequation has no variable", *_line_position(text, index))
-        inequations.append(LinIneq(len(inequations) + 1, tuple(coeffs.items()), const))
+        inequations.append(_new(LinIneq, (len(inequations) + 1, tuple(coeffs.items()), const)))
     return LiaSystem(inequations)
 
 

@@ -8,10 +8,12 @@ exhaustive decision procedure makes complete.  The sweep order is fixed, but
 a pair is revisited only after a bound that its implied bound reads is
 tightened, and after a tightening only the inequations whose minimum reads
 the tightened bound are checked for a conflict.  Both readings, and the
-bounded decision's pruning, run on the system compiled once, with every term
-keyed by the bound it reads.  A propagation's `verdict` is "fixpoint",
-"conflict" or "diverged", a decision's "sat", "unsat" or "limit" (the box
-exceeds its cap); `render` gives the output lines of either result.
+bounded decision's pruning, run on the system compiled once per run: the run
+numbers its variables, gives each bound an int slot, and reads every bound's
+value from one list by slot; a `Bound` record is built only for the trail.
+A propagation's `verdict` is "fixpoint", "conflict" or "diverged", a
+decision's "sat", "unsat" or "limit" (the box exceeds its cap); `render`
+gives the output lines of either result.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from __future__ import annotations
 from heapq import heappop, heappush
 from typing import Iterable, Mapping, NamedTuple
 
-from .jsonl import json_line
+from .jsonl import event_line
 
 DEFAULT_BOX_CAP = 10_000_000
 
@@ -100,73 +102,75 @@ class Bound(NamedTuple):
 # builds a NamedTuple from its fields' tuple in C, without the generated Python-level __new__
 _new = tuple.__new__
 
-BoundKey = tuple[str, bool]  # (variable, lower)
-BoundMap = Mapping[BoundKey, Bound]
-# (bound key, coefficient) per term: the key of the bound that bounds the term
+# (variable, lower): the key of a bound in `LiaPropagation.bounds`.  Within a
+# run a bound is an int slot instead: the run numbers its variables, and the
+# lower bound of variable i has slot 2i, its upper bound 2i + 1.  One list,
+# indexed by slot, holds each bound's value, or None while it is unbounded.
+BoundKey = tuple[str, bool]
+# (slot, coefficient) per term: the slot of the bound that bounds the term
 # from below, the lower bound for a positive coefficient and the upper one for
 # a negative coefficient
-KeyedTerms = tuple[tuple[BoundKey, int], ...]
+Terms = tuple[tuple[int, int], ...]
 # An inequation compiled for `conflicting_inequation`: (id, constant, terms).
-CompiledIneq = tuple[int, int, KeyedTerms]
+CompiledIneq = tuple[int, int, Terms]
 # An (inequation, variable) pair compiled for `implied_bound`: (reads, rhs,
-# key, coefficient, reason) -- the inequation's other terms, minus its
-# constant, the bound the pair tightens (the upper one for a positive
-# coefficient), the variable's coefficient and the inequation's id.  Both
-# records are plain tuples, the cheapest to build.
-Pair = tuple[KeyedTerms, int, BoundKey, int, int]
+# slot, coefficient, reason) -- the inequation's other terms, minus its
+# constant, the slot of the bound the pair tightens (the upper one for a
+# positive coefficient), the variable's coefficient and the inequation's id.
+# Both records are plain tuples, the cheapest to build.
+Pair = tuple[Terms, int, int, int, int]
 
 
-def compile_ineq(ineq: LinIneq) -> CompiledIneq:
-    """The inequation with its terms keyed by the bounds that its minimum reads."""
-    return (ineq.id, ineq.const, tuple([((v, a > 0), a) for v, a in ineq.coeffs]))
+def compile_ineq(ineq: LinIneq, index: Mapping[str, int]) -> CompiledIneq:
+    """The inequation with each term read from the slot that its minimum reads; `index` numbers the variables."""
+    return (ineq.id, ineq.const, tuple([(2 * index[v] + (a < 0), a) for v, a in ineq.coeffs]))
 
 
-def compile_pair(ineq: CompiledIneq, var: str) -> Pair:
-    """The pair of a compiled inequation and one of its variables; it shares the inequation's terms."""
+def compile_pair(ineq: CompiledIneq, var: int) -> Pair:
+    """The pair of a compiled inequation and its variable numbered `var`; it shares the inequation's terms."""
     ineq_id, const, terms = ineq
-    for i, ((v, _lower), a) in enumerate(terms):
-        if v == var:
-            return (terms[:i] + terms[i + 1:], -const, (var, a < 0), a, ineq_id)
-    raise ValueError(f"{var} has no coefficient in inequation {ineq_id}")
+    for i, (slot, a) in enumerate(terms):
+        if slot >> 1 == var:
+            return (terms[:i] + terms[i + 1:], -const, 2 * var + (a > 0), a, ineq_id)
+    raise ValueError(f"variable {var} has no coefficient in inequation {ineq_id}")
 
 
-def implied_bound(pair: Pair, current: BoundMap) -> Bound | None:
-    """Tightest bound on the pair's variable entailed by its inequation under the current bounds.
+def implied_bound(pair: Pair, value: list[int | None]) -> int | None:
+    """Tightest value of the pair's bound entailed by its inequation under the bounds in `value`, by slot.
 
-    None when a bound that the pair reads is missing or nothing gets tighter;
-    the bound found has the inequation as its reason.
+    None when a bound that the pair reads is missing or nothing gets tighter.
     Integer rounding: floor for upper bounds, ceiling for lower bounds.
     """
-    reads, rhs, key, coeff, reason = pair
-    for k, a in reads:
-        bound = current.get(k)
-        if bound is None:
+    reads, rhs, slot, coeff, _reason = pair
+    for s, a in reads:
+        v = value[s]
+        if v is None:
             return None
-        rhs -= a * bound.value
-    existing = current.get(key)
+        rhs -= a * v
+    existing = value[slot]
     if coeff > 0:
-        value = rhs // coeff
-        if existing is not None and value >= existing.value:
+        tighter = rhs // coeff
+        if existing is not None and tighter >= existing:
             return None
     else:
-        value = -(rhs // -coeff)
-        if existing is not None and value <= existing.value:
+        tighter = -(rhs // -coeff)
+        if existing is not None and tighter <= existing:
             return None
-    return _new(Bound, (key[0], key[1], value, reason))
+    return tighter
 
 
-def conflicting_inequation(current: BoundMap, candidates: Iterable[CompiledIneq]) -> int | None:
+def conflicting_inequation(value: list[int | None], candidates: Iterable[CompiledIneq]) -> int | None:
     """Id of the first of the compiled inequations whose left side has a positive minimum.
 
-    The minimum is taken over the bound box; a side with an unbounded term
-    has none.
+    The minimum is taken over the bound box, `value` by slot; a side with an
+    unbounded term has none.
     """
     for ineq_id, total, terms in candidates:
-        for key, a in terms:
-            bound = current.get(key)
-            if bound is None:
+        for slot, a in terms:
+            v = value[slot]
+            if v is None:
                 break
-            total += a * bound.value
+            total += a * v
         else:
             if total > 0:
                 return ineq_id
@@ -184,7 +188,7 @@ class LiaPropagation(NamedTuple):
 
 
 def _readers(
-    system: LiaSystem,
+    system: LiaSystem, index: Mapping[str, int]
 ) -> tuple[list[Pair], list[CompiledIneq], list[list[CompiledIneq]], list[list[int]]]:
     """The system compiled once: its pairs in sweep order, its inequations, and who reads what.
 
@@ -196,21 +200,19 @@ def _readers(
     """
     pairs: list[Pair] = []
     inequations: list[CompiledIneq] = []
-    scan_readers: dict[BoundKey, list[CompiledIneq]] = {}
-    pair_readers: dict[BoundKey, list[int]] = {}
+    scan_readers: list[list[CompiledIneq]] = [[] for _ in range(2 * len(index))]
+    pair_readers: list[list[int]] = [[] for _ in range(2 * len(index))]
     for ineq in system.inequations:
-        scan = compile_ineq(ineq)
+        scan = compile_ineq(ineq, index)
         inequations.append(scan)
-        for key, _a in scan[2]:
-            scan_readers.setdefault(key, []).append(scan)
-        for var, _a in ineq.coeffs:
-            pair = compile_pair(scan, var)
-            for key, _a in pair[0]:
-                pair_readers.setdefault(key, []).append(len(pairs))
+        for slot, _a in scan[2]:
+            scan_readers[slot].append(scan)
+            pair = compile_pair(scan, slot >> 1)
+            for s, _a in pair[0]:
+                pair_readers[s].append(len(pairs))
             pairs.append(pair)
-    keys = [pair[2] for pair in pairs]
-    scans = [scan_readers.get(key, []) for key in keys]
-    wakes = [pair_readers.get(key, []) for key in keys]
+    scans = [scan_readers[pair[2]] for pair in pairs]
+    wakes = [pair_readers[pair[2]] for pair in pairs]
     return pairs, inequations, scans, wakes
 
 
@@ -228,22 +230,30 @@ def propagate_bounds(
     """
     if max_steps < 0:
         raise ValueError("max_steps must be non-negative")
-    current: dict[tuple[str, bool], Bound] = {}
-    trail: list[Bound] = []
+    decisions = list(decisions)
+    # the system's variables in order, then those that only a decision names
+    index = {v: i for i, v in enumerate(system.variables)}
     for b in decisions:
-        key = (b.var, b.lower)
-        old = current.get(key)
-        if old is not None and (
-            (b.lower and b.value <= old.value) or (not b.lower and b.value >= old.value)
-        ):
+        index.setdefault(b.var, len(index))
+    # each slot's variable and direction, for the trail's records
+    var_of = [v for v in index for _ in (0, 1)]
+    lower_of = [True, False] * len(index)
+    value: list[int | None] = [None] * (2 * len(index))
+    trail: list[Bound] = []
+    latest: dict[int, Bound] = {}  # each bound slot's last record, slots in first-bound order
+    for b in decisions:
+        slot = 2 * index[b.var] + (not b.lower)
+        old = value[slot]
+        if old is not None and (b.value <= old if b.lower else b.value >= old):
             continue
-        current[key] = b
+        value[slot] = b.value
         trail.append(b)
+        latest[slot] = b
     steps = 0
-    pairs, inequations, scans, wakes = _readers(system)
-    cid = conflicting_inequation(current, inequations)
+    pairs, inequations, scans, wakes = _readers(system, index)
+    cid = conflicting_inequation(value, inequations)
     if cid is not None:
-        return LiaPropagation("conflict", current, trail, steps, cid)
+        return _propagation("conflict", latest, trail, steps, cid)
     n = len(pairs)
     # a heap of the visits due, each as sweep * n + pair index, and per pair
     # the latest visit it is queued for; both start with the whole first sweep
@@ -253,25 +263,35 @@ def propagate_bounds(
         t = heappop(due)
         p = t % n
         pair = pairs[p]
-        bound = implied_bound(pair, current)
-        if bound is None:
+        tighter = implied_bound(pair, value)
+        if tighter is None:
             continue
         if steps >= max_steps:
-            return LiaPropagation("diverged", current, trail, steps)
-        current[pair[2]] = bound
+            return _propagation("diverged", latest, trail, steps)
+        slot = pair[2]
+        value[slot] = tighter
+        bound = _new(Bound, (var_of[slot], lower_of[slot], tighter, pair[4]))  # the tightening's one record
         trail.append(bound)
+        latest[slot] = bound
         steps += 1
         # while none conflicts, a tightening moves only the minima that read it
-        cid = conflicting_inequation(current, scans[p])
+        cid = conflicting_inequation(value, scans[p])
         if cid is not None:
-            return LiaPropagation("conflict", current, trail, steps, cid)
+            return _propagation("conflict", latest, trail, steps, cid)
         sweep = t - p
         for r in wakes[p]:
             visit = sweep + r if r > p else sweep + n + r  # later in this sweep, or in the next
             if queued[r] < visit:
                 queued[r] = visit
                 heappush(due, visit)
-    return LiaPropagation("fixpoint", current, trail, steps)
+    return _propagation("fixpoint", latest, trail, steps)
+
+
+def _propagation(
+    verdict: str, latest: dict[int, Bound], trail: list[Bound], steps: int, inequation_id: int | None = None
+) -> LiaPropagation:
+    """The result of a run, with `bounds` keyed by (variable, lower) in place of the slots of `latest`."""
+    return LiaPropagation(verdict, {b[:2]: b for b in latest.values()}, trail, steps, inequation_id)
 
 
 def apriori_bounds(system: LiaSystem) -> dict[str, tuple[int, int]]:
@@ -294,8 +314,9 @@ def decide_bounded(system: LiaSystem, box_cap: int = DEFAULT_BOX_CAP) -> LiaDeci
     A system with no inequation is "sat" under the empty assignment.
 
     Depth-first over the variables; a node holds the box corners and each
-    assigned value as bounds, and `conflicting_inequation` prunes it.  A box
-    of more points than the cap is not searched: the verdict is "limit".
+    assigned value as bound values by slot, and `conflicting_inequation`
+    prunes it.  A box of more points than the cap is not searched: the
+    verdict is "limit".
     """
     if not system.inequations:
         return LiaDecision("sat", {})
@@ -307,27 +328,24 @@ def decide_bounded(system: LiaSystem, box_cap: int = DEFAULT_BOX_CAP) -> LiaDeci
         volume *= hi - lo + 1
         if volume > box_cap:
             return LiaDecision("limit")
-    inequations = [compile_ineq(ineq) for ineq in system.inequations]
-    current: dict[BoundKey, Bound] = {
-        (v, lower): _new(Bound, (v, lower, lo if lower else hi, None))
-        for v, (lo, hi) in box.items() for lower in (True, False)
-    }
+    index = {v: i for i, v in enumerate(variables)}
+    inequations = [compile_ineq(ineq, index) for ineq in system.inequations]
+    # each variable's box corners, by slot, then each assigned value in both of its slots
+    value = [x for v in variables for x in box[v]]
 
     def search(i: int) -> dict[str, int] | None:
-        if conflicting_inequation(current, inequations) is not None:
+        if conflicting_inequation(value, inequations) is not None:
             return None
         if i == len(variables):
-            return {v: current[(v, True)].value for v in variables}
-        v = variables[i]
-        lower, upper = (v, True), (v, False)
-        corners = current[lower], current[upper]
-        for value in range(corners[0].value, corners[1].value + 1):
-            current[lower] = _new(Bound, (v, True, value, None))
-            current[upper] = _new(Bound, (v, False, value, None))
+            return {v: value[2 * k] for k, v in enumerate(variables)}
+        lower, upper = 2 * i, 2 * i + 1
+        corners = value[lower], value[upper]
+        for x in range(corners[0], corners[1] + 1):
+            value[lower] = value[upper] = x
             found = search(i + 1)
             if found is not None:
                 return found
-        current[lower], current[upper] = corners
+        value[lower], value[upper] = corners
         return None
 
     found = search(0)
@@ -361,5 +379,5 @@ def render(result: LiaPropagation | LiaDecision, as_json: bool) -> list[str]:
             lines.append(f"diverged steps={result.steps}\n")
         event = "lia"
     if as_json:
-        return [json_line({"line": line[:-1], "event": event}) for line in lines]
+        return [event_line(event, line[:-1]) for line in lines]
     return lines

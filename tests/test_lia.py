@@ -23,43 +23,51 @@ from clausekit.lia import (
 DIVERGENT = parse_lia("x - y <= 0\ny - x + 1 <= 0\n")
 
 
-def bounds_map(*bounds: Bound) -> dict:
-    return {(b.var, b.lower): b for b in bounds}
+def implied(ineq: LinIneq, var: str, *bounds: Bound) -> Bound | None:
+    """`implied_bound` of the pair (ineq, var) under the bounds, as the trail's record of it, or None.
+
+    The inequation's variables are numbered in its order; the bound of
+    variable i is read from slot 2i if lower, 2i + 1 if upper.
+    """
+    index = {v: i for i, (v, _a) in enumerate(ineq.coeffs)}
+    value = [None] * (2 * len(index))
+    for b in bounds:
+        value[2 * index[b.var] + (not b.lower)] = b.value
+    pair = compile_pair(compile_ineq(ineq, index), index[var])
+    _reads, _rhs, slot, _coeff, reason = pair
+    assert slot >> 1 == index[var]
+    tighter = implied_bound(pair, value)
+    return None if tighter is None else Bound(var, slot % 2 == 0, tighter, reason)
 
 
 class TestImpliedBound:
     def test_lower_bound_transfer(self):
         ineq = LinIneq(1, (("x", 1), ("y", -1)), 0)  # x - y <= 0
-        bound = implied_bound(compile_pair(compile_ineq(ineq), "y"), bounds_map(Bound("x", True, 5)))
-        assert bound == Bound("y", True, 5, reason=1)
+        assert implied(ineq, "y", Bound("x", True, 5)) == Bound("y", True, 5, reason=1)
 
     def test_offset_transfer(self):
         ineq = LinIneq(2, (("y", 1), ("x", -1)), 1)  # y - x + 1 <= 0
-        bound = implied_bound(compile_pair(compile_ineq(ineq), "x"), bounds_map(Bound("y", True, 5)))
-        assert bound == Bound("x", True, 6, reason=2)
+        assert implied(ineq, "x", Bound("y", True, 5)) == Bound("x", True, 6, reason=2)
 
     def test_coefficient_rounding(self):
         ineq = LinIneq(1, (("x", 2), ("y", 3)), -1)  # 2x + 3y - 1 <= 0
-        bound = implied_bound(compile_pair(compile_ineq(ineq), "x"), bounds_map(Bound("y", True, 1)))
-        assert bound == Bound("x", False, -1, reason=1)
+        assert implied(ineq, "x", Bound("y", True, 1)) == Bound("x", False, -1, reason=1)
 
     def test_missing_opposite_bound(self):
         ineq = LinIneq(1, (("x", 1), ("y", -1)), 0)
-        assert implied_bound(compile_pair(compile_ineq(ineq), "y"), bounds_map(Bound("x", False, 5))) is None
+        assert implied(ineq, "y", Bound("x", False, 5)) is None
 
     def test_not_tighter(self):
         ineq = LinIneq(1, (("x", 1), ("y", -1)), 0)
-        current = bounds_map(Bound("x", True, 5), Bound("y", True, 9))
-        assert implied_bound(compile_pair(compile_ineq(ineq), "y"), current) is None
+        assert implied(ineq, "y", Bound("x", True, 5), Bound("y", True, 9)) is None
 
     def test_needs_nonzero_coefficient(self):
         with pytest.raises(ValueError):
-            compile_pair(compile_ineq(LinIneq(1, (("x", 1),), 0)), "y")
+            compile_pair(compile_ineq(LinIneq(1, (("x", 1),), 0), {"x": 0, "y": 1}), 1)
 
     def test_ceiling_for_negative_coefficient(self):
         ineq = LinIneq(1, (("x", -2), ("y", 1)), 0)  # y <= 2x
-        bound = implied_bound(compile_pair(compile_ineq(ineq), "x"), bounds_map(Bound("y", True, 5)))
-        assert bound == Bound("x", True, 3, reason=1)  # x >= ceil(5/2)
+        assert implied(ineq, "x", Bound("y", True, 5)) == Bound("x", True, 3, reason=1)  # x >= ceil(5/2)
 
 
 class TestPropagateBounds:
@@ -176,7 +184,9 @@ class TestPropagateBounds:
         monkeypatch.setattr(lia, "conflicting_inequation", full_scan)
         full = []
         for system, decisions in cases:
-            compiled[:] = [compile_ineq(i) for i in system.inequations]
+            # the system's variables come first in a run's numbering, before those only a decision names
+            index = {v: k for k, v in enumerate(system.variables)}
+            compiled[:] = [compile_ineq(i, index) for i in system.inequations]
             full.append(propagate_bounds(system, decisions, 200))
         assert got == full
         conflicts = [r for r in got if r.verdict == "conflict"]
@@ -184,26 +194,8 @@ class TestPropagateBounds:
 
     def test_matches_round_robin_reference(self):
         # the event-driven loop gives the plain round robin's trail, steps and outcome
-        rng = random.Random(1313)
-        caps = (0, 1, 5, 50, 400)
-        cases = []
-        for i in range(2_000):
-            variables = ["x", "y", "z", "w"][: rng.randint(1, 4)]
-            ineqs = []
-            for k in range(1, rng.randint(1, 5) + 1):
-                chosen = rng.sample(variables, rng.randint(1, len(variables)))
-                coeffs = tuple((v, rng.choice([-3, -2, -1, 1, 2, 3])) for v in chosen)
-                ineqs.append(LinIneq(k, coeffs, rng.randint(-4, 4)))
-            system = LiaSystem(ineqs)
-            decisions = [
-                Bound.make(rng.choice(variables), rng.choice(["<", "<=", ">", ">="]), rng.randint(-4, 4))
-                for _ in range(rng.randint(0, 3))
-            ]
-            cases.append((system, decisions, caps[i % len(caps)], None))
-        for seed in (1, 2, 3):
-            cases += _benchmark_shapes(random.Random(seed))
         kinds = Counter()
-        for system, decisions, cap, outcome in cases:
+        for system, decisions, cap, outcome in _round_robin_cases():
             got = propagate_bounds(system, decisions, cap)
             want = reference_propagate_bounds(system, decisions, cap)
             assert got.verdict == want.verdict
@@ -214,6 +206,36 @@ class TestPropagateBounds:
             assert got.inequation_id == want.inequation_id
             kinds[got.verdict, got.steps > 0] += 1
         assert min(kinds.values()) > 50 and len(kinds) == 6
+
+    def test_bounds_match_round_robin_reference(self):
+        # the bounds built when the run returns are the reference's: each key's last bound, in first-bound order
+        for system, decisions, cap, _outcome in _round_robin_cases():
+            got = propagate_bounds(system, decisions, cap)
+            want = reference_propagate_bounds(system, decisions, cap)
+            assert list(got.bounds.items()) == list(want.bounds.items())
+            assert got == want
+
+    def test_decision_on_a_variable_no_inequation_mentions(self):
+        decisions = [Bound.make("z", "<=", 7), Bound.make("x", ">=", 0), Bound.make("z", ">=", 9)]
+        result = propagate_bounds(DIVERGENT, decisions, 6)
+        assert result == reference_propagate_bounds(DIVERGENT, decisions, 6)
+        assert result.verdict == "diverged" and result.trail[:3] == decisions
+        # no inequation reads z, so its empty range is no conflict, and no bound on z is derived
+        assert [b.var for b in result.trail[3:]] == ["y", "x", "y", "x", "y", "x"]
+        assert result.bounds[("z", False)].value == 7 and result.bounds[("z", True)].value == 9
+
+    def test_weaker_second_decision_on_the_same_bound(self):
+        system = parse_lia("x - y <= 0\n")
+        # a second decision no tighter than the first, weaker or equal, is skipped
+        for second in (Bound.make("x", ">=", 3), Bound.make("x", ">=", 5), Bound.make("x", ">", 2)):
+            decisions = [Bound.make("x", ">=", 5), second, Bound.make("y", "<", 9)]
+            result = propagate_bounds(system, decisions, 100)
+            assert result == reference_propagate_bounds(system, decisions, 100)
+            assert result.trail[:2] == [decisions[0], decisions[2]] and result.steps == 2
+            assert result.bounds[("x", True)] is decisions[0]
+        tighter = [Bound.make("x", ">=", 5), Bound.make("x", ">=", 6)]
+        result = propagate_bounds(system, tighter, 100)
+        assert result.trail[:2] == tighter and result.bounds[("x", True)] is tighter[1]
 
     def test_implied_bound_calls_linear_in_pairs_and_steps(self, monkeypatch):
         # a pair is revisited only after a bound it reads was tightened
@@ -250,20 +272,17 @@ class TestPropagateBounds:
         variables = {ineq.id: dict(ineq.coeffs) for ineq in DIVERGENT.inequations}
         assert all(b.var in variables[b.reason] for b in derived)
 
-    def test_every_bound_built_has_the_record_fields(self, monkeypatch):
-        # the engines build bounds with tuple.__new__, which takes a tuple of any length
+    def test_every_bound_built_has_the_record_fields(self):
+        # propagation builds its trail's bounds with tuple.__new__, which takes a tuple of any length;
+        # the bounded decision builds none
         seen = []
-        scan = lia.conflicting_inequation
-
-        def recording(current, candidates):
-            seen.extend(current.values())
-            return scan(current, candidates)
-
-        monkeypatch.setattr(lia, "conflicting_inequation", recording)
-        assert lia.decide_bounded(DIVERGENT).verdict == "unsat"
-        propagate_bounds(DIVERGENT, [Bound.make("x", ">=", 0)], 50)
+        for system, decisions in ((DIVERGENT, [Bound.make("x", ">=", 0)]),
+                                  (parse_lia("x - y + 1 <= 0\ny - z <= 0\n"), [Bound.make("x", ">=", 0), Bound.make("z", "<", 1)])):
+            result = propagate_bounds(system, decisions, 50)
+            seen += result.trail + list(result.bounds.values())
         assert {b.reason is None for b in seen} == {True, False}
         assert {len(b) for b in seen} == {len(Bound._fields)}
+        assert {type(b) for b in seen} == {Bound}
 
     def test_divergence_budgets_strictly_increase(self):
         counts = []
@@ -361,6 +380,29 @@ class TestDecideBounded:
             outcomes[got[0]] += 1
             empty += not ineqs
         assert min(outcomes.values()) > 20 and empty > 20, (outcomes, empty)
+
+
+def _round_robin_cases():
+    """2,000 random systems with random decisions and step caps, then the benchmark's shapes on seeds 1-3."""
+    rng = random.Random(1313)
+    caps = (0, 1, 5, 50, 400)
+    cases = []
+    for i in range(2_000):
+        variables = ["x", "y", "z", "w"][: rng.randint(1, 4)]
+        ineqs = []
+        for k in range(1, rng.randint(1, 5) + 1):
+            chosen = rng.sample(variables, rng.randint(1, len(variables)))
+            coeffs = tuple((v, rng.choice([-3, -2, -1, 1, 2, 3])) for v in chosen)
+            ineqs.append(LinIneq(k, coeffs, rng.randint(-4, 4)))
+        system = LiaSystem(ineqs)
+        decisions = [
+            Bound.make(rng.choice(variables), rng.choice(["<", "<=", ">", ">="]), rng.randint(-4, 4))
+            for _ in range(rng.randint(0, 3))
+        ]
+        cases.append((system, decisions, caps[i % len(caps)], None))
+    for seed in (1, 2, 3):
+        cases += _benchmark_shapes(random.Random(seed))
+    return cases
 
 
 def _benchmark_shapes(rng: random.Random):
