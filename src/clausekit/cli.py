@@ -14,7 +14,9 @@ and two `--decide` bounds that cross among them, and parse errors exit with
 2; `--help` exits with 0.  A stdout that its reader closes early, as `| head`
 does, exits with 141 (128 + SIGPIPE) and writes nothing to stderr; any other
 failed write of the output, such as to a full disk, prints its error and
-exits with 74 (EX_IOERR in sysexits.h).
+exits with 74 (EX_IOERR in sysexits.h).  Any other exception from a handler
+is a fault of clausekit itself: it prints `internal error:` and the traceback
+and exits with 70 (EX_SOFTWARE).
 """
 
 from __future__ import annotations
@@ -39,6 +41,7 @@ EXIT_SAT = 10
 EXIT_UNSAT = 20
 EXIT_LIMIT = 1
 EXIT_USAGE = 2
+EXIT_INTERNAL = 70  # EX_SOFTWARE in sysexits.h
 EXIT_OUTPUT_ERROR = 74  # EX_IOERR in sysexits.h
 EXIT_CLOSED_OUTPUT = 141  # 128 + SIGPIPE, as a shell reports a pipeline stage that SIGPIPE ended
 
@@ -279,6 +282,11 @@ def main(argv: list[str] | None = None, out: TextIO = sys.stdout) -> int:
     except (OSError, ClausekitError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except Exception:  # not the input's fault, and not a limit: under console_main it would exit with 1
+        import traceback  # only a crash needs it, so the CLI's start does not pay for it
+
+        print(f"internal error: {traceback.format_exc()}", end="", file=sys.stderr)
+        return EXIT_INTERNAL
     try:
         out.writelines(lines)
         out.flush()  # a closed pipe or a full disk fails here, not at exit

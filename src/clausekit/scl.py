@@ -105,20 +105,14 @@ class GroundInstance(NamedTuple):
         return self.key if self.compiled is None else self.compiled.subst(self.key)
 
     def subst_str(self) -> str:
-        compiled = self.compiled
-        if compiled is None:
-            return "{" + ",".join(map("->".join, self.key)) + "}"
-        if not compiled.slots:  # a ground clause's one instance
+        if self.compiled is not None and not self.compiled.slots:  # a ground clause's one instance
             return "{}"
-        return compiled.subst_text % compiled.spell(self.key)
-
-    def _sort_key(self) -> tuple:
-        return self.key if self.compiled is None else self.compiled.sort_key(self.key)
+        return "{" + ",".join(map("->".join, self.subst)) + "}"
 
     def __lt__(self, other: "GroundInstance") -> bool:
         # substitution order: a unit or conflict key tied up to the clause id gets here once its
-        # instances differ as tuples
-        return self._sort_key() < other._sort_key()
+        # instances differ as tuples; the domain is sorted by name, so names order as indices do
+        return self.subst < other.subst
 
     def __repr__(self) -> str:
         return f"GroundInstance(clause_id={self.clause_id!r}, subst={self.subst!r}, lits={self.lits!r})"
@@ -166,14 +160,9 @@ class HerbrandBase(Sequence[Atom]):
         d = len(self.names)
         return tuple([code // w % d for w in self.places[arity]])
 
-    def decode(self, atom: int) -> tuple[str, tuple[int, ...]]:
-        """The predicate and the constant indices of an atom index."""
-        pred, arity, code = self.locate(atom)
-        return pred, self.digits(arity, code)
-
     def name(self, atom: int) -> str:
-        pred, digits = self.decode(atom)
-        return f"{pred}({','.join([self.names[c] for c in digits])})" if digits else pred
+        pred, arity, code = self.locate(atom)
+        return f"{pred}({','.join([self.names[c] for c in self.digits(arity, code)])})" if arity else pred
 
     @cached_property
     def _chunk_names(self) -> list[tuple[str, ...]]:
@@ -194,8 +183,8 @@ class HerbrandBase(Sequence[Atom]):
         j = i + self.size if i < 0 else i  # negative indices count from the end, as in a list
         if not 0 <= j < self.size:
             raise IndexError(i)
-        pred, digits = self.decode(j + 1)
-        return Atom(pred, tuple(self.domain[c] for c in digits))
+        pred, arity, code = self.locate(j + 1)
+        return Atom(pred, tuple(self.domain[c] for c in self.digits(arity, code)))
 
 
 class _Template(NamedTuple):
@@ -313,31 +302,10 @@ class _CompiledClause:
     def lits(self, combo: Sequence[int]) -> tuple[int, ...]:
         return tuple([t.lit(combo) for t in self.templates])
 
-    # What only substitutions and rendering need is built when first asked for.
-
-    @cached_property
-    def by_name(self) -> tuple[int, ...]:
-        """The slots' weights in variable-name order."""
-        return tuple(self.weights[s] for s in sorted(range(self.slots), key=self.variables.__getitem__))
-
-    def sort_key(self, key: int) -> tuple[int, ...]:
-        # constant indices by variable name sort as the substitutions do
-        d = len(self.names)
-        return tuple([key // w % d for w in self.by_name])
-
-    def spell(self, key: int) -> tuple[str, ...]:
-        """The constant names of `sort_key(key)`, in variable-name order."""
-        names = self.names
-        return tuple([names[i] for i in self.sort_key(key)])
-
     def subst(self, key: int) -> tuple[tuple[str, str], ...]:
-        """The (variable name, constant name) pairs, sorted."""
-        return tuple(zip(sorted(self.variables), self.spell(key)))
-
-    @cached_property
-    def subst_text(self) -> str:
-        """The substitution as a %-format string over the constant names in variable-name order."""
-        return "{" + ",".join(f"{_escape(v)}->%s" for v in sorted(self.variables)) + "}"
+        """The (variable name, constant name) pairs of an instance's key, sorted by variable name."""
+        names, d = self.names, len(self.names)
+        return tuple(sorted([(v, names[key // w % d]) for v, w in zip(self.variables, self.weights)]))
 
     @cached_property
     def lines(self) -> list["_Line"]:
@@ -350,7 +318,8 @@ class _CompiledClause:
             digit = {v: self.slots - 1 - s for s, v in enumerate(self.variables)}
         chunks = -(-(max(digit.values(), default=-1) + 1) // self.chunk)
         last = chunks * self.chunk - 1  # the spelled names' last position, the lowest digit's
-        subst, subst_at = self.subst_text, [last - digit[v] for v in sorted(self.variables)]
+        subst = "{" + ",".join([f"{_escape(v)}->%s" for v in sorted(self.variables)]) + "}"
+        subst_at = [last - digit[v] for v in sorted(self.variables)]
         lines = []
         for literal in self.literals:
             args = literal.atom.args
@@ -758,8 +727,9 @@ def render(result: SclResult, as_json: bool) -> list[str]:
     the formats that `_CompiledClause.lines` compiles for that literal with
     the names of the instance's key.  Merge clauses, ground clauses (one
     instance each, too few lines to repay compiling; their substitution is
-    `{}`) and learned instances, and the literals of every other line, are
-    decoded from the Herbrand base.  A trace line's JSON object holds the
+    `{}`) and learned instances, and every other line, spell their
+    substitutions through `GroundInstance.subst_str` and their literals
+    from the Herbrand base.  A trace line's JSON object holds the
     text line as `line` and the values it spells as the kind's `_FIELDS`.
     A run stopped by the instance cap has no state, so only its verdict line.
     """

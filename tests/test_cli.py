@@ -13,6 +13,7 @@ import pytest
 import clausekit
 from clausekit.cli import (
     EXIT_CLOSED_OUTPUT,
+    EXIT_INTERNAL,
     EXIT_LIMIT,
     EXIT_OK,
     EXIT_OUTPUT_ERROR,
@@ -182,6 +183,35 @@ def test_a_full_disk_is_an_output_error(tmp_path):
         (EXIT_OUTPUT_ERROR, f"error: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}\n"),
         (EXIT_USAGE, f"error: [Errno {errno.ENOENT}] {os.strerror(errno.ENOENT)}: '{missing}'\n"),
     ]
+
+
+def crashing_grounding(*args, **kwargs):
+    raise KeyError("crash")
+
+
+def test_a_crash_is_an_internal_error(monkeypatch, capsys):
+    # an engine fault is neither bad input (2) nor a limit (1)
+    monkeypatch.setattr(clausekit.scl, "ground_problem", crashing_grounding)
+    assert run_cli("--mode", "scl", "--counter-n", "2") == (EXIT_INTERNAL, "")
+    err = capsys.readouterr().err
+    assert err.startswith("internal error: Traceback (most recent call last):\n")
+    assert "in crashing_grounding" in err and err.endswith("\nKeyError: 'crash'\n")
+
+
+def test_a_crash_under_python_dash_m_is_an_internal_error():
+    # as `python -m clausekit`, but with the grounding replaced before the entry point runs
+    src = str(Path(clausekit.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    script = (
+        "import runpy, sys, clausekit.scl\n"
+        "def crash(*args, **kwargs): raise KeyError('crash')\n"
+        "clausekit.scl.ground_problem = crash\n"
+        "sys.argv = ['clausekit', '--mode', 'scl', '--counter-n', '2']\n"
+        "runpy.run_module('clausekit', run_name='__main__', alter_sys=True)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=60)
+    assert (proc.returncode, proc.stdout) == (EXIT_INTERNAL, "")
+    assert proc.stderr.startswith("internal error: Traceback") and proc.stderr.endswith("KeyError: 'crash'\n")
 
 
 class TestResolutionMode:
