@@ -12,6 +12,7 @@ from .errors import (
     ParseError,
     ReplayStepError,
     ResourceLimitError,
+    UsageError,
 )
 from .logic import (
     Atom,
@@ -44,6 +45,7 @@ __all__ = [
     "ResourceLimitError",
     "Substitution",
     "Term",
+    "UsageError",
     "Variable",
     "canonical_variant",
     "default_config",

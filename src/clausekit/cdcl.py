@@ -443,6 +443,10 @@ def lowest_index_positive(state: CdclState) -> int:
 
 
 DecisionHeuristic = Callable[[CdclState], int]
+HEURISTICS: dict[str, DecisionHeuristic] = {
+    "lowest-negative": lowest_index_negative,
+    "lowest-positive": lowest_index_positive,
+}
 
 
 class ProofStep(NamedTuple):

@@ -3,20 +3,25 @@
 Each mode's handler parses its input, runs its engine and hands back its exit
 code with the lines that the engine's `render` gives for the result, as text
 or as JSON lines; only the counter experiment formats its own table.  `main`
-is the one place that writes them.
+is the one place that writes them.  `--heuristic` and `--selection` name
+functions in the engines' tables, `cdcl.HEURISTICS` and
+`resolution.SELECTIONS`.
 
 Each engine run returns one result with a `verdict`, which `EXIT_CODES` maps
 to the exit code after the DIMACS solver convention: 10 for satisfiable or
 saturated, 20 for unsatisfiable, 1 for resource or step limits, and 0 for a
 replayed derivation that does not end in the empty clause, which claims
-neither.  Usage errors, a flag that the mode does not read (`FLAG_MODES`)
-and two `--decide` bounds that cross among them, and parse errors exit with
-2; `--help` exits with 0.  A stdout that its reader closes early, as `| head`
+neither.  A `ClausekitError` or an `OSError` exits with 2: a `UsageError`
+(among them a flag that the mode does not read, `FLAG_MODES`, and two
+`--decide` bounds that cross), a parse error, an input file that is not
+UTF-8 or cannot be opened, and a replay step that cannot be executed;
+`--help` exits with 0.  A stdout that its reader closes early, as `| head`
 does, exits with 141 (128 + SIGPIPE) and writes nothing to stderr; any other
-failed write of the output, such as to a full disk, prints its error and
-exits with 74 (EX_IOERR in sysexits.h).  Any other exception from a handler
-is a fault of clausekit itself: it prints `internal error:` and the traceback
-and exits with 70 (EX_SOFTWARE).
+failed write of the output, such as to a full disk or in an encoding that
+lacks a character of the text, prints its error and exits with 74 (EX_IOERR
+in sysexits.h).  Any other exception from a handler, an engine's
+`ValueError` included, is a fault of clausekit itself: it prints `internal
+error:` and the traceback and exits with 70 (EX_SOFTWARE).
 """
 
 from __future__ import annotations
@@ -29,7 +34,7 @@ import sys
 from typing import Callable, NamedTuple, Sequence, TextIO
 
 from . import cdcl, formats, lia, resolution, scl
-from .errors import ClausekitError
+from .errors import ClausekitError, UsageError
 from .jsonl import json_line
 from .logic import Clause
 from .ordering import OrderingConfig, config_with_precedence, default_config
@@ -48,11 +53,6 @@ EXIT_CLOSED_OUTPUT = 141  # 128 + SIGPIPE, as a shell reports a pipeline stage t
 # every verdict an engine's result can hold, and its exit code
 EXIT_CODES = {"sat": EXIT_SAT, "fixpoint": EXIT_SAT, "saturated": EXIT_SAT, "unsat": EXIT_UNSAT,
               "conflict": EXIT_UNSAT, "limit": EXIT_LIMIT, "diverged": EXIT_LIMIT, "derived": EXIT_OK}
-
-HEURISTICS: dict[str, cdcl.DecisionHeuristic] = {
-    "lowest-negative": cdcl.lowest_index_negative,
-    "lowest-positive": cdcl.lowest_index_positive,
-}
 
 COUNTER_N_CAP = 12
 DEFAULT_MAX_STEPS = 10_000  # resolution and lia-propagate; scl uses scl.DEFAULT_TRAIL_CAP
@@ -78,31 +78,30 @@ def validate(args: argparse.Namespace) -> None:
     """Reject flags the mode does not read, and missing or out-of-range values; unset flags are None."""
     for flag, modes in FLAG_MODES.items():
         if getattr(args, flag[2:].replace("-", "_")) not in (None, []) and args.mode not in modes:
-            raise ValueError(f"{flag} does not apply to mode {args.mode}")
+            raise UsageError(f"{flag} does not apply to mode {args.mode}")
     if args.max_steps is not None and args.max_steps < 0:
-        raise ValueError("--max-steps must be non-negative")
+        raise UsageError("--max-steps must be non-negative")
     if args.max_instances is not None and args.max_instances <= 0:
-        raise ValueError("--max-instances must be positive")
+        raise UsageError("--max-instances must be positive")
     if args.mode == "counter-experiment":
         n = args.counter_n if args.counter_n is not None else 10
         if not 1 <= n <= COUNTER_N_CAP:
-            raise ValueError(f"--counter-n must be within 1..{COUNTER_N_CAP}")
+            raise UsageError(f"--counter-n must be within 1..{COUNTER_N_CAP}")
     elif args.mode in ("cdcl", "lia-propagate", "lia-decide"):
         if args.input is None:
-            raise ValueError(f"mode {args.mode} needs --input")
+            raise UsageError(f"mode {args.mode} needs --input")
     elif (args.input is None) == (args.counter_n is None):
-        raise ValueError(f"mode {args.mode} needs exactly one of --input or --counter-n")
+        raise UsageError(f"mode {args.mode} needs exactly one of --input or --counter-n")
     if args.mode == "resolution-replay" and args.replay is None:
-        raise ValueError("mode resolution-replay needs --replay")
+        raise UsageError("mode resolution-replay needs --replay")
     if args.counter_n is not None and args.counter_n < 1:
-        raise ValueError("--counter-n must be positive")
+        raise UsageError("--counter-n must be positive")
 
 
 def _bs_clauses(args: argparse.Namespace) -> Sequence[Clause]:
     if args.counter_n is not None:
         return counter_problem(args.counter_n)
-    with open(args.input, encoding="utf-8") as handle:
-        return formats.parse_bs(handle.read())
+    return formats.parse_bs(formats.read_text(args.input))
 
 
 def _ordering(args: argparse.Namespace, clauses: Sequence[Clause]) -> OrderingConfig:
@@ -113,9 +112,8 @@ def _ordering(args: argparse.Namespace, clauses: Sequence[Clause]) -> OrderingCo
 
 
 def _run_cdcl(args: argparse.Namespace, as_json: bool) -> tuple[int, list[str]]:
-    with open(args.input, encoding="utf-8") as handle:
-        num_vars, clauses = formats.parse_dimacs(handle.read())
-    result = cdcl.solve(clauses, num_vars, HEURISTICS[args.heuristic or DEFAULT_HEURISTIC])
+    num_vars, clauses = formats.parse_dimacs(formats.read_text(args.input))
+    result = cdcl.solve(clauses, num_vars, cdcl.HEURISTICS[args.heuristic or DEFAULT_HEURISTIC])
     return EXIT_CODES[result.verdict], cdcl.render(result, as_json)
 
 
@@ -134,23 +132,20 @@ def _run_scl(args: argparse.Namespace, as_json: bool) -> tuple[int, list[str]]:
 def _run_resolution(args: argparse.Namespace, as_json: bool) -> tuple[int, list[str]]:
     clauses = _bs_clauses(args)
     cfg = _ordering(args, clauses)
-    sel = resolution.selection_from_name(args.selection or DEFAULT_SELECTION)
+    sel = resolution.SELECTIONS[args.selection or DEFAULT_SELECTION]
     result = resolution.saturate(clauses, cfg, sel, max_generated=_max_steps(args))
     return EXIT_CODES[result.verdict], resolution.render(result, as_json)
 
 
 def _run_replay(args: argparse.Namespace, as_json: bool) -> tuple[int, list[str]]:
     clauses = _bs_clauses(args)
-    with open(args.replay, encoding="utf-8") as handle:
-        script = formats.parse_script(handle.read())
-    derived = resolution.replay(clauses, script)
+    derived = resolution.replay(clauses, formats.parse_script(formats.read_text(args.replay)))
     code = EXIT_CODES["unsat" if derived and derived[-1].clause.is_empty else "derived"]
     return code, resolution.render(derived, as_json)
 
 
 def _lia_system(args: argparse.Namespace) -> lia.LiaSystem:
-    with open(args.input, encoding="utf-8") as handle:
-        return formats.parse_lia(handle.read())
+    return formats.parse_lia(formats.read_text(args.input))
 
 
 def _run_lia_propagate(args: argparse.Namespace, as_json: bool) -> tuple[int, list[str]]:
@@ -160,7 +155,7 @@ def _run_lia_propagate(args: argparse.Namespace, as_json: bool) -> tuple[int, li
         for e in decisions[:i]:
             lower, upper = (d, e) if d.lower else (e, d)
             if d.var == e.var and d.lower != e.lower and lower.value > upper.value:
-                raise ValueError(f"--decide {d} crosses {e}")
+                raise UsageError(f"--decide {d} crosses {e}")
     result = lia.propagate_bounds(system, decisions, _max_steps(args))
     return EXIT_CODES[result.verdict], lia.render(result, as_json)
 
@@ -252,7 +247,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--precedence",
         help="resolution only: symbol precedence override, greatest first, e.g. '1>0'",
     )
-    parser.add_argument("--heuristic", choices=sorted(HEURISTICS), help=f"cdcl only (default {DEFAULT_HEURISTIC})")
+    parser.add_argument("--heuristic", choices=sorted(cdcl.HEURISTICS), help=f"cdcl only (default {DEFAULT_HEURISTIC})")
     parser.add_argument(
         "--max-steps",
         type=int,
@@ -279,7 +274,7 @@ def main(argv: list[str] | None = None, out: TextIO = sys.stdout) -> int:
     try:
         validate(args)
         code, lines = _HANDLERS[args.mode](args, args.format == "json")
-    except (OSError, ClausekitError, ValueError) as exc:
+    except (OSError, ClausekitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except Exception:  # not the input's fault, and not a limit: under console_main it would exit with 1
@@ -292,7 +287,7 @@ def main(argv: list[str] | None = None, out: TextIO = sys.stdout) -> int:
         out.flush()  # a closed pipe or a full disk fails here, not at exit
     except BrokenPipeError:  # the reader closed stdout early, as `| head` does: nothing to report
         return EXIT_CLOSED_OUTPUT
-    except OSError as exc:
+    except (OSError, ValueError) as exc:  # a full disk, an encoding without `σ` or `⊥`, a closed `out`
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_OUTPUT_ERROR
     return code

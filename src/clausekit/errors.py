@@ -5,6 +5,13 @@ class ClausekitError(Exception):
     """Base class for all library errors."""
 
 
+class UsageError(ClausekitError, ValueError):
+    """An option, or a combination of options, that clausekit cannot run with.
+
+    Also a ValueError, for library callers that catch a bad argument as one.
+    """
+
+
 class ParseError(ClausekitError):
     """Input text could not be parsed; carries a line/column position when known."""
 

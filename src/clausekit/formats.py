@@ -3,7 +3,8 @@
 Three input languages: DIMACS CNF for the propositional solver, a clause text
 syntax for BS problems (`-P(x1,0) | P(x1,1).`, identifiers starting with
 x, y, z, u, v, w are variables, optional `<id> :` prefixes), and one linear
-inequation per line for LIA.  Every parse error carries a line and a column.
+inequation per line for LIA.  Every parse error carries a line and a column,
+and so does a byte of an input file that is not UTF-8 (`read_text`).
 """
 
 from __future__ import annotations
@@ -21,6 +22,21 @@ def _position(text: str, offset: int) -> tuple[int, int]:
     """Line and column, both from 1, of `text[offset]`, with lines split as `str.splitlines` splits them."""
     lines = (text[:offset] + ".").splitlines()
     return len(lines), len(lines[-1])
+
+
+def read_text(path: str) -> str:
+    """The file at `path` as UTF-8 text, its newlines translated as text mode translates them.
+
+    A byte that is not UTF-8 is a ParseError at its line and column.
+    """
+    with open(path, "rb") as handle:
+        data = handle.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        before = data[: exc.start].decode("utf-8")
+        raise ParseError(f"byte 0x{data[exc.start]:02x} is not UTF-8", *_position(before, len(before))) from None
+    return text.replace("\r\n", "\n").replace("\r", "\n")
 
 
 def _line_position(text: str, index: int, at: int = 0) -> tuple[int, int]:

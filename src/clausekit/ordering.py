@@ -13,7 +13,7 @@ from __future__ import annotations
 from enum import Enum
 from typing import Iterable, Mapping, NamedTuple
 
-from .errors import OrderingConfigError
+from .errors import OrderingConfigError, UsageError
 from .logic import Atom, Clause, Constant, Variable
 
 
@@ -54,16 +54,16 @@ def default_config(clauses: Iterable[Clause]) -> OrderingConfig:
 
 
 def config_with_precedence(base: OrderingConfig, high_to_low: list[str]) -> OrderingConfig:
-    """Override the listed symbols' precedence, greatest first; an empty, repeated or unknown name is a ValueError."""
+    """Override the listed symbols' precedence, greatest first; an empty, repeated or unknown name is a UsageError."""
     prec = dict(base.precedence)
     top = max(prec.values(), default=0) + 1
     for offset, sym in enumerate(high_to_low):
         if not sym:
-            raise ValueError("precedence has an empty name")
+            raise UsageError("precedence has an empty name")
         if sym in high_to_low[:offset]:
-            raise ValueError(f"precedence names {sym!r} twice")
+            raise UsageError(f"precedence names {sym!r} twice")
         if sym not in base.precedence:
-            raise ValueError(f"precedence names {sym!r}, which is no symbol of the problem")
+            raise UsageError(f"precedence names {sym!r}, which is no symbol of the problem")
         prec[sym] = top + len(high_to_low) - offset
     return OrderingConfig(prec)
 

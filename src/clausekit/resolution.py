@@ -25,10 +25,10 @@ lines of either run.
 from __future__ import annotations
 
 from collections import defaultdict, deque
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import ReplayStepError
-from .jsonl import json_line
+from .jsonl import event_line, json_line
 from .logic import (
     Atom,
     Clause,
@@ -52,27 +52,19 @@ from .ordering import OrderingConfig, literal_is_maximal
 # ---------------------------------------------------------------------------
 
 
-class SelectNone:
-    def selected_index(self, clause: Clause) -> int | None:
-        return None
+def no_selection(clause: Clause) -> int | None:
+    return None
 
 
-class SelectFirstNegative:
-    def selected_index(self, clause: Clause) -> int | None:
-        for i, lit in enumerate(clause.literals):
-            if not lit.positive:
-                return i
-        return None
+def first_negative(clause: Clause) -> int | None:
+    for i, lit in enumerate(clause.literals):
+        if not lit.positive:
+            return i
+    return None
 
 
-SelectionStrategy = SelectNone | SelectFirstNegative
-SELECTIONS: dict[str, type[SelectionStrategy]] = {"none": SelectNone, "first-negative": SelectFirstNegative}
-
-
-def selection_from_name(name: str) -> SelectionStrategy:
-    if name not in SELECTIONS:
-        raise ValueError(f"unknown selection strategy {name!r}")
-    return SELECTIONS[name]()
+Selection = Callable[[Clause], int | None]  # the index of the selected literal, if any
+SELECTIONS: dict[str, Selection] = {"none": no_selection, "first-negative": first_negative}
 
 
 # ---------------------------------------------------------------------------
@@ -146,10 +138,10 @@ class ClauseRecord:
         "clause", "selected", "maximal", "positive", "negative", "keys", "constants", "eligible", "variables"
     )
 
-    def __init__(self, clause: Clause, cfg: OrderingConfig, sel: SelectionStrategy):
+    def __init__(self, clause: Clause, cfg: OrderingConfig, sel: Selection):
         lits = clause.literals
         self.clause = clause
-        self.selected = sel.selected_index(clause)
+        self.selected = sel(clause)
         if len(lits) == 1:
             self.maximal = (0,)
         else:
@@ -360,7 +352,7 @@ def _extract_proof(
 def saturate(
     clauses: Iterable[Clause],
     cfg: OrderingConfig,
-    sel: SelectionStrategy,
+    sel: Selection,
     max_generated: int = 100_000,
 ) -> SaturationResult:
     """Given-clause loop, FIFO by clause id, with subsumption and tautology deletion.
@@ -492,7 +484,7 @@ def replay(
         if sigma is None:
             raise ReplayStepError(no, "literals do not unify")
         if cfg is not None:
-            if ni - 1 != SelectFirstNegative().selected_index(negative):
+            if ni - 1 != first_negative(negative):
                 raise ValueError(f"step deriving clause {next_id} does not resolve the first negative literal")
             if len(positive) > 1 and not literal_is_maximal(sigma.apply_clause(positive), pi - 1, cfg):
                 raise ValueError(f"step deriving clause {next_id} has a non-maximal positive literal")
@@ -570,7 +562,8 @@ def render(result: SaturationResult | list[DerivedClause], as_json: bool) -> lis
         verdict = "Unsat" if result and result[-1].clause.is_empty else f"Replayed({len(result)})"
         counts = {}
     lines = [f"{d.clause.id} : {d.clause}  {d.rule}" for d in derived]
-    if as_json:
-        return [json_line({"line": line, "event": "derived"}) for line in lines] + [
-            json_line({"line": verdict, "event": "result", **counts})]
-    return [line + "\n" for line in lines] + [verdict + "\n"]
+    if not as_json:
+        return [line + "\n" for line in lines] + [verdict + "\n"]
+    out = [event_line("derived", line) for line in lines]
+    out.append(json_line({"line": verdict, "event": "result", **counts}) if counts else event_line("result", verdict))
+    return out

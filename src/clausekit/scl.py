@@ -56,7 +56,7 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 from .cdcl import TrailKernel, _new, decide, learn_clause, lowest_unassigned, propagate_units, resolve_1uip
 from .cdcl import clause_status  # noqa: F401  perfbench/tracer.py counts calls through this name
 from .errors import ResourceLimitError
-from .jsonl import json_line
+from .jsonl import event_line, json_line
 from .logic import Atom, Clause, Constant, Literal, Variable, clauses_by_id
 
 DEFAULT_INSTANCE_CAP = 1_000_000
@@ -776,5 +776,5 @@ def render(result: SclResult, as_json: bool) -> list[str]:
         text = f"stats propagations={s.propagations} decisions={s.decisions} trail={len(state.trail)}"
         add(json_line({"line": text, "event": "scl", "kind": "stats"}) if as_json else text + "\n")
     text = _VERDICTS[result.verdict]
-    add(json_line({"line": text, "event": "result"}) if as_json else text + "\n")
+    add(event_line("result", text) if as_json else text + "\n")
     return lines

@@ -842,9 +842,9 @@ def reference_ordered_resolve(c1: Clause, c2: Clause, cfg: WeightedOrderingConfi
     """Ordered resolvents of two clauses: try every positive/negative pair with `reference_resolution_step`."""
     out = []
     for positive, negative in ((c1, c2), (c2, c1)):
-        if sel.selected_index(positive) is not None:
+        if sel(positive) is not None:
             continue
-        neg_selected = sel.selected_index(negative)
+        neg_selected = sel(negative)
         for i, pl in enumerate(positive.literals):
             if not pl.positive:
                 continue

@@ -36,8 +36,8 @@ from clausekit.lia import (
 from clausekit.logic import Atom, Clause, Constant, Literal, Variable, renamed_equal
 from clausekit.ordering import default_config
 from clausekit.resolution import (
-    SelectFirstNegative,
-    SelectNone,
+    first_negative,
+    no_selection,
     replay,
     saturate,
 )
@@ -207,10 +207,10 @@ def test_07_zero_inference_saturation():
     clauses = counter_problem(4)[:-1]
     cfg = default_config(counter_problem(4))
     assert cfg.prec_of("1") > cfg.prec_of("0")
-    result = saturate(clauses, cfg, SelectNone())
+    result = saturate(clauses, cfg, no_selection)
     assert result.verdict == "saturated"
     assert result.generated == 0
-    best = min(_timed(lambda: saturate(clauses, cfg, SelectNone())) for _ in range(100))
+    best = min(_timed(lambda: saturate(clauses, cfg, no_selection)) for _ in range(100))
     assert best < 0.001, f"saturation took {best * 1000:.3f} ms"
     report(7, "zero-inference saturation", started)
 
@@ -236,7 +236,7 @@ def test_08_resolution_oracle_equivalence():
     for _ in range(200):
         clauses = _random_bs_set(rng)
         cfg = default_config(clauses)
-        sel = rng.choice([SelectNone(), SelectFirstNegative()])
+        sel = rng.choice([no_selection, first_negative])
         result = saturate(clauses, cfg, sel, max_generated=50_000)
         assert result.verdict in ("unsat", "saturated"), "limit hit on desk-scale input"
         expected = ground_satisfiable(clauses, [C0, C1])

@@ -167,6 +167,28 @@ def test_a_failed_write_is_an_output_error(capsys):
     assert capsys.readouterr() == ("", f"error: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}\n")
 
 
+def test_an_output_that_cannot_take_the_text_is_an_output_error(capsys):
+    # the SCL trace spells substitutions with `σ`, which ASCII lacks
+    ascii_out = io.TextIOWrapper(io.BytesIO(), encoding="ascii")
+    assert main(["--mode", "scl", "--counter-n", "2"], ascii_out) == EXIT_OUTPUT_ERROR
+    assert re.fullmatch(r"error: 'ascii' codec can't encode character '\\u03c3' [^\n]+\n", capsys.readouterr().err)
+    closed = io.StringIO()
+    closed.close()
+    assert main(["--mode", "scl", "--counter-n", "2"], closed) == EXIT_OUTPUT_ERROR
+    assert capsys.readouterr() == ("", "error: I/O operation on closed file.\n")
+
+
+@pytest.mark.parametrize("mode", ["scl", "resolution"])  # `σ` in the SCL trace, `⊥` in the refutation
+def test_an_ascii_stdout_is_an_output_error(mode):
+    src = str(Path(clausekit.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
+           "PYTHONIOENCODING": "ascii"}
+    proc = subprocess.run([sys.executable, "-m", "clausekit", "--mode", mode, "--counter-n", "2"],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == EXIT_OUTPUT_ERROR
+    assert re.fullmatch(r"error: 'ascii' codec can't encode character [^\n]+\n", proc.stderr)
+
+
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full, where every write fails with ENOSPC")
 def test_a_full_disk_is_an_output_error(tmp_path):
     # as `clausekit --mode scl --counter-n 4 > /dev/full`; an --input that does not exist is still a usage error
@@ -185,33 +207,49 @@ def test_a_full_disk_is_an_output_error(tmp_path):
     ]
 
 
-def crashing_grounding(*args, **kwargs):
-    raise KeyError("crash")
+@pytest.mark.parametrize("argv", [
+    ["--mode", "cdcl", "--input", "{bad}"],
+    ["--mode", "scl", "--input", "{bad}"],
+    ["--mode", "lia-decide", "--input", "{bad}"],
+    ["--mode", "resolution-replay", "--counter-n", "2", "--replay", "{bad}"],
+], ids=["dimacs", "bs", "lia", "script"])
+def test_an_input_that_is_not_utf8_is_a_parse_error(tmp_path, capsys, argv):
+    (tmp_path / "bad").write_bytes(b"c 1\nx \xff\n")
+    assert run_cli(*[a.replace("{bad}", str(tmp_path / "bad")) for a in argv]) == (EXIT_USAGE, "")
+    assert capsys.readouterr().err == "error: byte 0xff is not UTF-8 (line 2, column 3)\n"
+
+
+CRASHES = [(KeyError("crash"), "KeyError: 'crash'\n"), (ValueError("crash"), "ValueError: crash\n")]
 
 
 def test_a_crash_is_an_internal_error(monkeypatch, capsys):
-    # an engine fault is neither bad input (2) nor a limit (1)
-    monkeypatch.setattr(clausekit.scl, "ground_problem", crashing_grounding)
-    assert run_cli("--mode", "scl", "--counter-n", "2") == (EXIT_INTERNAL, "")
-    err = capsys.readouterr().err
-    assert err.startswith("internal error: Traceback (most recent call last):\n")
-    assert "in crashing_grounding" in err and err.endswith("\nKeyError: 'crash'\n")
+    # an engine fault is neither bad input (2) nor a limit (1), whichever exception it raises
+    for exc, last in CRASHES:
+        def crashing_grounding(*args, **kwargs):
+            raise exc
+
+        monkeypatch.setattr(clausekit.scl, "ground_problem", crashing_grounding)
+        assert run_cli("--mode", "scl", "--counter-n", "2") == (EXIT_INTERNAL, "")
+        err = capsys.readouterr().err
+        assert err.startswith("internal error: Traceback (most recent call last):\n")
+        assert "in crashing_grounding" in err and err.endswith("\n" + last)
 
 
 def test_a_crash_under_python_dash_m_is_an_internal_error():
     # as `python -m clausekit`, but with the grounding replaced before the entry point runs
     src = str(Path(clausekit.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    script = (
-        "import runpy, sys, clausekit.scl\n"
-        "def crash(*args, **kwargs): raise KeyError('crash')\n"
-        "clausekit.scl.ground_problem = crash\n"
-        "sys.argv = ['clausekit', '--mode', 'scl', '--counter-n', '2']\n"
-        "runpy.run_module('clausekit', run_name='__main__', alter_sys=True)\n"
-    )
-    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=60)
-    assert (proc.returncode, proc.stdout) == (EXIT_INTERNAL, "")
-    assert proc.stderr.startswith("internal error: Traceback") and proc.stderr.endswith("KeyError: 'crash'\n")
+    for exc, last in CRASHES:
+        script = (
+            "import runpy, sys, clausekit.scl\n"
+            f"def crash(*args, **kwargs): raise {exc!r}\n"
+            "clausekit.scl.ground_problem = crash\n"
+            "sys.argv = ['clausekit', '--mode', 'scl', '--counter-n', '2']\n"
+            "runpy.run_module('clausekit', run_name='__main__', alter_sys=True)\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=60)
+        assert (proc.returncode, proc.stdout) == (EXIT_INTERNAL, "")
+        assert proc.stderr.startswith("internal error: Traceback") and proc.stderr.endswith(last)
 
 
 class TestResolutionMode:

@@ -12,6 +12,7 @@ from clausekit.formats import (
     parse_dimacs,
     parse_lia,
     parse_script,
+    read_text,
 )
 from clausekit.lia import Bound
 from clausekit.logic import Atom, Clause, Constant, Literal, Variable
@@ -320,3 +321,26 @@ def test_script_steps_are_ascii_digits():
 def test_propclause_rejects_zero():
     with pytest.raises(ValueError):
         PropClause(1, (0,))
+
+
+def test_read_text_reads_as_text_mode_does(tmp_path):
+    # UTF-8 with universal newlines: CRLF, CR and LF all become LF; a BOM and other line breaks stay
+    path = tmp_path / "input"
+    for data in [b"", b"p cnf 1 1\n1 0\n", b"a\r\nb\rc\n\r\n\r", "\ufeff\u03c3\x85\u2028x\x0cy".encode(), b"\r"]:
+        path.write_bytes(data)
+        with open(path, encoding="utf-8") as handle:
+            assert read_text(str(path)) == handle.read()
+
+
+@pytest.mark.parametrize("data, message", [
+    (b"\xff", "byte 0xff is not UTF-8 (line 1, column 1)"),
+    (b"p cnf 1 1\r\n1 \xfe0\n", "byte 0xfe is not UTF-8 (line 2, column 3)"),
+    ("P(\u00e9).\n-P(\u00e9\u00e9".encode() + b"\x80).", "byte 0x80 is not UTF-8 (line 2, column 6)"),
+    (b"x <= 1\rx >= \xe2\x82", "byte 0xe2 is not UTF-8 (line 2, column 6)"),  # a sequence cut short
+], ids=["first byte", "after CRLF", "after two-byte characters", "cut short after CR"])
+def test_read_text_positions_a_byte_that_is_not_utf8(tmp_path, data, message):
+    path = tmp_path / "input"
+    path.write_bytes(data)
+    with pytest.raises(ParseError) as info:
+        read_text(str(path))
+    assert str(info.value) == message

@@ -5,7 +5,8 @@ from collections import Counter
 import pytest
 
 from oracles import reference_kbo_compare, unit_weights
-from clausekit.errors import OrderingConfigError
+import clausekit
+from clausekit.errors import ClausekitError, OrderingConfigError, UsageError
 from clausekit.logic import Atom, Clause, Constant, Literal, Substitution, Variable
 from clausekit.ordering import (
     Cmp,
@@ -166,6 +167,19 @@ def test_config_with_precedence_override():
     cfg = config_with_precedence(CFG, ["0", "1"])
     assert cfg.prec_of("0") > cfg.prec_of("1")
     assert kbo_compare(P(x1, c0), P(x1, c1), cfg) is Cmp.GT
+
+
+@pytest.mark.parametrize("names, message", [
+    (["1", ""], "precedence has an empty name"),
+    (["1", "P", "1"], "precedence names '1' twice"),
+    (["Q"], "precedence names 'Q', which is no symbol of the problem"),
+])
+def test_a_bad_precedence_is_a_usage_error(names, message):
+    # a ClausekitError, so the CLI exits with 2, and still the ValueError that library callers catch
+    with pytest.raises(UsageError, match=f"^{message}$") as info:
+        config_with_precedence(CFG, names)
+    assert isinstance(info.value, ClausekitError) and isinstance(info.value, ValueError)
+    assert clausekit.UsageError is UsageError
 
 
 def test_agrees_with_the_weighted_reference_at_unit_weights():

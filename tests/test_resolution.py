@@ -34,13 +34,12 @@ from clausekit.resolution import (
     InputRule,
     ResolutionRule,
     SELECTIONS,
-    SelectFirstNegative,
-    SelectNone,
     check_linear_refutation,
+    first_negative,
     linear_counter_script,
+    no_selection,
     replay,
     saturate,
-    selection_from_name,
     subsumes,
 )
 from clausekit.scl import counter_problem
@@ -58,7 +57,7 @@ def _resolvents(c1, c2, cfg, sel):
 
 def _factors(clause, cfg):
     """Positive factors of the clause, the first merged literal maximal."""
-    return resolution._factors(resolution.ClauseRecord(clause, cfg, SelectNone()), cfg)
+    return resolution._factors(resolution.ClauseRecord(clause, cfg, no_selection), cfg)
 
 
 EXPECTED_DERIVED = parse_bs(
@@ -76,11 +75,10 @@ EXPECTED_DERIVED = parse_bs(
 class TestOrderedResolve:
     def test_jump_composition_step(self):
         # the carry clause resolves against the selected first literal of the next one
-        class SelectFirstOfClause3:
-            def selected_index(self, clause):
-                return 0 if clause.id == 3 else None
+        def select_first_of_clause_3(clause):
+            return 0 if clause.id == 3 else None
 
-        out = _resolvents(COUNTER4[1], COUNTER4[2], CFG, SelectFirstOfClause3())
+        out = _resolvents(COUNTER4[1], COUNTER4[2], CFG, select_first_of_clause_3)
         assert len(out) == 1
         assert renamed_equal(out[0].clause, EXPECTED_DERIVED[0])
         rule = out[0].rule
@@ -91,25 +89,25 @@ class TestOrderedResolve:
         # binary resolution of the two-literal clause 12 against unit clause 6
         # leaves -P(0,0,0,0); the empty clause needs one more step via clause 1
         clause12 = EXPECTED_DERIVED[5]
-        out = _resolvents(clause12, COUNTER4[5], CFG, SelectNone())
+        out = _resolvents(clause12, COUNTER4[5], CFG, no_selection)
         assert [str(d.clause) for d in out] == ["-P(0,0,0,0)"]
 
     def test_two_positive_clauses(self):
         a = Clause(1, (Literal(True, Atom("P", (C0,))),))
         b = Clause(2, (Literal(True, Atom("P", (x1,))),))
-        assert _resolvents(a, b, CFG, SelectNone()) == []
+        assert _resolvents(a, b, CFG, no_selection) == []
 
     def test_selection_blocks_positive_premise(self):
         # with the first negative selected everywhere, the carry clauses cannot
         # serve as positive premises, so the jump composition is not generated
-        out = _resolvents(COUNTER4[1], COUNTER4[2], CFG, SelectFirstNegative())
+        out = _resolvents(COUNTER4[1], COUNTER4[2], CFG, first_negative)
         assert out == []
 
     def test_maximality_blocks_ineligible_negative(self):
         # without selection the negative literal of a carry clause is never
         # maximal, so nothing resolves among the first five counter clauses
         for a, b in itertools.combinations(COUNTER4[:-1], 2):
-            assert _resolvents(a, b, CFG, SelectNone()) == []
+            assert _resolvents(a, b, CFG, no_selection) == []
 
     def test_constant_clash_never_reaches_unify(self, monkeypatch):
         pairs = []
@@ -117,14 +115,14 @@ class TestOrderedResolve:
         monkeypatch.setattr(resolution, "unify", lambda a, b: pairs.append((a, b)) or real_unify(a, b))
         clash = parse_bs("P(0,x1).\n-P(1,x2) | Q(x2).")
         cfg = default_config(clash)
-        assert _resolvents(*clash, cfg, SelectFirstNegative()) == [] and pairs == []
+        assert _resolvents(*clash, cfg, first_negative) == [] and pairs == []
         meet = parse_bs("P(0,x1).\n-P(x2,1) | Q(x2).")
-        out = _resolvents(*meet, default_config(meet), SelectFirstNegative())
+        out = _resolvents(*meet, default_config(meet), first_negative)
         assert [str(d.clause) for d in out] == ["Q(0)"] and len(pairs) == 1
 
     def test_self_resolution_handled(self):
         clause = parse_bs("-Q(x1,0) | Q(0,x1).")[0]
-        out = _resolvents(clause, clause, default_config([clause]), SelectFirstNegative())
+        out = _resolvents(clause, clause, default_config([clause]), first_negative)
         assert all(isinstance(d.rule, ResolutionRule) for d in out)
 
 
@@ -192,13 +190,13 @@ def _random_clause(rng: random.Random, cid: int) -> Clause:
 
 class TestSaturate:
     def test_counter_without_final_clause_generates_nothing(self):
-        result = saturate(COUNTER4[:-1], CFG, SelectNone())
+        result = saturate(COUNTER4[:-1], CFG, no_selection)
         assert result.verdict == "saturated"
         assert result.generated == 0
 
     def test_unit_conflict(self):
         clauses = parse_bs("P(0). -P(0).")
-        result = saturate(clauses, default_config(clauses), SelectNone())
+        result = saturate(clauses, default_config(clauses), no_selection)
         assert result.verdict == "unsat"
         assert result.generated == 1
         assert result.proof[-1].clause.is_empty
@@ -206,31 +204,31 @@ class TestSaturate:
     def test_counter_with_first_negative_walks_the_chain(self):
         # the unit start clause feeds the selected carry literals one value at
         # a time: 2**n generated clauses, exponential like the ground engine
-        result = saturate(COUNTER4, CFG, SelectFirstNegative())
+        result = saturate(COUNTER4, CFG, first_negative)
         assert result.verdict == "unsat"
         assert result.generated == 16
 
     def test_limit(self):
-        result = saturate(COUNTER4, CFG, SelectFirstNegative(), max_generated=3)
+        result = saturate(COUNTER4, CFG, first_negative, max_generated=3)
         assert result.verdict == "limit"
         assert result.generated == 3
 
     def test_empty_input_clause(self):
         # the empty clause refutes on its own; the clause derived before it is subsumed by it
         clauses = [*parse_bs("P(x1). -P(0) | Q."), Clause(3, ())]
-        result = saturate(clauses, default_config(clauses), SelectNone())
+        result = saturate(clauses, default_config(clauses), no_selection)
         assert result.verdict == "unsat"
         assert result.proof == [DerivedClause(Clause(3, ()), InputRule())]
         assert (result.generated, result.subsumed) == (1, 1)
 
     def test_factoring_needed_for_completeness(self):
         clauses = parse_bs("P(x1) | P(x2). -P(x1) | -P(x2).")
-        result = saturate(clauses, default_config(clauses), SelectNone())
+        result = saturate(clauses, default_config(clauses), no_selection)
         assert result.verdict == "unsat"
 
     def test_proof_records_replay(self):
         clauses = parse_bs("P(0). -P(0) | Q(1). -Q(x1).")
-        result = saturate(clauses, default_config(clauses), SelectFirstNegative())
+        result = saturate(clauses, default_config(clauses), first_negative)
         assert result.verdict == "unsat"
         by_id = {c.id: c for c in clauses}
         for d in result.proof:
@@ -247,7 +245,7 @@ class TestSaturate:
         for _ in range(80):
             clauses = [_random_clause(rng, cid) for cid in range(1, rng.randint(3, 7))]
             cfg = default_config(clauses)
-            sel = rng.choice([SelectNone(), SelectFirstNegative()])
+            sel = rng.choice([no_selection, first_negative])
             result = saturate(clauses, cfg, sel, max_generated=300)
             by_id = {c.id: c for c in clauses}
             for cid in sorted(result.derivations):
@@ -255,7 +253,7 @@ class TestSaturate:
                 rule = d.rule
                 if isinstance(rule, ResolutionRule) and rule.positive_parent in by_id and rule.negative_parent in by_id:
                     pos, neg = by_id[rule.positive_parent], by_id[rule.negative_parent]
-                    assert sel.selected_index(pos) is None
+                    assert sel(pos) is None
                     pos_r, neg_r = rename_apart(pos, neg)
                     sigma = unify(
                         pos_r.literals[rule.positive_index - 1].atom,
@@ -265,7 +263,7 @@ class TestSaturate:
                     assert literal_is_maximal(
                         sigma.apply_clause(pos_r), rule.positive_index - 1, cfg
                     )
-                    sel_idx = sel.selected_index(neg)
+                    sel_idx = sel(neg)
                     assert sel_idx == rule.negative_index - 1 or (
                         sel_idx is None
                         and literal_is_maximal(
@@ -282,7 +280,7 @@ class TestSaturate:
         for _ in range(60):
             clauses = [_mono_clause(rng, cid) for cid in range(1, rng.randint(2, 8))]
             cfg = default_config(clauses)
-            sel = rng.choice([SelectNone(), SelectFirstNegative()])
+            sel = rng.choice([no_selection, first_negative])
             result = saturate(clauses, cfg, sel, max_generated=5000)
             expected = ground_satisfiable(clauses, [C0, C1])
             assert result.verdict in ("unsat", "saturated")
@@ -321,7 +319,7 @@ def test_saturate_matches_the_unindexed_loop():
     for _ in range(400):
         clauses = _bs_set(rng)
         cfg = default_config(clauses)
-        sel = rng.choice([SelectNone(), SelectFirstNegative()])
+        sel = rng.choice([no_selection, first_negative])
         cap = rng.choice([4, 15, 40])
         caps = [cap]
         while caps:
@@ -356,9 +354,9 @@ def test_saturate_matches_the_unindexed_loop_on_counters(n):
     satisfiable = problem[:-1]  # without the negated final value
     for clauses in (problem, satisfiable):
         cfg = default_config(clauses)
-        for sel in (SelectNone(), SelectFirstNegative()):
+        for sel in (no_selection, first_negative):
             _same_run(saturate(clauses, cfg, sel), reference_saturate(clauses, cfg, sel))
-    assert saturate(satisfiable, default_config(satisfiable), SelectNone()).generated == 0  # no inference
+    assert saturate(satisfiable, default_config(satisfiable), no_selection).generated == 0  # no inference
 
 
 def test_subsumption_index_is_the_index_of_what_it_retains():
@@ -507,25 +505,18 @@ def test_duplicate_clause_ids_rejected():
     clauses = [Clause(1, (Literal(True, atom),)), Clause(1, (Literal(False, atom),))]
     cfg = default_config(clauses)
     with pytest.raises(ValueError, match="duplicate clause id 1"):
-        saturate(clauses, cfg, SelectNone())
+        saturate(clauses, cfg, no_selection)
     with pytest.raises(ValueError, match="duplicate clause id 1"):
         replay(clauses, [(1, 1, 1, 1)])
     with pytest.raises(ValueError, match="duplicate clause id 1"):
         check_linear_refutation(clauses, [(1, 1, 1, 1)], cfg)
 
 
-def test_selection_from_name():
-    assert isinstance(selection_from_name("none"), SelectNone)
-    assert isinstance(selection_from_name("first-negative"), SelectFirstNegative)
-    with pytest.raises(ValueError):
-        selection_from_name("bogus")
-
-
 def test_the_cli_offers_the_selection_table():
-    # one table names the strategies, for selection_from_name and for --selection alike
+    # one table names the selection functions, for saturation and for --selection alike
     choices = next(a.choices for a in build_parser()._actions if a.dest == "selection")
     assert list(choices) == list(SELECTIONS) == ["none", "first-negative"]
-    assert all(type(selection_from_name(name)) is cls for name, cls in SELECTIONS.items())
+    assert SELECTIONS == {"none": no_selection, "first-negative": first_negative}
 
 
 # ---------------------------------------------------------------------------
@@ -568,7 +559,7 @@ def test_resolvents_match_the_chain_on_random_pairs():
     # apply_clause -> canonical_variant, with either clause the first argument
     rejected = derived = 0
     for a, b, cfg in _walk_pairs(33, 1500):
-        for sel in (SelectNone(), SelectFirstNegative()):
+        for sel in (no_selection, first_negative):
             for first, second in ((a, b), (b, a)):
                 want = reference_ordered_resolve(first, second, unit_weights(cfg), sel)
                 assert _resolvents(first, second, cfg, sel) == want
@@ -576,11 +567,11 @@ def test_resolvents_match_the_chain_on_random_pairs():
             unifiable = sum(
                 reference_resolution_step(p, i, n, j) is not None
                 for p, n in ((a, b), (b, a))[: 1 if a is b else 2]
-                if sel.selected_index(p) is None
+                if sel(p) is None
                 for i, pl in enumerate(p.literals)
                 if pl.positive
                 for j, nl in enumerate(n.literals)
-                if not nl.positive and sel.selected_index(n) in (None, j)
+                if not nl.positive and sel(n) in (None, j)
             )
             rejected += unifiable - len(reference_ordered_resolve(a, b, unit_weights(cfg), sel))
     assert derived > 1000 and rejected > 100
@@ -625,7 +616,7 @@ def test_inferences_build_no_premise_instance_that_nothing_reads(monkeypatch):
     for n in range(1, 13):
         replay(counter_problem(n), linear_counter_script(n))
     clauses = counter_problem(5)
-    assert saturate(clauses, default_config(clauses), SelectFirstNegative()).verdict == "unsat"
+    assert saturate(clauses, default_config(clauses), first_negative).verdict == "unsat"
     assert calls == []
     for n in range(1, 13):
         clauses, script = counter_problem(n), linear_counter_script(n)

@@ -20,7 +20,7 @@ from clausekit.cdcl import PropClause, TrailKernel
 from clausekit.formats import parse_bs
 from clausekit.logic import Atom, Clause, Constant, Literal, Variable
 from clausekit.ordering import default_config
-from clausekit.resolution import saturate, selection_from_name
+from clausekit.resolution import no_selection, saturate
 from clausekit import cli, scl
 from clausekit.scl import (
     FRESH_CONSTANT,
@@ -511,7 +511,7 @@ def test_constant_free_sets_agree_with_resolution():
             clauses.append(Clause(cid, tuple(lits)))
         result = scl_run(clauses)
         assert result.state.problem.domain == (FRESH_CONSTANT,)
-        saturation = saturate(clauses, default_config(clauses), selection_from_name("none"))
+        saturation = saturate(clauses, default_config(clauses), no_selection)
         assert saturation.verdict == ("unsat" if result.verdict == "unsat" else "saturated")
         verdicts[result.verdict] += 1
     assert "".join(render(scl_run(parse_bs("P(x). -P(y).")), False)).splitlines()[-3:] == [

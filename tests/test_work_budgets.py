@@ -6,7 +6,8 @@ module, in a process of its own under PYTHONHASHSEED=0.  An instruction
 count is exact, so unlike a wall-clock gate this cannot flake.  Each group's
 budget is its per-module count in `work_budgets.json`, keyed by Python minor
 version, since CPython's bytecode changes between minor versions.  A count
-more than 1% above its budget fails with the per-module split; a count more
+more than 1% above its budget fails with the per-module split and the
+largest functions of the module that rose most; a count more
 than 5% below it fails too, so that a saving is locked in by lowering the
 budget.  Work done in C counts as one instruction, so a budget catches added
 Python work, not every slowdown.
@@ -22,7 +23,7 @@ from pathlib import Path
 
 import pytest
 
-from instruction_counts import counted, over
+from instruction_counts import by_module, counted, over
 
 BUDGETS = Path(__file__).with_name("work_budgets.json")
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -50,7 +51,7 @@ def test_work_stays_within_its_budgets():
 
 if __name__ == "__main__":
     table = json.loads(BUDGETS.read_text()) if BUDGETS.exists() else {}
-    table[VERSION] = counted(str(SRC), "budgets")
+    table[VERSION] = {name: by_module(functions) for name, functions in counted(str(SRC), "budgets").items()}
     BUDGETS.write_text(json.dumps(table, indent=1, sort_keys=True) + "\n")
     for name, modules in table[VERSION].items():
         print(name, sum(modules.values()))
