@@ -10,6 +10,7 @@ and so does a byte of an input file that is not UTF-8 (`read_text`).
 from __future__ import annotations
 
 import re
+import sys
 
 from .cdcl import PropClause
 from .errors import ParseError
@@ -46,6 +47,26 @@ def _line_position(text: str, index: int, at: int = 0) -> tuple[int, int]:
     return _position(text, sum(map(len, lines[:index])) + lead + at)
 
 
+# Python (3.11, and 3.10.7 on) limits the digits, leading zeros included, of
+# a decimal string that `int()` converts, 4300 by default; 0 means no limit.
+# A number past it is a parse error.  Each parser's `try` encloses its whole
+# loop, so valid input pays nothing for the check.
+def _too_long(digits: str) -> bool:
+    """Whether `int()` refuses a run of ASCII digits for its length."""
+    return 0 < getattr(sys, "get_int_max_str_digits", lambda: 0)() < len(digits)
+
+
+def _too_long_message(digits: str) -> str:
+    """The parse error's message for a number that `int()` refuses."""
+    return f"number of {len(digits)} digits exceeds the limit of {sys.get_int_max_str_digits()}"
+
+
+def _long_number(text: str, index: int, line: str) -> ParseError:
+    """The error of the first number too long for `int()` in line `index` of `text`, stripped to `line`."""
+    m = next(m for m in re.finditer(r"[0-9]+", line) if _too_long(m.group()))
+    return ParseError(_too_long_message(m.group()), *_line_position(text, index, m.start()))
+
+
 # ---------------------------------------------------------------------------
 # DIMACS CNF
 # ---------------------------------------------------------------------------
@@ -65,31 +86,34 @@ def parse_dimacs(text: str) -> tuple[int, list[PropClause]]:
     num_vars = num_clauses = header = None
     clauses: list[PropClause] = []
     pending: list[int] = []
-    for index, line in enumerate(text.splitlines()):
-        line = line.strip()
-        if not line or line.startswith("c"):
-            continue
-        if line.startswith("p"):
-            if num_vars is not None:
-                raise ParseError("duplicate DIMACS header", *_line_position(text, index))
-            m = re.fullmatch(r"p\s+cnf\s+([0-9]+)\s+([0-9]+)", line)
-            if not m:
-                raise ParseError(f"malformed header: {line!r}", *_line_position(text, index))
-            num_vars, num_clauses, header = int(m.group(1)), int(m.group(2)), index
-            continue
-        if num_vars is None:
-            raise ParseError("clause before the DIMACS header", *_line_position(text, index))
-        if not _DIMACS_CLAUSE_LINE.fullmatch(line):
-            raise _dimacs_line_error(text, index, line, num_vars)
-        for lit in map(int, line.split()):
-            if not lit:
-                clauses.append(_new(PropClause, (len(clauses) + 1, tuple(pending))))
-                pending = []
-            elif -num_vars <= lit <= num_vars:
-                pending.append(lit)
-            else:
+    try:
+        for index, line in enumerate(text.splitlines()):
+            line = line.strip()
+            if not line or line.startswith("c"):
+                continue
+            if line.startswith("p"):
+                if num_vars is not None:
+                    raise ParseError("duplicate DIMACS header", *_line_position(text, index))
+                m = re.fullmatch(r"p\s+cnf\s+([0-9]+)\s+([0-9]+)", line)
+                if not m:
+                    raise ParseError(f"malformed header: {line!r}", *_line_position(text, index))
+                num_vars, num_clauses, header = int(m.group(1)), int(m.group(2)), index
+                continue
+            if num_vars is None:
+                raise ParseError("clause before the DIMACS header", *_line_position(text, index))
+            if not _DIMACS_CLAUSE_LINE.fullmatch(line):
                 raise _dimacs_line_error(text, index, line, num_vars)
-        last = index
+            for lit in map(int, line.split()):
+                if not lit:
+                    clauses.append(_new(PropClause, (len(clauses) + 1, tuple(pending))))
+                    pending = []
+                elif -num_vars <= lit <= num_vars:
+                    pending.append(lit)
+                else:
+                    raise _dimacs_line_error(text, index, line, num_vars)
+            last = index
+    except ValueError:  # a number too long for int()
+        raise _long_number(text, index, line) from None
     if pending:  # just after the last literal
         end = len(text.splitlines()[last].strip())
         raise ParseError("unterminated clause at end of input", *_line_position(text, last, end))
@@ -102,10 +126,15 @@ def parse_dimacs(text: str) -> tuple[int, list[PropClause]]:
 
 
 def _dimacs_line_error(text: str, index: int, line: str, num_vars: int) -> ParseError:
-    """The error of the first token of clause line `index` that is no literal or exceeds the variables."""
-    tok = next(t for t in line.split() if not _DIMACS_LITERAL.fullmatch(t) or abs(int(t)) > num_vars)
+    """The error of the first token of clause line `index` that is no literal, is too long or exceeds the variables."""
+    tok = next(
+        t for t in line.split()
+        if not _DIMACS_LITERAL.fullmatch(t) or _too_long(t.lstrip("-")) or abs(int(t)) > num_vars
+    )
     if not _DIMACS_LITERAL.fullmatch(tok):
         return ParseError(f"bad literal {tok!r}", *_word_position(text, index, line, tok))
+    if _too_long(tok.lstrip("-")):
+        return _long_number(text, index, line)
     message = f"literal {int(tok)} exceeds the declared {num_vars} variables"
     return ParseError(message, *_word_position(text, index, line, tok))
 
@@ -148,44 +177,47 @@ def parse_bs(text: str) -> list[Clause]:
     terms: dict[str, Term] = {}
     next_id = 1
     pos, end = len(text) - len(text.lstrip()), len(text)
-    while pos < end:
-        cid = next_id
-        m = _CLAUSE_ID.match(text, pos)
-        if m:
-            cid = int(m.group(1))
-            if cid in used_ids:
-                raise ParseError(f"duplicate clause id {cid}", *_position(text, pos))
-            pos = m.end()
-        literals = []
-        stop = "|"
-        while stop == "|":
-            m = _LITERAL.match(text, pos)
-            negative, name, opened, last, closed, stop = m.groups()
-            if name is None:
-                raise _unexpected(text, m.end(1), "expected an atom")
-            if name not in arities and is_variable_name(name):
-                message = f"predicate {name!r} starts with a variable prefix"
-                raise ParseError(message, *_position(text, m.start(2)))
-            args: tuple[Term, ...] = ()
-            if opened is not None:
-                if last is None:
-                    raise _unexpected(text, m.end(3), "expected a term")
-                if closed is None:
-                    raise _unexpected(text, m.end(4), "expected ',' or ')'")
-                names = opened[1:].replace(",", " ").split()
-                names.append(last)
-                args = tuple(terms.get(n) or terms.setdefault(n, term_from_name(n)) for n in names)
-            known = arities.setdefault(name, len(args))
-            if known != len(args):
-                message = f"predicate {name!r} used with arity {len(args)}, expected {known}"
-                raise ParseError(message, *_position(text, m.start(2)))
-            if stop is None:
-                raise _unexpected(text, m.end(), "expected '|' or '.'")
-            literals.append(Literal(not negative, Atom(name, args)))
-            pos = m.end()
-        used_ids.add(cid)
-        next_id = max(next_id, cid) + 1
-        clauses.append(Clause(cid, tuple(literals)))
+    try:
+        while pos < end:
+            cid = next_id
+            m = _CLAUSE_ID.match(text, pos)
+            if m:
+                cid = int(m.group(1))
+                if cid in used_ids:
+                    raise ParseError(f"duplicate clause id {cid}", *_position(text, pos))
+                pos = m.end()
+            literals = []
+            stop = "|"
+            while stop == "|":
+                m = _LITERAL.match(text, pos)
+                negative, name, opened, last, closed, stop = m.groups()
+                if name is None:
+                    raise _unexpected(text, m.end(1), "expected an atom")
+                if name not in arities and is_variable_name(name):
+                    message = f"predicate {name!r} starts with a variable prefix"
+                    raise ParseError(message, *_position(text, m.start(2)))
+                args: tuple[Term, ...] = ()
+                if opened is not None:
+                    if last is None:
+                        raise _unexpected(text, m.end(3), "expected a term")
+                    if closed is None:
+                        raise _unexpected(text, m.end(4), "expected ',' or ')'")
+                    names = opened[1:].replace(",", " ").split()
+                    names.append(last)
+                    args = tuple(terms.get(n) or terms.setdefault(n, term_from_name(n)) for n in names)
+                known = arities.setdefault(name, len(args))
+                if known != len(args):
+                    message = f"predicate {name!r} used with arity {len(args)}, expected {known}"
+                    raise ParseError(message, *_position(text, m.start(2)))
+                if stop is None:
+                    raise _unexpected(text, m.end(), "expected '|' or '.'")
+                literals.append(Literal(not negative, Atom(name, args)))
+                pos = m.end()
+            used_ids.add(cid)
+            next_id = max(next_id, cid) + 1
+            clauses.append(Clause(cid, tuple(literals)))
+    except ValueError:  # a clause id too long for int(), the loop's one conversion
+        raise ParseError(_too_long_message(m.group(1)), *_position(text, m.start(1))) from None
     return clauses
 
 
@@ -218,52 +250,55 @@ _LIA_TERM = re.compile(
 def parse_lia(text: str) -> LiaSystem:
     """One inequation per line; '#' starts a comment; ids are line-ordered."""
     inequations: list[LinIneq] = []
-    for index, line in enumerate(text.splitlines()):
-        line = line.split("#", 1)[0].strip()
-        if not line:
-            continue
-        coeffs: dict[str, int] = {}
-        const, side, first, op, pos = 0, 1, True, None, 0
-        while True:
-            m = _LIA_TERM.match(line, pos)
-            operator, signs, number, times, factor, name, comparison = m.groups()
-            if first and operator == "+":
-                raise _lia_error(text, index, line, m.start(1), "dangling '+'")
-            if not first and not operator:
-                raise _lia_error(text, index, line, m.end(1), "expected an operator before {token!r}")
-            if number is None and name is None:
-                found = line[m.end(2) : m.end(2) + 1]
-                message = {"+": "dangling '+'", "*": "unexpected token '*'"}.get(found)
-                raise _lia_error(text, index, line, m.end(2), message or "expression ends with an operator")
-            if times and factor is None:
-                if m.end(4) == len(line):
-                    raise _lia_error(text, index, line, m.start(4), "expected an operator before '*'")
-                raise _lia_error(text, index, line, m.end(4), "expected a variable after '*', got {token!r}")
-            sign = -side if (operator == "-") ^ (signs.count("-") & 1) else side  # each '-' flips it
-            if name is not None:
-                coeffs[name] = coeffs.get(name, 0) + sign
-            elif factor is not None:
-                coeffs[factor] = coeffs.get(factor, 0) + sign * int(number)
-            else:
-                const += sign * int(number)
-            pos, first = m.end(), False
-            if comparison:
-                if op:
-                    raise _lia_error(text, index, line, m.start(7), "trailing input {rest!r}")
-                op, side, first = comparison, -1, True
-            elif pos == len(line):
-                break
-        if op is None:
-            raise _lia_error(text, index, line, len(line), "missing comparison operator")
-        if op in (">", ">="):
-            coeffs = {v: -a for v, a in coeffs.items()}
-            const = -const
-        if op in ("<", ">"):
-            const += 1  # strict over the integers
-        coeffs = {v: a for v, a in coeffs.items() if a != 0}
-        if not coeffs:
-            raise ParseError("inequation has no variable", *_line_position(text, index))
-        inequations.append(_new(LinIneq, (len(inequations) + 1, tuple(coeffs.items()), const)))
+    try:
+        for index, line in enumerate(text.splitlines()):
+            line = line.split("#", 1)[0].strip()
+            if not line:
+                continue
+            coeffs: dict[str, int] = {}
+            const, side, first, op, pos = 0, 1, True, None, 0
+            while True:
+                m = _LIA_TERM.match(line, pos)
+                operator, signs, number, times, factor, name, comparison = m.groups()
+                if first and operator == "+":
+                    raise _lia_error(text, index, line, m.start(1), "dangling '+'")
+                if not first and not operator:
+                    raise _lia_error(text, index, line, m.end(1), "expected an operator before {token!r}")
+                if number is None and name is None:
+                    found = line[m.end(2) : m.end(2) + 1]
+                    message = {"+": "dangling '+'", "*": "unexpected token '*'"}.get(found)
+                    raise _lia_error(text, index, line, m.end(2), message or "expression ends with an operator")
+                if times and factor is None:
+                    if m.end(4) == len(line):
+                        raise _lia_error(text, index, line, m.start(4), "expected an operator before '*'")
+                    raise _lia_error(text, index, line, m.end(4), "expected a variable after '*', got {token!r}")
+                sign = -side if (operator == "-") ^ (signs.count("-") & 1) else side  # each '-' flips it
+                if name is not None:
+                    coeffs[name] = coeffs.get(name, 0) + sign
+                elif factor is not None:
+                    coeffs[factor] = coeffs.get(factor, 0) + sign * int(number)
+                else:
+                    const += sign * int(number)
+                pos, first = m.end(), False
+                if comparison:
+                    if op:
+                        raise _lia_error(text, index, line, m.start(7), "trailing input {rest!r}")
+                    op, side, first = comparison, -1, True
+                elif pos == len(line):
+                    break
+            if op is None:
+                raise _lia_error(text, index, line, len(line), "missing comparison operator")
+            if op in (">", ">="):
+                coeffs = {v: -a for v, a in coeffs.items()}
+                const = -const
+            if op in ("<", ">"):
+                const += 1  # strict over the integers
+            coeffs = {v: a for v, a in coeffs.items() if a != 0}
+            if not coeffs:
+                raise ParseError("inequation has no variable", *_line_position(text, index))
+            inequations.append(_new(LinIneq, (len(inequations) + 1, tuple(coeffs.items()), const)))
+    except ValueError:  # the number of the term at hand is too long for int()
+        raise _lia_error(text, index, line, m.start(3), _too_long_message(number)) from None
     return LiaSystem(inequations)
 
 
@@ -301,7 +336,11 @@ def parse_bound(text: str) -> Bound:
         missing = next((g for g in (2, 4, 7) if m.group(g) is None), None)
         at = m.end() if missing is None else m.end(missing - 1)
         raise ParseError(f"malformed bound {text!r}", 1, min(at, len(text.rstrip())) + 1)
-    return Bound.make(name, op, int(sign + number))
+    try:
+        value = int(sign + number)
+    except ValueError:
+        raise ParseError(_too_long_message(number), 1, m.start(6) + 1) from None
+    return Bound.make(name, op, value)
 
 
 # ---------------------------------------------------------------------------
@@ -315,13 +354,16 @@ _SCRIPT_LINE = re.compile(r"([0-9]+)\.([0-9]+)\s+Res\s+([0-9]+)\.([0-9]+)")
 def parse_script(text: str) -> list[ScriptStep]:
     """One `L.i Res R.j` per line; '#' starts a comment."""
     steps: list[ScriptStep] = []
-    for index, line in enumerate(text.splitlines()):
-        line = line.split("#", 1)[0].strip()
-        if not line:
-            continue
-        m = _SCRIPT_LINE.fullmatch(line)
-        if not m:
-            raise ParseError(f"malformed script step {line!r}", *_line_position(text, index))
-        steps.append(tuple(int(g) for g in m.groups()))  # type: ignore[arg-type]
+    try:
+        for index, line in enumerate(text.splitlines()):
+            line = line.split("#", 1)[0].strip()
+            if not line:
+                continue
+            m = _SCRIPT_LINE.fullmatch(line)
+            if not m:
+                raise ParseError(f"malformed script step {line!r}", *_line_position(text, index))
+            steps.append(tuple(int(g) for g in m.groups()))  # type: ignore[arg-type]
+    except ValueError:  # a number too long for int()
+        raise _long_number(text, index, line) from None
     return steps
 

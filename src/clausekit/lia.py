@@ -96,7 +96,17 @@ class Bound(NamedTuple):
         return ">=" if self.lower else "<="
 
     def __str__(self) -> str:
-        return f"{self.var} {self.kind} {self.value}"
+        return f"{self.var} {self.kind} {_digits(self.value)}"
+
+
+def _digits(value: int) -> str:
+    """str(value), also past the number of digits that str() converts, 4300 by default: Decimal has no limit."""
+    try:
+        return str(value)
+    except ValueError:
+        from decimal import Decimal  # only so long a value needs it, so the CLI's start does not pay for it
+
+        return str(Decimal(value))
 
 
 # builds a NamedTuple from its fields' tuple in C, without the generated Python-level __new__
@@ -178,13 +188,17 @@ def conflicting_inequation(value: list[int | None], candidates: Iterable[Compile
 
 
 class LiaPropagation(NamedTuple):
-    """A propagation's verdict, "fixpoint", "conflict" or "diverged", its bounds, trail and tightenings."""
+    """A propagation's verdict, "fixpoint", "conflict" or "diverged", its trail and tightenings."""
 
     verdict: str
-    bounds: dict[BoundKey, Bound]
     trail: list[Bound]
     steps: int
     inequation_id: int | None = None  # the conflicting inequation of a "conflict"
+
+    @property
+    def bounds(self) -> dict[BoundKey, Bound]:
+        """Each bound's last record on the trail, keyed by (variable, lower), in first-bound order."""
+        return {b[:2]: b for b in self.trail}
 
 
 def _readers(
@@ -240,7 +254,6 @@ def propagate_bounds(
     lower_of = [True, False] * len(index)
     value: list[int | None] = [None] * (2 * len(index))
     trail: list[Bound] = []
-    latest: dict[int, Bound] = {}  # each bound slot's last record, slots in first-bound order
     for b in decisions:
         slot = 2 * index[b.var] + (not b.lower)
         old = value[slot]
@@ -248,12 +261,13 @@ def propagate_bounds(
             continue
         value[slot] = b.value
         trail.append(b)
-        latest[slot] = b
-    steps = 0
+    # the decisions applied; every later trail entry is a tightening, a step
+    decided = len(trail)
+    cap = decided + max_steps
     pairs, inequations, scans, wakes = _readers(system, index)
     cid = conflicting_inequation(value, inequations)
     if cid is not None:
-        return _propagation("conflict", latest, trail, steps, cid)
+        return LiaPropagation("conflict", trail, 0, cid)
     n = len(pairs)
     # a heap of the visits due, each as sweep * n + pair index, and per pair
     # the latest visit it is queued for; both start with the whole first sweep
@@ -266,32 +280,22 @@ def propagate_bounds(
         tighter = implied_bound(pair, value)
         if tighter is None:
             continue
-        if steps >= max_steps:
-            return _propagation("diverged", latest, trail, steps)
+        if len(trail) >= cap:
+            return LiaPropagation("diverged", trail, max_steps)
         slot = pair[2]
         value[slot] = tighter
-        bound = _new(Bound, (var_of[slot], lower_of[slot], tighter, pair[4]))  # the tightening's one record
-        trail.append(bound)
-        latest[slot] = bound
-        steps += 1
+        trail.append(_new(Bound, (var_of[slot], lower_of[slot], tighter, pair[4])))  # the tightening's one record
         # while none conflicts, a tightening moves only the minima that read it
         cid = conflicting_inequation(value, scans[p])
         if cid is not None:
-            return _propagation("conflict", latest, trail, steps, cid)
+            return LiaPropagation("conflict", trail, len(trail) - decided, cid)
         sweep = t - p
         for r in wakes[p]:
             visit = sweep + r if r > p else sweep + n + r  # later in this sweep, or in the next
             if queued[r] < visit:
                 queued[r] = visit
                 heappush(due, visit)
-    return _propagation("fixpoint", latest, trail, steps)
-
-
-def _propagation(
-    verdict: str, latest: dict[int, Bound], trail: list[Bound], steps: int, inequation_id: int | None = None
-) -> LiaPropagation:
-    """The result of a run, with `bounds` keyed by (variable, lower) in place of the slots of `latest`."""
-    return LiaPropagation(verdict, {b[:2]: b for b in latest.values()}, trail, steps, inequation_id)
+    return LiaPropagation("fixpoint", trail, len(trail) - decided)
 
 
 def apriori_bounds(system: LiaSystem) -> dict[str, tuple[int, int]]:
@@ -366,11 +370,10 @@ def render(result: LiaPropagation | LiaDecision, as_json: bool) -> list[str]:
     elif verdict in ("unsat", "limit"):
         lines, event = [verdict + "\n"], "result"
     else:
-        lines = [
-            f"bound {var} {'>=' if lower else '<='} {value} <- decision\n" if reason is None
-            else f"bound {var} {'>=' if lower else '<='} {value} <- ineq {reason}\n"
-            for var, lower, value, reason in result.trail
-        ]
+        try:
+            lines = _bound_lines(result.trail)
+        except ValueError:  # a value of more digits than str() converts
+            lines = _bound_lines([(var, lower, _digits(value), reason) for var, lower, value, reason in result.trail])
         if verdict == "fixpoint":
             lines.append("fixpoint\n")
         elif verdict == "conflict":
@@ -381,3 +384,12 @@ def render(result: LiaPropagation | LiaDecision, as_json: bool) -> list[str]:
     if as_json:
         return [event_line(event, line[:-1]) for line in lines]
     return lines
+
+
+def _bound_lines(trail: Iterable[tuple]) -> list[str]:
+    """The text lines of a propagation's trail, one bound per line."""
+    return [
+        f"bound {var} {'>=' if lower else '<='} {value} <- decision\n" if reason is None
+        else f"bound {var} {'>=' if lower else '<='} {value} <- ineq {reason}\n"
+        for var, lower, value, reason in trail
+    ]

@@ -365,21 +365,17 @@ def saturate(
     Two input clauses with one id are a ValueError.
     """
     inputs = clauses_by_id(clauses)
-    if len(inputs) == 0:
-        return SaturationResult("saturated", 0, 0, 0, 0, [], {}, None)
     passive: deque[Clause] = deque(inputs[i] for i in sorted(inputs))
     active: dict[int, ClauseRecord] = {}
     partner_index: defaultdict[tuple, dict[int, ClauseRecord]] = defaultdict(dict)
-    index = SubsumptionIndex()
+    index = SubsumptionIndex()  # a clause is live exactly while the index holds it
     for c in passive:
         index.add(c, _anchors(c))
-    removed: set[int] = set()
     derivations: dict[int, DerivedClause] = {}
-    next_id = max(inputs) + 1
-    generated = kept = subsumed = tautologies = 0
+    first_derived = next_id = max(inputs, default=0) + 1
+    generated = subsumed = tautologies = 0
 
     def remove(clause: Clause) -> None:
-        removed.add(clause.id)
         index.remove(clause)
         record = active.pop(clause.id, None)
         if record is not None:
@@ -388,14 +384,14 @@ def saturate(
 
     def result(verdict: str, proof: list[DerivedClause] | None = None) -> SaturationResult:
         retained = [r.clause for r in active.values()]
-        retained += [c for c in passive if c.id not in removed]
+        retained += [c for c in passive if c.id in index.anchors]
         return SaturationResult(
-            verdict, generated, kept, subsumed, tautologies, retained, derivations, proof
+            verdict, generated, next_id - first_derived, subsumed, tautologies, retained, derivations, proof
         )
 
     while passive:
         given = passive.popleft()
-        if given.id in removed:
+        if given.id not in index.anchors:
             continue
         if given.is_empty:
             return result("unsat", [DerivedClause(given, InputRule())])
@@ -436,7 +432,6 @@ def saturate(
             derivations[next_id] = DerivedClause(clause, derived.rule)
             passive.append(clause)
             index.add(clause, anchors)
-            kept += 1
             next_id += 1
     return result("saturated")
 

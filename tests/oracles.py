@@ -488,11 +488,16 @@ def reference_conflicting_inequation(system, current, candidates=None) -> int | 
     return None
 
 
-def reference_propagate_bounds(system, decisions, max_steps: int):
-    """Round-robin bound tightening that visits every (inequation, variable) pair in every sweep."""
+def reference_propagate_bounds(system, decisions, max_steps: int, current=None):
+    """Round-robin bound tightening that visits every (inequation, variable) pair in every sweep.
+
+    `current`, an empty dict if given, ends holding each (variable, lower)
+    key's latest bound, keys in first-bound order: the run's own table of bounds.
+    """
     if max_steps < 0:
         raise ValueError("max_steps must be non-negative")
-    current: dict[tuple[str, bool], Bound] = {}
+    if current is None:
+        current = {}
     trail: list[Bound] = []
     for b in decisions:
         key = (b.var, b.lower)
@@ -506,7 +511,7 @@ def reference_propagate_bounds(system, decisions, max_steps: int):
     steps = 0
     cid = reference_conflicting_inequation(system, current)
     if cid is not None:
-        return LiaPropagation("conflict", current, trail, steps, cid)
+        return LiaPropagation("conflict", trail, steps, cid)
     # while none conflicts, a tightening can only make one conflict that mentions its variable
     mentions: dict[str, list] = {}
     for ineq in system.inequations:
@@ -520,16 +525,16 @@ def reference_propagate_bounds(system, decisions, max_steps: int):
                 if bound is None:
                     continue
                 if steps >= max_steps:
-                    return LiaPropagation("diverged", current, trail, steps)
+                    return LiaPropagation("diverged", trail, steps)
                 current[(bound.var, bound.lower)] = bound
                 trail.append(bound)
                 steps += 1
                 changed = True
                 cid = reference_conflicting_inequation(system, current, mentions[bound.var])
                 if cid is not None:
-                    return LiaPropagation("conflict", current, trail, steps, cid)
+                    return LiaPropagation("conflict", trail, steps, cid)
         if not changed:
-            return LiaPropagation("fixpoint", current, trail, steps)
+            return LiaPropagation("fixpoint", trail, steps)
 
 
 def reference_resolve_1uip(trail, conflict_lits, level, reason_lits):

@@ -219,6 +219,26 @@ def test_an_input_that_is_not_utf8_is_a_parse_error(tmp_path, capsys, argv):
     assert capsys.readouterr().err == "error: byte 0xff is not UTF-8 (line 2, column 3)\n"
 
 
+LONG = "7" * 5000  # more digits than int() converts, 4300 by default
+
+
+@pytest.mark.parametrize("argv, text, position", [
+    (["--mode", "cdcl", "--input", "{bad}"], f"p cnf 1 1\n1 {LONG} 0\n", "line 2, column 3"),
+    (["--mode", "cdcl", "--input", "{bad}"], f"p cnf 1 {LONG}\n1 0\n", "line 1, column 9"),
+    (["--mode", "scl", "--input", "{bad}"], f"P(a).\n {LONG} : -P(a).\n", "line 2, column 2"),
+    (["--mode", "lia-propagate", "--input", "{bad}"], f"x - {LONG}*y <= 0\n", "line 1, column 5"),
+    (["--mode", "lia-decide", "--input", "{bad}"], f"{LONG}*x - y <= 0\n", "line 1, column 1"),
+    (["--mode", "resolution-replay", "--counter-n", "2", "--replay", "{bad}"],
+     f"2.2 Res 3.1\n  2.{LONG} Res 3.1\n", "line 2, column 5"),
+    (["--mode", "lia-propagate", "--input", "{bad}", "--decide", f"x>=-{LONG}"], "x - y <= 0\n", "line 1, column 4"),
+], ids=["dimacs-literal", "dimacs-header", "bs-clause-id", "lia-propagate", "lia-decide", "script", "decide"])
+def test_a_number_too_long_for_int_is_a_parse_error(tmp_path, capsys, argv, text, position):
+    (tmp_path / "bad").write_text(text)
+    assert run_cli(*[a.replace("{bad}", str(tmp_path / "bad")) for a in argv]) == (EXIT_USAGE, "")
+    limit = sys.get_int_max_str_digits()
+    assert capsys.readouterr().err == f"error: number of 5000 digits exceeds the limit of {limit} ({position})\n"
+
+
 CRASHES = [(KeyError("crash"), "KeyError: 'crash'\n"), (ValueError("crash"), "ValueError: crash\n")]
 
 
@@ -346,6 +366,8 @@ class TestLiaModes:
         ("x <= 10\n", ("x>=5", "x<=4"), "x <= 4 crosses x >= 5"),
         ("", ("x>=0", "x<=-1"), "x <= -1 crosses x >= 0"),
         ("y <= 3\n", ("x<=2", "y>=0", "x>3"), "x >= 4 crosses x <= 2"),
+        # x > 99...9, of 4300 nines, is x >= 10**4300, a value of more digits than str() converts
+        pytest.param("", (f"x>{'9' * 4300}", "x<0"), f"x <= -1 crosses x >= 1{'0' * 4300}", id="past-the-digit-limit"),
     ])
     def test_crossing_decisions_are_a_usage_error(self, tmp_path, capsys, fmt, system, decisions, message):
         # propagation reads conflicts off the inequations only, so these ran to "fixpoint" (exit 10)
@@ -356,6 +378,17 @@ class TestLiaModes:
             argv += ["--decide", d]
         assert run_cli(*argv) == (EXIT_USAGE, "")
         assert capsys.readouterr().err == f"error: --decide {message}\n"
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_bounds_print_in_full_past_the_digit_limit(self, tmp_path, fmt):
+        # from x >= 1, 10**100 * x <= y <= x multiplies a bound by 10**100 per step: step 100 is x >= 10**5000
+        path = tmp_path / "grow.lia"
+        path.write_text(f"1{'0' * 100}*x - y <= 0\ny - x <= 0\n")
+        code, out = run_cli("--mode", "lia-propagate", "--input", str(path), "--decide", "x>=1",
+                            "--max-steps", "100", "--format", fmt)
+        lines = [json.loads(line)["line"] for line in out.splitlines()] if fmt == "json" else out.splitlines()
+        assert code == EXIT_LIMIT and len(lines) == 102 and lines[-1] == "diverged steps=100"
+        assert lines[-2] == f"bound x >= 1{'0' * 5000} <- ineq 2"
 
     @pytest.mark.parametrize("fmt", ["text", "json"])
     def test_touching_decisions_run(self, tmp_path, fmt):

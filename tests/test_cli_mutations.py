@@ -21,6 +21,7 @@ from clausekit.formats import parse_bound, parse_bs, parse_dimacs, parse_lia, pa
 from test_cli_golden import FILES
 
 RUNS = 300  # per format
+LONG = 5000  # digits, more than int() converts by default
 DOCUMENTED = {EXIT_OK, EXIT_LIMIT, EXIT_USAGE, EXIT_SAT, EXIT_UNSAT}
 ALPHABET = "0123456789 \t\n-+*<=>()|.,:abpxyPQR"
 
@@ -75,6 +76,14 @@ def check_run(argv: list[str], parse, text: str, step_errors: bool, capsys) -> N
             assert err.startswith("error: step "), (argv, text, err)
 
 
+def lengthen(text: str) -> str:
+    """text with its first run of digits repeated to LONG digits; text without one gets a clause id of LONG digits."""
+    m = re.search(r"[0-9]+", text)
+    if m is None:
+        return "1" * LONG + ": " + text
+    return text[:m.start()] + (m.group() * LONG)[:LONG] + text[m.end():]
+
+
 @pytest.mark.parametrize("name", sorted(FORMATS))
 def test_edited_inputs_exit_with_a_documented_code(name, tmp_path, capsys):
     parse, inputs, argvs = FORMATS[name]
@@ -95,3 +104,20 @@ def test_edited_decide_bounds_exit_with_a_documented_code(tmp_path, capsys):
         argv = ["--mode", "lia-propagate", "--input", str(tmp_path / "fixpoint.lia"), f"--decide={bound}",
                 "--max-steps", "50"]
         check_run(argv, parse_bound, bound, False, capsys)
+
+
+@pytest.mark.parametrize("name", sorted(FORMATS))
+def test_inputs_with_a_number_too_long_for_int_exit_with_a_documented_code(name, tmp_path, capsys):
+    parse, inputs, argvs = FORMATS[name]
+    edited = tmp_path / "edited"
+    for text in map(lengthen, (FILES[i] for i in inputs)):
+        edited.write_text(text)
+        for argv in argvs:
+            check_run([a.replace("{edited}", str(edited)) for a in argv], parse, text, name == "script", capsys)
+
+
+def test_a_decide_bound_with_a_number_too_long_for_int_exits_with_a_documented_code(tmp_path, capsys):
+    (tmp_path / "fixpoint.lia").write_text(FILES["fixpoint.lia"])
+    bound = lengthen("x>=0")
+    argv = ["--mode", "lia-propagate", "--input", str(tmp_path / "fixpoint.lia"), f"--decide={bound}"]
+    check_run(argv, parse_bound, bound, False, capsys)

@@ -208,11 +208,12 @@ class TestPropagateBounds:
         assert min(kinds.values()) > 50 and len(kinds) == 6
 
     def test_bounds_match_round_robin_reference(self):
-        # the bounds built when the run returns are the reference's: each key's last bound, in first-bound order
+        # the bounds built from the trail are the reference's own table: each key's last bound, in first-bound order
         for system, decisions, cap, _outcome in _round_robin_cases():
             got = propagate_bounds(system, decisions, cap)
-            want = reference_propagate_bounds(system, decisions, cap)
-            assert list(got.bounds.items()) == list(want.bounds.items())
+            current = {}
+            want = reference_propagate_bounds(system, decisions, cap, current)
+            assert list(got.bounds.items()) == list(current.items())
             assert got == want
 
     def test_decision_on_a_variable_no_inequation_mentions(self):
