@@ -13,8 +13,11 @@ trail walk.  The engines differ only in the kernel's hooks (`unit_key`,
 DIMACS-style signed integers.
 Traces stay deterministic: the conflict is the smallest-id false clause and
 the propagating clause the smallest-id unit clause, as in an id-order scan.
-Events are tuples on the kernel.  `solve` returns one `CdclResult`, whose
-`verdict` is "sat" or "unsat"; `render` turns it into output lines.
+`search` is the one main loop of both engines; each brings its propagate,
+analyze, learn and decision steps.  Events are tuples on the kernel.  `solve`
+runs `search` over CDCL's steps and returns one `CdclResult`, whose `verdict`
+is "sat" or "unsat" and whose `proof` holds every analysis on either verdict;
+`render` turns it into output lines.
 """
 
 from __future__ import annotations
@@ -458,12 +461,36 @@ class ProofStep(NamedTuple):
 
 
 class CdclResult(NamedTuple):
-    """A run's verdict, "sat" with its model or "unsat" with its proof, and its final state."""
+    """A run's verdict, "sat" with its model or "unsat", its proof and its final state."""
 
     verdict: str
     state: CdclState
     model: tuple[int, ...] | None = None
-    proof: list[ProofStep] | None = None  # learned-clause sequence; the last entry derives falsum
+    proof: list[ProofStep] | None = None  # every analysis in order; an "unsat" one's last derives falsum
+
+
+def search(kernel: TrailKernel, propagate: Callable, analyze: Callable, learn: Callable, pick: Callable,
+           trail_cap: float = math.inf) -> tuple[str, list[ProofStep]]:
+    """The one main loop of both trail engines: propagate, then analyze and learn, finish, or decide.
+
+    `analyze` gives (learned, backjump level, steps), where level -1 ends the run; `learn` applies
+    the Backjump rule; `pick` names the decision.  Returns the verdict, "unsat", "sat" on a total
+    trail or "limit" at trail_cap, and the proof: every analysis as a `ProofStep`."""
+    atoms, trail, proof = len(kernel.true) >> 1, kernel.trail, []
+    while True:
+        propagate(kernel)
+        if kernel.conflict is not None:
+            learned, blevel, steps = analyze(kernel)
+            proof.append(_new(ProofStep, (kernel.conflict, tuple(steps), learned)))
+            if blevel < 0:
+                return "unsat", proof
+            learn(kernel, learned, blevel)
+        elif len(trail) == atoms:
+            return "sat", proof
+        elif len(trail) >= trail_cap:
+            return "limit", proof
+        else:
+            decide(kernel, pick(kernel))
 
 
 def solve(
@@ -471,25 +498,15 @@ def solve(
     num_vars: int | None = None,
     heuristic: DecisionHeuristic = lowest_index_negative,
 ) -> CdclResult:
-    """CDCL main loop: propagate, then analyze/backjump, finish, or decide."""
+    """CDCL: `search` over unit propagation, 1UIP analysis, the Backjump rule and the heuristic."""
     state = CdclState(clauses, num_vars)
-    proof: list[ProofStep] = []
-    while True:
-        propagate(state)
-        if state.conflict is not None:
-            learned, blevel, steps = analyze_conflict(state)
-            proof.append(_new(ProofStep, (state.conflict, tuple(steps), learned)))
-            if blevel < 0:
-                state.events.append(("unsat",))
-                return CdclResult("unsat", state, proof=proof)
-            backjump_and_learn(state, learned, blevel)
-        elif len(state.trail) == state.num_vars:
-            true = state.true
-            model = tuple(a if true[a] else -a for a in range(1, state.num_vars + 1))
-            state.events.append(("sat", model))
-            return CdclResult("sat", state, model=model)
-        else:
-            decide(state, heuristic(state))
+    verdict, proof = search(state, propagate, analyze_conflict, backjump_and_learn, heuristic)
+    if verdict == "unsat":
+        state.events.append(("unsat",))
+        return CdclResult("unsat", state, proof=proof)
+    model = tuple(a if state.true[a] else -a for a in range(1, state.num_vars + 1))
+    state.events.append(("sat", model))
+    return CdclResult("sat", state, model=model, proof=proof)
 
 
 # per event kind, the JSON fields after `kind` that the event's values give, in order

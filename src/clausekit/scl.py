@@ -35,12 +35,16 @@ The engine runs through the step rules of `clausekit.cdcl`, which it
 steers by the kernel's hooks: propagation picks the smallest propagatable
 ground literal (lexicographic constant order, positive before negative on
 the same atom), and the conflict is the false instance smallest in (clause
-id, substitution).  Decisions take the lowest unassigned atom.  Conflicts
-above level 0 go through the shared 1UIP walk over the ground abstraction,
-and the learned instance goes through CDCL's Backjump rule (`learn_clause`);
-a level-0 conflict means the input is unsatisfiable.  A run returns one
-`SclResult`, whose `verdict` is "sat", "unsat" or "limit" (a cap stopped it).
-Events carry literals and instance positions; `render` gives its output lines.
+id, substitution).  `scl_run` runs CDCL's main loop, `cdcl.search`, over
+SCL's steps: propagation under the trail cap; the shared 1UIP walk over the
+ground abstraction for conflicts above level 0, whose learned clause is
+appended as an instance and goes through CDCL's Backjump rule
+(`learn_clause`); and decisions on the lowest unassigned atom.  A level-0
+conflict means the input is unsatisfiable, and is not walked.  A run returns
+one `SclResult`, whose `verdict` is "sat", "unsat" or "limit" (a cap stopped
+it), and whose `proof` holds every analysis over instance positions; an
+"unsat" proof's last step names the level-0 conflict, with no steps.  Events
+carry literals and instance positions; `render` gives its output lines.
 """
 
 from __future__ import annotations
@@ -53,7 +57,7 @@ from functools import cached_property
 from operator import itemgetter, mul
 from typing import Callable, Iterable, NamedTuple, Sequence
 
-from .cdcl import TrailKernel, _new, decide, learn_clause, lowest_unassigned, propagate_units, resolve_1uip
+from .cdcl import ProofStep, TrailKernel, _new, learn_clause, lowest_unassigned, propagate_units, resolve_1uip, search
 from .cdcl import clause_status  # noqa: F401  perfbench/tracer.py counts calls through this name
 from .errors import ResourceLimitError
 from .jsonl import event_line, json_line
@@ -661,11 +665,12 @@ def scl_propagate(state: SclState, trail_cap: int = DEFAULT_TRAIL_CAP) -> SclSta
 
 
 class SclResult(NamedTuple):
-    """A run's verdict, "sat", "unsat" or "limit", its counters and its final state."""
+    """A run's verdict, "sat", "unsat" or "limit", its counters, its final state and its proof."""
 
     verdict: str
     stats: SclStats
     state: SclState | None  # None if the instance cap stopped grounding; an "unsat" one's conflict is at level 0
+    proof: list[ProofStep] | None = None  # every analysis, over instance positions; an "unsat" one's last is not walked
 
     @property
     def model(self) -> tuple[Atom, ...] | None:
@@ -676,42 +681,43 @@ class SclResult(NamedTuple):
         return tuple(atoms[atom - 1] for atom in sorted(lit for lit, _, _ in self.state.trail if lit > 0))
 
 
+# SCL's analyze, learn and pick steps for `cdcl.search`
+def _analyze(state: SclState) -> tuple[tuple[int, ...], int, list[tuple[int, int]]]:
+    instances = state.problem.instances  # a level-0 conflict is not walked: the input is unsatisfiable
+    return resolve_1uip(state, instances[state.conflict].lits, instances) if state.level else ((), -1, [])
+
+
+def _learn(state: SclState, learned: tuple[int, ...], level: int) -> None:
+    state.problem.instances.append(GroundInstance(state.next_clause_id, (), learned))
+    state.next_clause_id += 1
+    learn_clause(state, len(state.problem.instances) - 1, learned, level)
+
+
+def _pick(state: SclState) -> int:
+    state.stats.decisions += 1
+    return lowest_unassigned(state)
+
+
 def scl_run(
     clauses: Iterable[Clause],
     domain: Iterable[Constant] | None = None,
     instance_cap: int = DEFAULT_INSTANCE_CAP,
     trail_cap: int = DEFAULT_TRAIL_CAP,
 ) -> SclResult:
-    """Propagate/decide until a total Herbrand model or a level-0 conflict.
+    """Ground the clauses, then `cdcl.search` over SCL's steps until a total Herbrand model or a level-0 conflict.
 
-    Decisions take the smallest undefined ground atom, positive polarity.
-    Conflicts above level 0 go through ground 1UIP analysis; the learned
-    clause becomes an instance and is learned through CDCL's Backjump rule.
-    The trail cap bounds propagations and decisions alike; a learned clause's
-    asserting literal needs no check, as the backjump shortens the trail first.
+    Decisions take the smallest undefined ground atom, positive polarity.  Conflicts above level 0 go
+    through ground 1UIP analysis; the learned clause becomes an instance and is learned through CDCL's
+    Backjump rule.  The trail cap bounds propagations and decisions alike; a learned clause's asserting
+    literal needs no check, as the backjump shortens the trail first.
     """
     try:
         problem = ground_problem(clauses, domain, instance_cap)
     except ResourceLimitError:
         return SclResult("limit", SclStats(), None)
     state = SclState(problem)
-    while True:
-        scl_propagate(state, trail_cap)
-        if state.conflict is not None:
-            if state.level == 0:
-                return SclResult("unsat", state.stats, state)
-            instances = problem.instances
-            learned, blevel, _ = resolve_1uip(state, instances[state.conflict].lits, instances)
-            instances.append(GroundInstance(state.next_clause_id, (), learned))
-            state.next_clause_id += 1
-            learn_clause(state, len(instances) - 1, learned, blevel)
-        elif len(state.trail) == len(problem.atoms):
-            return SclResult("sat", state.stats, state)
-        elif len(state.trail) >= trail_cap:
-            return SclResult("limit", state.stats, state)
-        else:
-            decide(state, lowest_unassigned(state))
-            state.stats.decisions += 1
+    verdict, proof = search(state, lambda kernel: scl_propagate(kernel, trail_cap), _analyze, _learn, _pick, trail_cap)
+    return SclResult(verdict, state.stats, state, proof)
 
 
 _VERDICTS = {"sat": "s SATISFIABLE", "unsat": "s UNSATISFIABLE", "limit": "s RESOURCE-EXCEEDED"}

@@ -9,7 +9,8 @@ the code's file (`clausekit/...` below the source directory, the rest below
 the standard library's) and qualified name, as `clausekit/lia.py:propagate_bounds`.
 A module's count is the sum of its functions'.  A sample is named groups of verdicts: `workloads` holds every
 verdict of each of the five workloads, `budgets` the smaller sample of
-`tests/test_work_budgets.py`.  A count is exact and does not depend on the
+`tests/test_work_budgets.py`, which adds SCL runs that decide and learn on
+BS sets that `tests/test_scl_kernel.py:random_bs` draws.  A count is exact and does not depend on the
 machine's load, but work done in C counts as one instruction.  Each count
 runs in a process of its own under PYTHONHASHSEED=0, since set and dict
 orders can change the work done.
@@ -35,6 +36,8 @@ import contextlib
 import io
 import json
 import os
+import random
+import re
 import subprocess
 import sys
 import sysconfig
@@ -56,9 +59,30 @@ def workload_sample(workloads) -> dict[str, list]:
     return {name: workloads.build(name, SEED, SECONDS).verdicts for name in workloads.GENERATORS}
 
 
+# the dense `random_bs` sets drawn from Random(7) at these positions are the first four whose
+# `--mode scl` run decides and learns; no benchmark verdict reaches SCL's decisions or learning
+LEARNING_DRAWS = (5, 6, 10, 13)
+# BS text reads names starting with u, v or w as variables; the new names keep the predicates' order
+PREDICATE_NAMES = {"U": "Tu", "V": "Tv", "W": "Tw"}
+
+
+def learning_verdicts(workloads) -> list:
+    """SCL verdicts of the LEARNING_DRAWS sets, as BS input files with the predicates renamed by PREDICATE_NAMES."""
+    # imported only once `counts` has put the source directory first on the path, as both import clausekit
+    from oracles import bs_text
+    from test_scl_kernel import random_bs
+
+    rng = random.Random(7)
+    draws = [random_bs(rng)[0] for _ in range(max(LEARNING_DRAWS) + 1)]
+    texts = {f"learn{i}.bs": re.sub(r"\b[UVW]\b", lambda m: PREDICATE_NAMES[m[0]], bs_text(draws[i]))
+             for i in LEARNING_DRAWS}
+    return [workloads.Verdict(name, ["--mode", "scl", "--input", f"{{dir}}/{name}"], {name: text},
+                              (workloads.SAT, workloads.UNSAT), None) for name, text in texts.items()]
+
+
 def budget_sample(workloads) -> dict[str, list]:
     """About 2M instructions: one random 3-CNF formula, the first three verdicts of scl-sparse,
-    saturation and lia, and the unsatisfiable SCL counter 8."""
+    saturation and lia, the unsatisfiable SCL counter 8, and SCL runs that decide and learn."""
     def verdicts(name: str) -> list:
         return workloads.build(name, SEED, SECONDS).verdicts
 
@@ -68,6 +92,7 @@ def budget_sample(workloads) -> dict[str, list]:
         "saturation": verdicts("saturation")[:3],
         "lia": verdicts("lia")[:3],
         "counter8": [v for v in verdicts("scl-counter") if v.label == "counter8.bs"],
+        "scl-learn": learning_verdicts(workloads),
     }
 
 

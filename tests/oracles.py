@@ -204,6 +204,20 @@ def learn_orderings(events: Iterable[tuple]) -> list[tuple[tuple, TrailOrdering]
     return out
 
 
+def replay_step(step, reasons, ordering: TrailOrdering) -> tuple[int, ...]:
+    """The clause that one conflict analysis (a `cdcl.ProofStep`) derives, replayed with `resolve_on`
+    from its conflict clause; reasons maps its clause ids or instance positions to clauses with `lits`.
+
+    Asserts the paper's ordering condition: each step resolves on the atom of the current resolvent
+    that is greatest in the trail ordering of the conflict.
+    """
+    current = tuple(reasons[step.conflict_id].lits)
+    for atom, reason in step.steps:
+        assert atom == max((abs(l) for l in current), key=ordering.atom_rank), f"resolved on {atom}, not the greatest"
+        current = resolve_on(current, reasons[reason].lits, atom)
+    return tuple(sorted(set(current), key=abs))
+
+
 # The redundancy oracle: truth tables packed into big integers, one bit per row.
 
 ATOM_CAP = 20

@@ -3,7 +3,14 @@ import random
 import pytest
 
 from corpora import random_cnf
-from oracles import TrailOrdering, brute_force_sat, is_redundant, learn_orderings, reference_resolve_1uip, resolve_on
+from oracles import (
+    TrailOrdering,
+    brute_force_sat,
+    is_redundant,
+    learn_orderings,
+    reference_resolve_1uip,
+    replay_step,
+)
 from clausekit import cdcl
 from clausekit.cdcl import (
     CdclResult,
@@ -267,25 +274,30 @@ class TestIsRedundant:
         assert is_redundant((1, 2), [PropClause(5, (1,))], TrailOrdering.from_trail([1, 2]))
 
 
-def replay_proof(clauses, result: CdclResult):
-    """Independent check of the resolution proof: replays to the empty clause."""
-    by_id = {c.id: c.lits for c in clauses}
-    for step in result.proof:
-        current = by_id[step.conflict_id]
-        for atom, reason in step.steps:
-            current = resolve_on(current, by_id[reason], atom)
-        assert current == step.learned
+def replay_proof(clauses, result: CdclResult) -> int:
+    """Independent check of the proof of a run, on either verdict: each analysis, paired with its learn
+    event's trail ordering (an "unsat" run's last with the final trail), replays with `resolve_on` from
+    its conflict clause to its learned clause, each step on the greatest atom (`replay_step`), and an
+    "unsat" proof ends in the empty clause.  Returns the number of steps replayed."""
+    by_id = {c.id: c for c in clauses}
+    orderings = [ordering for _, ordering in learn_orderings(result.state.events)]
+    if result.verdict == "unsat":
+        orderings.append(TrailOrdering.from_trail([lit for lit, _, _ in result.state.trail]))
+        assert result.proof[-1].learned == ()
+    assert len(result.proof) == len(orderings)
+    for step, ordering in zip(result.proof, orderings):
+        assert replay_step(step, by_id, ordering) == step.learned
         if step.learned:
             new_id = max(by_id) + 1
             assert result.state.clauses[new_id].lits == step.learned
-            by_id[new_id] = step.learned
-    assert result.proof[-1].learned == ()
+            by_id[new_id] = PropClause(new_id, step.learned)
+    return sum(len(step.steps) for step in result.proof)
 
 
 class TestRandomCorpus:
     def test_oracle_equivalence_and_invariants(self):
         rng = random.Random(20240817)
-        checked_learn = 0
+        checked_learn = checked_steps = 0
         for _ in range(150):
             num_vars = rng.randint(4, 10)
             clauses = random_cnf(rng, num_vars, rng.randint(num_vars, 36))
@@ -298,14 +310,14 @@ class TestRandomCorpus:
                 )
             else:
                 assert not expected
-                replay_proof(clauses, result)
+            checked_steps += replay_proof(clauses, result)
             # non-redundancy of every learned clause, at learning time
             known = {c.id: c for c in clauses}
             for (_, lits, _level, cid), ordering in learn_orderings(result.state.events):
                 assert not is_redundant(lits, list(known.values()), ordering)
                 known[cid] = PropClause(cid, lits)
                 checked_learn += 1
-        assert checked_learn > 100
+        assert checked_learn > 100 and checked_steps > 500
 
     def test_analysis_matches_reference(self, monkeypatch):
         # at every conflict of the corpus above, level 0 included, the one-walk analysis

@@ -3,8 +3,8 @@
 DIMACS variable k is written as the 0-ary predicate P%03d, so SCL's atom k
 is variable k whenever every variable occurs in some clause.  CDCL runs with
 SCL's decisions (lowest atom, positive) and SCL's unit order (smallest atom,
-positive first, then clause id); the two runs then make the same events, with
-SCL's instance positions named by their clause ids.
+positive first, then clause id); the two runs then make the same events and
+the same analyses, with SCL's instance positions named by their clause ids.
 """
 
 import random
@@ -14,9 +14,10 @@ from functools import partial
 import pytest
 
 from corpora import random_cnf
+from test_cdcl import replay_proof
 from test_scl_kernel import random_bs
 from workload_outputs import load_workloads
-from clausekit.cdcl import CdclState, PropClause, lowest_index_positive, solve
+from clausekit.cdcl import CdclState, ProofStep, PropClause, lowest_index_positive, solve
 from clausekit.formats import parse_dimacs
 from clausekit.logic import Atom, Clause, Literal
 from clausekit.scl import counter_problem, ground_problem, scl_run
@@ -47,7 +48,8 @@ def as_bs(clauses: list[PropClause]) -> list[Clause]:
     return [Clause(c.id, tuple(Literal(l > 0, Atom(f"P{abs(l):03d}")) for l in c.lits)) for c in clauses]
 
 
-def scl_events(clauses: list[PropClause]) -> tuple[str, list[tuple]]:
+def scl_events(clauses: list[PropClause]) -> tuple[str, list[tuple], list[ProofStep]]:
+    """SCL's verdict, events and proof, with its instance positions named by their clause ids."""
     result = scl_run(as_bs(clauses))
     instances = result.state.problem.instances
     events = []
@@ -60,12 +62,17 @@ def scl_events(clauses: list[PropClause]) -> tuple[str, list[tuple]]:
             events.append(("learn", ev[1], ev[2], instances[ev[3]].clause_id))
         else:
             events.append(ev)
-    return result.verdict, events
+    proof = [ProofStep(instances[step.conflict_id].clause_id,
+                       tuple((atom, instances[pos].clause_id) for atom, pos in step.steps), step.learned)
+             for step in result.proof]
+    return result.verdict, events, proof
 
 
-def cdcl_events(clauses: list[PropClause], num_vars: int) -> tuple[str, list[tuple]]:
+def cdcl_events(clauses: list[PropClause], num_vars: int) -> tuple[str, list[tuple], list[ProofStep]]:
+    """CDCL's verdict, events and proof, after `replay_proof` checks the proof's ordering and replay."""
     result = solve(clauses, num_vars, lowest_index_positive)
-    return result.verdict, [ev for ev in result.state.events if ev[0] not in ("sat", "unsat")]
+    replay_proof(clauses, result)
+    return result.verdict, [ev for ev in result.state.events if ev[0] not in ("sat", "unsat")], result.proof
 
 
 FORMULAS = {
@@ -79,13 +86,21 @@ FORMULAS = {
 def test_scl_on_ground_clauses_makes_cdcls_trace(formulas, monkeypatch):
     # the formulas backjump, so SCL's trigger walk must find instances that exist again
     monkeypatch.setattr(CdclState, "unit_key", lambda self, cid, lit: (abs(lit), lit < 0, cid))
-    compared = learned = again = 0
+    # the proofs agree too: every analysis above level 0 is the same, and at an "unsat" run's
+    # level-0 conflict SCL stops with no steps, while CDCL walks down to the empty clause
+    compared = learned = again = steps = 0
     verdicts = Counter()
     for clauses, num_vars in FORMULAS[formulas]():
         if {abs(l) for c in clauses for l in c.lits} != set(range(1, num_vars + 1)):
             continue  # CDCL decides a variable in no clause, and SCL has no atom for it
-        verdict, events = scl_events(clauses)
-        assert (verdict, events) == cdcl_events(clauses, num_vars)
+        verdict, events, proof = scl_events(clauses)
+        cdcl_verdict, cdcl_trace, cdcl_proof = cdcl_events(clauses, num_vars)
+        assert (verdict, events) == (cdcl_verdict, cdcl_trace)
+        if verdict == "unsat":
+            assert proof[-1] == (cdcl_proof[-1].conflict_id, (), ()) and cdcl_proof[-1].learned == ()
+            proof, cdcl_proof = proof[:-1], cdcl_proof[:-1]
+        assert proof == cdcl_proof
+        steps += sum(len(step.steps) for step in proof)
         compared += 1
         verdicts[verdict] += 1
         learned += sum(ev[0] == "learn" for ev in events)
@@ -93,7 +108,7 @@ def test_scl_on_ground_clauses_makes_cdcls_trace(formulas, monkeypatch):
         again += sum(n > 1 for n in reasons.values())
     assert compared >= (17 if formulas == "corpus" else 150)
     assert verdicts["sat"] and verdicts["unsat"]
-    assert learned > 100 and again > 100
+    assert learned > 100 and again > 100 and steps > learned
 
 
 @pytest.mark.parametrize("n", [1, 6, 12])

@@ -15,6 +15,7 @@ from oracles import (
     reference_ground_problem,
     reference_render,
     reference_scl_run,
+    replay_step,
 )
 from clausekit.cdcl import PropClause, TrailKernel
 from clausekit.formats import parse_bs
@@ -134,17 +135,27 @@ def test_random_sets_match_reference():
 
 def test_learned_clauses_are_non_redundant():
     # no learned clause follows from the ground instances and earlier learned clauses
-    # below it in the trail ordering of its conflict; the dense sets do nearly all the learning
+    # below it in the trail ordering of its conflict; the dense sets do nearly all the learning.
+    # Each learn's analysis resolves on the greatest atom in that ordering at every step and
+    # replays to the learned clause; an "unsat" run's last analysis, at level 0, is not walked.
     rng = random.Random(2019)
-    checked = 0
+    checked = steps = 0
     for _ in range(320):
         clauses, domain = random_bs(rng)
+        result = scl_run(clauses, domain)
+        instances = result.state.problem.instances
         known = [PropClause(0, inst.lits) for inst in reference_ground_problem(clauses, domain).instances]
-        for (_, lits, _level, _pos), ordering in learn_orderings(scl_run(clauses, domain).state.events):
+        learns = learn_orderings(result.state.events)
+        assert len(result.proof) == len(learns) + (result.verdict == "unsat")
+        if result.verdict == "unsat":
+            assert result.proof[-1] == (result.state.conflict, (), ())
+        for ((_, lits, _level, pos), ordering), step in zip(learns, result.proof):
+            assert replay_step(step, instances, ordering) == step.learned == lits == instances[pos].lits
+            steps += len(step.steps)
             assert not is_redundant(lits, known, ordering)
             known.append(PropClause(0, lits))
             checked += 1
-    assert checked > 50
+    assert checked > 50 and steps > 100
 
 
 def longest_trail(events) -> int:
