@@ -11,7 +11,7 @@ are named by their position in the propositional trail kernel of
 `clausekit.cdcl`.  The instances created at the start (those of one-literal
 and empty clauses, and the instances whose literals all coincide) and the
 learned ones are hooked into the kernel's watch lists; no other instance is.
-When a literal L is assigned, one pass (`SclState.instantiate`) goes from
+When a literal L is assigned, one pass (in `SclState.assign`) goes from
 the complement of L to every instance it makes unit or false, new or not:
 the trigger tree of its Herbrand block and sign yields the templates that
 match it.  In a pair, a clause of two literals not of one sign and
@@ -44,7 +44,10 @@ conflict means the input is unsatisfiable, and is not walked.  A run returns
 one `SclResult`, whose `verdict` is "sat", "unsat" or "limit" (a cap stopped
 it), and whose `proof` holds every analysis over instance positions; an
 "unsat" proof's last step names the level-0 conflict, with no steps.  Events
-carry literals and instance positions; `render` gives its output lines.
+carry literals and instance positions; `render` gives its output lines.  A
+propagate line of a compiled clause fills one %-format per literal, its text
+line or its whole JSON object, with the names of the instance key's digits,
+spelled in place from a table of names per chunk of digits.
 """
 
 from __future__ import annotations
@@ -54,6 +57,7 @@ import heapq
 import itertools
 from collections import defaultdict
 from functools import cached_property
+from json.encoder import encode_basestring_ascii
 from operator import itemgetter, mul
 from typing import Callable, Iterable, NamedTuple, Sequence
 
@@ -136,7 +140,7 @@ class HerbrandBase(Sequence[Atom]):
         self.domain = tuple(dom)
         self.names = [c.name for c in dom]
         d = len(dom)
-        # `spell` reads a code this many base-d digits at a time, from a table of d ** chunk entries:
+        # `render` spells a key this many base-d digits at a time, from a table of d ** chunk entries:
         # at most 64 unless d is larger, so that a short trace does not pay for a large table
         self.chunk = max([k for k in range(1, 7) if d ** k <= 64], default=1)
         # per arity, the place value of each argument position in a code
@@ -169,17 +173,14 @@ class HerbrandBase(Sequence[Atom]):
         return f"{pred}({','.join([self.names[c] for c in self.digits(arity, code)])})" if arity else pred
 
     @cached_property
-    def _chunk_names(self) -> list[tuple[str, ...]]:
-        # per value of `chunk` base-d digits, their names, most significant first
+    def chunk_names(self) -> list[tuple[str, ...]]:
+        """Per value of `chunk` base-d digits, their names, most significant first."""
         return list(itertools.product(self.names, repeat=self.chunk))
 
-    def spell(self, code: int, chunks: int) -> tuple[str, ...]:
-        """The names of a code's lowest chunks * `chunk` base-d digits, most significant first."""
-        table, names = self._chunk_names, ()
-        for _ in range(chunks):
-            code, c = divmod(code, len(table))
-            names = table[c] + names
-        return names
+    @cached_property
+    def json_chunk_names(self) -> list[tuple[str, ...]]:
+        """`chunk_names` with each name escaped as in a JSON string (`encode_basestring_ascii`, without the quotes)."""
+        return list(itertools.product([encode_basestring_ascii(n)[1:-1] for n in self.names], repeat=self.chunk))
 
     def __getitem__(self, i: int | slice) -> Atom | list[Atom]:
         if isinstance(i, slice):  # a slice gives its atoms as a list, as a list's slice does
@@ -277,7 +278,7 @@ class _CompiledClause:
     A `pair` is a clause of two literals, not `merge`.  A template of a pair
     that holds each variable exactly once (`_Template.binds`; the other may
     hold any of them, repeated or beside constants) gives from a matched
-    atom the other literal and the key (see `SclState.instantiate`).
+    atom the other literal and the key (see `SclState.assign`).
     """
 
     def __init__(self, clause: Clause, templates: list[_Template], variables: list[str], atoms: HerbrandBase):
@@ -313,7 +314,15 @@ class _CompiledClause:
 
     @cached_property
     def lines(self) -> list["_Line"]:
-        """Per literal, its propagate line."""
+        """Per literal, its propagate line as text."""
+        return self._lines(False)
+
+    @cached_property
+    def json_lines(self) -> list["_Line"]:
+        """Per literal, its propagate line as a JSON object."""
+        return self._lines(True)
+
+    def _lines(self, as_json: bool) -> list["_Line"]:
         # per variable, the base-d digit of the key that holds its constant index (see `weights`)
         if self.aligned:
             args = self.templates[0].args
@@ -322,6 +331,8 @@ class _CompiledClause:
             digit = {v: self.slots - 1 - s for s, v in enumerate(self.variables)}
         chunks = -(-(max(digit.values(), default=-1) + 1) // self.chunk)
         last = chunks * self.chunk - 1  # the spelled names' last position, the lowest digit's
+        size = len(self.names) ** self.chunk
+        places = tuple([size ** j for j in reversed(range(chunks))])
         subst = "{" + ",".join([f"{_escape(v)}->%s" for v in sorted(self.variables)]) + "}"
         subst_at = [last - digit[v] for v in sorted(self.variables)]
         lines = []
@@ -330,34 +341,35 @@ class _CompiledClause:
             lit = ("" if literal.positive else "-") + _escape(literal.atom.predicate)
             if args:
                 lit += f"({','.join(['%s' if isinstance(a, Variable) else _escape(a.name) for a in args])})"
-            lit_at = [last - digit[a.name] for a in args if isinstance(a, Variable)]
-            lines.append(_Line(chunks, f"propagate {lit} <- clause {self.id} σ={subst}\n", _getter(lit_at + subst_at),
-                               lit, _getter(lit_at), subst, _getter(subst_at)))
+            at = [last - digit[a.name] for a in args if isinstance(a, Variable)] + subst_at
+            text = f"propagate {lit} <- clause {self.id} σ={subst}"
+            if as_json:  # escaping goes character by character: the escaped format filled with escaped names
+                parts = map(encode_basestring_ascii, (text, lit, subst))
+                lines.append(_Line(places, _JSON_PROPAGATE % (self.id, *parts), itemgetter(*at, *at)))
+            else:
+                lines.append(_Line(places, text + "\n", itemgetter(*at)))
         return lines
 
 
-def _getter(positions: list[int]) -> Callable[[Sequence[str]], tuple[str, ...] | str]:
-    """What orders the names at these positions into a %-format: a tuple, or one name alone."""
-    return itemgetter(*positions) if positions else lambda names: ()
+# the JSON object of a propagate line as `json_line` writes it, keys sorted, over its clause id and
+# its text line, literal and substitution as JSON strings
+_JSON_PROPAGATE = '{"clause": %d, "event": "scl", "kind": "propagate", "line": %s, "lit": %s, "subst": %s}\n'
 
 
 class _Line(NamedTuple):
-    """The propagate line of a literal of a compiled clause, as %-formats over an instance's names.
+    """The propagate line of a literal of a compiled clause, as a %-format over an instance's names.
 
-    The names are those of the instance key's base-d digits, `chunks`
-    chunks of them (`HerbrandBase.spell`); each getter orders the names its
-    format reads.  Text output fills the whole line's format, newline
-    included; JSON fills `lit` and `subst`, the line's two parts, and joins
-    them as text does.
+    The names are those of the instance key's base-d digits, spelled
+    `HerbrandBase.chunk` digits at a time: one chunk per place value, most
+    significant first.  A text line's format, the line and its newline, is
+    filled with the names of `chunk_names`; a JSON line's, the line's object
+    with its `lit` and `subst` fields, with those of `json_chunk_names`.
+    The getter orders the names the format reads: a tuple, or one name alone.
     """
 
-    chunks: int
-    text: str
+    places: tuple[int, ...]
+    format: str
     get: Callable
-    lit: str
-    get_lit: Callable
-    subst: str
-    get_subst: Callable
 
 
 # A binding maps each slot of a clause to a constant index, or to -1 while unbound.
@@ -392,9 +404,9 @@ class GroundProblem:
     ) -> None:
         self.clauses, self.domain, self.atoms, self.instances = clauses, domain, atoms, instances
         self.compiled: list[_CompiledClause] = []
-        # per Herbrand block, the _trigger_tree of (clause, template, other) for the negative and
-        # for the positive templates of the clauses of two or more literals, or None (see
-        # `ground_problem` for other); empty if nothing is left to create
+        # per Herbrand block, the _trigger_tree of (clause, template, first, other) for the negative
+        # and for the positive templates of the clauses of two or more literals, or None (see
+        # `ground_problem` for first and other); empty if nothing is left to create
         self.roots: list[tuple] = []
 
     def _join(self, clause, todo, b, open_lit, true, found) -> None:
@@ -496,18 +508,19 @@ def ground_problem(
         if len(templates) < 2:
             continue  # every instance is created at the start
         for t in templates:
+            first = t is templates[0]  # a pair's instance holds the literal of t first
             consts = {j: -1 - a for j, a in enumerate(t.args) if a < 0}
-            # where t gives a pair's other literal (see `SclState.instantiate`): the other template's
+            # where t gives a pair's other literal (see `SclState.assign`): the other template's
             # base, signed as its literal is, and unless the clause is aligned, per slot the place
             # value in t, the other template's weight, signed alike, and the key's weight
             other = None
             if compiled.pair and (compiled.aligned or t.binds(compiled.slots)):
-                u = templates[1] if t is templates[0] else templates[0]
+                u = templates[1] if first else templates[0]
                 sign = 1 if u.positive else -1
                 other = sign * u.base
                 if not compiled.aligned:
                     other = other, tuple(zip(t.weights, [sign * w for w in u.weights], compiled.weights))
-            entries[block[t.pred]][t.positive].append((consts, (compiled, t, other)))
+            entries[block[t.pred]][t.positive].append((consts, (compiled, t, first, other)))
     problem.roots = [
         tuple(_trigger_tree(es, arity, len(dom)) if es else None for es in signs)
         for signs, (_, arity) in zip(entries, atoms.blocks)
@@ -544,9 +557,14 @@ class SclState(TrailKernel):
         self.problem = problem
         self.stats = SclStats()
         self.next_clause_id = max(problem.clauses, default=0) + 1
-        # what `instantiate` reads of the problem: the trigger roots, the block starts (None for one
-        # block, which starts at atom 1) and the domain size
-        self.triggers = problem.roots, atoms.starts if len(atoms.starts) > 1 else None, len(atoms.names)
+        # what `assign` reads of the problem: the trigger roots by block, the block starts and the
+        # domain size; with one block, which starts at atom 1, its root pair and no starts, and with
+        # none (a problem grounded with no triggers), an empty root pair
+        roots = problem.roots
+        if len(roots) > 1:
+            self.triggers = roots, atoms.starts, len(atoms.names)
+        else:
+            self.triggers = roots[0] if roots else (None, None), None, len(atoms.names)
         self.reclassify()
 
     def reclassify(self) -> None:
@@ -555,15 +573,10 @@ class SclState(TrailKernel):
             self.watch(pos, inst.lits)
 
     def assign(self, lit: int, reason: int | None) -> None:
-        """Assign as the kernel does, then push or mark the instances this makes unit or false."""
-        TrailKernel.assign(self, lit, reason)
-        self.instantiate(-lit)
+        """Assign as the kernel does, then push the unit or mark the position of each instance that
+        -lit, just turned false, makes unit or false, creating it if it is new.
 
-    def instantiate(self, false_lit: int) -> None:
-        """Push the unit or mark the position of each instance that false_lit, just turned false,
-        makes unit or false, creating it if it is new.
-
-        The trigger tree of false_lit's Herbrand block and sign yields the
+        The trigger tree of -lit's Herbrand block and sign yields the
         templates it matches.  A template of a pair that holds each of its
         clause's variables once gives the other literal and the key from
         the matched atom, and the instance is handled where the walk finds
@@ -577,64 +590,67 @@ class SclState(TrailKernel):
         (`GroundProblem._join`, whose unbound slots range over the domain);
         what the join finds is handled after the walk.  No instance is
         watched: the next literal that turns false in it runs this walk
-        again.
+        again.  The stack of subtrees still to walk and the join's finds are
+        built only when a node has a free subtree or a template joins, which
+        no walk over the counters or the Horn chains does.
         """
+        TrailKernel.assign(self, lit, reason)
         roots, starts, d = self.triggers
-        if not roots:  # a problem grounded with no triggers
-            return
-        atom = -false_lit if false_lit < 0 else false_lit
+        atom = lit if lit > 0 else -lit
         if starts is None:
-            code, node = atom - 1, roots[0][false_lit > 0]
+            code, node = atom - 1, roots[lit < 0]
         else:
             k = bisect.bisect_right(starts, atom) - 1
-            code, node = atom - starts[k], roots[k][false_lit > 0]
-        problem = self.problem
-        true, instances = self.true, problem.instances
-        later, found, digits = [], {}, None
+            code, node = atom - starts[k], roots[k][lit < 0]
+        false_lit, true, instances = -lit, self.true, self.problem.instances
+        later = found = digits = None
         while node is not None:
-            if node.__class__ is tuple:
+            while node.__class__ is tuple:  # down to a leaf, or to no subtree
                 divisor, children, rest = node
                 if rest is not None:
+                    if later is None:
+                        later = []
                     later.append(rest)
                 node = children.get(code // divisor % d)
-                if node is not None:
-                    continue
-            else:
-                for clause, t, other in node:
+            if node is not None:
+                for clause, t, first, other in node:
                     if other.__class__ is int:
                         # an aligned pair: the key is the matched atom's offset, one step where the
                         # digits below take one per slot (up to n - 1 in an n-bit counter's rules)
                         key = atom - t.base
-                        lit = other + key if other > 0 else other - key
+                        unit = other + key if other > 0 else other - key
                     elif other is None:
+                        problem = self.problem
                         if digits is None:
                             digits = problem.atoms.digits(len(t.args), code)
                         b = _bind(t, digits, [-1] * clause.slots)
                         if b is not None:
+                            if found is None:
+                                found = {}
                             problem._join(clause, [u for u in clause.templates if u is not t], b, 0, true, found)
                         continue
                     else:  # any other pair: each slot's digit in the matched atom's code
-                        lit, key = other[0], 0
+                        unit, key = other[0], 0
                         for place, w, key_w in other[1]:
                             c = code // place % d
-                            lit += w * c
+                            unit += w * c
                             key += key_w * c
-                    # the instance of false_lit and lit
-                    if true[lit]:
+                    # the instance of false_lit and unit: satisfied, false, or unit on unit
+                    if true[unit]:
                         continue
                     created = clause.created
                     pos = created.get(key)
                     if pos is None:
                         pos = created[key] = len(instances)
-                        lits = (false_lit, lit) if t is clause.templates[0] else (lit, false_lit)
+                        lits = (false_lit, unit) if first else (unit, false_lit)
                         instances.append(_new(GroundInstance, (clause.id, key, lits, clause)))
-                    if true[-lit]:
+                    if true[-unit]:
                         self.false_ids.add(pos)
                     else:  # the key of `unit_key`
-                        heapq.heappush(self.pending, ((lit if lit > 0 else -lit, lit < 0, clause.id, instances[pos]),
-                                                      pos, lit))
+                        heapq.heappush(self.pending, (
+                            (unit if unit > 0 else -unit, unit < 0, clause.id, instances[pos]), pos, unit))
             node = later.pop() if later else None
-        if found:  # filled only by `_join`, which no walk over the counters or the Horn chains calls
+        if found:
             for pos, unit in found.items():
                 if unit:
                     heapq.heappush(self.pending, (self.unit_key(pos, unit), pos, unit))
@@ -730,21 +746,24 @@ def render(result: SclResult, as_json: bool) -> list[str]:
     """The output lines of a run, as text or as JSON objects: trace, stats, verdict.
 
     A propagation of one of its clause's literals, one per template, fills
-    the formats that `_CompiledClause.lines` compiles for that literal with
-    the names of the instance's key.  Merge clauses, ground clauses (one
-    instance each, too few lines to repay compiling; their substitution is
-    `{}`) and learned instances, and every other line, spell their
-    substitutions through `GroundInstance.subst_str` and their literals
-    from the Herbrand base.  A trace line's JSON object holds the
-    text line as `line` and the values it spells as the kind's `_FIELDS`.
-    A run stopped by the instance cap has no state, so only its verdict line.
+    the format that `_CompiledClause.lines` (text) or `json_lines` compiles
+    for that literal with the names of the instance's key, spelled in place
+    from `HerbrandBase.chunk_names` or `json_chunk_names`.  Merge clauses,
+    ground clauses (one instance each, too few lines to repay compiling;
+    their substitution is `{}`) and learned instances, and every other
+    line, spell their substitutions through `GroundInstance.subst_str` and
+    their literals from the Herbrand base.  A trace line's JSON object
+    holds the text line as `line` and the values it spells as the kind's
+    `_FIELDS`.  A run stopped by the instance cap has no state, so only its
+    verdict line.
     """
     lines: list[str] = []
     add = lines.append
     state = result.state
     if state is not None:
         instances, atoms = state.problem.instances, state.problem.atoms
-        name, spell = atoms.name, atoms.spell
+        name, table = atoms.name, atoms.json_chunk_names if as_json else atoms.chunk_names
+        size = len(table)
 
         def literal(lit: int) -> str:
             return name(lit) if lit > 0 else "-" + name(-lit)
@@ -754,15 +773,14 @@ def render(result: SclResult, as_json: bool) -> list[str]:
             if kind == "propagate":
                 inst = instances[ev[2]]
                 compiled = inst.compiled
-                if compiled is None or compiled.merge or not compiled.slots:
-                    lit, subst = literal(ev[1]), inst.subst_str()
-                else:
-                    line = compiled.lines[inst.lits.index(ev[1])]
-                    names = spell(inst.key, line.chunks)
-                    if not as_json:
-                        add(line.text % line.get(names))
-                        continue
-                    lit, subst = line.lit % line.get_lit(names), line.subst % line.get_subst(names)
+                if compiled is not None and not compiled.merge and compiled.slots:
+                    line = (compiled.json_lines if as_json else compiled.lines)[inst.lits.index(ev[1])]
+                    key, names = inst.key, ()
+                    for place in line.places:
+                        names += table[key // place % size]
+                    add(line.format % line.get(names))
+                    continue
+                lit, subst = literal(ev[1]), inst.subst_str()
                 text, values = f"propagate {lit} <- clause {inst.clause_id} σ={subst}", (lit, inst.clause_id, subst)
             elif kind == "conflict":
                 inst = instances[ev[1]]

@@ -19,6 +19,7 @@ from oracles import (
 )
 from clausekit.cdcl import PropClause, TrailKernel
 from clausekit.formats import parse_bs
+from clausekit.jsonl import json_line
 from clausekit.logic import Atom, Clause, Constant, Literal, Variable
 from clausekit.ordering import default_config
 from clausekit.resolution import no_selection, saturate
@@ -275,11 +276,11 @@ def test_created_instances_are_unit_or_false(monkeypatch):
     cases = [(counter_problem(n), None) for n in (1, 4, 7)] + [random_bs(rng) for _ in range(300)]
     cases += [(merge_chain(rng), None) for _ in range(80)]
     checked = []
-    create = SclState.instantiate
+    create = SclState.assign
 
-    def instantiate(state, false_lit):
+    def assign(state, assigned, reason):
         problem, true, start = state.problem, state.true, len(state.problem.instances)
-        create(state, false_lit)
+        create(state, assigned, reason)
         # each new instance with the literal it is queued on, or 0 if it is marked false
         units = {pos: lit for _, pos, lit in state.pending if pos >= start}
         new = [(pos, units.get(pos, 0)) for pos in range(start, len(problem.instances))]
@@ -289,12 +290,12 @@ def test_created_instances_are_unit_or_false(monkeypatch):
             unassigned = [lit for lit in inst.lits if not (true[lit] or true[-lit])]
             assert unassigned == ([unit] if unit else [])
             assert all(true[-lit] for lit in inst.lits if lit != unit)
-            assert false_lit is None or false_lit in inst.lits
+            assert -assigned in inst.lits  # the literal that the trigger walk starts from
             ref = reference[inst.clause_id, inst.subst]
             assert (inst.clause_id, inst.subst, inst.lits) == (ref.clause_id, ref.subst, ref.lits)
             checked.append(inst)
 
-    monkeypatch.setattr(SclState, "instantiate", instantiate)
+    monkeypatch.setattr(SclState, "assign", assign)
     for clauses, domain in cases:
         reference = {(i.clause_id, i.subst): i for i in reference_ground_problem(clauses, domain).instances}
         same_run(clauses, domain)
@@ -540,12 +541,14 @@ def text_and_json(result) -> tuple[list[str], list[dict]]:
 
 
 def assert_text_is_json_line(result) -> list[dict]:
-    """Each text line is its JSON line's `line`, which JSON's `lit` and `subst` spell."""
+    """Each text line is its JSON line's `line`, which JSON's `lit` and `subst` spell; a propagate
+    line's JSON, filled from a template of its own, has the bytes that `json_line` writes for its fields."""
     lines, records = text_and_json(result)
     assert lines == [r["line"] for r in records]
-    for r in records:
+    for line, r in zip(render(result, True), records):
         if r.get("kind") == "propagate":
             assert r["line"] == f"propagate {r['lit']} <- clause {r['clause']} σ={r['subst']}"
+            assert line == json_line(r)
     return records
 
 
@@ -581,17 +584,22 @@ def test_text_lines_are_the_json_lines_on_random_sets():
 
 
 def test_names_with_format_characters():
-    # %-format and str.format specials in predicate, constant and variable names
-    names = [Constant(n) for n in ("%", "%s", "a%d", "{0}", "}{")]
-    x, y = Variable("x%"), Variable("y{}")
+    # %-format and str.format specials, and characters that JSON escapes, in predicate, constant
+    # and variable names
+    names = [Constant(n) for n in ("%", "%s", "a%d", "{0}", "}{", '"', "\\", "é", "\x01")]
+    x, y, z = Variable("x%"), Variable("y{}"), Variable('z"\\é\x01')
     clauses = [
         Clause(1, (Literal(True, Atom("R%", (names[1],))),)),
         Clause(2, (Literal(False, Atom("R%", (x,))), Literal(True, Atom("S{", (x, names[3]))))),
         Clause(3, (Literal(False, Atom("S{", (x, y))), Literal(True, Atom("T}", (y, x))))),
         Clause(4, (Literal(False, Atom("T}", (x, y))), Literal(True, Atom("U%{", (x, y))))),
         Clause(5, (Literal(False, Atom("U%{", (x, y))), Literal(True, Atom("V", (y,))))),
+        Clause(6, (Literal(True, Atom("R%", (names[8],))),)),
+        Clause(7, (Literal(False, Atom("V", (z,))), Literal(True, Atom('W"\\é\x01', (z, names[5], names[6]))))),
     ]
     result = same_run(clauses, names)
     records = assert_text_is_json_line(result)
     assert "propagate T}({0},%s) <- clause 3 σ={x%->%s,y{}->{0}}" in [r["line"] for r in records]
     assert "propagate U%{({0},%s) <- clause 4 σ={x%->{0},y{}->%s}" in [r["line"] for r in records]
+    assert 'propagate W"\\é\x01(\x01,",\\) <- clause 7 σ={z"\\é\x01->\x01}' in [r["line"] for r in records]
+    assert '"lit": "W\\"\\\\\\u00e9\\u0001(%s,\\",\\\\)"' in "".join(render(result, True))
