@@ -27,7 +27,7 @@ import math
 from collections import defaultdict
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
-from .jsonl import json_line
+from .jsonl import json_format, json_string
 from .logic import clauses_by_id
 
 
@@ -509,38 +509,60 @@ def solve(
     return CdclResult("sat", state, model=model, proof=proof)
 
 
-# per event kind, the JSON fields after `kind` that the event's values give, in order
-_FIELDS = {"propagate": ("lit", "clause"), "decide": ("lit", "level"), "conflict": ("clause",),
-           "learn": ("lits", "backjump", "clause"), "forget": ("clause",), "sat": (), "unsat": ()}
+# per event kind but the verdicts, its JSON line's format and getter: the text line's own format over the
+# event's values at the positions given, beside the fields, each the value at its position; the values of a
+# learn event are its literals as a list, its backjump level, its clause id and its literals spelled out
+_JSON = {kind: json_format(fields, event="cdcl", kind=kind) for kind, fields in {
+    "propagate": {"line": ("propagate %d <- clause %d", (1, 2)), "lit": 1, "clause": 2},
+    "decide": {"line": ("decide %d @%d", (1, 2)), "lit": 1, "level": 2},
+    "conflict": {"line": ("conflict clause %d", (1,)), "clause": 1},
+    "learn": {"line": ("learn %s backjump %d", (4, 2)), "lits": 1, "backjump": 2, "clause": 3},
+    "forget": {"line": ("forget clause %d", (1,)), "clause": 1},
+}.items()}
 
 
 def render(result: CdclResult, as_json: bool) -> list[str]:
     """The trace of a run in the DIMACS-solver style, as output lines: text, or JSON objects.
 
-    An event's text is built alone; as JSON, each of its lines is an object
-    whose `line` is the text line, beside the event's `_FIELDS`.
+    Text lines are f-strings.  An event's JSON line fills its kind's `_JSON`
+    format, which holds the text line's own format beside the event's
+    fields; each line of the verdict is an object of that line alone.
     """
+    if not as_json:
+        return _text_lines(result.state.events)
     lines: list[str] = []
     add = lines.append
     for ev in result.state.events:
         kind = ev[0]
-        if kind == "propagate":
-            text = f"propagate {ev[1]} <- clause {ev[2]}\n"
-        elif kind == "decide":
-            text = f"decide {ev[1]} @{ev[2]}\n"
-        elif kind == "conflict":
-            text = f"conflict clause {ev[1]}\n"
-        elif kind == "learn":
-            text = f"learn {' '.join(map(str, ev[1]))} backjump {ev[2]}\n"
-        elif kind == "forget":
-            text = f"forget clause {ev[1]}\n"
-        elif kind == "sat":
-            text = " ".join(["s SATISFIABLE\nv", *map(str, ev[1]), "0\n"])
-        else:  # "unsat"
-            text = "s UNSATISFIABLE\n"
-        if not as_json:
-            add(text)
+        if kind == "learn":
+            ev = (kind, list(ev[1]), *ev[2:], " ".join(map(str, ev[1])))
+        elif kind == "sat" or kind == "unsat":
+            format = json_format({"line": 0}, event="cdcl", kind=kind)[0]
+            lines += [format % json_string(line) for line in _text_lines([ev])[0].splitlines()]
             continue
-        fields = {"event": "cdcl", "kind": kind, **dict(zip(_FIELDS[kind], ev[1:]))}
-        lines += [json_line({"line": line, **fields}) for line in text.splitlines()]
+        format, get = _JSON[kind]
+        add(format % get(ev))
+    return lines
+
+
+def _text_lines(events: Iterable[tuple]) -> list[str]:
+    """The text of each event, one string per event; a "sat" one holds two lines."""
+    lines: list[str] = []
+    add = lines.append
+    for ev in events:
+        kind = ev[0]
+        if kind == "propagate":
+            add(f"propagate {ev[1]} <- clause {ev[2]}\n")
+        elif kind == "decide":
+            add(f"decide {ev[1]} @{ev[2]}\n")
+        elif kind == "conflict":
+            add(f"conflict clause {ev[1]}\n")
+        elif kind == "learn":
+            add(f"learn {' '.join(map(str, ev[1]))} backjump {ev[2]}\n")
+        elif kind == "forget":
+            add(f"forget clause {ev[1]}\n")
+        elif kind == "sat":
+            add(" ".join(["s SATISFIABLE\nv", *map(str, ev[1]), "0\n"]))
+        else:  # "unsat"
+            add("s UNSATISFIABLE\n")
     return lines

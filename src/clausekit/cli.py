@@ -35,7 +35,7 @@ from typing import Callable, NamedTuple, Sequence, TextIO
 
 from . import cdcl, formats, lia, resolution, scl
 from .errors import ClausekitError, UsageError
-from .jsonl import json_line
+from .jsonl import json_format, json_string
 from .logic import Clause
 from .ordering import OrderingConfig, config_with_precedence, default_config
 from .resolution import check_linear_refutation, linear_counter_script
@@ -211,7 +211,8 @@ def _run_experiment(args: argparse.Namespace, as_json: bool) -> tuple[int, list[
     n_max = args.counter_n if args.counter_n is not None else 10
     rows = counter_experiment(n_max)
     if as_json:
-        return EXIT_SAT, [json_line(row._asdict()) for row in rows]
+        format, get = json_format({name: p for p, name in enumerate(ExperimentRow._fields)})
+        return EXIT_SAT, [format % get([json_string(v) if v.__class__ is str else v for v in row]) for row in rows]
     return EXIT_SAT, ["n  scl_propagations  scl_result  resolution_generated  resolution_result\n"] + [
         f"{r.n:<2d} {r.scl_propagations:>16d}  {r.scl_result:<10s} "
         f"{r.resolution_generated:>20d}  {r.resolution_result}\n"

@@ -21,7 +21,7 @@ from __future__ import annotations
 from heapq import heappop, heappush
 from typing import Iterable, Mapping, NamedTuple
 
-from .jsonl import event_line
+from .jsonl import json_format, json_string
 
 DEFAULT_BOX_CAP = 10_000_000
 
@@ -382,7 +382,8 @@ def render(result: LiaPropagation | LiaDecision, as_json: bool) -> list[str]:
             lines.append(f"diverged steps={result.steps}\n")
         event = "lia"
     if as_json:
-        return [event_line(event, line[:-1]) for line in lines]
+        format = json_format({"line": 0}, event=event)[0]
+        return [format % json_string(line[:-1]) for line in lines]
     return lines
 
 

@@ -28,7 +28,7 @@ from collections import defaultdict, deque
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import ReplayStepError
-from .jsonl import event_line, json_line
+from .jsonl import json_format, json_string
 from .logic import (
     Atom,
     Clause,
@@ -559,6 +559,7 @@ def render(result: SaturationResult | list[DerivedClause], as_json: bool) -> lis
     lines = [f"{d.clause.id} : {d.clause}  {d.rule}" for d in derived]
     if not as_json:
         return [line + "\n" for line in lines] + [verdict + "\n"]
-    out = [event_line("derived", line) for line in lines]
-    out.append(json_line({"line": verdict, "event": "result", **counts}) if counts else event_line("result", verdict))
-    return out
+    format = json_format({"line": 0}, event="derived")[0]
+    out = [format % json_string(line) for line in lines]
+    format, get = json_format({name: p for p, name in enumerate(("line", *counts))}, event="result")
+    return out + [format % get((json_string(verdict), *counts.values()))]

@@ -57,14 +57,13 @@ import heapq
 import itertools
 from collections import defaultdict
 from functools import cached_property
-from json.encoder import encode_basestring_ascii
 from operator import itemgetter, mul
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .cdcl import ProofStep, TrailKernel, _new, learn_clause, lowest_unassigned, propagate_units, resolve_1uip, search
 from .cdcl import clause_status  # noqa: F401  perfbench/tracer.py counts calls through this name
 from .errors import ResourceLimitError
-from .jsonl import event_line, json_line
+from .jsonl import json_format, json_string
 from .logic import Atom, Clause, Constant, Literal, Variable, clauses_by_id
 
 DEFAULT_INSTANCE_CAP = 1_000_000
@@ -172,15 +171,11 @@ class HerbrandBase(Sequence[Atom]):
         pred, arity, code = self.locate(atom)
         return f"{pred}({','.join([self.names[c] for c in self.digits(arity, code)])})" if arity else pred
 
-    @cached_property
-    def chunk_names(self) -> list[tuple[str, ...]]:
-        """Per value of `chunk` base-d digits, their names, most significant first."""
-        return list(itertools.product(self.names, repeat=self.chunk))
-
-    @cached_property
-    def json_chunk_names(self) -> list[tuple[str, ...]]:
-        """`chunk_names` with each name escaped as in a JSON string (`encode_basestring_ascii`, without the quotes)."""
-        return list(itertools.product([encode_basestring_ascii(n)[1:-1] for n in self.names], repeat=self.chunk))
+    def chunk_names(self, as_json: bool) -> list[tuple[str, ...]]:
+        """Per value of `chunk` base-d digits, their names, most significant first; for JSON, each name
+        escaped as in a JSON string (`json_string`, without the quotes)."""
+        names = [json_string(n)[1:-1] for n in self.names] if as_json else self.names
+        return list(itertools.product(names, repeat=self.chunk))
 
     def __getitem__(self, i: int | slice) -> Atom | list[Atom]:
         if isinstance(i, slice):  # a slice gives its atoms as a list, as a list's slice does
@@ -313,16 +308,25 @@ class _CompiledClause:
         return tuple(sorted([(v, names[key // w % d]) for v, w in zip(self.variables, self.weights)]))
 
     @cached_property
-    def lines(self) -> list["_Line"]:
-        """Per literal, its propagate line as text."""
+    def lines(self) -> list[tuple]:
+        """Per literal, its propagate line as text (see `_lines`)."""
         return self._lines(False)
 
     @cached_property
-    def json_lines(self) -> list["_Line"]:
-        """Per literal, its propagate line as a JSON object."""
+    def json_lines(self) -> list[tuple]:
+        """Per literal, its propagate line as a JSON object (see `_lines`)."""
         return self._lines(True)
 
-    def _lines(self, as_json: bool) -> list["_Line"]:
+    def _lines(self, as_json: bool) -> list[tuple]:
+        """Per literal, its propagate line as a %-format over an instance's names: (places, format, getter).
+
+        The names are those of the instance key's base-d digits, spelled
+        `HerbrandBase.chunk` digits at a time: one chunk per place value, most
+        significant first.  A text line's format, the line and its newline, is
+        filled with the names of `HerbrandBase.chunk_names`; a JSON line's, the
+        line's object with its `lit` and `subst` fields, with their JSON escapes.
+        The getter orders the names the format reads: a tuple, or one name alone.
+        """
         # per variable, the base-d digit of the key that holds its constant index (see `weights`)
         if self.aligned:
             args = self.templates[0].args
@@ -344,32 +348,12 @@ class _CompiledClause:
             at = [last - digit[a.name] for a in args if isinstance(a, Variable)] + subst_at
             text = f"propagate {lit} <- clause {self.id} σ={subst}"
             if as_json:  # escaping goes character by character: the escaped format filled with escaped names
-                parts = map(encode_basestring_ascii, (text, lit, subst))
-                lines.append(_Line(places, _JSON_PROPAGATE % (self.id, *parts), itemgetter(*at, *at)))
+                format, get = _JSON["propagate"]  # its line reads the names at `at`, then its lit and subst
+                format %= get((json_string(text), json_string(lit), self.id, json_string(subst)))
+                lines.append((places, format, itemgetter(*at, *at)))
             else:
-                lines.append(_Line(places, text + "\n", itemgetter(*at)))
+                lines.append((places, text + "\n", itemgetter(*at)))
         return lines
-
-
-# the JSON object of a propagate line as `json_line` writes it, keys sorted, over its clause id and
-# its text line, literal and substitution as JSON strings
-_JSON_PROPAGATE = '{"clause": %d, "event": "scl", "kind": "propagate", "line": %s, "lit": %s, "subst": %s}\n'
-
-
-class _Line(NamedTuple):
-    """The propagate line of a literal of a compiled clause, as a %-format over an instance's names.
-
-    The names are those of the instance key's base-d digits, spelled
-    `HerbrandBase.chunk` digits at a time: one chunk per place value, most
-    significant first.  A text line's format, the line and its newline, is
-    filled with the names of `chunk_names`; a JSON line's, the line's object
-    with its `lit` and `subst` fields, with those of `json_chunk_names`.
-    The getter orders the names the format reads: a tuple, or one name alone.
-    """
-
-    places: tuple[int, ...]
-    format: str
-    get: Callable
 
 
 # A binding maps each slot of a clause to a constant index, or to -1 while unbound.
@@ -406,7 +390,8 @@ class GroundProblem:
         self.compiled: list[_CompiledClause] = []
         # per Herbrand block, the _trigger_tree of (clause, template, first, other) for the negative
         # and for the positive templates of the clauses of two or more literals, or None (see
-        # `ground_problem` for first and other); empty if nothing is left to create
+        # `ground_problem` for first and other; a template that joins holds its clause's other
+        # templates in place of first); empty if nothing is left to create
         self.roots: list[tuple] = []
 
     def _join(self, clause, todo, b, open_lit, true, found) -> None:
@@ -507,8 +492,8 @@ def ground_problem(
         problem.compiled.append(compiled)
         if len(templates) < 2:
             continue  # every instance is created at the start
-        for t in templates:
-            first = t is templates[0]  # a pair's instance holds the literal of t first
+        for i, t in enumerate(templates):
+            first = i == 0  # a pair's instance holds the literal of t first
             consts = {j: -1 - a for j, a in enumerate(t.args) if a < 0}
             # where t gives a pair's other literal (see `SclState.assign`): the other template's
             # base, signed as its literal is, and unless the clause is aligned, per slot the place
@@ -520,6 +505,8 @@ def ground_problem(
                 other = sign * u.base
                 if not compiled.aligned:
                     other = other, tuple(zip(t.weights, [sign * w for w in u.weights], compiled.weights))
+            else:
+                first = templates[:i] + templates[i + 1:]  # t joins its clause's other templates
             entries[block[t.pred]][t.positive].append((consts, (compiled, t, first, other)))
     problem.roots = [
         tuple(_trigger_tree(es, arity, len(dom)) if es else None for es in signs)
@@ -627,7 +614,7 @@ class SclState(TrailKernel):
                         if b is not None:
                             if found is None:
                                 found = {}
-                            problem._join(clause, [u for u in clause.templates if u is not t], b, 0, true, found)
+                            problem._join(clause, first, b, 0, true, found)  # first: the other templates
                         continue
                     else:  # any other pair: each slot's digit in the matched atom's code
                         unit, key = other[0], 0
@@ -737,9 +724,12 @@ def scl_run(
 
 
 _VERDICTS = {"sat": "s SATISFIABLE", "unsat": "s UNSATISFIABLE", "limit": "s RESOURCE-EXCEEDED"}
-# per trace event kind, the names of the JSON fields after `kind`
+# per trace event kind, and the stats line, the names of the JSON fields after `kind`
 _FIELDS = {"propagate": ("lit", "clause", "subst"), "conflict": ("clause", "subst"), "decide": ("lit", "level"),
-           "learn": ("clause", "backjump")}
+           "learn": ("clause", "backjump"), "stats": ()}
+# per kind, the format of its JSON lines over the text line and the `_FIELDS`, and its getter
+_JSON = {kind: json_format({name: p for p, name in enumerate(("line", *fields))}, event="scl", kind=kind)
+         for kind, fields in _FIELDS.items()}
 
 
 def render(result: SclResult, as_json: bool) -> list[str]:
@@ -748,21 +738,21 @@ def render(result: SclResult, as_json: bool) -> list[str]:
     A propagation of one of its clause's literals, one per template, fills
     the format that `_CompiledClause.lines` (text) or `json_lines` compiles
     for that literal with the names of the instance's key, spelled in place
-    from `HerbrandBase.chunk_names` or `json_chunk_names`.  Merge clauses,
+    from `HerbrandBase.chunk_names`, JSON-escaped for JSON.  Merge clauses,
     ground clauses (one instance each, too few lines to repay compiling;
     their substitution is `{}`) and learned instances, and every other
     line, spell their substitutions through `GroundInstance.subst_str` and
-    their literals from the Herbrand base.  A trace line's JSON object
-    holds the text line as `line` and the values it spells as the kind's
-    `_FIELDS`.  A run stopped by the instance cap has no state, so only its
-    verdict line.
+    their literals from the Herbrand base; as JSON, each fills its kind's
+    `_JSON` format with the text line and the values it spells, the kind's
+    `_FIELDS`.  Every JSON format comes from `jsonl.json_format`.  A run
+    stopped by the instance cap has no state, so only its verdict line.
     """
     lines: list[str] = []
     add = lines.append
     state = result.state
     if state is not None:
         instances, atoms = state.problem.instances, state.problem.atoms
-        name, table = atoms.name, atoms.json_chunk_names if as_json else atoms.chunk_names
+        name, table = atoms.name, atoms.chunk_names(as_json)
         size = len(table)
 
         def literal(lit: int) -> str:
@@ -774,11 +764,11 @@ def render(result: SclResult, as_json: bool) -> list[str]:
                 inst = instances[ev[2]]
                 compiled = inst.compiled
                 if compiled is not None and not compiled.merge and compiled.slots:
-                    line = (compiled.json_lines if as_json else compiled.lines)[inst.lits.index(ev[1])]
+                    places, format, get = (compiled.json_lines if as_json else compiled.lines)[inst.lits.index(ev[1])]
                     key, names = inst.key, ()
-                    for place in line.places:
+                    for place in places:
                         names += table[key // place % size]
-                    add(line.format % line.get(names))
+                    add(format % get(names))
                     continue
                 lit, subst = literal(ev[1]), inst.subst_str()
                 text, values = f"propagate {lit} <- clause {inst.clause_id} σ={subst}", (lit, inst.clause_id, subst)
@@ -793,12 +783,13 @@ def render(result: SclResult, as_json: bool) -> list[str]:
                 clause = " | ".join(map(literal, ev[1]))
                 text, values = f"learn {clause} backjump {ev[2]}", (clause, ev[2])
             if as_json:
-                add(json_line({"line": text, "event": "scl", "kind": kind, **dict(zip(_FIELDS[kind], values))}))
+                format, get = _JSON[kind]
+                add(format % get([json_string(v) if v.__class__ is str else v for v in (text, *values)]))
             else:
                 add(text + "\n")
         s = state.stats
         text = f"stats propagations={s.propagations} decisions={s.decisions} trail={len(state.trail)}"
-        add(json_line({"line": text, "event": "scl", "kind": "stats"}) if as_json else text + "\n")
+        add(_JSON["stats"][0] % json_string(text) if as_json else text + "\n")
     text = _VERDICTS[result.verdict]
-    add(event_line("result", text) if as_json else text + "\n")
+    add(json_format({"line": 0}, event="result")[0] % json_string(text) if as_json else text + "\n")
     return lines

@@ -9,7 +9,7 @@ the code's file (`clausekit/...` below the source directory, the rest below
 the standard library's) and qualified name, as `clausekit/lia.py:propagate_bounds`.
 A module's count is the sum of its functions'.  A sample is named groups of verdicts: `workloads` holds every
 verdict of each of the five workloads, `budgets` the smaller sample of
-`tests/test_work_budgets.py`, which adds SCL counter 8 as JSON and SCL runs
+`tests/test_work_budgets.py`, which adds a CDCL formula and SCL counter 8 as JSON, and SCL runs
 that decide and learn on BS sets that `tests/test_scl_kernel.py:random_bs` draws.  A count is exact and does not depend on the
 machine's load, but work done in C counts as one instruction.  Each count
 runs in a process of its own under PYTHONHASHSEED=0, since set and dict
@@ -82,20 +82,25 @@ def learning_verdicts(workloads) -> list:
 
 
 def budget_sample(workloads) -> dict[str, list]:
-    """About 2M instructions: one random 3-CNF formula, the first three verdicts of scl-sparse,
-    saturation and lia, the unsatisfiable SCL counter 8 as text and as JSON, and SCL runs that
-    decide and learn.  No benchmark verdict writes an SCL trace as JSON."""
+    """About 2M instructions: one random 3-CNF formula as text and as JSON, the first three verdicts
+    of scl-sparse, saturation and lia, the unsatisfiable SCL counter 8 as text and as JSON, and SCL
+    runs that decide and learn.  No benchmark verdict writes a CDCL or SCL trace as JSON."""
     def verdicts(name: str) -> list:
         return workloads.build(name, SEED, SECONDS).verdicts
 
+    def as_json(sample: list) -> list:
+        return [dataclasses.replace(v, argv=v.argv + ["--format", "json"]) for v in sample]
+
+    cnf10 = [v for v in verdicts("random-3cnf") if v.label == "cnf10"]
     counter8 = [v for v in verdicts("scl-counter") if v.label == "counter8.bs"]
     return {
-        "cnf10": [v for v in verdicts("random-3cnf") if v.label == "cnf10"],
+        "cnf10": cnf10,
+        "cnf10-json": as_json(cnf10),
         "scl-sparse": verdicts("scl-sparse")[:3],
         "saturation": verdicts("saturation")[:3],
         "lia": verdicts("lia")[:3],
         "counter8": counter8,
-        "counter8-json": [dataclasses.replace(v, argv=v.argv + ["--format", "json"]) for v in counter8],
+        "counter8-json": as_json(counter8),
         "scl-learn": learning_verdicts(workloads),
     }
 

@@ -200,3 +200,20 @@ def test_a_writer_is_caught():
     sources = {"a": "def main(out):\n    out.writelines([])\nclass E:\n    def lines(self):\n"
                     "        w = self.out.write\n        def inner():\n            return sys.stdout.write\n"}
     assert writers(sources) == {"a.main", "a.E.lines", "a.E.lines.inner"}
+
+
+def json_importers(sources: dict[str, str]) -> set[str]:
+    """The modules that import `json` or one of its modules anywhere in their source."""
+    return {module for module, source in sources.items() if "json" in imported_roots(ast.parse(source))}
+
+
+def test_jsonl_is_the_one_module_that_imports_json():
+    # every JSON line fills a format that jsonl builds, so no engine needs the encoder or its escaper
+    sources = {module.stem: module.read_text() for module in PACKAGE.glob("*.py")}
+    assert json_importers(sources) == {"jsonl"}
+
+
+def test_a_json_import_is_caught():
+    sources = {"a": "from json.encoder import encode_basestring_ascii\n", "b": "def f():\n    import json\n",
+               "c": "from .jsonl import json_format\nimport jsonschema\n", "d": "import os, json as j\n"}
+    assert json_importers(sources) == {"a", "b", "d"}

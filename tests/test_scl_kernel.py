@@ -19,7 +19,6 @@ from oracles import (
 )
 from clausekit.cdcl import PropClause, TrailKernel
 from clausekit.formats import parse_bs
-from clausekit.jsonl import json_line
 from clausekit.logic import Atom, Clause, Constant, Literal, Variable
 from clausekit.ordering import default_config
 from clausekit.resolution import no_selection, saturate
@@ -542,13 +541,13 @@ def text_and_json(result) -> tuple[list[str], list[dict]]:
 
 def assert_text_is_json_line(result) -> list[dict]:
     """Each text line is its JSON line's `line`, which JSON's `lit` and `subst` spell; a propagate
-    line's JSON, filled from a template of its own, has the bytes that `json_line` writes for its fields."""
+    line's JSON, filled from a template of its own, has the bytes that `json.dumps` writes for its fields."""
     lines, records = text_and_json(result)
     assert lines == [r["line"] for r in records]
     for line, r in zip(render(result, True), records):
         if r.get("kind") == "propagate":
             assert r["line"] == f"propagate {r['lit']} <- clause {r['clause']} σ={r['subst']}"
-            assert line == json_line(r)
+            assert line == json.dumps(r, sort_keys=True) + "\n"
     return records
 
 
