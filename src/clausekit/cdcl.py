@@ -509,15 +509,18 @@ def solve(
     return CdclResult("sat", state, model=model, proof=proof)
 
 
-# per event kind but the verdicts, its JSON line's format and getter: the text line's own format over the
-# event's values at the positions given, beside the fields, each the value at its position; the values of a
-# learn event are its literals as a list, its backjump level, its clause id and its literals spelled out
+# per event kind, its JSON line's format and getter: the text line's own format over the event's values at
+# the positions given, beside the fields, each the value at its position; the values of a learn event are its
+# literals as a list, its backjump level, its clause id and its literals spelled out.  Each line of a verdict
+# is an object of that text line alone.
 _JSON = {kind: json_format(fields, event="cdcl", kind=kind) for kind, fields in {
     "propagate": {"line": ("propagate %d <- clause %d", (1, 2)), "lit": 1, "clause": 2},
     "decide": {"line": ("decide %d @%d", (1, 2)), "lit": 1, "level": 2},
     "conflict": {"line": ("conflict clause %d", (1,)), "clause": 1},
     "learn": {"line": ("learn %s backjump %d", (4, 2)), "lits": 1, "backjump": 2, "clause": 3},
     "forget": {"line": ("forget clause %d", (1,)), "clause": 1},
+    "sat": {"line": 0},
+    "unsat": {"line": 0},
 }.items()}
 
 
@@ -537,7 +540,7 @@ def render(result: CdclResult, as_json: bool) -> list[str]:
         if kind == "learn":
             ev = (kind, list(ev[1]), *ev[2:], " ".join(map(str, ev[1])))
         elif kind == "sat" or kind == "unsat":
-            format = json_format({"line": 0}, event="cdcl", kind=kind)[0]
+            format = _JSON[kind][0]
             lines += [format % json_string(line) for line in _text_lines([ev])[0].splitlines()]
             continue
         format, get = _JSON[kind]

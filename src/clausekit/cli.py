@@ -207,11 +207,14 @@ def counter_experiment(n_max: int) -> list[ExperimentRow]:
     return rows
 
 
+_EXPERIMENT_JSON = json_format({name: p for p, name in enumerate(ExperimentRow._fields)})
+
+
 def _run_experiment(args: argparse.Namespace, as_json: bool) -> tuple[int, list[str]]:
     n_max = args.counter_n if args.counter_n is not None else 10
     rows = counter_experiment(n_max)
     if as_json:
-        format, get = json_format({name: p for p, name in enumerate(ExperimentRow._fields)})
+        format, get = _EXPERIMENT_JSON
         return EXIT_SAT, [format % get([json_string(v) if v.__class__ is str else v for v in row]) for row in rows]
     return EXIT_SAT, ["n  scl_propagations  scl_result  resolution_generated  resolution_result\n"] + [
         f"{r.n:<2d} {r.scl_propagations:>16d}  {r.scl_result:<10s} "

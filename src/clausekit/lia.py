@@ -356,6 +356,10 @@ def decide_bounded(system: LiaSystem, box_cap: int = DEFAULT_BOX_CAP) -> LiaDeci
     return LiaDecision("unsat") if found is None else LiaDecision("sat", found)
 
 
+# per event, the format of a JSON line that holds its text line alone
+_JSON = {event: json_format({"line": 0}, event=event)[0] for event in ("lia", "result")}
+
+
 def render(result: LiaPropagation | LiaDecision, as_json: bool) -> list[str]:
     """The output lines of a propagation or a decision, as text or as JSON objects.
 
@@ -382,7 +386,7 @@ def render(result: LiaPropagation | LiaDecision, as_json: bool) -> list[str]:
             lines.append(f"diverged steps={result.steps}\n")
         event = "lia"
     if as_json:
-        format = json_format({"line": 0}, event=event)[0]
+        format = _JSON[event]
         return [format % json_string(line[:-1]) for line in lines]
     return lines
 

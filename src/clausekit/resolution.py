@@ -537,6 +537,12 @@ def check_linear_refutation(
     return derived
 
 
+_DERIVED_JSON = json_format({"line": 0}, event="derived")[0]
+# per tuple of counts that a verdict line holds (a saturation's, or a replay's none), its JSON format and getter
+_RESULT_JSON = {counts: json_format({name: p for p, name in enumerate(("line", *counts))}, event="result")
+                for counts in (("generated", "kept"), ())}
+
+
 def render(result: SaturationResult | list[DerivedClause], as_json: bool) -> list[str]:
     """The output lines of a saturation or a replay, as text or as JSON objects.
 
@@ -559,7 +565,6 @@ def render(result: SaturationResult | list[DerivedClause], as_json: bool) -> lis
     lines = [f"{d.clause.id} : {d.clause}  {d.rule}" for d in derived]
     if not as_json:
         return [line + "\n" for line in lines] + [verdict + "\n"]
-    format = json_format({"line": 0}, event="derived")[0]
-    out = [format % json_string(line) for line in lines]
-    format, get = json_format({name: p for p, name in enumerate(("line", *counts))}, event="result")
+    out = [_DERIVED_JSON % json_string(line) for line in lines]
+    format, get = _RESULT_JSON[tuple(counts)]
     return out + [format % get((json_string(verdict), *counts.values()))]

@@ -6,11 +6,15 @@ literal in any instance is integer arithmetic over constant indices.  Atoms
 are integers too: the Herbrand base is mixed-radix arithmetic per predicate
 block, and an `Atom` is built only when one is asked for.
 
-Instances are created only when the trail makes them unit or false, and
-are named by their position in the propositional trail kernel of
-`clausekit.cdcl`.  The instances created at the start (those of one-literal
-and empty clauses, and the instances whose literals all coincide) and the
-learned ones are hooked into the kernel's watch lists; no other instance is.
+A clause without variables is not compiled: grounding gives it its one
+instance, each literal kept once (none if it is a tautology).  An instance
+of a clause with variables is created only when the trail makes it unit or
+false.  Instances are named by their position in the propositional trail
+kernel of `clausekit.cdcl`.  The instances created at the start (those of
+variable-free clauses, those unit or false under the empty trail) and the
+learned ones are hooked into the kernel's watch lists, as CDCL hooks every
+clause; no other instance is, and only clauses with variables are indexed
+for the walk below.
 When a literal L is assigned, one pass (in `SclState.assign`) goes from
 the complement of L to every instance it makes unit or false, new or not:
 the trigger tree of its Herbrand block and sign yields the templates that
@@ -55,7 +59,7 @@ from __future__ import annotations
 import bisect
 import heapq
 import itertools
-from collections import defaultdict
+from collections import Counter, defaultdict
 from functools import cached_property
 from operator import itemgetter, mul
 from typing import Callable, Iterable, NamedTuple, Sequence
@@ -99,7 +103,8 @@ class GroundInstance(NamedTuple):
     clause sort as their substitutions do.  An instance the engine grounds
     holds its compiled clause and its key there (see `_CompiledClause`) in
     place of the pairs, and spells them only when asked; the one instance of
-    a ground clause spells `{}` with nothing compiled.
+    a clause without variables, like a learned one, holds no pairs and
+    nothing compiled, and spells `{}`.
     """
 
     clause_id: int
@@ -112,7 +117,7 @@ class GroundInstance(NamedTuple):
         return self.key if self.compiled is None else self.compiled.subst(self.key)
 
     def subst_str(self) -> str:
-        if self.compiled is not None and not self.compiled.slots:  # a ground clause's one instance
+        if self.key == ():  # no pairs: a clause without variables, or a learned clause
             return "{}"
         return "{" + ",".join(map("->".join, self.subst)) + "}"
 
@@ -162,6 +167,10 @@ class HerbrandBase(Sequence[Atom]):
         pred, arity = self.blocks[k]
         return pred, arity, atom - self.starts[k]
 
+    def atom_index(self, pred: str, digits: Sequence[int]) -> int:
+        """The index of pred's atom whose arguments have these constant indices."""
+        return self.place[pred] + sum(map(mul, self.places[len(digits)], digits))
+
     def digits(self, arity: int, code: int) -> tuple[int, ...]:
         """The constant indices that a code spells at an arity."""
         d = len(self.names)
@@ -209,24 +218,22 @@ def _escape(name: str) -> str:
     return name.replace("%", "%%")
 
 
-def _template(lit: Literal, base: int, slot: dict[str, int], const_index: dict[str, int]) -> _Template:
-    """Compile a literal whose predicate's block starts at base; slot maps variable names to
-    slots, const_index constant names to indices."""
-    d = len(const_index)
-    weights = [0] * len(slot)
-    args = []
-    w = d ** len(lit.atom.args)
-    for arg in lit.atom.args:
-        w //= d
-        if isinstance(arg, Variable):
-            k = slot[arg.name]
+def _template(lit: Literal, slot: dict[str, int], const_index: dict[str, int], atoms: HerbrandBase) -> _Template:
+    """Compile a literal; slot maps variable names to slots, const_index constant names to indices.
+    Its base is the atom with constant index 0 at each variable's position."""
+    pred, terms = lit.atom.predicate, lit.atom.args
+    args, digits, weights = [], [], [0] * len(slot)
+    for a, w in zip(terms, atoms.places[len(terms)]):
+        if isinstance(a, Variable):
+            k = slot[a.name]
             weights[k] += w
             args.append(k)
+            digits.append(0)
         else:
-            c = const_index[arg.name]
-            base += w * c
+            c = const_index[a.name]
             args.append(-1 - c)
-    return _Template(lit.positive, lit.atom.predicate, tuple(args), base, tuple(weights))
+            digits.append(c)
+    return _Template(lit.positive, pred, tuple(args), atoms.atom_index(pred, digits), tuple(weights))
 
 
 def _trigger_tree(entries: list[tuple[dict[int, int], tuple]], arity: int, d: int):
@@ -239,13 +246,10 @@ def _trigger_tree(entries: list[tuple[dict[int, int], tuple]], arity: int, d: in
     list of payloads.  Each node tests the position most templates below it
     fix, the rightmost on ties.
     """
-    counts: dict[int, int] = {}
-    for consts, _ in entries:
-        for p in consts:
-            counts[p] = counts.get(p, 0) + 1
-    if not counts:
+    if not any(map(itemgetter(0), entries)):  # no template here fixes a position
         return [payload for _, payload in entries]
-    position = max(counts, key=lambda p: (counts[p], p))
+    counts = Counter(itertools.chain.from_iterable(map(itemgetter(0), entries)))  # counted in C
+    position = max(zip(counts.values(), counts))[1]  # the largest count, then the rightmost position
     fixed, free = defaultdict(list), []
     for consts, payload in entries:
         if position in consts:
@@ -258,7 +262,7 @@ def _trigger_tree(entries: list[tuple[dict[int, int], tuple]], arity: int, d: in
 
 
 class _CompiledClause:
-    """A clause's templates, and its instances so far by key.
+    """A clause with variables: its templates, and its instances so far by key.
 
     A combo is the constant index of each variable slot; slots follow the
     clause's variables in first-occurrence order, so combos sort as
@@ -286,7 +290,7 @@ class _CompiledClause:
         kinds = [(t.positive, t.pred) for t in templates]
         # two literals share sign and predicate, so an instance can hold fewer literals than the clause
         self.merge = len(set(kinds)) < len(kinds)
-        first = templates[0] if templates else None
+        first = templates[0]
         self.aligned = (
             len(templates) > 1 and not self.merge and first.binds(self.slots)
             and all(t.weights == first.weights for t in templates)
@@ -333,7 +337,7 @@ class _CompiledClause:
             digit = {self.variables[a]: len(args) - 1 - j for j, a in enumerate(args) if a >= 0}
         else:
             digit = {v: self.slots - 1 - s for s, v in enumerate(self.variables)}
-        chunks = -(-(max(digit.values(), default=-1) + 1) // self.chunk)
+        chunks = -(-(max(digit.values()) + 1) // self.chunk)
         last = chunks * self.chunk - 1  # the spelled names' last position, the lowest digit's
         size = len(self.names) ** self.chunk
         places = tuple([size ** j for j in reversed(range(chunks))])
@@ -359,18 +363,32 @@ class _CompiledClause:
 # A binding maps each slot of a clause to a constant index, or to -1 while unbound.
 
 
-def _bind(t: _Template, digits: Sequence[int], b: list[int]) -> list[int] | None:
-    """b extended so that the template's atom has these constant indices, or None; its constant
-    positions are skipped, as the trigger tree reaches a template only where each of them matched."""
-    b = b.copy()
+def _bind(t: _Template, digits: Sequence[int], b: list[int]) -> bool:
+    """Bind b's slots in place so that the template's atom has these constant indices; False if a
+    repeated variable meets two constants.  Its constant positions are skipped, as the trigger
+    tree reaches a template only where each of them matched."""
     for a, c in zip(t.args, digits):
         if a < 0:
             continue
         if b[a] == -1:
             b[a] = c
         elif b[a] != c:
-            return None
-    return b
+            return False
+    return True
+
+
+def _todo(templates: Iterable[_Template], bound: Iterable[int]) -> list[tuple[_Template, tuple[int, ...]]]:
+    """A join's walk over templates once the slots in bound are bound: per template, the slots it
+    binds first, in argument order.  The walk ends at the last template that binds a slot, where
+    every slot is bound."""
+    seen, todo = set(bound), []
+    for t in templates:
+        free = tuple(dict.fromkeys([a for a in t.args if a >= 0 and a not in seen]))
+        seen.update(free)
+        todo.append((t, free))
+    while todo and not todo[-1][1]:
+        todo.pop()
+    return todo
 
 
 class GroundProblem:
@@ -389,33 +407,35 @@ class GroundProblem:
         self.clauses, self.domain, self.atoms, self.instances = clauses, domain, atoms, instances
         self.compiled: list[_CompiledClause] = []
         # per Herbrand block, the _trigger_tree of (clause, template, first, other) for the negative
-        # and for the positive templates of the clauses of two or more literals, or None (see
-        # `ground_problem` for first and other; a template that joins holds its clause's other
-        # templates in place of first); empty if nothing is left to create
+        # and for the positive templates of the clauses of two or more literals with variables, or
+        # None (see `ground_problem` for first and other; a template that joins holds its `_todo`
+        # over its clause's other templates in place of first); empty if no block has a tree
         self.roots: list[tuple] = []
 
-    def _join(self, clause, todo, b, open_lit, true, found) -> None:
-        """Extend b over the templates in todo, each false on the trail or the one open literal.
+    def _join(self, clause, todo, i, b, open_lit, true, found) -> None:
+        """Extend b over todo[i:], a `_todo`, each template false on the trail or the one open literal.
 
-        Once every slot is bound, `_create` checks the instance.  Otherwise
-        the next template's unbound slots range over the domain: a binding
-        whose literal is false goes on, one whose literal is unassigned goes
-        on only as open_lit (or as the first open literal, while open_lit is
-        0), and one whose literal is true is dropped.
+        Once the walk ends, every slot is bound and `_create` checks the
+        instance.  Otherwise the template's free slots range over the domain,
+        bound in place in b: a binding whose literal is false goes on, one
+        whose literal is unassigned goes on only as open_lit (or as the first
+        open literal, while open_lit is 0), and one whose literal is true is
+        dropped.  b is the join's own, and no template reads a slot that a
+        later one binds, so a slot is left bound on return.
         """
-        if -1 not in b:
+        if i == len(todo):
             self._create(clause, clause.key(b), clause.lits(b), true, found)
             return
-        t, rest = todo[0], todo[1:]
-        free, b = list(dict.fromkeys(a for a in t.args if a >= 0 and b[a] == -1)), b.copy()
+        t, free = todo[i]
+        i += 1
         for consts in itertools.product(range(len(self.domain)), repeat=len(free)):
             for s, c in zip(free, consts):
                 b[s] = c
             lit = t.lit(b)
             if true[-lit]:
-                self._join(clause, rest, b, open_lit, true, found)
+                self._join(clause, todo, i, b, open_lit, true, found)
             elif not true[lit] and open_lit in (0, lit):
-                self._join(clause, rest, b, lit, true, found)
+                self._join(clause, todo, i, b, lit, true, found)
 
     def _create(self, clause: _CompiledClause, key: int, lits: tuple[int, ...], true, found) -> None:
         """If the instance with this key and these literals, per template, each kept once, is unit
@@ -444,15 +464,36 @@ def ground_problem(
     domain: Iterable[Constant] | None = None,
     instance_cap: int = DEFAULT_INSTANCE_CAP,
 ) -> GroundProblem:
-    """Compile every clause over the domain and create the instances unit or false at the start.
+    """Ground the clauses over the domain: the instances at the start, and templates for the rest.
 
+    One walk over the literals finds the constants, each predicate's arity
+    and each clause's variables.  In clause-id order, a clause without
+    variables gets its one instance, each literal kept once, unless it is a
+    tautology; a clause with variables is compiled, and its instances unit
+    or false under the empty trail are created.  Only the templates of
+    clauses of two or more literals with variables go into trigger trees.
     The caps count the Herbrand base and every instance a priori.  A clause
     set without constants is grounded over FRESH_CONSTANT.
     """
     by_id = clauses_by_id(clauses)
-    constants = {
-        a for c in by_id.values() for l in c.literals for a in l.atom.args if isinstance(a, Constant)
-    }
+    constants: set[Constant] = set()
+    arity: dict[str, int] = {}
+    variables: dict[int, list[str]] = {}  # per clause, its variables' names in first-occurrence order
+    clash = None  # the first predicate used at a second arity, reported after the domain's errors
+    for cid, clause in by_id.items():
+        names: dict[str, None] = {}
+        for lit in clause.literals:
+            atom = lit.atom
+            for a in atom.args:
+                if isinstance(a, Variable):
+                    names[a.name] = None
+                else:
+                    constants.add(a)
+            n = atom.arity
+            known = arity.setdefault(atom.predicate, n)
+            if known != n and clash is None:
+                clash = f"predicate {atom.predicate!r} used with arity {n}, expected {known}"
+        variables[cid] = list(names)
     if domain is not None:
         dom = sorted(set(domain), key=lambda c: c.name)
         missing = constants - set(dom)
@@ -462,34 +503,42 @@ def ground_problem(
         dom = sorted(constants, key=lambda c: c.name) or [FRESH_CONSTANT]
     if not dom:
         raise ValueError("empty Herbrand domain; provide at least one constant")
+    if clash is not None:
+        raise ValueError(clash)
 
-    arity: dict[str, int] = {}
-    for lit in (l for c in by_id.values() for l in c.literals):
-        known = arity.setdefault(lit.atom.predicate, lit.atom.arity)
-        if known != lit.atom.arity:
-            raise ValueError(f"predicate {lit.atom.predicate!r} used with arity {lit.atom.arity}, expected {known}")
-    base_size = sum(len(dom) ** a for a in arity.values())
+    d = len(dom)
+    base_size = sum(d ** a for a in arity.values())
     if base_size > instance_cap:
         raise ResourceLimitError(f"Herbrand base of {base_size} atoms exceeds the cap")
     atoms = HerbrandBase(arity, dom)
-
-    variables = {cid: [v.name for v in c.variables()] for cid, c in by_id.items()}
-    total = sum(len(dom) ** len(vs) for vs in variables.values())
+    total = sum(d ** len(vs) for vs in variables.values())
     if total > instance_cap:
         raise ResourceLimitError(f"{total} ground instances exceed the cap of {instance_cap}")
 
     const_index = {c.name: i for i, c in enumerate(dom)}
     problem = GroundProblem(by_id, tuple(dom), atoms, [])
+    instances = problem.instances
     block = {pred: k for k, (pred, _) in enumerate(atoms.blocks)}
     entries: list[tuple[list, list]] = [([], []) for _ in atoms.blocks]  # per block: negative, positive
+    empty = bytearray(2 * len(atoms) + 1)
     for cid in sorted(by_id):
-        slot = {v: k for k, v in enumerate(variables[cid])}
-        templates = [
-            _template(l, atoms.place[l.atom.predicate], slot, const_index)
-            for l in by_id[cid].literals
-        ]
-        compiled = _CompiledClause(by_id[cid], templates, variables[cid], atoms)
+        clause, names = by_id[cid], variables[cid]
+        if not names:  # its one instance, which `SclState` watches as CDCL watches a clause
+            lits: dict[int, None] = {}
+            for l in clause.literals:
+                atom = atoms.atom_index(l.atom.predicate, [const_index[a.name] for a in l.atom.args])
+                lits[atom if l.positive else -atom] = None
+            if len(lits) < 2 or not any(-lit in lits for lit in lits):  # not a tautology
+                instances.append(_new(GroundInstance, (cid, (), tuple(lits), None)))
+            continue
+        slot = {v: k for k, v in enumerate(names)}
+        templates = [_template(l, slot, const_index, atoms) for l in clause.literals]
+        compiled = _CompiledClause(clause, templates, names, atoms)
         problem.compiled.append(compiled)
+        if compiled.merge or len(templates) < 2:
+            # its instances unit or false under the empty trail; distinct literals of a clause with
+            # no two of one sign and predicate stay distinct
+            problem._join(compiled, _todo(templates, ()), 0, [-1] * compiled.slots, 0, empty, {})
         if len(templates) < 2:
             continue  # every instance is created at the start
         for i, t in enumerate(templates):
@@ -505,19 +554,14 @@ def ground_problem(
                 other = sign * u.base
                 if not compiled.aligned:
                     other = other, tuple(zip(t.weights, [sign * w for w in u.weights], compiled.weights))
-            else:
-                first = templates[:i] + templates[i + 1:]  # t joins its clause's other templates
+            else:  # t joins its clause's other templates
+                first = _todo(templates[:i] + templates[i + 1:], [a for a in t.args if a >= 0])
             entries[block[t.pred]][t.positive].append((consts, (compiled, t, first, other)))
-    problem.roots = [
-        tuple(_trigger_tree(es, arity, len(dom)) if es else None for es in signs)
-        for signs, (_, arity) in zip(entries, atoms.blocks)
-    ]
-    # the instances unit or false under the empty trail; distinct literals of a clause with
-    # no two of one sign and predicate stay distinct
-    empty = bytearray(2 * len(atoms) + 1)
-    for clause in problem.compiled:
-        if clause.merge or len(clause.templates) < 2:
-            problem._join(clause, clause.templates, [-1] * clause.slots, 0, empty, {})
+    if any(es for signs in entries for es in signs):
+        problem.roots = [
+            tuple(_trigger_tree(es, arity, d) if es else None for es in signs)
+            for signs, (_, arity) in zip(entries, atoms.blocks)
+        ]
     return problem
 
 
@@ -532,10 +576,12 @@ class SclStats:
 class SclState(TrailKernel):
     """Five-tuple analog over ground literals: the trail kernel over instance positions.
 
-    Every assignment finds the instances it makes unit or false, creating
-    the new ones, and pushes or marks them; only the start instances and
-    the learned clauses are watched.  Learned clauses get ids above the
-    largest input id.  The kernel's tables are sized to the Herbrand base.
+    Every assignment finds the instances of clauses with variables that it
+    makes unit or false, creating the new ones, and pushes or marks them;
+    only the start instances, among them every instance of a clause without
+    variables, and the learned clauses are watched.  Learned clauses get ids
+    above the largest input id.  The kernel's tables are sized to the
+    Herbrand base.
     """
 
     def __init__(self, problem: GroundProblem) -> None:
@@ -546,7 +592,7 @@ class SclState(TrailKernel):
         self.next_clause_id = max(problem.clauses, default=0) + 1
         # what `assign` reads of the problem: the trigger roots by block, the block starts and the
         # domain size; with one block, which starts at atom 1, its root pair and no starts, and with
-        # none (a problem grounded with no triggers), an empty root pair
+        # no trees (no clause of two or more literals has variables), an empty root pair
         roots = problem.roots
         if len(roots) > 1:
             self.triggers = roots, atoms.starts, len(atoms.names)
@@ -610,11 +656,11 @@ class SclState(TrailKernel):
                         problem = self.problem
                         if digits is None:
                             digits = problem.atoms.digits(len(t.args), code)
-                        b = _bind(t, digits, [-1] * clause.slots)
-                        if b is not None:
+                        b = [-1] * clause.slots
+                        if _bind(t, digits, b):
                             if found is None:
                                 found = {}
-                            problem._join(clause, first, b, 0, true, found)  # first: the other templates
+                            problem._join(clause, first, 0, b, 0, true, found)  # first: the other templates
                         continue
                     else:  # any other pair: each slot's digit in the matched atom's code
                         unit, key = other[0], 0
@@ -730,6 +776,7 @@ _FIELDS = {"propagate": ("lit", "clause", "subst"), "conflict": ("clause", "subs
 # per kind, the format of its JSON lines over the text line and the `_FIELDS`, and its getter
 _JSON = {kind: json_format({name: p for p, name in enumerate(("line", *fields))}, event="scl", kind=kind)
          for kind, fields in _FIELDS.items()}
+_RESULT_JSON = json_format({"line": 0}, event="result")[0]
 
 
 def render(result: SclResult, as_json: bool) -> list[str]:
@@ -739,13 +786,14 @@ def render(result: SclResult, as_json: bool) -> list[str]:
     the format that `_CompiledClause.lines` (text) or `json_lines` compiles
     for that literal with the names of the instance's key, spelled in place
     from `HerbrandBase.chunk_names`, JSON-escaped for JSON.  Merge clauses,
-    ground clauses (one instance each, too few lines to repay compiling;
-    their substitution is `{}`) and learned instances, and every other
+    clauses without variables (one instance each, not compiled; their
+    substitution is `{}`) and learned instances, and every other
     line, spell their substitutions through `GroundInstance.subst_str` and
     their literals from the Herbrand base; as JSON, each fills its kind's
     `_JSON` format with the text line and the values it spells, the kind's
-    `_FIELDS`.  Every JSON format comes from `jsonl.json_format`.  A run
-    stopped by the instance cap has no state, so only its verdict line.
+    `_FIELDS`, or `_RESULT_JSON` for the verdict.  Every JSON format comes
+    from `jsonl.json_format`, built once.  A run stopped by the instance cap
+    has no state, so only its verdict line.
     """
     lines: list[str] = []
     add = lines.append
@@ -763,7 +811,7 @@ def render(result: SclResult, as_json: bool) -> list[str]:
             if kind == "propagate":
                 inst = instances[ev[2]]
                 compiled = inst.compiled
-                if compiled is not None and not compiled.merge and compiled.slots:
+                if compiled is not None and not compiled.merge:
                     places, format, get = (compiled.json_lines if as_json else compiled.lines)[inst.lits.index(ev[1])]
                     key, names = inst.key, ()
                     for place in places:
@@ -791,5 +839,5 @@ def render(result: SclResult, as_json: bool) -> list[str]:
         text = f"stats propagations={s.propagations} decisions={s.decisions} trail={len(state.trail)}"
         add(_JSON["stats"][0] % json_string(text) if as_json else text + "\n")
     text = _VERDICTS[result.verdict]
-    add(json_format({"line": 0}, event="result")[0] % json_string(text) if as_json else text + "\n")
+    add(_RESULT_JSON % json_string(text) if as_json else text + "\n")
     return lines

@@ -9,8 +9,9 @@ the code's file (`clausekit/...` below the source directory, the rest below
 the standard library's) and qualified name, as `clausekit/lia.py:propagate_bounds`.
 A module's count is the sum of its functions'.  A sample is named groups of verdicts: `workloads` holds every
 verdict of each of the five workloads, `budgets` the smaller sample of
-`tests/test_work_budgets.py`, which adds a CDCL formula and SCL counter 8 as JSON, and SCL runs
-that decide and learn on BS sets that `tests/test_scl_kernel.py:random_bs` draws.  A count is exact and does not depend on the
+`tests/test_work_budgets.py`, which adds a CDCL formula and SCL counter 8 as JSON, SCL runs
+that decide and learn on BS sets that `tests/test_scl_kernel.py:random_bs` draws, and SCL on
+random 3-CNF formulas written as variable-free BS sets.  A count is exact and does not depend on the
 machine's load, but work done in C counts as one instruction.  Each count
 runs in a process of its own under PYTHONHASHSEED=0, since set and dict
 orders can change the work done.
@@ -81,10 +82,32 @@ def learning_verdicts(workloads) -> list:
                               (workloads.SAT, workloads.UNSAT), None) for name, text in texts.items()]
 
 
+# the random 3-CNF formulas that SCL solves as variable-free BS sets: an unsatisfiable one and a satisfiable one
+GROUND_FORMULAS = ("cnf10", "cnf0")
+
+
+def ground_verdicts(cnf: list) -> list:
+    """SCL verdicts of the CDCL verdicts' formulas, each DIMACS variable k the 0-ary predicate P%03d, as
+    `tests/test_scl_ground.py:as_bs` writes them."""
+    from clausekit.formats import parse_dimacs
+    from oracles import bs_text
+    from test_scl_ground import as_bs
+
+    verdicts = []
+    for v in cnf:
+        name, (text,) = f"{v.label}.bs", v.files.values()
+        files = {name: bs_text(as_bs(parse_dimacs(text)[1]))}
+        verdicts.append(dataclasses.replace(v, label=name, argv=["--mode", "scl", "--input", f"{{dir}}/{name}"],
+                                            files=files, check=None))
+    return verdicts
+
+
 def budget_sample(workloads) -> dict[str, list]:
-    """About 2M instructions: one random 3-CNF formula as text and as JSON, the first three verdicts
-    of scl-sparse, saturation and lia, the unsatisfiable SCL counter 8 as text and as JSON, and SCL
-    runs that decide and learn.  No benchmark verdict writes a CDCL or SCL trace as JSON."""
+    """About 6M instructions: one random 3-CNF formula as text and as JSON, the first three verdicts
+    of scl-sparse, saturation and lia, the unsatisfiable SCL counter 8 as text and as JSON, SCL
+    runs that decide and learn, and SCL on two random 3-CNF formulas without variables.  No
+    benchmark verdict writes a CDCL or SCL trace as JSON, and none gives SCL a variable-free
+    clause of two or more literals."""
     def verdicts(name: str) -> list:
         return workloads.build(name, SEED, SECONDS).verdicts
 
@@ -102,6 +125,8 @@ def budget_sample(workloads) -> dict[str, list]:
         "counter8": counter8,
         "counter8-json": as_json(counter8),
         "scl-learn": learning_verdicts(workloads),
+        "scl-ground": ground_verdicts([v for label in GROUND_FORMULAS for v in verdicts("random-3cnf")
+                                       if v.label == label]),
     }
 
 

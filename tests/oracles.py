@@ -341,6 +341,30 @@ def reference_ground_problem(
     return problem
 
 
+def reference_trigger_tree(entries: list[tuple[dict[int, int], tuple]], arity: int, d: int):
+    """Drop-in for `scl._trigger_tree`, counting each node's fixed positions in a dict, one at a time.
+
+    Each node tests the position most of its entries fix, the rightmost on ties.
+    """
+    counts: dict[int, int] = {}
+    for consts, _ in entries:
+        for p in consts:
+            counts[p] = counts.get(p, 0) + 1
+    if not counts:
+        return [payload for _, payload in entries]
+    position = max(counts, key=lambda p: (counts[p], p))
+    fixed: dict[int, list] = {}
+    free = []
+    for consts, payload in entries:
+        if position in consts:
+            rest = dict(consts)
+            fixed.setdefault(rest.pop(position), []).append((rest, payload))
+        else:
+            free.append((consts, payload))
+    children = {c: reference_trigger_tree(sub, arity, d) for c, sub in fixed.items()}
+    return d ** (arity - 1 - position), children, reference_trigger_tree(free, arity, d) if free else None
+
+
 def ground_satisfiable(clauses: Iterable[Clause], domain: Sequence[Constant]) -> bool:
     """Herbrand satisfiability over the domain by exhaustive assignment search."""
     instances = all_ground_instances(clauses, domain)

@@ -1,5 +1,8 @@
 """SCL on ground problems is CDCL, and which instances SCL keeps in the kernel's watch lists.
 
+As CDCL hooks every clause, SCL hooks the one instance of each clause
+without variables, made at grounding.
+
 DIMACS variable k is written as the 0-ary predicate P%03d, so SCL's atom k
 is variable k whenever every variable occurs in some clause.  CDCL runs with
 SCL's decisions (lowest atom, positive) and SCL's unit order (smallest atom,
@@ -112,16 +115,19 @@ def test_scl_on_ground_clauses_makes_cdcls_trace(formulas, monkeypatch):
 
 
 @pytest.mark.parametrize("n", [1, 6, 12])
-def test_counter_watches_only_its_two_unit_clauses(n):
-    # the 2**n carry instances are found by the trigger walk alone
+def test_counter_watches_only_its_clauses_without_variables(n):
+    # the carry instances of the clauses with variables are found by the trigger walk alone; the
+    # start, the top carry -P(0,1,..,1) | P(1,0,..,0) and the negated final value are watched
     result = scl_run(counter_problem(n))
     assert result.verdict == "unsat" and result.stats.propagations == 2**n
-    assert len(result.state.watched) == 2
+    instances = result.state.problem.instances
+    assert sorted(instances[pos].clause_id for pos in result.state.watched) == [1, n + 1, n + 2]
 
 
 def test_only_start_and_learned_instances_are_watched():
+    # the start instances hold every clause without variables, those of two or more literals too
     rng = random.Random(2019)
-    dense = created = learned = 0
+    dense = created = learned = wide = 0
     while dense < 200:
         clauses, domain = random_bs(rng)
         if len(clauses) < 32:
@@ -130,8 +136,12 @@ def test_only_start_and_learned_instances_are_watched():
         start = ground_problem(clauses, domain).instances
         state = scl_run(clauses, domain).state
         instances = state.problem.instances
-        learned_at = {pos for pos, inst in enumerate(instances) if inst.compiled is None}
+        learned_at = {pos for pos, inst in enumerate(instances) if inst.clause_id > len(clauses)}
         assert set(state.watched) == {pos for pos, inst in enumerate(start) if inst.lits} | learned_at
+        assert {inst.clause_id for inst in start if inst.compiled is None} == {
+            c.id for c in clauses if not c.variables() and not c.is_tautology()
+        }
         created += len(instances) - len(start) - len(learned_at)
         learned += len(learned_at)
-    assert created > 2000 and learned > 50
+        wide += sum(len(inst.lits) > 1 and inst.compiled is None for inst in start)
+    assert created > 2000 and learned > 50 and wide > 2000

@@ -1,9 +1,11 @@
 """Template grounding against the substitution-based reference grounding.
 
-The engine grounds lazily: `ground_problem` creates only the instances unit or
-false under the empty trail, and a run creates the rest as the trail makes them
-unit or false.  The engine's templates are compared with the reference through
-`template_grounding`, which enumerates every instance the templates give.
+The engine grounds lazily: `ground_problem` gives each clause without
+variables its one instance, creates the instances of the other clauses that are
+unit or false under the empty trail, and a run creates the rest as the trail
+makes them unit or false.  The engine's grounding is compared with the
+reference through `template_grounding`, which enumerates every instance the
+templates give beside those made at grounding.
 """
 
 import itertools
@@ -59,19 +61,34 @@ def outcome(ground, clauses, domain, cap=scl.DEFAULT_INSTANCE_CAP):
 
 
 def template_grounding(problem):
-    """Every instance the engine's templates give, in (clause id, product) order, as an eager
-    grounding would keep them: one per substitution, each literal once."""
-    return [
-        scl.GroundInstance(clause.id, clause.subst(clause.key(combo)), tuple(dict.fromkeys(clause.lits(combo))))
-        for clause in problem.compiled
-        for combo in itertools.product(range(len(problem.domain)), repeat=clause.slots)
-    ]
+    """Every instance the engine's grounding gives, in (clause id, product) order, as an eager
+    grounding would keep them: one per substitution, each literal once.  A clause with variables
+    gives its instances from its templates; a clause without has the one made at grounding,
+    or none if it is a tautology."""
+    compiled = {clause.id: clause for clause in problem.compiled}
+    made = {inst.clause_id: [inst] for inst in problem.instances if inst.compiled is None}
+    instances = []
+    for cid in sorted(problem.clauses):
+        clause = compiled.get(cid)
+        if clause is None:
+            instances += made.get(cid, [])
+            continue
+        instances += [
+            scl.GroundInstance(clause.id, clause.subst(clause.key(combo)), tuple(dict.fromkeys(clause.lits(combo))))
+            for combo in itertools.product(range(len(problem.domain)), repeat=clause.slots)
+        ]
+    return instances
+
+
+def is_ground_tautology(problem, inst) -> bool:
+    """Whether a reference instance is of a clause without variables and holds an atom in both signs."""
+    return not problem.clauses[inst.clause_id].variables() and any(-lit in inst.lits for lit in inst.lits)
 
 
 class TestAgainstReference:
     def test_random_clause_sets(self):
         rng = random.Random(2019)
-        grounded = merged = 0
+        grounded = merged = without_variables = tautologies = 0
         for _ in range(400):
             clauses, domain = random_clause_set(rng)
             expected = outcome(reference_ground_problem, clauses, domain)
@@ -81,7 +98,13 @@ class TestAgainstReference:
             grounded += 1
             problem = ground_problem(clauses, domain)
             reference = reference_ground_problem(clauses, domain)
-            assert template_grounding(problem) == reference.instances
+            # only clauses with variables are compiled; a tautology without them has no instance
+            assert all(clause.slots for clause in problem.compiled)
+            assert template_grounding(problem) == [
+                inst for inst in reference.instances if not is_ground_tautology(reference, inst)
+            ]
+            without_variables += sum(not c.variables() for c in clauses)
+            tautologies += sum(is_ground_tautology(reference, inst) for inst in reference.instances)
             merged += sum(
                 len(inst.lits) < len(reference.clauses[inst.clause_id].literals)
                 for inst in reference.instances
@@ -94,7 +117,7 @@ class TestAgainstReference:
                     reference_ground_problem, clauses, domain, cap
                 )
             assert isinstance(outcome(ground_problem, clauses, domain, needed - 1)[0], type)
-        assert grounded > 300 and merged > 50
+        assert grounded > 300 and merged > 50 and without_variables > 300 and tautologies > 20
 
     @pytest.mark.parametrize("n", [1, 4, 8])
     def test_counter(self, n):

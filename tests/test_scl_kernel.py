@@ -15,6 +15,7 @@ from oracles import (
     reference_ground_problem,
     reference_render,
     reference_scl_run,
+    reference_trigger_tree,
     replay_step,
 )
 from clausekit.cdcl import PropClause, TrailKernel
@@ -22,7 +23,7 @@ from clausekit.formats import parse_bs
 from clausekit.logic import Atom, Clause, Constant, Literal, Variable
 from clausekit.ordering import default_config
 from clausekit.resolution import no_selection, saturate
-from clausekit import cli, scl
+from clausekit import cdcl, cli, scl
 from clausekit.scl import (
     FRESH_CONSTANT,
     SclState,
@@ -193,6 +194,74 @@ def test_learning_example_matches_reference():
     assert any(ev[0] == "learn" for ev in result.state.events) and result.stats.decisions > 0
 
 
+def ground_lines(result, clause_id: int) -> list[str]:
+    """A run's trace lines that name the clause."""
+    return [line for line in "".join(render(result, False)).splitlines() if f"clause {clause_id} " in line]
+
+
+class TestClausesWithoutVariables:
+    # each has its one instance from grounding, watched by the kernel, beside clauses with variables
+
+    def test_duplicate_literals_merge_to_one(self):
+        result = same_run(parse_bs("1 : P(a) | Q(b) | P(a). 2 : R(b) | R(b). 3 : -Q(x) | S(x). 4 : -S(b)."))
+        instances = {inst.clause_id: inst for inst in result.state.problem.instances if inst.compiled is None}
+        assert len(instances[1].lits) == 2 and len(instances[2].lits) == 1
+        assert ground_lines(result, 1) == ["propagate P(a) <- clause 1 σ={}"]
+
+    def test_a_tautology_has_no_instance(self):
+        result = same_run(parse_bs("1 : P(a) | -P(a) | Q(b). 2 : -Q(x) | R(x). 3 : -R(b). 4 : P(x) | R(x)."))
+        assert result.verdict == "sat"
+        assert all(inst.clause_id != 1 for inst in result.state.problem.instances)
+
+    def test_the_empty_clause_is_the_conflict(self):
+        clauses = [*parse_bs("1 : P(a). 2 : -P(x) | Q(x)."), Clause(3, ())]
+        result = same_run(clauses)
+        assert result.verdict == "unsat" and result.stats.propagations == 0
+        assert ground_lines(result, 3) == ["conflict clause 3 σ={}"]
+
+    def test_a_0_ary_predicate_beside_clauses_with_variables(self):
+        result = same_run(parse_bs("1 : R. 2 : -R | P(a). 3 : -P(x) | Q(x) | -R. 4 : -Q(y) | S. 5 : -S | T(b)."))
+        assert result.verdict == "sat" and result.stats.propagations == 6
+        assert ground_lines(result, 2) == ["propagate P(a) <- clause 2 σ={}"]
+
+    def test_false_at_level_0(self):
+        result = same_run(parse_bs("1 : P(a). 2 : Q(b). 3 : -P(a) | -Q(b) | -P(a). 4 : -P(x) | R(x)."))
+        assert result.verdict == "unsat" and result.stats.decisions == 0
+        assert ground_lines(result, 3) == ["conflict clause 3 σ={}"]
+
+    def test_unit_only_after_a_decision_and_a_learned_clause(self):
+        # deciding P(0) makes clause 2 false; the learned -P(0) makes clause 3 unit, then clause 4
+        result = same_run(parse_bs("1 : -P(0) | P(1). 2 : -P(0) | -P(1). 3 : Q(0) | P(0). "
+                                   "4 : -Q(0) | P(0) | Q(1). 5 : -Q(x) | R(x)."))
+        lines = "".join(render(result, False)).splitlines()
+        assert lines.index("learn -P(0) backjump 0") < lines.index("propagate Q(1) <- clause 4 σ={}")
+        assert "propagate R(1) <- clause 5 σ={x->1}" in lines and result.verdict == "sat"
+
+
+def test_trigger_trees_match_reference(monkeypatch):
+    # every tree and subtree that grounding builds on this module's corpora equals the one that
+    # counts each node's fixed positions one at a time
+    build = scl._trigger_tree
+    trees = 0
+
+    def checked(entries, arity, d):
+        nonlocal trees
+        expected = reference_trigger_tree(entries, arity, d)
+        tree = build(entries, arity, d)
+        assert tree == expected
+        trees += 1
+        return tree
+
+    monkeypatch.setattr(scl, "_trigger_tree", checked)
+    rng = random.Random(41)
+    cases = [(counter_problem(n), None) for n in range(1, 13)] + [(horn_chain(rng, k), None) for k in range(8, 17)]
+    cases += [random_bs(rng) for _ in range(100)] + [(merge_chain(rng), None) for _ in range(50)]
+    cases += [f(rng) for f in (swap_bs, wide_bs, pair_rich) for _ in range(50)]
+    for clauses, domain in cases:
+        scl.ground_problem(clauses, domain)
+    assert trees > 3000
+
+
 class TestOrderAmongInstances:
     # E(y,x) grounds y before x, so instance positions run x->b,y->a before x->a,y->b,
     # while the (clause id, substitution) order puts x->a,y->b first
@@ -268,9 +337,11 @@ def test_swap_sets_match_reference():
 
 
 def test_created_instances_are_unit_or_false(monkeypatch):
-    # every instance, when the engine creates it, is unit on the literal the engine reports or
-    # false under the trail of that moment, and equals the reference instance with the same
-    # clause id and substitution; each run's output matches the reference engine's
+    # every instance of a clause with variables, when the engine creates it, is unit on the literal
+    # the engine reports or false under the trail of that moment, and equals the reference instance
+    # with the same clause id and substitution; each clause without variables has the reference's
+    # instance from grounding, or none if it is a tautology; each run's output matches the
+    # reference engine's
     rng = random.Random(99)
     cases = [(counter_problem(n), None) for n in (1, 4, 7)] + [random_bs(rng) for _ in range(300)]
     cases += [(merge_chain(rng), None) for _ in range(80)]
@@ -295,19 +366,33 @@ def test_created_instances_are_unit_or_false(monkeypatch):
             checked.append(inst)
 
     monkeypatch.setattr(SclState, "assign", assign)
+    grounded = tautologies = 0
     for clauses, domain in cases:
         reference = {(i.clause_id, i.subst): i for i in reference_ground_problem(clauses, domain).instances}
-        same_run(clauses, domain)
-    assert len(checked) > 3000
+        made = {inst.clause_id: inst for inst in same_run(clauses, domain).state.problem.instances
+                if inst.compiled is None and inst.clause_id <= max(c.id for c in clauses)}
+        for c in clauses:
+            if not c.variables():
+                lits = reference[c.id, ()].lits
+                if any(-lit in lits for lit in lits):
+                    assert c.id not in made
+                    tautologies += 1
+                else:
+                    assert made[c.id] == (c.id, (), lits, None)
+                    grounded += 1
+    # the instances of clauses without variables are made at grounding, so fewer are created here
+    assert len(checked) > 2000 and grounded > 2000 and tautologies > 200
     assert sum(len(inst.lits) < len(inst.compiled.templates) for inst in checked if inst.compiled) > 50
-    # both ways of creating an instance ran: from the matched atom alone, and by a join
+    # both ways of creating an instance ran: from the matched atom alone, and by a join; the
+    # aligned ones are of clauses with variables only, as those without are watched
     aligned = [inst.compiled.aligned for inst in checked if inst.compiled and len(inst.compiled.templates) > 1]
-    assert aligned.count(True) > 500 and aligned.count(False) > 500
+    assert aligned.count(True) > 150 and aligned.count(False) > 500
 
 
 def test_no_instance_is_pushed_while_it_is_on_the_heap(monkeypatch):
     # the corpus above; two templates of one merge clause can reach one instance in a
-    # single trigger walk, and the walk pushes that instance's unit once
+    # single trigger walk, and the walk pushes that instance's unit once; nor does the
+    # kernel push a watched instance, such as one of a clause without variables, twice
     rng = random.Random(99)
     cases = [(counter_problem(n), None) for n in (1, 4, 7)] + [random_bs(rng) for _ in range(300)]
     cases += [(merge_chain(rng), None) for _ in range(80)]
@@ -320,23 +405,25 @@ def test_no_instance_is_pushed_while_it_is_on_the_heap(monkeypatch):
         heapq.heappush(heap, entry)
 
     monkeypatch.setattr(scl, "heapq", types.SimpleNamespace(heappush=heappush))
+    monkeypatch.setattr(cdcl, "heapq", types.SimpleNamespace(heappush=heappush, heappop=heapq.heappop,
+                                                             heapify=heapq.heapify))
     for clauses, domain in cases:
         scl_run(clauses, domain)
     assert len(pushes) > 3000 and repeats == []
 
 
 def test_aligned_shortcut_matches_the_join(monkeypatch):
-    # the same runs with every clause compiled unaligned, so that every instance comes from
-    # _bind and _join and is hooked after the trigger walk, render the same lines
+    # the same runs with every clause with variables compiled unaligned, so that every instance
+    # of one comes from _bind and _join and is hooked after the trigger walk, render the same
+    # lines.  The aligned instances are pairs'; those of three or more literals, from clauses
+    # that no alignment reaches, are joined in both runs
     rng = random.Random(23)
     cases = [(c, None) for n in range(1, 9) for c in (counter_problem(n), counter_problem(n)[:-1])]
     cases += [random_bs(rng) for _ in range(300)]
     results = [scl_run(c, d) for c, d in cases]
-    shortcut = [
-        len(inst.lits) for r in results if r.state for inst in r.state.problem.instances
-        if inst.compiled and inst.compiled.aligned
-    ]
-    assert shortcut.count(2) > 500 and sum(n > 2 for n in shortcut) > 100
+    created = [inst for r in results if r.state for inst in r.state.problem.instances if inst.compiled]
+    assert sum(inst.compiled.aligned and len(inst.lits) == 2 for inst in created) > 500
+    assert sum(len(inst.compiled.templates) > 2 for inst in created) > 500
 
     class Unaligned(scl._CompiledClause):
         def __init__(self, *args):
@@ -373,10 +460,10 @@ def test_wide_domain_joins_match_reference(monkeypatch):
     ranged = 0
     join = scl.GroundProblem._join
 
-    def counting_join(problem, clause, todo, b, *rest):
+    def counting_join(problem, clause, todo, i, *rest):
         nonlocal ranged
-        ranged += bool(todo) and any(a >= 0 and b[a] == -1 for a in todo[0].args)
-        join(problem, clause, todo, b, *rest)
+        ranged += i < len(todo) and bool(todo[i][1])  # the next template's free slots
+        join(problem, clause, todo, i, *rest)
 
     monkeypatch.setattr(scl.GroundProblem, "_join", counting_join)
     rng = random.Random(2028)

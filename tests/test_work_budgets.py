@@ -1,7 +1,7 @@
 """Work budgets: the bytecode instructions of a fixed sample of benchmark verdicts, against a budget each.
 
 `tests/instruction_counts.py` counts one warm pass of its `budgets` sample
-through `clausekit.cli.main` (about 2M instructions, under a second), per
+through `clausekit.cli.main` (about 6M instructions, a few seconds), per
 module, in a process of its own under PYTHONHASHSEED=0.  An instruction
 count is exact, so unlike a wall-clock gate this cannot flake.  Each group's
 budget is its per-module count in `work_budgets.json`, keyed by Python minor
