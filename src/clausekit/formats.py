@@ -234,14 +234,14 @@ def _unexpected(text: str, offset: int, expected: str) -> ParseError:
 # ---------------------------------------------------------------------------
 
 # One term with the '+' or '-' before it and any '-' signs of its own, and the
-# comparison after it, if any.  Only spaces separate tokens, and a number is
-# ASCII digits.  Every group is optional, so the pattern always matches, and
-# the first group missing is the parse error.
+# comparison after it, if any.  Any whitespace separates tokens, and a number
+# is ASCII digits.  Every group is optional, so the pattern always matches,
+# and the first group missing is the parse error.
 _LIA_TERM = re.compile(
-    r"""[ ]* ([+-]?) ((?: [ ]* - )* [ ]*)           # operator, signs
-        (?: ([0-9]+) (?: [ ]* (\*[ ]*) (NAME)? )?   # number, '*', variable
-          | (NAME) )?                               # or a bare variable
-        [ ]* (<=|>=|<|>)?                           # comparison
+    r"""\s* ([+-]?) ((?: \s* - )* \s*)            # operator, signs
+        (?: ([0-9]+) (?: \s* (\*\s*) (NAME)? )?   # number, '*', variable
+          | (NAME) )?                             # or a bare variable
+        \s* (<=|>=|<|>)?                          # comparison
     """.replace("NAME", "[A-Za-z_][A-Za-z0-9_]*"),
     re.VERBOSE,
 )
@@ -309,7 +309,7 @@ def _lia_error(text: str, index: int, line: str, at: int, message: str) -> Parse
     tokens from there on, joined by spaces.  A line holding a character that
     starts no token cannot be tokenized, and that error comes first.
     """
-    bad = re.search(r"[^ <>=+*\-A-Za-z0-9_]|(?<![<>])=", line)
+    bad = re.search(r"[^\s<>=+*\-A-Za-z0-9_]|(?<![<>])=", line)
     if bad:
         return ParseError(f"could not tokenize {line!r}", *_line_position(text, index, bad.start()))
     tokens = re.findall(r"<=|>=|[<>+*-]|[0-9]+|[A-Za-z_][A-Za-z0-9_]*", line[at:]) or [""]

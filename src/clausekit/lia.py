@@ -3,17 +3,18 @@
 Inequations are kept in the normal form sum(a_i * x_i) + c <= 0 with exact
 integer arithmetic throughout.  Bound propagation sweeps round-robin over the
 (inequation, variable) pairs in input order and only ever tightens; it can
-diverge, which the a-priori solvability box makes detectable and the bounded
-exhaustive decision procedure makes complete.  The sweep order is fixed, but
-a pair is revisited only after a bound that its implied bound reads is
-tightened, and after a tightening only the inequations whose minimum reads
-the tightened bound are checked for a conflict.  Both readings, and the
-bounded decision's pruning, run on the system compiled once per run: the run
+diverge, which the a-priori solvability box makes detectable.  The bounded
+decision searches that box with the same tightening loop: each node
+propagates to a fixpoint or a conflict, and a fixpoint branches on a
+variable.  The sweep order is fixed, but a pair is revisited only after a
+bound that its implied bound reads is tightened, and after a tightening only
+the inequations whose minimum reads the tightened bound are checked for a
+conflict.  Both readings run on the system compiled once per run: the run
 numbers its variables, gives each bound an int slot, and reads every bound's
 value from one list by slot; a `Bound` record is built only for the trail.
 A propagation's `verdict` is "fixpoint", "conflict" or "diverged", a
-decision's "sat", "unsat" or "limit" (the box exceeds its cap); `render`
-gives the output lines of either result.
+decision's "sat", "unsat" or "limit" (the search reached its step cap);
+`render` gives the output lines of either result.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from typing import Iterable, Mapping, NamedTuple
 
 from .jsonl import json_format, json_string
 
-DEFAULT_BOX_CAP = 10_000_000
+DEFAULT_DECIDE_STEPS = 10_000  # the steps, decisions and tightenings, of a bounded decision
 
 
 class _LinIneqFields(NamedTuple):
@@ -201,16 +202,19 @@ class LiaPropagation(NamedTuple):
         return {b[:2]: b for b in self.trail}
 
 
-def _readers(
-    system: LiaSystem, index: Mapping[str, int]
-) -> tuple[list[Pair], list[CompiledIneq], list[list[CompiledIneq]], list[list[int]]]:
-    """The system compiled once: its pairs in sweep order, its inequations, and who reads what.
+Readers = tuple[list[Pair], list[CompiledIneq], list[list[CompiledIneq]], list[list[int]], list[str], list[bool]]
 
-    For the pair at index p, `scans[p]` holds the inequations whose minimum
-    reads the bound that p tightens, in system order, and `wakes[p]` the
-    indexes, ascending, of the pairs whose implied bound reads it.  (A pair
-    also compares with its own variable's bound, but that bound's tightening
-    can only turn its answer into None, so it does not wake the pair.)
+
+def _readers(system: LiaSystem, index: Mapping[str, int]) -> Readers:
+    """The system compiled once: pairs in sweep order, inequations, readers, and each slot's variable and direction.
+
+    `index` numbers the variables.  The readers are indexed by bound slot,
+    then listed per pair: for the pair at index p, `scans[p]` holds the
+    inequations whose minimum reads the bound that p tightens, in system
+    order, and `wakes[p]` the indexes, ascending, of the pairs whose implied
+    bound reads it.  (A pair also compares with its own variable's bound, but
+    that bound's tightening can only turn its answer into None, so it does
+    not wake the pair.)
     """
     pairs: list[Pair] = []
     inequations: list[CompiledIneq] = []
@@ -227,47 +231,24 @@ def _readers(
             pairs.append(pair)
     scans = [scan_readers[pair[2]] for pair in pairs]
     wakes = [pair_readers[pair[2]] for pair in pairs]
-    return pairs, inequations, scans, wakes
+    return pairs, inequations, scans, wakes, [v for v in index for _ in (0, 1)], [True, False] * len(index)
 
 
-def propagate_bounds(
-    system: LiaSystem, decisions: Iterable[Bound], max_steps: int
-) -> LiaPropagation:
-    """Round-robin bound tightening until fixpoint, conflict, or budget exhaustion.
+def _tighten(readers: Readers, value: list[int | None], trail: list[Bound], cap: int) -> tuple[str, int | None]:
+    """Tighten `value`, by slot, onto the trail until fixpoint, conflict, or a trail of `cap` bounds.
 
-    Sweeps visit the (inequation, variable) pairs in input order, as a plain
-    round robin would, but visit a pair only when a bound that it reads was
-    tightened since its last visit: within the sweep if the pair lies ahead,
-    in the next sweep otherwise.  Every other pair would find nothing
-    tighter, so the trail, steps and outcome are the round robin's.  A sweep
-    with nothing left to visit is the fixpoint.
+    Returns the verdict, "fixpoint", "conflict" or "diverged", and the
+    conflicting inequation's id.  Sweeps visit the (inequation, variable)
+    pairs in input order, as a plain round robin would, but visit a pair
+    only when a bound that it reads was tightened since its last visit:
+    within the sweep if the pair lies ahead, in the next sweep otherwise.
+    Every other pair would find nothing tighter, so the trail and outcome
+    are the round robin's.  A sweep with nothing left to visit is the fixpoint.
     """
-    if max_steps < 0:
-        raise ValueError("max_steps must be non-negative")
-    decisions = list(decisions)
-    # the system's variables in order, then those that only a decision names
-    index = {v: i for i, v in enumerate(system.variables)}
-    for b in decisions:
-        index.setdefault(b.var, len(index))
-    # each slot's variable and direction, for the trail's records
-    var_of = [v for v in index for _ in (0, 1)]
-    lower_of = [True, False] * len(index)
-    value: list[int | None] = [None] * (2 * len(index))
-    trail: list[Bound] = []
-    for b in decisions:
-        slot = 2 * index[b.var] + (not b.lower)
-        old = value[slot]
-        if old is not None and (b.value <= old if b.lower else b.value >= old):
-            continue
-        value[slot] = b.value
-        trail.append(b)
-    # the decisions applied; every later trail entry is a tightening, a step
-    decided = len(trail)
-    cap = decided + max_steps
-    pairs, inequations, scans, wakes = _readers(system, index)
+    pairs, inequations, scans, wakes, var_of, lower_of = readers
     cid = conflicting_inequation(value, inequations)
     if cid is not None:
-        return LiaPropagation("conflict", trail, 0, cid)
+        return "conflict", cid
     n = len(pairs)
     # a heap of the visits due, each as sweep * n + pair index, and per pair
     # the latest visit it is queued for; both start with the whole first sweep
@@ -281,21 +262,45 @@ def propagate_bounds(
         if tighter is None:
             continue
         if len(trail) >= cap:
-            return LiaPropagation("diverged", trail, max_steps)
+            return "diverged", None
         slot = pair[2]
         value[slot] = tighter
         trail.append(_new(Bound, (var_of[slot], lower_of[slot], tighter, pair[4])))  # the tightening's one record
         # while none conflicts, a tightening moves only the minima that read it
         cid = conflicting_inequation(value, scans[p])
         if cid is not None:
-            return LiaPropagation("conflict", trail, len(trail) - decided, cid)
+            return "conflict", cid
         sweep = t - p
         for r in wakes[p]:
             visit = sweep + r if r > p else sweep + n + r  # later in this sweep, or in the next
             if queued[r] < visit:
                 queued[r] = visit
                 heappush(due, visit)
-    return LiaPropagation("fixpoint", trail, len(trail) - decided)
+    return "fixpoint", None
+
+
+def propagate_bounds(system: LiaSystem, decisions: Iterable[Bound], max_steps: int) -> LiaPropagation:
+    """Round-robin bound tightening (`_tighten`) from the decisions until fixpoint, conflict, or budget exhaustion."""
+    if max_steps < 0:
+        raise ValueError("max_steps must be non-negative")
+    decisions = list(decisions)
+    # the system's variables in order, then those that only a decision names
+    index = {v: i for i, v in enumerate(system.variables)}
+    for b in decisions:
+        index.setdefault(b.var, len(index))
+    value: list[int | None] = [None] * (2 * len(index))
+    trail: list[Bound] = []
+    for b in decisions:
+        slot = 2 * index[b.var] + (not b.lower)
+        old = value[slot]
+        if old is not None and (b.value <= old if b.lower else b.value >= old):
+            continue
+        value[slot] = b.value
+        trail.append(b)
+    # the decisions applied; every later trail entry is a tightening, a step
+    decided = len(trail)
+    verdict, cid = _tighten(_readers(system, index), value, trail, decided + max_steps)
+    return LiaPropagation(verdict, trail, len(trail) - decided, cid)
 
 
 def apriori_bounds(system: LiaSystem) -> dict[str, tuple[int, int]]:
@@ -308,52 +313,47 @@ def apriori_bounds(system: LiaSystem) -> dict[str, tuple[int, int]]:
 
 
 class LiaDecision(NamedTuple):
-    verdict: str  # "sat" | "unsat" | "limit" (the box exceeds the cap, so no search)
+    verdict: str  # "sat" | "unsat" | "limit" (the search reached its step cap)
     assignment: dict[str, int] | None = None  # a "sat" model, in the system's variable order
 
 
-def decide_bounded(system: LiaSystem, box_cap: int = DEFAULT_BOX_CAP) -> LiaDecision:
-    """Exhaustive search over the a-priori box; "unsat" there means unsatisfiable.
+def decide_bounded(system: LiaSystem, max_steps: int = DEFAULT_DECIDE_STEPS) -> LiaDecision:
+    """Depth-first search of the a-priori box by bound propagation; "unsat" there means unsatisfiable.
 
-    A system with no inequation is "sat" under the empty assignment.
-
-    Depth-first over the variables; a node holds the box corners and each
-    assigned value as bound values by slot, and `conflicting_inequation`
-    prunes it.  A box of more points than the cap is not searched: the
-    verdict is "limit".
+    A system with no inequation is "sat" under the empty assignment.  From
+    the box corners, each node tightens its bounds to a conflict, which
+    closes it, or a fixpoint, which branches on the first variable whose
+    bounds differ: first x <= lo, then x >= lo + 1.  Propagation removes
+    only values that no integer solution in the node's box takes, so the
+    model is the box's lexicographically smallest.  Each decision and each
+    tightening is a step on the search's trail; past `max_steps`, "limit".
     """
     if not system.inequations:
         return LiaDecision("sat", {})
-    box = apriori_bounds(system)
     variables = system.variables
-    volume = 1
-    for v in variables:
-        lo, hi = box[v]
-        volume *= hi - lo + 1
-        if volume > box_cap:
+    readers = _readers(system, {v: i for i, v in enumerate(variables)})
+    value = [x for corners in apriori_bounds(system).values() for x in corners]  # by slot, in system order
+    trail: list[Bound] = []
+    # the decisions still to take, the next last, each with the values by slot that it narrows
+    branches: list[tuple[list[int], int, int]] = []
+    while True:
+        verdict, _cid = _tighten(readers, value, trail, max_steps)
+        if verdict == "diverged":
             return LiaDecision("limit")
-    index = {v: i for i, v in enumerate(variables)}
-    inequations = [compile_ineq(ineq, index) for ineq in system.inequations]
-    # each variable's box corners, by slot, then each assigned value in both of its slots
-    value = [x for v in variables for x in box[v]]
-
-    def search(i: int) -> dict[str, int] | None:
-        if conflicting_inequation(value, inequations) is not None:
-            return None
-        if i == len(variables):
-            return {v: value[2 * k] for k, v in enumerate(variables)}
-        lower, upper = 2 * i, 2 * i + 1
-        corners = value[lower], value[upper]
-        for x in range(corners[0], corners[1] + 1):
-            value[lower] = value[upper] = x
-            found = search(i + 1)
-            if found is not None:
-                return found
-        value[lower], value[upper] = corners
-        return None
-
-    found = search(0)
-    return LiaDecision("unsat") if found is None else LiaDecision("sat", found)
+        if verdict == "fixpoint":
+            lower = next((s for s in range(0, len(value), 2) if value[s] != value[s + 1]), None)
+            if lower is None:  # every variable fixed
+                return LiaDecision("sat", {v: value[2 * k] for k, v in enumerate(variables)})
+            lo = value[lower]
+            branches.append((value[:], lower, lo + 1))
+            branches.append((value, lower + 1, lo))
+        if not branches:
+            return LiaDecision("unsat")
+        if len(trail) >= max_steps:
+            return LiaDecision("limit")
+        value, slot, x = branches.pop()
+        value[slot] = x
+        trail.append(_new(Bound, (variables[slot >> 1], not slot & 1, x, None)))
 
 
 # per event, the format of a JSON line that holds its text line alone

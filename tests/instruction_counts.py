@@ -102,12 +102,17 @@ def ground_verdicts(cnf: list) -> list:
     return verdicts
 
 
+# a decision whose a-priori box is +-8**9 wide and which its first tightening refutes
+REPEATED_BOUND = "x <= 0\nx <= 0\nx <= 0\n-x + 1 < 0\n"
+
+
 def budget_sample(workloads) -> dict[str, list]:
     """About 6M instructions: one random 3-CNF formula as text and as JSON, the first three verdicts
-    of scl-sparse, saturation and lia, the unsatisfiable SCL counter 8 as text and as JSON, SCL
-    runs that decide and learn, and SCL on two random 3-CNF formulas without variables.  No
-    benchmark verdict writes a CDCL or SCL trace as JSON, and none gives SCL a variable-free
-    clause of two or more literals."""
+    of scl-sparse, saturation and lia, every lia-decide verdict of the lia workload and
+    REPEATED_BOUND, the unsatisfiable SCL counter 8 as text and as JSON, SCL runs that decide and
+    learn, and SCL on two random 3-CNF formulas without variables.  No benchmark verdict writes a
+    CDCL or SCL trace as JSON, none gives SCL a variable-free clause of two or more literals, and
+    the lia group's three verdicts are all lia-propagate."""
     def verdicts(name: str) -> list:
         return workloads.build(name, SEED, SECONDS).verdicts
 
@@ -115,6 +120,8 @@ def budget_sample(workloads) -> dict[str, list]:
         return [dataclasses.replace(v, argv=v.argv + ["--format", "json"]) for v in sample]
 
     cnf10 = [v for v in verdicts("random-3cnf") if v.label == "cnf10"]
+    repeated = workloads.Verdict("repeated", ["--mode", "lia-decide", "--input", "{dir}/repeated.lia"],
+                                 {"repeated.lia": REPEATED_BOUND}, (workloads.UNSAT,), None)
     counter8 = [v for v in verdicts("scl-counter") if v.label == "counter8.bs"]
     return {
         "cnf10": cnf10,
@@ -122,6 +129,7 @@ def budget_sample(workloads) -> dict[str, list]:
         "scl-sparse": verdicts("scl-sparse")[:3],
         "saturation": verdicts("saturation")[:3],
         "lia": verdicts("lia")[:3],
+        "lia-decide": [v for v in verdicts("lia") if "lia-decide" in v.argv] + [repeated],
         "counter8": counter8,
         "counter8-json": as_json(counter8),
         "scl-learn": learning_verdicts(workloads),

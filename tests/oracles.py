@@ -29,7 +29,6 @@ from typing import Iterable, Mapping, Sequence
 from clausekit.cdcl import PropClause
 from clausekit.errors import OrderingConfigError, ParseError, ReplayStepError, ResourceLimitError
 from clausekit.lia import (
-    DEFAULT_BOX_CAP,
     Bound,
     LiaDecision,
     LiaPropagation,
@@ -416,9 +415,14 @@ def reference_box_radius(system: LiaSystem) -> int:
     return n * (m * a) ** (2 * m + 1)
 
 
-# The bounded decision with its own minimum routine over the box and the
-# partial assignment; the engine's decision must search in the same order.
-def reference_decide_bounded(system: LiaSystem, box_cap: int = DEFAULT_BOX_CAP) -> LiaDecision:
+# The box volume past which the reference decision does not search.
+BOX_CAP = 10_000_000
+
+
+# The bounded decision by enumeration, with its own minimum routine over the
+# box and the partial assignment: it meets the points in lexicographic order,
+# so where it answers, the engine's search must give the same model.
+def reference_decide_bounded(system: LiaSystem, box_cap: int = BOX_CAP) -> LiaDecision:
     """Exhaustive search over the a-priori box; "unsat" there means unsatisfiable.
 
     A system with no inequation is "sat" under the empty assignment.
@@ -1240,7 +1244,7 @@ def reference_parse_lia(text: str) -> LiaSystem:
         if not line:
             continue
         tokens = [m.group(1) for m in _LIA_TOKEN.finditer(line)]
-        if "".join(tokens).replace(" ", "") != line.replace(" ", ""):
+        if "".join(tokens) != re.sub(r"\s", "", line):
             raise ParseError(f"could not tokenize {line!r}", lineno)
         left, lconst, rest = _parse_lia_side(tokens, lineno)
         if not rest:

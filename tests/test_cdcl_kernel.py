@@ -254,3 +254,57 @@ def test_trail_entries_are_exact_tuples():
     for state in (cdcl_state, scl_state):
         assert any(ev[0] == "learn" for ev in state.events) and state.trail
         assert {type(entry) for entry in state.trail} == {tuple}
+
+
+@pytest.fixture(scope="module")
+def watch_checks():
+    """Solve random 3- and 3/4-CNFs of 10-40 variables near the threshold under both heuristics, checking
+    the watches of every learned clause right after `learn_clause` and the hooked clauses at every `decide`.
+
+    Returns, per check, the failures and how often it ran.
+    """
+    learn_clause, decide = cdcl.learn_clause, cdcl.decide
+    checks = {"learn": [], "highest first": 0, "learned": 0, "decide": [], "decisions": 0}
+
+    def checking_learn(kernel, cid, lits, level):
+        learn_clause(kernel, cid, lits, level)
+        first, second = kernel.watched[cid][:2]
+        others = [lit for lit in lits if lit != first]
+        # the asserting literal, just assigned, and one of the others of the highest level, the level
+        if kernel.trail[-1] != (first, level, cid) or others and (
+                second not in others or kernel.var_level[abs(second)] != level):
+            checks["learn"].append((lits, level, kernel.watched[cid][:2]))
+        # where the highest-level other literal sorts first, placing it takes the second swap
+        checks["highest first"] += lits[0] != first and lits[1:2] != [first] and kernel.var_level[abs(lits[0])] == level
+        checks["learned"] += 1
+
+    def checking_decide(state, lit):
+        value = trail_values(state.trail)
+        checks["decide"] += [state.clauses[cid] for cid in state.watched
+                             if scan_status(state.clauses[cid].lits, value)[0] in ("unit", "false")]
+        checks["decisions"] += 1
+        return decide(state, lit)
+
+    rng = random.Random(6)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cdcl, "learn_clause", checking_learn)
+        patch.setattr(cdcl, "decide", checking_decide)
+        for i in range(300):
+            n = rng.randint(10, 40)
+            clauses = corpora.random_cnf(rng, n, round(n * 4.26), (3, 4) if i % 2 else None)
+            for heuristic in HEURISTICS:
+                solve(clauses, n, heuristic)
+    return checks
+
+
+def test_learned_clauses_watch_their_asserting_and_a_highest_level_literal(watch_checks):
+    # as the TrailKernel docstring states: a watch on a lower-level literal misses the clause's
+    # units and conflicts once a later backjump unassigns the asserting literal
+    assert watch_checks["learn"] == []
+    assert watch_checks["learned"] > 5_000 and watch_checks["highest first"] > 1_000, watch_checks
+
+
+def test_no_hooked_clause_is_unit_or_false_at_a_decision(watch_checks):
+    # decisions are made at a propagation fixpoint: a unit clause that the watches missed shows here
+    assert watch_checks["decide"] == []
+    assert watch_checks["decisions"] > 9_000, watch_checks["decisions"]

@@ -414,6 +414,12 @@ class TestLiaModes:
         assert code == EXIT_UNSAT
         assert out.strip() == "unsat"
 
+    def test_decide_refutes_a_large_box_by_propagation(self, tmp_path):
+        # three copies of x <= 0 make the box +-8**9, yet the first tightening, x <= 0, refutes x >= 2
+        path = tmp_path / "sys.lia"
+        path.write_text("x <= 0\nx <= 0\nx <= 0\n-x + 1 < 0\n")
+        assert run_cli("--mode", "lia-decide", "--input", str(path)) == (EXIT_UNSAT, "unsat\n")
+
     @pytest.mark.parametrize("fmt", ["text", "json"])
     def test_empty_system(self, tmp_path, fmt):
         # no inequation: the decision is "sat" under the empty assignment, as propagation reaches a fixpoint
@@ -426,8 +432,8 @@ class TestLiaModes:
         assert code == EXIT_SAT and out.splitlines()[-1].endswith("fixpoint" if fmt == "text" else '"fixpoint"}')
 
     @pytest.mark.parametrize("fmt", ["text", "json"])
-    def test_decide_past_the_box_cap(self, tmp_path, capsys, fmt):
-        # the 6-cycle's a-priori box has far more than 10**7 points
+    def test_decide_past_the_step_cap(self, tmp_path, capsys, fmt):
+        # propagation walks the 6-cycle's box of radius 6 * 6**13 one unit per step, far past the step cap
         path = tmp_path / "cycle.lia"
         path.write_text("".join(f"v{i} - v{i % 6 + 1} <= 0\n" for i in range(1, 6)) + "v6 - v1 + 1 <= 0\n")
         code, out = run_cli("--mode", "lia-decide", "--input", str(path), "--format", fmt)

@@ -164,6 +164,15 @@ class TestLia:
             ((("x", 1), ("z", -5)), 0),
         ]
 
+    def test_any_whitespace_separates_tokens(self):
+        # as between DIMACS literals: a tab or an NBSP wherever a space may stand, each the same inequation
+        expected = parse_lia("2*x - y >= 1\n")
+        assert [(i.coeffs, i.const) for i in expected.inequations] == [((("x", -2), ("y", 1)), 1)]
+        layouts = ["2*x\t- y\t>= 1\n", "2\t*\tx -\ty >=\t1\n", "2*x\xa0-\xa0y\xa0>=\xa01\n", "2 *\xa0x - \t y >= 1\n"]
+        assert [parse_lia(text) for text in layouts] == [expected] * len(layouts)
+        with pytest.raises(ParseError, match=r"expected an operator before 'y' \(line 1, column 4\)"):
+            parse_lia("x\t\ty <= 0")
+
     def test_errors(self):
         with pytest.raises(ParseError, match="line 1"):
             parse_lia("x + <= 0")

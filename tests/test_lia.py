@@ -336,8 +336,17 @@ class TestDecideBounded:
         result = decide_bounded(system)
         assert result.verdict == "sat" and result.assignment == {"x": 0}
 
-    def test_box_cap(self):
-        assert decide_bounded(DIVERGENT, box_cap=100).verdict == "limit"
+    def test_step_cap(self):
+        # propagation from the box corners refutes DIVERGENT at the root, in 256 tightenings across its +-64 box
+        assert decide_bounded(DIVERGENT, max_steps=256).verdict == "unsat"
+        assert decide_bounded(DIVERGENT, max_steps=255).verdict == "limit"
+
+    def test_decisions_count_as_steps(self):
+        # the root tightens x >= -63 and y >= -63; the decision x <= -63 then lets y >= 64 be tightened
+        system = parse_lia("1 - 1*x - 1*y <= 0\nx - y <= 0\n")
+        assert decide_bounded(system, max_steps=4) == ("sat", {"x": -63, "y": 64})
+        assert decide_bounded(system, max_steps=3).verdict == "limit"
+        assert decide_bounded(system, max_steps=2).verdict == "limit"
 
     def test_agreement_with_larger_box_search(self):
         rng = random.Random(31)
@@ -362,10 +371,10 @@ class TestDecideBounded:
             agreements += 1
 
     def test_matches_the_reference_search(self):
-        # the same assignment, unsat or limit as the search with its own minimum routine
+        # where the enumeration answers within its box cap, the same verdict and model: the box's
+        # lexicographically smallest; where it stops at the cap, every model satisfies the system in the box
         rng = random.Random(1812)
         outcomes = Counter()
-        empty = 0
         for _ in range(2_000):
             variables = ["x", "y", "z"][: rng.randint(1, 3)]
             ineqs = []
@@ -374,13 +383,25 @@ class TestDecideBounded:
                 coeffs = tuple((v, rng.choice([-2, -1, 1, 2])) for v in variables if rng.random() < 0.7)
                 ineqs.append(LinIneq(i, coeffs or ((rng.choice(variables), 1),), rng.randint(-2, 2)))
             system = LiaSystem(ineqs)
-            # a cap above 100,000 lets a one-variable search walk half a million points
+            # a cap above 100,000 lets a one-variable enumeration walk half a million points
             box_cap = rng.choice([10, 1_000, 100_000, 100_000, 100_000])
-            got, expected = (_decision(decide, system, box_cap) for decide in (decide_bounded, reference_decide_bounded))
-            assert got == expected, system
-            outcomes[got[0]] += 1
-            empty += not ineqs
-        assert min(outcomes.values()) > 20 and empty > 20, (outcomes, empty)
+            got = decide_bounded(system)
+            try:
+                expected = reference_decide_bounded(system, box_cap)
+            except ResourceLimitError:
+                expected = None
+            if expected is not None:
+                assert got == expected, system
+                outcomes["empty" if not ineqs else f"answered {got.verdict}"] += 1
+                continue
+            if got.verdict == "sat":
+                radius = reference_box_radius(system)
+                assert all(-radius <= x <= radius for x in got.assignment.values()), system
+                for ineq in ineqs:
+                    assert ineq.const + sum(a * got.assignment[v] for v, a in ineq.coeffs) <= 0, system
+            outcomes[f"past the box cap {got.verdict}"] += 1
+        floors = {"empty": 50, "answered sat": 450, "answered unsat": 25, "past the box cap sat": 900}
+        assert all(outcomes[k] > floor for k, floor in floors.items()), outcomes
 
 
 def _round_robin_cases():
@@ -434,14 +455,6 @@ def _box_points(box: dict):
     ranges = [range(box[v][0], box[v][1] + 1) for v in names]
     for values in itertools.product(*ranges):
         yield dict(zip(names, values))
-
-
-def _decision(decide, system: LiaSystem, box_cap: int) -> tuple[str, object]:
-    try:
-        result = decide(system, box_cap)
-    except ResourceLimitError:  # the reference still raises at the cap
-        return "limit", None
-    return result.verdict, result.assignment
 
 
 def _random_system(rng: random.Random) -> LiaSystem:
