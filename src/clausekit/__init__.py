@@ -24,7 +24,6 @@ from .logic import (
     Variable,
     canonical_variant,
     rename_apart,
-    renamed_equal,
     unify,
 )
 from .ordering import Cmp, OrderingConfig, default_config, kbo_compare
@@ -51,7 +50,6 @@ __all__ = [
     "default_config",
     "kbo_compare",
     "rename_apart",
-    "renamed_equal",
     "unify",
     "__version__",
 ]

@@ -332,8 +332,3 @@ def canonical_variant(clause: Clause) -> Clause:
     """Rename variables to x1, x2, ... in order of first occurrence; a clause already so named is returned."""
     variant = canonical_instance(clause.id, ((clause.literals, {}),))
     return clause if variant == clause else variant
-
-
-def renamed_equal(c1: Clause, c2: Clause) -> bool:
-    """Syntactic equality up to variable renaming (literal order preserved)."""
-    return canonical_variant(c1).literals == canonical_variant(c2).literals

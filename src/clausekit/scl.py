@@ -49,9 +49,9 @@ one `SclResult`, whose `verdict` is "sat", "unsat" or "limit" (a cap stopped
 it), and whose `proof` holds every analysis over instance positions; an
 "unsat" proof's last step names the level-0 conflict, with no steps.  Events
 carry literals and instance positions; `render` gives its output lines.  A
-propagate line of a compiled clause fills one %-format per literal, its text
-line or its whole JSON object, with the names of the instance key's digits,
-spelled in place from a table of names per chunk of digits.
+propagate line of a compiled clause fills its literal's %-format, text or
+JSON, compiled when it first prints, with the names of the instance key's
+digits, spelled in place from a table of names per chunk of digits.
 """
 
 from __future__ import annotations
@@ -60,7 +60,6 @@ import bisect
 import heapq
 import itertools
 from collections import Counter, defaultdict
-from functools import cached_property
 from operator import itemgetter, mul
 from typing import Callable, Iterable, NamedTuple, Sequence
 
@@ -130,14 +129,14 @@ class GroundInstance(NamedTuple):
         return f"GroundInstance(clause_id={self.clause_id!r}, subst={self.subst!r}, lits={self.lits!r})"
 
 
-class HerbrandBase(Sequence[Atom]):
+class HerbrandBase:
     """The Herbrand base in (predicate, argument names) order; atom i is base[i - 1].
 
     Each predicate is used at one arity (`ground_problem` rejects a clause
     set that uses one at two), and the domain is sorted by name, so the atoms
     of a predicate are its block's start (`place`) plus the code of their
     constant indices, the mixed-radix number they spell.  Atoms are built
-    only by __getitem__.
+    only by __getitem__, at an index in 0 .. len - 1.
     """
 
     def __init__(self, arity: dict[str, int], dom: Sequence[Constant]):
@@ -186,13 +185,10 @@ class HerbrandBase(Sequence[Atom]):
         names = [json_string(n)[1:-1] for n in self.names] if as_json else self.names
         return list(itertools.product(names, repeat=self.chunk))
 
-    def __getitem__(self, i: int | slice) -> Atom | list[Atom]:
-        if isinstance(i, slice):  # a slice gives its atoms as a list, as a list's slice does
-            return [self[j] for j in range(*i.indices(self.size))]
-        j = i + self.size if i < 0 else i  # negative indices count from the end, as in a list
-        if not 0 <= j < self.size:
+    def __getitem__(self, i: int) -> Atom:
+        if not 0 <= i < self.size:  # iteration stops at the IndexError past the last atom
             raise IndexError(i)
-        pred, arity, code = self.locate(j + 1)
+        pred, arity, code = self.locate(i + 1)
         return Atom(pred, tuple(self.domain[c] for c in self.digits(arity, code)))
 
 
@@ -299,6 +295,9 @@ class _CompiledClause:
         d = len(self.names)
         self.weights = first.weights if self.aligned else tuple(d ** j for j in reversed(range(self.slots)))
         self.created: dict[int, int] = {}  # key -> instance position
+        # per literal, its propagate line as text and as JSON, None until it first prints (a Horn rule's
+        # body literal never does)
+        self.lines: tuple[list, list] = ([None] * len(templates), [None] * len(templates))
 
     def key(self, combo: Sequence[int]) -> int:
         return sum(map(mul, self.weights, combo))
@@ -311,18 +310,9 @@ class _CompiledClause:
         names, d = self.names, len(self.names)
         return tuple(sorted([(v, names[key // w % d]) for v, w in zip(self.variables, self.weights)]))
 
-    @cached_property
-    def lines(self) -> list[tuple]:
-        """Per literal, its propagate line as text (see `_lines`)."""
-        return self._lines(False)
-
-    @cached_property
-    def json_lines(self) -> list[tuple]:
-        """Per literal, its propagate line as a JSON object (see `_lines`)."""
-        return self._lines(True)
-
-    def _lines(self, as_json: bool) -> list[tuple]:
-        """Per literal, its propagate line as a %-format over an instance's names: (places, format, getter).
+    def line(self, i: int, as_json: bool) -> tuple:
+        """Literal i's propagate line, as text or as a JSON object, compiled when it first prints and
+        kept in `lines[as_json][i]`: a %-format over an instance's names, (places, format, getter).
 
         The names are those of the instance key's base-d digits, spelled
         `HerbrandBase.chunk` digits at a time: one chunk per place value, most
@@ -343,21 +333,21 @@ class _CompiledClause:
         places = tuple([size ** j for j in reversed(range(chunks))])
         subst = "{" + ",".join([f"{_escape(v)}->%s" for v in sorted(self.variables)]) + "}"
         subst_at = [last - digit[v] for v in sorted(self.variables)]
-        lines = []
-        for literal in self.literals:
-            args = literal.atom.args
-            lit = ("" if literal.positive else "-") + _escape(literal.atom.predicate)
-            if args:
-                lit += f"({','.join(['%s' if isinstance(a, Variable) else _escape(a.name) for a in args])})"
-            at = [last - digit[a.name] for a in args if isinstance(a, Variable)] + subst_at
-            text = f"propagate {lit} <- clause {self.id} σ={subst}"
-            if as_json:  # escaping goes character by character: the escaped format filled with escaped names
-                format, get = _JSON["propagate"]  # its line reads the names at `at`, then its lit and subst
-                format %= get((json_string(text), json_string(lit), self.id, json_string(subst)))
-                lines.append((places, format, itemgetter(*at, *at)))
-            else:
-                lines.append((places, text + "\n", itemgetter(*at)))
-        return lines
+        literal = self.literals[i]
+        args = literal.atom.args
+        lit = ("" if literal.positive else "-") + _escape(literal.atom.predicate)
+        if args:
+            lit += f"({','.join(['%s' if isinstance(a, Variable) else _escape(a.name) for a in args])})"
+        at = [last - digit[a.name] for a in args if isinstance(a, Variable)] + subst_at
+        text = f"propagate {lit} <- clause {self.id} σ={subst}"
+        if as_json:  # escaping goes character by character: the escaped format filled with escaped names
+            format, get = _JSON["propagate"]  # its line reads the names at `at`, then its lit and subst
+            format %= get((json_string(text), json_string(lit), self.id, json_string(subst)))
+            at += at
+        else:
+            format = text + "\n"
+        self.lines[as_json][i] = line = places, format, itemgetter(*at)
+        return line
 
 
 # A binding maps each slot of a clause to a constant index, or to -1 while unbound.
@@ -401,7 +391,7 @@ class GroundProblem:
     """
 
     def __init__(
-        self, clauses: dict[int, Clause], domain: tuple[Constant, ...], atoms: Sequence[Atom],
+        self, clauses: dict[int, Clause], domain: tuple[Constant, ...], atoms: HerbrandBase,
         instances: list[GroundInstance],
     ) -> None:
         self.clauses, self.domain, self.atoms, self.instances = clauses, domain, atoms, instances
@@ -783,9 +773,9 @@ def render(result: SclResult, as_json: bool) -> list[str]:
     """The output lines of a run, as text or as JSON objects: trace, stats, verdict.
 
     A propagation of one of its clause's literals, one per template, fills
-    the format that `_CompiledClause.lines` (text) or `json_lines` compiles
-    for that literal with the names of the instance's key, spelled in place
-    from `HerbrandBase.chunk_names`, JSON-escaped for JSON.  Merge clauses,
+    that literal's format in `_CompiledClause.lines` (`line` compiles it on a
+    miss) with the names of the instance's key, spelled in place from
+    `HerbrandBase.chunk_names`, JSON-escaped for JSON.  Merge clauses,
     clauses without variables (one instance each, not compiled; their
     substitution is `{}`) and learned instances, and every other
     line, spell their substitutions through `GroundInstance.subst_str` and
@@ -812,7 +802,8 @@ def render(result: SclResult, as_json: bool) -> list[str]:
                 inst = instances[ev[2]]
                 compiled = inst.compiled
                 if compiled is not None and not compiled.merge:
-                    places, format, get = (compiled.json_lines if as_json else compiled.lines)[inst.lits.index(ev[1])]
+                    i = inst.lits.index(ev[1])
+                    places, format, get = compiled.lines[as_json][i] or compiled.line(i, as_json)
                     key, names = inst.key, ()
                     for place in places:
                         names += table[key // place % size]

@@ -108,11 +108,11 @@ REPEATED_BOUND = "x <= 0\nx <= 0\nx <= 0\n-x + 1 < 0\n"
 
 def budget_sample(workloads) -> dict[str, list]:
     """About 6M instructions: one random 3-CNF formula as text and as JSON, the first three verdicts
-    of scl-sparse, saturation and lia, every lia-decide verdict of the lia workload and
-    REPEATED_BOUND, the unsatisfiable SCL counter 8 as text and as JSON, SCL runs that decide and
-    learn, and SCL on two random 3-CNF formulas without variables.  No benchmark verdict writes a
-    CDCL or SCL trace as JSON, none gives SCL a variable-free clause of two or more literals, and
-    the lia group's three verdicts are all lia-propagate."""
+    of scl-sparse as text and as JSON, and of saturation and lia, every lia-decide verdict of the
+    lia workload and REPEATED_BOUND, the unsatisfiable SCL counter 8 as text and as JSON, SCL runs
+    that decide and learn, and SCL on two random 3-CNF formulas without variables.  No benchmark
+    verdict writes a CDCL or SCL trace as JSON, none gives SCL a variable-free clause of two or
+    more literals, and the lia group's three verdicts are all lia-propagate."""
     def verdicts(name: str) -> list:
         return workloads.build(name, SEED, SECONDS).verdicts
 
@@ -123,10 +123,12 @@ def budget_sample(workloads) -> dict[str, list]:
     repeated = workloads.Verdict("repeated", ["--mode", "lia-decide", "--input", "{dir}/repeated.lia"],
                                  {"repeated.lia": REPEATED_BOUND}, (workloads.UNSAT,), None)
     counter8 = [v for v in verdicts("scl-counter") if v.label == "counter8.bs"]
+    sparse = verdicts("scl-sparse")[:3]
     return {
         "cnf10": cnf10,
         "cnf10-json": as_json(cnf10),
-        "scl-sparse": verdicts("scl-sparse")[:3],
+        "scl-sparse": sparse,
+        "scl-sparse-json": as_json(sparse),
         "saturation": verdicts("saturation")[:3],
         "lia": verdicts("lia")[:3],
         "lia-decide": [v for v in verdicts("lia") if "lia-decide" in v.argv] + [repeated],

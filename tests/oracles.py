@@ -1322,6 +1322,11 @@ def reference_canonical_variant(clause: Clause) -> Clause:
     return _reference_rename(clause, mapping)
 
 
+def renamed_equal(c1: Clause, c2: Clause) -> bool:
+    """Syntactic equality up to variable renaming, literal order kept."""
+    return reference_canonical_variant(c1).literals == reference_canonical_variant(c2).literals
+
+
 # ---------------------------------------------------------------------------
 # Instantiation as clausekit.logic did it before it skipped the instances
 # that change nothing: every binding walked with its own `seen` set, and every

@@ -12,7 +12,14 @@ from importlib import resources
 import pytest
 
 from corpora import random_cnf
-from oracles import brute_force_sat, exhaustive_lia_search, ground_satisfiable, is_redundant, learn_orderings
+from oracles import (
+    brute_force_sat,
+    exhaustive_lia_search,
+    ground_satisfiable,
+    is_redundant,
+    learn_orderings,
+    renamed_equal,
+)
 from clausekit.cdcl import (
     CdclState,
     PropClause,
@@ -33,7 +40,7 @@ from clausekit.lia import (
     decide_bounded,
     propagate_bounds,
 )
-from clausekit.logic import Atom, Clause, Constant, Literal, Variable, renamed_equal
+from clausekit.logic import Atom, Clause, Constant, Literal, Variable
 from clausekit.ordering import default_config
 from clausekit.resolution import (
     first_negative,

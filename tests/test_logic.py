@@ -22,7 +22,6 @@ from clausekit.logic import (
     canonical_variant,
     match_atoms,
     rename_apart,
-    renamed_equal,
     unify,
 )
 
@@ -258,12 +257,6 @@ class TestClause:
     def test_tautology(self):
         assert Clause(1, (pos(P(c0)), neg(P(c0)))).is_tautology()
         assert not Clause(1, (pos(P(c0)), neg(P(c1)))).is_tautology()
-
-    def test_renamed_equal(self):
-        a = Clause(1, (neg(P(x1, c0)), pos(P(x1, c1))))
-        b = Clause(2, (neg(P(x2, c0)), pos(P(x2, c1))))
-        assert renamed_equal(a, b)
-        assert not renamed_equal(a, Clause(3, (pos(P(x1, c1)), neg(P(x1, c0)))))
 
     def test_canonical_variant_swaps(self):
         clause = Clause(1, (pos(P(x2, x1)),))

@@ -11,6 +11,7 @@ from oracles import (
     reference_replay,
     reference_resolution_step,
     reference_saturate,
+    renamed_equal,
     unit_weights,
 )
 from clausekit import resolution
@@ -25,7 +26,6 @@ from clausekit.logic import (
     Substitution,
     Variable,
     rename_apart,
-    renamed_equal,
     unify,
 )
 from clausekit.ordering import config_with_precedence, default_config, literal_is_maximal

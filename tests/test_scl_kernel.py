@@ -669,6 +669,51 @@ def test_text_lines_are_the_json_lines_on_random_sets():
     assert merge > 20 and learned > 20 and learned_propagated > 0 and one_constant > 5
 
 
+def compiled_slots(result) -> dict[int, tuple[set[int], set[int]]]:
+    """Per compiled clause id, the literal positions whose text and whose JSON propagate line are compiled."""
+    return {c.id: tuple({i for i, line in enumerate(lines) if line is not None} for lines in c.lines)
+            for c in result.state.problem.compiled}
+
+
+def printed_slots(result) -> dict[int, set[int]]:
+    """Per compiled clause id, the positions of the literals that a propagate line prints."""
+    printed = {c.id: set() for c in result.state.problem.compiled}
+    instances = result.state.problem.instances
+    for ev in result.state.events:
+        if ev[0] == "propagate":
+            inst = instances[ev[2]]
+            if inst.compiled is not None and not inst.compiled.merge:
+                printed[inst.clause_id].add(inst.lits.index(ev[1]))
+    return printed
+
+
+@pytest.mark.parametrize("json_first", [False, True])
+def test_a_propagate_line_compiles_when_its_literal_first_prints(json_first):
+    # a Horn chain's rule propagates only its head, so its body literal's lines are never compiled
+    rng = random.Random(3)
+    for k in range(8, 13):
+        result = scl_run(horn_chain(rng, k))
+        printed = printed_slots(result)
+        assert all(c.lines == ([None, None], [None, None]) for c in result.state.problem.compiled)
+        render(result, json_first)
+        assert compiled_slots(result) == {cid: (set(), p) if json_first else (p, set()) for cid, p in printed.items()}
+        render(result, not json_first)
+        assert compiled_slots(result) == {cid: (p, p) for cid, p in printed.items()}
+        assert set().union(*printed.values()) == {1} and sum(map(bool, printed.values())) == 3
+        assert_text_is_json_line(result)
+
+
+def test_a_pair_clause_compiles_each_literal_it_prints():
+    result = scl_run(parse_bs("P(a). -Q(b). -P(x) | Q(x)."))
+    assert compiled_slots(result) == {3: (set(), set())}
+    records = assert_text_is_json_line(result)
+    assert compiled_slots(result) == {3: ({0, 1}, {0, 1})}
+    assert [r["line"] for r in records if r.get("clause") == 3] == [
+        "propagate Q(a) <- clause 3 σ={x->a}",
+        "propagate -P(b) <- clause 3 σ={x->b}",
+    ]
+
+
 def test_names_with_format_characters():
     # %-format and str.format specials, and characters that JSON escapes, in predicate, constant
     # and variable names
