@@ -6,12 +6,14 @@ integer arithmetic throughout.  Bound propagation sweeps round-robin over the
 diverge, which the a-priori solvability box makes detectable.  The bounded
 decision searches that box with the same tightening loop: each node
 propagates to a fixpoint or a conflict, and a fixpoint branches on a
-variable.  The sweep order is fixed, but a pair is revisited only after a
-bound that its implied bound reads is tightened, and after a tightening only
-the inequations whose minimum reads the tightened bound are checked for a
-conflict.  Both readings run on the system compiled once per run: the run
+variable; a node opened by a decision starts from its parent's fixpoint, so
+only the decided bound's readers are checked first.  The sweep order is
+fixed, but a pair is revisited only after a bound that its implied bound
+reads is tightened, and after a tightening only the inequations whose
+minimum reads the tightened bound are checked for a conflict.  Both readings run on the system compiled once per run: the run
 numbers its variables, gives each bound an int slot, and reads every bound's
-value from one list by slot; a `Bound` record is built only for the trail.
+value from one list by slot.  The trail holds plain (var, lower, value,
+reason) tuples, and a `Bound` record is built only when `trail` is read.
 A propagation's `verdict` is "fixpoint", "conflict" or "diverged", a
 decision's "sat", "unsat" or "limit" (the search reached its step cap);
 `render` gives the output lines of either result.
@@ -130,6 +132,8 @@ CompiledIneq = tuple[int, int, Terms]
 # positive coefficient), the variable's coefficient and the inequation's id.
 # Both records are plain tuples, the cheapest to build.
 Pair = tuple[Terms, int, int, int, int]
+# A trail entry, a plain tuple too: a `Bound`'s fields (var, lower, value, reason).
+Record = tuple[str, bool, int, int | None]
 
 
 def compile_ineq(ineq: LinIneq, index: Mapping[str, int]) -> CompiledIneq:
@@ -189,12 +193,17 @@ def conflicting_inequation(value: list[int | None], candidates: Iterable[Compile
 
 
 class LiaPropagation(NamedTuple):
-    """A propagation's verdict, "fixpoint", "conflict" or "diverged", its trail and tightenings."""
+    """A propagation's verdict, "fixpoint", "conflict" or "diverged", its trail's records and tightenings."""
 
     verdict: str
-    trail: list[Bound]
+    records: list[Record]
     steps: int
     inequation_id: int | None = None  # the conflicting inequation of a "conflict"
+
+    @property
+    def trail(self) -> list[Bound]:
+        """The records as `Bound`s, built when asked for."""
+        return [_new(Bound, r) for r in self.records]
 
     @property
     def bounds(self) -> dict[BoundKey, Bound]:
@@ -208,34 +217,32 @@ Readers = tuple[list[Pair], list[CompiledIneq], list[list[CompiledIneq]], list[l
 def _readers(system: LiaSystem, index: Mapping[str, int]) -> Readers:
     """The system compiled once: pairs in sweep order, inequations, readers, and each slot's variable and direction.
 
-    `index` numbers the variables.  The readers are indexed by bound slot,
-    then listed per pair: for the pair at index p, `scans[p]` holds the
-    inequations whose minimum reads the bound that p tightens, in system
-    order, and `wakes[p]` the indexes, ascending, of the pairs whose implied
+    `index` numbers the variables.  The readers are indexed by bound slot:
+    `scans[s]` holds the inequations whose minimum reads slot s, in system
+    order, and `wakes[s]` the indexes, ascending, of the pairs whose implied
     bound reads it.  (A pair also compares with its own variable's bound, but
     that bound's tightening can only turn its answer into None, so it does
     not wake the pair.)
     """
     pairs: list[Pair] = []
     inequations: list[CompiledIneq] = []
-    scan_readers: list[list[CompiledIneq]] = [[] for _ in range(2 * len(index))]
-    pair_readers: list[list[int]] = [[] for _ in range(2 * len(index))]
+    scans: list[list[CompiledIneq]] = [[] for _ in range(2 * len(index))]
+    wakes: list[list[int]] = [[] for _ in range(2 * len(index))]
     for ineq in system.inequations:
         scan = compile_ineq(ineq, index)
         inequations.append(scan)
         for slot, _a in scan[2]:
-            scan_readers[slot].append(scan)
+            scans[slot].append(scan)
             pair = compile_pair(scan, slot >> 1)
             for s, _a in pair[0]:
-                pair_readers[s].append(len(pairs))
+                wakes[s].append(len(pairs))
             pairs.append(pair)
-    scans = [scan_readers[pair[2]] for pair in pairs]
-    wakes = [pair_readers[pair[2]] for pair in pairs]
     return pairs, inequations, scans, wakes, [v for v in index for _ in (0, 1)], [True, False] * len(index)
 
 
-def _tighten(readers: Readers, value: list[int | None], trail: list[Bound], cap: int) -> tuple[str, int | None]:
-    """Tighten `value`, by slot, onto the trail until fixpoint, conflict, or a trail of `cap` bounds.
+def _tighten(readers: Readers, value: list[int | None], trail: list[Record], cap: int,
+             decided: int | None = None) -> tuple[str, int | None]:
+    """Tighten `value`, by slot, onto the trail until fixpoint, conflict, or a trail of `cap` records.
 
     Returns the verdict, "fixpoint", "conflict" or "diverged", and the
     conflicting inequation's id.  Sweeps visit the (inequation, variable)
@@ -244,16 +251,25 @@ def _tighten(readers: Readers, value: list[int | None], trail: list[Bound], cap:
     within the sweep if the pair lies ahead, in the next sweep otherwise.
     Every other pair would find nothing tighter, so the trail and outcome
     are the round robin's.  A sweep with nothing left to visit is the fixpoint.
+
+    Without `decided`, every inequation is checked for a conflict and the
+    first sweep visits every pair.  With it, `value` is a conflict-free
+    fixpoint in which only the decided slot has moved since, so only that
+    slot's readers are checked and visited first: every other one would
+    find nothing.
     """
     pairs, inequations, scans, wakes, var_of, lower_of = readers
-    cid = conflicting_inequation(value, inequations)
+    n = len(pairs)
+    # a heap of the visits due, each as sweep * n + pair index, ascending at
+    # the start, and per pair the latest visit it is queued for, -1 for none
+    if decided is None:
+        cid, due, queued = conflicting_inequation(value, inequations), list(range(n)), list(range(n))
+    else:
+        cid, due, queued = conflicting_inequation(value, scans[decided]), wakes[decided][:], [-1] * n
+        for p in due:
+            queued[p] = p
     if cid is not None:
         return "conflict", cid
-    n = len(pairs)
-    # a heap of the visits due, each as sweep * n + pair index, and per pair
-    # the latest visit it is queued for; both start with the whole first sweep
-    due = list(range(n))
-    queued = list(range(n))
     while due:
         t = heappop(due)
         p = t % n
@@ -265,13 +281,13 @@ def _tighten(readers: Readers, value: list[int | None], trail: list[Bound], cap:
             return "diverged", None
         slot = pair[2]
         value[slot] = tighter
-        trail.append(_new(Bound, (var_of[slot], lower_of[slot], tighter, pair[4])))  # the tightening's one record
+        trail.append((var_of[slot], lower_of[slot], tighter, pair[4]))  # the tightening's one record
         # while none conflicts, a tightening moves only the minima that read it
-        cid = conflicting_inequation(value, scans[p])
+        cid = conflicting_inequation(value, scans[slot])
         if cid is not None:
             return "conflict", cid
         sweep = t - p
-        for r in wakes[p]:
+        for r in wakes[slot]:
             visit = sweep + r if r > p else sweep + n + r  # later in this sweep, or in the next
             if queued[r] < visit:
                 queued[r] = visit
@@ -289,14 +305,14 @@ def propagate_bounds(system: LiaSystem, decisions: Iterable[Bound], max_steps: i
     for b in decisions:
         index.setdefault(b.var, len(index))
     value: list[int | None] = [None] * (2 * len(index))
-    trail: list[Bound] = []
+    trail: list[Record] = []
     for b in decisions:
         slot = 2 * index[b.var] + (not b.lower)
         old = value[slot]
         if old is not None and (b.value <= old if b.lower else b.value >= old):
             continue
         value[slot] = b.value
-        trail.append(b)
+        trail.append(tuple(b))
     # the decisions applied; every later trail entry is a tightening, a step
     decided = len(trail)
     verdict, cid = _tighten(_readers(system, index), value, trail, decided + max_steps)
@@ -333,11 +349,12 @@ def decide_bounded(system: LiaSystem, max_steps: int = DEFAULT_DECIDE_STEPS) -> 
     variables = system.variables
     readers = _readers(system, {v: i for i, v in enumerate(variables)})
     value = [x for corners in apriori_bounds(system).values() for x in corners]  # by slot, in system order
-    trail: list[Bound] = []
+    trail: list[Record] = []
     # the decisions still to take, the next last, each with the values by slot that it narrows
     branches: list[tuple[list[int], int, int]] = []
+    decided = None  # the root's box corners are no fixpoint; every other node's values are its parent's
     while True:
-        verdict, _cid = _tighten(readers, value, trail, max_steps)
+        verdict, _cid = _tighten(readers, value, trail, max_steps, decided)
         if verdict == "diverged":
             return LiaDecision("limit")
         if verdict == "fixpoint":
@@ -351,9 +368,9 @@ def decide_bounded(system: LiaSystem, max_steps: int = DEFAULT_DECIDE_STEPS) -> 
             return LiaDecision("unsat")
         if len(trail) >= max_steps:
             return LiaDecision("limit")
-        value, slot, x = branches.pop()
-        value[slot] = x
-        trail.append(_new(Bound, (variables[slot >> 1], not slot & 1, x, None)))
+        value, decided, x = branches.pop()
+        value[decided] = x
+        trail.append((variables[decided >> 1], not decided & 1, x, None))
 
 
 # per event, the format of a JSON line that holds its text line alone
@@ -370,14 +387,19 @@ def render(result: LiaPropagation | LiaDecision, as_json: bool) -> list[str]:
     """
     verdict = result.verdict
     if verdict == "sat":
-        lines, event = [" ".join(["sat", *(f"{v}={x}" for v, x in result.assignment.items())]) + "\n"], "result"
+        model = result.assignment.items()
+        try:
+            values = [f"{v}={x}" for v, x in model]
+        except ValueError:  # a value of more digits than str() converts
+            values = [f"{v}={_digits(x)}" for v, x in model]
+        lines, event = [" ".join(["sat", *values]) + "\n"], "result"
     elif verdict in ("unsat", "limit"):
         lines, event = [verdict + "\n"], "result"
     else:
         try:
-            lines = _bound_lines(result.trail)
+            lines = _bound_lines(result.records)
         except ValueError:  # a value of more digits than str() converts
-            lines = _bound_lines([(var, lower, _digits(value), reason) for var, lower, value, reason in result.trail])
+            lines = _bound_lines([(var, lower, _digits(value), reason) for var, lower, value, reason in result.records])
         if verdict == "fixpoint":
             lines.append("fixpoint\n")
         elif verdict == "conflict":

@@ -12,21 +12,29 @@ verdict of each of the five workloads, `budgets` the smaller sample of
 `tests/test_work_budgets.py`, which adds a CDCL formula and SCL counter 8 as JSON, SCL runs
 that decide and learn on BS sets that `tests/test_scl_kernel.py:random_bs` draws, and SCL on
 random 3-CNF formulas written as variable-free BS sets.  A count is exact and does not depend on the
-machine's load, but work done in C counts as one instruction.  Each count
-runs in a process of its own under PYTHONHASHSEED=0, since set and dict
+machine's load, but work done in C counts as one instruction.  So a third pass,
+under `sys.setprofile`, counts the C calls: each call of a built-in function
+or method, keyed by the callee's qualified name, as `tuple.__new__` (a type's
+call, as `tuple(x)`, raises no such event and is not counted).  It runs apart
+from the traced pass, so that the instruction counts do not change.  Each
+tree runs in a process of its own under PYTHONHASHSEED=0, since set and dict
 orders can change the work done.
 
     python tests/instruction_counts.py SRC_DIR
 
-prints each workload's count.  Given two source directories, it prints per
-workload both counts and their difference; a workload that counts more than
-1% (OVER) above its count in SRC_A fails, with its per-module split and the
-functions whose counts rose most, and the tool exits with 1.  A smaller rise passes, since moving work into C can add
-instructions and still save time.
+prints each workload's instructions and C calls.  Given two source
+directories, it prints per workload both instruction counts and their
+difference; a workload that counts more than 1% (OVER) above its count in
+SRC_A fails, with its per-module split and the functions whose counts rose
+most, and the tool exits with 1.  A smaller rise passes, since moving work
+into C can add instructions and still save time.  It then prints per
+workload both C-call totals and the callees whose counts moved most; C
+calls decide nothing.
 
     python tests/instruction_counts.py SRC_A SRC_B
 
-What each child process runs, printing a sample's per-function counts as JSON:
+What each child process runs, printing a sample's per-function instructions
+and per-callee C calls as JSON:
 
     PYTHONHASHSEED=0 python tests/instruction_counts.py --json SAMPLE SRC_DIR
 """
@@ -181,6 +189,25 @@ def count_pass(main, argvs: list[list[str]], roots: list[str]) -> dict[str, int]
     return functions
 
 
+def count_c_calls(main, argvs: list[list[str]]) -> dict[str, int]:
+    """The C calls of one call of main per argv, per callee's qualified name, output and errors discarded."""
+    calls: dict[str, int] = {}
+
+    def profile(frame, event, arg):
+        if event == "c_call":
+            name = arg.__qualname__
+            calls[name] = calls.get(name, 0) + 1
+
+    with contextlib.redirect_stderr(io.StringIO()):
+        sys.setprofile(profile)
+        try:
+            for argv in argvs:
+                main(argv, out=io.StringIO())
+        finally:
+            sys.setprofile(None)
+    return calls
+
+
 def by_module(functions: dict[str, int]) -> dict[str, int]:
     """Per-function counts summed per module."""
     modules: dict[str, int] = {}
@@ -190,13 +217,14 @@ def by_module(functions: dict[str, int]) -> dict[str, int]:
     return modules
 
 
-def counts(src: str, sample: str) -> Counts:
-    """Each group's instructions per warm pass through the `clausekit` of src, in this process."""
+def counts(src: str, sample: str) -> tuple[Counts, Counts]:
+    """Each group's instructions per warm pass through the `clausekit` of src, in this process, and its
+    C calls in a pass after that one."""
     src = os.path.abspath(src)
     sys.path.insert(0, src)
     from clausekit import cli
 
-    result = {}
+    instructions, c_calls = {}, {}
     for name, verdicts in SAMPLES[sample](load_workloads()).items():
         with tempfile.TemporaryDirectory() as directory:
             for verdict in verdicts:
@@ -206,15 +234,17 @@ def counts(src: str, sample: str) -> Counts:
             for argv in argvs:  # the untraced warm pass
                 with contextlib.redirect_stderr(io.StringIO()):
                     cli.main(argv, out=io.StringIO())
-            result[name] = count_pass(cli.main, argvs, [src, sysconfig.get_paths()["stdlib"]])
-    return result
+            instructions[name] = count_pass(cli.main, argvs, [src, sysconfig.get_paths()["stdlib"]])
+            c_calls[name] = count_c_calls(cli.main, argvs)
+    return instructions, c_calls
 
 
-def counted(src: str, sample: str = "workloads") -> Counts:
+def counted(src: str, sample: str = "workloads") -> tuple[Counts, Counts]:
     """`counts(src, sample)` from a process of its own under PYTHONHASHSEED=0."""
     env = {**os.environ, "PYTHONHASHSEED": "0"}
     argv = [sys.executable, __file__, "--json", sample, src]
-    return json.loads(subprocess.run(argv, capture_output=True, text=True, check=True, env=env).stdout)
+    instructions, c_calls = json.loads(subprocess.run(argv, capture_output=True, text=True, check=True, env=env).stdout)
+    return instructions, c_calls
 
 
 def rises(reference: dict[str, int], now: dict[str, int], risen_only: bool = False) -> list[str]:
@@ -222,6 +252,13 @@ def rises(reference: dict[str, int], now: dict[str, int], risen_only: bool = Fal
     rise = {k: now.get(k, 0) - reference.get(k, 0) for k in {**reference, **now}}
     return [f"  {k} {reference.get(k, 0)} -> {now.get(k, 0)} ({rise[k]:+d})"
             for k in sorted(rise, key=lambda k: (-rise[k], k)) if rise[k] > 0 or not risen_only]
+
+
+def moves(reference: dict[str, int], now: dict[str, int]) -> list[str]:
+    """One line per key whose count changed, `reference -> now`, the largest change either way first."""
+    move = {k: now.get(k, 0) - reference.get(k, 0) for k in {**reference, **now}}
+    return [f"  {k} {reference.get(k, 0)} -> {now.get(k, 0)} ({move[k]:+d})"
+            for k in sorted(move, key=lambda k: (-abs(move[k]), k)) if move[k]]
 
 
 def over(name: str, reference: dict[str, int], functions: dict[str, int]) -> str | None:
@@ -247,20 +284,31 @@ def over(name: str, reference: dict[str, int], functions: dict[str, int]) -> str
     return "\n".join(lines)
 
 
+def difference(reference: dict[str, int], now: dict[str, int]) -> str:
+    """Both totals and their difference."""
+    a, b = sum(reference.values()), sum(now.values())
+    return f"{a} {b} {b - a:+d} ({(b - a) / a:+.2%})"
+
+
 def main() -> None:
     if len(sys.argv) == 4 and sys.argv[1] == "--json":
         print(json.dumps(counts(sys.argv[3], sys.argv[2])))
     elif len(sys.argv) == 2:
-        for name, functions in counted(sys.argv[1]).items():
-            print(name, sum(functions.values()))
+        instructions, c_calls = counted(sys.argv[1])
+        for name, functions in instructions.items():
+            print(name, sum(functions.values()), "instructions", sum(c_calls[name].values()), "C calls")
     elif len(sys.argv) == 3:
-        a, b = counted(sys.argv[1]), counted(sys.argv[2])
+        (a, c_a), (b, c_b) = counted(sys.argv[1]), counted(sys.argv[2])
         for name in a:
-            n_a, n_b = sum(a[name].values()), sum(b[name].values())
-            print(f"{name} {n_a} {n_b} {n_b - n_a:+d} ({(n_b - n_a) / n_a:+.2%})")
+            print(name, difference(a[name], b[name]))
         reports = [r for name in a if (r := over(name, a[name], b[name])) is not None]
         for report in reports:
             print(report)
+        print(f"C calls, and the {TOP} callees whose counts moved most:")
+        for name in c_a:
+            print(name, difference(c_a[name], c_b[name]))
+            for line in moves(c_a[name], c_b[name])[:TOP]:
+                print(line)
         sys.exit(1 if reports else 0)
     else:
         sys.exit("usage: python tests/instruction_counts.py SRC_DIR [SRC_DIR]")

@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+from decimal import Decimal
 from importlib import resources
 from pathlib import Path
 
@@ -406,6 +407,21 @@ class TestLiaModes:
         code, out = run_cli("--mode", "lia-decide", "--input", str(path))
         assert code == EXIT_SAT
         assert out.strip() == "sat x=0"
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_decide_prints_a_model_past_the_digit_limit(self, tmp_path, fmt):
+        # the box of x - y + 10**1500 <= 0 has a radius of 2 * 10**4500, and the model sits at its corner x = -radius
+        path = tmp_path / "sys.lia"
+        path.write_text(f"x - y + 1{'0' * 1500} <= 0\n")
+        code, out = run_cli("--mode", "lia-decide", "--input", str(path), "--format", fmt)
+        lines = out.splitlines() if fmt == "text" else [json.loads(line)["line"] for line in out.splitlines()]
+        assert code == EXIT_SAT and len(lines) == 1
+        word, *model = lines[0].split(" ")
+        values = dict(item.split("=") for item in model)
+        assert word == "sat" and list(values) == ["x", "y"]
+        assert len(values["x"].lstrip("-")) > sys.get_int_max_str_digits()
+        x, y = (int(Decimal(values[v])) for v in ("x", "y"))  # Decimal reads past the limit of int()
+        assert x == -2 * 10 ** 4500 and x - y + 10 ** 1500 <= 0
 
     def test_decide_unsat(self, tmp_path):
         path = tmp_path / "sys.lia"

@@ -233,10 +233,10 @@ class TestPropagateBounds:
             result = propagate_bounds(system, decisions, 100)
             assert result == reference_propagate_bounds(system, decisions, 100)
             assert result.trail[:2] == [decisions[0], decisions[2]] and result.steps == 2
-            assert result.bounds[("x", True)] is decisions[0]
+            assert result.bounds[("x", True)] == decisions[0]
         tighter = [Bound.make("x", ">=", 5), Bound.make("x", ">=", 6)]
         result = propagate_bounds(system, tighter, 100)
-        assert result.trail[:2] == tighter and result.bounds[("x", True)] is tighter[1]
+        assert result.trail[:2] == tighter and result.bounds[("x", True)] == tighter[1]
 
     def test_implied_bound_calls_linear_in_pairs_and_steps(self, monkeypatch):
         # a pair is revisited only after a bound it reads was tightened
@@ -274,8 +274,8 @@ class TestPropagateBounds:
         assert all(b.var in variables[b.reason] for b in derived)
 
     def test_every_bound_built_has_the_record_fields(self):
-        # propagation builds its trail's bounds with tuple.__new__, which takes a tuple of any length;
-        # the bounded decision builds none
+        # `trail`, and `bounds` through it, build their bounds from the records with tuple.__new__, which
+        # takes a tuple of any length; propagation and the bounded decision build none
         seen = []
         for system, decisions in ((DIVERGENT, [Bound.make("x", ">=", 0)]),
                                   (parse_lia("x - y + 1 <= 0\ny - z <= 0\n"), [Bound.make("x", ">=", 0), Bound.make("z", "<", 1)])):
@@ -284,6 +284,17 @@ class TestPropagateBounds:
         assert {b.reason is None for b in seen} == {True, False}
         assert {len(b) for b in seen} == {len(Bound._fields)}
         assert {type(b) for b in seen} == {Bound}
+
+    def test_records_are_exact_tuples(self):
+        # a record is a plain tuple, the cheapest to build and unpacked on the interpreter's fast path;
+        # `trail` gives the same entries as `Bound`s
+        conflicting = parse_lia("x - y <= 0\ny - z <= 0\nz - x + 1 <= 0\nx <= 5\n")
+        for system, decisions, verdict in ((DIVERGENT, [Bound.make("x", ">=", 0)], "diverged"),
+                                           (conflicting, [Bound.make("z", ">=", 0)], "conflict")):
+            result = propagate_bounds(system, decisions, 100)
+            assert result.verdict == verdict and result.steps > 0
+            assert {type(r) for r in result.records} == {tuple}
+            assert result.trail == result.records and {type(b) for b in result.trail} == {Bound}
 
     def test_divergence_budgets_strictly_increase(self):
         counts = []
@@ -347,6 +358,26 @@ class TestDecideBounded:
         assert decide_bounded(system, max_steps=4) == ("sat", {"x": -63, "y": 64})
         assert decide_bounded(system, max_steps=3).verdict == "limit"
         assert decide_bounded(system, max_steps=2).verdict == "limit"
+
+    def test_a_decision_visits_only_the_readers_of_its_slot(self, monkeypatch):
+        # a node opened by a decision starts from its parent's fixpoint, so only the pairs that read the
+        # decided bound can tighten; here none does, as the twelve variables are independent
+        system = parse_lia("".join(f"x{i} - 1 <= 0\n-x{i} <= 0\n" for i in range(1, 13)))
+        # the search's steps: 24 tightenings at the root, then a decision xi <= 0 per variable
+        steps = 24 + 12
+        assert decide_bounded(system, max_steps=steps - 1).verdict == "limit"
+        calls = 0
+        counted = lia.implied_bound
+
+        def counting(*args):
+            nonlocal calls
+            calls += 1
+            return counted(*args)
+
+        monkeypatch.setattr(lia, "implied_bound", counting)
+        assert decide_bounded(system, max_steps=steps) == ("sat", {f"x{i}": 0 for i in range(1, 13)})
+        pairs = sum(len(ineq.coeffs) for ineq in system.inequations)
+        assert calls <= pairs + 2 * steps, (pairs, steps, calls)
 
     def test_agreement_with_larger_box_search(self):
         rng = random.Random(31)
