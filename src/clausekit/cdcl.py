@@ -14,10 +14,11 @@ DIMACS-style signed integers.
 Traces stay deterministic: the conflict is the smallest-id false clause and
 the propagating clause the smallest-id unit clause, as in an id-order scan.
 `search` is the one main loop of both engines; each brings its propagate,
-analyze, learn and decision steps.  Events are tuples on the kernel.  `solve`
-runs `search` over CDCL's steps and returns one `CdclResult`, whose `verdict`
-is "sat" or "unsat" and whose `proof` holds every analysis on either verdict;
-`render` turns it into output lines.
+analyze, learn and decision steps.  Events are tuples on the kernel, trail
+steps only.  `solve` runs `search` over CDCL's steps and returns one
+`CdclResult`, whose `verdict` is "sat" or "unsat", whose `proof` holds every
+analysis on either verdict and whose `model` is built when read; `render`
+writes the trace, then the verdict lines, whose DIMACS words are `VERDICTS`.
 """
 
 from __future__ import annotations
@@ -461,12 +462,19 @@ class ProofStep(NamedTuple):
 
 
 class CdclResult(NamedTuple):
-    """A run's verdict, "sat" with its model or "unsat", its proof and its final state."""
+    """A run's verdict, "sat" or "unsat", its final state, whose events are its trail steps, and its proof."""
 
     verdict: str
     state: CdclState
-    model: tuple[int, ...] | None = None
-    proof: list[ProofStep] | None = None  # every analysis in order; an "unsat" one's last derives falsum
+    proof: list[ProofStep]  # every analysis in order; an "unsat" one's last derives falsum
+
+    @property
+    def model(self) -> tuple[int, ...] | None:
+        """The literal of each atom on the total trail of a "sat" run, in atom order, built when asked for."""
+        if self.verdict != "sat":
+            return None
+        true = self.state.true
+        return tuple([a if true[a] else -a for a in range(1, self.state.num_vars + 1)])
 
 
 def search(kernel: TrailKernel, propagate: Callable, analyze: Callable, learn: Callable, pick: Callable,
@@ -501,18 +509,16 @@ def solve(
     """CDCL: `search` over unit propagation, 1UIP analysis, the Backjump rule and the heuristic."""
     state = CdclState(clauses, num_vars)
     verdict, proof = search(state, propagate, analyze_conflict, backjump_and_learn, heuristic)
-    if verdict == "unsat":
-        state.events.append(("unsat",))
-        return CdclResult("unsat", state, proof=proof)
-    model = tuple(a if state.true[a] else -a for a in range(1, state.num_vars + 1))
-    state.events.append(("sat", model))
-    return CdclResult("sat", state, model=model, proof=proof)
+    return CdclResult(verdict, state, proof)
 
+
+# the DIMACS solver's line of each verdict of `search`, which both trail engines print
+VERDICTS = {"sat": "s SATISFIABLE", "unsat": "s UNSATISFIABLE", "limit": "s RESOURCE-EXCEEDED"}
 
 # per event kind, its JSON line's format and getter: the text line's own format over the event's values at
 # the positions given, beside the fields, each the value at its position; the values of a learn event are its
-# literals as a list, its backjump level, its clause id and its literals spelled out.  Each line of a verdict
-# is an object of that text line alone.
+# literals as a list, its backjump level, its clause id and its literals spelled out.  Per verdict, the format
+# of each of its lines: an object of that text line alone.
 _JSON = {kind: json_format(fields, event="cdcl", kind=kind) for kind, fields in {
     "propagate": {"line": ("propagate %d <- clause %d", (1, 2)), "lit": 1, "clause": 2},
     "decide": {"line": ("decide %d @%d", (1, 2)), "lit": 1, "level": 2},
@@ -525,31 +531,35 @@ _JSON = {kind: json_format(fields, event="cdcl", kind=kind) for kind, fields in 
 
 
 def render(result: CdclResult, as_json: bool) -> list[str]:
-    """The trace of a run in the DIMACS-solver style, as output lines: text, or JSON objects.
+    """The output of a run in the DIMACS-solver style, as lines: text, or JSON objects; the trace, then the verdict.
 
     Text lines are f-strings.  An event's JSON line fills its kind's `_JSON`
     format, which holds the text line's own format beside the event's
-    fields; each line of the verdict is an object of that line alone.
+    fields.  The verdict's lines, its `VERDICTS` line and a "sat" run's model
+    line, are each, as JSON, an object of that line alone.
     """
+    verdict = [VERDICTS[result.verdict]]
+    if result.verdict == "sat":
+        verdict.append(" ".join(["v", *map(str, result.model), "0"]))
     if not as_json:
-        return _text_lines(result.state.events)
-    lines: list[str] = []
+        lines = _text_lines(result.state.events)
+        lines += [line + "\n" for line in verdict]
+        return lines
+    lines = []
     add = lines.append
     for ev in result.state.events:
         kind = ev[0]
         if kind == "learn":
             ev = (kind, list(ev[1]), *ev[2:], " ".join(map(str, ev[1])))
-        elif kind == "sat" or kind == "unsat":
-            format = _JSON[kind][0]
-            lines += [format % json_string(line) for line in _text_lines([ev])[0].splitlines()]
-            continue
         format, get = _JSON[kind]
         add(format % get(ev))
+    format = _JSON[result.verdict][0]
+    lines += [format % json_string(line) for line in verdict]
     return lines
 
 
 def _text_lines(events: Iterable[tuple]) -> list[str]:
-    """The text of each event, one string per event; a "sat" one holds two lines."""
+    """The text line of each event."""
     lines: list[str] = []
     add = lines.append
     for ev in events:
@@ -562,10 +572,6 @@ def _text_lines(events: Iterable[tuple]) -> list[str]:
             add(f"conflict clause {ev[1]}\n")
         elif kind == "learn":
             add(f"learn {' '.join(map(str, ev[1]))} backjump {ev[2]}\n")
-        elif kind == "forget":
+        else:  # "forget"
             add(f"forget clause {ev[1]}\n")
-        elif kind == "sat":
-            add(" ".join(["s SATISFIABLE\nv", *map(str, ev[1]), "0\n"]))
-        else:  # "unsat"
-            add("s UNSATISFIABLE\n")
     return lines

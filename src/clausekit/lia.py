@@ -115,11 +115,9 @@ def _digits(value: int) -> str:
 # builds a NamedTuple from its fields' tuple in C, without the generated Python-level __new__
 _new = tuple.__new__
 
-# (variable, lower): the key of a bound in `LiaPropagation.bounds`.  Within a
-# run a bound is an int slot instead: the run numbers its variables, and the
+# Within a run a bound is an int slot: the run numbers its variables, and the
 # lower bound of variable i has slot 2i, its upper bound 2i + 1.  One list,
 # indexed by slot, holds each bound's value, or None while it is unbounded.
-BoundKey = tuple[str, bool]
 # (slot, coefficient) per term: the slot of the bound that bounds the term
 # from below, the lower bound for a positive coefficient and the upper one for
 # a negative coefficient
@@ -204,11 +202,6 @@ class LiaPropagation(NamedTuple):
     def trail(self) -> list[Bound]:
         """The records as `Bound`s, built when asked for."""
         return [_new(Bound, r) for r in self.records]
-
-    @property
-    def bounds(self) -> dict[BoundKey, Bound]:
-        """Each bound's last record on the trail, keyed by (variable, lower), in first-bound order."""
-        return {b[:2]: b for b in self.trail}
 
 
 Readers = tuple[list[Pair], list[CompiledIneq], list[list[CompiledIneq]], list[list[int]], list[str], list[bool]]

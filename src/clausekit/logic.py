@@ -184,10 +184,6 @@ class Substitution:
     def items(self) -> list[tuple[Variable, Term]]:
         return sorted(self._bindings.items(), key=lambda kv: kv[0].name)
 
-    def apply_atom(self, atom: Atom) -> Atom:
-        get = self._bindings.get
-        return Atom(atom.predicate, tuple([get(a, a) for a in atom.args]))
-
     def apply_clause(self, clause: Clause) -> Clause:
         """The instance of the clause; the clause itself when none of its variables is bound."""
         bindings = self._bindings

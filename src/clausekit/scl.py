@@ -63,7 +63,8 @@ from collections import Counter, defaultdict
 from operator import itemgetter, mul
 from typing import Callable, Iterable, NamedTuple, Sequence
 
-from .cdcl import ProofStep, TrailKernel, _new, learn_clause, lowest_unassigned, propagate_units, resolve_1uip, search
+from .cdcl import (VERDICTS, ProofStep, TrailKernel, _new, learn_clause, lowest_unassigned, propagate_units,
+                   resolve_1uip, search)
 from .cdcl import clause_status  # noqa: F401  perfbench/tracer.py counts calls through this name
 from .errors import ResourceLimitError
 from .jsonl import json_format, json_string
@@ -759,7 +760,6 @@ def scl_run(
     return SclResult(verdict, state.stats, state, proof)
 
 
-_VERDICTS = {"sat": "s SATISFIABLE", "unsat": "s UNSATISFIABLE", "limit": "s RESOURCE-EXCEEDED"}
 # per trace event kind, and the stats line, the names of the JSON fields after `kind`
 _FIELDS = {"propagate": ("lit", "clause", "subst"), "conflict": ("clause", "subst"), "decide": ("lit", "level"),
            "learn": ("clause", "backjump"), "stats": ()}
@@ -829,6 +829,6 @@ def render(result: SclResult, as_json: bool) -> list[str]:
         s = state.stats
         text = f"stats propagations={s.propagations} decisions={s.decisions} trail={len(state.trail)}"
         add(_JSON["stats"][0] % json_string(text) if as_json else text + "\n")
-    text = _VERDICTS[result.verdict]
+    text = VERDICTS[result.verdict]
     add(_RESULT_JSON % json_string(text) if as_json else text + "\n")
     return lines

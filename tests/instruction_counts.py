@@ -12,13 +12,14 @@ verdict of each of the five workloads, `budgets` the smaller sample of
 `tests/test_work_budgets.py`, which adds a CDCL formula and SCL counter 8 as JSON, SCL runs
 that decide and learn on BS sets that `tests/test_scl_kernel.py:random_bs` draws, and SCL on
 random 3-CNF formulas written as variable-free BS sets.  A count is exact and does not depend on the
-machine's load, but work done in C counts as one instruction.  So a third pass,
-under `sys.setprofile`, counts the C calls: each call of a built-in function
-or method, keyed by the callee's qualified name, as `tuple.__new__` (a type's
-call, as `tuple(x)`, raises no such event and is not counted).  It runs apart
-from the traced pass, so that the instruction counts do not change.  Each
-tree runs in a process of its own under PYTHONHASHSEED=0, since set and dict
-orders can change the work done.
+machine's load, but work done in C counts as one instruction.  So on the
+`workloads` sample a third pass, under `sys.setprofile`, counts the C calls:
+each call of a built-in function or method, keyed by the callee's qualified
+name, as `tuple.__new__` (a type's call, as `tuple(x)`, raises no such event
+and is not counted).  It runs apart from the traced pass, so that the
+instruction counts do not change; the `budgets` sample, which only
+instructions judge, skips it.  Each tree runs in a process of its own under
+PYTHONHASHSEED=0, since set and dict orders can change the work done.
 
     python tests/instruction_counts.py SRC_DIR
 
@@ -218,8 +219,8 @@ def by_module(functions: dict[str, int]) -> dict[str, int]:
 
 
 def counts(src: str, sample: str) -> tuple[Counts, Counts]:
-    """Each group's instructions per warm pass through the `clausekit` of src, in this process, and its
-    C calls in a pass after that one."""
+    """Each group's instructions per warm pass through the `clausekit` of src, in this process, and, on
+    the `workloads` sample only, its C calls in a pass after that one (none are counted on the others)."""
     src = os.path.abspath(src)
     sys.path.insert(0, src)
     from clausekit import cli
@@ -235,7 +236,8 @@ def counts(src: str, sample: str) -> tuple[Counts, Counts]:
                 with contextlib.redirect_stderr(io.StringIO()):
                     cli.main(argv, out=io.StringIO())
             instructions[name] = count_pass(cli.main, argvs, [src, sysconfig.get_paths()["stdlib"]])
-            c_calls[name] = count_c_calls(cli.main, argvs)
+            if sample == "workloads":
+                c_calls[name] = count_c_calls(cli.main, argvs)
     return instructions, c_calls
 
 

@@ -331,7 +331,7 @@ def reference_ground_problem(
             sub = Substitution(dict(zip(variables, combo)))
             lits = tuple(
                 dict.fromkeys(
-                    atom_index[sub.apply_atom(l.atom)] * (1 if l.positive else -1)
+                    atom_index[apply_atom(sub, l.atom)] * (1 if l.positive else -1)
                     for l in clause.literals
                 )
             )
@@ -528,6 +528,11 @@ def reference_conflicting_inequation(system, current, candidates=None) -> int | 
         if m is not None and m > 0:
             return ineq.id
     return None
+
+
+def bounds(result: LiaPropagation) -> dict[tuple[str, bool], Bound]:
+    """Each bound's last entry on the propagation's trail, keyed by (variable, lower), in first-bound order."""
+    return {b[:2]: b for b in result.trail}
 
 
 def reference_propagate_bounds(system, decisions, max_steps: int, current=None):
@@ -968,7 +973,7 @@ def reference_factor(clause: Clause, cfg: WeightedOrderingConfig) -> list[Derive
         if sigma is None or not reference_literal_is_maximal(sigma.apply_clause(clause), i, cfg):
             continue
         conclusion = canonical_variant(
-            Clause(0, tuple(Literal(l.positive, sigma.apply_atom(l.atom)) for k, l in enumerate(lits) if k != j))
+            Clause(0, tuple(Literal(l.positive, apply_atom(sigma, l.atom)) for k, l in enumerate(lits) if k != j))
         )
         out.append(DerivedClause(conclusion, FactoringRule(clause.id, i + 1, j + 1, sigma)))
     return out
@@ -1325,6 +1330,12 @@ def reference_canonical_variant(clause: Clause) -> Clause:
 def renamed_equal(c1: Clause, c2: Clause) -> bool:
     """Syntactic equality up to variable renaming, literal order kept."""
     return reference_canonical_variant(c1).literals == reference_canonical_variant(c2).literals
+
+
+def apply_atom(sigma: Substitution, atom: Atom) -> Atom:
+    """The instance of the atom under the substitution, read from its bindings."""
+    bindings = dict(sigma.items())
+    return Atom(atom.predicate, tuple([bindings.get(a, a) for a in atom.args]))
 
 
 # ---------------------------------------------------------------------------

@@ -214,6 +214,10 @@ class TestSolve:
         result = solve([PropClause(1, ())])
         assert result.verdict == "unsat"
 
+    def test_atom_beyond_num_vars_is_rejected(self):
+        with pytest.raises(ValueError, match="^clause mentions an atom beyond num_vars$"):
+            CdclState([PropClause(1, (1, -3))], 2)
+
 
 class TestForget:
     def _state_with_idle_learned(self):

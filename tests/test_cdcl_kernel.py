@@ -135,12 +135,14 @@ def test_rendered_forget_line_names_its_clause():
     for _ in range(20):
         clauses, num_vars = forgetting_cnf(rng)
         state, _ = drive_with_forgetting(clauses, num_vars)
-        result = CdclResult("sat" if len(state.trail) == num_vars else "unsat", state)
+        result = CdclResult("sat" if len(state.trail) == num_vars else "unsat", state, [])  # render reads no proof
         text, as_json = cdcl.render(result, False), cdcl.render(result, True)
         records = [json.loads(line) for line in "".join(as_json).splitlines()]
         assert "".join(text).splitlines() == [r["line"] for r in records]
+        # a line per event, then the verdict's lines: its DIMACS line, and a "sat" run's model line
+        assert [r["kind"] for r in records[len(state.events):]] == [result.verdict] * (1 + (result.verdict == "sat"))
         events = [ev for ev in state.events if ev[0] != "decide"]
-        named = [r for r in records if r["kind"] != "decide"]
+        named = [r for r in records[:len(state.events)] if r["kind"] != "decide"]
         assert [r["clause"] for r in named] == [ev[3] if ev[0] == "learn" else ev[-1] for ev in events]
         for ev, r in zip(events, named):
             if ev[0] == "forget":
@@ -180,11 +182,11 @@ class TestEdgeCases:
     def test_empty_input_clause_is_the_conflict(self):
         result = solve([PropClause(1, (1, 2)), PropClause(2, ()), PropClause(3, (1,))])
         assert result.verdict == "unsat"
-        assert result.state.events == [("conflict", 2), ("unsat",)]
+        assert result.state.events == [("conflict", 2)]
 
     def test_contradictory_units_conflict_before_propagating_more(self):
         result = solve([PropClause(1, (1,)), PropClause(2, (2,)), PropClause(3, (-1,))])
-        assert result.state.events == [("propagate", 1, 1), ("conflict", 3), ("unsat",)]
+        assert result.verdict == "unsat" and result.state.events == [("propagate", 1, 1), ("conflict", 3)]
 
     def test_smallest_false_clause_is_the_conflict(self):
         # propagating 2 falsifies clauses 7 and 5 at once; 7 is visited first

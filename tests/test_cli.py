@@ -232,7 +232,10 @@ LONG = "7" * 5000  # more digits than int() converts, 4300 by default
     (["--mode", "resolution-replay", "--counter-n", "2", "--replay", "{bad}"],
      f"2.2 Res 3.1\n  2.{LONG} Res 3.1\n", "line 2, column 5"),
     (["--mode", "lia-propagate", "--input", "{bad}", "--decide", f"x>=-{LONG}"], "x - y <= 0\n", "line 1, column 4"),
-], ids=["dimacs-literal", "dimacs-header", "bs-clause-id", "lia-propagate", "lia-decide", "script", "decide"])
+    # the line fails at `x`, but its first token that is no literal is the long one
+    (["--mode", "cdcl", "--input", "{bad}"], f"p cnf 1 1\n1 {LONG} x 0\n", "line 2, column 3"),
+], ids=["dimacs-literal", "dimacs-header", "bs-clause-id", "lia-propagate", "lia-decide", "script", "decide",
+        "dimacs-literal-before-a-bad-token"])
 def test_a_number_too_long_for_int_is_a_parse_error(tmp_path, capsys, argv, text, position):
     (tmp_path / "bad").write_text(text)
     assert run_cli(*[a.replace("{bad}", str(tmp_path / "bad")) for a in argv]) == (EXIT_USAGE, "")

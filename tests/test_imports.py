@@ -62,9 +62,6 @@ def test_oracles_take_no_ordering_or_box_from_the_engines():
 # Public top-level names and class members that no module of the package reaches, kept on purpose.
 UNREACHED_ON_PURPOSE = {
     "cdcl.forget": "the Forget rule, which test_cdcl.py and test_cdcl_kernel.py state",
-    "scl.SclResult.model": "a sat run's certificate, which test_scl.py and test_acceptance.py check",
-    "lia.LiaPropagation.bounds": "a view of the trail, built when asked for",
-    "logic.Substitution.apply_atom": "how test_logic.py, test_ordering.py and oracles.py state what a unifier is",
 }
 
 

@@ -1,6 +1,5 @@
 import io
 import json
-from types import SimpleNamespace
 
 import pytest
 
@@ -57,17 +56,22 @@ def test_counter_experiment_rows_write_what_json_dumps_writes(monkeypatch):
 
 def test_every_cdcl_kind_writes_what_json_dumps_writes():
     # CDCL's `_JSON` formats hold the text line's own format and fill it from the event: each JSON
-    # line is its text line beside the event's fields, for every kind and ints of either sign
+    # line is its text line beside the event's fields, for every kind and ints of either sign; each
+    # verdict line, rendered from a result after its trace, is an object of its text line alone
     cases = [(("propagate", -12, 3), {"lit": -12, "clause": 3}), (("propagate", 7, 2**70), {"lit": 7, "clause": 2**70}),
              (("decide", -1, 1), {"lit": -1, "level": 1}), (("decide", 40, 0), {"lit": 40, "level": 0}),
              (("conflict", 9), {"clause": 9}), (("forget", -41), {"clause": -41}),
              (("learn", (-3, 5, -80), 2, 41), {"lits": [-3, 5, -80], "backjump": 2, "clause": 41}),
-             (("learn", (6,), 0, 42), {"lits": [6], "backjump": 0, "clause": 42}),
-             (("sat", (-1, 2, -3)), {}), (("sat", ()), {}), (("unsat",), {})]
-    assert {ev[0] for ev, _ in cases} == {*cdcl._JSON, "sat", "unsat"}
-    result = SimpleNamespace(state=SimpleNamespace(events=[ev for ev, _ in cases]))
-    text = "".join(cdcl.render(result, False)).splitlines()
-    assert text[-5:] == ["s SATISFIABLE", "v -1 2 -3 0", "s SATISFIABLE", "v 0", "s UNSATISFIABLE"]
-    objects = [{"event": "cdcl", "kind": ev[0], **fields} for ev, fields in cases for _ in range(1 + (ev[0] == "sat"))]
-    assert len(objects) == len(text)
-    assert cdcl.render(result, True) == [reference({**obj, "line": line}) for obj, line in zip(objects, text)]
+             (("learn", (6,), 0, 42), {"lits": [6], "backjump": 0, "clause": 42})]
+    # sat with atoms, sat with none and unsat; the first holds the cases as its trace
+    results = [cdcl.solve([cdcl.PropClause(i, (lit,)) for i, lit in enumerate((-1, 2, -3), 1)]),
+               cdcl.solve([]), cdcl.solve([cdcl.PropClause(1, ())])]
+    results[0].state.events[:] = [ev for ev, _ in cases]
+    results[2].state.events.clear()
+    assert {ev[0] for ev, _ in cases} | {r.verdict for r in results} == set(cdcl._JSON)
+    text = [line for r in results for line in "".join(cdcl.render(r, False)).splitlines()]
+    assert text[len(cases):] == ["s SATISFIABLE", "v -1 2 -3 0", "s SATISFIABLE", "v 0", "s UNSATISFIABLE"]
+    objects = [{"event": "cdcl", "kind": ev[0], **fields} for ev, fields in cases]
+    objects += [{"event": "cdcl", "kind": kind} for kind in ("sat", "sat", "sat", "sat", "unsat")]
+    assert [line for r in results for line in cdcl.render(r, True)] == [
+        reference({**obj, "line": line}) for obj, line in zip(objects, text, strict=True)]

@@ -3,7 +3,8 @@ from collections import Counter
 
 import pytest
 
-from oracles import exhaustive_lia_search, reference_box_radius, reference_decide_bounded, reference_propagate_bounds
+from oracles import (bounds, exhaustive_lia_search, reference_box_radius, reference_decide_bounded,
+                     reference_propagate_bounds)
 from clausekit import lia
 from clausekit.errors import ResourceLimitError
 from clausekit.formats import parse_lia
@@ -83,11 +84,15 @@ class TestPropagateBounds:
             ("x", ">=", 2),
         ]
 
+    def test_negative_step_budget_is_rejected(self):
+        with pytest.raises(ValueError, match="^max_steps must be non-negative$"):
+            propagate_bounds(DIVERGENT, [Bound.make("x", ">=", 0)], -1)
+
     def test_single_propagation(self):
         system = parse_lia("x - y <= 0\n")
         result = propagate_bounds(system, [Bound.make("x", ">=", 5)], 100)
         assert result.verdict == "fixpoint"
-        assert result.bounds[("y", True)].value == 5
+        assert bounds(result)[("y", True)].value == 5
 
     def test_direct_contradiction(self):
         system = parse_lia("x <= 0\n-x + 1 <= 0\n")
@@ -213,7 +218,7 @@ class TestPropagateBounds:
             got = propagate_bounds(system, decisions, cap)
             current = {}
             want = reference_propagate_bounds(system, decisions, cap, current)
-            assert list(got.bounds.items()) == list(current.items())
+            assert list(bounds(got).items()) == list(current.items())
             assert got == want
 
     def test_decision_on_a_variable_no_inequation_mentions(self):
@@ -223,7 +228,7 @@ class TestPropagateBounds:
         assert result.verdict == "diverged" and result.trail[:3] == decisions
         # no inequation reads z, so its empty range is no conflict, and no bound on z is derived
         assert [b.var for b in result.trail[3:]] == ["y", "x", "y", "x", "y", "x"]
-        assert result.bounds[("z", False)].value == 7 and result.bounds[("z", True)].value == 9
+        assert bounds(result)[("z", False)].value == 7 and bounds(result)[("z", True)].value == 9
 
     def test_weaker_second_decision_on_the_same_bound(self):
         system = parse_lia("x - y <= 0\n")
@@ -233,10 +238,10 @@ class TestPropagateBounds:
             result = propagate_bounds(system, decisions, 100)
             assert result == reference_propagate_bounds(system, decisions, 100)
             assert result.trail[:2] == [decisions[0], decisions[2]] and result.steps == 2
-            assert result.bounds[("x", True)] == decisions[0]
+            assert bounds(result)[("x", True)] == decisions[0]
         tighter = [Bound.make("x", ">=", 5), Bound.make("x", ">=", 6)]
         result = propagate_bounds(system, tighter, 100)
-        assert result.trail[:2] == tighter and result.bounds[("x", True)] == tighter[1]
+        assert result.trail[:2] == tighter and bounds(result)[("x", True)] == tighter[1]
 
     def test_implied_bound_calls_linear_in_pairs_and_steps(self, monkeypatch):
         # a pair is revisited only after a bound it reads was tightened
@@ -274,13 +279,13 @@ class TestPropagateBounds:
         assert all(b.var in variables[b.reason] for b in derived)
 
     def test_every_bound_built_has_the_record_fields(self):
-        # `trail`, and `bounds` through it, build their bounds from the records with tuple.__new__, which
-        # takes a tuple of any length; propagation and the bounded decision build none
+        # `trail` builds its bounds from the records with tuple.__new__, which takes a tuple of any
+        # length; propagation and the bounded decision build none
         seen = []
         for system, decisions in ((DIVERGENT, [Bound.make("x", ">=", 0)]),
                                   (parse_lia("x - y + 1 <= 0\ny - z <= 0\n"), [Bound.make("x", ">=", 0), Bound.make("z", "<", 1)])):
             result = propagate_bounds(system, decisions, 50)
-            seen += result.trail + list(result.bounds.values())
+            seen += result.trail
         assert {b.reason is None for b in seen} == {True, False}
         assert {len(b) for b in seen} == {len(Bound._fields)}
         assert {type(b) for b in seen} == {Bound}
@@ -329,6 +334,10 @@ class TestAprioriBounds:
     def test_constants_count_toward_a(self):
         system = LiaSystem([LinIneq(1, (("x", 1),), -9)])
         assert system.a == 9
+
+    def test_empty_system_is_rejected(self):
+        with pytest.raises(ValueError, match="^the system must contain at least one inequation$"):
+            apriori_bounds(LiaSystem([]))
 
 
 class TestDecideBounded:

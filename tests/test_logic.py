@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from oracles import (
     ReferenceSubstitution,
+    apply_atom,
     reference_canonical_variant,
     reference_rename_apart,
     reference_variables,
@@ -22,6 +23,7 @@ from clausekit.logic import (
     canonical_variant,
     match_atoms,
     rename_apart,
+    term_from_name,
     unify,
 )
 
@@ -67,6 +69,10 @@ class TestInternedTerms:
         for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
             assert pickle.loads(pickle.dumps(term, protocol)) is term
 
+    def test_empty_name_is_rejected(self):
+        with pytest.raises(ValueError, match="^term names must be non-empty$"):
+            term_from_name("")
+
     def test_repr_and_str(self):
         assert repr(x1) == "Variable(name='x1')"
         assert repr(c0) == "Constant(name='0')"
@@ -92,7 +98,7 @@ class TestUnify:
     def test_variable_to_variable(self):
         sigma = unify(P(x1), P(x2))
         assert sigma is not None
-        assert sigma.apply_atom(P(x1)) == sigma.apply_atom(P(x2))
+        assert apply_atom(sigma, P(x1)) == apply_atom(sigma, P(x2))
 
 
 terms = st.sampled_from([Variable("x1"), Variable("x2"), Variable("x3"), c0, c1])
@@ -108,14 +114,14 @@ def test_unify_is_most_general(a, b):
     ground_unifier_exists = False
     for combo in itertools.product([c0, c1], repeat=len(variables)):
         theta = Substitution(dict(zip(variables, combo)))
-        if theta.apply_atom(a) == theta.apply_atom(b):
+        if apply_atom(theta, a) == apply_atom(theta, b):
             ground_unifier_exists = True
             assert sigma is not None
-            assert theta.apply_atom(sigma.apply_atom(a)) == theta.apply_atom(a)
+            assert apply_atom(theta, apply_atom(sigma, a)) == apply_atom(theta, a)
             for v in variables:
-                assert theta.apply_atom(sigma.apply_atom(P(v))) == theta.apply_atom(P(v))
+                assert apply_atom(theta, apply_atom(sigma, P(v))) == apply_atom(theta, P(v))
     if sigma is not None and a.arity == b.arity and a.predicate == b.predicate:
-        assert sigma.apply_atom(a) == sigma.apply_atom(b)
+        assert apply_atom(sigma, a) == apply_atom(sigma, b)
         assert ground_unifier_exists
 
 
@@ -147,7 +153,7 @@ class TestApply:
 
     def test_two_bindings(self):
         sigma = Substitution({x1: c0, x2: c1})
-        assert sigma.apply_atom(P(x1, x2)) == P(c0, c1)
+        assert apply_atom(sigma, P(x1, x2)) == P(c0, c1)
 
     def test_literal_order_preserved(self):
         clause = Clause(4, (pos(P(x1)), pos(P(x2)), neg(P(x1))))

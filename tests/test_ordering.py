@@ -4,7 +4,7 @@ from collections import Counter
 
 import pytest
 
-from oracles import reference_kbo_compare, unit_weights
+from oracles import apply_atom, reference_kbo_compare, unit_weights
 import clausekit
 from clausekit.errors import ClausekitError, OrderingConfigError, UsageError
 from clausekit.logic import Atom, Clause, Constant, Literal, Substitution, Variable
@@ -107,7 +107,7 @@ def test_stability_under_substitution():
         variables = list(dict.fromkeys(a for a in s.args + t.args if isinstance(a, Variable)))
         for combo in itertools.product([c0, c1], repeat=len(variables)):
             theta = Substitution(dict(zip(variables, combo)))
-            assert kbo_compare(theta.apply_atom(s), theta.apply_atom(t), CFG) is Cmp.GT
+            assert kbo_compare(apply_atom(theta, s), apply_atom(theta, t), CFG) is Cmp.GT
 
 
 def maximality(clause):

@@ -7,7 +7,8 @@ import pytest
 
 from clausekit.cdcl import PropClause
 from clausekit.lia import LinIneq
-from clausekit.logic import Atom, Clause, Constant, Literal, Variable
+from clausekit.logic import Atom, Clause, Constant, Literal, Substitution, Variable
+from clausekit.resolution import InputRule, ResolutionRule
 from clausekit.scl import GroundInstance
 
 a, x = Constant("a"), Variable("x")
@@ -17,6 +18,7 @@ CLAUSE = Clause(7, (LITERAL, Literal(True, Atom("Q"))))
 # a learned instance, which holds its substitution pairs as its key; an instance with a compiled clause
 # is not pickled, as the compiled clause caches %-formats and lambdas
 INSTANCE = GroundInstance(3, (), (1, -2))
+SIGMA = Substitution({Variable("y"): Variable("z"), x: a})
 
 
 @pytest.mark.parametrize("record, field", [
@@ -64,6 +66,25 @@ def test_records_hash_and_compare_as_their_field_tuples():
     assert hash(PropClause(2, (1, -3))) == hash((2, (1, -3)))
     assert hash(INSTANCE) == hash((3, (), (1, -2), None)) and INSTANCE == (3, (), (1, -2), None)
     assert ATOM == ("P", (a, x)) and PropClause(2, (1,)) == (2, (1,))
+    # a substitution is no tuple record, but equal ones hash equal, as their sorted bindings, so that a
+    # rule that holds one hashes
+    equal = Substitution({x: a, Variable("y"): Variable("z")})
+    assert equal is not SIGMA and equal == SIGMA and hash(equal) == hash(SIGMA) == hash(tuple(SIGMA.items()))
+    assert hash(ResolutionRule(1, 1, 2, 1, SIGMA)) == hash((1, 1, 2, 1, equal))
+
+
+@pytest.mark.parametrize("printer, record, text", [
+    (str, PropClause(1, (1, -2)), "1 -2"),
+    (str, PropClause(2, ()), "⊥"),
+    (str, InputRule(), "[Input]"),
+    (str, SIGMA, "{x->a,y->z}"),
+    (str, Substitution(), "{}"),
+    (str, a, "a"),
+    (repr, INSTANCE, "GroundInstance(clause_id=3, subst=(), lits=(1, -2))"),
+    (repr, GroundInstance(4, (("x", "a"),), (5,)), "GroundInstance(clause_id=4, subst=(('x', 'a'),), lits=(5,))"),
+])
+def test_records_print_their_text(printer, record, text):
+    assert printer(record) == text
 
 
 @pytest.mark.parametrize("record", [

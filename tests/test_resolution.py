@@ -498,6 +498,17 @@ class TestLinearRefutation:
         with pytest.raises(ValueError, match="non-maximal"):
             check_linear_refutation(clauses, [(1, 1, 2, 1)], default_config(clauses))
 
+    @pytest.mark.parametrize("script", [[], [(2, 2, 3, 1)]])
+    def test_script_short_of_the_empty_clause_rejected(self, script):
+        # the valid script's first step alone derives -P(0,1); no step derives nothing
+        clauses = parse_bs("P(0,1). -P(0,1) | P(1,0). -P(1,0).")
+        with pytest.raises(ValueError, match="^script does not end in the empty clause$"):
+            check_linear_refutation(clauses, script, default_config(clauses))
+
+    def test_counter_script_needs_a_bit(self):
+        with pytest.raises(ValueError, match="^n must be positive$"):
+            linear_counter_script(0)
+
 
 def test_duplicate_clause_ids_rejected():
     # keyed by id, the second clause would hide the first: saturation would answer "saturated"

@@ -75,7 +75,7 @@ def cdcl_events(clauses: list[PropClause], num_vars: int) -> tuple[str, list[tup
     """CDCL's verdict, events and proof, after `replay_proof` checks the proof's ordering and replay."""
     result = solve(clauses, num_vars, lowest_index_positive)
     replay_proof(clauses, result)
-    return result.verdict, [ev for ev in result.state.events if ev[0] not in ("sat", "unsat")], result.proof
+    return result.verdict, result.state.events, result.proof
 
 
 FORMULAS = {

@@ -159,6 +159,11 @@ class TestAgainstReference:
         with pytest.raises(ValueError, match="predicate 'M'"):
             scl_run(clauses)
 
+    def test_empty_domain_is_rejected(self):
+        # without constants the engine's own domain is one fresh constant; a given domain may not be empty
+        with pytest.raises(ValueError, match="^empty Herbrand domain; provide at least one constant$"):
+            ground_problem(parse_bs("P(x). -P(y) | Q(y)."), [])
+
 
 class TestRepeatedLiterals:
     def test_instance_with_repeated_literal_propagates(self):
